@@ -60,6 +60,7 @@ from .zeno import (
     bound_simplified,
     commutator_projections,
     convergence_slope,
+    fast_oscillation_zeno,
     hamiltonian_zeno,
     perturbed_semigroup_bound_check,
     pulsed_zeno_product,

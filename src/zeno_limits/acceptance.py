@@ -51,6 +51,7 @@ from .zeno import (
     bound_simplified,
     commutator_projections,
     commutator_superoperator,
+    fast_oscillation_zeno,
     pulsed_zeno_product,
     zeno_split,
 )
@@ -281,14 +282,6 @@ def criterion_7() -> CriterionResult:
                            time.monotonic() - start)
 
 
-def _fast_oscillation_zeno(sys: GklsSystem, k: np.ndarray) -> Superoperator:
-    full = liouvillian(sys).mat
-    mat = np.zeros_like(full)
-    for comp in commutator_projections(k):
-        mat += comp.projector @ full @ comp.projector
-    return Superoperator(sys.d, mat, "projected")
-
-
 def criterion_8() -> CriterionResult:
     """No-go check: purity decay rates of L and of the projected L_Z.
 
@@ -306,7 +299,7 @@ def criterion_8() -> CriterionResult:
                       no_go_check(ex.system, ex.expected_zeno, 1e-6, opts))]
     for i in range(10):
         sys = random_gkls(2, 1 + i % 2, seed=4000 + i)
-        lz = _fast_oscillation_zeno(sys, sys.hamiltonian)
+        lz = fast_oscillation_zeno(sys, sys.hamiltonian)
         cases.append(NoGoCase(f"seed {4000 + i}", sys, lz, no_go_check(sys, lz, 1e-6, opts)))
     gaps = [abs(c.report.gamma_original - c.report.gamma_projected) for c in cases]
     first = cases[0].report

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, ZenoLimitsError
 from .gkls import (GklsSystem, Superoperator, cptp_check,
                    dissipator_superoperator, hamiltonian_superoperator,
                    liouvillian)
@@ -69,9 +69,12 @@ DEGENERATE_ERROR = 1e-12
 
 def _worker_count() -> int:
     env = os.environ.get("ZENO_LIMITS_THREADS", "")
-    if env.strip():
+    if not env.strip():
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValidationError(f"ZENO_LIMITS_THREADS must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -325,7 +328,7 @@ def spectral_property_check(sys_or_superop, times=(-1.0, 1.0)) -> SpectralProper
     try:
         dec = decompose(mat)
         peripheral_ok = all(c.semisimple for c in dec.peripheral_clusters)
-    except Exception as exc:  # defective peripheral cluster or worse
+    except ZenoLimitsError as exc:  # defective peripheral cluster or worse
         details["decomposition_error"] = str(exc)
         return SpectralPropertyReport(
             left_half_plane=lhp, zero_is_eigenvalue=zero_eig,

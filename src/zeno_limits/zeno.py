@@ -19,8 +19,8 @@ measures that error and evaluates three certified upper bounds for it:
   spectral gaps and the eigenvector condition number alone.
 
 Also here: the pulsed (measurement-based) Zeno product, projected
-Hamiltonians, Bohr-frequency superoperator projections, and log-log
-convergence-rate fits.
+Hamiltonians, Bohr-frequency superoperator projections, the
+fast-oscillation Zeno generator L_Z, and log-log convergence-rate fits.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from .errors import (
     SpectrumViolationError,
     ValidationError,
 )
-from .gkls import Superoperator, hamiltonian_superoperator
+from .gkls import GklsSystem, Superoperator, hamiltonian_superoperator, liouvillian
 from .linalg import as_complex_matrix, expm, sandwich_super, spectral_norm
 from .spectral import (
     GapData,
     SpectralDecomposition,
+    _cluster_eigenvalues,
     condition_number,
     decompose,
     gaps,
@@ -62,6 +63,7 @@ __all__ = [
     "pulsed_zeno_product",
     "hamiltonian_zeno",
     "commutator_projections",
+    "fast_oscillation_zeno",
 ]
 
 
@@ -424,22 +426,17 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
                             distance=spectral_norm(product - limit))
 
 
-def _eigh_clusters(k: np.ndarray, tol: float | None):
-    """Eigenvalues/projections of a Hermitian matrix with degeneracy merging."""
+def _eigenprojections(k: np.ndarray, tol: float | None):
+    """Clustered eigenvalues of a Hermitian matrix with their projections.
+
+    Eigenvalues are grouped by :func:`spectral._cluster_eigenvalues`: single
+    linkage at ``tol``, then representatives within ``2 * tol`` merge.
+    """
     if tol is None:
         tol = 1e-7 * max(spectral_norm(k), 1.0)
     w, u = np.linalg.eigh(k)
-    groups: list[list[int]] = []
-    for i in range(len(w)):
-        if groups and abs(w[i] - w[groups[-1][-1]]) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    out = []
-    for g in groups:
-        proj = sum(np.outer(u[:, i], u[:, i].conj()) for i in g)
-        out.append((float(np.mean(w[g])), proj))
-    return out
+    groups, centers = _cluster_eigenvalues(w, tol)
+    return [(c.real, u[:, g] @ u[:, g].conj().T) for g, c in zip(groups, centers)]
 
 
 def hamiltonian_zeno(k, h, tol: float | None = None) -> np.ndarray:
@@ -450,7 +447,7 @@ def hamiltonian_zeno(k, h, tol: float | None = None) -> np.ndarray:
         if spectral_norm(m - m.conj().T) > 1e-10 * max(1.0, spectral_norm(m)):
             raise ValidationError(f"{name} must be Hermitian")
     hz = np.zeros_like(h)
-    for _, proj in _eigh_clusters(k, tol):
+    for _, proj in _eigenprojections(k, tol):
         hz += proj @ h @ proj
     return hz
 
@@ -469,31 +466,33 @@ def commutator_projections(k, tol: float | None = None) -> list[BohrComponent]:
     The spectrum of [K, .] is the set of Bohr frequencies
     omega = eps_m - eps_n of K, and the projection belonging to omega is
     sum over all pairs at that frequency of P_m (.) P_n.  Frequencies are
-    merged at the same tolerance used for the eigenvalues of K.
+    clustered like the eigenvalues of K, at the same tolerance.
     """
     k = as_complex_matrix(k, "Hamiltonian")
     if spectral_norm(k - k.conj().T) > 1e-10 * max(1.0, spectral_norm(k)):
         raise ValidationError("K must be Hermitian")
     if tol is None:
         tol = 1e-7 * max(spectral_norm(k), 1.0)
-    eig = _eigh_clusters(k, tol)
-    freq_groups: dict[int, list[tuple[int, int]]] = {}
-    freqs: list[float] = []
-    for m, (em, _) in enumerate(eig):
-        for n, (en, _) in enumerate(eig):
-            om = em - en
-            for idx, f in enumerate(freqs):
-                if abs(om - f) <= tol:
-                    freq_groups[idx].append((m, n))
-                    break
-            else:
-                freqs.append(om)
-                freq_groups[len(freqs) - 1] = [(m, n)]
-    out = []
-    for idx, f in enumerate(freqs):
-        proj = sum(sandwich_super(eig[m][1], eig[n][1]) for m, n in freq_groups[idx])
-        out.append(BohrComponent(omega=f, projector=proj))
-    return out
+    eig = _eigenprojections(k, tol)
+    pairs = [(pm, pn) for _, pm in eig for _, pn in eig]
+    bohr = np.array([em - en for em, _ in eig for en, _ in eig])
+    groups, freqs = _cluster_eigenvalues(bohr, tol)
+    return [BohrComponent(omega=f.real,
+                          projector=sum(sandwich_super(*pairs[i]) for i in g))
+            for g, f in zip(groups, freqs)]
+
+
+def fast_oscillation_zeno(sys: GklsSystem, k) -> Superoperator:
+    """Fast-oscillation Zeno generator L_Z = sum_omega P_omega L P_omega.
+
+    L is the Liouvillian of ``sys`` and P_omega the Bohr-frequency
+    projections of [K, .] from :func:`commutator_projections`.
+    """
+    full = liouvillian(sys).mat
+    mat = np.zeros_like(full)
+    for comp in commutator_projections(k):
+        mat += comp.projector @ full @ comp.projector
+    return Superoperator(sys.d, mat, "projected")
 
 
 def commutator_superoperator(k) -> np.ndarray:

@@ -73,6 +73,11 @@ class TestRunSweep:
         threaded = run_sweep(cfg)
         assert serial.csv_text == threaded.csv_text
 
+    def test_non_integer_thread_cap_is_typed(self, monkeypatch):
+        monkeypatch.setenv("ZENO_LIMITS_THREADS", "two")
+        with pytest.raises(ValidationError, match="ZENO_LIMITS_THREADS"):
+            run_sweep(small_config(t_count=2))
+
     def test_degenerate_zero_weak_generator(self, tmp_path):
         sys = random_gkls(2, 1, seed=55)
         strong = liouvillian(sys)
@@ -122,3 +127,19 @@ class TestSpectralPropertyCheck:
         rep = spectral_property_check(corrupted)
         assert not rep.left_half_plane
         assert not rep.all_pass
+
+    def test_defective_peripheral_cluster_reported(self):
+        gen = np.zeros((4, 4), dtype=complex)
+        gen[0, 1] = 1.0  # a Jordan block at eigenvalue 0
+        gen[2, 2] = gen[3, 3] = -1.0
+        rep = spectral_property_check(gen)
+        assert not rep.peripheral_semisimple
+        assert "defective" in rep.details["decomposition_error"]
+
+    def test_untyped_failure_propagates(self, monkeypatch):
+        def broken(_):
+            raise RuntimeError("not a package error")
+
+        monkeypatch.setattr("zeno_limits.experiments.decompose", broken)
+        with pytest.raises(RuntimeError, match="not a package error"):
+            spectral_property_check(random_gkls(2, 1, seed=93))

@@ -23,7 +23,7 @@ from zeno_limits import (
 from zeno_limits.errors import ValidationError
 from zeno_limits.gkls import purity_decay_report
 from zeno_limits.models import dephasing_qubit_example
-from zeno_limits.zeno import commutator_projections
+from zeno_limits.zeno import fast_oscillation_zeno
 
 from conftest import random_complex, random_hermitian
 
@@ -202,17 +202,9 @@ class TestPurityDecay:
 
 
 class TestNoGoCheck:
-    @staticmethod
-    def _fast_oscillation_zeno(sys, k):
-        full = liouvillian(sys).mat
-        mat = np.zeros_like(full)
-        for comp in commutator_projections(k):
-            mat += comp.projector @ full @ comp.projector
-        return Superoperator(sys.d, mat, "projected")
-
     def test_unitary_generator_both_zero(self):
         sys = GklsSystem(d=2, hamiltonian=SZ)
-        lz = self._fast_oscillation_zeno(sys, SX)
+        lz = fast_oscillation_zeno(sys, SX)
         rep = no_go_check(sys, lz, opts=PurityOptions(restarts=6, grid_density=30, seed=2))
         assert rep.gamma_original <= 1e-12
         assert rep.gamma_projected <= 1e-10
@@ -231,7 +223,7 @@ class TestNoGoCheck:
         opts = PurityOptions(restarts=12, grid_density=60, seed=6)
         for seed in (42, 43, 44):
             sys = random_gkls(2, 1, seed=seed)
-            lz = self._fast_oscillation_zeno(sys, sys.hamiltonian)
+            lz = fast_oscillation_zeno(sys, sys.hamiltonian)
             rep = no_go_check(sys, lz, opts=opts)
             assert rep.gamma_projected <= rep.gamma_original + 1e-8
             assert rep.gamma_projected > 1e-8

@@ -302,6 +302,21 @@ class TestHamiltonianZeno:
         assert spectral_norm(hz - hz.conj().T) <= 1e-12
 
 
+    def test_levels_between_tol_and_twice_tol_merge(self, rng):
+        # single linkage keeps 0 and 1.5e-6 apart at tol 1e-6; the safety
+        # merge of representatives within 2 * tol then joins them
+        k = np.diag([0.0, 1.5e-6, 1.0]).astype(complex)
+        h = random_hermitian(rng, 3)
+        hz = hamiltonian_zeno(k, h, tol=1e-6)
+        want = h.copy()
+        want[:2, 2] = want[2, :2] = 0.0
+        assert np.allclose(hz, want, atol=1e-12)
+        comps = commutator_projections(k, tol=1e-6)
+        assert sorted(c.omega for c in comps) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-5)
+        zero = next(c for c in comps if abs(c.omega) < 1e-12)
+        assert np.trace(zero.projector).real == pytest.approx(5.0)
+
+
 class TestCommutatorProjections:
     def test_qubit_frequencies(self):
         comps = commutator_projections(np.diag([0.0, 1.0]).astype(complex))
