@@ -42,13 +42,9 @@ from .models import (
     three_level_zeno_generator,
 )
 from .spectral import decompose
-from .experiments import spectral_property_check
+from .experiments import BOUNDS, evaluate_grid, spectral_property_check, summarize_rows
 from .zeno import (
     BoundInputs,
-    adiabatic_error,
-    bound_adiabatic,
-    bound_cptp,
-    bound_simplified,
     commutator_projections,
     commutator_superoperator,
     fast_oscillation_zeno,
@@ -154,10 +150,6 @@ def criterion_3() -> CriterionResult:
 GAMMA_GRID = (10.0, 30.0, 100.0, 300.0, 1000.0)
 
 
-def _sup_error_over_t(split, gamma, t_grid) -> float:
-    return max(adiabatic_error(split, gamma, t, "peripheral") for t in t_grid)
-
-
 def criterion_4() -> CriterionResult:
     """O(1/gamma) convergence rate at the reference parameter set.
 
@@ -173,12 +165,9 @@ def criterion_4() -> CriterionResult:
                              g=g, w2=1.0, kappa=1.0)
         l_super, d_super = three_level_generators(p)
         split = zeno_split(d_super.mat, l_super.mat)
-        sup = [(gam, _sup_error_over_t(split, gam, t_grid)) for gam in GAMMA_GRID]
-        top = sup[len(sup) // 2:]
-        slope = float(np.polyfit(np.log([g_ for g_, _ in top]),
-                                 np.log([e for _, e in top]), 1)[0])
-        slope_full = float(np.polyfit(np.log([g_ for g_, _ in sup]),
-                                      np.log([e for _, e in sup]), 1)[0])
+        rows = evaluate_grid(split, GAMMA_GRID, t_grid, ("peripheral",))
+        summary = summarize_rows(rows, ("peripheral",))
+        slope, slope_full = summary["slope"], summary["slope_full_grid"]
         ok = ok and -1.15 <= slope <= -0.85
         details.append(f"g={g}: slope {slope:.3f} (full-grid {slope_full:.3f})")
     elapsed = time.monotonic() - start
@@ -203,11 +192,8 @@ def criterion_5() -> CriterionResult:
     for b, c in cases:
         split = zeno_split(b, c)
         inputs = BoundInputs.from_split(split, t_max=2.0, gamma_max=max(gammas))
-        for gamma in gammas:
-            for t in t_grid:
-                err = adiabatic_error(split, gamma, t, "peripheral")
-                for bound in (bound_adiabatic, bound_cptp, bound_simplified):
-                    worst = max(worst, err - bound(inputs, gamma, t))
+        rows = evaluate_grid(split, gammas, t_grid, ("peripheral",), inputs, tuple(BOUNDS))
+        worst = max(worst, summarize_rows(rows, ("peripheral",))["max_bound_violation"])
     ok = bool(worst <= 1e-9)
     return CriterionResult("5", "bound dominance", ok,
                            f"max (error - bound) over 51 instances x {len(gammas)} gammas x "
@@ -215,7 +201,7 @@ def criterion_5() -> CriterionResult:
                            time.monotonic() - start)
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> tuple[CriterionResult, str]:
     """Bound curve with fixed constants dominates the error curves.
 
     Evaluated with M = sqrt(2), p = sqrt(2), eta = kappa/2, the bound
@@ -228,7 +214,7 @@ def criterion_6() -> CriterionResult:
     gammas = GAMMA_GRID
     ok = True
     details = []
-    rows = ["panel_g,panel_gamma_rate,gamma,t,error_peripheral,bound_cptp_caption"]
+    lines = ["panel_g,panel_gamma_rate,gamma,t,error_peripheral,bound_cptp_caption"]
     for g in (0.1, 1.0, 2.0):
         for gamma_rate in (0.0, 2.0):
             p = ThreeLevelParams(omega0=0.0, omega1=1.0, omega2=2.0,
@@ -242,21 +228,17 @@ def criterion_6() -> CriterionResult:
                 p_coeffs=np.array([math.sqrt(2.0)]), norm_c=measured.norm_c,
                 norm_cz=measured.norm_cz, resolvent_sum=measured.resolvent_sum,
                 resolvent_sum_norm=measured.resolvent_sum_norm)
-            min_margin = math.inf
-            prev = None
-            monotone = True
-            for gamma in gammas:
-                bounds = np.array([bound_cptp(caption, gamma, t) for t in t_grid])
-                errs = np.array([adiabatic_error(split, gamma, t, "peripheral") for t in t_grid])
-                for t, e, bv in zip(t_grid, errs, bounds):
-                    rows.append(f"{g},{gamma_rate},{gamma},{t},{float(e)!r},{float(bv)!r}")
-                min_margin = min(min_margin, float((bounds - errs).min()))
-                if prev is not None and not np.all(bounds <= prev + 1e-12):
-                    monotone = False
-                prev = bounds
+            panel = evaluate_grid(split, gammas, t_grid, ("peripheral",), caption, ("cptp",))
+            for row in panel:
+                lines.append(f"{g},{gamma_rate},{row['gamma']},{row['t']},"
+                             f"{float(row['error_peripheral'])!r},{float(row['bound_cptp'])!r}")
+            errs = np.array([row["error_peripheral"] for row in panel]).reshape(len(gammas), -1)
+            bounds = np.array([row["bound_cptp"] for row in panel]).reshape(len(gammas), -1)
+            min_margin = float((bounds - errs).min())
+            monotone = bool(np.all(bounds[1:] <= bounds[:-1] + 1e-12))
             ok = bool(ok and monotone and min_margin >= 0.0)
             details.append(f"g={g},rate={gamma_rate}: margin {min_margin:.2e}, monotone {monotone}")
-    csv_text = "\n".join(rows) + "\n"
+    csv_text = "\n".join(lines) + "\n"
     return CriterionResult("6", "fixed-constant bound curve", ok,
                            "; ".join(details), time.monotonic() - start,
                            ), csv_text

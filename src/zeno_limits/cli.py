@@ -11,16 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import jsonio
 from .errors import ZenoLimitsError
-from .experiments import SweepConfig, run_sweep, spectral_property_check
+from .experiments import (BOUNDS, SweepConfig, evaluate_grid, format_csv, run_sweep,
+                          spectral_property_check)
 from .gkls import Superoperator, cptp_check, gkls_form_check, liouvillian
 from .models import ThreeLevelParams, dephasing_qubit_example, three_level_analytic_propagator, three_level_generators
 from .spectral import decompose, gaps
-from .zeno import BoundInputs, adiabatic_error, bound_adiabatic, bound_cptp, bound_simplified, zeno_split
+from .zeno import BoundInputs, adiabatic_error, zeno_split
 
 
 def _add_spectral(sub):
@@ -155,22 +157,13 @@ def cmd_zeno_error(args) -> int:
 
 def cmd_zeno_bounds(args) -> int:
     split = _split_from_file(args.split)
-    inputs = BoundInputs.from_split(split)
     gammas = [float(x) for x in args.gamma_grid.split(",") if x.strip()]
     start, stop, count = args.t_grid.split(":")
     t_grid = np.linspace(float(start), float(stop), int(count))
-    lines = ["gamma,t,error_plain,error_peripheral,bound_adiabatic,bound_cptp,bound_simplified"]
-    for g in gammas:
-        for t in t_grid:
-            ep = adiabatic_error(split, g, t, "plain")
-            er = adiabatic_error(split, g, t, "peripheral")
-            lines.append(",".join(repr(float(x)) for x in (
-                g, t, ep, er,
-                bound_adiabatic(inputs, g, t),
-                bound_cptp(inputs, g, t),
-                bound_simplified(inputs, g, t))))
-    from pathlib import Path
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    inputs = BoundInputs.from_split(split, t_max=max(t_grid, default=0.0),
+                                    gamma_max=max(gammas, default=0.0))
+    rows = evaluate_grid(split, gammas, t_grid, inputs=inputs, bounds=tuple(BOUNDS))
+    Path(args.output).write_text(format_csv(rows))
     return 0
 
 

@@ -14,7 +14,9 @@ gamma grid, with the full-grid fit alongside), the worst bound violation
 underlying estimates), and wall-clock time.  Grid points are evaluated
 concurrently; aggregation is ordered by (gamma, t), so the output is
 byte-identical regardless of scheduling.  The environment variable
-ZENO_LIMITS_THREADS caps the worker count.
+ZENO_LIMITS_THREADS caps the worker count.  Each row comes from
+``evaluate_row`` and the summary from ``summarize_rows``; the
+``zeno bounds`` command and the acceptance criteria use the same two.
 
 ``spectral_property_check`` audits the structural facts that make a
 compiled generator a valid strong generator: spectrum confined to the
@@ -26,7 +28,6 @@ times.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import time
@@ -40,12 +41,14 @@ from .gkls import (GklsSystem, Superoperator, cptp_check,
                    dissipator_superoperator, hamiltonian_superoperator,
                    liouvillian)
 from .jsonio import load_json, superoperator_from_json
-from .linalg import spectral_norm
+from .linalg import expm, spectral_norm
 from .models import ThreeLevelParams, dephasing_qubit_example, three_level_generators
 from .spectral import decompose, peripheral_projection
 from .zeno import (
     BoundInputs,
-    adiabatic_error,
+    ZenoSplit,
+    _limit_errors,
+    _loglog_fit,
     bound_adiabatic,
     bound_cptp,
     bound_simplified,
@@ -171,18 +174,76 @@ def _load_pair(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     raise ValidationError(f"unknown model {cfg.model!r}")
 
 
-def _loglog_slope(points) -> float:
-    gammas = np.log([g for g, _ in points])
-    errs = np.log([e for _, e in points])
-    return float(np.polyfit(gammas, errs, 1)[0])
+BOUNDS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_simplified}
 
 
-def _format_row(row: dict) -> str:
-    cells = []
-    for col in CSV_COLUMNS:
-        val = row.get(col)
-        cells.append("" if val is None else repr(float(val)))
-    return ",".join(cells)
+def evaluate_row(split: ZenoSplit, gamma: float, t: float, variants=("plain", "peripheral"),
+                 inputs: BoundInputs | None = None, bounds=()) -> dict:
+    """One (gamma, t) row keyed by ``CSV_COLUMNS``; cells not requested are None.
+
+    ``bounds`` names keys of ``BOUNDS``, evaluated at ``inputs``.
+    """
+    row = dict.fromkeys(CSV_COLUMNS)
+    row["gamma"], row["t"] = gamma, t
+    for variant, err in _limit_errors(split, gamma, t, variants).items():
+        row[f"error_{variant}"] = err
+    for name in bounds:
+        row[f"bound_{name}"] = BOUNDS[name](inputs, gamma, t)
+    return row
+
+
+def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripheral"),
+                  inputs: BoundInputs | None = None, bounds=(), mapper=map) -> list[dict]:
+    """:func:`evaluate_row` over gammas x t_grid, gamma-major; ``mapper`` may be a pool's map."""
+    points = [(g, t) for g in gammas for t in t_grid]
+    return list(mapper(lambda point: evaluate_row(split, *point, variants, inputs, bounds), points))
+
+
+def summarize_rows(rows: list[dict], variants) -> dict:
+    """Sup-over-t errors, the bound audit and the convergence slopes of gamma-major rows.
+
+    The error is the peripheral variant's when it was evaluated.  A positive
+    ``max_bound_violation`` means a bound was beaten.  The headline slope
+    fits the top half of the gamma grid (the small-gamma points are
+    pre-asymptotic); the full-grid fit is reported alongside.
+    """
+    err_key = "error_peripheral" if "peripheral" in variants else "error_plain"
+    slack = -math.inf
+    sup: dict[float, float] = {}
+    for row in rows:
+        err = row[err_key]
+        if err is None:
+            continue
+        sup[row["gamma"]] = max(sup.get(row["gamma"], err), err)
+        for bkey in (f"bound_{name}" for name in BOUNDS):
+            if row[bkey] is not None:
+                slack = max(slack, err - row[bkey])
+    sup_errors = list(sup.items())
+    slope = slope_full = None
+    notice = None
+    if sup_errors and all(e <= DEGENERATE_ERROR for _, e in sup_errors):
+        notice = "degenerate-data: all errors at roundoff, slope fit refused"
+    elif len(sup_errors) >= 4 and all(e > 0 for _, e in sup_errors):
+        slope = _loglog_fit(sup_errors[len(sup_errors) // 2:]).slope
+        slope_full = _loglog_fit(sup_errors).slope
+    elif sup_errors:
+        notice = "degenerate-data: need >= 4 gamma points with positive errors"
+    return {
+        "slope": slope,
+        "slope_full_grid": slope_full,
+        "max_bound_violation": None if slack == -math.inf else slack,
+        "sup_errors": [[g, e] for g, e in sup_errors],
+        "notice": notice,
+    }
+
+
+def format_csv(rows: list[dict]) -> str:
+    """The sweep CSV: the frozen header, then one line per row, empty cells for None."""
+    lines = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        lines.append(",".join("" if row[col] is None else repr(float(row[col]))
+                              for col in CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -195,74 +256,17 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     b, c = _load_pair(cfg)
     split = zeno_split(b, c)
     inputs = BoundInputs.from_split(split, t_max=cfg.t_stop, gamma_max=max(cfg.gamma_grid))
-    t_grid = cfg.t_grid()
-    points = [(g, t) for g in cfg.gamma_grid for t in t_grid]
-
-    def evaluate(point):
-        g, t = point
-        row = {"gamma": g, "t": t, "error_plain": None, "error_peripheral": None,
-               "bound_adiabatic": None, "bound_cptp": None, "bound_simplified": None}
-        if "plain" in cfg.variants:
-            row["error_plain"] = adiabatic_error(split, g, t, "plain")
-        if "peripheral" in cfg.variants:
-            row["error_peripheral"] = adiabatic_error(split, g, t, "peripheral")
-        if "adiabatic" in cfg.bounds:
-            row["bound_adiabatic"] = bound_adiabatic(inputs, g, t)
-        if "cptp" in cfg.bounds:
-            row["bound_cptp"] = bound_cptp(inputs, g, t)
-        if "simplified" in cfg.bounds:
-            row["bound_simplified"] = bound_simplified(inputs, g, t)
-        return row
-
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(evaluate, points))
+        rows = evaluate_grid(split, cfg.gamma_grid, cfg.t_grid(), cfg.variants, inputs,
+                             cfg.bounds, mapper=pool.map)
     rows.sort(key=lambda r: (r["gamma"], r["t"]))
-
-    # bound audit: positive slack means a bound was violated
-    slack = -math.inf
-    err_key = "error_peripheral" if "peripheral" in cfg.variants else "error_plain"
-    for row in rows:
-        err = row[err_key]
-        if err is None:
-            continue
-        for bkey in ("bound_adiabatic", "bound_cptp", "bound_simplified"):
-            if row[bkey] is not None:
-                slack = max(slack, err - row[bkey])
-
-    # convergence slope on sup-over-t errors; the headline fit uses the top
-    # half of the gamma grid (the small-gamma points are pre-asymptotic),
-    # the full-grid fit is reported alongside
-    sup_errors = []
-    for g in cfg.gamma_grid:
-        errs = [row[err_key] for row in rows if row["gamma"] == g and row[err_key] is not None]
-        if errs:
-            sup_errors.append((g, max(errs)))
-    slope = slope_full = None
-    notice = None
-    if sup_errors and all(e <= DEGENERATE_ERROR for _, e in sup_errors):
-        notice = "degenerate-data: all errors at roundoff, slope fit refused"
-    elif len(sup_errors) >= 4 and all(e > 0 for _, e in sup_errors):
-        slope = _loglog_slope(sup_errors[len(sup_errors) // 2:])
-        slope_full = _loglog_slope(sup_errors)
-    elif sup_errors:
-        notice = "degenerate-data: need >= 4 gamma points with positive errors"
-
     summary = {
         "model": cfg.model,
         "gamma_grid": list(cfg.gamma_grid),
-        "slope": slope,
-        "slope_full_grid": slope_full,
-        "max_bound_violation": None if slack == -math.inf else slack,
-        "sup_errors": [[g, e] for g, e in sup_errors],
-        "notice": notice,
+        **summarize_rows(rows, cfg.variants),
         "wall_clock_s": time.monotonic() - start,
     }
-
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(_format_row(row) + "\n")
-    csv_text = buf.getvalue()
+    csv_text = format_csv(rows)
 
     if cfg.output:
         from pathlib import Path
@@ -337,8 +341,9 @@ def spectral_property_check(sys_or_superop, times=(-1.0, 1.0)) -> SpectralProper
 
     p_phi = peripheral_projection(dec)
     proj_report = cptp_check(Superoperator(sop.d, p_phi, "projected"))
-    commute = spectral_norm(mat @ p_phi - p_phi @ mat) <= 1e-8 * norm
-    details["projection_commutator_norm"] = float(spectral_norm(mat @ p_phi - p_phi @ mat))
+    commutator_norm = spectral_norm(mat @ p_phi - p_phi @ mat)
+    commute = commutator_norm <= 1e-8 * norm
+    details["projection_commutator_norm"] = float(commutator_norm)
 
     # peripheral part L_phi = sum over peripheral clusters of b_k P_k
     l_phi = np.zeros_like(mat)
@@ -346,7 +351,7 @@ def spectral_property_check(sys_or_superop, times=(-1.0, 1.0)) -> SpectralProper
         l_phi += c.eigenvalue * c.projection
     peripheral_map_ok = True
     for t in times:
-        phi_map = _expm_peripheral(l_phi, t) @ p_phi
+        phi_map = expm(l_phi, t) @ p_phi
         rep = cptp_check(Superoperator(sop.d, phi_map, "projected"))
         details[f"peripheral_map_min_choi_t={t}"] = rep.min_choi_eigenvalue
         peripheral_map_ok = peripheral_map_ok and rep.completely_positive and rep.trace_preserving
@@ -361,9 +366,3 @@ def spectral_property_check(sys_or_superop, times=(-1.0, 1.0)) -> SpectralProper
         peripheral_map_cptp=bool(peripheral_map_ok),
         details=details,
     )
-
-
-def _expm_peripheral(l_phi: np.ndarray, t: float) -> np.ndarray:
-    from .linalg import expm
-
-    return expm(l_phi, t)

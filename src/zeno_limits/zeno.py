@@ -132,11 +132,21 @@ def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
     """
     if variant not in ("plain", "peripheral"):
         raise ValueError(f"unknown variant {variant!r}")
+    return _limit_errors(split, gamma, t, (variant,))[variant]
+
+
+def _limit_errors(split: ZenoSplit, gamma: float, t: float, variants) -> dict[str, float]:
+    """:func:`adiabatic_error` for each of ``variants``, sharing the three exponentials."""
+    if not variants:
+        return {}
     lhs = expm(gamma * split.b + split.c, t)
     rhs = expm(split.b, gamma * t) @ expm(split.c_z, t)
-    if variant == "peripheral":
-        rhs = rhs @ split.p_phi
-    return spectral_norm(lhs - rhs)
+    errors = {}
+    if "plain" in variants:
+        errors["plain"] = spectral_norm(lhs - rhs)
+    if "peripheral" in variants:
+        errors["peripheral"] = spectral_norm(lhs - rhs @ split.p_phi)
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +361,11 @@ def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid,
     b = _as_matrix(b, "strong generator")
     c = _as_matrix(c, "weak generator")
     t_grid = np.asarray(t_grid, dtype=float)
+    semigroup_norms = [spectral_norm(expm(b, t)) for t in t_grid]
     if m_bound is None:
-        m_bound = 1.05 * max(1.0, max(spectral_norm(expm(b, t)) for t in t_grid))
+        m_bound = 1.05 * max(1.0, max(semigroup_norms))
     norm_c = spectral_norm(c)
-    ratio_semi = max(spectral_norm(expm(b, t)) / m_bound for t in t_grid)
+    ratio_semi = max(n / m_bound for n in semigroup_norms)
     ratio_pert = 0.0
     for t in t_grid:
         lhs = spectral_norm(expm(gamma * b + c, t))
@@ -393,9 +404,15 @@ def convergence_slope(points) -> SlopeFit:
         raise DegenerateDataError("gamma values must be positive")
     if gammas.max() / gammas.min() < 100.0:
         raise DegenerateDataError("gamma grid must span at least two decades")
-    lx, ly = np.log(gammas), np.log(errs)
+    return _loglog_fit(pts)
+
+
+def _loglog_fit(points) -> SlopeFit:
+    """Unchecked least-squares line through (log gamma, log error)."""
+    lx = np.log([g for g, _ in points])
+    ly = np.log([e for _, e in points])
     coeffs, residuals, *_ = np.polyfit(lx, ly, 1, full=True)
-    rms = math.sqrt(residuals[0] / len(pts)) if len(residuals) else 0.0
+    rms = math.sqrt(residuals[0] / len(lx)) if len(residuals) else 0.0
     return SlopeFit(slope=float(coeffs[0]), intercept=float(coeffs[1]), residual=rms)
 
 

@@ -62,12 +62,18 @@ def test_gkls_build_and_check(tmp_path, system_file, capsys):
     assert report["gkls_form"]["conditionally_completely_positive"]
 
 
-def test_zeno_split_error_bounds(tmp_path, capsys):
+@pytest.fixture
+def pair_files(tmp_path):
     strong = liouvillian(random_gkls(2, 2, seed=7))
     weak = liouvillian(random_gkls(2, 1, seed=8))
     sp, wp = tmp_path / "B.json", tmp_path / "C.json"
     dump_json(superoperator_to_json(strong), sp)
     dump_json(superoperator_to_json(weak), wp)
+    return sp, wp
+
+
+def test_zeno_split_error_bounds(tmp_path, pair_files, capsys):
+    sp, wp = pair_files
     split_path = tmp_path / "split.json"
     assert main(["zeno", "split", "--strong", str(sp), "--weak", str(wp),
                  "--output", str(split_path)]) == 0
@@ -90,6 +96,26 @@ def test_zeno_split_error_bounds(tmp_path, capsys):
         cells = [float(x) for x in line.split(",")]
         assert cells[3] <= cells[4] + 1e-9  # peripheral error <= adiabatic bound
         assert cells[3] <= cells[5] + 1e-9  # ... <= cptp bound
+
+
+def test_zeno_bounds_matches_sweep(tmp_path, pair_files, capsys):
+    # the grid's horizon (t 0.02, gamma 4) is not the BoundInputs default (2, 1000)
+    sp, wp = pair_files
+    split_path, bounds_csv, sweep_csv = tmp_path / "split.json", tmp_path / "b.csv", tmp_path / "s.csv"
+    assert main(["zeno", "split", "--strong", str(sp), "--weak", str(wp),
+                 "--output", str(split_path)]) == 0
+    assert main(["zeno", "bounds", "--split", str(split_path), "--gamma-grid", "1,2,3,4",
+                 "--t-grid", "0.01:0.02:3", "--output", str(bounds_csv)]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"strong": str(sp), "weak": str(wp)},
+        "gamma_grid": [1, 2, 3, 4],
+        "t_grid": {"start": 0.01, "stop": 0.02, "count": 3},
+        "output": str(sweep_csv),
+    }))
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert bounds_csv.read_text() == sweep_csv.read_text()
 
 
 def test_model_commands(tmp_path, capsys):

@@ -12,9 +12,11 @@ from zeno_limits import (
     spectral_property_check,
 )
 from zeno_limits.errors import ValidationError
-from zeno_limits.experiments import CSV_COLUMNS
+from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_row
 from zeno_limits.gkls import hamiltonian_superoperator
 from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json
+from zeno_limits.models import ThreeLevelParams, three_level_generators
+from zeno_limits.zeno import BoundInputs, adiabatic_error, zeno_split
 
 
 def small_config(**overrides):
@@ -45,6 +47,36 @@ class TestSweepConfig:
         assert cfg.gamma_grid == (10.0, 100.0, 1000.0, 10000.0)
         assert cfg.t_spacing == "log"
         assert np.all(np.diff(np.log(cfg.t_grid())) > 0)
+
+
+def _pair_split(name):
+    if name == "three-level":
+        weak, strong = three_level_generators(ThreeLevelParams())
+    else:  # seeded D=16 GKLS pair
+        strong, weak = liouvillian(random_gkls(4, 2, seed=61)), liouvillian(random_gkls(4, 1, seed=62))
+    return zeno_split(strong.mat, weak.mat)
+
+
+class TestEvaluateRow:
+    @pytest.mark.parametrize("pair", ["three-level", "gkls-d16"])
+    @pytest.mark.parametrize("variants", [("plain", "peripheral"), ("peripheral",)])
+    def test_errors_equal_adiabatic_error_bitwise(self, pair, variants):
+        split = _pair_split(pair)
+        for gamma in (10.0, 1000.0):
+            for t in (0.25, 1.3):
+                row = evaluate_row(split, gamma, t, variants)
+                for variant in ("plain", "peripheral"):
+                    want = adiabatic_error(split, gamma, t, variant) if variant in variants else None
+                    assert row[f"error_{variant}"] == want
+                assert all(row[f"bound_{name}"] is None for name in BOUNDS)
+
+    def test_requested_bounds_only(self):
+        split = _pair_split("three-level")
+        inputs = BoundInputs.from_split(split)
+        row = evaluate_row(split, 100.0, 0.5, (), inputs, ("cptp",))
+        assert list(row) == list(CSV_COLUMNS)
+        assert row["bound_cptp"] == BOUNDS["cptp"](inputs, 100.0, 0.5)
+        assert row["error_plain"] is row["error_peripheral"] is row["bound_adiabatic"] is None
 
 
 class TestRunSweep:
