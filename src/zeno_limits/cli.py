@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .errors import ZenoLimitsError
+from .errors import ValidationError, ZenoLimitsError
 from .experiments import (BOUNDS, SweepConfig, evaluate_grid, format_csv, run_sweep,
                           spectral_property_check)
 from .gkls import Superoperator, cptp_check, gkls_form_check, liouvillian
@@ -156,10 +156,19 @@ def cmd_zeno_error(args) -> int:
 
 
 def cmd_zeno_bounds(args) -> int:
+    try:
+        gammas = [float(x) for x in args.gamma_grid.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"--gamma-grid must be comma-separated numbers, got {args.gamma_grid!r}") from None
+    try:
+        start, stop, count = args.t_grid.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ValidationError(f"--t-grid must be start:stop:count, got {args.t_grid!r}") from None
+    if count < 0:
+        raise ValidationError(f"--t-grid count must be nonnegative, got {count}")
     split = _split_from_file(args.split)
-    gammas = [float(x) for x in args.gamma_grid.split(",") if x.strip()]
-    start, stop, count = args.t_grid.split(":")
-    t_grid = np.linspace(float(start), float(stop), int(count))
+    t_grid = np.linspace(start, stop, count)
     inputs = BoundInputs.from_split(split, t_max=max(t_grid, default=0.0),
                                     gamma_max=max(gammas, default=0.0))
     rows = evaluate_grid(split, gammas, t_grid, inputs=inputs, bounds=tuple(BOUNDS))

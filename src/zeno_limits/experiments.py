@@ -99,6 +99,10 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.gamma_grid:
+            raise ValidationError("gamma_grid must not be empty")
+        if self.t_count < 0:
+            raise ValidationError(f"t_count must be nonnegative, got {self.t_count}")
         if list(self.gamma_grid) != sorted(set(self.gamma_grid)):
             raise ValidationError("gamma_grid must be strictly increasing")
         if any(g <= 0 for g in self.gamma_grid):

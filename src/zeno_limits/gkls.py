@@ -16,9 +16,15 @@ Structural verdicts implemented here:
   i.e. positivity of the Choi matrix compressed off the maximally
   entangled vector;
 * ``purity_decay_rate``: the largest instantaneous purity decay
-  Gamma = 2 sup_rho sum_i tr(L_i^dag L_i rho^2 - L_i^dag rho L_i rho),
-  which is independent of H, estimated by multi-start ascent over density
-  matrices rho = V V^dag / tr(V V^dag) plus a pure-state grid for d = 2.
+  Gamma = sup_rho -2 Re tr(rho G(rho)) = sup_rho -vec(rho)^dag (G + G^dag) vec(rho),
+  one Hermitian quadratic form in vec(rho).  For a system G is its
+  dissipator (H drops out); ``superoperator_purity_rate`` takes any
+  generator.  The form is maximized by multi-start ascent over density
+  matrices rho = V V^dag / tr(V V^dag) plus a pure-state grid for d = 2,
+  and every state is scored by the same form, in batch.
+  ``purity_objective`` is the Hilbert-space reference formula
+  2 sum_i tr(L_i^dag L_i rho^2 - L_i^dag rho L_i rho), which the ascent
+  does not use.
 """
 
 from __future__ import annotations
@@ -182,13 +188,8 @@ def canonicalize(sys: GklsSystem) -> GklsSystem:
 def choi_matrix(superop) -> np.ndarray:
     """Unnormalized Choi matrix C = sum_{mn} E(|m><n|) (x) |m><n|."""
     mat, d = _mat_and_dim(superop)
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[m, n] = 1.0
-            c += np.kron(unvec(mat @ vec(e), d), e)
-    return c
+    # realignment: C[(i, m), (j, n)] = E(|m><n|)[i, j] = mat[i + j d, m + n d]
+    return mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def _mat_and_dim(superop) -> tuple[np.ndarray, int]:
@@ -271,12 +272,7 @@ def gkls_form_check(superop) -> GklsFormReport:
     sop = superop if isinstance(superop, Superoperator) else Superoperator(d, mat, "projected")
     choi = choi_matrix(mat)
     tol = _cp_tol(choi)
-    omega = np.zeros(d * d, dtype=complex)
-    for m in range(d):
-        e = np.zeros(d)
-        e[m] = 1.0
-        omega += np.kron(e, e)
-    omega /= np.sqrt(d)
+    omega = vec(np.eye(d)) / np.sqrt(d)
     q = np.eye(d * d) - np.outer(omega, omega.conj())
     compressed = q @ ((choi + choi.conj().T) / 2) @ q
     min_eig = float(np.linalg.eigvalsh(compressed).min())
@@ -325,17 +321,22 @@ def purity_objective(sys: GklsSystem, rho: np.ndarray) -> float:
     return 2.0 * val
 
 
-def _superop_purity_objective(mat: np.ndarray, d: int, rho: np.ndarray) -> float:
-    """-2 Re tr(rho G(rho)): instantaneous purity decay of e^{tG} at rho."""
-    return -2.0 * float(np.real(np.trace(rho @ unvec(mat @ vec(rho), d))))
+def _purity_values(hq: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """-vec(rho)^dag hq vec(rho) for each d x d matrix in the stack ``rhos``."""
+    d = rhos.shape[-1]
+    # column stacking: vec(rho)[i + j d] = rho[i, j], and hq[i + j d, k + l d] is
+    # hq.reshape(d, d, d, d)[j, i, l, k]; no vec copies of the stack are made
+    return -np.einsum("nij,jilk,nkl->n", rhos.conj(), hq.reshape(d, d, d, d), rhos).real
 
 
-def _ascend_quadratic_form(hq: np.ndarray, d: int, official, opts: PurityOptions) -> PurityReport:
+def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> PurityReport:
     """Maximize the Hermitian quadratic form -vec(rho)^dag hq vec(rho).
 
     rho = V V^dag / tr(V V^dag) is parameterized by V in C^{dxd}; the
     gradient is exact.  Every restart that converged contributes; the
-    reported maximum is schedule-independent.
+    reported maximum is schedule-independent.  Candidates, the d = 2
+    Bloch grid and the d > 2 pure-state probe are all scored by
+    :func:`_purity_values`.
     """
     rng = np.random.default_rng(opts.seed)
 
@@ -356,53 +357,40 @@ def _ascend_quadratic_form(hq: np.ndarray, d: int, official, opts: PurityOptions
         grad = np.concatenate([2.0 * z.real.ravel(), 2.0 * z.imag.ravel()])
         return -f, -grad
 
-    best_val, best_rho, successes = -np.inf, None, 0
-    candidates = []
-    for _ in range(opts.restarts):
+    candidates = np.empty((opts.restarts, d, d), dtype=complex)
+    successes = 0
+    for i in range(opts.restarts):
         x0 = rng.standard_normal(2 * d * d)
         res = minimize(neg_value_grad, x0, jac=True, method="L-BFGS-B",
                        options={"maxiter": opts.maxiter, "ftol": 1e-16, "gtol": 1e-12})
         v = split(res.x)
         w = v @ v.conj().T
-        candidates.append(w / np.trace(w).real)
+        candidates[i] = w / np.trace(w).real
         if res.success or res.status == 1:
             successes += 1
+    values = _purity_values(hq, candidates)
     if successes == 0:
-        fallback = max((official(r) for r in candidates), default=0.0)
         raise EstimationError("purity ascent failed on every restart",
-                              best_value=fallback)
-    for rho in candidates:
-        val = official(rho)
-        if val > best_val:
-            best_val, best_rho = val, rho
-    mixed_max = best_val
+                              best_value=max(values, default=0.0))
+    mixed_max = values.max()
 
-    pure_max = -np.inf
     if d == 2:
         n = max(2, opts.grid_density)
-        thetas = np.linspace(0.0, np.pi, n)
-        phis = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        for th in thetas:
-            for ph in phis:
-                psi = np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)])
-                rho = np.outer(psi, psi.conj())
-                val = official(rho)
-                if val > pure_max:
-                    pure_max = val
-                    if val > best_val:
-                        best_val, best_rho = val, rho
+        th, ph = np.meshgrid(np.linspace(0.0, np.pi, n),
+                             np.linspace(0.0, 2 * np.pi, n, endpoint=False), indexing="ij")
+        psi = np.stack([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)], axis=-1).reshape(-1, 2)
     else:
-        # rank-1 restarts double as the pure-state probe for d > 2
-        for _ in range(opts.restarts):
-            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            psi /= np.linalg.norm(psi)
-            rho = np.outer(psi, psi.conj())
-            val = official(rho)
-            pure_max = max(pure_max, val)
-
-    gamma = max(best_val, 0.0)
-    return PurityReport(gamma=gamma, mixed_max=max(mixed_max, 0.0),
-                        pure_max=max(pure_max, 0.0), argmax=best_rho)
+        z = rng.standard_normal((opts.restarts, 2, d))
+        psi = z[:, 0] + 1j * z[:, 1]
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    pure = psi[:, :, None] * psi.conj()[:, None, :]
+    pure_values = _purity_values(hq, pure)
+    if d == 2:  # the grid competes for the maximizer; the d > 2 probe only reports pure_max
+        values = np.concatenate([values, pure_values])
+    best = int(np.argmax(values))
+    rho = candidates[best] if best < opts.restarts else pure[best - opts.restarts]
+    return PurityReport(gamma=max(values[best], 0.0), mixed_max=max(mixed_max, 0.0),
+                        pure_max=max(pure_values.max(), 0.0), argmax=rho.copy())
 
 
 def purity_decay_rate(sys: GklsSystem, opts: PurityOptions | None = None) -> float:
@@ -416,8 +404,7 @@ def purity_decay_report(sys: GklsSystem, opts: PurityOptions | None = None) -> P
         rho0 = np.eye(sys.d, dtype=complex) / sys.d
         return PurityReport(gamma=0.0, mixed_max=0.0, pure_max=0.0, argmax=rho0)
     diss = dissipator_superoperator(sys.jumps, sys.d)
-    hq = diss + diss.conj().T
-    return _ascend_quadratic_form(hq, sys.d, lambda rho: purity_objective(sys, rho), opts)
+    return _ascend_quadratic_form(diss + diss.conj().T, sys.d, opts)
 
 
 def superoperator_purity_rate(superop, opts: PurityOptions | None = None) -> PurityReport:
@@ -428,10 +415,7 @@ def superoperator_purity_rate(superop, opts: PurityOptions | None = None) -> Pur
     """
     opts = opts or PurityOptions()
     mat, d = _mat_and_dim(superop)
-    hq = mat + mat.conj().T
-    return _ascend_quadratic_form(hq, d,
-                                  lambda rho: _superop_purity_objective(mat, d, rho),
-                                  opts)
+    return _ascend_quadratic_form(mat + mat.conj().T, d, opts)
 
 
 @dataclass(frozen=True)

@@ -333,9 +333,9 @@ def bound_simplified(inputs: BoundInputs, gamma: float, t: float) -> float:
 
 def _check_gamma_t(gamma: float, t: float) -> None:
     if gamma <= 0:
-        raise ValueError("gamma must be positive")
+        raise ValidationError("gamma must be positive")
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise ValidationError("t must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,23 @@ def test_zeno_bounds_matches_sweep(tmp_path, pair_files, capsys):
     assert bounds_csv.read_text() == sweep_csv.read_text()
 
 
+@pytest.mark.parametrize("grid", [
+    ["--gamma-grid", "10,100", "--t-grid", "0.25:2"],
+    ["--gamma-grid", "10,x", "--t-grid", "0.25:2:3"],
+    ["--gamma-grid=-1,100", "--t-grid", "0.25:2:3"],
+    ["--gamma-grid", "10,100", "--t-grid", "0.25:2:-3"],
+])
+def test_zeno_bounds_bad_grid_is_typed(tmp_path, pair_files, capsys, grid):
+    sp, wp = pair_files
+    split_path = tmp_path / "split.json"
+    assert main(["zeno", "split", "--strong", str(sp), "--weak", str(wp),
+                 "--output", str(split_path)]) == 0
+    code = main(["zeno", "bounds", "--split", str(split_path), *grid,
+                 "--output", str(tmp_path / "b.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_model_commands(tmp_path, capsys):
     assert main(["model", "three-level", "--emit", "generators"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -35,6 +35,19 @@ class TestSweepConfig:
         with pytest.raises(ValidationError):
             SweepConfig(t_start=0.0, variants=("peripheral",))
 
+    def test_empty_gamma_grid_rejected(self):
+        with pytest.raises(ValidationError, match="gamma_grid"):
+            SweepConfig(gamma_grid=(), t_count=2)
+
+    def test_negative_t_count_rejected(self):
+        with pytest.raises(ValidationError, match="t_count"):
+            SweepConfig(t_count=-1)
+
+    def test_zero_t_count_gives_header_only_csv(self):
+        res = run_sweep(small_config(t_count=0))
+        assert res.rows == []
+        assert res.csv_text == ",".join(CSV_COLUMNS) + "\n"
+
     def test_from_json_roundtrip(self):
         cfg = SweepConfig.from_json({
             "model": "three-level",
