@@ -9,7 +9,8 @@ half-plane, C_Z is the Zeno projection of C onto the peripheral
 eigenspaces of B, and P_phi the peripheral projection.  The package
 computes spectral decompositions of nonnormal matrices, compiles GKLS
 systems to superoperators, measures limit errors, evaluates three
-certified error bounds, and ships a three-level reference model plus a
+error bounds (the semigroup constant M in them is a sampled estimate),
+and ships a three-level reference model plus a
 dephasing-qubit example with closed-form answers.
 """
 

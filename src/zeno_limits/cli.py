@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zeno-limits",
         description="Strong-coupling limits of GKLS dynamics: spectral structure, "
-                    "Zeno generators, certified error bounds.")
+                    "Zeno generators, error bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_spectral(sub)
     _add_gkls(sub)

@@ -11,12 +11,14 @@ column order
 and a JSON summary carrying the fitted convergence slope (top half of the
 gamma grid, with the full-grid fit alongside), the worst bound violation
 (positive values mean a bound was beaten, which would falsify the
-underlying estimates), and wall-clock time.  Grid points are evaluated
-concurrently; aggregation is ordered by (gamma, t), so the output is
-byte-identical regardless of scheduling.  The environment variable
-ZENO_LIMITS_THREADS caps the worker count.  Each row comes from
-``evaluate_row`` and the summary from ``summarize_rows``; the
-``zeno bounds`` command and the acceptance criteria use the same two.
+underlying estimates), and wall-clock time.  The rows come from
+``evaluate_grid``, which evaluates the errors one gamma at a time over
+the whole t-grid and the bounds over the whole grid at once; a sweep's
+thread pool runs one task per gamma.  Aggregation is ordered by
+(gamma, t), so the output is byte-identical regardless of scheduling.
+The environment variable ZENO_LIMITS_THREADS caps the worker count.  The
+summary comes from ``summarize_rows``; the ``zeno bounds`` command and
+the acceptance criteria use the same two functions.
 
 ``spectral_property_check`` audits the structural facts that make a
 compiled generator a valid strong generator: spectrum confined to the
@@ -115,6 +117,8 @@ class SweepConfig:
         bad = set(self.bounds) - {"adiabatic", "cptp", "simplified"}
         if bad:
             raise ValidationError(f"unknown bounds {sorted(bad)}")
+        if self.t_spacing == "log" and self.t_start <= 0:
+            raise ValidationError("log t_spacing needs t_start > 0")
         if "peripheral" in self.variants and self.t_start <= 0:
             raise ValidationError(
                 "the peripheral variant needs t_start > 0 (the limit holds on compact subsets of (0, inf))")
@@ -183,24 +187,38 @@ BOUNDS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_
 
 def evaluate_row(split: ZenoSplit, gamma: float, t: float, variants=("plain", "peripheral"),
                  inputs: BoundInputs | None = None, bounds=()) -> dict:
-    """One (gamma, t) row keyed by ``CSV_COLUMNS``; cells not requested are None.
-
-    ``bounds`` names keys of ``BOUNDS``, evaluated at ``inputs``.
-    """
-    row = dict.fromkeys(CSV_COLUMNS)
-    row["gamma"], row["t"] = gamma, t
-    for variant, err in _limit_errors(split, gamma, t, variants).items():
-        row[f"error_{variant}"] = err
-    for name in bounds:
-        row[f"bound_{name}"] = BOUNDS[name](inputs, gamma, t)
-    return row
+    """One (gamma, t) row keyed by ``CSV_COLUMNS``: :func:`evaluate_grid` at one point."""
+    return evaluate_grid(split, (gamma,), (t,), variants, inputs, bounds)[0]
 
 
 def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripheral"),
                   inputs: BoundInputs | None = None, bounds=(), mapper=map) -> list[dict]:
-    """:func:`evaluate_row` over gammas x t_grid, gamma-major; ``mapper`` may be a pool's map."""
-    points = [(g, t) for g in gammas for t in t_grid]
-    return list(mapper(lambda point: evaluate_row(split, *point, variants, inputs, bounds), points))
+    """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid, gamma-major; cells not requested are None.
+
+    ``bounds`` names keys of ``BOUNDS``, evaluated at ``inputs``.  The
+    errors are evaluated one gamma at a time over the whole t-grid, with
+    e^{t C_Z} computed once per t for every gamma; ``mapper`` (a pool's
+    map, say) gets one task per gamma.  Each bound takes the whole grid in
+    one call.  Every cell equals the per-point ``adiabatic_error`` or
+    ``bound_*`` call bit for bit.
+    """
+    gammas = list(gammas)
+    ts = np.asarray(t_grid, dtype=float).reshape(-1)
+    if not ts.size:
+        return []
+    zeno_exps = np.stack([expm(split.c_z, t) for t in ts]) if variants else None
+    errors = list(mapper(lambda gamma: _limit_errors(split, gamma, ts, variants, zeno_exps), gammas))
+    cells = {f"bound_{name}": BOUNDS[name](inputs, np.array(gammas)[:, None], ts) for name in bounds}
+    rows = []
+    for i, gamma in enumerate(gammas):
+        columns = {f"error_{variant}": err.tolist() for variant, err in errors[i].items()}
+        columns.update((key, values[i].tolist()) for key, values in cells.items())
+        for j, t in enumerate(ts.tolist()):
+            row = dict.fromkeys(CSV_COLUMNS)
+            row["gamma"], row["t"] = gamma, t
+            row.update((key, values[j]) for key, values in columns.items())
+            rows.append(row)
+    return rows
 
 
 def summarize_rows(rows: list[dict], variants) -> dict:

@@ -21,6 +21,7 @@ __all__ = [
     "as_complex_matrix",
     "expm",
     "spectral_norm",
+    "spectral_norms",
     "schur",
     "kron",
     "vec",
@@ -63,6 +64,22 @@ def spectral_norm(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def spectral_norms(stack) -> np.ndarray:
+    """:func:`spectral_norm` of each matrix in a stack of shape (n, rows, cols).
+
+    ``np.linalg.norm`` takes the same SVD per matrix either way, so each
+    entry equals the single-matrix call bit for bit.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3:
+        raise DimensionError(f"spectral_norms operand must be 3-dimensional, got shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ValidationError("spectral_norm operand contains non-finite entries")
+    if stack.size == 0:
+        return np.zeros(stack.shape[0])
+    return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
 def schur(a) -> tuple[np.ndarray, np.ndarray]:

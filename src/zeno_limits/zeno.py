@@ -8,7 +8,11 @@ Zeno projection of C and the peripheral projection of B are
 
 and e^{t(gamma B + C)} approaches e^{t gamma B} e^{t C_Z} (and, away from
 t = 0, the same with a trailing P_phi) at rate O(1/gamma).  This module
-measures that error and evaluates three certified upper bounds for it:
+measures that error and evaluates three upper bounds for it.  Each bound
+holds for the constants in its ``BoundInputs``; there M is a sampled
+estimate of sup_t ||e^{tB}||, not a certified one.  The bounds take
+floats or whole (gamma, t) grids, and a grid cell equals the scalar call
+bit for bit:
 
 * ``bound_adiabatic``: the sharp bound assembled from reduced-resolvent
   norms, a uniform semigroup bound M, and a decay envelope
@@ -25,11 +29,11 @@ fast-oscillation Zeno generator L_Z, and log-log convergence-rate fits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import (
     DegenerateDataError,
@@ -37,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .gkls import GklsSystem, Superoperator, hamiltonian_superoperator, liouvillian
-from .linalg import as_complex_matrix, expm, sandwich_super, spectral_norm
+from .linalg import as_complex_matrix, expm, sandwich_super, spectral_norm, spectral_norms
 from .spectral import (
     GapData,
     SpectralDecomposition,
@@ -135,17 +139,30 @@ def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
     return _limit_errors(split, gamma, t, (variant,))[variant]
 
 
-def _limit_errors(split: ZenoSplit, gamma: float, t: float, variants) -> dict[str, float]:
-    """:func:`adiabatic_error` for each of ``variants``, sharing the three exponentials."""
+def _limit_errors(split: ZenoSplit, gamma: float, t, variants,
+                  zeno_exps: np.ndarray | None = None) -> dict:
+    """:func:`adiabatic_error` for each of ``variants`` at one gamma.
+
+    ``t`` is a float (float errors) or a 1-D array (an array of errors per
+    variant).  The variants share the exponentials, and ``zeno_exps``, the
+    stack of e^{t C_Z} over ``t``, lets a caller share those across gammas.
+    """
+    _check_gamma_t(gamma, t)
     if not variants:
         return {}
-    lhs = expm(gamma * split.b + split.c, t)
-    rhs = expm(split.b, gamma * t) @ expm(split.c_z, t)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if zeno_exps is None:
+        zeno_exps = np.stack([expm(split.c_z, s) for s in ts])
+    generator = gamma * split.b + split.c
+    lhs = np.stack([expm(generator, s) for s in ts])
+    rhs = np.stack([expm(split.b, gamma * s) for s in ts]) @ zeno_exps
     errors = {}
     if "plain" in variants:
-        errors["plain"] = spectral_norm(lhs - rhs)
+        errors["plain"] = spectral_norms(lhs - rhs)
     if "peripheral" in variants:
-        errors["peripheral"] = spectral_norm(lhs - rhs @ split.p_phi)
+        errors["peripheral"] = spectral_norms(lhs - rhs @ split.p_phi)
+    if np.ndim(t) == 0:
+        return {variant: float(err[0]) for variant, err in errors.items()}
     return errors
 
 
@@ -221,20 +238,73 @@ class BoundInputs:
                    resolvent_sum_norm=res_sum_norm)
 
 
-def _difference_quotient(a: float, b: float, t: float) -> float:
-    """(a e^{ta} - b e^{tb}) / (a - b), continuous through a = b.
+def _per_element(fn, x: np.ndarray) -> np.ndarray:
+    """``fn``, a :mod:`math` function, applied to each element of ``x``.
+
+    The bounds round exactly as a scalar evaluation does, element by
+    element, so a grid cell and a scalar call agree bit for bit.
+    """
+    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, in the max-shift form.
+
+    The maxima leave the sum and re-enter as log(count), and the rest is
+    summed along the contiguous axis, in the order of
+    ``scipy.special.logsumexp``.
+    """
+    a_max = a.max(axis=-1, keepdims=True)
+    at_max = a == a_max
+    count = at_max.sum(axis=-1, keepdims=True, dtype=float)
+    rest = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
+    rest = np.where(rest == 0, rest, rest / count)
+    return (np.log1p(rest) + np.log(count) + a_max)[..., 0]
+
+
+#: Cephes' Stirling-series coefficients in ``lgam``, for 13 <= x < 1000 and for x >= 1000
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_STIRLING_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k < n, rounded as ``scipy.special.gammaln(k + 1)`` is.
+
+    Below 12! that is the log of the exact product; above, Stirling's
+    series as Cephes evaluates it.  (``math.lgamma`` rounds up to 3 ulp
+    away, which the truncated exponential amplifies to tens of ulp.)
+    """
+    out = []
+    for k in range(n):
+        x = k + 1.0
+        if x < 13.0:
+            out.append(math.log(math.factorial(k)))
+            continue
+        p, series = 1.0 / (x * x), 0.0
+        for c in _STIRLING if x < 1000.0 else _STIRLING_LARGE:
+            series = series * p + c
+        out.append((x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI + series / x)
+    return np.array(out)
+
+
+def _difference_quotient(a: float, b: float, t: np.ndarray) -> np.ndarray:
+    """(a e^{ta} - b e^{tb}) / (a - b) at each t, continuous through a = b.
 
     Uses the hyperbolic form e^{(a+b)t/2} [cosh(x) + (a+b)(t/2) sinh(x)/x]
     with x = (a-b)t/2, which is stable for nearly equal arguments; the
     a = b limit is e^{ta}(1 + ta).
     """
     x = (a - b) * t / 2.0
-    if abs(x) < 1e-5:
-        sinhc = 1.0 + x * x / 6.0 + x ** 4 / 120.0
-    else:
-        sinhc = math.sinh(x) / x if abs(x) < 350 else math.inf
+    sinhc = np.full(x.shape, math.inf)
+    small = np.abs(x) < 1e-5
+    mid = ~small & (np.abs(x) < 350)
+    xs, xm = x[small], x[mid]
+    sinhc[small] = 1.0 + xs * xs / 6.0 + xs ** 4 / 120.0
+    sinhc[mid] = _per_element(math.sinh, xm) / xm
     with np.errstate(over="ignore"):
-        return float(np.exp((a + b) * t / 2.0) * (np.cosh(x) + (a + b) * (t / 2.0) * sinhc))
+        return np.exp((a + b) * t / 2.0) * (np.cosh(x) + (a + b) * (t / 2.0) * sinhc)
 
 
 def _envelope_integral(p_coeffs: np.ndarray, eta: float) -> float:
@@ -245,65 +315,87 @@ def _envelope_integral(p_coeffs: np.ndarray, eta: float) -> float:
                      for n, pn in enumerate(p_coeffs)))
 
 
-def _envelope_tail(p_coeffs: np.ndarray, eta: float, gamma: float, t: float) -> float:
-    """e^{-gamma eta t} p(gamma t), evaluated in log space.
+def _envelope_tail(p_coeffs: np.ndarray, eta: float, gamma: np.ndarray,
+                   t: np.ndarray) -> np.ndarray:
+    """e^{-gamma eta t} p(gamma t) at each (gamma, t), evaluated in log space.
 
     With eta infinite the decay wins for any t > 0; at t = 0 the value is
     p(0).
     """
-    x = gamma * t
-    if math.isinf(eta):
-        return float(p_coeffs[0]) if x == 0.0 else 0.0
-    if x == 0.0:
-        return float(p_coeffs[0])
-    logs = [math.log(pn) + n * math.log(x) for n, pn in enumerate(p_coeffs) if pn > 0]
-    if not logs:
-        return 0.0
-    log_val = logsumexp(logs) - gamma * eta * t
-    return float(np.exp(log_val)) if log_val < 700 else math.inf
+    p_coeffs, x = np.asarray(p_coeffs, dtype=float), gamma * t
+    tail = np.where(x == 0.0, p_coeffs[0], 0.0)
+    live = x != 0.0
+    ns = np.flatnonzero(p_coeffs > 0)
+    if math.isinf(eta) or not ns.size or not live.any():
+        return tail
+    logs = _per_element(math.log, p_coeffs[ns]) + ns * _per_element(math.log, x[live])[:, None]
+    log_val = _logsumexp(logs) - (gamma * eta * t)[live]
+    with np.errstate(over="ignore"):
+        tail[live] = np.where(log_val < 700, np.exp(log_val), math.inf)
+    return tail
 
 
-def bound_adiabatic(inputs: BoundInputs, gamma: float, t: float) -> float:
+def _on_grid(bound):
+    """Let ``bound(inputs, gamma, t)`` take floats or arrays that broadcast.
+
+    The body sees float arrays and its gamma-free factors are evaluated
+    once on t's own shape, so a column of gammas against a row of times
+    shares them.  Two floats give a float: a scalar bound is the grid
+    evaluation at one point.
+    """
+    @functools.wraps(bound)
+    def on_grid(inputs: BoundInputs, gamma, t):
+        gamma, t = np.asarray(gamma, dtype=float), np.asarray(t, dtype=float)
+        _check_gamma_t(gamma, t)
+        values = np.broadcast_to(bound(inputs, gamma, t), np.broadcast_shapes(gamma.shape, t.shape))
+        return float(values) if values.ndim == 0 else values.copy()
+    return on_grid
+
+
+@_on_grid
+def bound_adiabatic(inputs: BoundInputs, gamma, t):
     """Sharp peripheral-variant error bound.
 
     (1/gamma) [ (M+1) sum_l ||S_l C P_l|| * (M||C|| e^{tM||C||} - ||C_Z|| e^{t||C_Z||}) / (M||C|| - ||C_Z||)
                 + M ||C|| e^{tM||C||} int_0^inf e^{-eta s} p(s) ds ]
     + e^{-gamma eta t} p(gamma t)
     """
-    _check_gamma_t(gamma, t)
     a = inputs.m_bound * inputs.norm_c
     quot = _difference_quotient(a, inputs.norm_cz, t)
     with np.errstate(over="ignore"):
-        dyson = inputs.m_bound * inputs.norm_c * np.exp(min(t * a, 1e300))
+        dyson = inputs.m_bound * inputs.norm_c * np.exp(np.minimum(t * a, 1e300))
     term = (inputs.m_bound + 1.0) * inputs.resolvent_sum * quot
     term += dyson * _envelope_integral(inputs.p_coeffs, inputs.eta)
     return term / gamma + _envelope_tail(inputs.p_coeffs, inputs.eta, gamma, t)
 
 
-def bound_cptp(inputs: BoundInputs, gamma: float, t: float) -> float:
+@_on_grid
+def bound_cptp(inputs: BoundInputs, gamma, t):
     """CPTP-specialized bound, linear in t.
 
     (1/gamma) [ M ||sum_l S_l C P_l|| (2 + M t (||C|| + ||C_Z||))
                 + M ||C|| int_0^inf e^{-eta s} p(s) ds ]
     + e^{-gamma eta t} p(gamma t)
     """
-    _check_gamma_t(gamma, t)
     term = inputs.m_bound * inputs.resolvent_sum_norm * (
         2.0 + inputs.m_bound * t * (inputs.norm_c + inputs.norm_cz))
     term += inputs.m_bound * inputs.norm_c * _envelope_integral(inputs.p_coeffs, inputs.eta)
     return term / gamma + _envelope_tail(inputs.p_coeffs, inputs.eta, gamma, t)
 
 
-def _truncated_exponential(dim: int, x: float) -> float:
-    """e^{-x} sum_{n < dim} x^n / n!, in log space for large x."""
-    if x <= 0.0:
-        return 1.0
-    ns = np.arange(dim)
-    with np.errstate(divide="ignore"):
-        return float(np.exp(logsumexp(ns * math.log(x) - gammaln(ns + 1)) - x))
+def _truncated_exponential(dim: int, x: np.ndarray) -> np.ndarray:
+    """e^{-x} sum_{n < dim} x^n / n! at each x, in log space for large x."""
+    out = np.ones(x.shape)
+    live = x > 0.0
+    if live.any():
+        xs = x[live]
+        logs = np.arange(dim) * _per_element(math.log, xs)[:, None] - _log_factorials(dim)
+        out[live] = np.exp(_logsumexp(logs) - xs)
+    return out
 
 
-def bound_simplified(inputs: BoundInputs, gamma: float, t: float) -> float:
+@_on_grid
+def bound_simplified(inputs: BoundInputs, gamma, t):
     """Coarse gap/condition-number bound with M = D * chi.
 
     (1/gamma) M^2 (2M/Delta + 1/eta) ||C|| e^{2 t M^2 ||C||}
@@ -312,7 +404,6 @@ def bound_simplified(inputs: BoundInputs, gamma: float, t: float) -> float:
     Infinite gaps follow the 1/inf -> 0 convention; with eta infinite the
     trailing term vanishes for t > 0 and equals M at t = 0.
     """
-    _check_gamma_t(gamma, t)
     m = inputs.dim * inputs.chi
     coef = 0.0
     if not math.isinf(inputs.delta):
@@ -321,20 +412,21 @@ def bound_simplified(inputs: BoundInputs, gamma: float, t: float) -> float:
         coef += 1.0 / inputs.eta
     if coef > 0.0:
         with np.errstate(over="ignore"):
-            first = m * m * coef * inputs.norm_c * np.exp(min(2.0 * t * m * m * inputs.norm_c, 1e300)) / gamma
+            first = m * m * coef * inputs.norm_c * np.exp(np.minimum(2.0 * t * m * m * inputs.norm_c, 1e300)) / gamma
     else:
         first = 0.0
     if math.isinf(inputs.eta):
-        tail = 0.0 if t > 0 else m
+        tail = np.where(t > 0, 0.0, m)
     else:
         tail = m * _truncated_exponential(inputs.dim, gamma * inputs.eta * t)
-    return float(first + tail)
+    return first + tail
 
 
-def _check_gamma_t(gamma: float, t: float) -> None:
-    if gamma <= 0:
+def _check_gamma_t(gamma, t) -> None:
+    """Every gamma (a float or an array) must be positive and every t nonnegative."""
+    if not np.all(np.asarray(gamma) > 0):
         raise ValidationError("gamma must be positive")
-    if t < 0:
+    if not np.all(np.asarray(t) >= 0):
         raise ValidationError("t must be nonnegative")
 
 

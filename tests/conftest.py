@@ -1,13 +1,18 @@
 """Shared fixtures and independent oracles.
 
 The oracles deliberately avoid the code paths they check: the matrix
-exponential is a scaled Taylor series (the package uses Pade), and the
+exponential is a scaled Taylor series (the package uses Pade), the
 largest singular value comes from power iteration on A^dag A (the package
-uses SVD).
+uses SVD), and the three error bounds are evaluated one point at a time
+with ``scipy.special.logsumexp`` and ``gammaln`` (the package evaluates
+whole grids with its own max-shift form and log-factorial table).
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 
 def taylor_expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -47,6 +52,63 @@ def power_iteration_norm(a: np.ndarray, iters: int = 800, seed: int = 0) -> floa
             return 0.0
         v = w / lam
     return float(np.sqrt(lam))
+
+
+def _reference_difference_quotient(a, b, t):
+    x = (a - b) * t / 2.0
+    if abs(x) < 1e-5:
+        sinhc = 1.0 + x * x / 6.0 + x ** 4 / 120.0
+    else:
+        sinhc = math.sinh(x) / x if abs(x) < 350 else math.inf
+    with np.errstate(over="ignore"):
+        return float(np.exp((a + b) * t / 2.0) * (np.cosh(x) + (a + b) * (t / 2.0) * sinhc))
+
+
+def _reference_envelope_integral(p_coeffs, eta):
+    if math.isinf(eta):
+        return 0.0
+    return float(sum(math.factorial(n) * pn / eta ** (n + 1) for n, pn in enumerate(p_coeffs)))
+
+
+def _reference_envelope_tail(p_coeffs, eta, gamma, t):
+    x = gamma * t
+    if math.isinf(eta) or x == 0.0:
+        return float(p_coeffs[0]) if x == 0.0 else 0.0
+    logs = [math.log(pn) + n * math.log(x) for n, pn in enumerate(p_coeffs) if pn > 0]
+    if not logs:
+        return 0.0
+    log_val = logsumexp(logs) - gamma * eta * t
+    return float(np.exp(log_val)) if log_val < 700 else math.inf
+
+
+def _reference_truncated_exponential(dim, x):
+    if x <= 0.0:
+        return 1.0
+    ns = np.arange(dim)
+    return float(np.exp(logsumexp(ns * math.log(x) - gammaln(ns + 1)) - x))
+
+
+def reference_bound(name, inputs, gamma, t):
+    """``bound_<name>`` at one (gamma, t), straight from its closed form."""
+    m, nc, ncz = inputs.m_bound, inputs.norm_c, inputs.norm_cz
+    integral = _reference_envelope_integral(inputs.p_coeffs, inputs.eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if name == "adiabatic":
+            term = (m + 1.0) * inputs.resolvent_sum * _reference_difference_quotient(m * nc, ncz, t)
+            term += m * nc * np.exp(min(t * (m * nc), 1e300)) * integral
+        elif name == "cptp":
+            term = m * inputs.resolvent_sum_norm * (2.0 + m * t * (nc + ncz)) + m * nc * integral
+        else:
+            mm = inputs.dim * inputs.chi
+            coef = (0.0 if math.isinf(inputs.delta) else 2.0 * mm / inputs.delta) + (
+                0.0 if math.isinf(inputs.eta) else 1.0 / inputs.eta)
+            first = 0.0
+            if coef > 0.0:
+                first = mm * mm * coef * nc * np.exp(min(2.0 * t * mm * mm * nc, 1e300)) / gamma
+            if math.isinf(inputs.eta):
+                return float(first + (0.0 if t > 0 else mm))
+            return float(first + mm * _reference_truncated_exponential(inputs.dim, gamma * inputs.eta * t))
+        return float(term / gamma + _reference_envelope_tail(inputs.p_coeffs, inputs.eta, gamma, t))
 
 
 def random_complex(rng, n: int, m: int | None = None) -> np.ndarray:

@@ -135,6 +135,18 @@ def test_zeno_bounds_bad_grid_is_typed(tmp_path, pair_files, capsys, grid):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", [["--gamma=-1", "--t", "1.0"], ["--gamma", "10", "--t=-1"]])
+def test_zeno_error_bad_point_is_typed(tmp_path, pair_files, capsys, point):
+    sp, wp = pair_files
+    split_path = tmp_path / "split.json"
+    assert main(["zeno", "split", "--strong", str(sp), "--weak", str(wp),
+                 "--output", str(split_path)]) == 0
+    code = main(["zeno", "error", "--split", str(split_path), *point, "--variant", "plain"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 def test_model_commands(tmp_path, capsys):
     assert main(["model", "three-level", "--emit", "generators"]) == 0
     payload = json.loads(capsys.readouterr().out)

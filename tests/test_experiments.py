@@ -12,7 +12,7 @@ from zeno_limits import (
     spectral_property_check,
 )
 from zeno_limits.errors import ValidationError
-from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_row
+from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, evaluate_row, format_csv
 from zeno_limits.gkls import hamiltonian_superoperator
 from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json
 from zeno_limits.models import ThreeLevelParams, three_level_generators
@@ -34,6 +34,11 @@ class TestSweepConfig:
     def test_peripheral_needs_positive_start(self):
         with pytest.raises(ValidationError):
             SweepConfig(t_start=0.0, variants=("peripheral",))
+
+    @pytest.mark.parametrize("variants", [("plain",), ("plain", "peripheral"), ()])
+    def test_log_spacing_needs_positive_start(self, variants):
+        with pytest.raises(ValidationError, match="log"):
+            SweepConfig(t_spacing="log", t_start=0.0, variants=variants, t_count=3, gamma_grid=(10.0,))
 
     def test_empty_gamma_grid_rejected(self):
         with pytest.raises(ValidationError, match="gamma_grid"):
@@ -90,6 +95,64 @@ class TestEvaluateRow:
         assert list(row) == list(CSV_COLUMNS)
         assert row["bound_cptp"] == BOUNDS["cptp"](inputs, 100.0, 0.5)
         assert row["error_plain"] is row["error_peripheral"] is row["bound_adiabatic"] is None
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+class TestEvaluateGrid:
+    """Every grid cell equals the per-point ``adiabatic_error`` or ``bound_*`` call bit for bit."""
+
+    SUBSETS = [(("plain", "peripheral"), tuple(BOUNDS)), (("plain",), ("adiabatic",)),
+               (("peripheral",), ("cptp", "simplified")), ((), ("simplified",)), (("peripheral",), ())]
+
+    @pytest.mark.parametrize("pair", ["three-level", "gkls-d16"])
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_cells_equal_per_point_calls(self, pair, spacing):
+        split = _pair_split(pair)
+        inputs = BoundInputs.from_split(split)
+        t_grid = SweepConfig(t_start=0.05, t_stop=2.0, t_count=7, t_spacing=spacing).t_grid()
+        gammas = (10.0, 100.0, 1000.0)
+        for variants, bounds in self.SUBSETS:
+            rows = evaluate_grid(split, gammas, t_grid, variants, inputs, bounds)
+            assert [(row["gamma"], row["t"]) for row in rows] == [(g, t) for g in gammas for t in t_grid]
+            for row in rows:
+                assert list(row) == list(CSV_COLUMNS)
+                gamma, t = row["gamma"], row["t"]
+                for variant in ("plain", "peripheral"):
+                    want = adiabatic_error(split, gamma, t, variant) if variant in variants else None
+                    assert _bits(row[f"error_{variant}"]) == _bits(want)
+                for name, bound in BOUNDS.items():
+                    want = bound(inputs, gamma, t) if name in bounds else None
+                    assert _bits(row[f"bound_{name}"]) == _bits(want)
+
+    def test_mapper_gets_one_task_per_gamma(self):
+        split = _pair_split("three-level")
+        tasks = []
+
+        def mapper(fn, items):
+            items = list(items)
+            tasks.extend(items)
+            return map(fn, items)
+
+        rows = evaluate_grid(split, (10.0, 30.0, 100.0), np.linspace(0.25, 2.0, 5), mapper=mapper)
+        assert tasks == [10.0, 30.0, 100.0]
+        assert len(rows) == 15
+
+    def test_empty_t_grid_gives_header_only_csv(self):
+        split = _pair_split("three-level")
+        inputs = BoundInputs.from_split(split)
+        rows = evaluate_grid(split, (10.0, 100.0), np.array([]), inputs=inputs, bounds=tuple(BOUNDS))
+        assert rows == []
+        assert format_csv(rows) == ",".join(CSV_COLUMNS) + "\n"
+
+    def test_negative_gamma_or_t_is_typed(self):
+        split = _pair_split("three-level")
+        with pytest.raises(ValidationError, match="gamma"):
+            evaluate_grid(split, (10.0, -1.0), np.linspace(0.25, 2.0, 3))
+        with pytest.raises(ValidationError, match="t must"):
+            evaluate_grid(split, (10.0,), np.array([0.5, -0.25]))
 
 
 class TestRunSweep:

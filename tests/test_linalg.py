@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from zeno_limits import expm, kron, schur, spectral_norm, vec
-from zeno_limits.errors import DimensionError
-from zeno_limits.linalg import sandwich_super
+from zeno_limits.errors import DimensionError, ValidationError
+from zeno_limits.linalg import sandwich_super, spectral_norms
 
 from conftest import power_iteration_norm, random_complex, taylor_expm
 
@@ -63,6 +63,19 @@ class TestSpectralNorm:
         for _ in range(10):
             a, b = random_complex(rng, 5), random_complex(rng, 5)
             assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-12
+
+
+    def test_stack_equals_single_calls_bitwise(self, rng):
+        stack = np.stack([random_complex(rng, 9) * 10.0 ** k for k in range(-3, 4)])
+        assert spectral_norms(stack).tolist() == [spectral_norm(m) for m in stack]
+
+    def test_stack_rejects_non_finite_and_flat_input(self, rng):
+        stack = np.stack([random_complex(rng, 3), random_complex(rng, 3)])
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(ValidationError):
+            spectral_norms(stack)
+        with pytest.raises(DimensionError):
+            spectral_norms(stack[0])
 
 
 class TestSchur:

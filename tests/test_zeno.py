@@ -35,7 +35,7 @@ from zeno_limits.linalg import sandwich_super
 from zeno_limits.models import ThreeLevelParams
 from zeno_limits.zeno import commutator_superoperator
 
-from conftest import random_complex, random_hermitian, taylor_expm
+from conftest import random_complex, random_hermitian, reference_bound, taylor_expm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -127,6 +127,13 @@ class TestAdiabaticError:
         with pytest.raises(ValueError):
             adiabatic_error(split, 1.0, 1.0, "sideways")
 
+    @pytest.mark.parametrize("gamma, t", [(-1.0, 1.0), (0.0, 1.0), (10.0, -1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("variant", ["plain", "peripheral"])
+    def test_gamma_t_domain(self, three_level, gamma, t, variant):
+        _, _, _, split = three_level
+        with pytest.raises(ValidationError):
+            adiabatic_error(split, gamma, t, variant)
+
 
 def _plain_inputs(**overrides):
     base = dict(m_bound=2.0, eta=1.0, delta=0.5, nu=0.5, chi=1.5, dim=4,
@@ -193,6 +200,91 @@ class TestBounds:
             bound_adiabatic(inputs, 0.0, 1.0)
         with pytest.raises(ValueError):
             bound_cptp(inputs, 1.0, -0.1)
+
+
+#: times hitting every branch: t = 0, |x| < 1e-5 in the difference quotient,
+#: moderate t, and |x| >= 350 (sinh(x)/x read as inf, e^{tM||C||} overflowing)
+PARITY_TIMES = np.array([0.0, 1e-7, 0.3, 1.0, 2.5, 40.0, 800.0])
+PARITY_GAMMAS = np.array([0.5, 10.0, 1e5])
+PARITY_INPUTS = {
+    "plain": {},
+    "infinite-gaps": dict(eta=math.inf, delta=math.inf),
+    "zero-p": dict(p_coeffs=np.array([0.0, 0.0, 0.0])),
+    "multi-term-p": dict(p_coeffs=np.array([1.0, 0.0, 2.5, 0.7]), dim=64),
+    "equal-rates": dict(m_bound=2.0, norm_c=1.0, norm_cz=2.0),
+    "overflowing-tail": dict(p_coeffs=np.array([0.0, 0.0, 0.0, 1e300]), eta=0.02, dim=9),
+}
+BOUND_FUNCTIONS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_simplified}
+
+
+def _within_ulps(got, want, ulps: int = 4) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    finite = np.isfinite(got) & np.isfinite(want)
+    with np.errstate(invalid="ignore"):
+        close = np.abs(got - want) <= ulps * np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    return bool(np.all(same | (finite & close)))
+
+
+class TestBoundGrid:
+    @pytest.mark.parametrize("case", sorted(PARITY_INPUTS))
+    @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
+    def test_array_equals_scalar_calls_bitwise(self, name, case):
+        inputs, bound = _plain_inputs(**PARITY_INPUTS[case]), BOUND_FUNCTIONS[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = bound(inputs, PARITY_GAMMAS[:, None], PARITY_TIMES)
+            scalar = [[bound(inputs, float(g), float(t)) for t in PARITY_TIMES] for g in PARITY_GAMMAS]
+            for g, row in zip(PARITY_GAMMAS, scalar):
+                np.testing.assert_array_equal(bound(inputs, float(g), PARITY_TIMES), row)
+        assert isinstance(scalar[0][0], float)
+        assert grid.shape == (len(PARITY_GAMMAS), len(PARITY_TIMES))
+        np.testing.assert_array_equal(grid, scalar)
+
+    @pytest.mark.parametrize("case", sorted(PARITY_INPUTS))
+    @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
+    def test_matches_reference_formula(self, name, case):
+        inputs = _plain_inputs(**PARITY_INPUTS[case])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = BOUND_FUNCTIONS[name](inputs, PARITY_GAMMAS[:, None], PARITY_TIMES)
+            want = [[reference_bound(name, inputs, g, t) for t in PARITY_TIMES] for g in PARITY_GAMMAS]
+        assert _within_ulps(got, want), (got, want)
+
+    def test_random_constants_match_reference_formula(self):
+        rng = np.random.default_rng(2024)
+        times = np.concatenate([[0.0, 1e-6], np.geomspace(1e-3, 5.0, 14)])
+        gammas = np.array([[0.5], [10.0], [1000.0]])
+        for k in range(24):
+            inputs = _plain_inputs(
+                m_bound=1.0 + rng.exponential(), eta=math.inf if k % 9 == 0 else rng.exponential(),
+                delta=math.inf if k % 4 == 0 else rng.exponential(), chi=1.0 + rng.exponential(2.0),
+                dim=int(rng.integers(1, 70)), p_coeffs=rng.exponential(2.0, size=int(rng.integers(1, 5))),
+                norm_c=rng.exponential(), norm_cz=rng.exponential(),
+                resolvent_sum=rng.exponential(), resolvent_sum_norm=rng.exponential())
+            for name, bound in BOUND_FUNCTIONS.items():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = bound(inputs, gammas, times)
+                    want = [[reference_bound(name, inputs, g, t) for t in times] for g in gammas[:, 0]]
+                assert _within_ulps(got, want), (name, k)
+
+    def test_log_factorials_round_as_gammaln(self):
+        from scipy.special import gammaln
+
+        from zeno_limits.zeno import _log_factorials
+        assert np.array_equal(_log_factorials(2000), gammaln(np.arange(2000) + 1.0))
+
+    def test_branches_are_reached(self):
+        overflow = _plain_inputs(**PARITY_INPUTS["overflowing-tail"])
+        assert bound_cptp(overflow, 10.0, 1.0) < bound_cptp(overflow, 10.0, 40.0) == math.inf  # the tail
+        assert bound_adiabatic(_plain_inputs(), 10.0, 800.0) == math.inf  # e^{tM||C||} overflows
+        assert math.isfinite(bound_adiabatic(_plain_inputs(), 10.0, 1e-7))
+        assert bound_simplified(_plain_inputs(**PARITY_INPUTS["infinite-gaps"]), 10.0, 0.0) == 4 * 1.5
+
+    @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
+    def test_one_negative_time_in_an_array_raises(self, name):
+        with pytest.raises(ValidationError, match="t must be nonnegative"):
+            BOUND_FUNCTIONS[name](_plain_inputs(), 10.0, np.array([0.5, -1e-9, 1.0]))
+        with pytest.raises(ValidationError, match="gamma must be positive"):
+            BOUND_FUNCTIONS[name](_plain_inputs(), np.array([[10.0], [-1.0]]), PARITY_TIMES)
 
 
 class TestPerturbedSemigroupBound:
