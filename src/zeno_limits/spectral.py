@@ -19,6 +19,12 @@ Anal. 16 (1979); Golub & Van Loan, Matrix Computations, sec. 7.6).  With
 U = Q Y and V = Y^{-1} Q^dagger, P_k = U_k V_k and N_k = U_k (T_kk - b_k I) V_k,
 which is stable for nonnormal matrices and handles defective clusters,
 unlike eigenvector outer products.
+
+The decomposition keeps U, V and the blocks T_kk, and every derived
+object is read from them with no second factorization: e^{tA} is
+U diag(e^{t T_kk}) V, the reduced resolvent S_l is
+U diag_{k != l}((T_kk - b_l I)^{-1}) V, and the condition number chi is
+that of the stacked orthonormal bases of the column blocks U_k.
 """
 
 from __future__ import annotations
@@ -77,13 +83,22 @@ class SpectralCluster:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered Jordan structure of a square matrix."""
+    """Clustered Jordan structure of a square matrix.
+
+    ``matrix`` = ``u @ blocks @ v`` with ``v @ u`` = I: ``blocks`` is the
+    block-diagonal upper triangle diag(T_kk), and cluster k owns rows and
+    columns ``starts[k]:starts[k + 1]`` of all three.
+    """
 
     dim: int
     clusters: tuple[SpectralCluster, ...]
     cluster_tol: float
     imag_tol: float
     matrix: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
+    starts: tuple[int, ...] = field(repr=False)
 
     def reconstruct(self) -> np.ndarray:
         return sum(c.eigenvalue * c.projection + c.nilpotent for c in self.clusters)
@@ -227,9 +242,11 @@ def decompose(a, cluster_tol: float | None = None,
             semisimple=semisimple, peripheral=peripheral,
         ))
 
+    in_block = labels[:, None] == labels[None, :]
     dec = SpectralDecomposition(dim=dim, clusters=tuple(clusters),
                                 cluster_tol=cluster_tol, imag_tol=imag_tol,
-                                matrix=a.copy())
+                                matrix=a.copy(), u=u, v=v, blocks=np.where(in_block, t, 0.0),
+                                starts=tuple(int(s) for s in starts))
     resid = {
         "completeness": spectral_norm(sum(c.projection for c in dec.clusters) - np.eye(dim)),
         "reconstruction": spectral_norm(dec.reconstruct() - a),
@@ -271,19 +288,20 @@ def peripheral_projection(dec: SpectralDecomposition) -> np.ndarray:
 def reduced_resolvent(dec: SpectralDecomposition, ell: int) -> np.ndarray:
     """Reduced resolvent S_l = sum_{k != l} [(b_k - b_l) I + N_k]^{-1} P_k.
 
-    For a semisimple cluster l it satisfies (A - b_l I) S_l = I - P_l.
-    A single-cluster decomposition returns the zero matrix.
+    Each term is U_k (T_kk - b_l I)^{-1} V_k, so S_l is U X V with X the
+    block-diagonal inverse, which one triangular solve gives: block l is
+    replaced by I on the left and zeroed on the right.  For a semisimple
+    cluster l, (A - b_l I) S_l = I - P_l.  A single-cluster decomposition
+    returns the zero matrix.
     """
     if not 0 <= ell < len(dec.clusters):
         raise IndexError(f"cluster index {ell} out of range")
-    b_l = dec.clusters[ell].eigenvalue
-    s = np.zeros((dec.dim, dec.dim), dtype=complex)
-    eye = np.eye(dec.dim)
-    for k, c in enumerate(dec.clusters):
-        if k == ell:
-            continue
-        s += np.linalg.solve((c.eigenvalue - b_l) * eye + c.nilpotent, c.projection)
-    return s
+    lo, hi = dec.starts[ell], dec.starts[ell + 1]
+    shifted = dec.blocks - dec.clusters[ell].eigenvalue * np.eye(dec.dim)
+    shifted[lo:hi, lo:hi] = np.eye(hi - lo)
+    rhs = np.eye(dec.dim, dtype=complex)
+    rhs[lo:hi, lo:hi] = 0.0
+    return dec.u @ _sla.solve_triangular(shifted, rhs) @ dec.v
 
 
 def gaps(dec: SpectralDecomposition) -> GapData:
@@ -303,9 +321,10 @@ def gaps(dec: SpectralDecomposition) -> GapData:
 def condition_number(dec: SpectralDecomposition, nu: float = 1.0) -> float:
     """Eigenvector condition number chi = ||T|| ||T^{-1}||.
 
-    T stacks unit-norm eigenvector bases of the cluster ranges
-    (orthonormal within each cluster, taken from the projection's range),
-    which keeps chi finite and meaningful for degenerate eigenvalues.
+    T stacks orthonormal bases of the cluster ranges, here the thin QR
+    factors of the column blocks U_k, which keeps chi finite and
+    meaningful for degenerate eigenvalues.  Any other orthonormal bases
+    differ by a block-unitary factor, which leaves chi unchanged.
     Restricted to diagonalizable input; the nu scaling of Jordan
     off-diagonals is vacuous in that case.  The returned value is an
     upper-bound choice of basis, not a minimum over scalings.
@@ -316,36 +335,44 @@ def condition_number(dec: SpectralDecomposition, nu: float = 1.0) -> float:
             f"condition_number requires a diagonalizable matrix; "
             f"defective eigenvalues: {defective}"
         )
-    cols = []
-    for c in dec.clusters:
-        u, _, _ = np.linalg.svd(c.projection)
-        cols.append(u[:, :c.rank])
-    t = np.hstack(cols)
-    if t.shape != (dec.dim, dec.dim):
+    if len(dec.clusters) == 1:
+        return 1.0  # the whole space, with the identity as its basis
+    t = np.hstack([np.linalg.qr(dec.u[:, lo:hi])[0]
+                   for lo, hi in zip(dec.starts, dec.starts[1:])])
+    sigma = np.linalg.svd(t, compute_uv=False)
+    if sigma[-1] == 0.0:
         raise IllConditionedDecompositionError(
-            "cluster ranks do not fill the space",
-            diagnostics={"assembled_columns": t.shape[1], "dim": dec.dim},
+            "cluster bases are linearly dependent",
+            diagnostics={"largest_singular_value": float(sigma[0])},
         )
-    return float(np.linalg.norm(t, 2) * np.linalg.norm(np.linalg.inv(t), 2))
+    return float(sigma[0] / sigma[-1])
 
 
-def spectral_expm(dec: SpectralDecomposition, t: float) -> np.ndarray:
+def spectral_expm(dec: SpectralDecomposition, t):
     """Evaluate e^{tA} through the spectral representation.
 
-    e^{tA} = sum_k e^{t b_k} [sum_{n < n_k} (t N_k)^n / n!] P_k.  Stable
-    for arbitrarily large t when the spectrum lies in the closed left
-    half-plane (decaying terms underflow to zero instead of overflowing).
+    e^{tA} = U diag(e^{t T_kk}) V with e^{t T_kk} = e^{t b_k} sum_{n < n_k}
+    t^n (T_kk - b_k I)^n / n!, the block form of sum_k e^{t b_k}
+    [sum_{n < n_k} (t N_k)^n / n!] P_k.  ``t`` is a float (one matrix) or a
+    1-D array (a stack, one matrix per t); a float is the stack at one
+    point.  Stable for arbitrarily large t when the spectrum lies in the
+    closed left half-plane: a block whose e^{t Re b_k} underflows is zero,
+    whatever its polynomial factor.
     """
-    out = np.zeros((dec.dim, dec.dim), dtype=complex)
-    for c in dec.clusters:
-        scale = t * c.eigenvalue.real
-        if scale < -745.0:
-            continue  # e^{t Re b} underflows; the whole term is zero
-        term = c.projection.copy()
-        if c.index > 1:
-            power = c.nilpotent @ c.projection
-            for n in range(1, c.index):
-                term += (t ** n / math.factorial(n)) * power
-                power = power @ c.nilpotent
-        out += np.exp(t * c.eigenvalue) * term
-    return out
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    rates = np.multiply.outer(ts, [c.eigenvalue for c in dec.clusters])
+    live = rates.real >= -745.0
+    phases = np.where(live, np.exp(rates), 0.0)
+    out = dec.u * np.repeat(phases, np.diff(dec.starts), axis=1)[:, None, :]
+    for k, (c, lo, hi) in enumerate(zip(dec.clusters, dec.starts, dec.starts[1:])):
+        if c.index == 1:
+            continue
+        nil = dec.blocks[lo:hi, lo:hi] - c.eigenvalue * np.eye(hi - lo)
+        ts_live = np.where(live[:, k], ts, 0.0)  # t^n may overflow where the block is zero
+        poly, power = np.eye(hi - lo, dtype=complex), np.eye(hi - lo)
+        for n in range(1, c.index):
+            power = power @ nil
+            poly = poly + (ts_live ** n / math.factorial(n))[:, None, None] * power
+        out[:, :, lo:hi] = out[:, :, lo:hi] @ poly
+    out = out @ dec.v
+    return out if np.ndim(t) else out[0]

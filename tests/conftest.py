@@ -95,7 +95,8 @@ def reference_bound(name, inputs, gamma, t):
     with np.errstate(over="ignore", invalid="ignore"):
         if name == "adiabatic":
             term = (m + 1.0) * inputs.resolvent_sum * _reference_difference_quotient(m * nc, ncz, t)
-            term += m * nc * np.exp(min(t * (m * nc), 1e300)) * integral
+            if integral:  # the Dyson term is 0 times a finite number, even where it overflows
+                term += m * nc * np.exp(min(t * (m * nc), 1e300)) * integral
         elif name == "cptp":
             term = m * inputs.resolvent_sum_norm * (2.0 + m * t * (nc + ncz)) + m * nc * integral
         else:

@@ -2,14 +2,22 @@
 
 The orthogonality figure must bound what the k^2 projection-product loop
 measures, and the projections must match biorthogonal eigenvector outer
-products where the spectrum is simple.
+products where the spectrum is simple.  The constants read from U, V and
+T_kk (chi, S_l and e^{tB}, hence M) must match the formulas that rebuild
+them from the D x D projections and nilpotents: an SVD of each
+projection, a dense solve per cluster, and a per-cluster sum per t.
 """
+
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from zeno_limits import GklsSystem, decompose, liouvillian, random_gkls, spectral, spectral_norm
+from zeno_limits import (BoundInputs, GklsSystem, condition_number, decompose, liouvillian,
+                         random_gkls, reduced_resolvent, spectral, spectral_expm, spectral_norm,
+                         zeno_split)
+from zeno_limits.errors import UnsupportedInputError
 
 from conftest import random_complex
 
@@ -71,3 +79,146 @@ def test_projections_match_biorthogonal_eigenvectors():
         x, y = right[:, k], left[:, k]
         oracle = np.outer(x, y.conj()) / (y.conj() @ x)
         assert spectral_norm(c.projection - oracle) <= 1e-9, c.eigenvalue
+
+
+# ---------------------------------------------------------------------------
+# chi, S_l, e^{tB} and M against the per-projection formulas
+# ---------------------------------------------------------------------------
+
+def _oracle_condition_number(dec) -> float:
+    """chi from an orthonormal basis of each projection's range, by its SVD."""
+    cols = []
+    for c in dec.clusters:
+        u, _, _ = np.linalg.svd(c.projection)
+        cols.append(u[:, :c.rank])
+    t = np.hstack(cols)
+    return float(np.linalg.norm(t, 2) * np.linalg.norm(np.linalg.inv(t), 2))
+
+
+def _oracle_reduced_resolvent(dec, ell: int) -> np.ndarray:
+    """sum_{k != l} [(b_k - b_l) I + N_k]^{-1} P_k by one dense solve per cluster."""
+    b_l, eye = dec.clusters[ell].eigenvalue, np.eye(dec.dim)
+    s = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for k, c in enumerate(dec.clusters):
+        if k != ell:
+            s += np.linalg.solve((c.eigenvalue - b_l) * eye + c.nilpotent, c.projection)
+    return s
+
+
+def _oracle_spectral_expm(dec, t: float) -> np.ndarray:
+    """sum_k e^{t b_k} [sum_{n < n_k} (t N_k)^n / n!] P_k, one cluster at a time."""
+    out = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for c in dec.clusters:
+        if t * c.eigenvalue.real < -745.0:
+            continue
+        term, power = c.projection.copy(), c.nilpotent @ c.projection
+        for n in range(1, c.index):
+            term += (t ** n / math.factorial(n)) * power
+            power = power @ c.nilpotent
+        out += np.exp(t * c.eigenvalue) * term
+    return out
+
+
+def _m_grid(t_max: float = 2.0, gamma_max: float = 1000.0) -> np.ndarray:
+    """The 64 times at which ``BoundInputs.from_split`` samples ||e^{tB}||."""
+    horizon = t_max * gamma_max
+    return np.concatenate([[0.0], np.geomspace(horizon * 1e-6, horizon, 63)])
+
+
+def _random_generator(d: int, n_jumps: int, rng) -> np.ndarray:
+    """A seeded GKLS superoperator of unit norm at any d (``random_gkls`` stops at 4)."""
+    h = random_complex(rng, d)
+    jumps = [random_complex(rng, d) for _ in range(n_jumps)]
+    gen = liouvillian(GklsSystem(d=d, hamiltonian=(h + h.conj().T) / 2,
+                                 jumps=tuple(m - np.trace(m) / d * np.eye(d) for m in jumps))).mat
+    return gen / spectral_norm(gen)
+
+
+def _jordan(eigenvalue: complex, size: int) -> np.ndarray:
+    return eigenvalue * np.eye(size) + np.eye(size, k=1)
+
+
+def _oracle_cases():
+    for d in (2, 3, 4, 6, 8):
+        rng = np.random.default_rng(700 + d)
+        yield pytest.param((_random_generator(d, 2, rng), _random_generator(d, 1, rng)), id=f"gkls-D{d * d}")
+    yield pytest.param((sla.block_diag(0.0, _jordan(-1.0, 2)), np.ones((3, 3))), id="0+J2(-1)")
+    yield pytest.param((sla.block_diag(0.0, _jordan(-0.5 + 1.0j, 3)), np.ones((4, 4))), id="0+J3")
+
+
+@pytest.fixture(scope="module", params=list(_oracle_cases()))
+def oracle_split(request):
+    return zeno_split(*request.param)
+
+
+def _relative(got, want) -> float:
+    return spectral_norm(got - want) / spectral_norm(want)
+
+
+def test_condition_number_matches_projection_svds(oracle_split):
+    dec = oracle_split.decomposition
+    if any(not c.semisimple for c in dec.clusters):
+        with pytest.raises(UnsupportedInputError):
+            condition_number(dec)
+        return
+    assert condition_number(dec) == pytest.approx(_oracle_condition_number(dec), rel=1e-12, abs=0)
+
+
+def test_reduced_resolvents_match_dense_solves(oracle_split):
+    dec = oracle_split.decomposition
+    for ell, s in oracle_split.resolvents.items():
+        assert _relative(s, _oracle_reduced_resolvent(dec, ell)) <= 1e-12
+    for ell in {0, len(dec.clusters) // 2, len(dec.clusters) - 1} - set(oracle_split.resolvents):
+        want = _oracle_reduced_resolvent(dec, ell)
+        assert _relative(reduced_resolvent(dec, ell), want) <= 1e-12
+
+
+def test_batched_exponential_and_m_match_the_per_t_loop(oracle_split):
+    dec = oracle_split.decomposition
+    grid = _m_grid()
+    stack = spectral_expm(dec, grid)
+    assert stack.shape == (grid.size, dec.dim, dec.dim)
+    norms = []
+    for t, got in zip(grid, stack):
+        want = _oracle_spectral_expm(dec, t)
+        norms.append(spectral_norm(want))
+        assert spectral_norm(got - want) <= 1e-12 * norms[-1], t
+    if all(c.semisimple for c in dec.clusters):  # from_split needs chi
+        want_m = 1.05 * max(1.0, max(norms))
+        assert BoundInputs.from_split(oracle_split).m_bound == pytest.approx(want_m, rel=1e-12, abs=0)
+
+
+def test_exponential_matches_scipy_expm(oracle_split):
+    b = oracle_split.b
+    ts = np.array([0.0, 0.3, 2.0, 15.0])
+    for t, got in zip(ts, spectral_expm(oracle_split.decomposition, ts)):
+        want = sla.expm(t * b)
+        assert spectral_norm(got - want) <= 1e-10 * spectral_norm(want), t
+
+
+def test_scalar_exponential_is_the_one_point_batch():
+    dec = decompose(sla.block_diag(0.0, _jordan(-1.0, 3), np.diag([-2.0, 1.0j])))
+    for t in (0.0, 0.7, 1e3):
+        assert np.array_equal(spectral_expm(dec, t), spectral_expm(dec, np.array([t]))[0])
+
+
+def test_underflowing_blocks_of_index_three_give_no_nan():
+    # t^2 overflows at 1e200, where e^{-t} is zero: the block is dropped, not inf * 0
+    dec = decompose(sla.block_diag(0.0, _jordan(-1.0, 3)))
+    assert max(c.index for c in dec.clusters) == 3
+    ts = np.array([0.0, 1.0, 700.0, 746.0, 1e5, 1e200])
+    with np.errstate(invalid="raise", over="raise"):
+        stack = spectral_expm(dec, ts)
+    assert np.isfinite(stack).all()
+    for t, got in zip(ts, stack):
+        np.testing.assert_allclose(got, _oracle_spectral_expm(dec, t), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(stack[-1], np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("a", [2.0j * np.eye(4), _jordan(-1.0, 3)], ids=["scalar", "J3(-1)"])
+def test_single_cluster_is_exact(a):
+    dec = decompose(a)
+    assert len(dec.clusters) == 1
+    assert np.array_equal(reduced_resolvent(dec, 0), np.zeros_like(a))
+    if dec.clusters[0].semisimple:
+        assert condition_number(dec) == 1.0

@@ -279,6 +279,16 @@ class TestBoundGrid:
         assert math.isfinite(bound_adiabatic(_plain_inputs(), 10.0, 1e-7))
         assert bound_simplified(_plain_inputs(**PARITY_INPUTS["infinite-gaps"]), 10.0, 0.0) == 4 * 1.5
 
+    def test_unitary_strong_generator_past_the_dyson_overflow_is_not_nan(self):
+        # eta = inf makes the envelope integral 0 while e^{tM||C||} overflows at t = 800
+        split = zeno_split(hamiltonian_superoperator(np.diag([0.0, 1.0])),
+                           liouvillian(random_gkls(2, 1, seed=3)).mat)
+        inputs = BoundInputs.from_split(split, t_max=800, gamma_max=10)
+        assert inputs.eta == math.inf
+        assert math.isfinite(bound_adiabatic(inputs, 10.0, 1.0))
+        assert bound_adiabatic(inputs, 10.0, 800.0) == math.inf
+        assert not np.isnan(bound_adiabatic(inputs, 10.0, np.array([1.0, 800.0]))).any()
+
     @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
     def test_one_negative_time_in_an_array_raises(self, name):
         with pytest.raises(ValidationError, match="t must be nonnegative"):
