@@ -19,24 +19,30 @@ Structural verdicts implemented here:
   Gamma = sup_rho -2 Re tr(rho G(rho)) = sup_rho -vec(rho)^dag (G + G^dag) vec(rho),
   one Hermitian quadratic form in vec(rho).  For a system G is its
   dissipator (H drops out); ``superoperator_purity_rate`` takes any
-  generator.  The form is maximized by multi-start ascent over density
-  matrices rho = V V^dag / tr(V V^dag) plus a pure-state grid for d = 2,
-  and every state is scored by the same form, in batch.
-  ``purity_objective`` is the Hilbert-space reference formula
-  2 sum_i tr(L_i^dag L_i rho^2 - L_i^dag rho L_i rho), which the ascent
-  does not use.
+  generator.  In the coordinates rho = I/d + sum_a x_a E_a of an
+  orthonormal traceless Hermitian basis the form is a quadratic in x,
+  and every state lies in the ball |x|^2 <= 1 - 1/d.  Maximizing over
+  that ball is a trust-region subproblem (More & Sorensen, SIAM J. Sci.
+  Stat. Comput. 4 (1983)), solved exactly by one eigendecomposition and
+  the secular equation.  For d = 2 the ball is the Bloch ball, so the
+  solve gives Gamma itself; for d > 2 it gives an upper value, and Gamma
+  comes from multi-start ascent over density matrices
+  rho = V V^dag / tr(V V^dag).  Every state is scored by the same form,
+  in batch.  ``purity_objective`` is the Hilbert-space reference formula
+  2 sum_i tr(L_i^dag L_i rho^2 - L_i^dag rho L_i rho), which the solvers
+  do not use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .errors import DimensionError, EstimationError, ValidationError
-from .linalg import as_complex_matrix, spectral_norm, unvec, vec
+from .linalg import as_complex_matrix, spectral_norm, spectral_norms, unvec, vec
 
 __all__ = [
     "GklsSystem",
@@ -120,27 +126,39 @@ class Superoperator:
 
     def hermiticity_defect(self) -> float:
         """Worst non-Hermiticity of the image of a Hermitian basis."""
-        worst = 0.0
-        for e in _hermitian_basis(self.d):
-            img = self(e)
-            worst = max(worst, spectral_norm(img - img.conj().T))
-        return worst
+        d = self.d
+        # column stacking: mat[i + j d, k + l d] is mat.reshape(d, d, d, d)[j, i, l, k]
+        images = np.einsum("jilk,nkl->nij", self.mat.reshape(d, d, d, d), _hermitian_basis(d))
+        return float(spectral_norms(images - images.conj().transpose(0, 2, 1)).max())
 
 
-def _hermitian_basis(d: int):
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of the d x d matrices, stacked (d^2, d, d).
+
+    The d diagonal units come first, then for each m < n the symmetric and
+    the antisymmetric unit on the pair (m, n).
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    k = d
     for m in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[m, m] = 1.0
-        yield e
-    for m in range(d):
+        basis[m, m, m] = 1.0
         for n in range(m + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[m, n] = e[n, m] = 1.0 / np.sqrt(2)
-            yield e
-            e = np.zeros((d, d), dtype=complex)
-            e[m, n] = -1j / np.sqrt(2)
-            e[n, m] = 1j / np.sqrt(2)
-            yield e
+            basis[k, m, n] = basis[k, n, m] = 1.0 / np.sqrt(2)
+            basis[k + 1, m, n] = -1j / np.sqrt(2)
+            basis[k + 1, n, m] = 1j / np.sqrt(2)
+            k += 2
+    return basis
+
+
+def _traceless_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the traceless Hermitian d x d matrices, stacked (d^2 - 1, d, d).
+
+    The off-diagonal units of :func:`_hermitian_basis` are traceless already;
+    its diagonal units are rotated onto the complement of I.
+    """
+    herm = _hermitian_basis(d)
+    q = np.linalg.qr(np.column_stack([np.ones(d), np.eye(d)[:, :-1]]))[0][:, 1:]
+    return np.concatenate([np.einsum("mij,ma->aij", herm[:d], q), herm[d:]])
 
 
 def hamiltonian_superoperator(h) -> np.ndarray:
@@ -292,16 +310,37 @@ def gkls_form_check(superop) -> GklsFormReport:
 
 @dataclass(frozen=True)
 class PurityOptions:
+    """Options of the multi-start ascent that rates d > 2.
+
+    Qubit rates are solved exactly and read none of them.
+    ``grid_density`` is accepted and ignored; it sized a Bloch-sphere
+    grid that the exact qubit solve replaced.
+    """
+
     restarts: int = 32
     grid_density: int = 100
-    tol: float = 1e-9
     seed: int = 0
     maxiter: int = 400
+
+    def __post_init__(self):
+        if self.restarts < 1 or self.maxiter < 1:
+            raise ValidationError(
+                f"purity ascent needs restarts >= 1 and maxiter >= 1, "
+                f"got restarts={self.restarts}, maxiter={self.maxiter}")
 
 
 @dataclass(frozen=True)
 class PurityReport:
+    """Largest value of a purity form, with the state attaining it.
+
+    ``gamma`` is the form's value at the state ``argmax``; ``mixed_max``
+    and ``pure_max`` are the best values found over all states and over
+    pure states.  ``upper`` is a value no state exceeds: the trust-region
+    dual, which equals ``gamma`` up to rounding for d = 2.
+    """
+
     gamma: float
+    upper: float
     mixed_max: float
     pure_max: float
     argmax: np.ndarray = field(repr=False)
@@ -329,14 +368,76 @@ def _purity_values(hq: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return -np.einsum("nij,jilk,nkl->n", rhos.conj(), hq.reshape(d, d, d, d), rhos).real
 
 
+def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
+    """Maximize -vec(rho)^dag hq vec(rho) over the ball tr rho^2 <= 1.
+
+    With rho = I/d + sum_a x_a E_a the form is -c - 2 b.x - x^T A x and the
+    ball is |x|^2 <= r^2 = 1 - 1/d.  One eigendecomposition A = Q diag(lam) Q^T
+    turns the stationarity condition (A + mu I) x = -b into the secular
+    equation |x(mu)| = r for the sphere's multiplier mu > -lam_min, solved
+    by Brent's method on 1/|x(mu)| - 1/r.  The hard case, where b vanishes
+    on A's bottom eigenspace, fills x up to the sphere along that space.
+    When mu <= 0 the ball's maximizer is the interior point x(0).
+
+    Returns the matrices I/d + sum_a x_a E_a of the ball's and the sphere's
+    maximizers, stacked in that order (for d = 2 they are states), and the
+    Lagrange dual -c + b^T (A + mu I)^{-1} b + mu r^2 at mu = max(mu, 0),
+    which no state exceeds, plus 64 d^2 ulp of the magnitudes it sums for
+    rounding (at d = 2 the unpadded dual and the primal value at the
+    maximizer differ by at most a few ulp either way).
+    """
+    centre = vec(np.eye(d)) / d
+    h_centre = hq @ centre
+    c = float(np.real(centre.conj() @ h_centre))
+    if d == 1:  # I is the only state
+        return np.ones((2, 1, 1), dtype=complex), -c
+    basis = _traceless_basis(d)
+    vecs = basis.transpose(0, 2, 1).reshape(len(basis), d * d)  # rows vec(E_a)
+    b = np.real(vecs.conj() @ h_centre)
+    a = np.real(vecs.conj() @ hq @ vecs.T)
+    lam, q = np.linalg.eigh((a + a.T) / 2)
+    beta = q.T @ b
+    eps = np.finfo(float).eps
+    r2 = 1.0 - 1.0 / d
+    radius = float(np.linalg.norm(beta)) / math.sqrt(r2)  # |x(mu)| <= r once mu + lam_min >= it
+    scale = max(abs(lam[0]), abs(lam[-1]), radius)
+
+    def coords(mu):  # x(mu) in the eigenbasis, with 0 wherever beta is 0
+        return np.divide(-beta, lam + mu, out=np.zeros_like(beta), where=beta != 0)
+
+    def norm2(mu):
+        x = coords(mu)
+        return float(x @ x)
+
+    # multipliers within a few ulp of the scale above -lam_min count as the hard case
+    mu = -lam[0] + 8.0 * eps * scale
+    if norm2(mu) <= r2:
+        y = coords(mu)
+        y[0] = math.copysign(math.sqrt(float(y[0]) ** 2 + r2 - norm2(mu)), y[0])
+    else:
+        mu = brentq(lambda m: 1.0 / math.sqrt(norm2(m)) - 1.0 / math.sqrt(r2),
+                    mu, -lam[0] + 2.0 * radius, xtol=eps * scale)
+        y = coords(mu)
+    sphere = q @ y
+    sphere *= math.sqrt(r2) / np.linalg.norm(sphere)
+    ball = q @ coords(0.0) if mu <= 0.0 else sphere
+    mu = max(mu, 0.0)
+    total = float(np.divide(beta ** 2, lam + mu, out=np.zeros_like(beta), where=beta != 0).sum())
+    upper = -c + total + mu * r2 + 64 * d * d * eps * (abs(c) + total + (mu + scale) * r2)
+    points = np.einsum("pa,aij->pij", np.stack([ball, sphere]), basis) + np.eye(d) / d
+    return points, upper
+
+
 def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> PurityReport:
-    """Maximize the Hermitian quadratic form -vec(rho)^dag hq vec(rho).
+    """Maximize the Hermitian quadratic form -vec(rho)^dag hq vec(rho) by ascent.
 
     rho = V V^dag / tr(V V^dag) is parameterized by V in C^{dxd}; the
     gradient is exact.  Every restart that converged contributes; the
-    reported maximum is schedule-independent.  Candidates, the d = 2
-    Bloch grid and the d > 2 pure-state probe are all scored by
-    :func:`_purity_values`.
+    reported maximum is schedule-independent.  ``pure_max`` comes from a
+    random pure-state probe drawn after the restarts, which does not
+    compete for the maximizer.  All candidates are scored by
+    :func:`_purity_values`.  The ascent proves no upper value, so
+    ``upper`` is +inf; :func:`_purity_report` supplies the dual.
     """
     rng = np.random.default_rng(opts.seed)
 
@@ -372,25 +473,26 @@ def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> Purit
     if successes == 0:
         raise EstimationError("purity ascent failed on every restart",
                               best_value=max(values, default=0.0))
-    mixed_max = values.max()
-
-    if d == 2:
-        n = max(2, opts.grid_density)
-        th, ph = np.meshgrid(np.linspace(0.0, np.pi, n),
-                             np.linspace(0.0, 2 * np.pi, n, endpoint=False), indexing="ij")
-        psi = np.stack([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)], axis=-1).reshape(-1, 2)
-    else:
-        z = rng.standard_normal((opts.restarts, 2, d))
-        psi = z[:, 0] + 1j * z[:, 1]
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    pure = psi[:, :, None] * psi.conj()[:, None, :]
-    pure_values = _purity_values(hq, pure)
-    if d == 2:  # the grid competes for the maximizer; the d > 2 probe only reports pure_max
-        values = np.concatenate([values, pure_values])
+    z = rng.standard_normal((opts.restarts, 2, d))
+    psi = z[:, 0] + 1j * z[:, 1]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    pure_values = _purity_values(hq, psi[:, :, None] * psi.conj()[:, None, :])
     best = int(np.argmax(values))
-    rho = candidates[best] if best < opts.restarts else pure[best - opts.restarts]
-    return PurityReport(gamma=max(values[best], 0.0), mixed_max=max(mixed_max, 0.0),
-                        pure_max=max(pure_values.max(), 0.0), argmax=rho.copy())
+    gamma = max(values[best], 0.0)
+    return PurityReport(gamma=gamma, upper=math.inf, mixed_max=gamma,
+                        pure_max=max(pure_values.max(), 0.0), argmax=candidates[best].copy())
+
+
+def _purity_report(hq: np.ndarray, d: int, opts: PurityOptions) -> PurityReport:
+    """Exact trust-region rate for d = 2, ascent for d > 2; both carry the dual."""
+    points, upper = _trust_region(hq, d)
+    if d != 2:
+        return replace(_ascend_quadratic_form(hq, d, opts), upper=upper)
+    values = _purity_values(hq, points)
+    best = int(np.argmax(values))  # the ball's maximizer wins ties
+    gamma = max(0.0, values[best])
+    return PurityReport(gamma=gamma, upper=upper, mixed_max=gamma,
+                        pure_max=max(0.0, values[1]), argmax=points[best].copy())
 
 
 def purity_decay_rate(sys: GklsSystem, opts: PurityOptions | None = None) -> float:
@@ -402,9 +504,9 @@ def purity_decay_report(sys: GklsSystem, opts: PurityOptions | None = None) -> P
     opts = opts or PurityOptions()
     if not sys.jumps or all(spectral_norm(L) == 0.0 for L in sys.jumps):
         rho0 = np.eye(sys.d, dtype=complex) / sys.d
-        return PurityReport(gamma=0.0, mixed_max=0.0, pure_max=0.0, argmax=rho0)
+        return PurityReport(gamma=0.0, upper=0.0, mixed_max=0.0, pure_max=0.0, argmax=rho0)
     diss = dissipator_superoperator(sys.jumps, sys.d)
-    return _ascend_quadratic_form(diss + diss.conj().T, sys.d, opts)
+    return _purity_report(diss + diss.conj().T, sys.d, opts)
 
 
 def superoperator_purity_rate(superop, opts: PurityOptions | None = None) -> PurityReport:
@@ -415,7 +517,7 @@ def superoperator_purity_rate(superop, opts: PurityOptions | None = None) -> Pur
     """
     opts = opts or PurityOptions()
     mat, d = _mat_and_dim(superop)
-    return _ascend_quadratic_form(mat + mat.conj().T, d, opts)
+    return _purity_report(mat + mat.conj().T, d, opts)
 
 
 @dataclass(frozen=True)

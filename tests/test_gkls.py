@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,14 +23,18 @@ from zeno_limits import (
     unvec,
     vec,
 )
+from zeno_limits import acceptance
 from zeno_limits.errors import ValidationError
 from zeno_limits.gkls import (
+    _ascend_quadratic_form,
+    _hermitian_basis,
     _purity_values,
     dissipator_superoperator,
+    hamiltonian_superoperator,
     purity_decay_report,
     superoperator_purity_rate,
 )
-from zeno_limits.models import dephasing_qubit_example
+from zeno_limits.models import dephasing_qubit_example, gkls_corpus
 from zeno_limits.zeno import fast_oscillation_zeno
 
 from conftest import random_complex, random_hermitian
@@ -241,6 +247,111 @@ class TestPurityDecay:
             # the Hamiltonian part of the full generator drops out of hq
             rate = superoperator_purity_rate(liouvillian(sys), opts).gamma
             assert rate == pytest.approx(purity_decay_rate(canonicalize(sys), opts), abs=1e-12)
+
+
+class TestPurityOptions:
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_is_typed(self, restarts):
+        with pytest.raises(ValidationError):
+            PurityOptions(restarts=restarts)
+
+    @pytest.mark.parametrize("maxiter", [0, -1])
+    def test_maxiter_below_one_is_typed(self, maxiter):
+        with pytest.raises(ValidationError):
+            PurityOptions(maxiter=maxiter)
+
+
+def _dissipator_form(sys):
+    diss = dissipator_superoperator(canonicalize(sys).jumps, sys.d)
+    return diss + diss.conj().T
+
+
+def _generator_form(superop):
+    return superop.mat + superop.mat.conj().T
+
+
+def _criterion_8_forms():
+    """The 22 qubit forms criterion 8 rates: L's dissipator and L_Z per case."""
+    forms = []
+    for case in acceptance.criterion_8().cases:
+        forms += [_dissipator_form(case.system), _generator_form(case.zeno_generator)]
+    return forms
+
+
+class TestExactQubitRate:
+    """The d = 2 trust-region solve against the multi-start ascent it replaced."""
+
+    ASCENT = PurityOptions(restarts=12, seed=7)
+
+    @pytest.fixture(scope="class")
+    def qubit_forms(self):
+        randoms = [_dissipator_form(random_gkls(2, k, seed=1200 + 10 * k + s))
+                   for k in (1, 2, 3) for s in range(3)]
+        return _criterion_8_forms() + randoms
+
+    def test_exact_rate_matches_ascent(self, qubit_forms):
+        assert len(qubit_forms) == 22 + 9
+        for i, hq in enumerate(qubit_forms):
+            exact = superoperator_purity_rate(Superoperator(2, hq / 2)).gamma
+            ascent = _ascend_quadratic_form(hq, 2, self.ASCENT).gamma
+            assert exact >= ascent - 1e-12, (i, exact, ascent)
+            assert abs(exact - ascent) <= 1e-9, (i, exact, ascent)
+
+    def test_upper_brackets_the_rate(self, qubit_forms):
+        for i, hq in enumerate(qubit_forms):
+            rep = superoperator_purity_rate(Superoperator(2, hq / 2))
+            assert 0.0 <= rep.upper - rep.gamma <= 1e-9, (i, rep.upper, rep.gamma)
+            assert rep.gamma == pytest.approx(_purity_values(hq, rep.argmax[None])[0], abs=1e-12)
+            assert np.linalg.eigvalsh(rep.argmax).min() >= -1e-12  # a state
+
+    def test_upper_bounds_ascent_above_qubits(self):
+        opts = PurityOptions(restarts=4, seed=0)
+        systems = [sys for sys in gkls_corpus(12) if sys.d > 2]
+        assert {sys.d for sys in systems} == {3, 4}
+        for sys in systems:
+            rep = purity_decay_report(canonicalize(sys), opts)
+            assert np.isfinite(rep.upper)
+            assert rep.upper >= rep.gamma - 1e-12, (sys.d, rep.upper, rep.gamma)
+
+    def test_hard_case_x_jump(self):
+        # b = 0 (a unital dissipator) and A's bottom eigenvalue is double:
+        # every pure state on the y-z great circle is a maximizer
+        kappa = 1.7
+        sys = GklsSystem(d=2, hamiltonian=np.zeros((2, 2)), jumps=(np.sqrt(kappa) * SX / 2,))
+        rep = purity_decay_report(sys)
+        assert rep.gamma == pytest.approx(kappa / 2, abs=1e-12)
+        assert rep.pure_max == rep.gamma
+        assert 0.0 <= rep.upper - rep.gamma <= 1e-12
+        assert np.trace(rep.argmax @ rep.argmax).real == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.trace(SX @ rep.argmax)) <= 1e-12
+
+    @pytest.mark.parametrize("mat", [hamiltonian_superoperator(SZ), np.zeros((4, 4))],
+                             ids=["unitary", "zero"])
+    def test_zero_form_reads_zero(self, mat):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            rep = superoperator_purity_rate(Superoperator(2, mat))
+        assert rep.gamma == 0.0 and rep.upper == 0.0 and rep.pure_max == 0.0
+        assert np.array_equal(rep.argmax, np.eye(2) / 2)
+
+
+class TestHermiticityDefect:
+    @staticmethod
+    def _defect_loop(sop):
+        """The per-element reference: one spectral norm per basis image."""
+        worst = 0.0
+        for e in _hermitian_basis(sop.d):
+            img = sop(e)
+            worst = max(worst, spectral_norm(img - img.conj().T))
+        return worst
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_batched_equals_per_element_loop(self, rng, d):
+        system = GklsSystem(d, random_hermitian(rng, d), (random_complex(rng, d),))
+        for mat in (random_complex(rng, d * d), liouvillian(system).mat):
+            sop = Superoperator(d, mat)
+            want = self._defect_loop(sop)
+            assert abs(sop.hermiticity_defect() - want) <= 1e-13 * max(want, spectral_norm(mat))
 
 
 class TestNoGoCheck:
