@@ -325,6 +325,18 @@ class TestExactQubitRate:
         assert np.trace(rep.argmax @ rep.argmax).real == pytest.approx(1.0, abs=1e-12)
         assert abs(np.trace(SX @ rep.argmax)) <= 1e-12
 
+    def test_interior_optimum(self):
+        # f(rho) = 1 - |rho - rho0|_F^2 + tr rho0^2, homogenized with tr rho = 1: the
+        # maximum tr rho0^2 + 1 sits at the mixed state rho0, inside the Bloch ball
+        rho0 = np.diag([0.6, 0.4]).astype(complex)
+        u, v0 = vec(np.eye(2)), vec(rho0)
+        hq = np.eye(4) - np.outer(v0, u.conj()) - np.outer(u, v0.conj()) - np.outer(u, u.conj())
+        rep = superoperator_purity_rate(Superoperator(2, hq / 2))
+        assert rep.gamma == pytest.approx(1.52, abs=1e-12)
+        assert np.allclose(rep.argmax, rho0, atol=1e-12)
+        assert rep.pure_max == pytest.approx(1.2, abs=1e-12)  # 2 <psi|rho0|psi> at |0>
+        assert 0.0 <= rep.upper - rep.gamma <= 1e-12
+
     @pytest.mark.parametrize("mat", [hamiltonian_superoperator(SZ), np.zeros((4, 4))],
                              ids=["unitary", "zero"])
     def test_zero_form_reads_zero(self, mat):
