@@ -484,8 +484,14 @@ def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> Purit
 
 
 def _purity_report(hq: np.ndarray, d: int, opts: PurityOptions) -> PurityReport:
-    """Exact trust-region rate for d = 2, ascent for d > 2; both carry the dual."""
+    """Exact trust-region rate for d = 2, ascent for d > 2; both carry the dual.
+
+    Rates are clipped at 0 (a trace-preserving positive semigroup cannot
+    raise the purity of a pure state, so its rate is never negative), and
+    so is ``upper``, which keeps ``gamma <= upper``.
+    """
     points, upper = _trust_region(hq, d)
+    upper = max(0.0, upper)
     if d != 2:
         return replace(_ascend_quadratic_form(hq, d, opts), upper=upper)
     values = _purity_values(hq, points)
