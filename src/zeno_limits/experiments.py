@@ -14,7 +14,10 @@ gamma grid, with the full-grid fit alongside), the worst bound violation
 underlying estimates), and wall-clock time.  The rows come from
 ``evaluate_grid``, which evaluates the errors one gamma at a time over
 the whole t-grid and the bounds over the whole grid at once; a sweep's
-thread pool runs one task per gamma.  Aggregation is ordered by
+thread pool runs one task per gamma.  The per-point path
+(``evaluate_row``, ``adiabatic_error``, the scalar bounds) is the same
+computation on a one-point grid, so its cells equal the grid's bit for
+bit.  Aggregation is ordered by
 (gamma, t), so the output is byte-identical regardless of scheduling.
 The environment variable ZENO_LIMITS_THREADS caps the worker count.  The
 summary comes from ``summarize_rows``; the ``zeno bounds`` command and
@@ -197,7 +200,7 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripher
 
     ``bounds`` names keys of ``BOUNDS``, evaluated at ``inputs``.  The
     errors are evaluated one gamma at a time over the whole t-grid, with
-    e^{t C_Z} computed once per t for every gamma; ``mapper`` (a pool's
+    one e^{t C_Z} stack shared by every gamma; ``mapper`` (a pool's
     map, say) gets one task per gamma.  Each bound takes the whole grid in
     one call.  Every cell equals the per-point ``adiabatic_error`` or
     ``bound_*`` call bit for bit.
@@ -206,7 +209,7 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripher
     ts = np.asarray(t_grid, dtype=float).reshape(-1)
     if not ts.size:
         return []
-    zeno_exps = np.stack([expm(split.c_z, t) for t in ts]) if variants else None
+    zeno_exps = expm(split.c_z, ts) if variants else None
     errors = list(mapper(lambda gamma: _limit_errors(split, gamma, ts, variants, zeno_exps), gammas))
     cells = {f"bound_{name}": BOUNDS[name](inputs, np.array(gammas)[:, None], ts) for name in bounds}
     rows = []
@@ -346,20 +349,21 @@ def spectral_property_check(sys_or_superop, times=(-1.0, 1.0)) -> SpectralProper
     norm = max(spectral_norm(mat), 1e-300)
     tol = 1e-7 * norm
 
-    eigs = np.linalg.eigvals(mat)
+    try:  # the eigenvalues are the Schur diagonal, or eigvals' when the decomposition fails
+        dec = decompose(mat)
+        eigs, failure = np.diag(dec.blocks), None
+    except ZenoLimitsError as exc:  # defective peripheral cluster or worse
+        eigs, failure = np.linalg.eigvals(mat), str(exc)
     lhp = bool(np.all(eigs.real <= tol))
     zero_eig = bool(np.min(np.abs(eigs)) <= tol)
-
     details: dict = {"max_real_part": float(eigs.real.max())}
-    try:
-        dec = decompose(mat)
-        peripheral_ok = all(c.semisimple for c in dec.peripheral_clusters)
-    except ZenoLimitsError as exc:  # defective peripheral cluster or worse
-        details["decomposition_error"] = str(exc)
+    if failure is not None:
+        details["decomposition_error"] = failure
         return SpectralPropertyReport(
             left_half_plane=lhp, zero_is_eigenvalue=zero_eig,
             peripheral_semisimple=False, peripheral_projection_cptp=False,
             projection_commutes=False, peripheral_map_cptp=False, details=details)
+    peripheral_ok = all(c.semisimple for c in dec.peripheral_clusters)
 
     p_phi = peripheral_projection(dec)
     proj_report = cptp_check(Superoperator(sop.d, p_phi, "projected"))
@@ -367,13 +371,11 @@ def spectral_property_check(sys_or_superop, times=(-1.0, 1.0)) -> SpectralProper
     commute = commutator_norm <= 1e-8 * norm
     details["projection_commutator_norm"] = float(commutator_norm)
 
-    # peripheral part L_phi = sum over peripheral clusters of b_k P_k
-    l_phi = np.zeros_like(mat)
-    for c in dec.peripheral_clusters:
-        l_phi += c.eigenvalue * c.projection
+    # the peripheral clusters are semisimple, so e^{t L_phi} P_phi = sum_k e^{t b_k} P_k over them
     peripheral_map_ok = True
     for t in times:
-        phi_map = expm(l_phi, t) @ p_phi
+        phi_map = sum((np.exp(t * c.eigenvalue) * c.projection for c in dec.peripheral_clusters),
+                      np.zeros_like(mat))
         rep = cptp_check(Superoperator(sop.d, phi_map, "projected"))
         details[f"peripheral_map_min_choi_t={t}"] = rep.min_choi_eigenvalue
         peripheral_map_ok = peripheral_map_ok and rep.completely_positive and rep.trace_preserving

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .errors import DimensionError, EstimationError, ValidationError
 from .linalg import as_complex_matrix, spectral_norm, spectral_norms, unvec, vec
@@ -386,6 +385,8 @@ def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     rounding (at d = 2 the unpadded dual and the primal value at the
     maximizer differ by at most a few ulp either way).
     """
+    from scipy.optimize import brentq  # imported here: scipy.optimize costs 0.3 s to import
+
     centre = vec(np.eye(d)) / d
     h_centre = hq @ centre
     c = float(np.real(centre.conj() @ h_centre))
@@ -439,6 +440,8 @@ def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> Purit
     :func:`_purity_values`.  The ascent proves no upper value, so
     ``upper`` is +inf; :func:`_purity_report` supplies the dual.
     """
+    from scipy.optimize import minimize  # imported here, like brentq in _trust_region
+
     rng = np.random.default_rng(opts.seed)
 
     def split(x):

@@ -47,15 +47,23 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def expm(a, t: float = 1.0) -> np.ndarray:
+def expm(a, t=1.0) -> np.ndarray:
     """Matrix exponential ``e^{t a}``.
 
     Scaling-and-squaring with a degree-13 diagonal Pade approximant
     (Al-Mohy/Higham), robust for the highly nonnormal superoperators
-    produced by strong-coupling sweeps.
+    produced by strong-coupling sweeps.  ``t`` is a float (one matrix) or
+    a 1-D array (the stack e^{t_i a}, from one call on ``t_i a``); scipy
+    runs the same Pade on each slice, so a slice equals the float call bit
+    for bit.
     """
     a = _require_square(a, "expm operand")
-    return _sla.expm(t * a)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise DimensionError(f"expm times must be a float or 1-dimensional, got shape {ts.shape}")
+    if not np.all(np.isfinite(ts)):
+        raise ValidationError("expm times contain non-finite entries")
+    return _sla.expm(ts[..., None, None] * a)
 
 
 def spectral_norm(a) -> float:

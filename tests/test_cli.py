@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zeno_limits
 from zeno_limits import liouvillian, random_gkls, spectral_norm
 from zeno_limits.cli import main, main_gkls, main_spectral
 from zeno_limits.jsonio import (
@@ -195,3 +200,13 @@ def test_error_reporting(tmp_path, capsys):
                  "--output", str(tmp_path / "s.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """The CLI starts without scipy.optimize; only the purity solvers import it."""
+    src = str(Path(zeno_limits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, zeno_limits, zeno_limits.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -13,10 +13,14 @@ from zeno_limits import (
 )
 from zeno_limits.errors import ValidationError
 from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, evaluate_row, format_csv
-from zeno_limits.gkls import hamiltonian_superoperator
+from zeno_limits.gkls import Superoperator, cptp_check, hamiltonian_superoperator
 from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json
+from zeno_limits.linalg import expm
 from zeno_limits.models import ThreeLevelParams, three_level_generators
+from zeno_limits.spectral import decompose
 from zeno_limits.zeno import BoundInputs, adiabatic_error, zeno_split
+
+from conftest import power_iteration_norm, taylor_expm
 
 
 def small_config(**overrides):
@@ -99,6 +103,31 @@ class TestEvaluateRow:
 
 def _bits(x):
     return None if x is None else float(x).hex()
+
+
+def _jordan_split():
+    """B = 0 + J2(-1): a decaying Jordan block, so e^{t gamma B} takes the polynomial path."""
+    b = np.zeros((3, 3), dtype=complex)
+    b[1, 1] = b[2, 2] = -1.0
+    b[1, 2] = 1.0
+    c = np.random.default_rng(71).standard_normal((3, 3)) * (1 + 0.5j)
+    return zeno_split(b, c)
+
+
+class TestErrorOracle:
+    """Both error columns against a Taylor exponential and a power-iteration norm."""
+
+    @pytest.mark.parametrize("pair", ["three-level", "gkls-d16", "jordan"])
+    def test_error_columns_match_the_taylor_oracle(self, pair):
+        split = _jordan_split() if pair == "jordan" else _pair_split(pair)
+        gammas, t_grid = (10.0, 100.0, 1000.0), (0.25, 1.0, 2.0)
+        rows = evaluate_grid(split, gammas, t_grid)
+        for row in rows:
+            gamma, t = row["gamma"], row["t"]
+            lhs = taylor_expm(gamma * split.b + split.c, t)
+            rhs = taylor_expm(split.b, gamma * t) @ taylor_expm(split.c_z, t)
+            assert abs(row["error_plain"] - power_iteration_norm(lhs - rhs)) <= 1e-10
+            assert abs(row["error_peripheral"] - power_iteration_norm(lhs - rhs @ split.p_phi)) <= 1e-10
 
 
 class TestEvaluateGrid:
@@ -219,6 +248,21 @@ class TestSpectralPropertyCheck:
         for sys in gkls_corpus(6):
             rep = spectral_property_check(sys)
             assert rep.all_pass, rep.as_dict()
+
+    def test_eigenvalues_and_peripheral_map_from_the_decomposition(self):
+        """max_real_part and the Choi minima agree with eigvals and a Pade e^{t L_phi} P_phi."""
+        for sys in gkls_corpus(6):
+            mat = liouvillian(sys).mat
+            norm = np.linalg.norm(mat, 2)
+            rep = spectral_property_check(sys)
+            assert abs(rep.details["max_real_part"] - np.linalg.eigvals(mat).real.max()) <= 1e-12 * norm
+            dec = decompose(mat)
+            l_phi = sum(c.eigenvalue * c.projection for c in dec.peripheral_clusters)
+            p_phi = sum(c.projection for c in dec.peripheral_clusters)
+            for t in (-1.0, 1.0):
+                pade = cptp_check(Superoperator(sys.d, expm(l_phi, t) @ p_phi, "projected"))
+                assert abs(rep.details[f"peripheral_map_min_choi_t={t}"]
+                           - pade.min_choi_eigenvalue) <= 1e-12 * norm
 
     def test_unitary_generator(self):
         sys = random_gkls(3, 0, seed=91)

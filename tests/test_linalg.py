@@ -47,6 +47,45 @@ class TestExpm:
         assert spectral_norm(u @ u.conj().T - np.eye(4)) <= 1e-10
 
 
+#: times that reach scipy's unscaled, scaled and heavily squared Pade branches
+STACK_TIMES = np.array([0.0, 1e-3, 0.25, 1.3, -0.7, 40.0, 2000.0])
+
+
+class TestStackedExpm:
+    """``expm(a, ts)`` is one scipy call, and each slice equals the float call bit for bit."""
+
+    @pytest.mark.parametrize("dim", [4, 9, 16, 64])
+    def test_stack_equals_per_t_calls_bitwise(self, rng, dim):
+        a = random_complex(rng, dim) / (2.0 * np.sqrt(dim)) - np.eye(dim)  # decaying: no overflow
+        stack = expm(a, STACK_TIMES)
+        assert stack.shape == (STACK_TIMES.size, dim, dim)
+        for t, got in zip(STACK_TIMES.tolist(), stack):
+            assert np.array_equal(got, expm(a, t))
+
+    @pytest.mark.parametrize("shape", ["diagonal", "upper-triangular"])
+    def test_scipy_special_branches_match_bitwise(self, rng, shape):
+        a = np.diag(-rng.uniform(0, 2, 9) + 1j * rng.standard_normal(9))
+        if shape == "upper-triangular":
+            a = a + np.triu(random_complex(rng, 9), 1)
+        stack = expm(a, STACK_TIMES)
+        for t, got in zip(STACK_TIMES.tolist(), stack):
+            assert np.array_equal(got, expm(a, t))
+
+    def test_two_dimensional_times_are_typed(self):
+        with pytest.raises(DimensionError):
+            expm(np.eye(3), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.5, np.nan], [-np.inf, 1.0]])
+    def test_non_finite_times_are_typed(self, t):
+        with pytest.raises(ValidationError):
+            expm(np.eye(3), t)
+
+    def test_empty_times_give_an_empty_stack(self):
+        out = expm(np.eye(3), np.array([]))
+        assert out.shape == (0, 3, 3)
+        assert out.dtype == complex
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-14)

@@ -320,6 +320,21 @@ class TestPerturbedSemigroupBound:
         assert rep.max_perturbed_ratio <= 1.0
 
 
+    @pytest.mark.parametrize("m_bound", [None, 3.0])
+    def test_report_equals_the_per_t_loop(self, three_level, m_bound):
+        _, l_super, d_super, _ = three_level
+        b, c, gamma, t_grid = d_super.mat, l_super.mat, 30.0, np.linspace(0, 2, 9)
+        semigroup = [spectral_norm(expm(b, t)) for t in t_grid]
+        m = 1.05 * max(1.0, max(semigroup)) if m_bound is None else m_bound
+        ratio_pert = 0.0
+        for t in t_grid:
+            ratio_pert = max(ratio_pert, spectral_norm(expm(gamma * b + c, t))
+                             / (m * math.exp(t * m * spectral_norm(c))))
+        rep = perturbed_semigroup_bound_check(b, c, gamma, t_grid, m_bound)
+        assert (rep.m_bound, rep.max_semigroup_ratio, rep.max_perturbed_ratio) == (
+            m, max(n / m for n in semigroup), ratio_pert)
+
+
 class TestConvergenceSlope:
     def test_exact_inverse_law(self):
         gammas = np.geomspace(1.0, 1e4, 9)
