@@ -319,7 +319,6 @@ class TestPerturbedSemigroupBound:
         assert rep.satisfied
         assert rep.max_perturbed_ratio <= 1.0
 
-
     @pytest.mark.parametrize("m_bound", [None, 3.0])
     def test_report_equals_the_per_t_loop(self, three_level, m_bound):
         _, l_super, d_super, _ = three_level
