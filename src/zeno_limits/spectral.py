@@ -42,7 +42,7 @@ from .errors import (
     PeripheralDefectError,
     UnsupportedInputError,
 )
-from .linalg import as_complex_matrix, schur, spectral_norm
+from .linalg import as_complex_matrix, expm, schur, spectral_norm
 
 __all__ = [
     "SpectralCluster",
@@ -351,28 +351,29 @@ def condition_number(dec: SpectralDecomposition, nu: float = 1.0) -> float:
 def spectral_expm(dec: SpectralDecomposition, t):
     """Evaluate e^{tA} through the spectral representation.
 
-    e^{tA} = U diag(e^{t T_kk}) V with e^{t T_kk} = e^{t b_k} sum_{n < n_k}
-    t^n (T_kk - b_k I)^n / n!, the block form of sum_k e^{t b_k}
-    [sum_{n < n_k} (t N_k)^n / n!] P_k.  ``t`` is a float (one matrix) or a
-    1-D array (a stack, one matrix per t); a float is the stack at one
-    point.  Stable for arbitrarily large t when the spectrum lies in the
-    closed left half-plane: a block whose e^{t Re b_k} underflows is zero,
-    whatever its polynomial factor.
+    e^{tA} = U diag(e^{t T_kk}) V with e^{t T_kk} = e^{t b_k} e^{t (T_kk - b_k I)},
+    the block form of sum_k e^{t b_k} [sum_{n < n_k} (t N_k)^n / n!] P_k,
+    exact also where a cluster merges distinct eigenvalues.  The second
+    factor is one stacked Pade call on the small triangle, taken as I when
+    ||U_k|| ||T_kk - b_k I|| ||V_k|| <= sqrt(D) eps ||A||_F (Frobenius norms):
+    then the result is e^{t(A + E)}, ||E|| <= D eps ||A||, the Schur form's
+    own rounding.  ``t`` is a float (one matrix) or a 1-D array (a stack,
+    one matrix per t); a float is the stack at one point.  Stable for any
+    t when the spectrum lies in the closed left half-plane: a block whose
+    e^{t Re b_k} underflows is zero, whatever its other factor.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rates = np.multiply.outer(ts, [c.eigenvalue for c in dec.clusters])
     live = rates.real >= -745.0
     phases = np.where(live, np.exp(rates), 0.0)
     out = dec.u * np.repeat(phases, np.diff(dec.starts), axis=1)[:, None, :]
+    rounding = math.sqrt(dec.dim) * np.finfo(float).eps * np.linalg.norm(dec.matrix)
     for k, (c, lo, hi) in enumerate(zip(dec.clusters, dec.starts, dec.starts[1:])):
-        if c.index == 1:
+        if hi - lo == 1:  # a singleton's offset is exactly 0
             continue
-        nil = dec.blocks[lo:hi, lo:hi] - c.eigenvalue * np.eye(hi - lo)
-        ts_live = np.where(live[:, k], ts, 0.0)  # t^n may overflow where the block is zero
-        poly, power = np.eye(hi - lo, dtype=complex), np.eye(hi - lo)
-        for n in range(1, c.index):
-            power = power @ nil
-            poly = poly + (ts_live ** n / math.factorial(n))[:, None, None] * power
-        out[:, :, lo:hi] = out[:, :, lo:hi] @ poly
+        offset = dec.blocks[lo:hi, lo:hi] - c.eigenvalue * np.eye(hi - lo)
+        moved = np.linalg.norm(dec.u[:, lo:hi]) * np.linalg.norm(offset) * np.linalg.norm(dec.v[lo:hi])
+        if moved > rounding:  # e^{t offset} may overflow where the block is zero
+            out[:, :, lo:hi] = out[:, :, lo:hi] @ expm(offset, np.where(live[:, k], ts, 0.0))
     out = out @ dec.v
     return out if np.ndim(t) else out[0]

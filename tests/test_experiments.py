@@ -106,7 +106,7 @@ def _bits(x):
 
 
 def _jordan_split():
-    """B = 0 + J2(-1): a decaying Jordan block, so e^{t gamma B} takes the polynomial path."""
+    """B = 0 + J2(-1): a decaying Jordan block, so e^{t gamma B} takes the block exponential."""
     b = np.zeros((3, 3), dtype=complex)
     b[1, 1] = b[2, 2] = -1.0
     b[1, 2] = 1.0
@@ -114,12 +114,23 @@ def _jordan_split():
     return zeno_split(b, c)
 
 
+def _merged_split():
+    """B = diag(0, 1e-8 i, -1): 0 and 1e-8 i merge into one peripheral cluster
+    whose T_kk - b_k I is nonzero, so e^{t gamma B} needs the block exponential."""
+    b = np.diag([0.0, 1e-8j, -1.0])
+    c = np.random.default_rng(72).standard_normal((3, 3)) * (1 - 0.5j)
+    split = zeno_split(b, c)
+    assert len(split.decomposition.peripheral_clusters) == 1
+    return split
+
+
 class TestErrorOracle:
     """Both error columns against a Taylor exponential and a power-iteration norm."""
 
-    @pytest.mark.parametrize("pair", ["three-level", "gkls-d16", "jordan"])
+    @pytest.mark.parametrize("pair", ["three-level", "gkls-d16", "jordan", "merged"])
     def test_error_columns_match_the_taylor_oracle(self, pair):
-        split = _jordan_split() if pair == "jordan" else _pair_split(pair)
+        special = {"jordan": _jordan_split, "merged": _merged_split}
+        split = special[pair]() if pair in special else _pair_split(pair)
         gammas, t_grid = (10.0, 100.0, 1000.0), (0.25, 1.0, 2.0)
         rows = evaluate_grid(split, gammas, t_grid)
         for row in rows:

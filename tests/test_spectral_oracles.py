@@ -202,6 +202,30 @@ def test_scalar_exponential_is_the_one_point_batch():
         assert np.array_equal(spectral_expm(dec, t), spectral_expm(dec, np.array([t]))[0])
 
 
+def _near_defective_pair(t):
+    """e^{tA} for A = [[a, 1], [0, d]] + [-2], a = -0.5, d = a + 1e-8 i, in closed form."""
+    a, d = -0.5, -0.5 + 1e-8j
+    z = t * (a - d) / 2  # the divided difference t e^{t(a+d)/2} sinh(z)/z, with |z| < 1e-4
+    exact = np.diag([np.exp(t * a), np.exp(t * d), np.exp(-2.0 * t)])
+    exact[0, 1] = t * np.exp(t * (a + d) / 2) * (1 + z * z / 6 + z ** 4 / 120)
+    return np.array([[a, 1.0, 0.0], [0.0, d, 0.0], [0.0, 0.0, -2.0]]), exact
+
+
+@pytest.mark.parametrize("case", ["peripheral", "near-defective"])
+def test_merged_cluster_keeps_its_spread(case):
+    # two eigenvalues 1e-8 apart merge into one cluster; e^{t b_k} alone is off by ~ t 1e-8
+    ts = np.array([0.3, 2.0, 60.0, 2000.0])
+    if case == "peripheral":
+        a = np.diag([0.0, 1e-8j, -1.0])
+        wants = [np.diag(np.exp(t * np.diag(a))) for t in ts]
+    else:
+        a, wants = _near_defective_pair(0.0)[0], [_near_defective_pair(t)[1] for t in ts]
+    dec = decompose(a)
+    assert len(dec.clusters) == 2
+    for t, got, want in zip(ts, spectral_expm(dec, ts), wants):
+        assert spectral_norm(got - want) <= 1e-13 * spectral_norm(want), t
+
+
 def test_underflowing_blocks_of_index_three_give_no_nan():
     # t^2 overflows at 1e200, where e^{-t} is zero: the block is dropped, not inf * 0
     dec = decompose(sla.block_diag(0.0, _jordan(-1.0, 3)))
