@@ -355,12 +355,13 @@ def spectral_expm(dec: SpectralDecomposition, t):
     the block form of sum_k e^{t b_k} [sum_{n < n_k} (t N_k)^n / n!] P_k,
     exact also where a cluster merges distinct eigenvalues.  The second
     factor is one stacked Pade call on the small triangle, taken as I when
-    ||U_k|| ||T_kk - b_k I|| ||V_k|| <= sqrt(D) eps ||A||_F (Frobenius norms):
-    then the result is e^{t(A + E)}, ||E|| <= D eps ||A||, the Schur form's
-    own rounding.  ``t`` is a float (one matrix) or a 1-D array (a stack,
-    one matrix per t); a float is the stack at one point.  Stable for any
-    t when the spectrum lies in the closed left half-plane: a block whose
-    e^{t Re b_k} underflows is zero, whatever its other factor.
+    ||N_k||_F = ||U_k (T_kk - b_k I) V_k||_F <= sqrt(D) eps ||A||_F: then
+    the result is e^{t(A - N_k)}, a move of A within the Schur form's own
+    rounding (||N_k|| <= D eps ||A||).  ``t`` is a float (one matrix) or
+    a 1-D array (a stack, one matrix per t); a float is the stack at one
+    point.  Stable for any t when the spectrum lies in the closed left
+    half-plane: a block whose e^{t Re b_k} underflows is zero, whatever
+    its other factor.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rates = np.multiply.outer(ts, [c.eigenvalue for c in dec.clusters])
@@ -369,11 +370,9 @@ def spectral_expm(dec: SpectralDecomposition, t):
     out = dec.u * np.repeat(phases, np.diff(dec.starts), axis=1)[:, None, :]
     rounding = math.sqrt(dec.dim) * np.finfo(float).eps * np.linalg.norm(dec.matrix)
     for k, (c, lo, hi) in enumerate(zip(dec.clusters, dec.starts, dec.starts[1:])):
-        if hi - lo == 1:  # a singleton's offset is exactly 0
-            continue
-        offset = dec.blocks[lo:hi, lo:hi] - c.eigenvalue * np.eye(hi - lo)
-        moved = np.linalg.norm(dec.u[:, lo:hi]) * np.linalg.norm(offset) * np.linalg.norm(dec.v[lo:hi])
-        if moved > rounding:  # e^{t offset} may overflow where the block is zero
+        # a singleton's N_k is exactly 0; e^{t offset} may overflow where the block is zero
+        if hi - lo > 1 and np.linalg.norm(c.nilpotent) > rounding:
+            offset = dec.blocks[lo:hi, lo:hi] - c.eigenvalue * np.eye(hi - lo)
             out[:, :, lo:hi] = out[:, :, lo:hi] @ expm(offset, np.where(live[:, k], ts, 0.0))
     out = out @ dec.v
     return out if np.ndim(t) else out[0]
