@@ -223,7 +223,7 @@ def criterion_6() -> tuple[CriterionResult, str]:
             measured = BoundInputs.from_split(split, t_max=2.0, gamma_max=max(gammas))
             caption = BoundInputs(
                 m_bound=math.sqrt(2.0), eta=p.kappa / 2.0, delta=measured.delta,
-                nu=measured.nu, chi=measured.chi, dim=measured.dim,
+                chi=measured.chi, dim=measured.dim,
                 p_coeffs=np.array([math.sqrt(2.0)]), norm_c=measured.norm_c,
                 norm_cz=measured.norm_cz, resolvent_sum=measured.resolvent_sum,
                 resolvent_sum_norm=measured.resolvent_sum_norm)

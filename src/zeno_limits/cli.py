@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +86,8 @@ def cmd_gkls_build(args) -> int:
 def cmd_gkls_check(args) -> int:
     obj = jsonio.load_json(args.map)
     sop = jsonio.superoperator_from_json(obj, default_provenance="projected")
-    report = {}
     as_map = Superoperator(sop.d, sop.mat, "projected")
-    report["cptp"] = cptp_check(as_map).as_dict()
-    report["gkls_form"] = gkls_form_check(as_map).as_dict()
+    report = {"cptp": asdict(cptp_check(as_map)), "gkls_form": asdict(gkls_form_check(as_map))}
     print(json.dumps(report, indent=2))
     return 0
 
@@ -120,6 +119,8 @@ def _add_zeno(sub):
 
 def _split_from_file(path):
     obj = jsonio.load_json(path)
+    if "strong" not in obj or "weak" not in obj:
+        raise ValidationError(f"split file {path} needs 'strong' and 'weak' matrices")
     b = jsonio.matrix_from_json(obj["strong"])
     c = jsonio.matrix_from_json(obj["weak"])
     return zeno_split(b, c, cluster_tol=obj.get("cluster_tol"), imag_tol=obj.get("imag_tol"))
@@ -194,7 +195,7 @@ def _add_model(sub):
 def cmd_model_three_level(args) -> int:
     params = ThreeLevelParams()
     if args.params:
-        params = ThreeLevelParams(**jsonio.load_json(args.params))
+        params = ThreeLevelParams.from_json(jsonio.load_json(args.params))
     if args.emit == "generators":
         l_super, d_super = three_level_generators(params)
         print(json.dumps({"L": jsonio.superoperator_to_json(l_super),

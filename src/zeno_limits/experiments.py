@@ -13,15 +13,12 @@ gamma grid, with the full-grid fit alongside), the worst bound violation
 (positive values mean a bound was beaten, which would falsify the
 underlying estimates), and wall-clock time.  The rows come from
 ``evaluate_grid``, which evaluates the errors one gamma at a time over
-the whole t-grid and the bounds over the whole grid at once; a sweep's
-thread pool runs one task per gamma.  The per-point path
-(``evaluate_row``, ``adiabatic_error``, the scalar bounds) is the same
-computation on a one-point grid, so its cells equal the grid's bit for
-bit.  Aggregation is ordered by
-(gamma, t), so the output is byte-identical regardless of scheduling.
-The environment variable ZENO_LIMITS_THREADS caps the worker count.  The
-summary comes from ``summarize_rows``; the ``zeno bounds`` command and
-the acceptance criteria use the same two functions.
+the whole t-grid and the bounds over the whole grid at once; a sweep runs
+in the calling thread.  The per-point path (``evaluate_row``,
+``adiabatic_error``, the scalar bounds) is the same computation on a
+one-point grid, so its cells equal the grid's bit for bit.  The summary
+comes from ``summarize_rows``; the ``zeno bounds`` command and the
+acceptance criteria use the same two functions.
 
 ``spectral_property_check`` audits the structural facts that make a
 compiled generator a valid strong generator: spectrum confined to the
@@ -34,9 +31,7 @@ times.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,13 +71,8 @@ DEGENERATE_ERROR = 1e-12
 
 
 def _worker_count() -> int:
-    env = os.environ.get("ZENO_LIMITS_THREADS", "")
-    if not env.strip():
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValidationError(f"ZENO_LIMITS_THREADS must be an integer, got {env!r}") from None
+    """Always 1; only ``bench/run.py``'s provenance reads it, and it goes with ROADMAP item 1."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,6 @@ class SweepConfig:
     variants: tuple[str, ...] = ("plain", "peripheral")
     bounds: tuple[str, ...] = ("adiabatic", "cptp", "simplified")
     output: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not self.gamma_grid:
@@ -135,7 +124,7 @@ class SweepConfig:
             model = "files"
         params = None
         if obj.get("params"):
-            params = ThreeLevelParams(**obj["params"])
+            params = ThreeLevelParams.from_json(obj["params"])
         tg = obj.get("t_grid", {})
         return cls(
             model=model,
@@ -150,7 +139,6 @@ class SweepConfig:
             variants=tuple(obj.get("variants", ("plain", "peripheral"))),
             bounds=tuple(obj.get("bounds", ("adiabatic", "cptp", "simplified"))),
             output=obj.get("output"),
-            seed=int(obj.get("seed", 0)),
         )
 
     def t_grid(self) -> np.ndarray:
@@ -195,14 +183,13 @@ def evaluate_row(split: ZenoSplit, gamma: float, t: float, variants=("plain", "p
 
 
 def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripheral"),
-                  inputs: BoundInputs | None = None, bounds=(), mapper=map) -> list[dict]:
+                  inputs: BoundInputs | None = None, bounds=()) -> list[dict]:
     """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid, gamma-major; cells not requested are None.
 
     ``bounds`` names keys of ``BOUNDS``, evaluated at ``inputs``.  The
     errors are evaluated one gamma at a time over the whole t-grid, with
-    one e^{t C_Z} stack shared by every gamma; ``mapper`` (a pool's
-    map, say) gets one task per gamma.  Each bound takes the whole grid in
-    one call.  Every cell equals the per-point ``adiabatic_error`` or
+    one e^{t C_Z} stack shared by every gamma.  Each bound takes the whole
+    grid in one call.  Every cell equals the per-point ``adiabatic_error`` or
     ``bound_*`` call bit for bit.
     """
     gammas = list(gammas)
@@ -210,7 +197,7 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripher
     if not ts.size:
         return []
     zeno_exps = expm(split.c_z, ts) if variants else None
-    errors = list(mapper(lambda gamma: _limit_errors(split, gamma, ts, variants, zeno_exps), gammas))
+    errors = [_limit_errors(split, gamma, ts, variants, zeno_exps) for gamma in gammas]
     cells = {f"bound_{name}": BOUNDS[name](inputs, np.array(gammas)[:, None], ts) for name in bounds}
     rows = []
     for i, gamma in enumerate(gammas):
@@ -280,10 +267,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     start = time.monotonic()
     b, c = _load_pair(cfg)
     split = zeno_split(b, c)
-    inputs = BoundInputs.from_split(split, t_max=cfg.t_stop, gamma_max=max(cfg.gamma_grid))
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = evaluate_grid(split, cfg.gamma_grid, cfg.t_grid(), cfg.variants, inputs,
-                             cfg.bounds, mapper=pool.map)
+    t_grid = cfg.t_grid()
+    inputs = BoundInputs.from_split(split, max(t_grid, default=0.0), max(cfg.gamma_grid))
+    rows = evaluate_grid(split, cfg.gamma_grid, t_grid, cfg.variants, inputs, cfg.bounds)
     rows.sort(key=lambda r: (r["gamma"], r["t"]))
     summary = {
         "model": cfg.model,
@@ -335,7 +321,7 @@ class SpectralPropertyReport:
         }
 
 
-def spectral_property_check(sys_or_superop, times=(-1.0, 1.0)) -> SpectralPropertyReport:
+def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
     """Audit the spectral structure of a (compiled) GKLS generator."""
     if isinstance(sys_or_superop, GklsSystem):
         sop = liouvillian(sys_or_superop)
@@ -373,7 +359,7 @@ def spectral_property_check(sys_or_superop, times=(-1.0, 1.0)) -> SpectralProper
 
     # the peripheral clusters are semisimple, so e^{t L_phi} P_phi = sum_k e^{t b_k} P_k over them
     peripheral_map_ok = True
-    for t in times:
+    for t in (-1.0, 1.0):
         phi_map = sum((np.exp(t * c.eigenvalue) * c.projection for c in dec.peripheral_clusters),
                       np.zeros_like(mat))
         rep = cptp_check(Superoperator(sop.d, phi_map, "projected"))

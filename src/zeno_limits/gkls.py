@@ -115,14 +115,6 @@ class Superoperator:
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.mat @ vec(rho), self.d)
 
-    def trace_functional_defect(self) -> float:
-        """Norm of vec(I)^dag M (generators) or vec(I)^dag M - vec(I)^dag (propagators)."""
-        tr_vec = vec(np.eye(self.d)).conj()
-        row = tr_vec @ self.mat
-        if self.provenance == "propagator":
-            row = row - tr_vec
-        return float(np.linalg.norm(row))
-
     def hermiticity_defect(self) -> float:
         """Worst non-Hermiticity of the image of a Hermitian basis."""
         d = self.d
@@ -226,14 +218,6 @@ class CptpReport:
     completely_positive: bool
     min_choi_eigenvalue: float
 
-    def as_dict(self) -> dict:
-        return {
-            "trace_preserving": self.trace_preserving,
-            "hermiticity_preserving": self.hermiticity_preserving,
-            "completely_positive": self.completely_positive,
-            "min_choi_eigenvalue": self.min_choi_eigenvalue,
-        }
-
 
 @dataclass(frozen=True)
 class GklsFormReport:
@@ -241,14 +225,6 @@ class GklsFormReport:
     hermiticity_preserving: bool
     conditionally_completely_positive: bool
     min_conditional_choi_eigenvalue: float
-
-    def as_dict(self) -> dict:
-        return {
-            "trace_annihilating": self.trace_annihilating,
-            "hermiticity_preserving": self.hermiticity_preserving,
-            "conditionally_completely_positive": self.conditionally_completely_positive,
-            "min_conditional_choi_eigenvalue": self.min_conditional_choi_eigenvalue,
-        }
 
 
 def _cp_tol(choi: np.ndarray) -> float:
@@ -332,15 +308,14 @@ class PurityOptions:
 class PurityReport:
     """Largest value of a purity form, with the state attaining it.
 
-    ``gamma`` is the form's value at the state ``argmax``; ``mixed_max``
-    and ``pure_max`` are the best values found over all states and over
-    pure states.  ``upper`` is a value no state exceeds: the trust-region
-    dual, which equals ``gamma`` up to rounding for d = 2.
+    ``gamma`` is the form's value at the state ``argmax``, the best value
+    found over all states; ``pure_max`` is the best found over pure states.
+    ``upper`` is a value no state exceeds: the trust-region dual, which
+    equals ``gamma`` up to rounding for d = 2.
     """
 
     gamma: float
     upper: float
-    mixed_max: float
     pure_max: float
     argmax: np.ndarray = field(repr=False)
 
@@ -482,8 +457,8 @@ def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> Purit
     pure_values = _purity_values(hq, psi[:, :, None] * psi.conj()[:, None, :])
     best = int(np.argmax(values))
     gamma = max(values[best], 0.0)
-    return PurityReport(gamma=gamma, upper=math.inf, mixed_max=gamma,
-                        pure_max=max(pure_values.max(), 0.0), argmax=candidates[best].copy())
+    return PurityReport(gamma=gamma, upper=math.inf, pure_max=max(pure_values.max(), 0.0),
+                        argmax=candidates[best].copy())
 
 
 def _purity_report(hq: np.ndarray, d: int, opts: PurityOptions) -> PurityReport:
@@ -500,8 +475,8 @@ def _purity_report(hq: np.ndarray, d: int, opts: PurityOptions) -> PurityReport:
     values = _purity_values(hq, points)
     best = int(np.argmax(values))  # the ball's maximizer wins ties
     gamma = max(0.0, values[best])
-    return PurityReport(gamma=gamma, upper=upper, mixed_max=gamma,
-                        pure_max=max(0.0, values[1]), argmax=points[best].copy())
+    return PurityReport(gamma=gamma, upper=upper, pure_max=max(0.0, values[1]),
+                        argmax=points[best].copy())
 
 
 def purity_decay_rate(sys: GklsSystem, opts: PurityOptions | None = None) -> float:
@@ -513,7 +488,7 @@ def purity_decay_report(sys: GklsSystem, opts: PurityOptions | None = None) -> P
     opts = opts or PurityOptions()
     if not sys.jumps or all(spectral_norm(L) == 0.0 for L in sys.jumps):
         rho0 = np.eye(sys.d, dtype=complex) / sys.d
-        return PurityReport(gamma=0.0, upper=0.0, mixed_max=0.0, pure_max=0.0, argmax=rho0)
+        return PurityReport(gamma=0.0, upper=0.0, pure_max=0.0, argmax=rho0)
     diss = dissipator_superoperator(sys.jumps, sys.d)
     return _purity_report(diss + diss.conj().T, sys.d, opts)
 
@@ -535,14 +510,6 @@ class NoGoReport:
     gamma_projected: float
     equal_within_tol: bool
     tol: float
-
-    def as_dict(self) -> dict:
-        return {
-            "gamma_original": self.gamma_original,
-            "gamma_projected": self.gamma_projected,
-            "equal_within_tol": self.equal_within_tol,
-            "tol": self.tol,
-        }
 
 
 def no_go_check(sys: GklsSystem, zeno_generator, tol: float = 1e-6,

@@ -93,7 +93,13 @@ def superoperator_from_json(obj, default_provenance: str = "full") -> Superopera
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON and bad encodings
+        raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(obj, dict):  # every file format of the package is one JSON object
+        raise ValidationError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def dump_json(obj, path) -> None:

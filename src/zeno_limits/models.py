@@ -23,7 +23,7 @@ unit generator norm for corpus-style testing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +77,13 @@ class ThreeLevelParams:
         if self.gamma < 0:
             raise ValidationError("dephasing rate must be nonnegative")
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "ThreeLevelParams":
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"unknown three-level parameters {unknown}")
+        return cls(**obj)
+
 
 def _basis_ops():
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
@@ -118,7 +125,7 @@ def three_level_analytic_propagator(params: ThreeLevelParams, t: float) -> Super
     and Z weights carry the kappa / (kappa^2 + 4 g^2) denominators.
     """
     if t < 0:
-        raise ValueError("the closed form is stated for t >= 0")
+        raise ValidationError(f"the closed form is stated for t >= 0, got t={t}")
     p, x, y, z, e22 = _basis_ops()
     g, kap = params.g, params.kappa
     h = np.array([[0.0, g, 0.0], [g, 0.0, 0.0], [0.0, 0.0, params.w2]], dtype=complex)

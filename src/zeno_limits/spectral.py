@@ -41,6 +41,7 @@ from .errors import (
     IllConditionedDecompositionError,
     PeripheralDefectError,
     UnsupportedInputError,
+    ValidationError,
 )
 from .linalg import as_complex_matrix, expm, schur, spectral_norm
 
@@ -176,7 +177,7 @@ def decompose(a, cluster_tol: float | None = None,
     cluster_tol = default_tol if cluster_tol is None else cluster_tol
     imag_tol = default_tol if imag_tol is None else imag_tol
     if cluster_tol < 0 or imag_tol < 0:
-        raise ValueError("tolerances must be nonnegative")
+        raise ValidationError("tolerances must be nonnegative")
     # exact-zero tolerances only make sense for the zero matrix; keep a floor
     cluster_tol = max(cluster_tol, 1e-300)
 

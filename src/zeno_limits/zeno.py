@@ -95,10 +95,6 @@ class ZenoSplit:
     gap_data: GapData
     resolvents: dict[int, np.ndarray] = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
-
 
 def zeno_split(b, c, cluster_tol: float | None = None,
                imag_tol: float | None = None) -> ZenoSplit:
@@ -194,7 +190,6 @@ class BoundInputs:
     m_bound: float
     eta: float
     delta: float
-    nu: float
     chi: float
     dim: int
     p_coeffs: np.ndarray
@@ -244,9 +239,8 @@ class BoundInputs:
                      for k in split.resolvents]
         res_sum = float(sum(spectral_norm(term) for term in res_terms))
         res_sum_norm = spectral_norm(sum(res_terms)) if res_terms else 0.0
-        return cls(m_bound=m_bound, eta=gap.eta, delta=gap.delta, nu=gap.nu,
-                   chi=chi, dim=dec.dim, p_coeffs=p_coeffs, norm_c=norm_c,
-                   norm_cz=norm_cz, resolvent_sum=res_sum,
+        return cls(m_bound=m_bound, eta=gap.eta, delta=gap.delta, chi=chi, dim=dec.dim,
+                   p_coeffs=p_coeffs, norm_c=norm_c, norm_cz=norm_cz, resolvent_sum=res_sum,
                    resolvent_sum_norm=res_sum_norm)
 
 

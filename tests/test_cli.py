@@ -202,6 +202,36 @@ def test_error_reporting(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_MATRIX = matrix_to_json(np.diag([0.0, -1.0]))
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({}, ["spectral", "--input", "{tmp}/absent.json", "--output", "{tmp}/out.json"]),
+    ({"bad.json": "{not json"}, ["gkls", "check", "--map", "{tmp}/bad.json"]),
+    ({"list.json": [1]}, ["sweep", "--config", "{tmp}/list.json"]),
+    ({"split.json": {"weak": _MATRIX}}, ["zeno", "error", "--split", "{tmp}/split.json",
+                                         "--gamma", "10", "--t", "1"]),
+    ({"split.json": {"strong": _MATRIX}}, ["zeno", "bounds", "--split", "{tmp}/split.json",
+                                           "--gamma-grid", "10,100", "--t-grid", "0.25:2:3",
+                                           "--output", "{tmp}/b.csv"]),
+    ({"a.json": _MATRIX}, ["spectral", "--input", "{tmp}/a.json", "--cluster-tol=-1",
+                           "--output", "{tmp}/out.json"]),
+    ({}, ["model", "three-level", "--emit", "analytic", "--t=-1"]),
+    ({"p.json": {"g": 2.0, "omega": 1.0}}, ["model", "three-level", "--params", "{tmp}/p.json"]),
+    ({"cfg.json": {"model": "three-level", "params": {"kapa": 1.0}}},
+     ["sweep", "--config", "{tmp}/cfg.json"]),
+], ids=["missing-file", "malformed-json", "non-object-json", "split-without-strong",
+        "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param"])
+def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     """The CLI starts without scipy.optimize; only the purity solvers import it."""
     src = str(Path(zeno_limits.__file__).resolve().parents[1])

@@ -167,19 +167,6 @@ class TestEvaluateGrid:
                     want = bound(inputs, gamma, t) if name in bounds else None
                     assert _bits(row[f"bound_{name}"]) == _bits(want)
 
-    def test_mapper_gets_one_task_per_gamma(self):
-        split = _pair_split("three-level")
-        tasks = []
-
-        def mapper(fn, items):
-            items = list(items)
-            tasks.extend(items)
-            return map(fn, items)
-
-        rows = evaluate_grid(split, (10.0, 30.0, 100.0), np.linspace(0.25, 2.0, 5), mapper=mapper)
-        assert tasks == [10.0, 30.0, 100.0]
-        assert len(rows) == 15
-
     def test_empty_t_grid_gives_header_only_csv(self):
         split = _pair_split("three-level")
         inputs = BoundInputs.from_split(split)
@@ -213,18 +200,18 @@ class TestRunSweep:
         b = run_sweep(small_config(t_count=3, gamma_grid=(10.0, 100.0, 1000.0, 10000.0)))
         assert a.csv_text == b.csv_text
 
-    def test_thread_cap_does_not_change_output(self, monkeypatch):
-        cfg = small_config(t_count=3, gamma_grid=(10.0, 100.0, 1000.0, 10000.0))
-        monkeypatch.setenv("ZENO_LIMITS_THREADS", "1")
-        serial = run_sweep(cfg)
-        monkeypatch.setenv("ZENO_LIMITS_THREADS", "4")
-        threaded = run_sweep(cfg)
-        assert serial.csv_text == threaded.csv_text
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_grid_direction_does_not_change_the_endpoint_rows(self, spacing):
+        # M is sampled up to the grid's largest t, whichever end of the grid holds it
+        def endpoint_rows(start, stop):
+            cfg = small_config(t_start=start, t_stop=stop, t_count=4, t_spacing=spacing,
+                               gamma_grid=(10.0, 100.0, 1000.0))
+            return {(row["gamma"], row["t"]): [_bits(row[col]) for col in CSV_COLUMNS]
+                    for row in run_sweep(cfg).rows if row["t"] in (0.25, 2.0)}
 
-    def test_non_integer_thread_cap_is_typed(self, monkeypatch):
-        monkeypatch.setenv("ZENO_LIMITS_THREADS", "two")
-        with pytest.raises(ValidationError, match="ZENO_LIMITS_THREADS"):
-            run_sweep(small_config(t_count=2))
+        up = endpoint_rows(0.25, 2.0)
+        assert len(up) == 6
+        assert up == endpoint_rows(2.0, 0.25)
 
     def test_degenerate_zero_weak_generator(self, tmp_path):
         sys = random_gkls(2, 1, seed=55)

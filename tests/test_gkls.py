@@ -210,7 +210,6 @@ class TestPurityDecay:
         sys = random_gkls(2, 2, seed=80)
         rep = purity_decay_report(sys, PurityOptions(restarts=8, grid_density=40, seed=1))
         assert rep.gamma >= rep.pure_max - 1e-12
-        assert rep.gamma == pytest.approx(max(rep.mixed_max, rep.pure_max), abs=1e-12)
 
     @staticmethod
     def _states(rng, d, count):
@@ -242,8 +241,8 @@ class TestPurityDecay:
             for o in (opts, rough):
                 rep = purity_decay_report(sys, o)
                 assert rep.gamma == pytest.approx(purity_objective(sys, rep.argmax), abs=1e-12)
-                # the d = 2 grid competes for the maximum; the d > 2 probe does not
-                assert rep.gamma == (max(rep.mixed_max, rep.pure_max) if d == 2 else rep.mixed_max)
+                # the d = 2 pure candidate competes for the maximum; the d > 2 probe does not
+                assert d != 2 or rep.pure_max <= rep.gamma
             # the Hamiltonian part of the full generator drops out of hq
             rate = superoperator_purity_rate(liouvillian(sys), opts).gamma
             assert rate == pytest.approx(purity_decay_rate(canonicalize(sys), opts), abs=1e-12)

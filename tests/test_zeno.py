@@ -136,7 +136,7 @@ class TestAdiabaticError:
 
 
 def _plain_inputs(**overrides):
-    base = dict(m_bound=2.0, eta=1.0, delta=0.5, nu=0.5, chi=1.5, dim=4,
+    base = dict(m_bound=2.0, eta=1.0, delta=0.5, chi=1.5, dim=4,
                 p_coeffs=np.array([1.0]), norm_c=1.0, norm_cz=0.5,
                 resolvent_sum=0.3, resolvent_sum_norm=0.2)
     base.update(overrides)
