@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -23,7 +24,7 @@ from .experiments import (BOUNDS, SweepConfig, evaluate_grid, format_csv, run_sw
 from .gkls import Superoperator, cptp_check, gkls_form_check, liouvillian
 from .models import ThreeLevelParams, dephasing_qubit_example, three_level_analytic_propagator, three_level_generators
 from .spectral import decompose, gaps
-from .zeno import BoundInputs, adiabatic_error, zeno_split
+from .zeno import adiabatic_error, zeno_split
 
 
 def _add_spectral(sub):
@@ -166,13 +167,11 @@ def cmd_zeno_bounds(args) -> int:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise ValidationError(f"--t-grid must be start:stop:count, got {args.t_grid!r}") from None
-    if count < 0:
-        raise ValidationError(f"--t-grid count must be nonnegative, got {count}")
+    if count < 0 or not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"--t-grid needs a finite start and stop and a nonnegative count, "
+                              f"got {args.t_grid!r}")
     split = _split_from_file(args.split)
-    t_grid = np.linspace(start, stop, count)
-    inputs = BoundInputs.from_split(split, t_max=max(t_grid, default=0.0),
-                                    gamma_max=max(gammas, default=0.0))
-    rows = evaluate_grid(split, gammas, t_grid, inputs=inputs, bounds=tuple(BOUNDS))
+    rows = evaluate_grid(split, gammas, np.linspace(start, stop, count), bounds=tuple(BOUNDS))
     Path(args.output).write_text(format_csv(rows))
     return 0
 

@@ -12,13 +12,14 @@ and a JSON summary carrying the fitted convergence slope (top half of the
 gamma grid, with the full-grid fit alongside), the worst bound violation
 (positive values mean a bound was beaten, which would falsify the
 underlying estimates), and wall-clock time.  The rows come from
-``evaluate_grid``, which evaluates the errors one gamma at a time over
-the whole t-grid and the bounds over the whole grid at once; a sweep runs
-in the calling thread.  The per-point path (``evaluate_row``,
-``adiabatic_error``, the scalar bounds) is the same computation on a
-one-point grid, so its cells equal the grid's bit for bit.  The summary
-comes from ``summarize_rows``; the ``zeno bounds`` command and the
-acceptance criteria use the same two functions.
+``evaluate_grid``, which owns the grid: it checks gamma and t, orders the
+rows by (gamma, t), measures the bound constants over the grid's own
+horizon, evaluates the errors one gamma at a time over the whole t-grid
+and the bounds over the whole grid at once.  A sweep runs in the calling
+thread.  The per-point path (``adiabatic_error``, the scalar bounds) is
+the same computation on a one-point grid, so its cells equal the grid's
+bit for bit.  The summary comes from ``summarize_rows``; the ``zeno
+bounds`` command and the acceptance criteria use the same two functions.
 
 ``spectral_property_check`` audits the structural facts that make a
 compiled generator a valid strong generator: spectrum confined to the
@@ -47,6 +48,7 @@ from .spectral import decompose, peripheral_projection
 from .zeno import (
     BoundInputs,
     ZenoSplit,
+    _check_gamma_t,
     _limit_errors,
     _loglog_fit,
     bound_adiabatic,
@@ -101,6 +103,8 @@ class SweepConfig:
             raise ValidationError("gamma_grid must be strictly increasing")
         if any(g <= 0 for g in self.gamma_grid):
             raise ValidationError("gamma values must be positive")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_stop)):
+            raise ValidationError(f"t_grid start and stop must be finite, got {self.t_start}, {self.t_stop}")
         if self.t_spacing not in ("linear", "log"):
             raise ValidationError("t_spacing must be 'linear' or 'log'")
         bad = set(self.variants) - {"plain", "peripheral"}
@@ -176,31 +180,31 @@ def _load_pair(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
 BOUNDS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_simplified}
 
 
-def evaluate_row(split: ZenoSplit, gamma: float, t: float, variants=("plain", "peripheral"),
-                 inputs: BoundInputs | None = None, bounds=()) -> dict:
-    """One (gamma, t) row keyed by ``CSV_COLUMNS``: :func:`evaluate_grid` at one point."""
-    return evaluate_grid(split, (gamma,), (t,), variants, inputs, bounds)[0]
-
-
 def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripheral"),
                   inputs: BoundInputs | None = None, bounds=()) -> list[dict]:
-    """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid, gamma-major; cells not requested are None.
+    """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid sorted by (gamma, t); cells not requested are None.
 
-    ``bounds`` names keys of ``BOUNDS``, evaluated at ``inputs``.  The
-    errors are evaluated one gamma at a time over the whole t-grid, with
-    one e^{t C_Z} stack shared by every gamma.  Each bound takes the whole
-    grid in one call.  Every cell equals the per-point ``adiabatic_error`` or
-    ``bound_*`` call bit for bit.
+    Every gamma must be positive and every t nonnegative, all finite; that
+    is checked before any work.  ``bounds`` names keys of ``BOUNDS``,
+    evaluated at ``inputs``.  When ``inputs`` is None they are measured over
+    this grid's horizon (largest t, largest gamma), where the paper's M must
+    hold.  The errors are evaluated one gamma at a time over the whole
+    t-grid, with one e^{t C_Z} stack shared by every gamma.  Each bound
+    takes the whole grid in one call.  Every cell equals the per-point
+    ``adiabatic_error`` or ``bound_*`` call bit for bit.
     """
-    gammas = list(gammas)
-    ts = np.asarray(t_grid, dtype=float).reshape(-1)
-    if not ts.size:
+    gammas = np.sort(np.asarray(gammas, dtype=float).reshape(-1))
+    ts = np.sort(np.asarray(t_grid, dtype=float).reshape(-1))
+    _check_gamma_t(gammas, ts)
+    if not (gammas.size and ts.size):
         return []
+    if bounds and inputs is None:
+        inputs = BoundInputs.from_split(split, t_max=float(ts[-1]), gamma_max=float(gammas[-1]))
     zeno_exps = expm(split.c_z, ts) if variants else None
-    errors = [_limit_errors(split, gamma, ts, variants, zeno_exps) for gamma in gammas]
-    cells = {f"bound_{name}": BOUNDS[name](inputs, np.array(gammas)[:, None], ts) for name in bounds}
+    errors = [_limit_errors(split, gamma, ts, variants, zeno_exps) for gamma in gammas.tolist()]
+    cells = {f"bound_{name}": BOUNDS[name](inputs, gammas[:, None], ts) for name in bounds}
     rows = []
-    for i, gamma in enumerate(gammas):
+    for i, gamma in enumerate(gammas.tolist()):
         columns = {f"error_{variant}": err.tolist() for variant, err in errors[i].items()}
         columns.update((key, values[i].tolist()) for key, values in cells.items())
         for j, t in enumerate(ts.tolist()):
@@ -211,15 +215,15 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripher
     return rows
 
 
-def summarize_rows(rows: list[dict], variants) -> dict:
-    """Sup-over-t errors, the bound audit and the convergence slopes of gamma-major rows.
+def summarize_rows(rows: list[dict]) -> dict:
+    """Sup-over-t errors, the bound audit and the convergence slopes of ``evaluate_grid`` rows.
 
-    The error is the peripheral variant's when it was evaluated.  A positive
+    The error is the peripheral column when it was evaluated, else the plain one.  A positive
     ``max_bound_violation`` means a bound was beaten.  The headline slope
     fits the top half of the gamma grid (the small-gamma points are
     pre-asymptotic); the full-grid fit is reported alongside.
     """
-    err_key = "error_peripheral" if "peripheral" in variants else "error_plain"
+    err_key = "error_peripheral" if rows and rows[0]["error_peripheral"] is not None else "error_plain"
     slack = -math.inf
     sup: dict[float, float] = {}
     for row in rows:
@@ -267,14 +271,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     start = time.monotonic()
     b, c = _load_pair(cfg)
     split = zeno_split(b, c)
-    t_grid = cfg.t_grid()
-    inputs = BoundInputs.from_split(split, max(t_grid, default=0.0), max(cfg.gamma_grid))
-    rows = evaluate_grid(split, cfg.gamma_grid, t_grid, cfg.variants, inputs, cfg.bounds)
-    rows.sort(key=lambda r: (r["gamma"], r["t"]))
+    rows = evaluate_grid(split, cfg.gamma_grid, cfg.t_grid(), cfg.variants, bounds=cfg.bounds)
     summary = {
         "model": cfg.model,
         "gamma_grid": list(cfg.gamma_grid),
-        **summarize_rows(rows, cfg.variants),
+        **summarize_rows(rows),
         "wall_clock_s": time.monotonic() - start,
     }
     csv_text = format_csv(rows)
@@ -349,7 +350,6 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
             left_half_plane=lhp, zero_is_eigenvalue=zero_eig,
             peripheral_semisimple=False, peripheral_projection_cptp=False,
             projection_commutes=False, peripheral_map_cptp=False, details=details)
-    peripheral_ok = all(c.semisimple for c in dec.peripheral_clusters)
 
     p_phi = peripheral_projection(dec)
     proj_report = cptp_check(Superoperator(sop.d, p_phi, "projected"))
@@ -369,7 +369,7 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
     return SpectralPropertyReport(
         left_half_plane=lhp,
         zero_is_eigenvalue=zero_eig,
-        peripheral_semisimple=peripheral_ok,
+        peripheral_semisimple=True,  # decompose raises for a defective peripheral cluster
         peripheral_projection_cptp=bool(proj_report.completely_positive
                                         and proj_report.trace_preserving),
         projection_commutes=bool(commute),

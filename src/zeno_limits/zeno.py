@@ -431,11 +431,12 @@ def bound_simplified(inputs: BoundInputs, gamma, t):
 
 
 def _check_gamma_t(gamma, t) -> None:
-    """Every gamma (a float or an array) must be positive and every t nonnegative."""
-    if not np.all(np.asarray(gamma) > 0):
-        raise ValidationError("gamma must be positive")
-    if not np.all(np.asarray(t) >= 0):
-        raise ValidationError("t must be nonnegative")
+    """Every gamma (a float or an array) must be positive and every t nonnegative, all finite."""
+    gamma, t = np.asarray(gamma, dtype=float), np.asarray(t, dtype=float)
+    if not np.all((gamma > 0) & np.isfinite(gamma)):
+        raise ValidationError("gamma must be positive and finite")
+    if not np.all((t >= 0) & np.isfinite(t)):
+        raise ValidationError("t must be nonnegative and finite")
 
 
 # ---------------------------------------------------------------------------

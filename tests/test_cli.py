@@ -103,19 +103,21 @@ def test_zeno_split_error_bounds(tmp_path, pair_files, capsys):
         assert cells[3] <= cells[5] + 1e-9  # ... <= cptp bound
 
 
-def test_zeno_bounds_matches_sweep(tmp_path, pair_files, capsys):
-    # the grid's horizon (t 0.02, gamma 4) is not the BoundInputs default (2, 1000)
+@pytest.mark.parametrize("start, stop", [(0.01, 0.02), (0.02, 0.01)], ids=["ascending", "descending"])
+def test_zeno_bounds_matches_sweep(tmp_path, pair_files, capsys, start, stop):
+    # the grid's horizon (t 0.02, gamma 4) is not the BoundInputs default (2, 1000);
+    # either direction of the t-grid gives rows ordered by (gamma, t)
     sp, wp = pair_files
     split_path, bounds_csv, sweep_csv = tmp_path / "split.json", tmp_path / "b.csv", tmp_path / "s.csv"
     assert main(["zeno", "split", "--strong", str(sp), "--weak", str(wp),
                  "--output", str(split_path)]) == 0
     assert main(["zeno", "bounds", "--split", str(split_path), "--gamma-grid", "1,2,3,4",
-                 "--t-grid", "0.01:0.02:3", "--output", str(bounds_csv)]) == 0
+                 "--t-grid", f"{start}:{stop}:3", "--output", str(bounds_csv)]) == 0
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "model": {"strong": str(sp), "weak": str(wp)},
         "gamma_grid": [1, 2, 3, 4],
-        "t_grid": {"start": 0.01, "stop": 0.02, "count": 3},
+        "t_grid": {"start": start, "stop": stop, "count": 3},
         "output": str(sweep_csv),
     }))
     assert main(["sweep", "--config", str(cfg_path)]) == 0
@@ -220,8 +222,14 @@ _MATRIX = matrix_to_json(np.diag([0.0, -1.0]))
     ({"p.json": {"g": 2.0, "omega": 1.0}}, ["model", "three-level", "--params", "{tmp}/p.json"]),
     ({"cfg.json": {"model": "three-level", "params": {"kapa": 1.0}}},
      ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"split.json": {"strong": _MATRIX, "weak": _MATRIX}},
+     ["zeno", "bounds", "--split", "{tmp}/split.json", "--gamma-grid", "10,inf",
+      "--t-grid", "0.25:2:3", "--output", "{tmp}/b.csv"]),
+    ({"cfg.json": '{"model": "three-level", "t_grid": {"start": 0.25, "stop": Infinity, "count": 4}}'},
+     ["sweep", "--config", "{tmp}/cfg.json"]),
 ], ids=["missing-file", "malformed-json", "non-object-json", "split-without-strong",
-        "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param"])
+        "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param",
+        "infinite-gamma", "infinite-t-stop"])
 def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
@@ -233,10 +241,11 @@ def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """The CLI starts without scipy.optimize; only the purity solvers import it."""
+    """The CLI starts without scipy.optimize (only the purity solvers import it) or scipy.special."""
     src = str(Path(zeno_limits.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, zeno_limits, zeno_limits.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, zeno_limits, zeno_limits.cli; "
+            "print([name for name in ('scipy.optimize', 'scipy.special') if name in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ from zeno_limits import (
     spectral_property_check,
 )
 from zeno_limits.errors import ValidationError
-from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, evaluate_row, format_csv
+from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, format_csv
 from zeno_limits.gkls import Superoperator, cptp_check, hamiltonian_superoperator
 from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json
 from zeno_limits.linalg import expm
@@ -80,13 +80,15 @@ def _pair_split(name):
 
 
 class TestEvaluateRow:
+    """A row of ``evaluate_grid`` at one point."""
+
     @pytest.mark.parametrize("pair", ["three-level", "gkls-d16"])
     @pytest.mark.parametrize("variants", [("plain", "peripheral"), ("peripheral",)])
     def test_errors_equal_adiabatic_error_bitwise(self, pair, variants):
         split = _pair_split(pair)
         for gamma in (10.0, 1000.0):
             for t in (0.25, 1.3):
-                row = evaluate_row(split, gamma, t, variants)
+                [row] = evaluate_grid(split, (gamma,), (t,), variants)
                 for variant in ("plain", "peripheral"):
                     want = adiabatic_error(split, gamma, t, variant) if variant in variants else None
                     assert row[f"error_{variant}"] == want
@@ -95,7 +97,7 @@ class TestEvaluateRow:
     def test_requested_bounds_only(self):
         split = _pair_split("three-level")
         inputs = BoundInputs.from_split(split)
-        row = evaluate_row(split, 100.0, 0.5, (), inputs, ("cptp",))
+        [row] = evaluate_grid(split, (100.0,), (0.5,), (), inputs, ("cptp",))
         assert list(row) == list(CSV_COLUMNS)
         assert row["bound_cptp"] == BOUNDS["cptp"](inputs, 100.0, 0.5)
         assert row["error_plain"] is row["error_peripheral"] is row["bound_adiabatic"] is None
@@ -180,11 +182,25 @@ class TestEvaluateGrid:
             evaluate_grid(split, (10.0, -1.0), np.linspace(0.25, 2.0, 3))
         with pytest.raises(ValidationError, match="t must"):
             evaluate_grid(split, (10.0,), np.array([0.5, -0.25]))
+        # checked before M is measured over the grid, which a non-finite horizon would poison
+        with pytest.raises(ValidationError, match="gamma must be positive and finite"):
+            evaluate_grid(split, (10.0, np.inf), np.linspace(0.25, 2.0, 3), bounds=tuple(BOUNDS))
+        with pytest.raises(ValidationError, match="t must be nonnegative and finite"):
+            evaluate_grid(split, (10.0,), np.array([0.5, np.nan]), bounds=tuple(BOUNDS))
+
+    def test_rows_sorted_and_constants_measured_over_the_grid(self):
+        split = _pair_split("three-level")
+        gammas, t_grid = (10.0, 100.0), (0.25, 1.0, 2.0)
+        rows = evaluate_grid(split, gammas[::-1], np.array([2.0, 0.25, 1.0]), bounds=tuple(BOUNDS))
+        assert [(row["gamma"], row["t"]) for row in rows] == [(g, t) for g in gammas for t in t_grid]
+        inputs = BoundInputs.from_split(split, t_max=2.0, gamma_max=100.0)
+        assert rows == evaluate_grid(split, gammas, t_grid, inputs=inputs, bounds=tuple(BOUNDS))
 
 
 class TestRunSweep:
-    def test_three_level_sweep(self):
-        res = run_sweep(small_config())
+    @pytest.mark.parametrize("model", ["three-level", "dephasing-qubit"])
+    def test_model_sweep(self, model):
+        res = run_sweep(small_config(model=model))
         header = res.csv_text.splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
         assert len(res.rows) == 5 * 16
