@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, ZenoLimitsError
-from .gkls import (GklsSystem, Superoperator, cptp_check,
+from .gkls import (GklsSystem, Superoperator, _mat_and_dim, cptp_check,
                    dissipator_superoperator, hamiltonian_superoperator,
                    liouvillian)
 from .jsonio import load_json, superoperator_from_json
@@ -130,20 +130,23 @@ class SweepConfig:
         if obj.get("params"):
             params = ThreeLevelParams.from_json(obj["params"])
         tg = obj.get("t_grid", {})
-        return cls(
-            model=model,
-            params=params,
-            strong_path=strong,
-            weak_path=weak,
-            gamma_grid=tuple(float(g) for g in obj.get("gamma_grid", (10, 30, 100, 300, 1000))),
-            t_start=float(tg.get("start", 0.25)),
-            t_stop=float(tg.get("stop", 2.0)),
-            t_count=int(tg.get("count", 16)),
-            t_spacing=tg.get("spacing", "linear"),
-            variants=tuple(obj.get("variants", ("plain", "peripheral"))),
-            bounds=tuple(obj.get("bounds", ("adiabatic", "cptp", "simplified"))),
-            output=obj.get("output"),
-        )
+        if not isinstance(tg, dict):
+            raise ValidationError(f"t_grid must be an object with start, stop, count and spacing, got {tg!r}")
+        if not all(path is None or isinstance(path, str) for path in (strong, weak, obj.get("output"))):
+            raise ValidationError("the model's strong and weak paths and the output must be strings")
+        try:
+            parsed = dict(
+                gamma_grid=tuple(float(g) for g in obj.get("gamma_grid", (10, 30, 100, 300, 1000))),
+                t_start=float(tg.get("start", 0.25)),
+                t_stop=float(tg.get("stop", 2.0)),
+                t_count=int(tg.get("count", 16)),
+                variants=tuple(str(v) for v in obj.get("variants", ("plain", "peripheral"))),
+                bounds=tuple(str(b) for b in obj.get("bounds", ("adiabatic", "cptp", "simplified"))),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+            raise ValidationError(f"malformed sweep config: {exc}") from exc
+        return cls(model=model, params=params, strong_path=strong, weak_path=weak,
+                   t_spacing=tg.get("spacing", "linear"), output=obj.get("output"), **parsed)
 
     def t_grid(self) -> np.ndarray:
         if self.t_spacing == "log":
@@ -181,16 +184,16 @@ BOUNDS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_
 
 
 def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripheral"),
-                  inputs: BoundInputs | None = None, bounds=()) -> list[dict]:
+                  bounds=()) -> list[dict]:
     """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid sorted by (gamma, t); cells not requested are None.
 
     Every gamma must be positive and every t nonnegative, all finite; that
     is checked before any work.  ``bounds`` names keys of ``BOUNDS``,
-    evaluated at ``inputs``.  When ``inputs`` is None they are measured over
-    this grid's horizon (largest t, largest gamma), where the paper's M must
-    hold.  The errors are evaluated one gamma at a time over the whole
-    t-grid, with one e^{t C_Z} stack shared by every gamma.  Each bound
-    takes the whole grid in one call.  Every cell equals the per-point
+    evaluated at the constants ``BoundInputs.from_split`` measures over
+    this grid's horizon (largest t, largest gamma), where the paper's M
+    must hold.  The errors are evaluated one gamma at a time over the whole t-grid,
+    with one e^{t C_Z} stack shared by every gamma.  Each bound takes the
+    whole grid in one call.  Every cell equals the per-point
     ``adiabatic_error`` or ``bound_*`` call bit for bit.
     """
     gammas = np.sort(np.asarray(gammas, dtype=float).reshape(-1))
@@ -198,7 +201,7 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripher
     _check_gamma_t(gammas, ts)
     if not (gammas.size and ts.size):
         return []
-    if bounds and inputs is None:
+    if bounds:
         inputs = BoundInputs.from_split(split, t_max=float(ts[-1]), gamma_max=float(gammas[-1]))
     zeno_exps = expm(split.c_z, ts) if variants else None
     errors = [_limit_errors(split, gamma, ts, variants, zeno_exps) for gamma in gammas.tolist()]
@@ -323,16 +326,10 @@ class SpectralPropertyReport:
 
 
 def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
-    """Audit the spectral structure of a (compiled) GKLS generator."""
+    """Audit the spectral structure of a GKLS generator: a system, a superoperator or a d^2 x d^2 matrix."""
     if isinstance(sys_or_superop, GklsSystem):
-        sop = liouvillian(sys_or_superop)
-    elif isinstance(sys_or_superop, Superoperator):
-        sop = sys_or_superop
-    else:
-        mat = np.asarray(sys_or_superop, dtype=complex)
-        d = int(round(math.isqrt(mat.shape[0])))
-        sop = Superoperator(d=d, mat=mat, provenance="full")
-    mat = sop.mat
+        sys_or_superop = liouvillian(sys_or_superop)
+    mat, d = _mat_and_dim(sys_or_superop)
     norm = max(spectral_norm(mat), 1e-300)
     tol = 1e-7 * norm
 
@@ -352,7 +349,7 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
             projection_commutes=False, peripheral_map_cptp=False, details=details)
 
     p_phi = peripheral_projection(dec)
-    proj_report = cptp_check(Superoperator(sop.d, p_phi, "projected"))
+    proj_report = cptp_check(Superoperator(d, p_phi, "projected"))
     commutator_norm = spectral_norm(mat @ p_phi - p_phi @ mat)
     commute = commutator_norm <= 1e-8 * norm
     details["projection_commutator_norm"] = float(commutator_norm)
@@ -362,7 +359,7 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
     for t in (-1.0, 1.0):
         phi_map = sum((np.exp(t * c.eigenvalue) * c.projection for c in dec.peripheral_clusters),
                       np.zeros_like(mat))
-        rep = cptp_check(Superoperator(sop.d, phi_map, "projected"))
+        rep = cptp_check(Superoperator(d, phi_map, "projected"))
         details[f"peripheral_map_min_choi_t={t}"] = rep.min_choi_eigenvalue
         peripheral_map_ok = peripheral_map_ok and rep.completely_positive and rep.trace_preserving
 

@@ -309,14 +309,12 @@ class PurityReport:
     """Largest value of a purity form, with the state attaining it.
 
     ``gamma`` is the form's value at the state ``argmax``, the best value
-    found over all states; ``pure_max`` is the best found over pure states.
-    ``upper`` is a value no state exceeds: the trust-region dual, which
-    equals ``gamma`` up to rounding for d = 2.
+    found over all states.  ``upper`` is a value no state exceeds: the
+    trust-region dual, which equals ``gamma`` up to rounding for d = 2.
     """
 
     gamma: float
     upper: float
-    pure_max: float
     argmax: np.ndarray = field(repr=False)
 
 
@@ -408,12 +406,11 @@ def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> Purit
     """Maximize the Hermitian quadratic form -vec(rho)^dag hq vec(rho) by ascent.
 
     rho = V V^dag / tr(V V^dag) is parameterized by V in C^{dxd}; the
-    gradient is exact.  Every restart that converged contributes; the
-    reported maximum is schedule-independent.  ``pure_max`` comes from a
-    random pure-state probe drawn after the restarts, which does not
-    compete for the maximizer.  All candidates are scored by
-    :func:`_purity_values`.  The ascent proves no upper value, so
-    ``upper`` is +inf; :func:`_purity_report` supplies the dual.
+    gradient is exact.  Every restart contributes a candidate, scored by
+    :func:`_purity_values`, and the best one is reported, so the maximum
+    does not depend on the order of the restarts.  The ascent proves no
+    upper value, so ``upper`` is +inf; :func:`_purity_report` supplies
+    the dual.
     """
     from scipy.optimize import minimize  # imported here, like brentq in _trust_region
 
@@ -451,14 +448,8 @@ def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> Purit
     if successes == 0:
         raise EstimationError("purity ascent failed on every restart",
                               best_value=max(values, default=0.0))
-    z = rng.standard_normal((opts.restarts, 2, d))
-    psi = z[:, 0] + 1j * z[:, 1]
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    pure_values = _purity_values(hq, psi[:, :, None] * psi.conj()[:, None, :])
     best = int(np.argmax(values))
-    gamma = max(values[best], 0.0)
-    return PurityReport(gamma=gamma, upper=math.inf, pure_max=max(pure_values.max(), 0.0),
-                        argmax=candidates[best].copy())
+    return PurityReport(gamma=max(values[best], 0.0), upper=math.inf, argmax=candidates[best].copy())
 
 
 def _purity_report(hq: np.ndarray, d: int, opts: PurityOptions) -> PurityReport:
@@ -475,8 +466,7 @@ def _purity_report(hq: np.ndarray, d: int, opts: PurityOptions) -> PurityReport:
     values = _purity_values(hq, points)
     best = int(np.argmax(values))  # the ball's maximizer wins ties
     gamma = max(0.0, values[best])
-    return PurityReport(gamma=gamma, upper=upper, pure_max=max(0.0, values[1]),
-                        argmax=points[best].copy())
+    return PurityReport(gamma=gamma, upper=upper, argmax=points[best].copy())
 
 
 def purity_decay_rate(sys: GklsSystem, opts: PurityOptions | None = None) -> float:
@@ -488,7 +478,7 @@ def purity_decay_report(sys: GklsSystem, opts: PurityOptions | None = None) -> P
     opts = opts or PurityOptions()
     if not sys.jumps or all(spectral_norm(L) == 0.0 for L in sys.jumps):
         rho0 = np.eye(sys.d, dtype=complex) / sys.d
-        return PurityReport(gamma=0.0, upper=0.0, pure_max=0.0, argmax=rho0)
+        return PurityReport(gamma=0.0, upper=0.0, argmax=rho0)
     diss = dissipator_superoperator(sys.jumps, sys.d)
     return _purity_report(diss + diss.conj().T, sys.d, opts)
 

@@ -41,12 +41,15 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
-    if len(data) != rows * cols:
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"matrix JSON data must be a list of [re, im] number pairs: {exc}") from exc
+    if min(rows, cols) < 0 or flat.size != rows * cols:
         raise ValidationError(
-            f"matrix JSON claims {rows}x{cols} but carries {len(data)} entries")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+            f"matrix JSON claims {rows}x{cols} but carries {flat.size} entries")
     return flat.reshape((rows, cols), order="C")
 
 
@@ -58,9 +61,16 @@ def system_to_json(sys: GklsSystem) -> dict:
     }
 
 
+def _dimension(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"dimension d must be an integer: {exc}") from exc
+
+
 def system_from_json(obj) -> GklsSystem:
     try:
-        d = int(obj["d"])
+        d = _dimension(obj["d"])
         h = matrix_from_json(obj["H"])
         jumps = tuple(matrix_from_json(j) for j in obj.get("jumps", []))
     except (KeyError, TypeError) as exc:
@@ -80,7 +90,7 @@ def superoperator_to_json(sop: Superoperator) -> dict:
 def superoperator_from_json(obj, default_provenance: str = "full") -> Superoperator:
     if "mat" in obj:
         mat = matrix_from_json(obj["mat"])
-        d = int(obj.get("d", round(mat.shape[0] ** 0.5)))
+        d = _dimension(obj.get("d", round(mat.shape[0] ** 0.5)))
         prov = obj.get("provenance", default_provenance)
         conv = obj.get("vectorization", "column-stacking")
         if conv != "column-stacking":

@@ -78,11 +78,17 @@ class ThreeLevelParams:
             raise ValidationError("dephasing rate must be nonnegative")
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ThreeLevelParams":
+    def from_json(cls, obj) -> "ThreeLevelParams":
+        if not isinstance(obj, dict):
+            raise ValidationError(f"three-level parameters must be a JSON object, got {obj!r}")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"unknown three-level parameters {unknown}")
-        return cls(**obj)
+        try:
+            values = {name: float(value) for name, value in obj.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"three-level parameters must be numbers: {exc}") from exc
+        return cls(**values)
 
 
 def _basis_ops():

@@ -296,7 +296,7 @@ def reduced_resolvent(dec: SpectralDecomposition, ell: int) -> np.ndarray:
     returns the zero matrix.
     """
     if not 0 <= ell < len(dec.clusters):
-        raise IndexError(f"cluster index {ell} out of range")
+        raise ValidationError(f"cluster index {ell} out of range")
     lo, hi = dec.starts[ell], dec.starts[ell + 1]
     shifted = dec.blocks - dec.clusters[ell].eigenvalue * np.eye(dec.dim)
     shifted[lo:hi, lo:hi] = np.eye(hi - lo)

@@ -133,28 +133,24 @@ def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
     variant 'peripheral': the same with a trailing P_phi on the limit.
     """
     if variant not in ("plain", "peripheral"):
-        raise ValueError(f"unknown variant {variant!r}")
-    return _limit_errors(split, gamma, t, (variant,))[variant]
-
-
-def _limit_errors(split: ZenoSplit, gamma: float, t, variants,
-                  zeno_exps: np.ndarray | None = None) -> dict:
-    """:func:`adiabatic_error` for each of ``variants`` at one gamma.
-
-    ``t`` is a float (float errors) or a 1-D array (an array of errors per
-    variant); a float is the array at one point, so both give the same
-    cells.  e^{t(gamma B + C)} is one stacked Pade call over ``t`` and
-    e^{t gamma B} is read from the decomposition of B
-    (:func:`spectral_expm`).  The variants share the exponentials, and
-    ``zeno_exps``, the stack of e^{t C_Z} over ``t``, lets a caller share
-    those across gammas.
-    """
+        raise ValidationError(f"unknown variant {variant!r}")
     _check_gamma_t(gamma, t)
+    ts = np.array([t], dtype=float)
+    return float(_limit_errors(split, gamma, ts, (variant,), expm(split.c_z, ts))[variant][0])
+
+
+def _limit_errors(split: ZenoSplit, gamma: float, ts: np.ndarray, variants,
+                  zeno_exps: np.ndarray) -> dict:
+    """The :func:`adiabatic_error` array over the 1-D ``ts`` for each of ``variants``, at one gamma.
+
+    ``zeno_exps`` is the caller's stack of e^{t C_Z} over ``ts``, shared
+    across gammas; the caller has checked gamma and ``ts``.
+    e^{t(gamma B + C)} is one stacked Pade call over ``ts`` and
+    e^{t gamma B} is read from the decomposition of B
+    (:func:`spectral_expm`); the variants share both.
+    """
     if not variants:
         return {}
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if zeno_exps is None:
-        zeno_exps = expm(split.c_z, ts)
     lhs = expm(gamma * split.b + split.c, ts)
     rhs = spectral_expm(split.decomposition, gamma * ts) @ zeno_exps
     errors = {}
@@ -162,8 +158,6 @@ def _limit_errors(split: ZenoSplit, gamma: float, t, variants,
         errors["plain"] = spectral_norms(lhs - rhs)
     if "peripheral" in variants:
         errors["peripheral"] = spectral_norms(lhs - rhs @ split.p_phi)
-    if np.ndim(t) == 0:
-        return {variant: float(err[0]) for variant, err in errors.items()}
     return errors
 
 
@@ -211,21 +205,16 @@ class BoundInputs:
                    gamma_max: float = 1000.0) -> "BoundInputs":
         """Measure every constant from the decomposition of B.
 
-        chi comes from the cluster-adapted unit-column eigenvector matrix,
-        p(t) = chi * sum_{nonperipheral k} sum_{n < n_k} (nu t)^n / n!, and
-        M is 1.05 times the largest ||e^{tB}|| over a 64-point grid on
+        chi comes from the cluster-adapted unit-column eigenvector matrix;
+        :func:`condition_number` accepts only a diagonalizable B, so p is
+        the constant chi times the number of decaying clusters.  M is 1.05
+        times the largest ||e^{tB}|| over a 64-point grid on
         [0, t_max * gamma_max] (log-spaced to resolve both the transient
         and the asymptotic regime), floored at 1.
         """
-        dec = split.decomposition
-        gap = split.gap_data
-        chi = condition_number(dec, gap.nu)
-        nonper = dec.nonperipheral_clusters
-        max_index = max((c.index for c in nonper), default=1)
-        p_coeffs = np.zeros(max_index)
-        for n in range(max_index):
-            count = sum(1 for c in nonper if c.index > n)
-            p_coeffs[n] = chi * count * gap.nu ** n / math.factorial(n)
+        dec, gap = split.decomposition, split.gap_data
+        chi = condition_number(dec)
+        p_coeffs = np.array([chi * len(dec.nonperipheral_clusters)])
 
         horizon = t_max * gamma_max
         grid = np.concatenate([[0.0], np.geomspace(max(horizon, 1e-12) * 1e-6, max(horizon, 1e-12), 63)])
@@ -530,7 +519,7 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
     p = _as_matrix(p, "projection")
     l = _as_matrix(l, "generator")
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise ValidationError("n must be a positive integer")
     idem = spectral_norm(p @ p - p)
     if idem > 1e-10 * max(1.0, spectral_norm(p)):
         raise ValidationError(f"projection is not idempotent (defect {idem:.3e})")

@@ -17,8 +17,10 @@ instance, and the orbit-average identity itself at seeded states.
 """
 
 import numpy as np
+import pytest
 
 from zeno_limits import acceptance
+from zeno_limits.cli import main
 from zeno_limits.gkls import liouvillian
 
 
@@ -116,3 +118,25 @@ def test_criterion_10_pulsed_zeno():
 
 def test_criterion_11_spectral_audit():
     assert _run(acceptance.criterion_11).passed
+
+
+def _stub(number, passed):
+    return lambda: acceptance.CriterionResult(number, f"stub {number}", passed, "detail")
+
+
+@pytest.mark.parametrize("failing", [None, "8"])
+def test_driver_prints_one_line_per_criterion(monkeypatch, tmp_path, capsys, failing):
+    names = ["1", "2", "3", "4", "5", "7", "8", "8b", "9", "10", "11"]
+    for number in names:
+        monkeypatch.setattr(acceptance, f"criterion_{number}", _stub(number, number != failing))
+    monkeypatch.setattr(acceptance, "criterion_6",
+                        lambda: (acceptance.CriterionResult("6", "stub 6", True, "detail"), "panel_g\n"))
+    csv_path = tmp_path / "fig.csv"
+    code = main(["acceptance", "--fig-csv", str(csv_path)])
+    lines = capsys.readouterr().out.splitlines()
+    order = names[:5] + ["6"] + names[5:]
+    assert lines[:-1] == [f"[{'FAIL' if n == failing else 'PASS'}] criterion {n}: stub {n} - detail"
+                          for n in order]
+    assert lines[-1] == f"{12 - (failing is not None)}/12 acceptance checks passed"
+    assert code == (0 if failing is None else 1)
+    assert csv_path.read_text() == "panel_g\n"

@@ -227,9 +227,37 @@ _MATRIX = matrix_to_json(np.diag([0.0, -1.0]))
       "--t-grid", "0.25:2:3", "--output", "{tmp}/b.csv"]),
     ({"cfg.json": '{"model": "three-level", "t_grid": {"start": 0.25, "stop": Infinity, "count": 4}}'},
      ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"a.json": {"rows": 1, "cols": 1, "data": [[0]]}}, ["spectral", "--input", "{tmp}/a.json",
+                                                         "--output", "{tmp}/out.json"]),
+    ({"a.json": {"rows": 1, "cols": 1, "data": [["a", 0]]}}, ["spectral", "--input", "{tmp}/a.json",
+                                                              "--output", "{tmp}/out.json"]),
+    ({"a.json": {"rows": 1, "cols": 1, "data": [[None, 0]]}}, ["spectral", "--input", "{tmp}/a.json",
+                                                               "--output", "{tmp}/out.json"]),
+    ({"cfg.json": {"gamma_grid": ["a", 100]}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"gamma_grid": 10}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"t_grid": {"count": "many"}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"t_grid": [0.25, 2, 4]}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"variants": 3}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"params": {"g": "x"}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"p.json": {"g": "x"}}, ["model", "three-level", "--params", "{tmp}/p.json"]),
+    ({"a.json": {"rows": -1, "cols": -1, "data": [[1, 0]]}}, ["spectral", "--input", "{tmp}/a.json",
+                                                              "--output", "{tmp}/out.json"]),
+    ({"cfg.json": '{"t_grid": {"count": Infinity}}'}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"variants": [["plain"]]}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"model": {"strong": 5, "weak": "w.json"}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"params": 5}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"s.json": {"d": "x", "H": _MATRIX}}, ["check-spectral", "--system", "{tmp}/s.json"]),
+    ({"m.json": {"d": "x", "mat": _MATRIX}}, ["gkls", "check", "--map", "{tmp}/m.json"]),
+    ({"p.json": '{"g": 1%s}' % ("0" * 400)}, ["model", "three-level", "--params", "{tmp}/p.json"]),
+    ({"a.json": '{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400)},
+     ["spectral", "--input", "{tmp}/a.json", "--output", "{tmp}/out.json"]),
 ], ids=["missing-file", "malformed-json", "non-object-json", "split-without-strong",
         "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param",
-        "infinite-gamma", "infinite-t-stop"])
+        "infinite-gamma", "infinite-t-stop", "one-number-entry", "string-entry", "null-entry",
+        "string-gamma", "scalar-gamma-grid", "string-t-count", "list-t-grid", "scalar-variants",
+        "string-sweep-param", "string-param", "negative-shape", "infinite-t-count", "nested-variants",
+        "numeric-model-path", "scalar-params", "string-system-dimension", "string-map-dimension",
+        "huge-param", "huge-entry"])
 def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))

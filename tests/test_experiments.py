@@ -11,7 +11,7 @@ from zeno_limits import (
     run_sweep,
     spectral_property_check,
 )
-from zeno_limits.errors import ValidationError
+from zeno_limits.errors import DimensionError, ValidationError
 from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, format_csv
 from zeno_limits.gkls import Superoperator, cptp_check, hamiltonian_superoperator
 from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json
@@ -96,8 +96,8 @@ class TestEvaluateRow:
 
     def test_requested_bounds_only(self):
         split = _pair_split("three-level")
-        inputs = BoundInputs.from_split(split)
-        [row] = evaluate_grid(split, (100.0,), (0.5,), (), inputs, ("cptp",))
+        inputs = BoundInputs.from_split(split, t_max=0.5, gamma_max=100.0)
+        [row] = evaluate_grid(split, (100.0,), (0.5,), (), ("cptp",))
         assert list(row) == list(CSV_COLUMNS)
         assert row["bound_cptp"] == BOUNDS["cptp"](inputs, 100.0, 0.5)
         assert row["error_plain"] is row["error_peripheral"] is row["bound_adiabatic"] is None
@@ -153,11 +153,11 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_cells_equal_per_point_calls(self, pair, spacing):
         split = _pair_split(pair)
-        inputs = BoundInputs.from_split(split)
         t_grid = SweepConfig(t_start=0.05, t_stop=2.0, t_count=7, t_spacing=spacing).t_grid()
         gammas = (10.0, 100.0, 1000.0)
+        inputs = BoundInputs.from_split(split, t_max=float(t_grid[-1]), gamma_max=gammas[-1])
         for variants, bounds in self.SUBSETS:
-            rows = evaluate_grid(split, gammas, t_grid, variants, inputs, bounds)
+            rows = evaluate_grid(split, gammas, t_grid, variants, bounds)
             assert [(row["gamma"], row["t"]) for row in rows] == [(g, t) for g in gammas for t in t_grid]
             for row in rows:
                 assert list(row) == list(CSV_COLUMNS)
@@ -171,8 +171,7 @@ class TestEvaluateGrid:
 
     def test_empty_t_grid_gives_header_only_csv(self):
         split = _pair_split("three-level")
-        inputs = BoundInputs.from_split(split)
-        rows = evaluate_grid(split, (10.0, 100.0), np.array([]), inputs=inputs, bounds=tuple(BOUNDS))
+        rows = evaluate_grid(split, (10.0, 100.0), np.array([]), bounds=tuple(BOUNDS))
         assert rows == []
         assert format_csv(rows) == ",".join(CSV_COLUMNS) + "\n"
 
@@ -193,8 +192,11 @@ class TestEvaluateGrid:
         gammas, t_grid = (10.0, 100.0), (0.25, 1.0, 2.0)
         rows = evaluate_grid(split, gammas[::-1], np.array([2.0, 0.25, 1.0]), bounds=tuple(BOUNDS))
         assert [(row["gamma"], row["t"]) for row in rows] == [(g, t) for g in gammas for t in t_grid]
+        assert rows == evaluate_grid(split, gammas, t_grid, bounds=tuple(BOUNDS))
         inputs = BoundInputs.from_split(split, t_max=2.0, gamma_max=100.0)
-        assert rows == evaluate_grid(split, gammas, t_grid, inputs=inputs, bounds=tuple(BOUNDS))
+        for row in rows:
+            for name, bound in BOUNDS.items():
+                assert row[f"bound_{name}"] == bound(inputs, row["gamma"], row["t"])
 
 
 class TestRunSweep:
@@ -277,6 +279,14 @@ class TestSpectralPropertyCheck:
                 pade = cptp_check(Superoperator(sys.d, expm(l_phi, t) @ p_phi, "projected"))
                 assert abs(rep.details[f"peripheral_map_min_choi_t={t}"]
                            - pade.min_choi_eigenvalue) <= 1e-12 * norm
+
+    def test_system_superoperator_and_matrix_give_one_report(self):
+        sys = random_gkls(3, 2, seed=93)
+        want = spectral_property_check(sys).as_dict()
+        assert spectral_property_check(liouvillian(sys)).as_dict() == want
+        assert spectral_property_check(liouvillian(sys).mat).as_dict() == want
+        with pytest.raises(DimensionError):
+            spectral_property_check(np.zeros((3, 3)))
 
     def test_unitary_generator(self):
         sys = random_gkls(3, 0, seed=91)

@@ -206,11 +206,6 @@ class TestPurityDecay:
         silent = canonicalize(random_gkls(3, 0, seed=78))
         assert purity_decay_rate(silent, opts) <= 1e-12
 
-    def test_pure_and_mixed_maxima_reported(self):
-        sys = random_gkls(2, 2, seed=80)
-        rep = purity_decay_report(sys, PurityOptions(restarts=8, grid_density=40, seed=1))
-        assert rep.gamma >= rep.pure_max - 1e-12
-
     @staticmethod
     def _states(rng, d, count):
         """Random full-rank density matrices, then random pure states."""
@@ -241,8 +236,6 @@ class TestPurityDecay:
             for o in (opts, rough):
                 rep = purity_decay_report(sys, o)
                 assert rep.gamma == pytest.approx(purity_objective(sys, rep.argmax), abs=1e-12)
-                # the d = 2 pure candidate competes for the maximum; the d > 2 probe does not
-                assert d != 2 or rep.pure_max <= rep.gamma
             # the Hamiltonian part of the full generator drops out of hq
             rate = superoperator_purity_rate(liouvillian(sys), opts).gamma
             assert rate == pytest.approx(purity_decay_rate(canonicalize(sys), opts), abs=1e-12)
@@ -319,7 +312,6 @@ class TestExactQubitRate:
         sys = GklsSystem(d=2, hamiltonian=np.zeros((2, 2)), jumps=(np.sqrt(kappa) * SX / 2,))
         rep = purity_decay_report(sys)
         assert rep.gamma == pytest.approx(kappa / 2, abs=1e-12)
-        assert rep.pure_max == rep.gamma
         assert 0.0 <= rep.upper - rep.gamma <= 1e-12
         assert np.trace(rep.argmax @ rep.argmax).real == pytest.approx(1.0, abs=1e-12)
         assert abs(np.trace(SX @ rep.argmax)) <= 1e-12
@@ -333,7 +325,6 @@ class TestExactQubitRate:
         rep = superoperator_purity_rate(Superoperator(2, hq / 2))
         assert rep.gamma == pytest.approx(1.52, abs=1e-12)
         assert np.allclose(rep.argmax, rho0, atol=1e-12)
-        assert rep.pure_max == pytest.approx(1.2, abs=1e-12)  # 2 <psi|rho0|psi> at |0>
         assert 0.0 <= rep.upper - rep.gamma <= 1e-12
 
     @pytest.mark.parametrize("mat", [hamiltonian_superoperator(SZ), np.zeros((4, 4))],
@@ -342,7 +333,7 @@ class TestExactQubitRate:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             rep = superoperator_purity_rate(Superoperator(2, mat))
-        assert rep.gamma == 0.0 and rep.upper == 0.0 and rep.pure_max == 0.0
+        assert rep.gamma == 0.0 and rep.upper == 0.0
         assert np.array_equal(rep.argmax, np.eye(2) / 2)
 
 

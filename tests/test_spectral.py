@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,18 @@ from zeno_limits.errors import (
     UnsupportedInputError,
 )
 from zeno_limits.gkls import hamiltonian_superoperator
+from zeno_limits.spectral import _single_linkage
 
 from conftest import random_complex, random_hermitian
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_single_linkage_merges_two_groups(order):
+    # by real part 0 comes first, then 0.6+0.9i (1.08 from it) starts a second
+    # group, then 0.7+0.1i is within tol of both and joins them into one
+    eigs = np.array([0.0, 0.6 + 0.9j, 0.7 + 0.1j])[list(order)]
+    [group] = _single_linkage(eigs, 1.0)
+    assert sorted(group) == [0, 1, 2]
 
 
 class TestDecompose:
