@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +41,11 @@ from .models import (
     three_level_peripheral,
     three_level_zeno_generator,
 )
-from .spectral import decompose
+from .spectral import condition_number, decompose
 from .experiments import BOUNDS, evaluate_grid, spectral_property_check, summarize_rows
 from .zeno import (
     BoundInputs,
+    _norm_constants,
     bound_cptp,
     commutator_projections,
     commutator_superoperator,
@@ -201,7 +202,8 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> tuple[CriterionResult, str]:
     """Bound curve with fixed constants dominates the error curves.
 
-    Evaluated with M = sqrt(2), p = sqrt(2), eta = kappa/2, the bound
+    Evaluated with M = sqrt(2), p = sqrt(2), eta = kappa/2 (the norms of
+    C, C_Z and S_l C P_l come from each split; no M is sampled), the bound
     must decrease in gamma and dominate the measured error on t in
     [0.1, 2] for all six panel parameter sets; the dataset is emitted
     as CSV.
@@ -218,8 +220,10 @@ def criterion_6() -> tuple[CriterionResult, str]:
                                  gamma=gamma_rate, g=g, w2=1.0, kappa=1.0)
             l_super, d_super = three_level_generators(p)
             split = zeno_split(d_super.mat, l_super.mat)
-            caption = replace(BoundInputs.from_split(split), m_bound=math.sqrt(2.0), eta=p.kappa / 2.0,
-                              p_coeffs=np.array([math.sqrt(2.0)]))
+            caption = BoundInputs(m_bound=math.sqrt(2.0), eta=p.kappa / 2.0,
+                                  delta=split.gap_data.delta, chi=condition_number(split.decomposition),
+                                  dim=split.decomposition.dim, p_coeffs=np.array([math.sqrt(2.0)]),
+                                  **_norm_constants(split))
             panel = evaluate_grid(split, gammas, t_grid, ("peripheral",))
             bounds = bound_cptp(caption, np.array(gammas)[:, None], t_grid)
             for row, bound in zip(panel, bounds.ravel().tolist()):

@@ -22,6 +22,7 @@ from .errors import ValidationError, ZenoLimitsError
 from .experiments import (BOUNDS, SweepConfig, evaluate_grid, format_csv, run_sweep,
                           spectral_property_check)
 from .gkls import Superoperator, cptp_check, gkls_form_check, liouvillian
+from .linalg import spectral_norm
 from .models import ThreeLevelParams, dephasing_qubit_example, three_level_analytic_propagator, three_level_generators
 from .spectral import decompose, gaps
 from .zeno import adiabatic_error, zeno_split
@@ -142,8 +143,7 @@ def cmd_zeno_split(args) -> int:
         "eigenvalues": [[c_.eigenvalue.real, c_.eigenvalue.imag, c_.peripheral]
                         for c_ in split.decomposition.clusters],
         "gaps": {"eta": _json_real(gap.eta), "delta": _json_real(gap.delta), "nu": gap.nu},
-        "resolvent_norms": {str(k): float(np.linalg.norm(v, 2))
-                            for k, v in split.resolvents.items()},
+        "resolvent_norms": {str(k): spectral_norm(v) for k, v in split.resolvents.items()},
     }
     jsonio.dump_json(payload, args.output)
     return 0

@@ -8,6 +8,12 @@ Conventions fixed here and used package-wide:
 * density matrices are vectorized by column stacking, so that
   ``vec(A @ rho @ B) == sandwich_super(A, B) @ vec(rho)`` with
   ``sandwich_super(A, B) = kron(B.T, A)``.
+
+Every module takes its norms and Kronecker products from here.  The
+matrices are small (D = 4 to 64) and these run thousands of times per
+pass, so each is one numpy call: a norm is the ``gesdd`` call
+``np.linalg.norm(a, 2)`` makes, without its detour, and a Kronecker
+product is one broadcast multiply of the products ``np.kron`` forms.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite when both its parts are
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -71,14 +77,14 @@ def spectral_norm(a) -> float:
     a = as_complex_matrix(a, "spectral_norm operand")
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def spectral_norms(stack) -> np.ndarray:
     """:func:`spectral_norm` of each matrix in a stack of shape (n, rows, cols).
 
-    ``np.linalg.norm`` takes the same SVD per matrix either way, so each
-    entry equals the single-matrix call bit for bit.
+    ``np.linalg.svd`` runs the same ``gesdd`` on each matrix of the stack,
+    so each entry equals the single-matrix call bit for bit.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3:
@@ -87,7 +93,7 @@ def spectral_norms(stack) -> np.ndarray:
         raise ValidationError("spectral_norm operand contains non-finite entries")
     if stack.size == 0:
         return np.zeros(stack.shape[0])
-    return np.linalg.norm(stack, 2, axis=(1, 2))
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def schur(a) -> tuple[np.ndarray, np.ndarray]:
@@ -113,9 +119,18 @@ def schur(a) -> tuple[np.ndarray, np.ndarray]:
     return q, t
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two unchecked 2-D arrays, bit for bit ``np.kron``.
+
+    Entry (i rB + k, j cB + l) is a[i, j] * b[k, l], by one broadcast multiply.
+    """
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product with shape ``(rA*rB, cA*cB)``."""
-    return np.kron(as_complex_matrix(a, "kron left"), as_complex_matrix(b, "kron right"))
+    return _kron(as_complex_matrix(a, "kron left"), as_complex_matrix(b, "kron right"))
 
 
 def vec(a) -> np.ndarray:
@@ -135,4 +150,4 @@ def sandwich_super(a, b) -> np.ndarray:
     """Matrix of the map ``rho -> a @ rho @ b`` on column-stacked vectors."""
     a = as_complex_matrix(a, "sandwich left")
     b = as_complex_matrix(b, "sandwich right")
-    return np.kron(b.T, a)
+    return _kron(b.T, a)

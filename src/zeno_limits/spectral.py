@@ -30,6 +30,7 @@ that of the stacked orthonormal bases of the column blocks U_k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,7 +164,9 @@ def decompose(a, cluster_tol: float | None = None,
 
     Eigenvalues within ``cluster_tol`` of each other (single linkage) are
     merged into one cluster; defaults are ``1e-7 * ||a||`` for both
-    tolerances.  Raises :class:`IllConditionedDecompositionError` when the
+    tolerances, and a given tolerance that is not a nonnegative real number
+    (a string, NaN, a negative value) raises :class:`ValidationError`.
+    Raises :class:`IllConditionedDecompositionError` when the
     completeness, reconstruction or orthogonality residual exceeds
     ``100 * cluster_tol`` and :class:`PeripheralDefectError` when a
     peripheral cluster is numerically defective (such clusters must be
@@ -176,8 +179,9 @@ def decompose(a, cluster_tol: float | None = None,
     default_tol = 1e-7 * spectral_norm(a)
     cluster_tol = default_tol if cluster_tol is None else cluster_tol
     imag_tol = default_tol if imag_tol is None else imag_tol
-    if cluster_tol < 0 or imag_tol < 0:
-        raise ValidationError("tolerances must be nonnegative")
+    for name, tol in (("cluster_tol", cluster_tol), ("imag_tol", imag_tol)):
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+            raise ValidationError(f"{name} must be a nonnegative real number, got {tol!r}")
     # exact-zero tolerances only make sense for the zero matrix; keep a floor
     cluster_tol = max(cluster_tol, 1e-300)
 
@@ -324,7 +328,9 @@ def condition_number(dec: SpectralDecomposition, nu: float = 1.0) -> float:
 
     T stacks orthonormal bases of the cluster ranges, here the thin QR
     factors of the column blocks U_k, which keeps chi finite and
-    meaningful for degenerate eigenvalues.  Any other orthonormal bases
+    meaningful for degenerate eigenvalues.  The blocks of one size share
+    one stacked QR call, which factors each block as a call on it alone
+    would.  Any other orthonormal bases
     differ by a block-unitary factor, which leaves chi unchanged.
     Restricted to diagonalizable input; the nu scaling of Jordan
     off-diagonals is vacuous in that case.  The returned value is an
@@ -338,8 +344,11 @@ def condition_number(dec: SpectralDecomposition, nu: float = 1.0) -> float:
         )
     if len(dec.clusters) == 1:
         return 1.0  # the whole space, with the identity as its basis
-    t = np.hstack([np.linalg.qr(dec.u[:, lo:hi])[0]
-                   for lo, hi in zip(dec.starts, dec.starts[1:])])
+    starts, sizes = np.array(dec.starts[:-1]), np.diff(dec.starts)
+    t = np.empty_like(dec.u)
+    for size in np.unique(sizes):
+        cols = starts[sizes == size, None] + np.arange(size)  # (blocks, size) column indices
+        t[:, cols] = np.linalg.qr(dec.u[:, cols].transpose(1, 0, 2))[0].transpose(1, 0, 2)
     sigma = np.linalg.svd(t, compute_uv=False)
     if sigma[-1] == 0.0:
         raise IllConditionedDecompositionError(

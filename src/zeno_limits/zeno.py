@@ -165,9 +165,9 @@ def _limit_errors(split: ZenoSplit, gamma: float, ts: np.ndarray, variants,
 # bound constants
 # ---------------------------------------------------------------------------
 
-#: t-points per batched e^{tB} stack while sampling M (a stack holds
-#: chunk * D^2 complex entries: 0.5 MiB at D = 64)
-_M_CHUNK = 8
+#: complex entries per batched e^{tB} stack while sampling M (0.5 MiB):
+#: 8 t-points at D = 64, and the whole 64-point grid at D <= 16
+_M_STACK_ENTRIES = 8 * 64 * 64
 
 
 @dataclass(frozen=True)
@@ -218,19 +218,20 @@ class BoundInputs:
 
         horizon = t_max * gamma_max
         grid = np.concatenate([[0.0], np.geomspace(max(horizon, 1e-12) * 1e-6, max(horizon, 1e-12), 63)])
-        sampled = max(float(spectral_norms(spectral_expm(dec, grid[i:i + _M_CHUNK])).max())
-                      for i in range(0, grid.size, _M_CHUNK))
-        m_bound = 1.05 * max(1.0, sampled)
+        chunk = max(1, _M_STACK_ENTRIES // dec.dim ** 2)
+        sampled = max(float(spectral_norms(spectral_expm(dec, grid[i:i + chunk])).max())
+                      for i in range(0, grid.size, chunk))
+        return cls(m_bound=1.05 * max(1.0, sampled), eta=gap.eta, delta=gap.delta, chi=chi,
+                   dim=dec.dim, p_coeffs=p_coeffs, **_norm_constants(split))
 
-        norm_c = spectral_norm(split.c)
-        norm_cz = spectral_norm(split.c_z)
-        res_terms = [split.resolvents[k] @ split.c @ dec.clusters[k].projection
-                     for k in split.resolvents]
-        res_sum = float(sum(spectral_norm(term) for term in res_terms))
-        res_sum_norm = spectral_norm(sum(res_terms)) if res_terms else 0.0
-        return cls(m_bound=m_bound, eta=gap.eta, delta=gap.delta, chi=chi, dim=dec.dim,
-                   p_coeffs=p_coeffs, norm_c=norm_c, norm_cz=norm_cz, resolvent_sum=res_sum,
-                   resolvent_sum_norm=res_sum_norm)
+
+def _norm_constants(split: ZenoSplit) -> dict:
+    """The :class:`BoundInputs` norms of C, C_Z and the terms S_l C P_l, keyed by field."""
+    res_terms = [split.resolvents[k] @ split.c @ split.decomposition.clusters[k].projection
+                 for k in split.resolvents]
+    return {"norm_c": spectral_norm(split.c), "norm_cz": spectral_norm(split.c_z),
+            "resolvent_sum": float(sum(spectral_norm(term) for term in res_terms)),
+            "resolvent_sum_norm": spectral_norm(sum(res_terms)) if res_terms else 0.0}
 
 
 def _per_element(fn, x: np.ndarray) -> np.ndarray:

@@ -251,13 +251,20 @@ _MATRIX = matrix_to_json(np.diag([0.0, -1.0]))
     ({"p.json": '{"g": 1%s}' % ("0" * 400)}, ["model", "three-level", "--params", "{tmp}/p.json"]),
     ({"a.json": '{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400)},
      ["spectral", "--input", "{tmp}/a.json", "--output", "{tmp}/out.json"]),
+    ({"split.json": {"strong": _MATRIX, "weak": _MATRIX, "cluster_tol": "x"}},
+     ["zeno", "error", "--split", "{tmp}/split.json", "--gamma", "10", "--t", "1"]),
+    ({"split.json": '{"strong": %s, "weak": %s, "imag_tol": NaN}' % (json.dumps(_MATRIX), json.dumps(_MATRIX))},
+     ["zeno", "error", "--split", "{tmp}/split.json", "--gamma", "10", "--t", "1"]),
+    ({"split.json": {"strong": _MATRIX, "weak": _MATRIX, "cluster_tol": -1e-8}},
+     ["zeno", "bounds", "--split", "{tmp}/split.json", "--gamma-grid", "10,100",
+      "--t-grid", "0.25:2:3", "--output", "{tmp}/b.csv"]),
 ], ids=["missing-file", "malformed-json", "non-object-json", "split-without-strong",
         "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param",
         "infinite-gamma", "infinite-t-stop", "one-number-entry", "string-entry", "null-entry",
         "string-gamma", "scalar-gamma-grid", "string-t-count", "list-t-grid", "scalar-variants",
         "string-sweep-param", "string-param", "negative-shape", "infinite-t-count", "nested-variants",
         "numeric-model-path", "scalar-params", "string-system-dimension", "string-map-dimension",
-        "huge-param", "huge-entry"])
+        "huge-param", "huge-entry", "string-split-tol", "nan-split-tol", "negative-split-tol"])
 def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))

@@ -57,6 +57,30 @@ class TestLiouvillian:
         with pytest.raises(ValidationError):
             GklsSystem(d=2, hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_slightly_non_hermitian_rejected(self, rng):
+        # an exactly Hermitian H skips the defect check; one a hair away still runs it
+        h = random_hermitian(rng, 4)
+        skew = random_complex(rng, 4)
+        skew = (skew - skew.conj().T) / 2
+        h = h + 2e-12 * (spectral_norm(h) / spectral_norm(skew)) * skew
+        assert spectral_norm(h - h.conj().T) > 1e-12 * spectral_norm(h)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            GklsSystem(d=4, hamiltonian=h)
+        GklsSystem(d=4, hamiltonian=(h + h.conj().T) / 2)
+
+    def test_superoperators_equal_numpy_kron_bitwise(self, rng):
+        d, eye = 3, np.eye(3)
+        h = random_hermitian(rng, d)
+        jumps = [random_complex(rng, d), rng.standard_normal((d, d))]
+        want_h = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        want_d = np.zeros((d * d, d * d), dtype=complex)
+        for L in jumps:
+            L = L.astype(complex)
+            ldl = L.conj().T @ L
+            want_d += np.kron(L.conj(), L) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
+        assert hamiltonian_superoperator(h).tobytes() == want_h.tobytes()  # signed zeros included
+        assert dissipator_superoperator(jumps, d).tobytes() == want_d.tobytes()
+
     def test_trace_annihilation(self, rng):
         for seed in range(6):
             sys = random_gkls(2 + seed % 3, seed % 4, seed=seed)

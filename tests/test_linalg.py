@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zeno_limits
 from zeno_limits import expm, kron, schur, spectral_norm, vec
 from zeno_limits.errors import DimensionError, ValidationError
-from zeno_limits.linalg import sandwich_super, spectral_norms
+from zeno_limits.linalg import _kron, as_complex_matrix, sandwich_super, spectral_norms
 
 from conftest import power_iteration_norm, random_complex, taylor_expm
 
@@ -103,6 +107,20 @@ class TestSpectralNorm:
             a, b = random_complex(rng, 5), random_complex(rng, 5)
             assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-12
 
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (9, 9), (3, 7), (16, 5), (64, 64)])
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_equals_numpy_two_norm_bitwise(self, rng, shape, scale):
+        a = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert spectral_norm(a) == np.linalg.norm(a, 2)
+        real = scale * rng.standard_normal(shape)  # a real operand is taken as complex
+        assert spectral_norm(real) == np.linalg.norm(real.astype(complex), 2)
+
+    @pytest.mark.parametrize("shape", [(8, 1, 1), (8, 4, 4), (5, 3, 7), (3, 64, 64)])
+    def test_stack_equals_numpy_two_norm_bitwise(self, rng, shape):
+        scales = np.geomspace(1e-5, 1e5, shape[0])[:, None, None]
+        stack = scales * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert np.array_equal(spectral_norms(stack), np.linalg.norm(stack, 2, axis=(1, 2)))
+
 
     def test_stack_equals_single_calls_bitwise(self, rng):
         stack = np.stack([random_complex(rng, 9) * 10.0 ** k for k in range(-3, 4)])
@@ -165,3 +183,46 @@ class TestKron:
         lhs = vec(a @ rho @ b)
         rhs = sandwich_super(a, b) @ vec(rho)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
+
+    @pytest.mark.parametrize("left, right", [("real", "complex"), ("complex", "real"),
+                                             ("complex", "complex"), ("real", "real")])
+    @pytest.mark.parametrize("shapes", [((3, 3), (3, 3)), ((2, 5), (4, 3)), ((1, 4), (3, 1))])
+    def test_broadcast_product_equals_numpy_kron_bitwise(self, rng, left, right, shapes):
+        def draw(kind, shape):
+            real = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, shape)
+            return real if kind == "real" else real + 1j * rng.standard_normal(shape)
+
+        a, b = draw(left, shapes[0]), draw(right, shapes[1])
+        got, want = _kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+        assert kron(a, b).tobytes() == np.kron(a.astype(complex), b.astype(complex)).tobytes()
+        if shapes[0] == shapes[1]:
+            want = np.kron(b.T.astype(complex), a.astype(complex))
+            assert sandwich_super(a, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+                                 complex(0.0, -np.inf), complex(np.nan, np.inf)],
+                         ids=["nan-real", "nan-imag", "inf-real", "inf-imag", "both"])
+def test_complex_matrix_rejects_non_finite_in_either_part(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_complex_matrix(m)
+
+
+#: a norm or Kronecker product taken around the ``linalg`` primitives
+BYPASS = re.compile(r"np\.kron\(|np\.linalg\.norm\(.*,\s*2\s*[,)]")
+
+
+def test_norms_and_kronecker_products_come_from_linalg():
+    assert BYPASS.search("x = float(np.linalg.norm(v - w @ u, 2))") and BYPASS.search("np.kron(a, b)")
+    assert not BYPASS.search("r = np.linalg.norm(beta) * 2")
+    offenders = [f"{path.name}:{number}: {line.strip()}"
+                 for path in sorted(Path(zeno_limits.__file__).parent.glob("*.py"))
+                 if path.name != "linalg.py"
+                 for number, line in enumerate(path.read_text().splitlines(), 1)
+                 if BYPASS.search(line)]
+    assert offenders == []
+

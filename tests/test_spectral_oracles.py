@@ -16,8 +16,9 @@ import scipy.linalg as sla
 
 from zeno_limits import (BoundInputs, GklsSystem, condition_number, decompose, liouvillian,
                          random_gkls, reduced_resolvent, spectral, spectral_expm, spectral_norm,
-                         zeno_split)
+                         zeno, zeno_split)
 from zeno_limits.errors import UnsupportedInputError
+from zeno_limits.models import gkls_pair_corpus
 
 from conftest import random_complex
 
@@ -95,6 +96,13 @@ def _oracle_condition_number(dec) -> float:
     return float(np.linalg.norm(t, 2) * np.linalg.norm(np.linalg.inv(t), 2))
 
 
+def _per_cluster_qr_condition_number(dec) -> float:
+    """chi with one thin QR call per cluster block U_k, the stacked call's reference."""
+    t = np.hstack([np.linalg.qr(dec.u[:, lo:hi])[0] for lo, hi in zip(dec.starts, dec.starts[1:])])
+    sigma = np.linalg.svd(t, compute_uv=False)
+    return float(sigma[0] / sigma[-1])
+
+
 def _oracle_reduced_resolvent(dec, ell: int) -> np.ndarray:
     """sum_{k != l} [(b_k - b_l) I + N_k]^{-1} P_k by one dense solve per cluster."""
     b_l, eye = dec.clusters[ell].eigenvalue, np.eye(dec.dim)
@@ -164,6 +172,24 @@ def test_condition_number_matches_projection_svds(oracle_split):
     assert condition_number(dec) == pytest.approx(_oracle_condition_number(dec), rel=1e-12, abs=0)
 
 
+def _degenerate_generator() -> np.ndarray:
+    """A similarity transform of clusters of sizes 1, 2, 2, 3 and 1: two of them share a size."""
+    rng = np.random.default_rng(31)
+    eigs = np.repeat([0.0, -1.0 + 2.0j, -1.0 - 2.0j, -0.5, -3.0], [1, 2, 2, 3, 1])
+    basis = random_complex(rng, eigs.size) + 3.0 * np.eye(eigs.size)
+    return basis @ np.diag(eigs) @ np.linalg.inv(basis)
+
+
+def test_stacked_qr_condition_number_equals_per_cluster_qr():
+    dec = decompose(_degenerate_generator(), cluster_tol=1e-6, imag_tol=1e-6)
+    assert sorted(np.diff(dec.starts).tolist()) == [1, 1, 2, 2, 3]
+    assert condition_number(dec) == _per_cluster_qr_condition_number(dec)
+    strongs = [liouvillian(strong).mat for strong, _ in gkls_pair_corpus()]
+    for b in strongs + [_random_generator(8, 2, np.random.default_rng(64))]:
+        dec = decompose(b)
+        assert condition_number(dec) == _per_cluster_qr_condition_number(dec)
+
+
 def test_reduced_resolvents_match_dense_solves(oracle_split):
     dec = oracle_split.decomposition
     for ell, s in oracle_split.resolvents.items():
@@ -186,6 +212,27 @@ def test_batched_exponential_and_m_match_the_per_t_loop(oracle_split):
     if all(c.semisimple for c in dec.clusters):  # from_split needs chi
         want_m = 1.05 * max(1.0, max(norms))
         assert BoundInputs.from_split(oracle_split).m_bound == pytest.approx(want_m, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_m_sample_stacks_stay_small_and_equal_one_point_calls(d, monkeypatch):
+    rng = np.random.default_rng(900 + d)
+    split = zeno_split(_random_generator(d, 2, rng), _random_generator(d, 1, rng))
+    shapes = []
+
+    def recording_expm(dec, t):
+        out = spectral_expm(dec, t)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(zeno, "spectral_expm", recording_expm)
+    got = BoundInputs.from_split(split).m_bound
+    assert sum(shape[0] for shape in shapes) == 64
+    assert max(math.prod(shape) for shape in shapes) <= 8 * 64 * 64
+    if d <= 4:  # D <= 16: the whole grid is one stack
+        assert len(shapes) == 1
+    sampled = max(spectral_norm(spectral_expm(split.decomposition, t)) for t in _m_grid().tolist())
+    assert got == 1.05 * max(1.0, sampled)
 
 
 def test_exponential_matches_scipy_expm(oracle_split):
