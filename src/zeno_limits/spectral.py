@@ -29,6 +29,8 @@ that of the stacked orthonormal bases of the column blocks U_k.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -69,14 +71,28 @@ class SpectralCluster:
     ``index`` is the nilpotent index n_k, the smallest n with N_k^n = 0
     (numerically: norm below 100 * cluster_tol).  ``semisimple`` means
     n_k = 1 and ``peripheral`` means |Re b_k| <= imag_tol.
+
+    ``projection`` P_k = U_k V_k (exactly I for a lone cluster) and
+    ``nilpotent`` N_k = U_k (T_kk - b_k I) V_k are formed on first access,
+    from views of the decomposition's U, V and T_kk, and then kept.
     """
 
     eigenvalue: complex
-    projection: np.ndarray
-    nilpotent: np.ndarray
     index: int
     semisimple: bool
     peripheral: bool
+    basis: np.ndarray = field(repr=False)  # U_k, the cluster's columns of U
+    block: np.ndarray = field(repr=False)  # T_kk
+    cobasis: np.ndarray = field(repr=False)  # V_k, the cluster's rows of V
+
+    @functools.cached_property
+    def projection(self) -> np.ndarray:
+        dim = len(self.basis)
+        return np.eye(dim, dtype=complex) if len(self.block) == dim else self.basis @ self.cobasis
+
+    @functools.cached_property
+    def nilpotent(self) -> np.ndarray:
+        return self.basis @ (self.block - self.eigenvalue * np.eye(len(self.block))) @ self.cobasis
 
     @property
     def rank(self) -> int:
@@ -103,7 +119,7 @@ class SpectralDecomposition:
     starts: tuple[int, ...] = field(repr=False)
 
     def reconstruct(self) -> np.ndarray:
-        return sum(c.eigenvalue * c.projection + c.nilpotent for c in self.clusters)
+        return self.u @ self.blocks @ self.v
 
     @property
     def peripheral_clusters(self) -> tuple[SpectralCluster, ...]:
@@ -128,12 +144,19 @@ class GapData:
     nu: float
 
 
+def _distances(z: np.ndarray) -> np.ndarray:
+    """The matrix |z_i - z_j|; hypot rounds as Python's ``abs(complex)`` does."""
+    diff = z[:, None] - z[None, :]
+    return np.hypot(diff.real, diff.imag)
+
+
 def _single_linkage(eigs: np.ndarray, tol: float) -> list[list[int]]:
     """Group eigenvalue indices whose chain distances fall within ``tol``."""
+    near = (_distances(eigs) <= tol).tolist()
     groups: list[list[int]] = []
-    for idx in np.argsort(eigs.real, kind="stable"):
-        idx = int(idx)
-        hits = [g for g in groups if any(abs(eigs[idx] - eigs[j]) <= tol for j in g)]
+    for idx in np.argsort(eigs.real, kind="stable").tolist():
+        row = near[idx]  # the groups are scanned only when idx has a neighbour besides itself
+        hits = [g for g in groups if any(row[j] for j in g)] if row.count(True) > 1 else []
         if not hits:
             groups.append([idx])
         else:
@@ -151,11 +174,11 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     groups = _single_linkage(eigs, tol)
     while True:
         centers = [complex(np.mean(eigs[g])) for g in groups]
-        close = next(((i, j) for i in range(len(groups)) for j in range(i + 1, len(groups))
-                      if abs(centers[i] - centers[j]) <= 2 * tol), None)
-        if close is None:
+        close = np.argwhere(np.triu(_distances(np.array(centers)) <= 2 * tol, 1))
+        if not close.size:  # else merge the first close pair (i < j) in row-major order
             return groups, centers
-        groups[close[0]] += groups.pop(close[1])
+        i, j = close[0].tolist()
+        groups[i] += groups.pop(j)
 
 
 def decompose(a, cluster_tol: float | None = None,
@@ -171,6 +194,13 @@ def decompose(a, cluster_tol: float | None = None,
     ``100 * cluster_tol`` and :class:`PeripheralDefectError` when a
     peripheral cluster is numerically defective (such clusters must be
     semisimple for any bounded semigroup generator).
+
+    The residuals are read from U, V and T_kk: completeness is U V - I and
+    reconstruction is U diag(T_kk) V - A, and their SVDs run only when a
+    Frobenius norm (never smaller) exceeds the tolerance.  No D x D cluster
+    matrix is formed except N_k of a cluster of several eigenvalues, for its
+    nilpotent index; a singleton's N_k is exactly 0, since ``ztrexc`` moves
+    the diagonal of T exactly.  Every P_k and N_k is formed on first access.
     """
     a = as_complex_matrix(a, "decompose operand")
     if a.shape[0] != a.shape[1]:
@@ -187,15 +217,16 @@ def decompose(a, cluster_tol: float | None = None,
 
     q, t = schur(a)
     groups, centers = _cluster_eigenvalues(np.diag(t), cluster_tol)
-    labels = np.empty(dim, dtype=int)
+    labels = [0] * dim
     for li, g in enumerate(groups):
-        labels[g] = li
+        for i in g:
+            labels[i] = li
     t, q = np.asfortranarray(t), np.asfortranarray(q)
     for p in range(dim):  # insertion sort of the diagonal by cluster label
-        j = p + int(np.argmin(labels[p:]))
+        j = labels.index(min(labels[p:]), p)
         if j > p:  # ztrexc only reports illegal arguments
             t, q, _ = _lapack.ztrexc(t, q, j + 1, p + 1, overwrite_a=1, overwrite_q=1)
-            labels[p:j + 1] = np.roll(labels[p:j + 1], 1)
+            labels.insert(p, labels.pop(j))
     starts = np.cumsum([0] + [len(g) for g in groups])
     nearest = np.argmin(np.abs(np.diag(t)[:, None] - np.array(centers)), axis=1)
     for li, (lo, hi) in enumerate(zip(starts, starts[1:])):
@@ -221,48 +252,48 @@ def decompose(a, cluster_tol: float | None = None,
 
     nil_tol = RESIDUAL_FACTOR * cluster_tol
     clusters = []
-    for li, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        b = centers[li]
-        p = np.eye(dim, dtype=complex) if len(groups) == 1 else u[:, lo:hi] @ v[lo:hi, :]
-        n = u[:, lo:hi] @ (t[lo:hi, lo:hi] - b * np.eye(hi - lo)) @ v[lo:hi, :]
-        index, power = 1, n
-        # ||.||_2 <= ||.||_F: the SVD runs only when the Frobenius norm exceeds tol
-        while np.linalg.norm(power) > nil_tol and spectral_norm(power) > nil_tol:
-            if index > hi - lo:
-                raise IllConditionedDecompositionError(
-                    "nilpotent power fails to vanish at the cluster size",
-                    diagnostics={"eigenvalue": b, "residual": spectral_norm(power)},
+    for b, lo, hi in zip(centers, starts, starts[1:]):
+        cluster = SpectralCluster(eigenvalue=b, index=1, semisimple=True,
+                                  peripheral=abs(b.real) <= imag_tol, basis=u[:, lo:hi],
+                                  block=t[lo:hi, lo:hi], cobasis=v[lo:hi, :])
+        if hi - lo > 1:  # a singleton's N_k is exactly 0
+            n = cluster.nilpotent
+            index, power = 1, n
+            # ||.||_2 <= ||.||_F: the SVD runs only when the Frobenius norm exceeds tol
+            while np.linalg.norm(power) > nil_tol and spectral_norm(power) > nil_tol:
+                if index > hi - lo:
+                    raise IllConditionedDecompositionError(
+                        "nilpotent power fails to vanish at the cluster size",
+                        diagnostics={"eigenvalue": b, "residual": spectral_norm(power)},
+                    )
+                power = power @ n
+                index += 1
+            if cluster.peripheral and index > 1:
+                raise PeripheralDefectError(
+                    f"peripheral eigenvalue {b} is numerically defective "
+                    f"(||N|| = {spectral_norm(n):.3e} > {nil_tol:.3e})"
                 )
-            power = power @ n
-            index += 1
-        semisimple = index == 1
-        peripheral = abs(b.real) <= imag_tol
-        if peripheral and not semisimple:
-            raise PeripheralDefectError(
-                f"peripheral eigenvalue {b} is numerically defective "
-                f"(||N|| = {spectral_norm(n):.3e} > {nil_tol:.3e})"
-            )
-        clusters.append(SpectralCluster(
-            eigenvalue=b, projection=p, nilpotent=n, index=index,
-            semisimple=semisimple, peripheral=peripheral,
-        ))
+            cluster = dataclasses.replace(cluster, index=index, semisimple=index == 1)
+        clusters.append(cluster)
 
-    in_block = labels[:, None] == labels[None, :]
+    in_block = np.equal.outer(labels, labels)
     dec = SpectralDecomposition(dim=dim, clusters=tuple(clusters),
                                 cluster_tol=cluster_tol, imag_tol=imag_tol,
                                 matrix=a.copy(), u=u, v=v, blocks=np.where(in_block, t, 0.0),
                                 starts=tuple(int(s) for s in starts))
-    resid = {
-        "completeness": spectral_norm(sum(c.projection for c in dec.clusters) - np.eye(dim)),
-        "reconstruction": spectral_norm(dec.reconstruct() - a),
-        # a single cluster's projection is exactly I, so I I - I = 0
-        "orthogonality": _orthogonality_bound(u, v, starts) if len(groups) > 1 else 0.0,
-    }
-    if max(resid.values()) > nil_tol:
-        raise IllConditionedDecompositionError(
-            "spectral decomposition residuals exceed 100 * cluster_tol",
-            diagnostics=resid,
-        )
+    # sum_k P_k = U V and sum_k (b_k P_k + N_k) = U diag(T_kk) V
+    residuals = {"completeness": u @ v - np.eye(dim), "reconstruction": dec.reconstruct() - a}
+    # a single cluster's projection is exactly I, so I I - I = 0
+    orthogonality = _orthogonality_bound(u, v, starts) if len(groups) > 1 else 0.0
+    # ||.||_2 <= ||.||_F: the SVDs run only when a Frobenius norm exceeds nil_tol
+    if orthogonality > nil_tol or any(np.linalg.norm(r) > nil_tol for r in residuals.values()):
+        resid = {name: spectral_norm(r) for name, r in residuals.items()}
+        resid["orthogonality"] = orthogonality
+        if max(resid.values()) > nil_tol:
+            raise IllConditionedDecompositionError(
+                "spectral decomposition residuals exceed 100 * cluster_tol",
+                diagnostics=resid,
+            )
     return dec
 
 
@@ -313,10 +344,8 @@ def gaps(dec: SpectralDecomposition) -> GapData:
     """Dissipative and oscillating gaps with the infinity conventions."""
     eta = min((abs(c.eigenvalue.real) for c in dec.nonperipheral_clusters),
               default=math.inf)
-    eigs = [c.eigenvalue for c in dec.clusters]
-    delta = min((abs(eigs[i] - eigs[j])
-                 for i in range(len(eigs)) for j in range(i + 1, len(eigs))),
-                default=math.inf)
+    pairs = _distances(np.array([c.eigenvalue for c in dec.clusters]))[np.triu_indices(len(dec.clusters), 1)]
+    delta = float(pairs.min()) if pairs.size else math.inf
     nu = min(eta, delta)
     if math.isinf(nu):
         nu = 1.0

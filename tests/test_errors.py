@@ -8,6 +8,7 @@ import pytest
 
 import zeno_limits
 from zeno_limits.errors import ValidationError
+from zeno_limits.linalg import spectral_norm
 from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.spectral import decompose, reduced_resolvent
 from zeno_limits.zeno import adiabatic_error, pulsed_zeno_product, zeno_split
@@ -33,3 +34,7 @@ def test_api_argument_errors_are_typed():
     dec = decompose(strong.mat)
     with pytest.raises(ValidationError, match="out of range"):
         reduced_resolvent(dec, len(dec.clusters))
+    with pytest.raises(ValidationError, match="not a numeric array"):
+        spectral_norm([["a"]])
+    with pytest.raises(ValidationError, match="not a numeric array"):
+        spectral_norm([[1, 2], [3]])

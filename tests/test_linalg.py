@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import zeno_limits
 from zeno_limits import expm, kron, schur, spectral_norm, vec
-from zeno_limits.errors import DimensionError, ValidationError
+from zeno_limits import linalg
+from zeno_limits.errors import DimensionError, FactorizationError, ValidationError
 from zeno_limits.linalg import _kron, as_complex_matrix, sandwich_super, spectral_norms
 
 from conftest import power_iteration_norm, random_complex, taylor_expm
@@ -168,6 +170,46 @@ class TestSchur:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             schur(np.zeros((2, 3)))
+
+    @staticmethod
+    def _scaled_q(monkeypatch, rng, scale, noise):
+        """Make scipy's Schur return ``scale`` Q plus seeded noise; returns the (q, t) it hands out."""
+        real_schur, made = sla.schur, []
+
+        def perturbed(a, output):
+            t, q = real_schur(a, output=output)
+            made.append((scale * q + noise * random_complex(rng, len(q)), t))
+            return t, made[-1][0]
+
+        monkeypatch.setattr(sla, "schur", perturbed)
+        return made
+
+    @staticmethod
+    def _counting_norms(monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "spectral_norm", lambda m: calls.append(1) or spectral_norm(m))
+        return calls
+
+    def test_perturbed_q_raises_with_spectral_norms(self, rng, monkeypatch):
+        a = random_complex(rng, 6)
+        made = self._scaled_q(monkeypatch, rng, 1.0, 1e-9)
+        with pytest.raises(FactorizationError) as info:
+            schur(a)
+        [(q, t)] = made
+        assert info.value.diagnostics == {
+            "relative_residual": spectral_norm(a - q @ t @ q.conj().T) / spectral_norm(a),
+            "unitarity_defect": spectral_norm(q @ q.conj().T - np.eye(6))}
+        assert info.value.diagnostics["unitarity_defect"] > 1e-12
+
+    def test_frobenius_screen_runs_svds_only_when_it_fails(self, rng, monkeypatch):
+        a = random_complex(rng, 7)
+        calls = self._counting_norms(monkeypatch)
+        schur(a)
+        assert calls == []
+        # Q Q^H - I = 0.8e-12 I: 2.1e-12 in Frobenius norm, 0.8e-12 in spectral norm
+        self._scaled_q(monkeypatch, rng, np.sqrt(1 + 0.8e-12), 0.0)
+        schur(a)
+        assert len(calls) >= 2
 
 
 class TestKron:

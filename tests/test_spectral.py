@@ -21,7 +21,7 @@ from zeno_limits.errors import (
     UnsupportedInputError,
 )
 from zeno_limits.gkls import hamiltonian_superoperator
-from zeno_limits.spectral import _single_linkage
+from zeno_limits.spectral import _cluster_eigenvalues, _single_linkage
 
 from conftest import random_complex, random_hermitian
 
@@ -33,6 +33,62 @@ def test_single_linkage_merges_two_groups(order):
     eigs = np.array([0.0, 0.6 + 0.9j, 0.7 + 0.1j])[list(order)]
     [group] = _single_linkage(eigs, 1.0)
     assert sorted(group) == [0, 1, 2]
+
+
+def _reference_clusters(eigs, tol):
+    """The clustering as a pairwise Python loop: single linkage, then the safety merge."""
+    groups = []
+    for idx in np.argsort(eigs.real, kind="stable"):
+        idx = int(idx)
+        hits = [g for g in groups if any(abs(eigs[idx] - eigs[j]) <= tol for j in g)]
+        if not hits:
+            groups.append([idx])
+        else:
+            merged = hits[0]
+            merged.append(idx)
+            for other in hits[1:]:
+                merged.extend(other)
+                groups.remove(other)
+    while True:
+        centers = [complex(np.mean(eigs[g])) for g in groups]
+        close = next(((i, j) for i in range(len(groups)) for j in range(i + 1, len(groups))
+                      if abs(centers[i] - centers[j]) <= 2 * tol), None)
+        if close is None:
+            return groups, centers
+        groups[close[0]] += groups.pop(close[1])
+
+
+def _clustering_cases():
+    for order in itertools.permutations(range(3)):
+        yield pytest.param(np.array([0.0, 0.6 + 0.9j, 0.7 + 0.1j])[list(order)], 1.0, id=f"two-groups-{order}")
+    for order in itertools.permutations(range(3)):
+        # three unlinked singletons, each 1.5 from the next: only the first close pair merges
+        yield pytest.param(np.array([0.0, 1.5, 3.0 + 0.1j])[list(order)], 1.0, id=f"safety-chain-{order}")
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        tol = 1e-3
+        points = []
+        for center in rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12):
+            steps = 0.9 * tol * np.exp(2j * np.pi * rng.uniform(size=rng.integers(1, 5)))
+            points.extend(center + np.concatenate([[0], np.cumsum(steps)]))  # a chain
+            points.append(points[-1])  # a duplicate
+            # a neighbour 1.05-1.95 tol away: linked to nothing, closer than 2 tol to the center
+            points.append(center + rng.uniform(1.05, 1.95) * tol * np.exp(2j * np.pi * rng.uniform()))
+        yield pytest.param(rng.permutation(np.array(points)), tol, id=f"seeded-{seed}")
+
+
+@pytest.mark.parametrize("eigs, tol", _clustering_cases())
+def test_clustering_matches_the_pairwise_loop(eigs, tol):
+    groups, centers = _cluster_eigenvalues(eigs, tol)
+    want_groups, want_centers = _reference_clusters(eigs, tol)
+    assert groups == want_groups
+    assert np.array(centers).tobytes() == np.array(want_centers).tobytes()
+
+
+def test_seeded_clustering_cases_reach_the_safety_merge():
+    merged = [len(_single_linkage(eigs, tol)) > len(_cluster_eigenvalues(eigs, tol)[0])
+              for eigs, tol in (case.values for case in _clustering_cases())]
+    assert sum(merged) >= 3
 
 
 class TestDecompose:
@@ -173,6 +229,12 @@ class TestGaps:
         assert g.delta == np.inf
         assert g.eta == np.inf
         assert g.nu == 1.0  # fallback when both gaps are infinite
+
+    def test_delta_equals_the_pairwise_loop(self, rng):
+        for a in (random_complex(rng, 64), liouvillian(random_gkls(4, 2, seed=9)).mat, np.diag([1.0, 1.0, 2.0j])):
+            eigs = [c.eigenvalue for c in decompose(a).clusters]
+            want = min(abs(eigs[i] - eigs[j]) for i in range(len(eigs)) for j in range(i + 1, len(eigs)))
+            assert gaps(decompose(a)).delta == want
 
 
 class TestConditionNumber:

@@ -6,6 +6,9 @@ products where the spectrum is simple.  The constants read from U, V and
 T_kk (chi, S_l and e^{tB}, hence M) must match the formulas that rebuild
 them from the D x D projections and nilpotents: an SVD of each
 projection, a dense solve per cluster, and a per-cluster sum per t.
+The projections and nilpotents formed on demand must equal the eager
+expressions byte for byte, and the screened M sample must equal the
+sample that sends all 64 points through the SVD.
 """
 
 import math
@@ -17,8 +20,9 @@ import scipy.linalg as sla
 from zeno_limits import (BoundInputs, GklsSystem, condition_number, decompose, liouvillian,
                          random_gkls, reduced_resolvent, spectral, spectral_expm, spectral_norm,
                          zeno, zeno_split)
-from zeno_limits.errors import UnsupportedInputError
-from zeno_limits.models import gkls_pair_corpus
+from zeno_limits.errors import IllConditionedDecompositionError, UnsupportedInputError, ValidationError
+from zeno_limits.experiments import BOUNDS, evaluate_grid
+from zeno_limits.models import ThreeLevelParams, gkls_pair_corpus, three_level_generators
 
 from conftest import random_complex
 
@@ -57,6 +61,69 @@ def test_orthogonality_figure_bounds_product_loop(a, tols, monkeypatch):
     dec = decompose(a, **tols)
     assert len(dec.clusters) > 1 and len(figures) == 1
     assert figures[0] >= _product_figure(dec)
+
+
+def _cluster_matrix_cases():
+    yield pytest.param(_random_generator(8, 2, np.random.default_rng(64)), {}, id="gkls-D64")
+    yield pytest.param(_degenerate_generator(), {"cluster_tol": 1e-6, "imag_tol": 1e-6}, id="degenerate")
+    yield pytest.param(sla.block_diag(0.0, _jordan(-1.0, 3), np.diag([-2.0, 1.0j])), {}, id="0+J3+diag")
+    yield pytest.param(_jordan(-1.0, 3), {}, id="J3(-1)")
+
+
+@pytest.mark.parametrize("a, tols", _cluster_matrix_cases())
+def test_cluster_matrices_equal_the_eager_expressions_bytewise(a, tols):
+    dec = decompose(a, **tols)
+    t = np.asfortranarray(dec.blocks)  # the layout of the reordered Schur triangle decompose holds
+    for c, lo, hi in zip(dec.clusters, dec.starts, dec.starts[1:]):
+        assert not {"projection", "nilpotent"} & set(vars(c))
+        want_p = np.eye(dec.dim, dtype=complex) if len(dec.clusters) == 1 else dec.u[:, lo:hi] @ dec.v[lo:hi, :]
+        want_n = dec.u[:, lo:hi] @ (t[lo:hi, lo:hi] - c.eigenvalue * np.eye(hi - lo)) @ dec.v[lo:hi, :]
+        assert c.projection.tobytes() == want_p.tobytes()
+        assert c.nilpotent.tobytes() == want_n.tobytes()
+        assert c.projection is c.projection  # formed once, then kept
+        if hi - lo == 1:
+            assert not c.nilpotent.any() and c.index == 1
+
+
+def _recording_decompositions(monkeypatch) -> list:
+    """Every SpectralDecomposition that ``decompose`` builds, also when it then raises."""
+    made = []
+
+    class Recording(spectral.SpectralDecomposition):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(spectral, "SpectralDecomposition", Recording)
+    return made
+
+
+def _assert_spectral_diagnostics(diagnostics, dec, a):
+    assert list(diagnostics) == ["completeness", "reconstruction", "orthogonality"]
+    assert diagnostics["completeness"] == spectral_norm(dec.u @ dec.v - np.eye(dec.dim))
+    assert diagnostics["reconstruction"] == spectral_norm(dec.u @ dec.blocks @ dec.v - a)
+    assert diagnostics["orthogonality"] == spectral._orthogonality_bound(dec.u, dec.v, np.array(dec.starts))
+    assert max(diagnostics.values()) > spectral.RESIDUAL_FACTOR * dec.cluster_tol
+
+
+def test_ill_conditioned_residuals_carry_spectral_norms(monkeypatch):
+    made = _recording_decompositions(monkeypatch)
+    a = np.array([[0.0, 1e6], [0.0, 3e-7]], dtype=complex)
+    with pytest.raises(IllConditionedDecompositionError, match="residuals") as info:
+        decompose(a, cluster_tol=1e-12, imag_tol=1e-16)
+    _assert_spectral_diagnostics(info.value.diagnostics, made[-1], a)
+
+
+def test_perturbed_basis_fails_completeness_with_spectral_norms(monkeypatch):
+    made = _recording_decompositions(monkeypatch)
+    solve = sla.solve_triangular
+    monkeypatch.setattr(sla, "solve_triangular", lambda *args, **kwargs: solve(*args, **kwargs) + 1e-3)
+    a = _random_generator(3, 2, np.random.default_rng(5))
+    with pytest.raises(IllConditionedDecompositionError, match="residuals") as info:
+        decompose(a)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["completeness"] > spectral.RESIDUAL_FACTOR * made[-1].cluster_tol
+    _assert_spectral_diagnostics(diagnostics, made[-1], a)
 
 
 def test_single_cluster_projection_is_exact_identity():
@@ -233,6 +300,103 @@ def test_m_sample_stacks_stay_small_and_equal_one_point_calls(d, monkeypatch):
         assert len(shapes) == 1
     sampled = max(spectral_norm(spectral_expm(split.decomposition, t)) for t in _m_grid().tolist())
     assert got == 1.05 * max(1.0, sampled)
+
+
+def _full_sample_m(split) -> float:
+    """1.05 max(1, the largest ||e^{tB}||), every sample through the SVD, in from_split's stacks."""
+    dec, grid = split.decomposition, _m_grid()
+    chunk = max(1, zeno._M_STACK_ENTRIES // dec.dim ** 2)
+    sampled = max(float(np.linalg.svd(spectral_expm(dec, grid[i:i + chunk]), compute_uv=False)[:, 0].max())
+                  for i in range(0, grid.size, chunk))
+    return 1.05 * max(1.0, sampled)
+
+
+#: a normal B whose samples all stay at or below the floor 1, and a nonnormal B whose
+#: ||e^{tB}|| climbs to about 12 before it settles at 1
+FLOOR_B = np.diag([-0.5, -1.0 + 2.0j, -3.0])
+TRANSIENT_B = sla.block_diag(0.0, np.array([[-1.0, 50.0], [0.0, -2.0]]))
+
+
+def _m_cases():
+    for i, (strong, weak) in enumerate(gkls_pair_corpus()):
+        yield pytest.param(liouvillian(strong).mat, liouvillian(weak).mat, id=f"corpus-{i}")
+    weak, strong = three_level_generators(ThreeLevelParams())
+    yield pytest.param(strong.mat, weak.mat, id="three-level")
+    for d in (6, 8):
+        rng = np.random.default_rng(1100 + d)
+        yield pytest.param(_random_generator(d, 2, rng), _random_generator(d, 1, rng), id=f"gkls-D{d * d}")
+    rotation = np.linalg.qr(random_complex(np.random.default_rng(3), 3))[0]
+    yield pytest.param(FLOOR_B, np.ones((3, 3)), id="normal-floor")
+    yield pytest.param(rotation @ FLOOR_B @ rotation.conj().T, np.ones((3, 3)), id="normal-rotated")
+    yield pytest.param(TRANSIENT_B, np.ones((3, 3)), id="transient")
+
+
+@pytest.mark.parametrize("b, c", _m_cases())
+def test_screened_m_equals_the_full_svd_sample(b, c):
+    split = zeno_split(b, c)
+    assert BoundInputs.from_split(split).m_bound == _full_sample_m(split)
+
+
+def test_screened_m_floor_and_transient_cases():
+    assert BoundInputs.from_split(zeno_split(FLOOR_B, np.ones((3, 3)))).m_bound == 1.05
+    assert BoundInputs.from_split(zeno_split(TRANSIENT_B, np.ones((3, 3)))).m_bound > 10.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_the_screen_would_skip_raises(bad, monkeypatch):
+    split = zeno_split(FLOOR_B, np.ones((3, 3)))
+
+    def poisoned(dec, t):
+        out = spectral_expm(dec, t)
+        assert np.linalg.norm(out[-1], 2) < 1e-300  # the last sample sits far below the floor
+        out[-1, 0, 0] = bad
+        return out
+
+    monkeypatch.setattr(zeno, "spectral_expm", poisoned)
+    with pytest.raises(ValidationError, match="non-finite"):
+        BoundInputs.from_split(split)
+
+
+def test_overflowing_bound_keeps_its_sample(monkeypatch):
+    split = zeno_split(FLOOR_B, np.ones((3, 3)))
+    huge = np.full((3, 3), 1e200, dtype=complex)  # (A^H A)^4 overflows; ||A|| = 3e200
+
+    def scaled(dec, t):
+        out = spectral_expm(dec, t)
+        out[-1] = huge
+        return out
+
+    monkeypatch.setattr(zeno, "spectral_expm", scaled)
+    assert BoundInputs.from_split(split).m_bound == 1.05 * spectral_norm(huge)
+
+
+def test_d64_work_counts(monkeypatch):
+    """The M sample runs under half its samples through the SVD, and no
+    non-peripheral projection is formed by the split, the constants or a grid."""
+    rng = np.random.default_rng(1164)
+    split = zeno_split(_random_generator(8, 2, rng), _random_generator(8, 1, rng))
+    stacks, svd_inputs, svd = [], [], np.linalg.svd
+
+    def recording_expm(dec, t):
+        stacks.append(spectral_expm(dec, t))
+        return stacks[-1]
+
+    def counting_svd(a, *args, **kwargs):
+        svd_inputs.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(zeno, "spectral_expm", recording_expm)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    BoundInputs.from_split(split)
+    samples = [s for stack in stacks for s in stack]
+    assert len(samples) == 64
+    assert sum(any(np.array_equal(m, s) for s in samples) for m in svd_inputs) < 32
+    monkeypatch.undo()
+
+    evaluate_grid(split, [10.0, 1000.0], np.geomspace(0.25, 2.0, 4), bounds=tuple(BOUNDS))
+    dec = split.decomposition
+    assert len(dec.nonperipheral_clusters) == 63
+    assert not any("projection" in vars(c) for c in dec.nonperipheral_clusters)
 
 
 def test_exponential_matches_scipy_expm(oracle_split):
