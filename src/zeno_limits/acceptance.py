@@ -42,13 +42,15 @@ from .models import (
     three_level_zeno_generator,
 )
 from .spectral import condition_number, decompose
-from .experiments import BOUNDS, evaluate_grid, spectral_property_check, summarize_rows
+from .experiments import spectral_property_check, summarize_rows
 from .zeno import (
+    BOUNDS,
     BoundInputs,
     _norm_constants,
     bound_cptp,
     commutator_projections,
     commutator_superoperator,
+    evaluate_grid,
     fast_oscillation_zeno,
     pulsed_zeno_product,
     zeno_split,

@@ -19,13 +19,12 @@ import numpy as np
 
 from . import jsonio
 from .errors import ValidationError, ZenoLimitsError
-from .experiments import (BOUNDS, SweepConfig, evaluate_grid, format_csv, run_sweep,
-                          spectral_property_check)
+from .experiments import SweepConfig, format_csv, run_sweep, spectral_property_check
 from .gkls import Superoperator, cptp_check, gkls_form_check, liouvillian
 from .linalg import spectral_norm
 from .models import ThreeLevelParams, dephasing_qubit_example, three_level_analytic_propagator, three_level_generators
 from .spectral import decompose, gaps
-from .zeno import adiabatic_error, zeno_split
+from .zeno import BOUNDS, VARIANTS, adiabatic_error, evaluate_grid, zeno_split
 
 
 def _add_spectral(sub):
@@ -108,7 +107,7 @@ def _add_zeno(sub):
     e.add_argument("--split", required=True, help="split JSON from 'zeno split'")
     e.add_argument("--gamma", type=float, required=True)
     e.add_argument("--t", type=float, required=True)
-    e.add_argument("--variant", choices=("plain", "peripheral"), default="peripheral")
+    e.add_argument("--variant", choices=VARIANTS, default="peripheral")
     e.set_defaults(func=cmd_zeno_error)
 
     b = inner.add_parser("bounds", help="error and bound table over a grid")

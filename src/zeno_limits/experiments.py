@@ -12,14 +12,11 @@ and a JSON summary carrying the fitted convergence slope (top half of the
 gamma grid, with the full-grid fit alongside), the worst bound violation
 (positive values mean a bound was beaten, which would falsify the
 underlying estimates), and wall-clock time.  The rows come from
-``evaluate_grid``, which owns the grid: it checks gamma and t, orders the
-rows by (gamma, t), measures the bound constants over the grid's own
-horizon, evaluates the errors one gamma at a time over the whole t-grid
-and the bounds over the whole grid at once.  A sweep runs in the calling
-thread.  The per-point path (``adiabatic_error``, the scalar bounds) is
-the same computation on a one-point grid, so its cells equal the grid's
-bit for bit.  The summary comes from ``summarize_rows``; the ``zeno
-bounds`` command and the acceptance criteria use the same two functions.
+``zeno.evaluate_grid``, which owns the grid, the variant and bound names
+and the column order; ``adiabatic_error`` is its one-point call.  A sweep
+runs in the calling thread.  The summary comes from ``summarize_rows``;
+the ``zeno bounds`` command and the acceptance criteria use the same two
+functions.  This module is the config and file layer around them.
 
 ``spectral_property_check`` audits the structural facts that make a
 compiled generator a valid strong generator: spectrum confined to the
@@ -42,20 +39,10 @@ from .gkls import (GklsSystem, Superoperator, _mat_and_dim, cptp_check,
                    dissipator_superoperator, hamiltonian_superoperator,
                    liouvillian)
 from .jsonio import load_json, superoperator_from_json
-from .linalg import expm, spectral_norm
+from .linalg import spectral_norm
 from .models import ThreeLevelParams, dephasing_qubit_example, three_level_generators
 from .spectral import decompose, peripheral_projection
-from .zeno import (
-    BoundInputs,
-    ZenoSplit,
-    _check_gamma_t,
-    _limit_errors,
-    _loglog_fit,
-    bound_adiabatic,
-    bound_cptp,
-    bound_simplified,
-    zeno_split,
-)
+from .zeno import BOUNDS, CSV_COLUMNS, VARIANTS, _check_names, _loglog_fit, evaluate_grid, zeno_split
 
 __all__ = [
     "SweepConfig",
@@ -64,9 +51,6 @@ __all__ = [
     "SpectralPropertyReport",
     "spectral_property_check",
 ]
-
-CSV_COLUMNS = ("gamma", "t", "error_plain", "error_peripheral",
-               "bound_adiabatic", "bound_cptp", "bound_simplified")
 
 #: errors below this are treated as exactly converged (C = 0 style configs)
 DEGENERATE_ERROR = 1e-12
@@ -90,8 +74,8 @@ class SweepConfig:
     t_stop: float = 2.0
     t_count: int = 16
     t_spacing: str = "linear"
-    variants: tuple[str, ...] = ("plain", "peripheral")
-    bounds: tuple[str, ...] = ("adiabatic", "cptp", "simplified")
+    variants: tuple[str, ...] = VARIANTS
+    bounds: tuple[str, ...] = tuple(BOUNDS)
     output: str | None = None
 
     def __post_init__(self):
@@ -107,12 +91,7 @@ class SweepConfig:
             raise ValidationError(f"t_grid start and stop must be finite, got {self.t_start}, {self.t_stop}")
         if self.t_spacing not in ("linear", "log"):
             raise ValidationError("t_spacing must be 'linear' or 'log'")
-        bad = set(self.variants) - {"plain", "peripheral"}
-        if bad:
-            raise ValidationError(f"unknown variants {sorted(bad)}")
-        bad = set(self.bounds) - {"adiabatic", "cptp", "simplified"}
-        if bad:
-            raise ValidationError(f"unknown bounds {sorted(bad)}")
+        _check_names(self.variants, self.bounds)
         if self.t_spacing == "log" and self.t_start <= 0:
             raise ValidationError("log t_spacing needs t_start > 0")
         if "peripheral" in self.variants and self.t_start <= 0:
@@ -121,7 +100,7 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, obj) -> "SweepConfig":
-        model = obj.get("model", "three-level")
+        model = obj.get("model", cls.model)
         strong = weak = None
         if isinstance(model, dict):
             strong, weak = model.get("strong"), model.get("weak")
@@ -136,17 +115,17 @@ class SweepConfig:
             raise ValidationError("the model's strong and weak paths and the output must be strings")
         try:
             parsed = dict(
-                gamma_grid=tuple(float(g) for g in obj.get("gamma_grid", (10, 30, 100, 300, 1000))),
-                t_start=float(tg.get("start", 0.25)),
-                t_stop=float(tg.get("stop", 2.0)),
-                t_count=int(tg.get("count", 16)),
-                variants=tuple(str(v) for v in obj.get("variants", ("plain", "peripheral"))),
-                bounds=tuple(str(b) for b in obj.get("bounds", ("adiabatic", "cptp", "simplified"))),
+                gamma_grid=tuple(float(g) for g in obj.get("gamma_grid", cls.gamma_grid)),
+                t_start=float(tg.get("start", cls.t_start)),
+                t_stop=float(tg.get("stop", cls.t_stop)),
+                t_count=int(tg.get("count", cls.t_count)),
+                variants=tuple(str(v) for v in obj.get("variants", cls.variants)),
+                bounds=tuple(str(b) for b in obj.get("bounds", cls.bounds)),
             )
         except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ValidationError(f"malformed sweep config: {exc}") from exc
         return cls(model=model, params=params, strong_path=strong, weak_path=weak,
-                   t_spacing=tg.get("spacing", "linear"), output=obj.get("output"), **parsed)
+                   t_spacing=tg.get("spacing", cls.t_spacing), output=obj.get("output"), **parsed)
 
     def t_grid(self) -> np.ndarray:
         if self.t_spacing == "log":
@@ -178,44 +157,6 @@ def _load_pair(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
         c = superoperator_from_json(load_json(cfg.weak_path)).mat
         return b, c
     raise ValidationError(f"unknown model {cfg.model!r}")
-
-
-BOUNDS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_simplified}
-
-
-def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=("plain", "peripheral"),
-                  bounds=()) -> list[dict]:
-    """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid sorted by (gamma, t); cells not requested are None.
-
-    Every gamma must be positive and every t nonnegative, all finite; that
-    is checked before any work.  ``bounds`` names keys of ``BOUNDS``,
-    evaluated at the constants ``BoundInputs.from_split`` measures over
-    this grid's horizon (largest t, largest gamma), where the paper's M
-    must hold.  The errors are evaluated one gamma at a time over the whole t-grid,
-    with one e^{t C_Z} stack shared by every gamma.  Each bound takes the
-    whole grid in one call.  Every cell equals the per-point
-    ``adiabatic_error`` or ``bound_*`` call bit for bit.
-    """
-    gammas = np.sort(np.asarray(gammas, dtype=float).reshape(-1))
-    ts = np.sort(np.asarray(t_grid, dtype=float).reshape(-1))
-    _check_gamma_t(gammas, ts)
-    if not (gammas.size and ts.size):
-        return []
-    if bounds:
-        inputs = BoundInputs.from_split(split, t_max=float(ts[-1]), gamma_max=float(gammas[-1]))
-    zeno_exps = expm(split.c_z, ts) if variants else None
-    errors = [_limit_errors(split, gamma, ts, variants, zeno_exps) for gamma in gammas.tolist()]
-    cells = {f"bound_{name}": BOUNDS[name](inputs, gammas[:, None], ts) for name in bounds}
-    rows = []
-    for i, gamma in enumerate(gammas.tolist()):
-        columns = {f"error_{variant}": err.tolist() for variant, err in errors[i].items()}
-        columns.update((key, values[i].tolist()) for key, values in cells.items())
-        for j, t in enumerate(ts.tolist()):
-            row = dict.fromkeys(CSV_COLUMNS)
-            row["gamma"], row["t"] = gamma, t
-            row.update((key, values[j]) for key, values in columns.items())
-            rows.append(row)
-    return rows
 
 
 def summarize_rows(rows: list[dict]) -> dict:

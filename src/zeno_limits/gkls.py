@@ -245,10 +245,10 @@ def cptp_check(superop) -> CptpReport:
     tol = _cp_tol(choi)
     min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
     tr_vec = vec(np.eye(d)).conj()
-    tp = float(np.linalg.norm(tr_vec @ mat - tr_vec)) <= 1e-10 * max(1.0, spectral_norm(mat))
+    scale = max(1.0, spectral_norm(mat))
     return CptpReport(
-        trace_preserving=bool(tp),
-        hermiticity_preserving=bool(sop.hermiticity_defect() <= 1e-10 * max(1.0, spectral_norm(mat))),
+        trace_preserving=bool(np.linalg.norm(tr_vec @ mat - tr_vec) <= 1e-10 * scale),
+        hermiticity_preserving=bool(sop.hermiticity_defect() <= 1e-10 * scale),
         completely_positive=bool(min_eig >= -tol),
         min_choi_eigenvalue=min_eig,
     )

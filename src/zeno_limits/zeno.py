@@ -8,9 +8,10 @@ Zeno projection of C and the peripheral projection of B are
 
 and e^{t(gamma B + C)} approaches e^{t gamma B} e^{t C_Z} (and, away from
 t = 0, the same with a trailing P_phi) at rate O(1/gamma).  This module
-measures that error, over a whole t-array at once (e^{t(gamma B + C)} and
-e^{t C_Z} as stacked Pade calls, e^{t gamma B} from the decomposition of
-B), and evaluates three upper bounds for it.  Each bound
+measures that error and evaluates three upper bounds for it, over a
+(gamma, t) grid in one place: ``evaluate_grid`` checks the names in
+``VARIANTS`` and ``BOUNDS``, gamma and t, and returns rows keyed by
+``CSV_COLUMNS``; ``adiabatic_error`` is that grid at one point.  Each bound
 holds for the constants in its ``BoundInputs``; there M is a sampled
 estimate of sup_t ||e^{tB}||, not a certified one.  The bounds take
 floats or whole (gamma, t) grids, and a grid cell equals the scalar call
@@ -39,6 +40,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDataError,
+    DimensionError,
     SpectrumViolationError,
     ValidationError,
 )
@@ -59,7 +61,11 @@ from .spectral import (
 __all__ = [
     "ZenoSplit",
     "BoundInputs",
+    "VARIANTS",
+    "BOUNDS",
+    "CSV_COLUMNS",
     "zeno_split",
+    "evaluate_grid",
     "adiabatic_error",
     "bound_adiabatic",
     "bound_cptp",
@@ -123,42 +129,6 @@ def zeno_split(b, c, cluster_tol: float | None = None,
     return ZenoSplit(b=b, c=c, decomposition=dec, c_z=c_z,
                      p_phi=peripheral_projection(dec), gap_data=gaps(dec),
                      resolvents=resolvents)
-
-
-def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
-                    variant: str = "peripheral") -> float:
-    """Spectral-norm distance from e^{t(gamma B + C)} to its Zeno limit.
-
-    variant 'plain':      || e^{t(gamma B+C)} - e^{t gamma B} e^{t C_Z} ||
-    variant 'peripheral': the same with a trailing P_phi on the limit.
-    """
-    if variant not in ("plain", "peripheral"):
-        raise ValidationError(f"unknown variant {variant!r}")
-    _check_gamma_t(gamma, t)
-    ts = np.array([t], dtype=float)
-    return float(_limit_errors(split, gamma, ts, (variant,), expm(split.c_z, ts))[variant][0])
-
-
-def _limit_errors(split: ZenoSplit, gamma: float, ts: np.ndarray, variants,
-                  zeno_exps: np.ndarray) -> dict:
-    """The :func:`adiabatic_error` array over the 1-D ``ts`` for each of ``variants``, at one gamma.
-
-    ``zeno_exps`` is the caller's stack of e^{t C_Z} over ``ts``, shared
-    across gammas; the caller has checked gamma and ``ts``.
-    e^{t(gamma B + C)} is one stacked Pade call over ``ts`` and
-    e^{t gamma B} is read from the decomposition of B
-    (:func:`spectral_expm`); the variants share both.
-    """
-    if not variants:
-        return {}
-    lhs = expm(gamma * split.b + split.c, ts)
-    rhs = spectral_expm(split.decomposition, gamma * ts) @ zeno_exps
-    errors = {}
-    if "plain" in variants:
-        errors["plain"] = spectral_norms(lhs - rhs)
-    if "peripheral" in variants:
-        errors["peripheral"] = spectral_norms(lhs - rhs @ split.p_phi)
-    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +441,81 @@ def _check_gamma_t(gamma, t) -> None:
         raise ValidationError("gamma must be positive and finite")
     if not np.all((t >= 0) & np.isfinite(t)):
         raise ValidationError("t must be nonnegative and finite")
+
+
+# ---------------------------------------------------------------------------
+# the error grid
+# ---------------------------------------------------------------------------
+
+#: the error variants (see :func:`adiabatic_error`) and the bounds by name; the only spelling of either
+VARIANTS = ("plain", "peripheral")
+BOUNDS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_simplified}
+#: the frozen sweep CSV header and the keys of an :func:`evaluate_grid` row
+CSV_COLUMNS = ("gamma", "t", *(f"error_{name}" for name in VARIANTS), *(f"bound_{name}" for name in BOUNDS))
+
+
+def _check_names(variants, bounds) -> None:
+    """Every name in ``variants`` must be in ``VARIANTS`` and every name in ``bounds`` a key of ``BOUNDS``."""
+    for kind, names, known in (("variants", variants, VARIANTS), ("bounds", bounds, tuple(BOUNDS))):
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise ValidationError(f"unknown {kind} {unknown}")
+
+
+def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()) -> list[dict]:
+    """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid sorted by (gamma, t); cells not requested are None.
+
+    The names in ``variants`` and ``bounds`` (keys of ``BOUNDS``), every
+    gamma (positive) and every t (nonnegative), all finite, are checked
+    before any work.  The bounds are evaluated at the constants
+    ``BoundInputs.from_split`` measures over this grid's horizon (largest
+    t, largest gamma), where the paper's M must hold; each takes the whole
+    grid in one call.  The errors are evaluated one gamma at a time over
+    the whole t-grid: e^{t(gamma B + C)} is one stacked Pade call, e^{t
+    gamma B} is read from the decomposition of B (:func:`spectral_expm`),
+    and one e^{t C_Z} stack is shared by every gamma and both variants.
+    :func:`adiabatic_error` is this grid at one point.
+    """
+    _check_names(variants, bounds)
+    gammas = np.sort(np.asarray(gammas, dtype=float).reshape(-1))
+    ts = np.sort(np.asarray(t_grid, dtype=float).reshape(-1))
+    _check_gamma_t(gammas, ts)
+    if not (gammas.size and ts.size):
+        return []
+    if bounds:
+        inputs = BoundInputs.from_split(split, t_max=float(ts[-1]), gamma_max=float(gammas[-1]))
+    zeno_exps = expm(split.c_z, ts) if variants else None
+    cells = {f"bound_{name}": BOUNDS[name](inputs, gammas[:, None], ts) for name in bounds}
+    rows = []
+    for i, gamma in enumerate(gammas.tolist()):
+        columns = {key: values[i].tolist() for key, values in cells.items()}
+        if variants:
+            lhs = expm(gamma * split.b + split.c, ts)
+            rhs = spectral_expm(split.decomposition, gamma * ts) @ zeno_exps
+            for name in VARIANTS:
+                if name in variants:
+                    limit = rhs @ split.p_phi if name == "peripheral" else rhs
+                    columns[f"error_{name}"] = spectral_norms(lhs - limit).tolist()
+            del lhs, rhs, limit  # so the next gamma's stacks do not coexist with these
+        for j, t in enumerate(ts.tolist()):
+            row = dict.fromkeys(CSV_COLUMNS)
+            row["gamma"], row["t"] = gamma, t
+            row.update((key, values[j]) for key, values in columns.items())
+            rows.append(row)
+    return rows
+
+
+def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
+                    variant: str = "peripheral") -> float:
+    """Spectral-norm distance from e^{t(gamma B + C)} to its Zeno limit: :func:`evaluate_grid` at one point.
+
+    variant 'plain':      || e^{t(gamma B+C)} - e^{t gamma B} e^{t C_Z} ||
+    variant 'peripheral': the same with a trailing P_phi on the limit.
+    """
+    if np.ndim(gamma) or np.ndim(t):
+        raise DimensionError(f"adiabatic_error takes one gamma and one t, got shapes {np.shape(gamma)}, {np.shape(t)}")
+    [row] = evaluate_grid(split, (gamma,), (t,), (variant,))
+    return row[f"error_{variant}"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import zeno_limits
-from zeno_limits import liouvillian, random_gkls, spectral_norm
+from zeno_limits import SweepConfig, liouvillian, random_gkls, run_sweep, spectral_norm
 from zeno_limits.cli import main, main_gkls, main_spectral
 from zeno_limits.jsonio import (
     dump_json,
@@ -187,6 +187,19 @@ def test_sweep_command(tmp_path, capsys):
     assert out.exists()
 
 
+def test_sweep_without_output_prints_summary_then_csv(tmp_path, capsys):
+    cfg = {"gamma_grid": [10, 100, 1000, 10000], "t_grid": {"start": 0.25, "stop": 2.0, "count": 3}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    summary, end = json.JSONDecoder().raw_decode(out)
+    want = run_sweep(SweepConfig.from_json(cfg))
+    assert out[end:] == "\n" + want.csv_text
+    assert {**summary, "wall_clock_s": 0} == {**want.summary, "wall_clock_s": 0}
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_check_spectral_command(system_file, capsys):
     _, path = system_file
     assert main(["check-spectral", "--system", str(path)]) == 0
@@ -258,13 +271,22 @@ _MATRIX = matrix_to_json(np.diag([0.0, -1.0]))
     ({"split.json": {"strong": _MATRIX, "weak": _MATRIX, "cluster_tol": -1e-8}},
      ["zeno", "bounds", "--split", "{tmp}/split.json", "--gamma-grid", "10,100",
       "--t-grid", "0.25:2:3", "--output", "{tmp}/b.csv"]),
+    ({"a.json": {"cols": 1, "data": [[0, 0]]}}, ["spectral", "--input", "{tmp}/a.json",
+                                                 "--output", "{tmp}/out.json"]),
+    ({"s.json": {"H": _MATRIX}}, ["check-spectral", "--system", "{tmp}/s.json"]),
+    ({"m.json": {"d": 1, "vectorization": "row-stacking", "mat": _MATRIX}},
+     ["gkls", "check", "--map", "{tmp}/m.json"]),
+    ({"cfg.json": {"model": {"strong": "s.json"}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"model": "five-level"}}, ["sweep", "--config", "{tmp}/cfg.json"]),
 ], ids=["missing-file", "malformed-json", "non-object-json", "split-without-strong",
         "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param",
         "infinite-gamma", "infinite-t-stop", "one-number-entry", "string-entry", "null-entry",
         "string-gamma", "scalar-gamma-grid", "string-t-count", "list-t-grid", "scalar-variants",
         "string-sweep-param", "string-param", "negative-shape", "infinite-t-count", "nested-variants",
         "numeric-model-path", "scalar-params", "string-system-dimension", "string-map-dimension",
-        "huge-param", "huge-entry", "string-split-tol", "nan-split-tol", "negative-split-tol"])
+        "huge-param", "huge-entry", "string-split-tol", "nan-split-tol", "negative-split-tol",
+        "matrix-without-rows", "system-without-d", "row-stacking-map", "files-model-without-weak",
+        "unknown-model"])
 def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))

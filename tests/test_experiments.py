@@ -18,7 +18,7 @@ from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json
 from zeno_limits.linalg import expm
 from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.spectral import decompose
-from zeno_limits.zeno import BoundInputs, adiabatic_error, zeno_split
+from zeno_limits.zeno import VARIANTS, BoundInputs, adiabatic_error, zeno_split
 
 from conftest import power_iteration_norm, taylor_expm
 
@@ -56,6 +56,14 @@ class TestSweepConfig:
         res = run_sweep(small_config(t_count=0))
         assert res.rows == []
         assert res.csv_text == ",".join(CSV_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("field, match", [
+        ({"gamma_grid": (-1.0,)}, "gamma values must be positive"),
+        ({"t_spacing": "cubic"}, "t_spacing"),
+    ], ids=["negative-gamma", "cubic-spacing"])
+    def test_bad_field_is_typed(self, field, match):
+        with pytest.raises(ValidationError, match=match):
+            SweepConfig(**field)
 
     def test_from_json_roundtrip(self):
         cfg = SweepConfig.from_json({
@@ -175,6 +183,28 @@ class TestEvaluateGrid:
         assert rows == []
         assert format_csv(rows) == ",".join(CSV_COLUMNS) + "\n"
 
+    @pytest.mark.parametrize("variants, bounds, match", [
+        (("peripherl",), (), r"unknown variants \['peripherl'\]"),
+        ("plain", (), "unknown variants"),
+        (VARIANTS, ("cptq",), r"unknown bounds \['cptq'\]"),
+    ], ids=["misspelt-variant", "bare-string-variants", "misspelt-bound"])
+    def test_unknown_names_are_typed_before_any_work(self, monkeypatch, variants, bounds, match):
+        split = _pair_split("three-level")
+        monkeypatch.setattr("zeno_limits.zeno.expm", None)  # any evaluation would fail untyped
+        with pytest.raises(ValidationError, match=match):
+            evaluate_grid(split, (10.0,), (0.5,), variants, bounds)
+
+    def test_one_check_serves_every_entry_point(self):
+        split = _pair_split("three-level")
+        messages = []
+        for call in (lambda: evaluate_grid(split, (10.0,), (0.5,), ("sideways",)),
+                     lambda: adiabatic_error(split, 10.0, 0.5, "sideways"),
+                     lambda: SweepConfig(variants=("sideways",))):
+            with pytest.raises(ValidationError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == ["unknown variants ['sideways']"] * 3
+
     def test_negative_gamma_or_t_is_typed(self):
         split = _pair_split("three-level")
         with pytest.raises(ValidationError, match="gamma"):
@@ -249,6 +279,14 @@ class TestRunSweep:
             assert row["error_plain"] <= 1e-12
         assert res.summary["slope"] is None
         assert "degenerate-data" in res.summary["notice"]
+
+    def test_no_variants_gives_no_slope_notice_or_violation(self):
+        res = run_sweep(small_config(t_count=3, variants=()))
+        assert len(res.rows) == 15
+        assert all(row["error_plain"] is row["error_peripheral"] is None for row in res.rows)
+        assert all(row[f"bound_{name}"] is not None for row in res.rows for name in BOUNDS)
+        assert res.summary["slope"] is res.summary["notice"] is res.summary["max_bound_violation"] is None
+        assert res.summary["sup_errors"] == []
 
     def test_output_files_written(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -24,7 +24,7 @@ from zeno_limits import (
     vec,
 )
 from zeno_limits import acceptance
-from zeno_limits.errors import ValidationError
+from zeno_limits.errors import EstimationError, ValidationError
 from zeno_limits.gkls import (
     _ascend_quadratic_form,
     _hermitian_basis,
@@ -263,6 +263,35 @@ class TestPurityDecay:
             # the Hamiltonian part of the full generator drops out of hq
             rate = superoperator_purity_rate(liouvillian(sys), opts).gamma
             assert rate == pytest.approx(purity_decay_rate(canonicalize(sys), opts), abs=1e-12)
+
+
+    def test_one_level_system_rates_zero(self):
+        # d = 1: I is the only state, so the trust region's dual and the rate are 0
+        rep = purity_decay_report(GklsSystem(1, np.zeros((1, 1)), (np.ones((1, 1)),)),
+                                  PurityOptions(restarts=2))
+        assert rep.gamma == 0.0 and rep.upper == 0.0
+        np.testing.assert_array_equal(rep.argmax, np.ones((1, 1)))
+
+    def test_ascent_failing_every_restart_is_typed(self, monkeypatch):
+        import scipy.optimize
+
+        starts = []
+
+        def failing(fun, x0, **kwargs):
+            starts.append(x0)
+            return scipy.optimize.OptimizeResult(x=x0, success=False, status=2)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        sys = random_gkls(3, 2, seed=31)
+        with pytest.raises(EstimationError, match="every restart") as info:
+            purity_decay_rate(sys, PurityOptions(restarts=3, seed=4))
+        assert len(starts) == 3
+        values = []
+        for x in starts:
+            v = (x[:9] + 1j * x[9:]).reshape(3, 3)
+            w = v @ v.conj().T
+            values.append(purity_objective(sys, w / np.trace(w).real))
+        assert info.value.best_value == pytest.approx(max(values), rel=1e-12)
 
 
 class TestPurityOptions:

@@ -91,6 +91,12 @@ class TestZenoSplit:
             resid = (d_super.mat - cluster.eigenvalue * eye) @ s - (eye - cluster.projection)
             assert spectral_norm(resid) <= 1e-8
 
+    def test_superoperator_arguments_give_the_matrix_split(self, three_level):
+        _, l_super, d_super, split = three_level
+        from_superoperators = zeno_split(d_super, l_super)
+        np.testing.assert_array_equal(from_superoperators.c_z, split.c_z)
+        np.testing.assert_array_equal(from_superoperators.p_phi, split.p_phi)
+
     def test_right_half_plane_rejected(self):
         with pytest.raises(SpectrumViolationError):
             zeno_split(np.array([[0.5]]), np.array([[1.0]]))
