@@ -29,6 +29,7 @@ from .gkls import (
     no_go_check,
     purity_decay_rate,
 )
+from .jsonio import write_text
 from .linalg import expm, sandwich_super, spectral_norm, spectral_norms
 from .models import (
     ThreeLevelParams,
@@ -397,8 +398,7 @@ def run_acceptance(csv_path: str | None = None, stream=None) -> int:
     out = stream or _sys.stdout
     results, csv_text = all_criteria()
     if csv_path:
-        from pathlib import Path
-        Path(csv_path).write_text(csv_text)
+        write_text(csv_path, csv_text)
     failures = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -171,7 +170,7 @@ def cmd_zeno_bounds(args) -> int:
                               f"got {args.t_grid!r}")
     split = _split_from_file(args.split)
     rows = evaluate_grid(split, gammas, np.linspace(start, stop, count), bounds=tuple(BOUNDS))
-    Path(args.output).write_text(format_csv(rows))
+    jsonio.write_text(args.output, format_csv(rows))
     return 0
 
 

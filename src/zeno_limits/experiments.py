@@ -28,6 +28,7 @@ times.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from .errors import ValidationError, ZenoLimitsError
 from .gkls import (GklsSystem, Superoperator, _mat_and_dim, cptp_check,
                    dissipator_superoperator, hamiltonian_superoperator,
                    liouvillian)
-from .jsonio import load_json, superoperator_from_json
+from .jsonio import load_json, superoperator_from_json, write_text
 from .linalg import spectral_norm
 from .models import ThreeLevelParams, dephasing_qubit_example, three_level_generators
 from .spectral import decompose, peripheral_projection
@@ -225,11 +226,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     csv_text = format_csv(rows)
 
     if cfg.output:
-        from pathlib import Path
-        out = Path(cfg.output)
-        out.write_text(csv_text)
-        import json
-        Path(str(out) + ".summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        write_text(cfg.output, csv_text)
+        write_text(f"{cfg.output}.summary.json", json.dumps(summary, indent=2) + "\n")
     return SweepResult(rows=rows, summary=summary, csv_text=csv_text)
 
 
@@ -275,7 +273,7 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
     tol = 1e-7 * norm
 
     try:  # the eigenvalues are the Schur diagonal, or eigvals' when the decomposition fails
-        dec = decompose(mat)
+        dec = decompose(mat, cluster_tol=tol, imag_tol=tol)  # decompose's defaults, without a second SVD
         eigs, failure = np.diag(dec.blocks), None
     except ZenoLimitsError as exc:  # defective peripheral cluster or worse
         eigs, failure = np.linalg.eigvals(mat), str(exc)

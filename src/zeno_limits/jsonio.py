@@ -3,12 +3,15 @@
 Matrix files use ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with
 row-major data.  System files use ``{"d": n, "H": <matrix>, "jumps":
 [<matrix>, ...]}``.  Serialized superoperators always record the
-column-stacking vectorization convention.
+column-stacking vectorization convention.  ``write_text`` is the
+package's one file writer: the JSON files, the sweep CSV and summary, the
+``zeno bounds`` CSV and the criterion-6 CSV all go through it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "superoperator_from_json",
     "load_json",
     "dump_json",
+    "write_text",
 ]
 
 
@@ -112,5 +116,20 @@ def load_json(path) -> dict:
     return obj
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` (UTF-8) to ``path``, rewriting an existing file in place.
+
+    The file is opened without truncation, written, and then cut to the new
+    length, so a shorter text leaves no stale tail, and a symlinked output
+    keeps its link and the file its permissions.  Truncating first, as
+    ``Path.write_text`` does, makes closing the file wait for writeback on
+    file systems that flush data on truncate-then-rewrite (ext4 with its
+    default ``auto_da_alloc``).
+    """
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -63,15 +63,79 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def expm(a, t=1.0) -> np.ndarray:
-    """Matrix exponential ``e^{t a}``.
+#: coefficients b_0 ... b_13 of the degree-13 diagonal Pade approximant to e^x
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+#: the largest alpha_3 = max(||A^6||^(1/6), ||A^8||^(1/8)) for which degree 13 needs no scaling
+_THETA13 = 5.371920351148152
+#: 1 / |c_27|, the leading coefficient of the degree-13 approximant's backward error series
+_ELL_C13 = 113250775606021113483283660800000000.0
+#: a 1-norm at most this gives ell = 0 with a factor 2 to spare: ||A||_1^26 <= c u / 2
+_ELL_FREE = (0.5 * _ELL_C13 * 2.0 ** -53) ** (1 / 26)
 
-    Scaling-and-squaring with a degree-13 diagonal Pade approximant
-    (Al-Mohy/Higham), robust for the highly nonnormal superoperators
-    produced by strong-coupling sweeps.  ``t`` is a float (one matrix) or
-    a 1-D array (the stack e^{t_i a}, from one call on ``t_i a``); scipy
-    runs the same Pade on each slice, so a slice equals the float call bit
-    for bit.
+
+def _onenorms(stack: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest absolute column sum) of each matrix in a stack."""
+    return np.abs(stack).sum(axis=-2).max(axis=-1)
+
+
+def _ceil_log2(x: np.ndarray) -> np.ndarray:
+    """ceil(log2 x) for x > 0 as exact integers, and a value <= 0 at x = 0 (no log of zero)."""
+    mantissa, exponent = np.frexp(x)  # x = mantissa 2^exponent, mantissa in [0.5, 1)
+    return exponent - (mantissa == 0.5)
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """e^A for each matrix of a stack (n, D, D), in the stack's own dtype (float or complex).
+
+    Degree-13 Pade with scaling and squaring (Al-Mohy & Higham, SIAM J.
+    Matrix Anal. Appl. 31, 970 (2009), Algorithm 5.1).  Each slice gets its
+    own s: the least with 2^-s alpha_3 <= theta_13, from the exact 1-norms
+    of A^6 and A^8, plus the correction ell that keeps the scaled matrix's
+    backward error at unit roundoff, from ||abs(2^-s A)^27||_1.  Every step
+    is a stacked numpy call that treats each slice alone, so a slice equals
+    the one-matrix call bit for bit.
+    """
+    b, dim = _PADE13, a.shape[-1]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    alpha = np.maximum(_onenorms(a6) ** (1 / 6), _onenorms(a4 @ a4) ** (1 / 8))
+    s = np.maximum(_ceil_log2(alpha / _THETA13), 0)
+    # ell = max(0, ceil(log2(||abs(2^-s A)^27||_1 / (||2^-s A||_1 c u)) / 26)) corrects s; the
+    # power is formed only where the ratio's bound ||2^-s A||_1^26 / (c u) does not already give 0
+    absolute = np.abs(a * (0.5 ** s)[:, None, None])
+    norms = absolute.sum(axis=-2).max(axis=-1, initial=0.0)
+    ell, live = np.zeros(len(a), dtype=int), norms > _ELL_FREE
+    if live.any():
+        absolute, colsums = absolute[live], np.ones((int(live.sum()), 1, dim))
+        for _ in range(27):  # ones^T |2^-s A|^27: its largest entry is the 1-norm of the power
+            colsums = colsums @ absolute
+        ratio = colsums.max(axis=(1, 2)) / (norms[live] * _ELL_C13 * 2.0 ** -53)
+        ell[live] = np.ceil(np.log2(np.maximum(ratio, 1.0)) / 26)
+    s = s + ell
+    scale = (0.5 ** s)[:, None, None]
+    a, a2, a4, a6 = a * scale, a2 * scale ** 2, a4 * scale ** 4, a6 * scale ** 6
+    ident = np.eye(dim, dtype=a.dtype)
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    x = np.linalg.solve(v - u, v + u)
+    for k in range(1, int(s.max(initial=0)) + 1):  # slice i is squared s_i times
+        live = s >= k
+        if live.all():
+            x = x @ x
+        else:
+            x[live] = x[live] @ x[live]
+    return x
+
+
+def expm(a, t=1.0) -> np.ndarray:
+    """Matrix exponential ``e^{t a}`` as complex128, by the package's Pade kernel.
+
+    ``t`` is a float (one matrix) or a 1-D array (the stack e^{t_i a}, from
+    one kernel call on the stack t_i a); each slice equals the float call
+    bit for bit.
     """
     a = _require_square(a, "expm operand")
     ts = np.asarray(t, dtype=float)
@@ -79,7 +143,8 @@ def expm(a, t=1.0) -> np.ndarray:
         raise DimensionError(f"expm times must be a float or 1-dimensional, got shape {ts.shape}")
     if not np.all(np.isfinite(ts)):
         raise ValidationError("expm times contain non-finite entries")
-    return _sla.expm(ts[..., None, None] * a)
+    out = _expm_stack(ts.reshape(-1)[:, None, None] * a)
+    return out if ts.ndim else out[0]
 
 
 def spectral_norm(a) -> float:
@@ -94,9 +159,13 @@ def spectral_norms(stack) -> np.ndarray:
     """:func:`spectral_norm` of each matrix in a stack of shape (n, rows, cols).
 
     ``np.linalg.svd`` runs the same ``gesdd`` on each matrix of the stack,
-    so each entry equals the single-matrix call bit for bit.
+    so each entry equals the single-matrix call bit for bit.  A float64
+    stack keeps the real SVD (half the work; the same norms up to
+    rounding), and any other numeric stack is taken as complex.
     """
-    stack = _as_complex(stack, "spectral_norms operand")
+    stack = np.asarray(stack)
+    if stack.dtype != float:
+        stack = _as_complex(stack, "spectral_norms operand")
     if stack.ndim != 3:
         raise DimensionError(f"spectral_norms operand must be 3-dimensional, got shape {stack.shape}")
     if not np.all(np.isfinite(stack)):

@@ -74,7 +74,8 @@ class SpectralCluster:
 
     ``projection`` P_k = U_k V_k (exactly I for a lone cluster) and
     ``nilpotent`` N_k = U_k (T_kk - b_k I) V_k are formed on first access,
-    from views of the decomposition's U, V and T_kk, and then kept.
+    from views of the decomposition's U, V and T_kk, and then kept; N_k of
+    a cluster of several eigenvalues is the one :func:`decompose` formed.
     """
 
     eigenvalue: complex
@@ -84,6 +85,8 @@ class SpectralCluster:
     basis: np.ndarray = field(repr=False)  # U_k, the cluster's columns of U
     block: np.ndarray = field(repr=False)  # T_kk
     cobasis: np.ndarray = field(repr=False)  # V_k, the cluster's rows of V
+    #: N_k when :func:`decompose` formed it for the nilpotent index, handed on rather than formed again
+    formed_nilpotent: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def projection(self) -> np.ndarray:
@@ -92,6 +95,8 @@ class SpectralCluster:
 
     @functools.cached_property
     def nilpotent(self) -> np.ndarray:
+        if self.formed_nilpotent is not None:
+            return self.formed_nilpotent
         return self.basis @ (self.block - self.eigenvalue * np.eye(len(self.block))) @ self.cobasis
 
     @property
@@ -199,8 +204,9 @@ def decompose(a, cluster_tol: float | None = None,
     reconstruction is U diag(T_kk) V - A, and their SVDs run only when a
     Frobenius norm (never smaller) exceeds the tolerance.  No D x D cluster
     matrix is formed except N_k of a cluster of several eigenvalues, for its
-    nilpotent index; a singleton's N_k is exactly 0, since ``ztrexc`` moves
-    the diagonal of T exactly.  Every P_k and N_k is formed on first access.
+    nilpotent index (the cluster keeps it); a singleton's N_k is exactly 0,
+    since ``ztrexc`` moves the diagonal of T exactly.  Every other P_k and
+    N_k is formed on first access.
     """
     a = as_complex_matrix(a, "decompose operand")
     if a.shape[0] != a.shape[1]:
@@ -273,7 +279,7 @@ def decompose(a, cluster_tol: float | None = None,
                     f"peripheral eigenvalue {b} is numerically defective "
                     f"(||N|| = {spectral_norm(n):.3e} > {nil_tol:.3e})"
                 )
-            cluster = dataclasses.replace(cluster, index=index, semisimple=index == 1)
+            cluster = dataclasses.replace(cluster, index=index, semisimple=index == 1, formed_nilpotent=n)
         clusters.append(cluster)
 
     in_block = np.equal.outer(labels, labels)
@@ -387,7 +393,7 @@ def condition_number(dec: SpectralDecomposition, nu: float = 1.0) -> float:
     return float(sigma[0] / sigma[-1])
 
 
-def spectral_expm(dec: SpectralDecomposition, t):
+def spectral_expm(dec: SpectralDecomposition, t, u=None, v=None):
     """Evaluate e^{tA} through the spectral representation.
 
     e^{tA} = U diag(e^{t T_kk}) V with e^{t T_kk} = e^{t b_k} e^{t (T_kk - b_k I)},
@@ -400,18 +406,22 @@ def spectral_expm(dec: SpectralDecomposition, t):
     a 1-D array (a stack, one matrix per t); a float is the stack at one
     point.  Stable for any t when the spectrum lies in the closed left
     half-plane: a block whose e^{t Re b_k} underflows is zero, whatever
-    its other factor.
+    its other factor.  ``u`` and ``v`` stand in for U and V: with W U and
+    V W^dagger for a unitary W, the result is W e^{tA} W^dagger, e^{tA} in
+    the operator basis W.
     """
+    u = dec.u if u is None else u
+    v = dec.v if v is None else v
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rates = np.multiply.outer(ts, [c.eigenvalue for c in dec.clusters])
     live = rates.real >= -745.0
     phases = np.where(live, np.exp(rates), 0.0)
-    out = dec.u * np.repeat(phases, np.diff(dec.starts), axis=1)[:, None, :]
+    out = u * np.repeat(phases, np.diff(dec.starts), axis=1)[:, None, :]
     rounding = math.sqrt(dec.dim) * np.finfo(float).eps * np.linalg.norm(dec.matrix)
     for k, (c, lo, hi) in enumerate(zip(dec.clusters, dec.starts, dec.starts[1:])):
         # a singleton's N_k is exactly 0; e^{t offset} may overflow where the block is zero
         if hi - lo > 1 and np.linalg.norm(c.nilpotent) > rounding:
             offset = dec.blocks[lo:hi, lo:hi] - c.eigenvalue * np.eye(hi - lo)
             out[:, :, lo:hi] = out[:, :, lo:hi] @ expm(offset, np.where(live[:, k], ts, 0.0))
-    out = out @ dec.v
+    out = out @ v
     return out if np.ndim(t) else out[0]

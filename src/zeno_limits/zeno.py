@@ -44,8 +44,8 @@ from .errors import (
     SpectrumViolationError,
     ValidationError,
 )
-from .gkls import GklsSystem, Superoperator, hamiltonian_superoperator, liouvillian
-from .linalg import as_complex_matrix, expm, sandwich_super, spectral_norm, spectral_norms
+from .gkls import GklsSystem, Superoperator, _hermitian_basis, hamiltonian_superoperator, liouvillian
+from .linalg import _expm_stack, as_complex_matrix, expm, sandwich_super, spectral_norm, spectral_norms
 from .spectral import (
     GapData,
     SpectralDecomposition,
@@ -86,11 +86,57 @@ def _as_matrix(x, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Frame:
+    """The split's matrices in an orthonormal operator basis W, as X -> W X W^dagger.
+
+    When D = d^2 and W B W^dagger, W C W^dagger are real up to rounding (their
+    imaginary parts within D eps of their Frobenius norms), as for every
+    Hermiticity-preserving pair such as two GKLS generators, W's rows are
+    vec(E_a)^dagger for the orthonormal Hermitian basis E_a of
+    :func:`gkls._hermitian_basis`, and ``b``, ``c``, ``c_z`` and ``p_phi``
+    are the float64 real parts of the transformed matrices.  Otherwise W = I
+    and they are the split's own complex matrices.  ``u`` and ``v`` are
+    W U and V W^dagger for B's spectral factors (complex either way), so
+    ``spectral_expm(decomposition, t, u, v)`` is e^{tB} in the frame.  The
+    spectral norm is the same in any unitary frame.
+    """
+
+    w: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    c_z: np.ndarray
+    p_phi: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    @property
+    def real(self) -> bool:
+        return self.b.dtype == float
+
+
+def _hermitian_frame(b: np.ndarray, c: np.ndarray, c_z: np.ndarray, p_phi: np.ndarray,
+                     dec: SpectralDecomposition) -> Frame:
+    """The :class:`Frame` of a split: the Hermitian operator basis when it makes B and C real."""
+    dim = len(b)
+    d = math.isqrt(dim)
+    if d * d == dim:
+        w = _hermitian_basis(d).transpose(0, 2, 1).reshape(dim, dim).conj()  # rows vec(E_a)^dagger
+        wb, wc = (w @ m @ w.conj().T for m in (b, c))
+        rounding = dim * np.finfo(float).eps
+        if all(np.linalg.norm(m.imag) <= rounding * np.linalg.norm(m) for m in (wb, wc)):
+            wc_z, wp_phi = ((w @ m @ w.conj().T).real for m in (c_z, p_phi))
+            return Frame(w=w, b=wb.real.copy(), c=wc.real.copy(), c_z=wc_z, p_phi=wp_phi,
+                         u=w @ dec.u, v=dec.v @ w.conj().T)
+    return Frame(w=np.eye(dim, dtype=complex), b=b, c=c, c_z=c_z, p_phi=p_phi, u=dec.u, v=dec.v)
+
+
+@dataclass(frozen=True)
 class ZenoSplit:
     """A strong/weak generator pair with its Zeno-limit data.
 
     ``resolvents`` maps the index of each peripheral cluster of B to its
-    reduced resolvent S_l.
+    reduced resolvent S_l.  ``frame`` holds B, C, C_Z and P_phi in the
+    operator basis the error grid works in (real for a GKLS pair).
     """
 
     b: np.ndarray = field(repr=False)
@@ -100,6 +146,7 @@ class ZenoSplit:
     p_phi: np.ndarray = field(repr=False)
     gap_data: GapData
     resolvents: dict[int, np.ndarray] = field(repr=False)
+    frame: Frame = field(repr=False)
 
 
 def zeno_split(b, c, cluster_tol: float | None = None,
@@ -126,9 +173,9 @@ def zeno_split(b, c, cluster_tol: float | None = None,
         if cl.peripheral:
             c_z += cl.projection @ c @ cl.projection
             resolvents[k] = reduced_resolvent(dec, k)
-    return ZenoSplit(b=b, c=c, decomposition=dec, c_z=c_z,
-                     p_phi=peripheral_projection(dec), gap_data=gaps(dec),
-                     resolvents=resolvents)
+    p_phi = peripheral_projection(dec)
+    return ZenoSplit(b=b, c=c, decomposition=dec, c_z=c_z, p_phi=p_phi, gap_data=gaps(dec),
+                     resolvents=resolvents, frame=_hermitian_frame(b, c, c_z, p_phi, dec))
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +531,21 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
         return []
     if bounds:
         inputs = BoundInputs.from_split(split, t_max=float(ts[-1]), gamma_max=float(gammas[-1]))
-    zeno_exps = expm(split.c_z, ts) if variants else None
+    frame, times = split.frame, ts[:, None, None]
+    zeno_exps = _expm_stack(times * frame.c_z) if variants else None
     cells = {f"bound_{name}": BOUNDS[name](inputs, gammas[:, None], ts) for name in bounds}
     rows = []
     for i, gamma in enumerate(gammas.tolist()):
         columns = {key: values[i].tolist() for key, values in cells.items()}
         if variants:
-            lhs = expm(gamma * split.b + split.c, ts)
-            rhs = spectral_expm(split.decomposition, gamma * ts) @ zeno_exps
+            lhs = _expm_stack(times * (gamma * frame.b + frame.c))
+            strong = spectral_expm(split.decomposition, gamma * ts, frame.u, frame.v)
+            rhs = (strong.real.copy() if frame.real else strong) @ zeno_exps
             for name in VARIANTS:
                 if name in variants:
-                    limit = rhs @ split.p_phi if name == "peripheral" else rhs
+                    limit = rhs @ frame.p_phi if name == "peripheral" else rhs
                     columns[f"error_{name}"] = spectral_norms(lhs - limit).tolist()
-            del lhs, rhs, limit  # so the next gamma's stacks do not coexist with these
+            del lhs, strong, rhs, limit  # so the next gamma's stacks do not coexist with these
         for j, t in enumerate(ts.tolist()):
             row = dict.fromkeys(CSV_COLUMNS)
             row["gamma"], row["t"] = gamma, t

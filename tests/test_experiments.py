@@ -351,7 +351,7 @@ class TestSpectralPropertyCheck:
         assert "defective" in rep.details["decomposition_error"]
 
     def test_untyped_failure_propagates(self, monkeypatch):
-        def broken(_):
+        def broken(*args, **kwargs):
             raise RuntimeError("not a package error")
 
         monkeypatch.setattr("zeno_limits.experiments.decompose", broken)
