@@ -2,18 +2,25 @@
 
 Conventions fixed here and used package-wide:
 
-* all operators and superoperators are dense ``complex128`` ndarrays;
+* all operators and superoperators are dense ``complex128`` ndarrays; the
+  one exception is the error grid, which works in the real frame of a
+  GKLS pair (``zeno.Frame``), where its matrices are float64;
 * the single norm used for error measurements and bound evaluation is the
   spectral norm (largest singular value);
 * density matrices are vectorized by column stacking, so that
   ``vec(A @ rho @ B) == sandwich_super(A, B) @ vec(rho)`` with
   ``sandwich_super(A, B) = kron(B.T, A)``.
 
-Every module takes its norms and Kronecker products from here.  The
-matrices are small (D = 4 to 64) and these run thousands of times per
-pass, so each is one numpy call: a norm is the ``gesdd`` call
-``np.linalg.norm(a, 2)`` makes, without its detour, and a Kronecker
-product is one broadcast multiply of the products ``np.kron`` forms.
+Every module takes its exponentials, norms and Kronecker products from
+here.  The matrices are small (D = 4 to 64) and these run thousands of
+times per pass, so each is one numpy call or a short run of them: a norm
+is the ``gesdd`` call ``np.linalg.norm(a, 2)`` makes, without its detour,
+and a Kronecker product is one broadcast multiply of the products
+``np.kron`` forms.  Every exponential comes from one batched degree-13
+Pade kernel, ``_expm_stack``, which keeps the dtype of its stack, in
+place of ``scipy.linalg.expm``: scipy's real path loses digits where
+its complex path does not (2e-11 against 8e-14 on a real frame matrix of
+the three-level model), so a float64 frame could not use it.
 """
 
 from __future__ import annotations
@@ -63,10 +70,12 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-#: coefficients b_0 ... b_13 of the degree-13 diagonal Pade approximant to e^x
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+#: coefficients b_0 ... b_13 of the degree-13 diagonal Pade approximant to e^x, over b_0
+#: (so V = I + ... and the zero matrix gives exactly I)
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 #: the largest alpha_3 = max(||A^6||^(1/6), ||A^8||^(1/8)) for which degree 13 needs no scaling
 _THETA13 = 5.371920351148152
 #: 1 / |c_27|, the leading coefficient of the degree-13 approximant's backward error series
@@ -106,7 +115,7 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     # ell = max(0, ceil(log2(||abs(2^-s A)^27||_1 / (||2^-s A||_1 c u)) / 26)) corrects s; the
     # power is formed only where the ratio's bound ||2^-s A||_1^26 / (c u) does not already give 0
     absolute = np.abs(a * (0.5 ** s)[:, None, None])
-    norms = absolute.sum(axis=-2).max(axis=-1, initial=0.0)
+    norms = _onenorms(absolute)
     ell, live = np.zeros(len(a), dtype=int), norms > _ELL_FREE
     if live.any():
         absolute, colsums = absolute[live], np.ones((int(live.sum()), 1, dim))
@@ -163,8 +172,7 @@ def spectral_norms(stack) -> np.ndarray:
     stack keeps the real SVD (half the work; the same norms up to
     rounding), and any other numeric stack is taken as complex.
     """
-    stack = np.asarray(stack)
-    if stack.dtype != float:
+    if not (isinstance(stack, np.ndarray) and stack.dtype == float):
         stack = _as_complex(stack, "spectral_norms operand")
     if stack.ndim != 3:
         raise DimensionError(f"spectral_norms operand must be 3-dimensional, got shape {stack.shape}")

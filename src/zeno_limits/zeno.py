@@ -11,7 +11,9 @@ t = 0, the same with a trailing P_phi) at rate O(1/gamma).  This module
 measures that error and evaluates three upper bounds for it, over a
 (gamma, t) grid in one place: ``evaluate_grid`` checks the names in
 ``VARIANTS`` and ``BOUNDS``, gamma and t, and returns rows keyed by
-``CSV_COLUMNS``; ``adiabatic_error`` is that grid at one point.  Each bound
+``CSV_COLUMNS``; ``adiabatic_error`` is that grid at one point.  The
+errors are measured in the split's ``Frame``, the orthonormal Hermitian
+operator basis in which a GKLS pair's matrices are real.  Each bound
 holds for the constants in its ``BoundInputs``; there M is a sampled
 estimate of sup_t ||e^{tB}||, not a certified one.  The bounds take
 floats or whole (gamma, t) grids, and a grid cell equals the scalar call
@@ -518,9 +520,11 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
     ``BoundInputs.from_split`` measures over this grid's horizon (largest
     t, largest gamma), where the paper's M must hold; each takes the whole
     grid in one call.  The errors are evaluated one gamma at a time over
-    the whole t-grid: e^{t(gamma B + C)} is one stacked Pade call, e^{t
-    gamma B} is read from the decomposition of B (:func:`spectral_expm`),
-    and one e^{t C_Z} stack is shared by every gamma and both variants.
+    the whole t-grid, in ``split.frame`` (float64 for a GKLS pair, so the
+    exponentials, products and SVDs are real): e^{t(gamma B + C)} is one
+    stacked call of the Pade kernel, e^{t gamma B} is read from the
+    decomposition of B (:func:`spectral_expm` on the frame's U and V), and
+    one e^{t C_Z} stack is shared by every gamma and both variants.
     :func:`adiabatic_error` is this grid at one point.
     """
     _check_names(variants, bounds)

@@ -14,7 +14,7 @@ from zeno_limits import (
 from zeno_limits.errors import DimensionError, ValidationError
 from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, format_csv
 from zeno_limits.gkls import Superoperator, cptp_check, hamiltonian_superoperator
-from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json
+from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json, write_text
 from zeno_limits.linalg import expm
 from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.spectral import decompose
@@ -183,14 +183,17 @@ class TestEvaluateGrid:
         assert rows == []
         assert format_csv(rows) == ",".join(CSV_COLUMNS) + "\n"
 
-    @pytest.mark.parametrize("variants, bounds, match", [
-        (("peripherl",), (), r"unknown variants \['peripherl'\]"),
-        ("plain", (), "unknown variants"),
-        (VARIANTS, ("cptq",), r"unknown bounds \['cptq'\]"),
-    ], ids=["misspelt-variant", "bare-string-variants", "misspelt-bound"])
-    def test_unknown_names_are_typed_before_any_work(self, monkeypatch, variants, bounds, match):
+    @pytest.mark.parametrize("patched, variants, bounds, match", [
+        ("expm", ("peripherl",), (), r"unknown variants \['peripherl'\]"),
+        ("expm", "plain", (), "unknown variants"),
+        ("expm", VARIANTS, ("cptq",), r"unknown bounds \['cptq'\]"),
+        ("_expm_stack", ("peripherl",), (), r"unknown variants \['peripherl'\]"),
+        ("_expm_stack", VARIANTS, ("cptq",), r"unknown bounds \['cptq'\]"),
+    ], ids=["misspelt-variant", "bare-string-variants", "misspelt-bound",
+            "misspelt-variant-kernel", "misspelt-bound-kernel"])
+    def test_unknown_names_are_typed_before_any_work(self, monkeypatch, patched, variants, bounds, match):
         split = _pair_split("three-level")
-        monkeypatch.setattr("zeno_limits.zeno.expm", None)  # any evaluation would fail untyped
+        monkeypatch.setattr(f"zeno_limits.zeno.{patched}", None)  # any evaluation would fail untyped
         with pytest.raises(ValidationError, match=match):
             evaluate_grid(split, (10.0,), (0.5,), variants, bounds)
 
@@ -295,6 +298,36 @@ class TestRunSweep:
         assert out.read_text() == res.csv_text
         summary = json.loads((tmp_path / "sweep.csv.summary.json").read_text())
         assert summary["slope"] == pytest.approx(res.summary["slope"])
+
+    def test_shorter_output_replaces_a_longer_one_through_a_symlink(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("x" * 100_000)
+        summary = tmp_path / "sweep.csv.summary.json"
+        summary.write_text("y" * 100_000)
+        out = tmp_path / "sweep.csv"
+        out.symlink_to(target)
+        res = run_sweep(small_config(t_count=3, output=str(out)))
+        assert out.is_symlink() and target.read_text() == res.csv_text  # no stale tail
+        assert json.loads(summary.read_text())["gamma_grid"] == list(res.summary["gamma_grid"])
+
+
+class TestWriteText:
+    """``jsonio.write_text``, the package's one file writer, rewrites in place."""
+
+    def test_shorter_text_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(path, "a longer first text\n")
+        write_text(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+
+    def test_symlink_and_permissions_are_kept(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("{}" * 1000)
+        target.chmod(0o640)
+        link.symlink_to(target)
+        dump_json({"a": 1}, link)
+        assert link.is_symlink() and json.loads(target.read_text()) == {"a": 1}
+        assert target.stat().st_mode & 0o777 == 0o640
 
 
 class TestSpectralPropertyCheck:

@@ -9,7 +9,7 @@ import zeno_limits
 from zeno_limits import expm, kron, schur, spectral_norm, vec
 from zeno_limits import linalg
 from zeno_limits.errors import DimensionError, FactorizationError, ValidationError
-from zeno_limits.linalg import _kron, as_complex_matrix, sandwich_super, spectral_norms
+from zeno_limits.linalg import _expm_stack, _kron, as_complex_matrix, sandwich_super, spectral_norms
 
 from conftest import power_iteration_norm, random_complex, taylor_expm
 
@@ -53,12 +53,12 @@ class TestExpm:
         assert spectral_norm(u @ u.conj().T - np.eye(4)) <= 1e-10
 
 
-#: times that reach scipy's unscaled, scaled and heavily squared Pade branches
+#: times that reach the kernel's unscaled, scaled and heavily squared branches
 STACK_TIMES = np.array([0.0, 1e-3, 0.25, 1.3, -0.7, 40.0, 2000.0])
 
 
 class TestStackedExpm:
-    """``expm(a, ts)`` is one scipy call, and each slice equals the float call bit for bit."""
+    """``expm(a, ts)`` is one kernel call, and each slice equals the float call bit for bit."""
 
     @pytest.mark.parametrize("dim", [4, 9, 16, 64])
     def test_stack_equals_per_t_calls_bitwise(self, rng, dim):
@@ -90,6 +90,43 @@ class TestStackedExpm:
         out = expm(np.eye(3), np.array([]))
         assert out.shape == (0, 3, 3)
         assert out.dtype == complex
+
+
+class TestPadeKernel:
+    """``_expm_stack``, the one exponential kernel, in float64 and complex128."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("dim", [4, 9, 16, 64])
+    def test_matches_taylor_oracle_and_one_matrix_calls(self, rng, dim, dtype):
+        a = random_complex(rng, dim) if dtype is complex else rng.standard_normal((dim, dim))
+        a = a / (2.0 * np.sqrt(dim)) - 0.5 * np.eye(dim)
+        ts = np.array([0.0, 0.1, 1.5, 30.0])
+        stack = _expm_stack(ts[:, None, None] * a)
+        assert stack.dtype == dtype
+        for t, got in zip(ts.tolist(), stack):
+            want = taylor_expm(a, t)
+            assert spectral_norm(got - want) <= 1e-12 * spectral_norm(want)
+            assert np.array_equal(got, _expm_stack(t * a[None])[0])
+
+    def test_zero_matrix_is_the_identity_exactly(self):
+        # no log of a zero norm: warnings are errors in this suite
+        assert np.array_equal(_expm_stack(np.zeros((2, 5, 5))), np.broadcast_to(np.eye(5), (2, 5, 5)))
+
+    def test_real_scaled_frame_matrix_against_mpmath(self):
+        """The three-level frame matrix at gamma = 1000, t = 2, where a real Pade can lose digits.
+
+        Scaled by 2^-10 it has 1-norm 5.5; scipy 1.17's real ``expm`` is off
+        by 1e-11 here against 30 digits, and this kernel by about 6e-14.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        weak, strong = zeno_limits.three_level_generators(zeno_limits.ThreeLevelParams())
+        frame = zeno_limits.zeno_split(strong.mat, weak.mat).frame
+        a = 2.0 * (1000.0 * frame.b + frame.c)
+        got = _expm_stack(a[None])[0]
+        with mpmath.workdps(30):
+            want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+        assert got.dtype == float
+        assert np.abs(got - want).max() <= 2e-13
 
 
 class TestSpectralNorm:

@@ -33,7 +33,7 @@ from zeno_limits.errors import (
 from zeno_limits.gkls import Superoperator, dissipator_superoperator, hamiltonian_superoperator
 from zeno_limits.linalg import sandwich_super
 from zeno_limits.models import ThreeLevelParams
-from zeno_limits.zeno import commutator_superoperator
+from zeno_limits.zeno import commutator_superoperator, evaluate_grid
 
 from conftest import random_complex, random_hermitian, reference_bound, taylor_expm
 
@@ -139,6 +139,64 @@ class TestAdiabaticError:
         _, _, _, split = three_level
         with pytest.raises(ValidationError):
             adiabatic_error(split, gamma, t, variant)
+
+
+def _similar(rng, eigenvalues) -> np.ndarray:
+    """A complex matrix with the given eigenvalues under a random well-conditioned similarity."""
+    s = np.eye(len(eigenvalues)) + 0.3 * random_complex(rng, len(eigenvalues)) / np.sqrt(len(eigenvalues))
+    return s @ np.diag(eigenvalues) @ np.linalg.inv(s)
+
+
+def _taylor_cells(split, gamma, t):
+    """(plain, peripheral) error cells from the Taylor oracle, in the identity frame."""
+    lhs = taylor_expm(gamma * split.b + split.c, t)
+    rhs = taylor_expm(split.b, gamma * t) @ taylor_expm(split.c_z, t)
+    return tuple(np.linalg.norm(lhs - limit, 2) for limit in (rhs, rhs @ split.p_phi))
+
+
+class TestHermitianFrame:
+    """``ZenoSplit.frame``: real for GKLS pairs, complex and the identity otherwise."""
+
+    def test_gkls_pair_is_real_in_the_hermitian_basis(self, three_level):
+        _, _, _, split = three_level
+        frame = split.frame
+        assert frame.real
+        assert all(m.dtype == float for m in (frame.b, frame.c, frame.c_z, frame.p_phi))
+        w = frame.w
+        assert np.allclose(w @ w.conj().T, np.eye(9), rtol=0, atol=1e-15)
+        for in_frame, mat in ((frame.b, split.b), (frame.c, split.c), (frame.c_z, split.c_z),
+                              (frame.p_phi, split.p_phi)):
+            assert np.allclose(in_frame, w @ mat @ w.conj().T, rtol=0, atol=1e-13 * max(1.0, np.abs(mat).max()))
+        assert np.allclose(frame.u @ np.diag(np.diag(split.decomposition.blocks)) @ frame.v, frame.b, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [4, 6], ids=["not-hermiticity-preserving", "D=6"])
+    def test_other_pairs_stay_complex_in_the_identity_frame(self, rng, dim):
+        b = _similar(rng, [0.0, 1j, -1j, -1.0, -2.0 + 1j, -0.5][:dim])
+        c = random_complex(rng, dim)
+        split = zeno_split(b, c)
+        frame = split.frame
+        assert not frame.real and np.array_equal(frame.w, np.eye(dim))
+        assert frame.b is split.b and frame.c_z is split.c_z
+        for gamma, t in ((10.0, 0.5), (300.0, 2.0)):
+            plain, peripheral = _taylor_cells(split, gamma, t)
+            assert abs(adiabatic_error(split, gamma, t, "plain") - plain) <= 1e-10
+            assert abs(adiabatic_error(split, gamma, t, "peripheral") - peripheral) <= 1e-10
+
+    def test_error_cells_against_mpmath(self, three_level):
+        """Each cell is within 4 u t ||gamma B + C|| (the rounding in forming gamma B + C) of 30 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        _, _, _, split = three_level
+        mp = lambda a: mpmath.matrix(a.tolist())
+        for row in evaluate_grid(split, (10.0, 1000.0), (0.25, 2.0)):
+            gamma, t = row["gamma"], row["t"]
+            with mpmath.workdps(30):
+                lhs = mpmath.expm(mp(t * (gamma * split.b + split.c)))
+                rhs = mpmath.expm(mp(gamma * t * split.b)) * mpmath.expm(mp(t * split.c_z))
+                want = [float(max(mpmath.svd_c(lhs - limit, compute_uv=False)))
+                        for limit in (rhs, rhs * mp(split.p_phi))]
+            floor = 4 * 2.0 ** -53 * t * np.linalg.norm(gamma * split.b + split.c, 2)
+            assert abs(row["error_plain"] - want[0]) <= floor
+            assert abs(row["error_peripheral"] - want[1]) <= floor
 
 
 def _plain_inputs(**overrides):
