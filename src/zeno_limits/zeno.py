@@ -103,7 +103,6 @@ class Frame:
     spectral norm is the same in any unitary frame.
     """
 
-    w: np.ndarray
     b: np.ndarray
     c: np.ndarray
     c_z: np.ndarray
@@ -127,9 +126,9 @@ def _hermitian_frame(b: np.ndarray, c: np.ndarray, c_z: np.ndarray, p_phi: np.nd
         rounding = dim * np.finfo(float).eps
         if all(np.linalg.norm(m.imag) <= rounding * np.linalg.norm(m) for m in (wb, wc)):
             wc_z, wp_phi = ((w @ m @ w.conj().T).real for m in (c_z, p_phi))
-            return Frame(w=w, b=wb.real.copy(), c=wc.real.copy(), c_z=wc_z, p_phi=wp_phi,
+            return Frame(b=wb.real.copy(), c=wc.real.copy(), c_z=wc_z, p_phi=wp_phi,
                          u=w @ dec.u, v=dec.v @ w.conj().T)
-    return Frame(w=np.eye(dim, dtype=complex), b=b, c=c, c_z=c_z, p_phi=p_phi, u=dec.u, v=dec.v)
+    return Frame(b=b, c=c, c_z=c_z, p_phi=p_phi, u=dec.u, v=dec.v)
 
 
 @dataclass(frozen=True)

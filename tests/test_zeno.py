@@ -30,8 +30,8 @@ from zeno_limits.errors import (
     SpectrumViolationError,
     ValidationError,
 )
-from zeno_limits.gkls import Superoperator, dissipator_superoperator, hamiltonian_superoperator
-from zeno_limits.linalg import sandwich_super
+from zeno_limits.gkls import Superoperator, _hermitian_basis, dissipator_superoperator, hamiltonian_superoperator
+from zeno_limits.linalg import sandwich_super, vec
 from zeno_limits.models import ThreeLevelParams
 from zeno_limits.zeno import commutator_superoperator, evaluate_grid
 
@@ -162,7 +162,8 @@ class TestHermitianFrame:
         frame = split.frame
         assert frame.real
         assert all(m.dtype == float for m in (frame.b, frame.c, frame.c_z, frame.p_phi))
-        w = frame.w
+        basis = _hermitian_basis(3)  # the rows of W are vec(E_a)^dagger
+        w = np.array([vec(e).conj() for e in basis])
         assert np.allclose(w @ w.conj().T, np.eye(9), rtol=0, atol=1e-15)
         for in_frame, mat in ((frame.b, split.b), (frame.c, split.c), (frame.c_z, split.c_z),
                               (frame.p_phi, split.p_phi)):
@@ -175,8 +176,9 @@ class TestHermitianFrame:
         c = random_complex(rng, dim)
         split = zeno_split(b, c)
         frame = split.frame
-        assert not frame.real and np.array_equal(frame.w, np.eye(dim))
-        assert frame.b is split.b and frame.c_z is split.c_z
+        assert not frame.real
+        assert frame.b is split.b and frame.c is split.c and frame.c_z is split.c_z and frame.p_phi is split.p_phi
+        assert frame.u is split.decomposition.u and frame.v is split.decomposition.v
         for gamma, t in ((10.0, 0.5), (300.0, 2.0)):
             plain, peripheral = _taylor_cells(split, gamma, t)
             assert abs(adiabatic_error(split, gamma, t, "plain") - plain) <= 1e-10
