@@ -19,7 +19,7 @@ and a Kronecker product is one broadcast multiply of the products
 ``np.kron`` forms.  Every exponential comes from one batched degree-13
 Pade kernel, ``_expm_stack``, which keeps the dtype of its stack, in
 place of ``scipy.linalg.expm``: scipy's real path loses digits where
-its complex path does not (2e-11 against 8e-14 on a real frame matrix of
+its complex path does not (1e-11 against 7e-14 on a real frame matrix of
 the three-level model), so a float64 frame could not use it.
 """
 
@@ -99,7 +99,7 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     """e^A for each matrix of a stack (n, D, D), in the stack's own dtype (float or complex).
 
     Degree-13 Pade with scaling and squaring (Al-Mohy & Higham, SIAM J.
-    Matrix Anal. Appl. 31, 970 (2009), Algorithm 5.1).  Each slice gets its
+    Matrix Anal. Appl. 31, 970 (2009)).  Each slice gets its
     own s: the least with 2^-s alpha_3 <= theta_13, from the exact 1-norms
     of A^6 and A^8, plus the correction ell that keeps the scaled matrix's
     backward error at unit roundoff, from ||abs(2^-s A)^27||_1.  Every step
@@ -130,12 +130,13 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     x = np.linalg.solve(v - u, v + u)
-    for k in range(1, int(s.max(initial=0)) + 1):  # slice i is squared s_i times
-        live = s >= k
-        if live.all():
-            x = x @ x
-        else:
-            x[live] = x[live] @ x[live]
+    most = int(s.max(initial=0))
+    fewest = int(s.min(initial=most))
+    for _ in range(fewest):  # the squarings every slice takes
+        x = x @ x
+    for k in range(fewest, most):  # then slice i is squared until it has had s_i
+        live = s > k
+        x[live] = x[live] @ x[live]
     return x
 
 
