@@ -85,8 +85,8 @@ _ELL_FREE = (0.5 * _ELL_C13 * 2.0 ** -53) ** (1 / 26)
 
 
 def _onenorms(stack: np.ndarray) -> np.ndarray:
-    """The 1-norm (largest absolute column sum) of each matrix in a stack."""
-    return np.abs(stack).sum(axis=-2).max(axis=-1)
+    """The 1-norm (largest absolute column sum) of each matrix in a stack (0 for a 0 x 0 matrix)."""
+    return np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
 def _ceil_log2(x: np.ndarray) -> np.ndarray:

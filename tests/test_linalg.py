@@ -108,6 +108,10 @@ class TestPadeKernel:
             assert spectral_norm(got - want) <= 1e-12 * spectral_norm(want)
             assert np.array_equal(got, _expm_stack(t * a[None])[0])
 
+    def test_empty_matrix_gives_an_empty_exponential(self):
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
+        assert expm(np.zeros((0, 0)), np.array([0.0, 1.0])).shape == (2, 0, 0)
+
     def test_zero_matrix_is_the_identity_exactly(self):
         # no log of a zero norm: warnings are errors in this suite
         assert np.array_equal(_expm_stack(np.zeros((2, 5, 5))), np.broadcast_to(np.eye(5), (2, 5, 5)))
