@@ -36,7 +36,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as _sla
 from scipy.linalg import lapack as _lapack
 
 from .errors import (
@@ -177,13 +176,16 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     """Single-linkage clusters plus a safety merge keeping representatives
     more than ``2 * tol`` apart (so distinct clusters never overlap)."""
     groups = _single_linkage(eigs, tol)
+    # a lone eigenvalue is its own mean, exactly
+    centers = [complex(eigs[g[0]]) if len(g) == 1 else complex(np.mean(eigs[g])) for g in groups]
     while True:
-        centers = [complex(np.mean(eigs[g])) for g in groups]
         close = np.argwhere(np.triu(_distances(np.array(centers)) <= 2 * tol, 1))
         if not close.size:  # else merge the first close pair (i < j) in row-major order
             return groups, centers
         i, j = close[0].tolist()
         groups[i] += groups.pop(j)
+        del centers[j]
+        centers[i] = complex(np.mean(eigs[groups[i]]))
 
 
 def decompose(a, cluster_tol: float | None = None,
@@ -235,12 +237,14 @@ def decompose(a, cluster_tol: float | None = None,
             labels.insert(p, labels.pop(j))
     starts = np.cumsum([0] + [len(g) for g in groups])
     nearest = np.argmin(np.abs(np.diag(t)[:, None] - np.array(centers)), axis=1)
-    for li, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        if np.any(nearest[lo:hi] != li):
-            raise IllConditionedDecompositionError(
-                "eigenvalue reordering disagreed with the clustering",
-                diagnostics={"expected_block": hi - lo, "cluster_center": centers[li],
-                             "sorted_block": int(np.sum(nearest[lo:hi] == li))})
+    misplaced = np.flatnonzero(nearest != labels)  # labels now ascend along the diagonal
+    if misplaced.size:
+        li = labels[misplaced[0]]
+        lo, hi = starts[li], starts[li + 1]
+        raise IllConditionedDecompositionError(
+            "eigenvalue reordering disagreed with the clustering",
+            diagnostics={"expected_block": hi - lo, "cluster_center": centers[li],
+                         "sorted_block": int(np.sum(nearest[lo:hi] == li))})
 
     # Y^{-1} T Y is block diagonal: block k splits from the trailing blocks
     # by T_kk R - R T_tail = -T_k,tail, and Y's rows for block k are R Y_tail
@@ -253,8 +257,12 @@ def decompose(a, cluster_tol: float | None = None,
                 "cluster too close to the rest of the spectrum to split off",
                 diagnostics={"cluster_center": centers[li], "lapack_info": info})
         y[lo:hi, hi:] = (r / scale) @ y[hi:, hi:]
+    if not np.isfinite(y).all():
+        raise IllConditionedDecompositionError(
+            "cluster too close to the rest of the spectrum to split off",
+            diagnostics={"nonfinite_entries": int(np.sum(~np.isfinite(y)))})
     u = q @ y
-    v = _sla.solve_triangular(y, q.conj().T, unit_diagonal=True)
+    v = _solve_upper(y, q.conj().T, unit_diagonal=True)
 
     nil_tol = RESIDUAL_FACTOR * cluster_tol
     clusters = []
@@ -303,6 +311,20 @@ def decompose(a, cluster_tol: float | None = None,
     return dec
 
 
+def _solve_upper(r: np.ndarray, rhs: np.ndarray, unit_diagonal: bool = False) -> np.ndarray:
+    """R^{-1} rhs for a C-ordered upper triangular R with a nonzero diagonal.
+
+    The ``ztrtrs`` call ``scipy.linalg.solve_triangular`` makes (on R^T,
+    which is Fortran-ordered, as a transposed lower system), so the same
+    floats, without the wrapper's checks of its finite input.
+    """
+    x, info = _lapack.ztrtrs(r.T, rhs, lower=1, trans=1, unitdiag=int(unit_diagonal))
+    if info:
+        raise IllConditionedDecompositionError("triangular solve hit a zero pivot",
+                                               diagnostics={"lapack_info": info})
+    return x
+
+
 def _orthogonality_bound(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> float:
     """Upper bound on max_ij ||P_i P_j - delta_ij P_i|| for P_k = U_k V_k.
 
@@ -343,7 +365,7 @@ def reduced_resolvent(dec: SpectralDecomposition, ell: int) -> np.ndarray:
     shifted[lo:hi, lo:hi] = np.eye(hi - lo)
     rhs = np.eye(dec.dim, dtype=complex)
     rhs[lo:hi, lo:hi] = 0.0
-    return dec.u @ _sla.solve_triangular(shifted, rhs) @ dec.v
+    return dec.u @ _solve_upper(shifted, rhs) @ dec.v
 
 
 def gaps(dec: SpectralDecomposition) -> GapData:

@@ -35,6 +35,7 @@ fast-oscillation Zeno generator L_Z, and log-log convergence-rate fits.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -265,10 +266,10 @@ class BoundInputs:
         [0, t_max * gamma_max] (log-spaced to resolve both the transient
         and the asymptotic regime), floored at 1.  The samples are formed
         in stacks of ``_M_STACK_ENTRIES``, the latest times first, and
-        screened half a stack at a time: a sample goes through the SVD only
-        when a certified bound on its norm (:func:`_screened_max`) exceeds
-        the largest norm so far.  M is the float the full 64-SVD sample
-        gives.
+        screened whole (D <= 16, one stack) or half a stack at a time: a
+        sample goes through the SVD only when a certified bound on its norm
+        (:func:`_screened_max`) exceeds the largest norm so far.  M is the
+        float the full 64-SVD sample gives.
         """
         dec, gap = split.decomposition, split.gap_data
         chi = condition_number(dec)
@@ -280,9 +281,11 @@ class BoundInputs:
         sampled = 1.0
         for i in reversed(range(0, grid.size, chunk)):  # the late plateau raises the floor early
             stack = spectral_expm(dec, grid[i:i + chunk])
-            # by halves, the screen's conjugate and Gram stacks together match the stack in size
-            for half in reversed(np.array_split(stack, 2)):
-                sampled = _screened_max(half, sampled)
+            # a stack over half the budget is screened by halves, so the screen's
+            # conjugate and Gram stacks together stay within it (D > 16)
+            groups = np.array_split(stack, 2) if 2 * stack.size > _M_STACK_ENTRIES else (stack,)
+            for group in reversed(groups):
+                sampled = _screened_max(group, sampled)
         return cls(m_bound=1.05 * sampled, eta=gap.eta, delta=gap.delta, chi=chi,
                    dim=dec.dim, p_coeffs=p_coeffs, **_norm_constants(split))
 
@@ -291,9 +294,13 @@ def _norm_constants(split: ZenoSplit) -> dict:
     """The :class:`BoundInputs` norms of C, C_Z and the terms S_l C P_l, keyed by field."""
     res_terms = [split.resolvents[k] @ split.c @ split.decomposition.clusters[k].projection
                  for k in split.resolvents]
+    norms = [spectral_norm(term) for term in res_terms]
+    if len(res_terms) == 1:  # one term is its own sum
+        sum_norm = norms[0]
+    else:
+        sum_norm = spectral_norm(sum(res_terms)) if res_terms else 0.0
     return {"norm_c": spectral_norm(split.c), "norm_cz": spectral_norm(split.c_z),
-            "resolvent_sum": float(sum(spectral_norm(term) for term in res_terms)),
-            "resolvent_sum_norm": spectral_norm(sum(res_terms)) if res_terms else 0.0}
+            "resolvent_sum": float(sum(norms)), "resolvent_sum_norm": sum_norm}
 
 
 def _per_element(fn, x: np.ndarray) -> np.ndarray:
@@ -518,13 +525,15 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
     before any work.  The bounds are evaluated at the constants
     ``BoundInputs.from_split`` measures over this grid's horizon (largest
     t, largest gamma), where the paper's M must hold; each takes the whole
-    grid in one call.  The errors are evaluated one gamma at a time over
-    the whole t-grid, in ``split.frame`` (float64 for a GKLS pair, so the
-    exponentials, products and SVDs are real): e^{t(gamma B + C)} is one
-    stacked call of the Pade kernel, e^{t gamma B} is read from the
-    decomposition of B (:func:`spectral_expm` on the frame's U and V), and
-    one e^{t C_Z} stack is shared by every gamma and both variants.
-    :func:`adiabatic_error` is this grid at one point.
+    grid in one call.  The errors are evaluated in ``split.frame`` (float64
+    for a GKLS pair, so the exponentials, products and SVDs are real), over
+    the whole t-grid for a chunk of gammas at a time: as many as fit in a
+    quarter of ``_M_STACK_ENTRIES`` matrix entries, and at least one.  Per
+    chunk, e^{t(gamma B + C)} is one stacked call of the Pade kernel,
+    e^{t gamma B} one :func:`spectral_expm` call on the frame's U and V (no
+    Pade), and each variant one stacked SVD; one e^{t C_Z} stack is shared
+    by every chunk and both variants.  :func:`adiabatic_error` is this grid
+    at one point.
     """
     _check_names(variants, bounds)
     gammas = np.sort(np.asarray(gammas, dtype=float).reshape(-1))
@@ -534,27 +543,38 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
         return []
     if bounds:
         inputs = BoundInputs.from_split(split, t_max=float(ts[-1]), gamma_max=float(gammas[-1]))
-    frame, times = split.frame, ts[:, None, None]
-    zeno_exps = _expm_stack(times * frame.c_z) if variants else None
-    cells = {f"bound_{name}": BOUNDS[name](inputs, gammas[:, None], ts) for name in bounds}
+    columns = {f"bound_{name}": BOUNDS[name](inputs, gammas[:, None], ts).ravel().tolist() for name in bounds}
+    if variants:
+        columns.update(_error_columns(split, gammas, ts, variants))
     rows = []
-    for i, gamma in enumerate(gammas.tolist()):
-        columns = {key: values[i].tolist() for key, values in cells.items()}
-        if variants:
-            lhs = _expm_stack(times * (gamma * frame.b + frame.c))
-            strong = spectral_expm(split.decomposition, gamma * ts, frame.u, frame.v)
-            rhs = (strong.real.copy() if frame.real else strong) @ zeno_exps
-            for name in VARIANTS:
-                if name in variants:
-                    limit = rhs @ frame.p_phi if name == "peripheral" else rhs
-                    columns[f"error_{name}"] = spectral_norms(lhs - limit).tolist()
-            del lhs, strong, rhs, limit  # so the next gamma's stacks do not coexist with these
-        for j, t in enumerate(ts.tolist()):
-            row = dict.fromkeys(CSV_COLUMNS)
-            row["gamma"], row["t"] = gamma, t
-            row.update((key, values[j]) for key, values in columns.items())
-            rows.append(row)
+    for k, (gamma, t) in enumerate(itertools.product(gammas.tolist(), ts.tolist())):
+        row = dict.fromkeys(CSV_COLUMNS)
+        row["gamma"], row["t"] = gamma, t
+        row.update((key, values[k]) for key, values in columns.items())
+        rows.append(row)
     return rows
+
+
+def _error_columns(split: ZenoSplit, gammas: np.ndarray, ts: np.ndarray, variants) -> dict:
+    """The requested error columns over gammas x ts as lists in gamma-major order (see :func:`evaluate_grid`)."""
+    frame, dim = split.frame, len(split.frame.b)
+    zeno_exps = _expm_stack(ts[:, None, None] * frame.c_z)
+    columns = {f"error_{name}": np.empty((gammas.size, ts.size)) for name in VARIANTS if name in variants}
+    # the Pade kernel holds about eight stacks of a chunk's size at once: a quarter of
+    # the M sample's entries keeps the grid's peak memory within the M sample's
+    per_chunk = max(1, _M_STACK_ENTRIES // (4 * ts.size * dim * dim))
+    for lo in range(0, gammas.size, per_chunk):
+        chunk = gammas[lo:lo + per_chunk]
+        exponent = chunk[:, None, None] * frame.b + frame.c
+        lhs = _expm_stack((ts[:, None, None] * exponent[:, None]).reshape(-1, dim, dim))
+        strong = spectral_expm(split.decomposition, np.multiply.outer(chunk, ts).ravel(), frame.u, frame.v)
+        strong = (strong.real.copy() if frame.real else strong).reshape(chunk.size, ts.size, dim, dim)
+        rhs = (strong @ zeno_exps).reshape(lhs.shape)  # each gamma's t-stack times the one e^{t C_Z} stack
+        for key, values in columns.items():
+            limit = rhs @ frame.p_phi if key == "error_peripheral" else rhs
+            values[lo:lo + chunk.size] = spectral_norms(lhs - limit).reshape(chunk.size, ts.size)
+        del exponent, lhs, strong, rhs, limit  # so the next chunk's stacks do not coexist with these
+    return {key: values.ravel().tolist() for key, values in columns.items()}
 
 
 def adiabatic_error(split: ZenoSplit, gamma: float, t: float,

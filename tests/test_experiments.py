@@ -10,6 +10,7 @@ from zeno_limits import (
     random_gkls,
     run_sweep,
     spectral_property_check,
+    zeno,
 )
 from zeno_limits.errors import DimensionError, ValidationError
 from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, format_csv
@@ -176,6 +177,34 @@ class TestEvaluateGrid:
                 for name, bound in BOUNDS.items():
                     want = bound(inputs, gamma, t) if name in bounds else None
                     assert _bits(row[f"bound_{name}"]) == _bits(want)
+
+    @pytest.mark.parametrize("pair, gamma_count, t_count, chunks", [
+        ("three-level", 3, 6, 1),  # an acceptance grid: every gamma in one chunk
+        ("gkls-d16", 3, 6, 1),
+        ("three-level", 40, 6, 3),  # 16 gammas of 6 times per chunk at D = 9
+        ("three-level", 5, 64, 5),  # the reference sweep: 64 times at D = 9 fill a chunk
+    ])
+    def test_one_kernel_call_per_chunk_of_gammas(self, monkeypatch, pair, gamma_count, t_count, chunks):
+        """Each chunk of gammas takes one e^{t(gamma B + C)} and one e^{t gamma B} stack; e^{t C_Z} is one more."""
+        split = _pair_split(pair)
+        kernel, strong = zeno._expm_stack, zeno.spectral_expm
+        kernel_sizes, strong_sizes = [], []
+
+        def counted_kernel(stack):
+            kernel_sizes.append(stack.size)
+            return kernel(stack)
+
+        def counted_strong(dec, t, *args):
+            strong_sizes.append(np.size(t))
+            return strong(dec, t, *args)
+
+        monkeypatch.setattr(zeno, "_expm_stack", counted_kernel)
+        monkeypatch.setattr(zeno, "spectral_expm", counted_strong)
+        rows = evaluate_grid(split, np.geomspace(10.0, 1e4, gamma_count), np.linspace(0.25, 2.0, t_count))
+        assert len(rows) == gamma_count * t_count
+        assert len(kernel_sizes) == chunks + 1
+        assert len(strong_sizes) == chunks and sum(strong_sizes) == gamma_count * t_count
+        assert max(kernel_sizes) <= zeno._M_STACK_ENTRIES
 
     def test_empty_t_grid_gives_header_only_csv(self):
         split = _pair_split("three-level")

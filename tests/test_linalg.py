@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -131,6 +132,45 @@ class TestPadeKernel:
             want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
         assert got.dtype == float
         assert np.abs(got - want).max() <= 2e-13
+
+
+#: |c_27| = (13!)^2 / (26! 27!), the leading coefficient of the degree-13 Pade error series
+_C27 = math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27))
+
+
+def _reference_squarings(a: np.ndarray) -> tuple[int, int]:
+    """(s, ell) of Al-Mohy & Higham (2009), Alg. 5.1, degree 13, for one matrix, from whole powers."""
+    onenorm = lambda m: float(np.abs(m).sum(axis=0).max())  # noqa: E731
+    power = np.linalg.matrix_power
+    alpha = max(onenorm(power(a, 6)) ** (1 / 6), onenorm(power(a, 8)) ** (1 / 8))
+    s = max(0, math.ceil(math.log2(alpha / 5.371920351148152)))
+    scaled = a / 2.0 ** s
+    ratio = _C27 * onenorm(power(np.abs(scaled), 27)) / (onenorm(scaled) * 2.0 ** -53)
+    return s, max(0, math.ceil(math.log2(ratio) / 26))
+
+
+class TestKernelScaling:
+    """The squarings s the Pade kernel takes, against a plain reference of the published choice."""
+
+    @staticmethod
+    def _stack(dtype):
+        # t times a unitary generator of norm 1: skew-Hermitian (complex) or skew-symmetric
+        # (float), whose |A| outgrows A, so ell > 0 on most of the t range
+        rng = np.random.default_rng(3)
+        a = random_complex(rng, 16) if dtype is complex else rng.standard_normal((16, 16))
+        a = a - a.conj().T
+        ts = np.geomspace(1.0, 1e3, 25)
+        return ts[:, None, None] * (a / np.linalg.norm(a, 2))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_squarings_match_the_reference_choice(self, dtype):
+        stack = self._stack(dtype)
+        a4 = np.linalg.matrix_power(stack, 4)
+        got = linalg._squarings(stack, a4, a4 @ np.linalg.matrix_power(stack, 2))
+        want = [_reference_squarings(a) for a in stack]
+        ells = [ell for _, ell in want]
+        assert sum(ell > 0 for ell in ells) >= len(ells) // 3  # the correction is exercised
+        assert got.tolist() == [s + ell for s, ell in want]
 
 
 class TestSpectralNorm:

@@ -12,6 +12,7 @@ from zeno_limits import (
     peripheral_projection,
     random_gkls,
     reduced_resolvent,
+    spectral,
     spectral_expm,
     spectral_norm,
 )
@@ -146,6 +147,39 @@ class TestDecompose:
         a = np.array([[0.0, 1e6], [0.0, 3e-7]], dtype=complex)
         with pytest.raises(IllConditionedDecompositionError):
             decompose(a, cluster_tol=1e-12, imag_tol=1e-16)
+
+    def test_reordering_that_disagrees_with_the_clustering_is_rejected(self, monkeypatch):
+        """A cluster whose centre lies nearer another cluster's eigenvalue fails the reorder check."""
+        def misplaced(eigs, tol):
+            groups, centers = _cluster_eigenvalues(eigs, tol)
+            [k] = [i for i, g in enumerate(groups) if eigs[g[0]] == -3.0]
+            centers[k] = -1.9 + 0j  # nearer -2 than -3
+            return groups, centers
+
+        monkeypatch.setattr(spectral, "_cluster_eigenvalues", misplaced)
+        with pytest.raises(IllConditionedDecompositionError,
+                           match="eigenvalue reordering disagreed with the clustering") as info:
+            decompose(np.diag([-1.0, -2.0, -3.0]))
+        assert info.value.diagnostics == {"expected_block": 1, "cluster_center": -1.9 + 0j, "sorted_block": 0}
+
+    def test_overflowing_split_is_typed(self, monkeypatch):
+        """A Sylvester solve whose scaled result overflows stops the decomposition with a typed error."""
+        lapack = spectral._lapack
+
+        class Overflowing:
+            def __getattr__(self, name):
+                return getattr(lapack, name)
+
+            @staticmethod
+            def ztrsyl(*args, **kwargs):
+                r, scale, info = lapack.ztrsyl(*args, **kwargs)
+                return np.full_like(r, 1e300), scale, info  # its products with Y overflow
+
+        monkeypatch.setattr(spectral, "_lapack", Overflowing())
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IllConditionedDecompositionError, match="split off") as info:
+            decompose(np.diag([-1.0, -2.0, -3.0]))
+        assert info.value.diagnostics["nonfinite_entries"] > 0
 
     def test_cluster_merging(self):
         # eigenvalues split by less than the tolerance merge into one cluster

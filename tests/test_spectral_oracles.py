@@ -116,8 +116,8 @@ def test_ill_conditioned_residuals_carry_spectral_norms(monkeypatch):
 
 def test_perturbed_basis_fails_completeness_with_spectral_norms(monkeypatch):
     made = _recording_decompositions(monkeypatch)
-    solve = sla.solve_triangular
-    monkeypatch.setattr(sla, "solve_triangular", lambda *args, **kwargs: solve(*args, **kwargs) + 1e-3)
+    solve = spectral._solve_upper  # the triangular solve that forms V = Y^-1 Q^dagger
+    monkeypatch.setattr(spectral, "_solve_upper", lambda *args, **kwargs: solve(*args, **kwargs) + 1e-3)
     a = _random_generator(3, 2, np.random.default_rng(5))
     with pytest.raises(IllConditionedDecompositionError, match="residuals") as info:
         decompose(a)
