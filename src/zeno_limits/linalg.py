@@ -180,12 +180,15 @@ def spectral_norm(a) -> float:
 
 
 def spectral_norms(stack) -> np.ndarray:
-    """:func:`spectral_norm` of each matrix in a stack of shape (n, rows, cols).
+    """The largest singular value of each matrix in a stack of shape (n, rows, cols).
 
     ``np.linalg.svd`` runs the same ``gesdd`` on each matrix of the stack,
-    so each entry equals the single-matrix call bit for bit.  A float64
-    stack keeps the real SVD (half the work; the same norms up to
-    rounding), and any other numeric stack is taken as complex.
+    so each entry equals ``np.linalg.norm(a, 2)`` of its slice bit for bit.
+    A float64 stack keeps the real SVD (half the work), and any other
+    numeric stack is taken as complex.  So a complex entry equals
+    :func:`spectral_norm` of its slice bit for bit, and a float64 entry
+    only up to rounding: :func:`spectral_norm` takes a real matrix as
+    complex.
     """
     if not (isinstance(stack, np.ndarray) and stack.dtype == float):
         stack = _as_complex(stack, "spectral_norms operand")

@@ -101,7 +101,8 @@ class Frame:
     and they are the split's own complex matrices.  ``u`` and ``v`` are
     W U and V W^dagger for B's spectral factors (complex either way), so
     ``spectral_expm(decomposition, t, u, v)`` is e^{tB} in the frame.  The
-    spectral norm is the same in any unitary frame.
+    spectral norm is the same in any unitary frame, so the error grid and
+    the M sample of :meth:`BoundInputs.from_split` both work here.
     """
 
     b: np.ndarray
@@ -201,8 +202,9 @@ def _screened_max(stack: np.ndarray, top: float) -> float:
     it and skips the SVD; levels k = 0, 1, 2 each take one stacked product
     of the survivors.  The survivors go through the SVD in descending
     bound order: the largest bound first, then, screened against the
-    raised ``top``, the rest in one stacked call.  The finiteness check
-    covers every sample, screened or not.
+    raised ``top``, the rest in one stacked call.  The products and SVDs
+    keep the stack's dtype, so a float64 stack stays real throughout.  The
+    finiteness check covers every sample, screened or not.
     """
     if not np.isfinite(stack).all():
         raise ValidationError("spectral_norm operand contains non-finite entries")
@@ -217,7 +219,7 @@ def _screened_max(stack: np.ndarray, top: float) -> float:
                 gram = gram @ gram
     if live.size:
         first = int(np.argmax(bound))
-        top = max(top, spectral_norm(stack[live[first]]))
+        top = max(top, float(spectral_norms(stack[live[first]][None])[0]))
         rest = live[~(bound <= top) & (live != live[first])]
         if rest.size:
             top = max(top, float(spectral_norms(stack[rest]).max()))
@@ -265,11 +267,14 @@ class BoundInputs:
         times the largest ||e^{tB}|| over a 64-point grid on
         [0, t_max * gamma_max] (log-spaced to resolve both the transient
         and the asymptotic regime), floored at 1.  The samples are formed
-        in stacks of ``_M_STACK_ENTRIES``, the latest times first, and
-        screened whole (D <= 16, one stack) or half a stack at a time: a
-        sample goes through the SVD only when a certified bound on its norm
+        in the split's :class:`Frame` (float64 for a GKLS pair, so the
+        products and SVDs below are real), in stacks of
+        ``_M_STACK_ENTRIES``, the latest times first, and screened whole
+        (D <= 16, one stack) or half a stack at a time: a sample goes
+        through the SVD only when a certified bound on its norm
         (:func:`_screened_max`) exceeds the largest norm so far.  M is the
-        float the full 64-SVD sample gives.
+        float the full 64-SVD sample in the frame gives; the norms are
+        those of the standard basis up to rounding.
         """
         dec, gap = split.decomposition, split.gap_data
         chi = condition_number(dec)
@@ -280,7 +285,9 @@ class BoundInputs:
         chunk = max(1, _M_STACK_ENTRIES // dec.dim ** 2)
         sampled = 1.0
         for i in reversed(range(0, grid.size, chunk)):  # the late plateau raises the floor early
-            stack = spectral_expm(dec, grid[i:i + chunk])
+            stack = spectral_expm(dec, grid[i:i + chunk], split.frame.u, split.frame.v)
+            if split.frame.real:
+                stack = stack.real.copy()
             # a stack over half the budget is screened by halves, so the screen's
             # conjugate and Gram stacks together stay within it (D > 16)
             groups = np.array_split(stack, 2) if 2 * stack.size > _M_STACK_ENTRIES else (stack,)

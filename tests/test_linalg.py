@@ -2,6 +2,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -123,7 +124,6 @@ class TestPadeKernel:
         Scaled by 2^-10 it has 1-norm 5.5; scipy 1.17's real ``expm`` is off
         by 1e-11 here against 30 digits, and this kernel by about 6e-14.
         """
-        mpmath = pytest.importorskip("mpmath")
         weak, strong = zeno_limits.three_level_generators(zeno_limits.ThreeLevelParams())
         frame = zeno_limits.zeno_split(strong.mat, weak.mat).frame
         a = 2.0 * (1000.0 * frame.b + frame.c)
@@ -204,6 +204,11 @@ class TestSpectralNorm:
         stack = scales * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         assert np.array_equal(spectral_norms(stack), np.linalg.norm(stack, 2, axis=(1, 2)))
 
+    @pytest.mark.parametrize("shape", [(8, 1, 1), (8, 4, 4), (5, 3, 7), (3, 64, 64)])
+    def test_real_stack_equals_numpy_two_norm_bitwise(self, rng, shape):
+        """A float64 stack takes the real SVD: each entry is the real two-norm of its slice."""
+        stack = np.geomspace(1e-5, 1e5, shape[0])[:, None, None] * rng.standard_normal(shape)
+        assert spectral_norms(stack).tolist() == [np.linalg.norm(real, 2) for real in stack]
 
     def test_stack_equals_single_calls_bitwise(self, rng):
         stack = np.stack([random_complex(rng, 9) * 10.0 ** k for k in range(-3, 4)])

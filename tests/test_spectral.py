@@ -148,6 +148,17 @@ class TestDecompose:
         with pytest.raises(IllConditionedDecompositionError):
             decompose(a, cluster_tol=1e-12, imag_tol=1e-16)
 
+    def test_cluster_too_close_to_split_off_is_rejected(self):
+        """Eigenvalues one ulp apart, with clustering off: ``ztrsyl`` reports the near-singular split."""
+        with pytest.raises(IllConditionedDecompositionError, match="split off") as info:
+            decompose(np.array([[1.0, 1.0], [0.0, 1.0 + 2.0 ** -52]]), cluster_tol=0.0, imag_tol=0.0)
+        assert info.value.diagnostics["lapack_info"] == 1
+
+    def test_triangular_solve_with_a_zero_pivot_is_rejected(self):
+        with pytest.raises(IllConditionedDecompositionError, match="zero pivot") as info:
+            spectral._solve_upper(np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex), np.eye(2, dtype=complex))
+        assert info.value.diagnostics == {"lapack_info": 1}
+
     def test_reordering_that_disagrees_with_the_clustering_is_rejected(self, monkeypatch):
         """A cluster whose centre lies nearer another cluster's eigenvalue fails the reorder check."""
         def misplaced(eigs, tol):

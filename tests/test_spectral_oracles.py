@@ -8,9 +8,11 @@ them from the D x D projections and nilpotents: an SVD of each
 projection, a dense solve per cluster, and a per-cluster sum per t.
 The projections and nilpotents formed on demand must equal the eager
 expressions byte for byte, and the screened M sample must equal the
-sample that sends all 64 points through the SVD.
+sample that sends all 64 points through the SVD, both in the split's
+frame.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -287,8 +289,8 @@ def test_m_sample_stacks_stay_small_and_equal_one_point_calls(d, monkeypatch):
     split = zeno_split(_random_generator(d, 2, rng), _random_generator(d, 1, rng))
     shapes = []
 
-    def recording_expm(dec, t):
-        out = spectral_expm(dec, t)
+    def recording_expm(dec, t, *args):
+        out = spectral_expm(dec, t, *args)
         shapes.append(out.shape)
         return out
 
@@ -298,15 +300,29 @@ def test_m_sample_stacks_stay_small_and_equal_one_point_calls(d, monkeypatch):
     assert max(math.prod(shape) for shape in shapes) <= 8 * 64 * 64
     if d <= 4:  # D <= 16: the whole grid is one stack
         assert len(shapes) == 1
-    sampled = max(spectral_norm(spectral_expm(split.decomposition, t)) for t in _m_grid().tolist())
+    assert split.frame.real
+    sampled = max(np.linalg.norm(_frame_sample(split, t), 2) for t in _m_grid().tolist())
     assert got == 1.05 * max(1.0, sampled)
 
 
-def _full_sample_m(split) -> float:
+def _frame_sample(split, t, in_frame: bool = True) -> np.ndarray:
+    """e^{tB} as ``from_split`` samples it: in the split's frame, real for a real frame.
+
+    With ``in_frame`` False, the complex e^{tB} of the standard basis instead.
+    """
+    frame = split.frame
+    if not in_frame:
+        return spectral_expm(split.decomposition, t)
+    out = spectral_expm(split.decomposition, t, frame.u, frame.v)
+    return out.real if frame.real else out
+
+
+def _full_sample_m(split, in_frame: bool = True) -> float:
     """1.05 max(1, the largest ||e^{tB}||), every sample through the SVD, in from_split's stacks."""
-    dec, grid = split.decomposition, _m_grid()
-    chunk = max(1, zeno._M_STACK_ENTRIES // dec.dim ** 2)
-    sampled = max(float(np.linalg.svd(spectral_expm(dec, grid[i:i + chunk]), compute_uv=False)[:, 0].max())
+    grid = _m_grid()
+    chunk = max(1, zeno._M_STACK_ENTRIES // split.decomposition.dim ** 2)
+    sampled = max(float(np.linalg.svd(_frame_sample(split, grid[i:i + chunk], in_frame),
+                                      compute_uv=False)[:, 0].max())
                   for i in range(0, grid.size, chunk))
     return 1.05 * max(1.0, sampled)
 
@@ -337,6 +353,40 @@ def test_screened_m_equals_the_full_svd_sample(b, c):
     assert BoundInputs.from_split(split).m_bound == _full_sample_m(split)
 
 
+def _real_frame_cases():
+    for i, (strong, weak) in enumerate(gkls_pair_corpus()):
+        yield pytest.param(liouvillian(strong).mat, liouvillian(weak).mat, id=f"corpus-{i}")
+    weak, strong = three_level_generators(ThreeLevelParams())
+    yield pytest.param(strong.mat, weak.mat, id="three-level")
+    for d, seed in itertools.product((6, 8), range(3)):
+        rng = np.random.default_rng(1200 + 10 * d + seed)
+        yield pytest.param(_random_generator(d, 2, rng), _random_generator(d, 1, rng), id=f"gkls-D{d * d}-{seed}")
+
+
+@pytest.mark.parametrize("b, c", _real_frame_cases())
+def test_frame_m_is_the_complex_sample_m_up_to_rounding(b, c):
+    """The spectral norm is unitarily invariant: sampled in the real frame, M moves only at rounding."""
+    split = zeno_split(b, c)
+    assert split.frame.real
+    got, want = BoundInputs.from_split(split).m_bound, _full_sample_m(split, in_frame=False)
+    assert abs(got - want) <= 4 * split.decomposition.dim * np.finfo(float).eps * want
+
+
+def _complex_frame_cases():
+    rotation = np.linalg.qr(random_complex(np.random.default_rng(4), 4))[0]
+    yield pytest.param(FLOOR_B, np.ones((3, 3)), id="normal-floor")
+    yield pytest.param(TRANSIENT_B, np.ones((3, 3)), id="transient")
+    yield pytest.param(rotation @ np.diag([0.0, -1.0, -2.0 + 1.0j, -0.5]) @ rotation.conj().T,
+                       np.ones((4, 4)), id="not-hermiticity-preserving-D4")
+
+
+@pytest.mark.parametrize("b, c", _complex_frame_cases())
+def test_split_without_a_real_frame_keeps_the_complex_sample(b, c):
+    split = zeno_split(b, c)
+    assert not split.frame.real
+    assert BoundInputs.from_split(split).m_bound == _full_sample_m(split, in_frame=False)
+
+
 def test_screened_m_floor_and_transient_cases():
     assert BoundInputs.from_split(zeno_split(FLOOR_B, np.ones((3, 3)))).m_bound == 1.05
     assert BoundInputs.from_split(zeno_split(TRANSIENT_B, np.ones((3, 3)))).m_bound > 10.0
@@ -346,8 +396,8 @@ def test_screened_m_floor_and_transient_cases():
 def test_non_finite_sample_the_screen_would_skip_raises(bad, monkeypatch):
     split = zeno_split(FLOOR_B, np.ones((3, 3)))
 
-    def poisoned(dec, t):
-        out = spectral_expm(dec, t)
+    def poisoned(dec, t, *args):
+        out = spectral_expm(dec, t, *args)
         assert np.linalg.norm(out[-1], 2) < 1e-300  # the last sample sits far below the floor
         out[-1, 0, 0] = bad
         return out
@@ -361,8 +411,8 @@ def test_overflowing_bound_keeps_its_sample(monkeypatch):
     split = zeno_split(FLOOR_B, np.ones((3, 3)))
     huge = np.full((3, 3), 1e200, dtype=complex)  # (A^H A)^4 overflows; ||A|| = 3e200
 
-    def scaled(dec, t):
-        out = spectral_expm(dec, t)
+    def scaled(dec, t, *args):
+        out = spectral_expm(dec, t, *args)
         out[-1] = huge
         return out
 
@@ -377,8 +427,8 @@ def test_d64_work_counts(monkeypatch):
     split = zeno_split(_random_generator(8, 2, rng), _random_generator(8, 1, rng))
     stacks, svd_inputs, svd = [], [], np.linalg.svd
 
-    def recording_expm(dec, t):
-        stacks.append(spectral_expm(dec, t))
+    def recording_expm(dec, t, *args):
+        stacks.append(spectral_expm(dec, t, *args))
         return stacks[-1]
 
     def counting_svd(a, *args, **kwargs):
@@ -388,7 +438,7 @@ def test_d64_work_counts(monkeypatch):
     monkeypatch.setattr(zeno, "spectral_expm", recording_expm)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     BoundInputs.from_split(split)
-    samples = [s for stack in stacks for s in stack]
+    samples = [s.real for stack in stacks for s in stack]  # the frame is real
     assert len(samples) == 64
     assert sum(any(np.array_equal(m, s) for s in samples) for m in svd_inputs) < 32
     monkeypatch.undo()
@@ -397,6 +447,32 @@ def test_d64_work_counts(monkeypatch):
     dec = split.decomposition
     assert len(dec.nonperipheral_clusters) == 63
     assert not any("projection" in vars(c) for c in dec.nonperipheral_clusters)
+
+
+def test_d64_m_sample_svds_are_real_and_few(monkeypatch):
+    """Every matrix that reaches the SVD inside the M sample of a GKLS pair is float64."""
+    rng = np.random.default_rng(1164)
+    split = zeno_split(_random_generator(8, 2, rng), _random_generator(8, 1, rng))
+    assert split.frame.real
+    screening, svd_inputs, screen, svd = [False], [], zeno._screened_max, np.linalg.svd
+
+    def flagged_screen(*args):
+        screening[0] = True
+        try:
+            return screen(*args)
+        finally:
+            screening[0] = False
+
+    def recording_svd(a, *args, **kwargs):
+        if screening[0]:
+            svd_inputs.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(zeno, "_screened_max", flagged_screen)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    BoundInputs.from_split(split)
+    assert 0 < len(svd_inputs) < 32
+    assert all(m.dtype == float for m in svd_inputs)
 
 
 def test_exponential_matches_scipy_expm(oracle_split):

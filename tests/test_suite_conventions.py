@@ -34,6 +34,16 @@ def _module_mark_strings(tree: ast.Module) -> list[str]:
     return []
 
 
+def _calls_importorskip(tree: ast.Module) -> bool:
+    """True when the module reads ``importorskip``, as ``pytest.importorskip`` or imported by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "importorskip":
+            return True
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "importorskip" for alias in node.names):
+            return True
+    return False
+
+
 PROPERTY_MODULES = sorted(path.name for path in TESTS.glob("test_*.py")
                           if _uses_given(ast.parse(path.read_text())))
 
@@ -45,3 +55,15 @@ def test_the_property_modules_are_found():
 @pytest.mark.parametrize("name", PROPERTY_MODULES)
 def test_property_modules_ignore_the_plugin_warning(name):
     assert HYPOTHESIS_FILTER in _module_mark_strings(ast.parse((TESTS / name).read_text()))
+
+
+def test_importorskip_is_detected():
+    assert _calls_importorskip(ast.parse('mpmath = pytest.importorskip("mpmath")'))
+    assert _calls_importorskip(ast.parse("from pytest import importorskip"))
+    assert not _calls_importorskip(ast.parse("import mpmath"))
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in TESTS.glob("*.py")))
+def test_no_module_skips_on_a_missing_import(name):
+    """Every test dependency is in the ``test`` extra, so a missing one must fail the run, not skip."""
+    assert not _calls_importorskip(ast.parse((TESTS / name).read_text()))

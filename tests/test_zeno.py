@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -186,7 +187,6 @@ class TestHermitianFrame:
 
     def test_error_cells_against_mpmath(self, three_level):
         """Each cell is within 4 u t ||gamma B + C|| (the rounding in forming gamma B + C) of 30 digits."""
-        mpmath = pytest.importorskip("mpmath")
         _, _, _, split = three_level
         mp = lambda a: mpmath.matrix(a.tolist())
         for row in evaluate_grid(split, (10.0, 1000.0), (0.25, 2.0)):
