@@ -421,40 +421,17 @@ def test_overflowing_bound_keeps_its_sample(monkeypatch):
 
 
 def test_d64_work_counts(monkeypatch):
-    """The M sample runs under half its samples through the SVD, and no
-    non-peripheral projection is formed by the split, the constants or a grid."""
-    rng = np.random.default_rng(1164)
-    split = zeno_split(_random_generator(8, 2, rng), _random_generator(8, 1, rng))
-    stacks, svd_inputs, svd = [], [], np.linalg.svd
-
-    def recording_expm(dec, t, *args):
-        stacks.append(spectral_expm(dec, t, *args))
-        return stacks[-1]
-
-    def counting_svd(a, *args, **kwargs):
-        svd_inputs.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(zeno, "spectral_expm", recording_expm)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    BoundInputs.from_split(split)
-    samples = [s.real for stack in stacks for s in stack]  # the frame is real
-    assert len(samples) == 64
-    assert sum(any(np.array_equal(m, s) for s in samples) for m in svd_inputs) < 32
-    monkeypatch.undo()
-
-    evaluate_grid(split, [10.0, 1000.0], np.geomspace(0.25, 2.0, 4), bounds=tuple(BOUNDS))
-    dec = split.decomposition
-    assert len(dec.nonperipheral_clusters) == 63
-    assert not any("projection" in vars(c) for c in dec.nonperipheral_clusters)
-
-
-def test_d64_m_sample_svds_are_real_and_few(monkeypatch):
-    """Every matrix that reaches the SVD inside the M sample of a GKLS pair is float64."""
+    """The M sample of a GKLS pair runs under half its samples through the SVD, all of
+    them real, and no non-peripheral projection is formed by the split, the constants or a grid."""
     rng = np.random.default_rng(1164)
     split = zeno_split(_random_generator(8, 2, rng), _random_generator(8, 1, rng))
     assert split.frame.real
-    screening, svd_inputs, screen, svd = [False], [], zeno._screened_max, np.linalg.svd
+    samples, screening, svd_inputs, screen, svd = [], [False], [], zeno._screened_max, np.linalg.svd
+
+    def recording_expm(dec, t, *args):
+        out = spectral_expm(dec, t, *args)
+        samples.extend(out)
+        return out
 
     def flagged_screen(*args):
         screening[0] = True
@@ -464,15 +441,23 @@ def test_d64_m_sample_svds_are_real_and_few(monkeypatch):
             screening[0] = False
 
     def recording_svd(a, *args, **kwargs):
-        if screening[0]:
+        if screening[0]:  # an SVD inside the M sample
             svd_inputs.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]))
         return svd(a, *args, **kwargs)
 
+    monkeypatch.setattr(zeno, "spectral_expm", recording_expm)
     monkeypatch.setattr(zeno, "_screened_max", flagged_screen)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     BoundInputs.from_split(split)
+    assert len(samples) == 64
     assert 0 < len(svd_inputs) < 32
     assert all(m.dtype == float for m in svd_inputs)
+    monkeypatch.undo()
+
+    evaluate_grid(split, [10.0, 1000.0], np.geomspace(0.25, 2.0, 4), bounds=tuple(BOUNDS))
+    dec = split.decomposition
+    assert len(dec.nonperipheral_clusters) == 63
+    assert not any("projection" in vars(c) for c in dec.nonperipheral_clusters)
 
 
 def test_exponential_matches_scipy_expm(oracle_split):
