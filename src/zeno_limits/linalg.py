@@ -84,6 +84,11 @@ _ELL_C13 = 113250775606021113483283660800000000.0
 _ELL_FREE = (0.5 * _ELL_C13 * 2.0 ** -53) ** (1 / 26)
 
 
+#: the largest ||t a||_1 that :func:`expm` takes: the kernel forms A^8 unscaled, whose
+#: entries are at most ||A||_1^8, so no power overflows
+_EXPM_RANGE = float(np.finfo(float).max) ** 0.125
+
+
 def _onenorms(stack: np.ndarray) -> np.ndarray:
     """The 1-norm (largest absolute column sum) of each matrix in a stack (0 for a 0 x 0 matrix)."""
     return np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
@@ -167,6 +172,8 @@ def expm(a, t=1.0) -> np.ndarray:
         raise DimensionError(f"expm times must be a float or 1-dimensional, got shape {ts.shape}")
     if not np.all(np.isfinite(ts)):
         raise ValidationError("expm times contain non-finite entries")
+    if ts.size and float(np.abs(ts).max()) * float(_onenorms(a)) > _EXPM_RANGE:
+        raise ValidationError(f"expm operand t a is out of the kernel's range: ||t a||_1 > {_EXPM_RANGE:.3g}")
     out = _expm_stack(ts.reshape(-1)[:, None, None] * a)
     return out if ts.ndim else out[0]
 

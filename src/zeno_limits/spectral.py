@@ -334,11 +334,17 @@ def _orthogonality_bound(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> fl
     """
     cuts, dim = starts[:-1], len(u)
     g_sq = np.add.reduceat(np.add.reduceat(np.abs(v @ u - np.eye(dim)) ** 2, cuts, 0), cuts, 1)
-    u_norm = np.sqrt(np.add.reduceat(np.sum(np.abs(u) ** 2, axis=0), cuts))
-    v_norm = np.sqrt(np.add.reduceat(np.sum(np.abs(v) ** 2, axis=1), cuts))
+    u_norm, v_norm = _cluster_norms(u, v, starts)
     p_norm = u_norm * v_norm
     return float(np.max(np.outer(u_norm, v_norm) * np.sqrt(g_sq)
                         + dim * np.finfo(float).eps * np.outer(p_norm, p_norm)))
+
+
+def _cluster_norms(u: np.ndarray, v: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """The Frobenius norms ||U_k||_F of each cluster's columns of ``u`` and ||V_k||_F of its rows of ``v``."""
+    cuts = np.asarray(starts[:-1])
+    return (np.sqrt(np.add.reduceat(np.sum(np.abs(u) ** 2, axis=0), cuts)),
+            np.sqrt(np.add.reduceat(np.sum(np.abs(v) ** 2, axis=1), cuts)))
 
 
 def peripheral_projection(dec: SpectralDecomposition) -> np.ndarray:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +51,11 @@ from .errors import (
 from .gkls import GklsSystem, Superoperator, _hermitian_basis, hamiltonian_superoperator, liouvillian
 from .linalg import _expm_stack, as_complex_matrix, expm, sandwich_super, spectral_norm, spectral_norms
 from .spectral import (
+    RESIDUAL_FACTOR,
     GapData,
     SpectralDecomposition,
     _cluster_eigenvalues,
+    _cluster_norms,
     condition_number,
     decompose,
     gaps,
@@ -185,12 +188,56 @@ def zeno_split(b, c, cluster_tol: float | None = None,
 # bound constants
 # ---------------------------------------------------------------------------
 
-#: complex entries per batched e^{tB} stack while sampling M (0.5 MiB):
-#: 8 t-points at D = 64, and the whole 64-point grid at D <= 16
+#: complex entries of an e^{tB} stack and its screen's Gram stack together while
+#: sampling M (0.5 MiB): 4 t-points at D = 64, and the whole 64-point grid at D <= 16
 _M_STACK_ENTRIES = 8 * 64 * 64
-#: factor on the screening bounds of :func:`_screened_max`, far above their
-#: rounding (relative D^2 eps) and the SVD's
+#: factor on the screening bounds of :func:`_screened_max` and :func:`_sample_bounds`,
+#: far above their rounding (relative D^2 eps) and the SVD's
 _SCREEN_SAFETY = 1.0 + 1e-8
+#: the rounding of forming an e^{tB} sample from the frame's factors, in units of D eps
+#: per unit of the cluster bound: the length-D products and the phases take a few,
+#: a cluster block's Pade squarings (about 60 at most) the rest
+_FORMING_ULPS = 64
+
+
+def _sample_bounds(split: ZenoSplit, ts: np.ndarray) -> np.ndarray:
+    """Upper bounds, by construction, on ||e^{tB}|| as :meth:`BoundInputs.from_split` forms it at each t.
+
+    The sample is S(t) = U diag(e^{t T_kk}) V for the frame's factors U and
+    V, up to the rounding of forming it.  Two bounds hold for S(t):
+
+    * the cluster bound K(t) = sum_k ||U_k||_F ||V_k||_F e^{t Re b_k}
+      e^{t ||T_kk - b_k I||_F}, which holds for defective clusters too;
+    * the log-norm bound (Dahlquist 1958; Soderlind, BIT 46 (2006)).  With
+      F = U V - I and E = U diag(T_kk) V - B, S(t) = e^{tB'} (I + F) for
+      B' = (B + E)(I + F)^{-1}, so ||S(t)|| <= (1 + f) e^{t(mu + r)}: mu is
+      the largest eigenvalue of the Hermitian part of B, f and e bound
+      ||F|| and ||E||, and r = (e + ||B||_F f) / (1 - f) bounds ||B' - B||.
+      :func:`decompose` checks both residuals against ``RESIDUAL_FACTOR *
+      cluster_tol``; f and e add the frame's rounding to it.
+
+    The result is the smaller of the two plus ``_FORMING_ULPS`` D eps K(t)
+    for the rounding of forming the sample, which for a cluster with a
+    large ||U_k|| ||V_k|| (chi up to 10^6) can exceed ``_SCREEN_SAFETY``
+    alone.  An overflowing bound is inf and a NaN stays NaN; neither lets
+    a sample be skipped.
+    """
+    dec, frame = split.decomposition, split.frame
+    u_norms, v_norms = _cluster_norms(frame.u, frame.v, dec.starts)
+    weights = u_norms * v_norms
+    eigs = np.array([c.eigenvalue for c in dec.clusters])
+    spreads = np.array([np.linalg.norm(c.block - c.eigenvalue * np.eye(len(c.block))) if len(c.block) > 1 else 0.0
+                        for c in dec.clusters])
+    rounding = _FORMING_ULPS * dec.dim * np.finfo(float).eps
+    b_norm = float(np.linalg.norm(frame.b))
+    mu = float(np.linalg.eigvalsh((frame.b + frame.b.conj().T) / 2.0)[-1])
+    tol = RESIDUAL_FACTOR * dec.cluster_tol
+    f = tol + rounding * float(weights.sum())
+    e = tol + rounding * (float(weights @ (np.abs(eigs) + spreads)) + b_norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cluster = np.exp(np.multiply.outer(ts, eigs.real + spreads)) @ weights
+        lognorm = (1.0 + f) * np.exp(ts * (mu + (e + b_norm * f) / (1.0 - f))) if f < 1.0 else np.inf
+        return np.minimum(cluster, lognorm) + rounding * cluster
 
 
 def _screened_max(stack: np.ndarray, top: float) -> float:
@@ -207,7 +254,7 @@ def _screened_max(stack: np.ndarray, top: float) -> float:
     finiteness check covers every sample, screened or not.
     """
     if not np.isfinite(stack).all():
-        raise ValidationError("spectral_norm operand contains non-finite entries")
+        raise ValidationError("e^{tB} sample contains non-finite entries")
     live = np.arange(len(stack))
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its sample
         gram = stack.conj().transpose(0, 2, 1) @ stack
@@ -266,33 +313,48 @@ class BoundInputs:
         the constant chi times the number of decaying clusters.  M is 1.05
         times the largest ||e^{tB}|| over a 64-point grid on
         [0, t_max * gamma_max] (log-spaced to resolve both the transient
-        and the asymptotic regime), floored at 1.  The samples are formed
-        in the split's :class:`Frame` (float64 for a GKLS pair, so the
-        products and SVDs below are real), in stacks of
-        ``_M_STACK_ENTRIES``, the latest times first, and screened whole
-        (D <= 16, one stack) or half a stack at a time: a sample goes
-        through the SVD only when a certified bound on its norm
-        (:func:`_screened_max`) exceeds the largest norm so far.  M is the
-        float the full 64-SVD sample in the frame gives; the norms are
-        those of the standard basis up to rounding.
+        and the asymptotic regime), floored at 1; t_max must be nonnegative
+        and gamma_max positive, both finite with a finite product, and a
+        sample that overflows (where e^{t Re b_k} of a peripheral
+        eigenvalue's rounding does) raises :class:`ValidationError`.  The
+        samples are formed in the split's :class:`Frame` (float64 for a
+        GKLS pair, so the products and SVDs below are real), in stacks
+        that with their screen's Gram stack fit ``_M_STACK_ENTRIES``.
+        When the grid fits one stack (D <= 16) it is formed and screened
+        whole.  Otherwise a sample is formed only while its bound by
+        construction (:func:`_sample_bounds`) times ``_SCREEN_SAFETY``
+        exceeds the largest norm so far: first the latest sample alone, on
+        the plateau, then the rest in descending order of their bounds.  A
+        formed sample goes through the SVD only when the Gram bound of
+        :func:`_screened_max` exceeds that norm too.  A sample skipped
+        either way cannot raise the maximum, so M is the float the full
+        64-SVD sample in the frame gives; the norms are those of the
+        standard basis up to rounding.
         """
+        if not (math.isfinite(t_max) and t_max >= 0):
+            raise ValidationError(f"t_max must be nonnegative and finite, got {t_max!r}")
+        if not (math.isfinite(gamma_max) and gamma_max > 0):
+            raise ValidationError(f"gamma_max must be positive and finite, got {gamma_max!r}")
+        horizon = t_max * gamma_max
+        if not math.isfinite(horizon):
+            raise ValidationError(f"the horizon t_max * gamma_max overflows: {t_max!r} * {gamma_max!r}")
         dec, gap = split.decomposition, split.gap_data
         chi = condition_number(dec)
         p_coeffs = np.array([chi * len(dec.nonperipheral_clusters)])
 
-        horizon = t_max * gamma_max
         grid = np.concatenate([[0.0], np.geomspace(max(horizon, 1e-12) * 1e-6, max(horizon, 1e-12), 63)])
-        chunk = max(1, _M_STACK_ENTRIES // dec.dim ** 2)
+        size = max(1, _M_STACK_ENTRIES // (2 * dec.dim ** 2))
+        if size >= grid.size:
+            order, bound, take = np.arange(grid.size), np.full(grid.size, np.inf), size
+        else:  # the latest sample alone raises the running max to the plateau, then the largest bounds
+            bound = _sample_bounds(split, grid)
+            order, take = np.concatenate([[grid.size - 1], np.argsort(-bound[:-1], kind="stable")]), 1
         sampled = 1.0
-        for i in reversed(range(0, grid.size, chunk)):  # the late plateau raises the floor early
-            stack = spectral_expm(dec, grid[i:i + chunk], split.frame.u, split.frame.v)
-            if split.frame.real:
-                stack = stack.real.copy()
-            # a stack over half the budget is screened by halves, so the screen's
-            # conjugate and Gram stacks together stay within it (D > 16)
-            groups = np.array_split(stack, 2) if 2 * stack.size > _M_STACK_ENTRIES else (stack,)
-            for group in reversed(groups):
-                sampled = _screened_max(group, sampled)
+        while (order := order[~(bound[order] * _SCREEN_SAFETY <= sampled)]).size:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sample raises in the screen
+                stack = spectral_expm(dec, grid[order[:take]], split.frame.u, split.frame.v)
+            sampled = _screened_max(stack.real.copy() if split.frame.real else stack, sampled)
+            order, take = order[take:], size
         return cls(m_bound=1.05 * sampled, eta=gap.eta, delta=gap.delta, chi=chi,
                    dim=dec.dim, p_coeffs=p_coeffs, **_norm_constants(split))
 
@@ -601,6 +663,14 @@ def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
 # perturbed-semigroup bound, slope fits, pulsed Zeno, Hamiltonian projections
 # ---------------------------------------------------------------------------
 
+def _exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or inf where it overflows (a bound that large holds trivially)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PerturbedSemigroupReport:
     m_bound: float
@@ -620,13 +690,18 @@ def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid,
     b = _as_matrix(b, "strong generator")
     c = _as_matrix(c, "weak generator")
     t_grid = np.asarray(t_grid, dtype=float)
-    semigroup_norms = spectral_norms(expm(b, t_grid))
+    _check_gamma_t(gamma, t_grid)
+    if not t_grid.size:
+        raise ValidationError("t_grid must not be empty")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing exponential raises in spectral_norms
+        semigroup_norms = spectral_norms(expm(b, t_grid))
+        perturbed_norms = spectral_norms(expm(gamma * b + c, t_grid))
     if m_bound is None:
         m_bound = 1.05 * max(1.0, semigroup_norms.max())
     norm_c = spectral_norm(c)
     ratio_semi = (semigroup_norms / m_bound).max()
-    rhs = m_bound * np.array([math.exp(t * m_bound * norm_c) for t in t_grid.tolist()])
-    ratio_pert = (spectral_norms(expm(gamma * b + c, t_grid)) / rhs).max()
+    rhs = m_bound * np.array([_exp_or_inf(t * m_bound * norm_c) for t in t_grid.tolist()])
+    ratio_pert = (perturbed_norms / rhs).max()
     slack = 1e-12  # roundoff allowance for ratios at exact equality
     return PerturbedSemigroupReport(
         m_bound=float(m_bound),
@@ -654,6 +729,8 @@ def convergence_slope(points) -> SlopeFit:
         raise DegenerateDataError(f"need at least 4 points, got {len(pts)}")
     gammas = np.array([g for g, _ in pts])
     errs = np.array([e for _, e in pts])
+    if not (np.isfinite(gammas).all() and np.isfinite(errs).all()):
+        raise DegenerateDataError("gamma values and errors must be finite for a log-log fit")
     if np.any(errs <= 0):
         raise DegenerateDataError("errors must be positive for a log-log fit")
     if np.any(gammas <= 0):
@@ -687,8 +764,8 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
     """
     p = _as_matrix(p, "projection")
     l = _as_matrix(l, "generator")
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValidationError(f"n must be a positive integer, got {n!r}")
     idem = spectral_norm(p @ p - p)
     if idem > 1e-10 * max(1.0, spectral_norm(p)):
         raise ValidationError(f"projection is not idempotent (defect {idem:.3e})")

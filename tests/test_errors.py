@@ -13,7 +13,8 @@ from zeno_limits.linalg import spectral_norm, unvec
 from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.spectral import decompose, reduced_resolvent
 from zeno_limits.zeno import (BoundInputs, adiabatic_error, commutator_projections, convergence_slope,
-                              hamiltonian_zeno, pulsed_zeno_product, zeno_split)
+                              hamiltonian_zeno, perturbed_semigroup_bound_check, pulsed_zeno_product,
+                              zeno_split)
 
 BARE_RAISE = re.compile(r"raise (ValueError|TypeError|IndexError|KeyError)\(")
 
@@ -56,6 +57,14 @@ def _three_level_split():
     return zeno_split(strong.mat, weak.mat)
 
 
+def _semigroup_check(gamma, t_grid):
+    weak, strong = three_level_generators(ThreeLevelParams())
+    return perturbed_semigroup_bound_check(strong.mat, weak.mat, gamma, t_grid)
+
+
+GAMMAS = [1.0, 10.0, 100.0, 1000.0]
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: spectral_norm([1.0, 2.0]), DimensionError, "2-dimensional"),
     (lambda: unvec(np.ones(3), 2), DimensionError, "unvec"),
@@ -74,11 +83,31 @@ def _three_level_split():
     (lambda: hamiltonian_zeno(np.eye(2), NON_HERMITIAN), ValidationError, "H must be Hermitian"),
     (lambda: hamiltonian_zeno(NON_HERMITIAN, np.eye(2)), ValidationError, "K must be Hermitian"),
     (lambda: commutator_projections(NON_HERMITIAN), ValidationError, "K must be Hermitian"),
+    (lambda: BoundInputs.from_split(_three_level_split(), t_max=np.nan), ValidationError, "t_max must"),
+    (lambda: BoundInputs.from_split(_three_level_split(), t_max=-1.0), ValidationError, "t_max must"),
+    (lambda: BoundInputs.from_split(_three_level_split(), t_max=np.inf), ValidationError, "t_max must"),
+    (lambda: BoundInputs.from_split(_three_level_split(), gamma_max=0.0), ValidationError, "gamma_max must"),
+    (lambda: BoundInputs.from_split(_three_level_split(), gamma_max=-np.inf), ValidationError, "gamma_max must"),
+    (lambda: BoundInputs.from_split(_three_level_split(), t_max=1e300, gamma_max=1e300), ValidationError,
+     "overflows"),
+    (lambda: _semigroup_check(10.0, []), ValidationError, "must not be empty"),
+    (lambda: _semigroup_check(10.0, [0.0, -1.0]), ValidationError, "t must be nonnegative"),
+    (lambda: _semigroup_check(0.0, [0.0, 1.0]), ValidationError, "gamma must be positive"),
+    (lambda: pulsed_zeno_product(np.eye(4), np.zeros((4, 4)), 1.0, 2.5), ValidationError, "positive integer"),
+    (lambda: pulsed_zeno_product(np.eye(4), np.zeros((4, 4)), 1.0, "3"), ValidationError, "positive integer"),
+    (lambda: pulsed_zeno_product(np.eye(4), np.zeros((4, 4)), 1.0, True), ValidationError, "positive integer"),
+    (lambda: convergence_slope(list(zip(GAMMAS, [1.0, np.nan, 0.01, 0.001]))), DegenerateDataError, "finite"),
+    (lambda: convergence_slope(list(zip(GAMMAS[:3] + [np.inf], [1.0, 0.1, 0.01, 0.001]))), DegenerateDataError,
+     "finite"),
 ], ids=["one-dim-matrix", "unvec-size", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
         "unequal-split-shapes", "negative-bound-norm", "non-positive-slope-gamma", "error-at-a-t-list",
         "error-at-a-gamma-array",
-        "non-hermitian-h", "non-hermitian-k", "non-hermitian-commutator-k"])
+        "non-hermitian-h", "non-hermitian-k", "non-hermitian-commutator-k",
+        "m-horizon-nan-t", "m-horizon-negative-t", "m-horizon-inf-t", "m-horizon-zero-gamma",
+        "m-horizon-inf-gamma", "m-horizon-overflowing-product", "semigroup-check-empty-grid",
+        "semigroup-check-negative-t", "semigroup-check-zero-gamma", "pulsed-fractional-n", "pulsed-string-n",
+        "pulsed-bool-n", "slope-nan-error", "slope-inf-gamma"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -1,22 +1,29 @@
-"""Property tests of the ``evaluate_grid`` contract.
+"""Property tests of the ``evaluate_grid`` contract and of the M horizon.
 
 Any gamma and t lists, unsorted and with duplicates, give one row per
 (gamma, t) pair in (gamma, t) order, and every cell equals the one-point
-``adiabatic_error`` or scalar ``bound_*`` call bit for bit.
+``adiabatic_error`` or scalar ``bound_*`` call bit for bit.  Any horizon
+given to ``BoundInputs.from_split`` or ``perturbed_semigroup_bound_check``
+gives a finite M >= 1 or a ``ValidationError``.
 """
 
 import functools
+import math
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeno_limits import SweepConfig, liouvillian, random_gkls
+from zeno_limits import GklsSystem, SweepConfig, liouvillian, random_gkls
 from zeno_limits import zeno
 from zeno_limits.errors import ValidationError
 from zeno_limits.models import ThreeLevelParams, three_level_generators
-from zeno_limits.zeno import BOUNDS, VARIANTS, BoundInputs, adiabatic_error, evaluate_grid, zeno_split
+from zeno_limits.zeno import (BOUNDS, VARIANTS, BoundInputs, adiabatic_error, evaluate_grid,
+                              perturbed_semigroup_bound_check, zeno_split)
+
+from conftest import random_complex, random_hermitian
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 #: a failing example makes hypothesis's pytest plugin import libcst to suggest a patch, and that
@@ -28,8 +35,13 @@ pytestmark = pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is dep
 def _split(pair: str):
     if pair == "three-level":
         weak, strong = three_level_generators(ThreeLevelParams())
-    else:  # seeded D=16 corpus pair
+    elif pair == "gkls-d16":  # seeded corpus pair
         strong, weak = liouvillian(random_gkls(4, 2, seed=61)), liouvillian(random_gkls(4, 1, seed=62))
+    else:  # a seeded D=36 pair, whose M grid takes more than one stack
+        rng = np.random.default_rng(36)
+        strong, weak = (liouvillian(GklsSystem(d=6, hamiltonian=random_hermitian(rng, 6),
+                                               jumps=tuple(random_complex(rng, 6) for _ in range(n))))
+                        for n in (2, 1))
     return zeno_split(strong.mat, weak.mat)
 
 
@@ -90,3 +102,36 @@ def test_adiabatic_error_is_one_grid_call(monkeypatch, variant):
     assert calls == [((100.0,), (0.0,), (variant,))]
     [row] = evaluate_grid(split, (100.0,), (0.0,), (variant,))
     assert err.hex() == row[f"error_{variant}"].hex()
+
+
+#: the horizons a caller may pass by mistake, and ordinary ones
+horizons = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e300]),
+                     st.floats(-10.0, 1e4))
+
+
+def _ordinary(t: float, gamma: float) -> bool:
+    """A valid horizon small enough that no sample overflows: it must give M."""
+    return 0.0 <= t <= 1e4 and 0.0 < gamma <= 1e4
+
+
+@PROPERTY
+@given(pair=st.sampled_from(["three-level", "gkls-d36"]), t_max=horizons, gamma_max=horizons)
+def test_m_horizon_gives_a_finite_m_or_a_validation_error(pair, t_max, gamma_max):
+    try:
+        m = BoundInputs.from_split(_split(pair), t_max=t_max, gamma_max=gamma_max).m_bound
+    except ValidationError:
+        assert not _ordinary(t_max, gamma_max)
+        return
+    assert math.isfinite(m) and m >= 1.0
+
+
+@PROPERTY
+@given(t=horizons, gamma=horizons)
+def test_semigroup_check_horizon_gives_a_finite_m_or_a_validation_error(t, gamma):
+    weak, strong = three_level_generators(ThreeLevelParams())
+    try:
+        m = perturbed_semigroup_bound_check(strong.mat, weak.mat, gamma, [0.0, t]).m_bound
+    except ValidationError:
+        assert not _ordinary(t, gamma)
+        return
+    assert math.isfinite(m) and m >= 1.0

@@ -9,7 +9,8 @@ projection, a dense solve per cluster, and a per-cluster sum per t.
 The projections and nilpotents formed on demand must equal the eager
 expressions byte for byte, and the screened M sample must equal the
 sample that sends all 64 points through the SVD, both in the split's
-frame.
+frame.  The bound that decides which samples are formed at all must hold
+for every sample on a dense t-grid.
 """
 
 import itertools
@@ -211,6 +212,28 @@ def _random_generator(d: int, n_jumps: int, rng) -> np.ndarray:
     return gen / spectral_norm(gen)
 
 
+def _bench_pair(seed: int, d: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, C) superoperators of the bench's ``dissipative-d64`` pair at ``seed``, rebuilt here.
+
+    The bench's ``random_pair`` recipe: from ``SeedSequence([seed, d])``, a
+    Gaussian Hermitian H and traceless complex Gaussian jumps (two in B, one
+    in C), each generator scaled to unit spectral norm.
+    """
+    def generator(n_jumps: int, rng) -> np.ndarray:
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (a + a.conj().T) / 2.0
+        jumps = []
+        for _ in range(n_jumps):
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            jumps.append(m - (np.trace(m) / d) * np.eye(d))
+        scale = np.linalg.norm(liouvillian(GklsSystem(d=d, hamiltonian=h, jumps=tuple(jumps))).mat, 2)
+        system = GklsSystem(d=d, hamiltonian=h / scale, jumps=tuple(m / math.sqrt(scale) for m in jumps))
+        return liouvillian(system).mat
+
+    strong_seq, weak_seq = np.random.SeedSequence([seed, d]).spawn(2)
+    return generator(2, np.random.default_rng(strong_seq)), generator(1, np.random.default_rng(weak_seq))
+
+
 def _jordan(eigenvalue: complex, size: int) -> np.ndarray:
     return eigenvalue * np.eye(size) + np.eye(size, k=1)
 
@@ -296,10 +319,10 @@ def test_m_sample_stacks_stay_small_and_equal_one_point_calls(d, monkeypatch):
 
     monkeypatch.setattr(zeno, "spectral_expm", recording_expm)
     got = BoundInputs.from_split(split).m_bound
-    assert sum(shape[0] for shape in shapes) == 64
+    assert sum(shape[0] for shape in shapes) <= 64  # a sample whose bound cannot raise M is not formed
     assert max(math.prod(shape) for shape in shapes) <= 8 * 64 * 64
     if d <= 4:  # D <= 16: the whole grid is one stack
-        assert len(shapes) == 1
+        assert shapes == [(64, d * d, d * d)]
     assert split.frame.real
     sampled = max(np.linalg.norm(_frame_sample(split, t), 2) for t in _m_grid().tolist())
     assert got == 1.05 * max(1.0, sampled)
@@ -420,12 +443,8 @@ def test_overflowing_bound_keeps_its_sample(monkeypatch):
     assert BoundInputs.from_split(split).m_bound == 1.05 * spectral_norm(huge)
 
 
-def test_d64_work_counts(monkeypatch):
-    """The M sample of a GKLS pair runs under half its samples through the SVD, all of
-    them real, and no non-peripheral projection is formed by the split, the constants or a grid."""
-    rng = np.random.default_rng(1164)
-    split = zeno_split(_random_generator(8, 2, rng), _random_generator(8, 1, rng))
-    assert split.frame.real
+def _m_sample_work(split, monkeypatch) -> tuple[list, list]:
+    """The samples ``from_split`` forms for ``split`` and the matrices the M screen sends to the SVD."""
     samples, screening, svd_inputs, screen, svd = [], [False], [], zeno._screened_max, np.linalg.svd
 
     def recording_expm(dec, t, *args):
@@ -449,15 +468,102 @@ def test_d64_work_counts(monkeypatch):
     monkeypatch.setattr(zeno, "_screened_max", flagged_screen)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     BoundInputs.from_split(split)
-    assert len(samples) == 64
-    assert 0 < len(svd_inputs) < 32
-    assert all(m.dtype == float for m in svd_inputs)
     monkeypatch.undo()
+    return samples, svd_inputs
+
+
+def test_d64_work_counts(monkeypatch):
+    """The M sample of a GKLS pair forms and screens only the samples that can raise M, all
+    of them real, and no non-peripheral projection is formed by the split, the constants or a grid.
+
+    On this pair M sits on the late plateau, which the samples approach from below: 27
+    samples have a bound above M, so all of them are formed, and 20 besides the largest
+    have a Gram bound above it (checked below), so they reach the SVD in any order.
+    """
+    rng = np.random.default_rng(1164)
+    split = zeno_split(_random_generator(8, 2, rng), _random_generator(8, 1, rng))
+    assert split.frame.real
+    grid = _m_grid()
+    sampled = BoundInputs.from_split(split).m_bound / 1.05
+    assert np.sum(zeno._sample_bounds(split, grid) * zeno._SCREEN_SAFETY > sampled) == 27
+    samples, svd_inputs = _m_sample_work(split, monkeypatch)
+    assert len(samples) <= 27
+    assert 0 < len(svd_inputs) <= 21
+    assert all(m.dtype == float for m in svd_inputs)
 
     evaluate_grid(split, [10.0, 1000.0], np.geomspace(0.25, 2.0, 4), bounds=tuple(BOUNDS))
     dec = split.decomposition
     assert len(dec.nonperipheral_clusters) == 63
     assert not any("projection" in vars(c) for c in dec.nonperipheral_clusters)
+
+
+def test_bench_seed_102_work_counts(monkeypatch):
+    """On the ``dissipative-d64`` pair of seed 102, whose M is a transient above the plateau, at
+    most 24 of the 64 samples are formed and at most 12 reach the SVD (64 and 19 when every
+    sample was formed)."""
+    split = zeno_split(*_bench_pair(102))
+    samples, svd_inputs = _m_sample_work(split, monkeypatch)
+    assert len(samples) <= 24
+    assert 0 < len(svd_inputs) <= 12
+
+
+@pytest.mark.parametrize("seed", range(101, 111))
+def test_prescreened_m_equals_the_full_svd_sample_on_bench_pairs(seed):
+    split = zeno_split(*_bench_pair(seed))
+    assert BoundInputs.from_split(split).m_bound == _full_sample_m(split)
+
+
+def _similar_b() -> np.ndarray:
+    """A diagonalizable B = S diag(0, -1, -2 + i, -1/2) S^{-1} whose chi is about 10^6."""
+    s = np.eye(4) + 80.0 * np.triu(np.ones((4, 4)), 1)
+    return s @ np.diag([0.0, -1.0, -2.0 + 1.0j, -0.5]) @ np.linalg.inv(s)
+
+
+def _reset_b(d: int) -> np.ndarray:
+    """The reset channel's generator, rho -> |0><0| tr(rho) - rho (jumps |0><j|); ||e^{tB}|| reaches sqrt(d)."""
+    basis = np.eye(d)
+    return liouvillian(GklsSystem(d=d, hamiltonian=np.zeros((d, d)),
+                                  jumps=tuple(np.outer(basis[0], basis[j]) for j in range(d)))).mat
+
+
+def _bound_cases():
+    for i, (strong, weak) in enumerate(gkls_pair_corpus()):
+        yield pytest.param(liouvillian(strong).mat, liouvillian(weak).mat, id=f"corpus-{i}")
+    for seed in (101, 102, 103):
+        yield pytest.param(*_bench_pair(seed), id=f"bench-D64-{seed}")
+    for d in (2, 3, 4):
+        yield pytest.param(_reset_b(d), np.ones((d * d, d * d)), id=f"reset-d{d}")
+    k = random_complex(np.random.default_rng(31), 3)
+    yield pytest.param(liouvillian(GklsSystem(d=3, hamiltonian=(k + k.conj().T) / 2)).mat, np.ones((9, 9)),
+                       id="unitary-D9")
+    yield pytest.param(sla.block_diag(0.0, _jordan(-1.0, 2)), np.ones((3, 3)), id="0+J2(-1)")
+    # a defective block whose transient (||e^{tB}|| near 3.7 at t = 1) only the e^{t ||N_k||} factor covers
+    yield pytest.param(sla.block_diag(0.0, np.array([[-1.0, 10.0], [0.0, -1.0]])), np.ones((3, 3)),
+                       id="0+defective-transient")
+    yield pytest.param(_similar_b(), np.ones((4, 4)), id="similar-chi-1e6")
+
+
+@pytest.mark.parametrize("b, c", _bound_cases())
+def test_sample_bound_covers_the_formed_sample(b, c):
+    """The pre-screen's bound times ``_SCREEN_SAFETY`` is at least the computed norm of the sample
+    ``from_split`` would form, at 256 dense t up to its default horizon."""
+    split = zeno_split(b, c)
+    ts = np.concatenate([[0.0], np.geomspace(1e-4, 2000.0, 255)])
+    norms = np.linalg.svd(_frame_sample(split, ts), compute_uv=False)[:, 0]
+    assert np.all(zeno._sample_bounds(split, ts) * zeno._SCREEN_SAFETY >= norms)
+
+
+def test_tight_bounds_keep_m_exact(monkeypatch):
+    """With each bound equal to its sample's norm, a sample is skipped only 1e-8 below the running
+    max: the latest sample, formed first, raises it to the plateau, 4.4e-5 below the transient M."""
+    split = zeno_split(*_bench_pair(102))
+    norms = np.linalg.svd(_frame_sample(split, _m_grid()), compute_uv=False)[:, 0]
+    monkeypatch.setattr(zeno, "_sample_bounds", lambda split, ts: norms.copy())
+    assert BoundInputs.from_split(split).m_bound == _full_sample_m(split)
+
+
+def test_similar_case_is_ill_conditioned():
+    assert 5e5 < condition_number(decompose(_similar_b())) < 5e6
 
 
 def test_exponential_matches_scipy_expm(oracle_split):
