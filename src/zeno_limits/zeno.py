@@ -685,7 +685,9 @@ def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid,
 
     First confirms ||e^{tB}|| <= M on the same grid (that is the
     hypothesis of the Dyson-series estimate), then checks the perturbed
-    bound pointwise and reports the worst ratios.
+    bound pointwise and reports the worst ratios.  gamma must be positive
+    and the grid non-empty with every t nonnegative, all finite; an
+    exponential that overflows raises :class:`ValidationError`.
     """
     b = _as_matrix(b, "strong generator")
     c = _as_matrix(c, "weak generator")

@@ -478,7 +478,7 @@ def test_d64_work_counts(monkeypatch):
 
     On this pair M sits on the late plateau, which the samples approach from below: 27
     samples have a bound above M, so all of them are formed, and 20 besides the largest
-    have a Gram bound above it (checked below), so they reach the SVD in any order.
+    have a Gram bound above it, so they reach the SVD in any order.
     """
     rng = np.random.default_rng(1164)
     split = zeno_split(_random_generator(8, 2, rng), _random_generator(8, 1, rng))
