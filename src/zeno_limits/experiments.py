@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -82,8 +83,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.gamma_grid:
             raise ValidationError("gamma_grid must not be empty")
-        if self.t_count < 0:
-            raise ValidationError(f"t_count must be nonnegative, got {self.t_count}")
+        if isinstance(self.t_count, bool) or not isinstance(self.t_count, numbers.Integral) or self.t_count < 0:
+            raise ValidationError(f"t_count must be a nonnegative integer, got {self.t_count!r}")
         if list(self.gamma_grid) != sorted(set(self.gamma_grid)):
             raise ValidationError("gamma_grid must be strictly increasing")
         if any(g <= 0 for g in self.gamma_grid):

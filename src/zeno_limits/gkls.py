@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, EstimationError, ValidationError
-from .linalg import _kron, as_complex_matrix, spectral_norm, spectral_norms, unvec, vec
+from .linalg import _kron, _require_square, as_complex_matrix, spectral_norm, spectral_norms, unvec, vec
 
 __all__ = [
     "GklsSystem",
@@ -156,7 +156,7 @@ def _traceless_basis(d: int) -> np.ndarray:
 
 def hamiltonian_superoperator(h) -> np.ndarray:
     """Matrix of -i [H, .]."""
-    h = as_complex_matrix(h, "hamiltonian")
+    h = _require_square(h, "hamiltonian")
     eye = np.eye(h.shape[0])
     return -1j * (_kron(eye, h) - _kron(h.T, eye))
 

@@ -49,7 +49,8 @@ from .errors import (
     ValidationError,
 )
 from .gkls import GklsSystem, Superoperator, _hermitian_basis, hamiltonian_superoperator, liouvillian
-from .linalg import _expm_stack, as_complex_matrix, expm, sandwich_super, spectral_norm, spectral_norms
+from .linalg import (_EXPM_RANGE, _expm_stack, _onenorms, _require_square, as_complex_matrix, expm, sandwich_super,
+                     spectral_norm, spectral_norms)
 from .spectral import (
     RESIDUAL_FACTOR,
     GapData,
@@ -189,7 +190,7 @@ def zeno_split(b, c, cluster_tol: float | None = None,
 # ---------------------------------------------------------------------------
 
 #: complex entries of an e^{tB} stack and its screen's Gram stack together while
-#: sampling M (0.5 MiB): 4 t-points at D = 64, and the whole 64-point grid at D <= 16
+#: sampling M (0.5 MiB): 4 t-points at D = 64
 _M_STACK_ENTRIES = 8 * 64 * 64
 #: factor on the screening bounds of :func:`_screened_max` and :func:`_sample_bounds`,
 #: far above their rounding (relative D^2 eps) and the SVD's
@@ -246,12 +247,9 @@ def _screened_max(stack: np.ndarray, top: float) -> float:
     ||A||_2 <= ||(A^H A)^{2^k}||_1^{1/2^{k+1}} for every k, since the
     1-norm bounds the spectral radius of the Hermitian A^H A.  A sample
     whose bound, times ``_SCREEN_SAFETY``, is at most ``top`` cannot raise
-    it and skips the SVD; levels k = 0, 1, 2 each take one stacked product
-    of the survivors.  The survivors go through the SVD in descending
-    bound order: the largest bound first, then, screened against the
-    raised ``top``, the rest in one stacked call.  The products and SVDs
-    keep the stack's dtype, so a float64 stack stays real throughout.  The
-    finiteness check covers every sample, screened or not.
+    it; k = 0, 1, 2 each take one stacked product, and the survivors one
+    stacked SVD, all in the stack's dtype.  The finiteness check covers
+    every sample, screened or not.
     """
     if not np.isfinite(stack).all():
         raise ValidationError("e^{tB} sample contains non-finite entries")
@@ -259,18 +257,11 @@ def _screened_max(stack: np.ndarray, top: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its sample
         gram = stack.conj().transpose(0, 2, 1) @ stack
         for k in range(3):
-            bound = np.abs(gram).sum(axis=1).max(axis=1) ** (0.5 ** (k + 1)) * _SCREEN_SAFETY
-            keep = ~(bound <= top)
-            live, bound, gram = live[keep], bound[keep], gram[keep]
+            keep = ~(np.abs(gram).sum(axis=1).max(axis=1) ** (0.5 ** (k + 1)) * _SCREEN_SAFETY <= top)
+            live, gram = live[keep], gram[keep]
             if k < 2:
                 gram = gram @ gram
-    if live.size:
-        first = int(np.argmax(bound))
-        top = max(top, float(spectral_norms(stack[live[first]][None])[0]))
-        rest = live[~(bound <= top) & (live != live[first])]
-        if rest.size:
-            top = max(top, float(spectral_norms(stack[rest]).max()))
-    return top
+    return float(spectral_norms(stack[live]).max(initial=top))
 
 
 @dataclass(frozen=True)
@@ -316,20 +307,14 @@ class BoundInputs:
         and the asymptotic regime), floored at 1; t_max must be nonnegative
         and gamma_max positive, both finite with a finite product, and a
         sample that overflows (where e^{t Re b_k} of a peripheral
-        eigenvalue's rounding does) raises :class:`ValidationError`.  The
-        samples are formed in the split's :class:`Frame` (float64 for a
-        GKLS pair, so the products and SVDs below are real), in stacks
-        that with their screen's Gram stack fit ``_M_STACK_ENTRIES``.
-        When the grid fits one stack (D <= 16) it is formed and screened
-        whole.  Otherwise a sample is formed only while its bound by
-        construction (:func:`_sample_bounds`) times ``_SCREEN_SAFETY``
-        exceeds the largest norm so far: first the latest sample alone, on
-        the plateau, then the rest in descending order of their bounds.  A
-        formed sample goes through the SVD only when the Gram bound of
-        :func:`_screened_max` exceeds that norm too.  A sample skipped
-        either way cannot raise the maximum, so M is the float the full
-        64-SVD sample in the frame gives; the norms are those of the
-        standard basis up to rounding.
+        eigenvalue's rounding does) raises :class:`ValidationError`.  A
+        sample is formed, in the split's :class:`Frame` (float64 for a GKLS
+        pair), only while its :func:`_sample_bounds` times
+        ``_SCREEN_SAFETY`` exceeds the largest norm so far: the latest
+        alone first, then the rest by descending bound in stacks of
+        ``_M_STACK_ENTRIES``, each through :func:`_screened_max`.  A
+        skipped sample cannot raise the maximum, so M is the float of the
+        full 64-SVD sample in the frame.
         """
         if not (math.isfinite(t_max) and t_max >= 0):
             raise ValidationError(f"t_max must be nonnegative and finite, got {t_max!r}")
@@ -343,13 +328,10 @@ class BoundInputs:
         p_coeffs = np.array([chi * len(dec.nonperipheral_clusters)])
 
         grid = np.concatenate([[0.0], np.geomspace(max(horizon, 1e-12) * 1e-6, max(horizon, 1e-12), 63)])
-        size = max(1, _M_STACK_ENTRIES // (2 * dec.dim ** 2))
-        if size >= grid.size:
-            order, bound, take = np.arange(grid.size), np.full(grid.size, np.inf), size
-        else:  # the latest sample alone raises the running max to the plateau, then the largest bounds
-            bound = _sample_bounds(split, grid)
-            order, take = np.concatenate([[grid.size - 1], np.argsort(-bound[:-1], kind="stable")]), 1
-        sampled = 1.0
+        bound = _sample_bounds(split, grid)
+        # the latest sample alone raises the running max to the plateau, then the largest bounds
+        order = np.concatenate([[grid.size - 1], np.argsort(-bound[:-1], kind="stable")])
+        size, take, sampled = max(1, _M_STACK_ENTRIES // (2 * dec.dim ** 2)), 1, 1.0
         while (order := order[~(bound[order] * _SCREEN_SAFETY <= sampled)]).size:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sample raises in the screen
                 stack = spectral_expm(dec, grid[order[:take]], split.frame.u, split.frame.v)
@@ -479,8 +461,7 @@ def _on_grid(bound):
     """
     @functools.wraps(bound)
     def on_grid(inputs: BoundInputs, gamma, t):
-        gamma, t = np.asarray(gamma, dtype=float), np.asarray(t, dtype=float)
-        _check_gamma_t(gamma, t)
+        gamma, t = _checked_gamma_t(gamma, t)
         values = np.broadcast_to(bound(inputs, gamma, t), np.broadcast_shapes(gamma.shape, t.shape))
         return float(values) if values.ndim == 0 else values.copy()
     return on_grid
@@ -558,13 +539,17 @@ def bound_simplified(inputs: BoundInputs, gamma, t):
     return first + tail
 
 
-def _check_gamma_t(gamma, t) -> None:
-    """Every gamma (a float or an array) must be positive and every t nonnegative, all finite."""
-    gamma, t = np.asarray(gamma, dtype=float), np.asarray(t, dtype=float)
+def _checked_gamma_t(gamma, t) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and t (floats or arrays) as float arrays, every gamma positive and every t nonnegative, all finite."""
+    try:
+        gamma, t = np.asarray(gamma, dtype=float), np.asarray(t, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"gamma and t must be numeric: {exc}") from exc
     if not np.all((gamma > 0) & np.isfinite(gamma)):
         raise ValidationError("gamma must be positive and finite")
     if not np.all((t >= 0) & np.isfinite(t)):
         raise ValidationError("t must be nonnegative and finite")
+    return gamma, t
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +575,10 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
     """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid sorted by (gamma, t); cells not requested are None.
 
     The names in ``variants`` and ``bounds`` (keys of ``BOUNDS``), every
-    gamma (positive) and every t (nonnegative), all finite, are checked
-    before any work.  The bounds are evaluated at the constants
+    gamma (positive) and every t (nonnegative), all finite numbers, are
+    checked before any work, and error cells whose t (gamma B + C) may
+    leave the Pade kernel's range raise instead of reaching it.  The
+    bounds are evaluated at the constants
     ``BoundInputs.from_split`` measures over this grid's horizon (largest
     t, largest gamma), where the paper's M must hold; each takes the whole
     grid in one call.  The errors are evaluated in ``split.frame`` (float64
@@ -605,9 +592,8 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
     at one point.
     """
     _check_names(variants, bounds)
-    gammas = np.sort(np.asarray(gammas, dtype=float).reshape(-1))
-    ts = np.sort(np.asarray(t_grid, dtype=float).reshape(-1))
-    _check_gamma_t(gammas, ts)
+    gammas, ts = _checked_gamma_t(gammas, t_grid)
+    gammas, ts = np.sort(gammas.reshape(-1)), np.sort(ts.reshape(-1))
     if not (gammas.size and ts.size):
         return []
     if bounds:
@@ -627,6 +613,9 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
 def _error_columns(split: ZenoSplit, gammas: np.ndarray, ts: np.ndarray, variants) -> dict:
     """The requested error columns over gammas x ts as lists in gamma-major order (see :func:`evaluate_grid`)."""
     frame, dim = split.frame, len(split.frame.b)
+    if ts[-1] * max(gammas[-1] * _onenorms(frame.b) + _onenorms(frame.c), _onenorms(frame.c_z)) > _EXPM_RANGE:
+        raise ValidationError(f"t (gamma B + C) may be out of the Pade kernel's range: a 1-norm bound exceeds "
+                              f"{_EXPM_RANGE:.3g}")
     zeno_exps = _expm_stack(ts[:, None, None] * frame.c_z)
     columns = {f"error_{name}": np.empty((gammas.size, ts.size)) for name in VARIANTS if name in variants}
     # the Pade kernel holds about eight stacks of a chunk's size at once: a quarter of
@@ -636,12 +625,13 @@ def _error_columns(split: ZenoSplit, gammas: np.ndarray, ts: np.ndarray, variant
         chunk = gammas[lo:lo + per_chunk]
         exponent = chunk[:, None, None] * frame.b + frame.c
         lhs = _expm_stack((ts[:, None, None] * exponent[:, None]).reshape(-1, dim, dim))
-        strong = spectral_expm(split.decomposition, np.multiply.outer(chunk, ts).ravel(), frame.u, frame.v)
-        strong = (strong.real.copy() if frame.real else strong).reshape(chunk.size, ts.size, dim, dim)
-        rhs = (strong @ zeno_exps).reshape(lhs.shape)  # each gamma's t-stack times the one e^{t C_Z} stack
-        for key, values in columns.items():
-            limit = rhs @ frame.p_phi if key == "error_peripheral" else rhs
-            values[lo:lo + chunk.size] = spectral_norms(lhs - limit).reshape(chunk.size, ts.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing e^{t gamma B} raises below
+            strong = spectral_expm(split.decomposition, np.multiply.outer(chunk, ts).ravel(), frame.u, frame.v)
+            strong = (strong.real.copy() if frame.real else strong).reshape(chunk.size, ts.size, dim, dim)
+            rhs = (strong @ zeno_exps).reshape(lhs.shape)  # each gamma's t-stack times the one e^{t C_Z} stack
+            for key, values in columns.items():
+                limit = rhs @ frame.p_phi if key == "error_peripheral" else rhs
+                values[lo:lo + chunk.size] = spectral_norms(lhs - limit).reshape(chunk.size, ts.size)
         del exponent, lhs, strong, rhs, limit  # so the next chunk's stacks do not coexist with these
     return {key: values.ravel().tolist() for key, values in columns.items()}
 
@@ -691,8 +681,9 @@ def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid,
     """
     b = _as_matrix(b, "strong generator")
     c = _as_matrix(c, "weak generator")
-    t_grid = np.asarray(t_grid, dtype=float)
-    _check_gamma_t(gamma, t_grid)
+    if b.shape != c.shape:
+        raise DimensionError(f"B and C must have equal shapes, got {b.shape}, {c.shape}")
+    _, t_grid = _checked_gamma_t(gamma, t_grid)
     if not t_grid.size:
         raise ValidationError("t_grid must not be empty")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing exponential raises in spectral_norms
@@ -768,6 +759,8 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
     l = _as_matrix(l, "generator")
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
+    if p.shape != l.shape or p.shape[0] != p.shape[1]:
+        raise DimensionError(f"P and L must be square with equal shapes, got {p.shape}, {l.shape}")
     idem = spectral_norm(p @ p - p)
     if idem > 1e-10 * max(1.0, spectral_norm(p)):
         raise ValidationError(f"projection is not idempotent (defect {idem:.3e})")
@@ -795,6 +788,8 @@ def hamiltonian_zeno(k, h, tol: float | None = None) -> np.ndarray:
     """Projected Hamiltonian H_Z = sum_n P_n H P_n over eigenprojections of K."""
     k = as_complex_matrix(k, "strong Hamiltonian")
     h = as_complex_matrix(h, "weak Hamiltonian")
+    if k.shape != h.shape or k.shape[0] != k.shape[1]:
+        raise DimensionError(f"K and H must be square with equal shapes, got {k.shape}, {h.shape}")
     for name, m in (("K", k), ("H", h)):
         if spectral_norm(m - m.conj().T) > 1e-10 * max(1.0, spectral_norm(m)):
             raise ValidationError(f"{name} must be Hermitian")
@@ -820,7 +815,7 @@ def commutator_projections(k, tol: float | None = None) -> list[BohrComponent]:
     sum over all pairs at that frequency of P_m (.) P_n.  Frequencies are
     clustered like the eigenvalues of K, at the same tolerance.
     """
-    k = as_complex_matrix(k, "Hamiltonian")
+    k = _require_square(k, "Hamiltonian")
     if spectral_norm(k - k.conj().T) > 1e-10 * max(1.0, spectral_norm(k)):
         raise ValidationError("K must be Hermitian")
     if tol is None:
@@ -840,6 +835,8 @@ def fast_oscillation_zeno(sys: GklsSystem, k) -> Superoperator:
     L is the Liouvillian of ``sys`` and P_omega the Bohr-frequency
     projections of [K, .] from :func:`commutator_projections`.
     """
+    if as_complex_matrix(k, "Hamiltonian").shape != (sys.d, sys.d):
+        raise DimensionError(f"K must be {sys.d}x{sys.d}, got shape {np.shape(k)}")
     full = liouvillian(sys).mat
     mat = np.zeros_like(full)
     for comp in commutator_projections(k):

@@ -142,16 +142,19 @@ def test_zeno_bounds_bad_grid_is_typed(tmp_path, pair_files, capsys, grid):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("point", [["--gamma=-1", "--t", "1.0"], ["--gamma", "10", "--t=-1"]])
+@pytest.mark.parametrize("point", [["--gamma=-1", "--t", "1.0"], ["--gamma", "10", "--t=-1"],
+                                   ["--gamma", "1e30", "--t", "1e10"]])
 def test_zeno_error_bad_point_is_typed(tmp_path, pair_files, capsys, point):
+    """A point outside the domain, or one whose t (gamma B + C) is out of the Pade kernel's range."""
     sp, wp = pair_files
     split_path = tmp_path / "split.json"
     assert main(["zeno", "split", "--strong", str(sp), "--weak", str(wp),
                  "--output", str(split_path)]) == 0
+    capsys.readouterr()
     code = main(["zeno", "error", "--split", str(split_path), *point, "--variant", "plain"])
     assert code == 2
     captured = capsys.readouterr()
-    assert "error:" in captured.err and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_model_commands(tmp_path, capsys):

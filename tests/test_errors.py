@@ -8,13 +8,14 @@ import pytest
 
 import zeno_limits
 from zeno_limits.errors import DegenerateDataError, DimensionError, ValidationError
-from zeno_limits.gkls import GklsSystem, Superoperator, no_go_check
+from zeno_limits.experiments import SweepConfig
+from zeno_limits.gkls import GklsSystem, Superoperator, hamiltonian_superoperator, no_go_check
 from zeno_limits.linalg import spectral_norm, unvec
 from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.spectral import decompose, reduced_resolvent
 from zeno_limits.zeno import (BoundInputs, adiabatic_error, commutator_projections, convergence_slope,
-                              hamiltonian_zeno, perturbed_semigroup_bound_check, pulsed_zeno_product,
-                              zeno_split)
+                              evaluate_grid, fast_oscillation_zeno, hamiltonian_zeno,
+                              perturbed_semigroup_bound_check, pulsed_zeno_product, zeno_split)
 
 BARE_RAISE = re.compile(r"raise (ValueError|TypeError|IndexError|KeyError)\(")
 
@@ -99,6 +100,18 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: convergence_slope(list(zip(GAMMAS, [1.0, np.nan, 0.01, 0.001]))), DegenerateDataError, "finite"),
     (lambda: convergence_slope(list(zip(GAMMAS[:3] + [np.inf], [1.0, 0.1, 0.01, 0.001]))), DegenerateDataError,
      "finite"),
+    (lambda: evaluate_grid(_three_level_split(), [1e30], [1e10], ("plain",)), ValidationError, "kernel's range"),
+    (lambda: evaluate_grid(_three_level_split(), [1e6], [1e14], ("plain",)), ValidationError, "non-finite"),
+    (lambda: evaluate_grid(_three_level_split(), ["ten"], [1.0]), ValidationError, "numeric"),
+    (lambda: evaluate_grid(_three_level_split(), [10.0], [[0.5], [1.0, 2.0]]), ValidationError, "numeric"),
+    (lambda: hamiltonian_zeno(np.eye(2), np.eye(3)), DimensionError, "equal shapes"),
+    (lambda: pulsed_zeno_product(np.eye(4), np.zeros((3, 3)), 1.0, 2), DimensionError, "equal shapes"),
+    (lambda: fast_oscillation_zeno(GklsSystem(2, np.eye(2)), np.eye(3)), DimensionError, "K must be 2x2"),
+    (lambda: commutator_projections(np.ones((2, 3))), DimensionError, "square"),
+    (lambda: hamiltonian_superoperator(np.ones((2, 3))), DimensionError, "square"),
+    (lambda: SweepConfig(t_count=2.5), ValidationError, "nonnegative integer"),
+    (lambda: perturbed_semigroup_bound_check(np.zeros((2, 2)), np.zeros((3, 3)), 1.0, [1.0]), DimensionError,
+     "equal shapes"),
 ], ids=["one-dim-matrix", "unvec-size", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
         "unequal-split-shapes", "negative-bound-norm", "non-positive-slope-gamma", "error-at-a-t-list",
@@ -107,7 +120,10 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
         "m-horizon-nan-t", "m-horizon-negative-t", "m-horizon-inf-t", "m-horizon-zero-gamma",
         "m-horizon-inf-gamma", "m-horizon-overflowing-product", "semigroup-check-empty-grid",
         "semigroup-check-negative-t", "semigroup-check-zero-gamma", "pulsed-fractional-n", "pulsed-string-n",
-        "pulsed-bool-n", "slope-nan-error", "slope-inf-gamma"])
+        "pulsed-bool-n", "slope-nan-error", "slope-inf-gamma", "error-out-of-kernel-range",
+        "error-overflowing-strong-exponential", "grid-string-gamma", "grid-ragged-t", "hamiltonian-zeno-shapes",
+        "pulsed-shapes", "fast-oscillation-k-shape", "commutator-non-square-k", "superoperator-non-square-h",
+        "sweep-fractional-t-count", "semigroup-check-shapes"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()

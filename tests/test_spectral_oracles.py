@@ -310,19 +310,19 @@ def test_batched_exponential_and_m_match_the_per_t_loop(oracle_split):
 def test_m_sample_stacks_stay_small_and_equal_one_point_calls(d, monkeypatch):
     rng = np.random.default_rng(900 + d)
     split = zeno_split(_random_generator(d, 2, rng), _random_generator(d, 1, rng))
-    shapes = []
+    shapes, times = [], []
 
     def recording_expm(dec, t, *args):
         out = spectral_expm(dec, t, *args)
         shapes.append(out.shape)
+        times.append(np.atleast_1d(t).tolist())
         return out
 
     monkeypatch.setattr(zeno, "spectral_expm", recording_expm)
     got = BoundInputs.from_split(split).m_bound
     assert sum(shape[0] for shape in shapes) <= 64  # a sample whose bound cannot raise M is not formed
     assert max(math.prod(shape) for shape in shapes) <= 8 * 64 * 64
-    if d <= 4:  # D <= 16: the whole grid is one stack
-        assert shapes == [(64, d * d, d * d)]
+    assert times[0] == [_m_grid()[-1]]  # at every D the latest sample is formed first and alone
     assert split.frame.real
     sampled = max(np.linalg.norm(_frame_sample(split, t), 2) for t in _m_grid().tolist())
     assert got == 1.05 * max(1.0, sampled)
@@ -417,14 +417,17 @@ def test_screened_m_floor_and_transient_cases():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_sample_the_screen_would_skip_raises(bad, monkeypatch):
+    """With inf bounds every sample is formed, the latest first and alone; a non-finite entry in
+    it raises, though its norm sits far below the floor where the Gram screen would skip it."""
     split = zeno_split(FLOOR_B, np.ones((3, 3)))
 
     def poisoned(dec, t, *args):
         out = spectral_expm(dec, t, *args)
-        assert np.linalg.norm(out[-1], 2) < 1e-300  # the last sample sits far below the floor
-        out[-1, 0, 0] = bad
+        assert out.shape[0] == 1 and np.linalg.norm(out[0], 2) < 1e-300
+        out[0, 0, 0] = bad
         return out
 
+    monkeypatch.setattr(zeno, "_sample_bounds", lambda split, ts: np.full(ts.size, np.inf))
     monkeypatch.setattr(zeno, "spectral_expm", poisoned)
     with pytest.raises(ValidationError, match="non-finite"):
         BoundInputs.from_split(split)
@@ -443,13 +446,29 @@ def test_overflowing_bound_keeps_its_sample(monkeypatch):
     assert BoundInputs.from_split(split).m_bound == 1.05 * spectral_norm(huge)
 
 
-def _m_sample_work(split, monkeypatch) -> tuple[list, list]:
-    """The samples ``from_split`` forms for ``split`` and the matrices the M screen sends to the SVD."""
-    samples, screening, svd_inputs, screen, svd = [], [False], [], zeno._screened_max, np.linalg.svd
+def test_screen_survivors_take_one_svd_call(monkeypatch):
+    """Every sample whose Gram bound exceeds ``top`` goes to one stacked SVD, the largest with the rest."""
+    calls, norms = [], zeno.spectral_norms
+
+    def recording_norms(stack):
+        calls.append(len(stack))
+        return norms(stack)
+
+    monkeypatch.setattr(zeno, "spectral_norms", recording_norms)
+    assert zeno._screened_max(np.array([2.0 * np.eye(3), 3.0 * np.eye(3), 0.5 * np.eye(3)]), 1.0) == 3.0
+    assert calls == [2]
+
+
+def _m_sample_work(split, monkeypatch) -> tuple[list, list, list]:
+    """The samples ``from_split`` forms for ``split``, the matrices the M screen sends to the SVD
+    and the times of each formed stack."""
+    samples, stacks, screening, svd_inputs = [], [], [False], []
+    screen, svd = zeno._screened_max, np.linalg.svd
 
     def recording_expm(dec, t, *args):
         out = spectral_expm(dec, t, *args)
         samples.extend(out)
+        stacks.append(np.atleast_1d(t).tolist())
         return out
 
     def flagged_screen(*args):
@@ -469,7 +488,7 @@ def _m_sample_work(split, monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     BoundInputs.from_split(split)
     monkeypatch.undo()
-    return samples, svd_inputs
+    return samples, svd_inputs, stacks
 
 
 def test_d64_work_counts(monkeypatch):
@@ -486,7 +505,7 @@ def test_d64_work_counts(monkeypatch):
     grid = _m_grid()
     sampled = BoundInputs.from_split(split).m_bound / 1.05
     assert np.sum(zeno._sample_bounds(split, grid) * zeno._SCREEN_SAFETY > sampled) == 27
-    samples, svd_inputs = _m_sample_work(split, monkeypatch)
+    samples, svd_inputs, _ = _m_sample_work(split, monkeypatch)
     assert len(samples) <= 27
     assert 0 < len(svd_inputs) <= 21
     assert all(m.dtype == float for m in svd_inputs)
@@ -502,9 +521,23 @@ def test_bench_seed_102_work_counts(monkeypatch):
     most 24 of the 64 samples are formed and at most 12 reach the SVD (64 and 19 when every
     sample was formed)."""
     split = zeno_split(*_bench_pair(102))
-    samples, svd_inputs = _m_sample_work(split, monkeypatch)
+    samples, svd_inputs, _ = _m_sample_work(split, monkeypatch)
     assert len(samples) <= 24
     assert 0 < len(svd_inputs) <= 12
+
+
+def test_corpus_work_counts(monkeypatch):
+    """At criterion 5's horizon (the default 2 x 1000), the M samples of the 50 corpus pairs (D <= 16)
+    form at most 1,500 samples in all (3,200 when every sample was formed), each pair's first formed
+    stack is its latest sample alone, and every sample sent to the SVD is real."""
+    formed, latest = 0, _m_grid()[-1]
+    for strong, weak in gkls_pair_corpus(50):
+        split = zeno_split(liouvillian(strong).mat, liouvillian(weak).mat)
+        samples, svd_inputs, stacks = _m_sample_work(split, monkeypatch)
+        formed += len(samples)
+        assert stacks[0] == [latest]
+        assert all(m.dtype == float for m in svd_inputs)
+    assert formed <= 1500
 
 
 @pytest.mark.parametrize("seed", range(101, 111))
@@ -546,11 +579,13 @@ def _bound_cases():
 @pytest.mark.parametrize("b, c", _bound_cases())
 def test_sample_bound_covers_the_formed_sample(b, c):
     """The pre-screen's bound times ``_SCREEN_SAFETY`` is at least the computed norm of the sample
-    ``from_split`` would form, at 256 dense t up to its default horizon."""
+    ``from_split`` would form, at 256 dense t up to its default horizon 2,000 and up to the
+    horizons 1e-3 and 1e6."""
     split = zeno_split(b, c)
-    ts = np.concatenate([[0.0], np.geomspace(1e-4, 2000.0, 255)])
-    norms = np.linalg.svd(_frame_sample(split, ts), compute_uv=False)[:, 0]
-    assert np.all(zeno._sample_bounds(split, ts) * zeno._SCREEN_SAFETY >= norms)
+    for horizon in (2000.0, 1e-3, 1e6):
+        ts = np.concatenate([[0.0], np.geomspace(horizon * 5e-8, horizon, 255)])
+        norms = np.linalg.svd(_frame_sample(split, ts), compute_uv=False)[:, 0]
+        assert np.all(zeno._sample_bounds(split, ts) * zeno._SCREEN_SAFETY >= norms), horizon
 
 
 def test_tight_bounds_keep_m_exact(monkeypatch):
