@@ -15,9 +15,9 @@ measures that error and evaluates three upper bounds for it, over a
 errors are measured in the split's ``Frame``, the orthonormal Hermitian
 operator basis in which a GKLS pair's matrices are real.  Each bound
 holds for the constants in its ``BoundInputs``; there M is a sampled
-estimate of sup_t ||e^{tB}||, not a certified one.  The bounds take
-floats or whole (gamma, t) grids, and a grid cell equals the scalar call
-bit for bit:
+estimate of sup_t ||e^{tB}||, not a certified one, and the Dyson check
+reads the same M.  The bounds take floats or whole (gamma, t) grids, and
+a grid cell equals the scalar call bit for bit:
 
 * ``bound_adiabatic``: the sharp bound assembled from reduced-resolvent
   norms, a uniform semigroup bound M, and a decay envelope
@@ -264,6 +264,14 @@ def _screened_max(stack: np.ndarray, top: float) -> float:
     return float(spectral_norms(stack[live]).max(initial=top))
 
 
+def _check_exponent(dec: SpectralDecomposition, s: float, name: str) -> None:
+    """Raise :class:`ValidationError` if e^{s b} overflows for an eigenvalue b of B."""
+    b = max((cl.eigenvalue for cl in dec.clusters), key=lambda z: z.real)
+    if s * b.real > (limit := math.log(np.finfo(float).max)):
+        raise ValidationError(f"e^{{sB}} overflows at s = {name} = {s:.6g}: s Re b exceeds log(realmax) = "
+                              f"{limit:.6g} for the eigenvalue b = {b:.6g}")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Constants feeding the three error bounds.
@@ -305,11 +313,12 @@ class BoundInputs:
         times the largest ||e^{tB}|| over a 64-point grid on
         [0, t_max * gamma_max] (log-spaced to resolve both the transient
         and the asymptotic regime), floored at 1; t_max must be nonnegative
-        and gamma_max positive, both finite with a finite product, and a
-        sample that overflows (where e^{t Re b_k} of a peripheral
-        eigenvalue's rounding does) raises :class:`ValidationError`.  A
-        sample is formed, in the split's :class:`Frame` (float64 for a GKLS
-        pair), only while its :func:`_sample_bounds` times
+        and gamma_max positive, both finite with a finite product.  A
+        horizon at which e^{t Re b_k} overflows for an eigenvalue b_k (a
+        peripheral eigenvalue's rounding can be positive) raises
+        :class:`ValidationError` naming both, as does a non-finite sample.
+        A sample is formed, in the split's :class:`Frame` (float64 for a
+        GKLS pair), only while its :func:`_sample_bounds` times
         ``_SCREEN_SAFETY`` exceeds the largest norm so far: the latest
         alone first, then the rest by descending bound in stacks of
         ``_M_STACK_ENTRIES``, each through :func:`_screened_max`.  A
@@ -324,6 +333,7 @@ class BoundInputs:
         if not math.isfinite(horizon):
             raise ValidationError(f"the horizon t_max * gamma_max overflows: {t_max!r} * {gamma_max!r}")
         dec, gap = split.decomposition, split.gap_data
+        _check_exponent(dec, horizon, "the horizon t_max * gamma_max")
         chi = condition_number(dec)
         p_coeffs = np.array([chi * len(dec.nonperipheral_clusters)])
 
@@ -577,7 +587,8 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
     The names in ``variants`` and ``bounds`` (keys of ``BOUNDS``), every
     gamma (positive) and every t (nonnegative), all finite numbers, are
     checked before any work, and error cells whose t (gamma B + C) may
-    leave the Pade kernel's range raise instead of reaching it.  The
+    leave the Pade kernel's range, or whose e^{gamma t b_k} overflows for
+    an eigenvalue b_k of B, raise instead of reaching it.  The
     bounds are evaluated at the constants
     ``BoundInputs.from_split`` measures over this grid's horizon (largest
     t, largest gamma), where the paper's M must hold; each takes the whole
@@ -616,6 +627,7 @@ def _error_columns(split: ZenoSplit, gammas: np.ndarray, ts: np.ndarray, variant
     if ts[-1] * max(gammas[-1] * _onenorms(frame.b) + _onenorms(frame.c), _onenorms(frame.c_z)) > _EXPM_RANGE:
         raise ValidationError(f"t (gamma B + C) may be out of the Pade kernel's range: a 1-norm bound exceeds "
                               f"{_EXPM_RANGE:.3g}")
+    _check_exponent(split.decomposition, float(gammas[-1] * ts[-1]), "gamma t")
     zeno_exps = _expm_stack(ts[:, None, None] * frame.c_z)
     columns = {f"error_{name}": np.empty((gammas.size, ts.size)) for name in VARIANTS if name in variants}
     # the Pade kernel holds about eight stacks of a chunk's size at once: a quarter of
@@ -653,14 +665,6 @@ def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
 # perturbed-semigroup bound, slope fits, pulsed Zeno, Hamiltonian projections
 # ---------------------------------------------------------------------------
 
-def _exp_or_inf(x: float) -> float:
-    """``math.exp(x)``, or inf where it overflows (a bound that large holds trivially)."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class PerturbedSemigroupReport:
     m_bound: float
@@ -669,39 +673,34 @@ class PerturbedSemigroupReport:
     satisfied: bool
 
 
-def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid,
-                                    m_bound: float | None = None) -> PerturbedSemigroupReport:
+def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid) -> PerturbedSemigroupReport:
     """Verify ||e^{t(gamma B + C)}|| <= M e^{t M ||C||} on a time grid.
 
-    First confirms ||e^{tB}|| <= M on the same grid (that is the
-    hypothesis of the Dyson-series estimate), then checks the perturbed
-    bound pointwise and reports the worst ratios.  gamma must be positive
-    and the grid non-empty with every t nonnegative, all finite; an
-    exponential that overflows raises :class:`ValidationError`.
+    M and ||C|| are those of ``BoundInputs.from_split`` for ``zeno_split(b,
+    c)`` over [0, gamma max(t_grid)], so a pair that split rejects (where
+    sup ||e^{tB}|| is not finite) raises its error.  Reports the worst
+    ratios of ||e^{tB}|| to M and of the perturbed norm to its bound on the
+    grid.  gamma must be one positive number and the grid non-empty with
+    every t nonnegative, all finite; an overflowing exponential raises.
     """
     b = _as_matrix(b, "strong generator")
     c = _as_matrix(c, "weak generator")
     if b.shape != c.shape:
         raise DimensionError(f"B and C must have equal shapes, got {b.shape}, {c.shape}")
-    _, t_grid = _checked_gamma_t(gamma, t_grid)
+    gamma, t_grid = _checked_gamma_t(gamma, t_grid)
+    if gamma.ndim:
+        raise DimensionError(f"gamma must be one number, got shape {gamma.shape}")
     if not t_grid.size:
         raise ValidationError("t_grid must not be empty")
+    inputs = BoundInputs.from_split(zeno_split(b, c), t_max=float(t_grid.max()), gamma_max=float(gamma))
+    m_bound = inputs.m_bound
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing exponential raises in spectral_norms
         semigroup_norms = spectral_norms(expm(b, t_grid))
         perturbed_norms = spectral_norms(expm(gamma * b + c, t_grid))
-    if m_bound is None:
-        m_bound = 1.05 * max(1.0, semigroup_norms.max())
-    norm_c = spectral_norm(c)
-    ratio_semi = (semigroup_norms / m_bound).max()
-    rhs = m_bound * np.array([_exp_or_inf(t * m_bound * norm_c) for t in t_grid.tolist()])
-    ratio_pert = (perturbed_norms / rhs).max()
-    slack = 1e-12  # roundoff allowance for ratios at exact equality
-    return PerturbedSemigroupReport(
-        m_bound=float(m_bound),
-        max_semigroup_ratio=float(ratio_semi),
-        max_perturbed_ratio=float(ratio_pert),
-        satisfied=bool(ratio_semi <= 1.0 + slack and ratio_pert <= 1.0 + slack),
-    )
+        rhs = m_bound * np.exp(t_grid * m_bound * inputs.norm_c)  # inf where it overflows: the bound holds
+    ratio_semi, ratio_pert = (semigroup_norms / m_bound).max(), (perturbed_norms / rhs).max()
+    return PerturbedSemigroupReport(m_bound, float(ratio_semi), float(ratio_pert),  # 1e-12: roundoff at equality
+                                    bool(ratio_semi <= 1.0 + 1e-12 and ratio_pert <= 1.0 + 1e-12))
 
 
 @dataclass(frozen=True)

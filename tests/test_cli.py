@@ -10,6 +10,7 @@ import pytest
 import zeno_limits
 from zeno_limits import SweepConfig, liouvillian, random_gkls, run_sweep, spectral_norm
 from zeno_limits.cli import main, main_gkls, main_spectral
+from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.jsonio import (
     dump_json,
     matrix_from_json,
@@ -155,6 +156,21 @@ def test_zeno_error_bad_point_is_typed(tmp_path, pair_files, capsys, point):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_zeno_error_overflowing_strong_exponential_is_one_line(tmp_path, capsys):
+    """e^{gamma t Re b} of the three-level model's peripheral rounding overflows at gamma t = 1e20."""
+    weak, strong = three_level_generators(ThreeLevelParams())
+    sp, wp, split_path = tmp_path / "B.json", tmp_path / "C.json", tmp_path / "split.json"
+    dump_json(superoperator_to_json(strong), sp)
+    dump_json(superoperator_to_json(weak), wp)
+    assert main(["zeno", "split", "--strong", str(sp), "--weak", str(wp), "--output", str(split_path)]) == 0
+    capsys.readouterr()
+    code = main(["zeno", "error", "--split", str(split_path), "--gamma", "1e6", "--t", "1e14"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "gamma t = 1e+20" in captured.err and "eigenvalue" in captured.err
 
 
 def test_model_commands(tmp_path, capsys):

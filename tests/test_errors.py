@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import zeno_limits
-from zeno_limits.errors import DegenerateDataError, DimensionError, ValidationError
+from zeno_limits.errors import DegenerateDataError, DimensionError, SpectrumViolationError, ValidationError
 from zeno_limits.experiments import SweepConfig
 from zeno_limits.gkls import GklsSystem, Superoperator, hamiltonian_superoperator, no_go_check
 from zeno_limits.linalg import spectral_norm, unvec
@@ -101,7 +101,10 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: convergence_slope(list(zip(GAMMAS[:3] + [np.inf], [1.0, 0.1, 0.01, 0.001]))), DegenerateDataError,
      "finite"),
     (lambda: evaluate_grid(_three_level_split(), [1e30], [1e10], ("plain",)), ValidationError, "kernel's range"),
-    (lambda: evaluate_grid(_three_level_split(), [1e6], [1e14], ("plain",)), ValidationError, "non-finite"),
+    (lambda: evaluate_grid(_three_level_split(), [1e6], [1e14], ("plain",)), ValidationError,
+     r"overflows at s = gamma t = 1e\+20: .* for the eigenvalue b = \S+-2j"),
+    (lambda: BoundInputs.from_split(_three_level_split(), t_max=1e14, gamma_max=1e6), ValidationError,
+     r"overflows at s = the horizon t_max \* gamma_max = 1e\+20: .* for the eigenvalue b = \S+-2j"),
     (lambda: evaluate_grid(_three_level_split(), ["ten"], [1.0]), ValidationError, "numeric"),
     (lambda: evaluate_grid(_three_level_split(), [10.0], [[0.5], [1.0, 2.0]]), ValidationError, "numeric"),
     (lambda: hamiltonian_zeno(np.eye(2), np.eye(3)), DimensionError, "equal shapes"),
@@ -112,6 +115,9 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: SweepConfig(t_count=2.5), ValidationError, "nonnegative integer"),
     (lambda: perturbed_semigroup_bound_check(np.zeros((2, 2)), np.zeros((3, 3)), 1.0, [1.0]), DimensionError,
      "equal shapes"),
+    (lambda: perturbed_semigroup_bound_check(np.eye(2), np.zeros((2, 2)), 1.0, [1.0]), SpectrumViolationError,
+     "left half-plane"),
+    (lambda: _semigroup_check([10.0, 20.0], [0.0, 1.0]), DimensionError, "one number"),
 ], ids=["one-dim-matrix", "unvec-size", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
         "unequal-split-shapes", "negative-bound-norm", "non-positive-slope-gamma", "error-at-a-t-list",
@@ -121,9 +127,10 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
         "m-horizon-inf-gamma", "m-horizon-overflowing-product", "semigroup-check-empty-grid",
         "semigroup-check-negative-t", "semigroup-check-zero-gamma", "pulsed-fractional-n", "pulsed-string-n",
         "pulsed-bool-n", "slope-nan-error", "slope-inf-gamma", "error-out-of-kernel-range",
-        "error-overflowing-strong-exponential", "grid-string-gamma", "grid-ragged-t", "hamiltonian-zeno-shapes",
+        "error-overflowing-strong-exponential", "m-horizon-overflowing-exponential", "grid-string-gamma", "grid-ragged-t", "hamiltonian-zeno-shapes",
         "pulsed-shapes", "fast-oscillation-k-shape", "commutator-non-square-k", "superoperator-non-square-h",
-        "sweep-fractional-t-count", "semigroup-check-shapes"])
+        "sweep-fractional-t-count", "semigroup-check-shapes", "semigroup-check-rejected-split",
+        "semigroup-check-gamma-array"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()

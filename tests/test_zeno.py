@@ -15,6 +15,7 @@ from zeno_limits import (
     cptp_check,
     expm,
     gkls_form_check,
+    gkls_pair_corpus,
     hamiltonian_zeno,
     liouvillian,
     perturbed_semigroup_bound_check,
@@ -363,6 +364,14 @@ class TestBoundGrid:
             BOUND_FUNCTIONS[name](_plain_inputs(), np.array([[10.0], [-1.0]]), PARITY_TIMES)
 
 
+def _dyson_pairs():
+    """The 50 corpus pairs and the three-level model as (id, B, C)."""
+    for i, (strong, weak) in enumerate(gkls_pair_corpus(50)):
+        yield f"corpus-{i}", liouvillian(strong).mat, liouvillian(weak).mat
+    weak, strong = three_level_generators(ThreeLevelParams())
+    yield "three-level", strong.mat, weak.mat
+
+
 class TestPerturbedSemigroupBound:
     def test_zero_weak_generator(self, three_level):
         _, _, d_super, _ = three_level
@@ -371,12 +380,13 @@ class TestPerturbedSemigroupBound:
         assert rep.satisfied
 
     def test_skew_hermitian_m_equals_one(self, rng):
+        """||e^{tB}|| = 1 for unitary B, so M is the split's floor 1.05 x 1."""
         b = hamiltonian_superoperator(random_hermitian(rng, 2))  # -i[K,.], unitary flow
         c = liouvillian(random_gkls(2, 1, seed=3)).mat
-        rep = perturbed_semigroup_bound_check(b, c, gamma=20.0,
-                                              t_grid=np.linspace(0, 2, 9), m_bound=1.0)
+        rep = perturbed_semigroup_bound_check(b, c, gamma=20.0, t_grid=np.linspace(0, 2, 9))
         assert rep.satisfied
-        assert rep.max_semigroup_ratio <= 1.0 + 1e-12
+        assert rep.m_bound == pytest.approx(1.05, rel=1e-14)
+        assert rep.max_semigroup_ratio == pytest.approx(1.0 / 1.05, rel=1e-14)
 
     def test_three_level_pair(self, three_level):
         _, l_super, d_super, _ = three_level
@@ -385,19 +395,36 @@ class TestPerturbedSemigroupBound:
         assert rep.satisfied
         assert rep.max_perturbed_ratio <= 1.0
 
-    @pytest.mark.parametrize("m_bound", [None, 3.0])
-    def test_report_equals_the_per_t_loop(self, three_level, m_bound):
+    def test_report_equals_the_per_t_loop(self, three_level):
         _, l_super, d_super, _ = three_level
         b, c, gamma, t_grid = d_super.mat, l_super.mat, 30.0, np.linspace(0, 2, 9)
+        m = BoundInputs.from_split(zeno_split(b, c), t_max=2.0, gamma_max=gamma).m_bound
         semigroup = [spectral_norm(expm(b, t)) for t in t_grid]
-        m = 1.05 * max(1.0, max(semigroup)) if m_bound is None else m_bound
         ratio_pert = 0.0
         for t in t_grid:
             ratio_pert = max(ratio_pert, spectral_norm(expm(gamma * b + c, t))
                              / (m * math.exp(t * m * spectral_norm(c))))
-        rep = perturbed_semigroup_bound_check(b, c, gamma, t_grid, m_bound)
+        rep = perturbed_semigroup_bound_check(b, c, gamma, t_grid)
         assert (rep.m_bound, rep.max_semigroup_ratio, rep.max_perturbed_ratio) == (
             m, max(n / m for n in semigroup), ratio_pert)
+
+    @pytest.mark.parametrize("gamma", [100.0, 1000.0])
+    def test_corpus_pair_14_holds_with_the_split_m(self, gamma):
+        """A 1.05 x max over the t-grid alone (M = 1.229) reported this pair's bound as violated."""
+        strong, weak = gkls_pair_corpus(50)[14]
+        b, c = liouvillian(strong).mat, liouvillian(weak).mat
+        rep = perturbed_semigroup_bound_check(b, c, gamma, np.linspace(0, 2, 9))
+        assert rep.satisfied
+        assert rep.m_bound == BoundInputs.from_split(zeno_split(b, c), t_max=2.0, gamma_max=gamma).m_bound
+
+    def test_every_corpus_pair_and_the_three_level_model_hold(self):
+        failed = [name for name, b, c in _dyson_pairs()
+                  if not perturbed_semigroup_bound_check(b, c, 1000.0, np.linspace(0, 2, 9)).satisfied]
+        assert failed == []
+
+    def test_a_pair_zeno_split_rejects_raises_its_error(self):
+        with pytest.raises(SpectrumViolationError):
+            perturbed_semigroup_bound_check(np.diag([0.5, -1.0]), np.zeros((2, 2)), 10.0, [0.0, 1.0])
 
 
 class TestConvergenceSlope:
