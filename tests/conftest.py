@@ -8,11 +8,17 @@ with ``scipy.special.logsumexp`` and ``gammaln`` (the package evaluates
 whole grids with its own max-shift form and log-factorial table).
 """
 
+import functools
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
+
+from zeno_limits import GklsSystem, acceptance, liouvillian
 
 
 def taylor_expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -120,6 +126,48 @@ def random_complex(rng, n: int, m: int | None = None) -> np.ndarray:
 def random_hermitian(rng, n: int) -> np.ndarray:
     a = random_complex(rng, n)
     return (a + a.conj().T) / 2
+
+
+def bench_pair(seed: int, d: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, C) superoperators of the bench's ``dissipative-d64`` pair at ``seed``, rebuilt here.
+
+    The bench's ``random_pair`` recipe: from ``SeedSequence([seed, d])``, a
+    Gaussian Hermitian H and traceless complex Gaussian jumps (two in B, one
+    in C), each generator scaled to unit spectral norm.
+    """
+    def generator(n_jumps: int, rng) -> np.ndarray:
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (a + a.conj().T) / 2.0
+        jumps = []
+        for _ in range(n_jumps):
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            jumps.append(m - (np.trace(m) / d) * np.eye(d))
+        scale = np.linalg.norm(liouvillian(GklsSystem(d=d, hamiltonian=h, jumps=tuple(jumps))).mat, 2)
+        system = GklsSystem(d=d, hamiltonian=h / scale, jumps=tuple(m / math.sqrt(scale) for m in jumps))
+        return liouvillian(system).mat
+
+    strong_seq, weak_seq = np.random.SeedSequence([seed, d]).spawn(2)
+    return generator(2, np.random.default_rng(strong_seq)), generator(1, np.random.default_rng(weak_seq))
+
+
+@functools.cache
+def acceptance_pass() -> tuple[dict, str, str]:
+    """One ``zeno-limits acceptance`` pass, shared by the suite.
+
+    Returns the results by criterion number, the lines the driver printed
+    for them and the figure CSV it wrote: one ``all_criteria`` call, whose
+    return the driver is handed in place of a second call.
+    """
+    results, figure_csv = acceptance.all_criteria()
+    all_criteria, acceptance.all_criteria = acceptance.all_criteria, lambda: (results, figure_csv)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path, lines = Path(tmp) / "fig.csv", io.StringIO()
+            acceptance.run_acceptance(str(path), lines)
+            written = path.read_text()
+    finally:
+        acceptance.all_criteria = all_criteria
+    return {res.number: res for res in results}, lines.getvalue(), written
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per verification criterion.
 
-Each test executes the corresponding checker from
-``zeno_limits.acceptance`` (the same code the ``zeno-limits acceptance``
-CLI runs), prints its one-line verdict, and asserts it passed; test 8
-asserts what is said below instead.
+Each test reads the result of its checker from ``zeno_limits.acceptance``
+in one shared pass (``conftest.acceptance_pass``, the results the
+``zeno-limits acceptance`` driver prints), prints its one-line verdict,
+and asserts it passed; test 8 asserts what is said below instead.
 
 Criterion 8 (purity-rate agreement between a generator L and its
 fast-oscillation projection L_Z on random instances) stays red by design.
@@ -23,43 +23,43 @@ from zeno_limits import acceptance
 from zeno_limits.cli import main
 from zeno_limits.gkls import liouvillian
 
+from conftest import acceptance_pass
 
-def _run(fn):
-    res = fn()
-    if isinstance(res, tuple):  # criterion 6 also returns the CSV payload
-        res, csv_text = res
-        assert csv_text.startswith("panel_g,")
+
+def _run(number):
+    res = acceptance_pass()[0][number]
     print(f"[{'PASS' if res.passed else 'FAIL'}] criterion {res.number}: "
           f"{res.name} - {res.detail}")
     return res
 
 
 def test_criterion_1_analytic_propagator():
-    assert _run(acceptance.criterion_1).passed
+    assert _run("1").passed
 
 
 def test_criterion_2_peripheral_structure():
-    assert _run(acceptance.criterion_2).passed
+    assert _run("2").passed
 
 
 def test_criterion_3_zeno_generator():
-    assert _run(acceptance.criterion_3).passed
+    assert _run("3").passed
 
 
 def test_criterion_4_convergence_rate():
-    assert _run(acceptance.criterion_4).passed
+    assert _run("4").passed
 
 
 def test_criterion_5_bound_dominance():
-    assert _run(acceptance.criterion_5).passed
+    assert _run("5").passed
 
 
 def test_criterion_6_figure_reproduction():
-    assert _run(acceptance.criterion_6).passed
+    assert _run("6").passed
+    assert acceptance_pass()[2].startswith("panel_g,")
 
 
 def test_criterion_7_dephasing_example():
-    assert _run(acceptance.criterion_7).passed
+    assert _run("7").passed
 
 
 def _purity_functional(generator, rho):
@@ -82,7 +82,7 @@ def _orbit_mean(system, rho, samples=8):
 
 
 def test_criterion_8_no_go_agreement():
-    res = _run(acceptance.criterion_8)
+    res = _run("8")
     dephasing, *randoms = res.cases
     rep = dephasing.report
     assert rep.equal_within_tol, (f"dephasing: Gamma(L) = {rep.gamma_original:.10f}, "
@@ -105,19 +105,19 @@ def test_criterion_8_no_go_agreement():
 
 
 def test_criterion_8_gamma_separation():
-    assert _run(acceptance.criterion_8b).passed
+    assert _run("8b").passed
 
 
 def test_criterion_9_commutator_projections():
-    assert _run(acceptance.criterion_9).passed
+    assert _run("9").passed
 
 
 def test_criterion_10_pulsed_zeno():
-    assert _run(acceptance.criterion_10).passed
+    assert _run("10").passed
 
 
 def test_criterion_11_spectral_audit():
-    assert _run(acceptance.criterion_11).passed
+    assert _run("11").passed
 
 
 def _stub(number, passed):

@@ -27,7 +27,7 @@ from zeno_limits.errors import IllConditionedDecompositionError, UnsupportedInpu
 from zeno_limits.experiments import BOUNDS, evaluate_grid
 from zeno_limits.models import ThreeLevelParams, gkls_pair_corpus, three_level_generators
 
-from conftest import random_complex
+from conftest import bench_pair, random_complex
 
 
 def _product_figure(dec) -> float:
@@ -210,28 +210,6 @@ def _random_generator(d: int, n_jumps: int, rng) -> np.ndarray:
     gen = liouvillian(GklsSystem(d=d, hamiltonian=(h + h.conj().T) / 2,
                                  jumps=tuple(m - np.trace(m) / d * np.eye(d) for m in jumps))).mat
     return gen / spectral_norm(gen)
-
-
-def _bench_pair(seed: int, d: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, C) superoperators of the bench's ``dissipative-d64`` pair at ``seed``, rebuilt here.
-
-    The bench's ``random_pair`` recipe: from ``SeedSequence([seed, d])``, a
-    Gaussian Hermitian H and traceless complex Gaussian jumps (two in B, one
-    in C), each generator scaled to unit spectral norm.
-    """
-    def generator(n_jumps: int, rng) -> np.ndarray:
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = (a + a.conj().T) / 2.0
-        jumps = []
-        for _ in range(n_jumps):
-            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            jumps.append(m - (np.trace(m) / d) * np.eye(d))
-        scale = np.linalg.norm(liouvillian(GklsSystem(d=d, hamiltonian=h, jumps=tuple(jumps))).mat, 2)
-        system = GklsSystem(d=d, hamiltonian=h / scale, jumps=tuple(m / math.sqrt(scale) for m in jumps))
-        return liouvillian(system).mat
-
-    strong_seq, weak_seq = np.random.SeedSequence([seed, d]).spawn(2)
-    return generator(2, np.random.default_rng(strong_seq)), generator(1, np.random.default_rng(weak_seq))
 
 
 def _jordan(eigenvalue: complex, size: int) -> np.ndarray:
@@ -520,7 +498,7 @@ def test_bench_seed_102_work_counts(monkeypatch):
     """On the ``dissipative-d64`` pair of seed 102, whose M is a transient above the plateau, at
     most 24 of the 64 samples are formed and at most 12 reach the SVD (64 and 19 when every
     sample was formed)."""
-    split = zeno_split(*_bench_pair(102))
+    split = zeno_split(*bench_pair(102))
     samples, svd_inputs, _ = _m_sample_work(split, monkeypatch)
     assert len(samples) <= 24
     assert 0 < len(svd_inputs) <= 12
@@ -542,7 +520,7 @@ def test_corpus_work_counts(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(101, 111))
 def test_prescreened_m_equals_the_full_svd_sample_on_bench_pairs(seed):
-    split = zeno_split(*_bench_pair(seed))
+    split = zeno_split(*bench_pair(seed))
     assert BoundInputs.from_split(split).m_bound == _full_sample_m(split)
 
 
@@ -563,7 +541,7 @@ def _bound_cases():
     for i, (strong, weak) in enumerate(gkls_pair_corpus()):
         yield pytest.param(liouvillian(strong).mat, liouvillian(weak).mat, id=f"corpus-{i}")
     for seed in (101, 102, 103):
-        yield pytest.param(*_bench_pair(seed), id=f"bench-D64-{seed}")
+        yield pytest.param(*bench_pair(seed), id=f"bench-D64-{seed}")
     for d in (2, 3, 4):
         yield pytest.param(_reset_b(d), np.ones((d * d, d * d)), id=f"reset-d{d}")
     k = random_complex(np.random.default_rng(31), 3)
@@ -591,7 +569,7 @@ def test_sample_bound_covers_the_formed_sample(b, c):
 def test_tight_bounds_keep_m_exact(monkeypatch):
     """With each bound equal to its sample's norm, a sample is skipped only 1e-8 below the running
     max: the latest sample, formed first, raises it to the plateau, 4.4e-5 below the transient M."""
-    split = zeno_split(*_bench_pair(102))
+    split = zeno_split(*bench_pair(102))
     norms = np.linalg.svd(_frame_sample(split, _m_grid()), compute_uv=False)[:, 0]
     monkeypatch.setattr(zeno, "_sample_bounds", lambda split, ts: norms.copy())
     assert BoundInputs.from_split(split).m_bound == _full_sample_m(split)
