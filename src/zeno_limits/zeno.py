@@ -699,7 +699,7 @@ def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid) -> PerturbedSemi
         perturbed_norms = spectral_norms(expm(gamma * b + c, t_grid))
         rhs = m_bound * np.exp(t_grid * m_bound * inputs.norm_c)  # inf where it overflows: the bound holds
     ratio_semi, ratio_pert = (semigroup_norms / m_bound).max(), (perturbed_norms / rhs).max()
-    return PerturbedSemigroupReport(m_bound, float(ratio_semi), float(ratio_pert),  # 1e-12: roundoff at equality
+    return PerturbedSemigroupReport(m_bound, float(ratio_semi), float(ratio_pert),  # 1e-12 for roundoff at equality
                                     bool(ratio_semi <= 1.0 + 1e-12 and ratio_pert <= 1.0 + 1e-12))
 
 

@@ -127,8 +127,9 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
         "m-horizon-inf-gamma", "m-horizon-overflowing-product", "semigroup-check-empty-grid",
         "semigroup-check-negative-t", "semigroup-check-zero-gamma", "pulsed-fractional-n", "pulsed-string-n",
         "pulsed-bool-n", "slope-nan-error", "slope-inf-gamma", "error-out-of-kernel-range",
-        "error-overflowing-strong-exponential", "m-horizon-overflowing-exponential", "grid-string-gamma", "grid-ragged-t", "hamiltonian-zeno-shapes",
-        "pulsed-shapes", "fast-oscillation-k-shape", "commutator-non-square-k", "superoperator-non-square-h",
+        "error-overflowing-strong-exponential", "m-horizon-overflowing-exponential", "grid-string-gamma",
+        "grid-ragged-t", "hamiltonian-zeno-shapes", "pulsed-shapes", "fast-oscillation-k-shape",
+        "commutator-non-square-k", "superoperator-non-square-h",
         "sweep-fractional-t-count", "semigroup-check-shapes", "semigroup-check-rejected-split",
         "semigroup-check-gamma-array"])
 def test_api_input_errors_are_typed(call, error, match):

@@ -12,7 +12,8 @@ recorded:
 * ``acceptance.txt``: the ``zeno-limits acceptance`` lines, with the
   elapsed times masked (from the suite's one shared pass);
 * ``fingerprint.json``: the platform they were recorded on (numpy and
-  scipy versions, their BLAS builds, the machine and its CPU flags).
+  scipy versions, their BLAS builds and any ``OPENBLAS_CORETYPE`` kernel
+  override, the machine and its CPU flags).
 
 The bytes depend on the BLAS kernels and the CPU.  On the recording
 platform every file must match exactly.  On another platform each number
@@ -31,6 +32,7 @@ change, from the repository root::
 from __future__ import annotations
 
 import json
+import os
 import platform
 import re
 import struct
@@ -62,7 +64,7 @@ ELAPSED = re.compile(r"\d+\.\d+s \(limit")
 
 
 def platform_fingerprint() -> dict:
-    """The numpy and scipy versions, their BLAS builds, the machine and its CPU flags."""
+    """The numpy and scipy versions, their BLAS builds and kernel override, the machine and its CPU flags."""
     def blas(module) -> str:
         dep = module.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
         return dep.get("openblas configuration") or f"{dep.get('name')} {dep.get('version')}"
@@ -72,8 +74,9 @@ def platform_fingerprint() -> dict:
             flags = next((line.split(":", 1)[1].split() for line in fh if line.startswith("flags")), [])
     except OSError:
         flags = [platform.processor()]
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "numpy_blas": blas(np),
-            "scipy_blas": blas(scipy), "machine": platform.machine(), "cpu_flags": " ".join(sorted(set(flags)))}
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "numpy_blas": blas(np), "scipy_blas": blas(scipy),
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"), "machine": platform.machine(),
+            "cpu_flags": " ".join(sorted(set(flags)))}
 
 
 def render() -> dict[str, str]:
