@@ -10,7 +10,6 @@ import pytest
 import zeno_limits
 from zeno_limits import SweepConfig, liouvillian, random_gkls, run_sweep, spectral_norm
 from zeno_limits.cli import main, main_gkls, main_spectral
-from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.jsonio import (
     dump_json,
     matrix_from_json,
@@ -18,6 +17,7 @@ from zeno_limits.jsonio import (
     superoperator_to_json,
     system_to_json,
 )
+from zeno_limits.models import ThreeLevelParams, three_level_generators
 
 
 @pytest.fixture
