@@ -1,10 +1,11 @@
 """Acceptance suite: one callable per verification criterion.
 
-Each ``criterion_*`` function returns a :class:`CriterionResult`; the
-:func:`run_acceptance` driver executes all of them, prints one pass/fail
-line per criterion, and reports an overall exit code.  The pytest module
-``tests/test_acceptance.py`` asserts the same results, so the CLI and the
-test suite cannot drift apart.
+Each ``criterion_*`` function returns a :class:`CriterionResult`;
+:func:`all_criteria` runs all of them, and the :func:`run_acceptance`
+driver prints one pass/fail line per criterion of that pass and reports
+an overall exit code.  The pytest module ``tests/test_acceptance.py``
+asserts the same results, so the CLI and the test suite cannot drift
+apart.
 
 Tolerances are fixed here, not configurable: they are the contract.
 """
@@ -392,11 +393,11 @@ def all_criteria():
     return results, csv_text
 
 
-def run_acceptance(csv_path: str | None = None, stream=None) -> int:
-    """Execute the full suite, print one line per criterion, return exit code."""
+def run_acceptance(results: list[CriterionResult], csv_text: str, csv_path: str | None = None, stream=None) -> int:
+    """Report one :func:`all_criteria` pass: write its figure CSV to ``csv_path`` if given, print one
+    line per criterion and the tally, and return the exit code."""
     import sys as _sys
     out = stream or _sys.stdout
-    results, csv_text = all_criteria()
     if csv_path:
         write_text(csv_path, csv_text)
     failures = 0

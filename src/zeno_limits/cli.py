@@ -250,9 +250,9 @@ def _add_acceptance(sub):
 
 
 def cmd_acceptance(args) -> int:
-    from .acceptance import run_acceptance
+    from .acceptance import all_criteria, run_acceptance
 
-    return run_acceptance(csv_path=args.fig_csv)
+    return run_acceptance(*all_criteria(), csv_path=args.fig_csv)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -36,6 +36,7 @@ Structural verdicts implemented here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,6 +66,12 @@ GENERATOR_PROVENANCES = ("hamiltonian", "dissipator", "full")
 ALL_PROVENANCES = GENERATOR_PROVENANCES + ("projected", "propagator")
 
 
+def _check_dimension(d) -> None:
+    """Raise :class:`ValidationError` unless the Hilbert-space dimension d is a positive integer (not a bool)."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValidationError(f"dimension d must be a positive integer, got {d!r}")
+
+
 @dataclass(frozen=True)
 class GklsSystem:
     """Hilbert-space data of a GKLS generator: dimension, H, jump operators."""
@@ -74,6 +81,7 @@ class GklsSystem:
     jumps: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
+        _check_dimension(self.d)
         h = as_complex_matrix(self.hamiltonian, "hamiltonian")
         if h.shape != (self.d, self.d):
             raise DimensionError(f"H must be {self.d}x{self.d}, got {h.shape}")
@@ -105,6 +113,7 @@ class Superoperator:
     provenance: str = "full"
 
     def __post_init__(self):
+        _check_dimension(self.d)
         m = as_complex_matrix(self.mat, "superoperator matrix")
         if m.shape != (self.d * self.d, self.d * self.d):
             raise DimensionError(

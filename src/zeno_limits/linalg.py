@@ -3,8 +3,9 @@
 Conventions fixed here and used package-wide:
 
 * all operators and superoperators are dense ``complex128`` ndarrays; the
-  one exception is the error grid, which works in the real frame of a
-  GKLS pair (``zeno.Frame``), where its matrices are float64;
+  two exceptions are the error grid and the M sample of
+  ``zeno.BoundInputs.from_split``, which work in the real frame of a GKLS
+  pair (``zeno.Frame``), where their matrices are float64;
 * the single norm used for error measurements and bound evaluation is the
   spectral norm (largest singular value);
 * density matrices are vectorized by column stacking, so that

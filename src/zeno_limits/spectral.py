@@ -211,8 +211,8 @@ def decompose(a, cluster_tol: float | None = None,
     N_k is formed on first access.
     """
     a = as_complex_matrix(a, "decompose operand")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"decompose needs a square matrix, got {a.shape}")
+    if a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionError(f"decompose needs a nonempty square matrix, got {a.shape}")
     dim = a.shape[0]
     default_tol = 1e-7 * spectral_norm(a)
     cluster_tol = default_tol if cluster_tol is None else cluster_tol

@@ -189,11 +189,11 @@ def zeno_split(b, c, cluster_tol: float | None = None,
 # bound constants
 # ---------------------------------------------------------------------------
 
-#: complex entries of an e^{tB} stack and its screen's Gram stack together while
+#: complex entries of an e^{tB} stack and the copy its SVD reads together while
 #: sampling M (0.5 MiB): 4 t-points at D = 64
 _M_STACK_ENTRIES = 8 * 64 * 64
-#: factor on the screening bounds of :func:`_screened_max` and :func:`_sample_bounds`,
-#: far above their rounding (relative D^2 eps) and the SVD's
+#: factor on the screening bound of :func:`_sample_bounds`, far above its rounding
+#: (relative D^2 eps) and the SVD's
 _SCREEN_SAFETY = 1.0 + 1e-8
 #: the rounding of forming an e^{tB} sample from the frame's factors, in units of D eps
 #: per unit of the cluster bound: the length-D products and the phases take a few,
@@ -239,29 +239,6 @@ def _sample_bounds(split: ZenoSplit, ts: np.ndarray) -> np.ndarray:
         cluster = np.exp(np.multiply.outer(ts, eigs.real + spreads)) @ weights
         lognorm = (1.0 + f) * np.exp(ts * (mu + (e + b_norm * f) / (1.0 - f))) if f < 1.0 else np.inf
         return np.minimum(cluster, lognorm) + rounding * cluster
-
-
-def _screened_max(stack: np.ndarray, top: float) -> float:
-    """max(``top``, the largest spectral norm in ``stack``), with SVDs only where needed.
-
-    ||A||_2 <= ||(A^H A)^{2^k}||_1^{1/2^{k+1}} for every k, since the
-    1-norm bounds the spectral radius of the Hermitian A^H A.  A sample
-    whose bound, times ``_SCREEN_SAFETY``, is at most ``top`` cannot raise
-    it; k = 0, 1, 2 each take one stacked product, and the survivors one
-    stacked SVD, all in the stack's dtype.  The finiteness check covers
-    every sample, screened or not.
-    """
-    if not np.isfinite(stack).all():
-        raise ValidationError("e^{tB} sample contains non-finite entries")
-    live = np.arange(len(stack))
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its sample
-        gram = stack.conj().transpose(0, 2, 1) @ stack
-        for k in range(3):
-            keep = ~(np.abs(gram).sum(axis=1).max(axis=1) ** (0.5 ** (k + 1)) * _SCREEN_SAFETY <= top)
-            live, gram = live[keep], gram[keep]
-            if k < 2:
-                gram = gram @ gram
-    return float(spectral_norms(stack[live]).max(initial=top))
 
 
 def _check_exponent(dec: SpectralDecomposition, s: float, name: str) -> None:
@@ -321,9 +298,9 @@ class BoundInputs:
         GKLS pair), only while its :func:`_sample_bounds` times
         ``_SCREEN_SAFETY`` exceeds the largest norm so far: the latest
         alone first, then the rest by descending bound in stacks of
-        ``_M_STACK_ENTRIES``, each through :func:`_screened_max`.  A
-        skipped sample cannot raise the maximum, so M is the float of the
-        full 64-SVD sample in the frame.
+        ``_M_STACK_ENTRIES``, each sent whole to one stacked SVD
+        (:func:`spectral_norms`).  A skipped sample cannot raise the
+        maximum, so M is the float of the full 64-SVD sample in the frame.
         """
         if not (math.isfinite(t_max) and t_max >= 0):
             raise ValidationError(f"t_max must be nonnegative and finite, got {t_max!r}")
@@ -343,9 +320,11 @@ class BoundInputs:
         order = np.concatenate([[grid.size - 1], np.argsort(-bound[:-1], kind="stable")])
         size, take, sampled = max(1, _M_STACK_ENTRIES // (2 * dec.dim ** 2)), 1, 1.0
         while (order := order[~(bound[order] * _SCREEN_SAFETY <= sampled)]).size:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sample raises in the screen
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sample raises below
                 stack = spectral_expm(dec, grid[order[:take]], split.frame.u, split.frame.v)
-            sampled = _screened_max(stack.real.copy() if split.frame.real else stack, sampled)
+            if not np.isfinite(stack).all():
+                raise ValidationError("e^{tB} sample contains non-finite entries")
+            sampled = max(sampled, float(spectral_norms(stack.real.copy() if split.frame.real else stack).max()))
             order, take = order[take:], size
         return cls(m_bound=1.05 * sampled, eta=gap.eta, delta=gap.delta, chi=chi,
                    dim=dec.dim, p_coeffs=p_coeffs, **_norm_constants(split))

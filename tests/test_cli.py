@@ -237,6 +237,7 @@ def test_error_reporting(tmp_path, capsys):
 
 
 _MATRIX = matrix_to_json(np.diag([0.0, -1.0]))
+_EMPTY = matrix_to_json(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -297,6 +298,13 @@ _MATRIX = matrix_to_json(np.diag([0.0, -1.0]))
      ["gkls", "check", "--map", "{tmp}/m.json"]),
     ({"cfg.json": {"model": {"strong": "s.json"}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
     ({"cfg.json": {"model": "five-level"}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"m.json": {"d": -3, "mat": matrix_to_json(np.eye(9))}}, ["gkls", "check", "--map", "{tmp}/m.json"]),
+    ({"m.json": {"d": 0, "mat": _EMPTY}}, ["gkls", "check", "--map", "{tmp}/m.json"]),
+    ({"s.json": {"d": 0, "H": _EMPTY}}, ["check-spectral", "--system", "{tmp}/s.json"]),
+    ({"s.json": {"d": 0, "H": _EMPTY}}, ["gkls", "build", "--system", "{tmp}/s.json", "--output", "{tmp}/g.json"]),
+    ({"a.json": _EMPTY}, ["spectral", "--input", "{tmp}/a.json", "--output", "{tmp}/out.json"]),
+    ({"a.json": _EMPTY}, ["zeno", "split", "--strong", "{tmp}/a.json", "--weak", "{tmp}/a.json",
+                          "--output", "{tmp}/s.json"]),
 ], ids=["missing-file", "malformed-json", "non-object-json", "split-without-strong",
         "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param",
         "infinite-gamma", "infinite-t-stop", "one-number-entry", "string-entry", "null-entry",
@@ -305,7 +313,8 @@ _MATRIX = matrix_to_json(np.diag([0.0, -1.0]))
         "numeric-model-path", "scalar-params", "string-system-dimension", "string-map-dimension",
         "huge-param", "huge-entry", "string-split-tol", "nan-split-tol", "negative-split-tol",
         "matrix-without-rows", "system-without-d", "row-stacking-map", "files-model-without-weak",
-        "unknown-model"])
+        "unknown-model", "negative-map-dimension", "zero-map-dimension", "zero-system-dimension",
+        "zero-system-build", "empty-spectral-matrix", "empty-split-matrix"])
 def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))

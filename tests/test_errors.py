@@ -118,6 +118,14 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: perturbed_semigroup_bound_check(np.eye(2), np.zeros((2, 2)), 1.0, [1.0]), SpectrumViolationError,
      "left half-plane"),
     (lambda: _semigroup_check([10.0, 20.0], [0.0, 1.0]), DimensionError, "one number"),
+    (lambda: Superoperator(-3, np.eye(9)), ValidationError, "positive integer, got -3"),
+    (lambda: Superoperator(3.0, np.eye(9)), ValidationError, "positive integer, got 3.0"),
+    (lambda: Superoperator(True, np.eye(1)), ValidationError, "positive integer, got True"),
+    (lambda: Superoperator(0, np.zeros((0, 0))), ValidationError, "positive integer, got 0"),
+    (lambda: GklsSystem(0, np.zeros((0, 0))), ValidationError, "positive integer, got 0"),
+    (lambda: GklsSystem(2.0, np.eye(2)), ValidationError, "positive integer, got 2.0"),
+    (lambda: decompose(np.zeros((0, 0))), DimensionError, "nonempty square"),
+    (lambda: zeno_split(np.zeros((0, 0)), np.zeros((0, 0))), DimensionError, "nonempty square"),
 ], ids=["one-dim-matrix", "unvec-size", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
         "unequal-split-shapes", "negative-bound-norm", "non-positive-slope-gamma", "error-at-a-t-list",
@@ -131,7 +139,9 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
         "grid-ragged-t", "hamiltonian-zeno-shapes", "pulsed-shapes", "fast-oscillation-k-shape",
         "commutator-non-square-k", "superoperator-non-square-h",
         "sweep-fractional-t-count", "semigroup-check-shapes", "semigroup-check-rejected-split",
-        "semigroup-check-gamma-array"])
+        "semigroup-check-gamma-array", "superoperator-negative-d", "superoperator-float-d",
+        "superoperator-bool-d", "superoperator-zero-d", "system-zero-d", "system-float-d",
+        "empty-decompose", "empty-split"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -396,7 +396,7 @@ def test_screened_m_floor_and_transient_cases():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_sample_the_screen_would_skip_raises(bad, monkeypatch):
     """With inf bounds every sample is formed, the latest first and alone; a non-finite entry in
-    it raises, though its norm sits far below the floor where the Gram screen would skip it."""
+    it raises with the M sample's own message, though its norm sits far below the floor 1."""
     split = zeno_split(FLOOR_B, np.ones((3, 3)))
 
     def poisoned(dec, t, *args):
@@ -407,13 +407,15 @@ def test_non_finite_sample_the_screen_would_skip_raises(bad, monkeypatch):
 
     monkeypatch.setattr(zeno, "_sample_bounds", lambda split, ts: np.full(ts.size, np.inf))
     monkeypatch.setattr(zeno, "spectral_expm", poisoned)
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(ValidationError, match=r"e\^\{tB\} sample contains non-finite entries"):
         BoundInputs.from_split(split)
 
 
 def test_overflowing_bound_keeps_its_sample(monkeypatch):
+    """A sample whose squared norm overflows (any Gram or power bound of it is inf) still reaches
+    the SVD and sets M."""
     split = zeno_split(FLOOR_B, np.ones((3, 3)))
-    huge = np.full((3, 3), 1e200, dtype=complex)  # (A^H A)^4 overflows; ||A|| = 3e200
+    huge = np.full((3, 3), 1e200, dtype=complex)  # ||A||^2 = 9e400 overflows; ||A|| = 3e200
 
     def scaled(dec, t, *args):
         out = spectral_expm(dec, t, *args)
@@ -424,24 +426,11 @@ def test_overflowing_bound_keeps_its_sample(monkeypatch):
     assert BoundInputs.from_split(split).m_bound == 1.05 * spectral_norm(huge)
 
 
-def test_screen_survivors_take_one_svd_call(monkeypatch):
-    """Every sample whose Gram bound exceeds ``top`` goes to one stacked SVD, the largest with the rest."""
-    calls, norms = [], zeno.spectral_norms
-
-    def recording_norms(stack):
-        calls.append(len(stack))
-        return norms(stack)
-
-    monkeypatch.setattr(zeno, "spectral_norms", recording_norms)
-    assert zeno._screened_max(np.array([2.0 * np.eye(3), 3.0 * np.eye(3), 0.5 * np.eye(3)]), 1.0) == 3.0
-    assert calls == [2]
-
-
 def _m_sample_work(split, monkeypatch) -> tuple[list, list, list]:
-    """The samples ``from_split`` forms for ``split``, the matrices the M screen sends to the SVD
+    """The samples ``from_split`` forms for ``split``, the matrices its M sample sends to the SVD
     and the times of each formed stack."""
-    samples, stacks, screening, svd_inputs = [], [], [False], []
-    screen, svd = zeno._screened_max, np.linalg.svd
+    samples, stacks, svd_inputs = [], [], []
+    norms = zeno.spectral_norms
 
     def recording_expm(dec, t, *args):
         out = spectral_expm(dec, t, *args)
@@ -449,33 +438,30 @@ def _m_sample_work(split, monkeypatch) -> tuple[list, list, list]:
         stacks.append(np.atleast_1d(t).tolist())
         return out
 
-    def flagged_screen(*args):
-        screening[0] = True
-        try:
-            return screen(*args)
-        finally:
-            screening[0] = False
-
-    def recording_svd(a, *args, **kwargs):
-        if screening[0]:  # an SVD inside the M sample
-            svd_inputs.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]))
-        return svd(a, *args, **kwargs)
+    def recording_norms(stack):
+        svd_inputs.extend(stack)
+        return norms(stack)
 
     monkeypatch.setattr(zeno, "spectral_expm", recording_expm)
-    monkeypatch.setattr(zeno, "_screened_max", flagged_screen)
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(zeno, "spectral_norms", recording_norms)
     BoundInputs.from_split(split)
     monkeypatch.undo()
     return samples, svd_inputs, stacks
 
 
+def _each_formed_sample_takes_one_svd(samples: list, svd_inputs: list) -> bool:
+    """Every formed sample reaches the SVD exactly once, as a float64 matrix (its real part)."""
+    return (len(svd_inputs) == len(samples)
+            and all(m.dtype == float and np.array_equal(m, s.real) for s, m in zip(samples, svd_inputs)))
+
+
 def test_d64_work_counts(monkeypatch):
-    """The M sample of a GKLS pair forms and screens only the samples that can raise M, all
-    of them real, and no non-peripheral projection is formed by the split, the constants or a grid.
+    """The M sample of a GKLS pair forms only the samples that can raise M and sends each of them,
+    real, to the SVD once, and no non-peripheral projection is formed by the split, the constants
+    or a grid.
 
     On this pair M sits on the late plateau, which the samples approach from below: 27
-    samples have a bound above M, so all of them are formed, and 20 besides the largest
-    have a Gram bound above it, so they reach the SVD in any order.
+    samples have a bound above M, so at most 27 are formed.
     """
     rng = np.random.default_rng(1164)
     split = zeno_split(_random_generator(8, 2, rng), _random_generator(8, 1, rng))
@@ -485,8 +471,7 @@ def test_d64_work_counts(monkeypatch):
     assert np.sum(zeno._sample_bounds(split, grid) * zeno._SCREEN_SAFETY > sampled) == 27
     samples, svd_inputs, _ = _m_sample_work(split, monkeypatch)
     assert len(samples) <= 27
-    assert 0 < len(svd_inputs) <= 21
-    assert all(m.dtype == float for m in svd_inputs)
+    assert _each_formed_sample_takes_one_svd(samples, svd_inputs)
 
     evaluate_grid(split, [10.0, 1000.0], np.geomspace(0.25, 2.0, 4), bounds=tuple(BOUNDS))
     dec = split.decomposition
@@ -496,12 +481,12 @@ def test_d64_work_counts(monkeypatch):
 
 def test_bench_seed_102_work_counts(monkeypatch):
     """On the ``dissipative-d64`` pair of seed 102, whose M is a transient above the plateau, at
-    most 24 of the 64 samples are formed and at most 12 reach the SVD (64 and 19 when every
-    sample was formed)."""
+    most 24 of the 64 samples are formed (64 when every sample was formed), each of them sent
+    to the SVD once."""
     split = zeno_split(*bench_pair(102))
     samples, svd_inputs, _ = _m_sample_work(split, monkeypatch)
     assert len(samples) <= 24
-    assert 0 < len(svd_inputs) <= 12
+    assert _each_formed_sample_takes_one_svd(samples, svd_inputs)
 
 
 def test_corpus_work_counts(monkeypatch):

@@ -1,11 +1,18 @@
-"""Conventions the test modules themselves must keep, checked on their source."""
+"""Conventions the test modules themselves must keep, checked on their source, and doc references
+in the package and the README that must resolve."""
 
 import ast
+import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
+import zeno_limits
+
 TESTS = Path(__file__).resolve().parent
+PACKAGE = Path(zeno_limits.__file__).resolve().parent
+README = TESTS.parent / "README.md"
 #: after a failing example, hypothesis's pytest plugin imports libcst to suggest a patch, and
 #: that import warns; under ``filterwarnings = ["error"]`` the warning aborts the whole session
 #: (INTERNALERROR) instead of failing the one test, so every property module ignores it
@@ -67,3 +74,63 @@ def test_importorskip_is_detected():
 def test_no_module_skips_on_a_missing_import(name):
     """Every test dependency is in the ``test`` extra, so a missing one must fail the run, not skip."""
     assert not _calls_importorskip(ast.parse((TESTS / name).read_text()))
+
+
+#: a Sphinx cross-reference in a docstring or comment, and a backticked dotted name in the README
+DOC_ROLE = re.compile(r":(?:func|meth|class):`~?([\w.]+)`")
+README_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+
+
+def _has_path(obj, dotted: str) -> bool:
+    """True when each part of ``dotted`` is an attribute (or a dataclass field) of the one before."""
+    for name in dotted.split("."):
+        fields = getattr(obj, "__dataclass_fields__", {})
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        elif name in fields:  # a field without a class-level default
+            obj = fields[name]
+        else:
+            return False
+    return True
+
+
+def _package_modules() -> dict[str, object]:
+    """Every module of the package by file stem, ``__init__`` as the package itself; once imported,
+    each is also an attribute of the package, so ``module.name`` resolves against the package."""
+    return {path.stem: importlib.import_module("zeno_limits" if path.stem == "__init__" else f"zeno_limits.{path.stem}")
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _dangling_roles(stem: str, text: str) -> list[str]:
+    """The ``:func:``, ``:meth:`` and ``:class:`` targets in ``text``, the source of module ``stem``,
+    that resolve in none of: that module, the package (so also as ``module.name``), ``zeno_limits.errors``."""
+    modules = _package_modules()
+    scopes = (modules[stem], zeno_limits, modules["errors"])
+    return [target for target in DOC_ROLE.findall(text) if not any(_has_path(scope, target) for scope in scopes)]
+
+
+def _dangling_readme_names(text: str) -> list[str]:
+    """The backticked dotted names in ``text`` that are the package's (not another importable
+    module's, such as ``scipy.linalg.solve_triangular``) and resolve in neither the package nor
+    any of its modules."""
+    scopes = _package_modules().values()
+    names = [name.removeprefix("zeno_limits.") for name in README_NAME.findall(text)]
+    return [name for name in names
+            if not any(_has_path(scope, name) for scope in scopes)
+            and importlib.util.find_spec(name.partition(".")[0]) is None]
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_docstring_references_resolve(stem):
+    assert _dangling_roles(stem, (PACKAGE / f"{stem}.py").read_text()) == []
+
+
+def test_readme_references_resolve():
+    assert _dangling_readme_names(README.read_text()) == []
+
+
+def test_dangling_references_are_found():
+    assert _dangling_roles("zeno", ":func:`_screened_max` and :meth:`BoundInputs.from_split`") == ["_screened_max"]
+    assert _dangling_roles("zeno", ":func:`gkls._hermitian_basis`, :class:`ValidationError`") == []
+    assert _dangling_readme_names("`zeno._screened_max`, `ZenoSplit.frame`, `PurityReport.upper`, "
+                                  "`zeno_limits.zeno`, `scipy.linalg.solve_triangular`") == ["zeno._screened_max"]
