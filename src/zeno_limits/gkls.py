@@ -27,8 +27,10 @@ Structural verdicts implemented here:
   the secular equation.  For d = 2 the ball is the Bloch ball, so the
   solve gives Gamma itself; for d > 2 it gives an upper value, and Gamma
   comes from multi-start ascent over density matrices
-  rho = V V^dag / tr(V V^dag).  Every state is scored by the same form,
-  in batch.  ``purity_objective`` is the Hilbert-space reference formula
+  rho = V V^dag / tr(V V^dag), all restarts in one batched L-BFGS.
+  Every state is scored by the same form, in batch.  The root finder and
+  the ascent are the package's own; ``purity_objective`` is the
+  Hilbert-space reference formula
   2 sum_i tr(L_i^dag L_i rho^2 - L_i^dag rho L_i rho), which the solvers
   do not use.
 """
@@ -309,10 +311,10 @@ class PurityOptions:
     maxiter: int = 400
 
     def __post_init__(self):
-        if self.restarts < 1 or self.maxiter < 1:
-            raise ValidationError(
-                f"purity ascent needs restarts >= 1 and maxiter >= 1, "
-                f"got restarts={self.restarts}, maxiter={self.maxiter}")
+        for name, least in (("restarts", 1), ("maxiter", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValidationError(f"PurityOptions.{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -351,6 +353,65 @@ def _purity_values(hq: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return -np.einsum("nij,jilk,nkl->n", rhos.conj(), hq.reshape(d, d, d, d), rhos).real
 
 
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of f on [a, b] by Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4).
+
+    Step for step the algorithm of scipy's ``brentq.c`` with its defaults (a bracket
+    narrower than xtol + 4 eps |x| ends it, within 100 iterations), so the tests hold it
+    bitwise equal to scipy's ``brentq``.  A bracket without a sign change, a NaN value of f
+    and 100 iterations without convergence raise :class:`EstimationError`.
+    """
+    rtol, maxiter = 4 * np.finfo(float).eps, 100
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise EstimationError(f"Brent's method: f({x!r}) is NaN on the bracket [{a!r}, {b!r}]",
+                                  best_value=x)
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise EstimationError(f"Brent's method: no sign change on the bracket [{a!r}, {b!r}], "
+                              f"f = {fpre!r} and {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur becomes the end point with the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise EstimationError(f"Brent's method did not converge in {maxiter} iterations on the bracket "
+                          f"[{a!r}, {b!r}]; last iterate {xcur!r}, f = {fcur!r}", best_value=xcur)
+
+
 def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     """Maximize -vec(rho)^dag hq vec(rho) over the ball tr rho^2 <= 1.
 
@@ -358,7 +419,9 @@ def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     ball is |x|^2 <= r^2 = 1 - 1/d.  One eigendecomposition A = Q diag(lam) Q^T
     turns the stationarity condition (A + mu I) x = -b into the secular
     equation |x(mu)| = r for the sphere's multiplier mu > -lam_min, solved
-    by Brent's method on 1/|x(mu)| - 1/r.  The hard case, where b vanishes
+    on 1/|x(mu)| - 1/r, with xtol = eps times the form's scale, by Brent's
+    method (Brent 1973; :func:`_brentq`, a port of scipy's ``brentq``,
+    which the tests use as its oracle).  The hard case, where b vanishes
     on A's bottom eigenspace, fills x up to the sphere along that space.
     When mu <= 0 the ball's maximizer is the interior point x(0).
 
@@ -369,8 +432,6 @@ def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     rounding (at d = 2 the unpadded dual and the primal value at the
     maximizer differ by at most a few ulp either way).
     """
-    from scipy.optimize import brentq  # imported here: scipy.optimize costs 0.3 s to import
-
     centre = vec(np.eye(d)) / d
     h_centre = hq @ centre
     c = float(np.real(centre.conj() @ h_centre))
@@ -400,8 +461,8 @@ def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
         y = coords(mu)
         y[0] = math.copysign(math.sqrt(float(y[0]) ** 2 + r2 - norm2(mu)), y[0])
     else:
-        mu = brentq(lambda m: 1.0 / math.sqrt(norm2(m)) - 1.0 / math.sqrt(r2),
-                    mu, -lam[0] + 2.0 * radius, xtol=eps * scale)
+        mu = _brentq(lambda m: 1.0 / math.sqrt(norm2(m)) - 1.0 / math.sqrt(r2),
+                     mu, -lam[0] + 2.0 * radius, xtol=eps * scale)
         y = coords(mu)
     sphere = q @ y
     sphere *= math.sqrt(r2) / np.linalg.norm(sphere)
@@ -413,52 +474,117 @@ def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     return points, upper
 
 
+def _lbfgs(fun, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``fun`` from every row of ``x0`` at once by limited-memory BFGS.
+
+    ``fun`` maps a (k, n) stack of points to their values (k,) and
+    gradients (k, n).  Each row runs its own L-BFGS (Liu & Nocedal,
+    *Math. Prog.* 45, 503 (1989)): the two-loop recursion over its last
+    10 pairs (s, y), with the initial matrix scaled by s.y / y.y
+    of the newest pair, or to a unit step while there is none; a
+    backtracking Armijo line search from step 1; and no update when
+    s.y <= 0.  A row stops when the inf-norm of its gradient is <= 1e-12,
+    when a step lowers f by at most 1e-16 max(|f|, 1) (the rules of
+    scipy's L-BFGS-B with gtol = 1e-12 and ftol = 1e-16, which the tests
+    use as the oracle), so also when the line search finds no lower f
+    before the step's first-order decrease falls below that tolerance,
+    and after ``maxiter`` iterations.  The rows still running share one
+    ``fun`` call per line-search trial.
+
+    Returns the final points and a mask of the rows that ran: a row
+    whose starting value or gradient is not finite fails at its start.
+    """
+    history = 10
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    ran = np.isfinite(f) & np.isfinite(g).all(axis=1)
+    k, n = x.shape
+    s_hist, y_hist = np.zeros((k, history, n)), np.zeros((k, history, n))
+    rho_hist = np.zeros((k, history))  # 1 / s.y, oldest first; 0 makes an empty slot a no-op
+    active = ran & (np.abs(g).max(axis=1, initial=0.0) > 1e-12)
+    for _ in range(maxiter):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        s, y, rho, x_old, f_old, g_old = s_hist[rows], y_hist[rows], rho_hist[rows], x[rows], f[rows], g[rows]
+        q = g_old.copy()
+        alpha = np.empty((rows.size, history))
+        for j in reversed(range(history)):
+            alpha[:, j] = rho[:, j] * np.einsum("ij,ij->i", s[:, j], q)
+            q -= alpha[:, j, None] * y[:, j]
+        q *= np.divide(1.0, rho[:, -1] * np.einsum("ij,ij->i", y[:, -1], y[:, -1]),
+                       out=1.0 / np.linalg.norm(g_old, axis=1), where=rho[:, -1] > 0)[:, None]
+        for j in range(history):
+            q += (alpha[:, j] - rho[:, j] * np.einsum("ij,ij->i", y[:, j], q))[:, None] * s[:, j]
+        slope = -np.einsum("ij,ij->i", g_old, q)  # the step is -q
+        # a row leaves the search without a step once its step's first-order decrease is below
+        # the relative-decrease tolerance (at once if the direction is not downhill), which stops it
+        floor = 1e-16 * np.maximum(np.abs(f_old), 1.0)
+        step, pending = np.ones(rows.size), np.arange(rows.size)
+        while (pending := pending[-step[pending] * slope[pending] > floor[pending]]).size:
+            trial = x_old[pending] - step[pending, None] * q[pending]
+            f_trial, g_trial = fun(trial)
+            ok = np.isfinite(f_trial) & np.isfinite(g_trial).all(axis=1) \
+                & (f_trial <= f_old[pending] + 1e-4 * step[pending] * slope[pending])
+            done = rows[pending[ok]]
+            x[done], f[done], g[done] = trial[ok], f_trial[ok], g_trial[ok]
+            pending = pending[~ok]
+            step[pending] *= 0.5
+        s_new, y_new = x[rows] - x_old, g[rows] - g_old  # s = 0 where no step was taken
+        sy = np.einsum("ij,ij->i", s_new, y_new)
+        update = sy > 0
+        if update.any():
+            u = rows[update]
+            for hist, new in ((s_hist, s_new[update]), (y_hist, y_new[update]), (rho_hist, 1.0 / sy[update])):
+                hist[u] = np.roll(hist[u], -1, axis=1)
+                hist[u, -1] = new
+        f_new = f[rows]
+        stop = (f_old - f_new <= 1e-16 * np.maximum(np.maximum(np.abs(f_old), np.abs(f_new)), 1.0)) \
+            | (np.abs(g[rows]).max(axis=1) <= 1e-12)
+        active[rows[stop]] = False
+    return x, ran
+
+
 def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> PurityReport:
     """Maximize the Hermitian quadratic form -vec(rho)^dag hq vec(rho) by ascent.
 
     rho = V V^dag / tr(V V^dag) is parameterized by V in C^{dxd}; the
-    gradient is exact.  Every restart contributes a candidate, scored by
-    :func:`_purity_values`, and the best one is reported, so the maximum
-    does not depend on the order of the restarts.  The ascent proves no
-    upper value, so ``upper`` is +inf; :func:`_purity_report` supplies
-    the dual.
+    gradient is exact.  The ``opts.restarts`` starting points are drawn
+    from ``default_rng(opts.seed)`` and ascend together in one batched
+    L-BFGS (:func:`_lbfgs`, Liu & Nocedal 1989; the tests hold its best
+    value to scipy's L-BFGS-B from the same starts).  Every restart
+    contributes a candidate, scored by :func:`_purity_values`, and the
+    best one is reported, so the maximum does not depend on the order of
+    the restarts.  The ascent proves no upper value, so ``upper`` is +inf;
+    :func:`_purity_report` supplies the dual.
     """
-    from scipy.optimize import minimize  # imported here, like brentq in _trust_region
+    n = d * d
+    eye = np.eye(d)
 
-    rng = np.random.default_rng(opts.seed)
-
-    def split(x):
-        return (x[: d * d] + 1j * x[d * d:]).reshape(d, d)
+    def factors(x):  # V, V V^dag and tr(V V^dag) of each row x = (Re V, Im V), both column-stacked
+        v = (x[:, :n] + 1j * x[:, n:]).reshape(-1, d, d)
+        w = v @ v.conj().transpose(0, 2, 1)
+        return v, w, np.einsum("kii->k", w).real
 
     def neg_value_grad(x):
-        v = split(x)
-        w = v @ v.conj().T
-        tau = np.trace(w).real
-        rho = w / tau
-        r = vec(rho)
-        f = -float(np.real(r.conj() @ (hq @ r)))
-        a = unvec(hq @ r, d)
-        g_rho = -(a + a.conj().T)
-        k = g_rho / tau - (np.trace(g_rho @ w).real / tau ** 2) * np.eye(d)
-        z = 2.0 * (k @ v)
-        grad = np.concatenate([2.0 * z.real.ravel(), 2.0 * z.imag.ravel()])
-        return -f, -grad
+        v, w, tau = factors(x)
+        r = (w / tau[:, None, None]).transpose(0, 2, 1).reshape(-1, n)  # vec(rho), one row each
+        hr = r @ hq.T  # hq vec(rho), one row each
+        value = -np.einsum("ki,ki->k", r.conj(), hr).real
+        a = hr.reshape(-1, d, d).transpose(0, 2, 1)
+        g_rho = -(a + a.conj().transpose(0, 2, 1))
+        k = g_rho / tau[:, None, None] \
+            - (np.einsum("kij,kji->k", g_rho, w).real / tau ** 2)[:, None, None] * eye
+        z = 4.0 * (k @ v)
+        return -value, -np.concatenate([z.real.reshape(-1, n), z.imag.reshape(-1, n)], axis=1)
 
-    candidates = np.empty((opts.restarts, d, d), dtype=complex)
-    successes = 0
-    for i in range(opts.restarts):
-        x0 = rng.standard_normal(2 * d * d)
-        res = minimize(neg_value_grad, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": opts.maxiter, "ftol": 1e-16, "gtol": 1e-12})
-        v = split(res.x)
-        w = v @ v.conj().T
-        candidates[i] = w / np.trace(w).real
-        if res.success or res.status == 1:
-            successes += 1
+    x0 = np.random.default_rng(opts.seed).standard_normal((opts.restarts, 2 * n))
+    x, ran = _lbfgs(neg_value_grad, x0, opts.maxiter)
+    _, w, tau = factors(x)
+    candidates = w / tau[:, None, None]
     values = _purity_values(hq, candidates)
-    if successes == 0:
-        raise EstimationError("purity ascent failed on every restart",
-                              best_value=max(values, default=0.0))
+    if not ran.any():
+        raise EstimationError("purity ascent failed on every restart", best_value=max(values, default=0.0))
     best = int(np.argmax(values))
     return PurityReport(gamma=max(values[best], 0.0), upper=math.inf, argmax=candidates[best].copy())
 

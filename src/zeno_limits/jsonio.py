@@ -65,16 +65,9 @@ def system_to_json(sys: GklsSystem) -> dict:
     }
 
 
-def _dimension(value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"dimension d must be an integer: {exc}") from exc
-
-
 def system_from_json(obj) -> GklsSystem:
     try:
-        d = _dimension(obj["d"])
+        d = obj["d"]  # GklsSystem checks it
         h = matrix_from_json(obj["H"])
         jumps = tuple(matrix_from_json(j) for j in obj.get("jumps", []))
     except (KeyError, TypeError) as exc:
@@ -94,7 +87,7 @@ def superoperator_to_json(sop: Superoperator) -> dict:
 def superoperator_from_json(obj, default_provenance: str = "full") -> Superoperator:
     if "mat" in obj:
         mat = matrix_from_json(obj["mat"])
-        d = _dimension(obj.get("d", round(mat.shape[0] ** 0.5)))
+        d = obj.get("d", round(mat.shape[0] ** 0.5))  # Superoperator checks it
         prov = obj.get("provenance", default_provenance)
         conv = obj.get("vectorization", "column-stacking")
         if conv != "column-stacking":
@@ -102,7 +95,7 @@ def superoperator_from_json(obj, default_provenance: str = "full") -> Superopera
         return Superoperator(d=d, mat=mat, provenance=prov)
     # bare matrix file
     mat = matrix_from_json(obj)
-    d = int(round(mat.shape[0] ** 0.5))
+    d = round(mat.shape[0] ** 0.5)
     return Superoperator(d=d, mat=mat, provenance=default_provenance)
 
 

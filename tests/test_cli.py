@@ -305,6 +305,7 @@ _EMPTY = matrix_to_json(np.zeros((0, 0)))
     ({"a.json": _EMPTY}, ["spectral", "--input", "{tmp}/a.json", "--output", "{tmp}/out.json"]),
     ({"a.json": _EMPTY}, ["zeno", "split", "--strong", "{tmp}/a.json", "--weak", "{tmp}/a.json",
                           "--output", "{tmp}/s.json"]),
+    ({"m.json": {"d": 3.7, "mat": matrix_to_json(np.eye(9))}}, ["gkls", "check", "--map", "{tmp}/m.json"]),
 ], ids=["missing-file", "malformed-json", "non-object-json", "split-without-strong",
         "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param",
         "infinite-gamma", "infinite-t-stop", "one-number-entry", "string-entry", "null-entry",
@@ -314,7 +315,7 @@ _EMPTY = matrix_to_json(np.zeros((0, 0)))
         "huge-param", "huge-entry", "string-split-tol", "nan-split-tol", "negative-split-tol",
         "matrix-without-rows", "system-without-d", "row-stacking-map", "files-model-without-weak",
         "unknown-model", "negative-map-dimension", "zero-map-dimension", "zero-system-dimension",
-        "zero-system-build", "empty-spectral-matrix", "empty-split-matrix"])
+        "zero-system-build", "empty-spectral-matrix", "empty-split-matrix", "fractional-map-dimension"])
 def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
@@ -326,7 +327,7 @@ def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """The CLI starts without scipy.optimize (only the purity solvers import it) or scipy.special."""
+    """The CLI starts without scipy.optimize or scipy.special, which no module of the package imports."""
     src = str(Path(zeno_limits.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, zeno_limits, zeno_limits.cli; "

@@ -9,7 +9,8 @@ import pytest
 import zeno_limits
 from zeno_limits.errors import DegenerateDataError, DimensionError, SpectrumViolationError, ValidationError
 from zeno_limits.experiments import SweepConfig
-from zeno_limits.gkls import GklsSystem, Superoperator, hamiltonian_superoperator, no_go_check
+from zeno_limits.gkls import GklsSystem, PurityOptions, Superoperator, hamiltonian_superoperator, no_go_check
+from zeno_limits.jsonio import matrix_to_json, superoperator_from_json, system_from_json
 from zeno_limits.linalg import spectral_norm, unvec
 from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.spectral import decompose, reduced_resolvent
@@ -126,6 +127,19 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: GklsSystem(2.0, np.eye(2)), ValidationError, "positive integer, got 2.0"),
     (lambda: decompose(np.zeros((0, 0))), DimensionError, "nonempty square"),
     (lambda: zeno_split(np.zeros((0, 0)), np.zeros((0, 0))), DimensionError, "nonempty square"),
+    (lambda: PurityOptions(restarts=2.5), ValidationError, r"restarts must be an integer >= 1, got 2\.5"),
+    (lambda: PurityOptions(restarts=True), ValidationError, "restarts must be an integer >= 1, got True"),
+    (lambda: PurityOptions(seed=-1), ValidationError, "seed must be an integer >= 0, got -1"),
+    (lambda: PurityOptions(seed=1.5), ValidationError, r"seed must be an integer >= 0, got 1\.5"),
+    (lambda: PurityOptions(maxiter=3.5), ValidationError, r"maxiter must be an integer >= 1, got 3\.5"),
+    (lambda: superoperator_from_json({"d": 3.7, "mat": matrix_to_json(np.eye(9))}), ValidationError,
+     r"dimension d must be a positive integer, got 3\.7"),
+    (lambda: superoperator_from_json({"d": "2", "mat": matrix_to_json(np.eye(4))}), ValidationError,
+     "dimension d must be a positive integer, got '2'"),
+    (lambda: superoperator_from_json({"d": True, "mat": matrix_to_json(np.eye(4))}), ValidationError,
+     "dimension d must be a positive integer, got True"),
+    (lambda: system_from_json({"d": 2.5, "H": matrix_to_json(np.eye(2))}), ValidationError,
+     r"dimension d must be a positive integer, got 2\.5"),
 ], ids=["one-dim-matrix", "unvec-size", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
         "unequal-split-shapes", "negative-bound-norm", "non-positive-slope-gamma", "error-at-a-t-list",
@@ -141,7 +155,14 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
         "sweep-fractional-t-count", "semigroup-check-shapes", "semigroup-check-rejected-split",
         "semigroup-check-gamma-array", "superoperator-negative-d", "superoperator-float-d",
         "superoperator-bool-d", "superoperator-zero-d", "system-zero-d", "system-float-d",
-        "empty-decompose", "empty-split"])
+        "empty-decompose", "empty-split", "purity-fractional-restarts", "purity-bool-restarts",
+        "purity-negative-seed", "purity-fractional-seed", "purity-fractional-maxiter", "map-json-float-d",
+        "map-json-string-d", "map-json-bool-d", "system-json-float-d"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_map_json_without_d_infers_it_from_the_matrix():
+    for obj in ({"mat": matrix_to_json(np.eye(9))}, matrix_to_json(np.eye(9))):
+        assert superoperator_from_json(obj).d == 3

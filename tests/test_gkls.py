@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from zeno_limits import (
     GklsSystem,
@@ -23,7 +25,7 @@ from zeno_limits import (
     unvec,
     vec,
 )
-from zeno_limits import acceptance
+from zeno_limits import acceptance, gkls
 from zeno_limits.errors import EstimationError, ValidationError
 from zeno_limits.gkls import (
     _ascend_quadratic_form,
@@ -273,15 +275,15 @@ class TestPurityDecay:
         np.testing.assert_array_equal(rep.argmax, np.ones((1, 1)))
 
     def test_ascent_failing_every_restart_is_typed(self, monkeypatch):
-        import scipy.optimize
-
         starts = []
+        lbfgs = gkls._lbfgs
 
-        def failing(fun, x0, **kwargs):
-            starts.append(x0)
-            return scipy.optimize.OptimizeResult(x=x0, success=False, status=2)
+        def failing(fun, x0, maxiter):
+            # the real ascent, on an objective that is NaN everywhere, so no restart can start
+            starts.extend(x0)
+            return lbfgs(lambda x: (np.full(len(x), np.nan), np.full(x.shape, np.nan)), x0, maxiter)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        monkeypatch.setattr(gkls, "_lbfgs", failing)
         sys = random_gkls(3, 2, seed=31)
         with pytest.raises(EstimationError, match="every restart") as info:
             purity_decay_rate(sys, PurityOptions(restarts=3, seed=4))
@@ -388,6 +390,129 @@ class TestExactQubitRate:
             rep = superoperator_purity_rate(Superoperator(2, mat))
         assert rep.gamma == 0.0 and rep.upper == 0.0
         assert np.array_equal(rep.argmax, np.eye(2) / 2)
+
+
+def _lbfgsb_rate(hq, d, opts):
+    """The ascent's oracle: one scipy L-BFGS-B run per restart from the same starting points, scored
+    like the package's ascent."""
+    rng = np.random.default_rng(opts.seed)
+    n = d * d
+
+    def neg_value_grad(x):
+        v = (x[:n] + 1j * x[n:]).reshape(d, d)
+        w = v @ v.conj().T
+        tau = np.trace(w).real
+        r = vec(w / tau)
+        a = unvec(hq @ r, d)
+        g_rho = -(a + a.conj().T)
+        z = 2.0 * ((g_rho / tau - (np.trace(g_rho @ w).real / tau ** 2) * np.eye(d)) @ v)
+        return float(np.real(r.conj() @ (hq @ r))), -np.concatenate([2.0 * z.real.ravel(), 2.0 * z.imag.ravel()])
+
+    states = []
+    for _ in range(opts.restarts):
+        res = scipy.optimize.minimize(neg_value_grad, rng.standard_normal(2 * n), jac=True, method="L-BFGS-B",
+                                      options={"maxiter": opts.maxiter, "ftol": 1e-16, "gtol": 1e-12})
+        v = (res.x[:n] + 1j * res.x[n:]).reshape(d, d)
+        w = v @ v.conj().T
+        states.append(w / np.trace(w).real)
+    return max(_purity_values(hq, np.array(states)).max(), 0.0)
+
+
+def _wide_system(d, jumps, seed):
+    """A seeded system above the corpus's largest d = 4."""
+    rng = np.random.default_rng(seed)
+    return GklsSystem(d, random_hermitian(rng, d), tuple(random_complex(rng, d) / d for _ in range(jumps)))
+
+
+class TestBatchedAscent:
+    """The batched L-BFGS ascent against scipy's L-BFGS-B from the same starting points."""
+
+    CRITERION_8B = PurityOptions(restarts=16, seed=11)
+    CORPUS = PurityOptions(restarts=8, seed=0)
+    WIDE = PurityOptions(restarts=8, seed=3)
+
+    def test_batched_starts_are_the_sequential_draws(self):
+        for seed, restarts, n in ((11, 16, 18), (0, 5, 32), (3, 1, 72)):
+            batched = np.random.default_rng(seed).standard_normal((restarts, n))
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(batched, [rng.standard_normal(n) for _ in range(restarts)])
+
+    @staticmethod
+    def _systems():
+        noisy = [(random_gkls(2 + i % 3, 1, seed=5100 + i), TestBatchedAscent.CRITERION_8B) for i in range(5)]
+        corpus = [(sys, TestBatchedAscent.CORPUS) for sys in gkls_corpus(50)]
+        wide = [(_wide_system(d, jumps, 7000 + 10 * d + jumps), TestBatchedAscent.WIDE)
+                for d in (5, 6) for jumps in (1, 2)]
+        return [(canonicalize(sys), opts) for sys, opts in noisy + corpus + wide if sys.d > 2]
+
+    def test_rate_at_least_lbfgsb_and_at_most_upper(self):
+        systems = self._systems()
+        assert {sys.d for sys, _ in systems} == {3, 4, 5, 6} and len(systems) > 30
+        for sys, opts in systems:
+            hq = _dissipator_form(sys)
+            gamma = _ascend_quadratic_form(hq, sys.d, opts).gamma
+            want = _lbfgsb_rate(hq, sys.d, opts)
+            assert gamma >= want - 1e-12 * max(1.0, want), (sys.d, gamma, want)
+            assert gamma <= purity_decay_report(sys, opts).upper + 1e-12, (sys.d, gamma)
+
+
+class TestBrentPort:
+    """``gkls._brentq`` against ``scipy.optimize.brentq``: the same root, bit for bit."""
+
+    @staticmethod
+    def _assert_same_root(f, a, b, xtol):
+        want = scipy.optimize.brentq(f, a, b, xtol=xtol)
+        got = gkls._brentq(f, a, b, xtol)
+        assert float(got).hex() == float(want).hex(), (a, b, xtol, got, want)
+
+    def test_secular_equations_of_the_rated_forms(self, monkeypatch):
+        calls = []
+        brentq = gkls._brentq
+
+        def recording(f, a, b, xtol):
+            calls.append((f, a, b, xtol))
+            return brentq(f, a, b, xtol)
+
+        monkeypatch.setattr(gkls, "_brentq", recording)
+        forms = [(hq, 2) for hq in _criterion_8_forms()]
+        forms += [(_dissipator_form(sys), sys.d) for sys in gkls_corpus(50) if sys.d > 2]
+        for hq, d in forms:
+            gkls._trust_region(hq, d)
+        assert len(calls) >= 40
+        monkeypatch.undo()
+        for call in calls:
+            self._assert_same_root(*call)
+
+    def test_random_brackets(self):
+        rng = np.random.default_rng(2024)
+        families = [
+            lambda r, k: lambda x: (x - r) * math.exp(k * x),
+            lambda r, k: lambda x: math.atan(k * (x - r)) + 1e-3 * k,
+            lambda r, k: lambda x: (x - r) ** 3 + k * (x - r),
+            lambda r, k: lambda x: math.expm1(k * (x - r)) - 0.5,
+            lambda r, k: lambda x: math.cos(k * x) - r / 10,
+        ]
+        checked = 0
+        while checked < 1200:
+            a, b = sorted(rng.uniform(-10.0, 10.0, 2))
+            f = families[checked % len(families)](rng.uniform(a, b), rng.uniform(0.1, 5.0))
+            if (f(a) < 0) == (f(b) < 0):
+                continue
+            xtol = (2e-12, 1e-15, np.finfo(float).eps * rng.uniform(0.5, 20.0))[checked % 3]
+            self._assert_same_root(f, a, b, xtol)
+            checked += 1
+
+    def test_failures_are_typed(self):
+        with pytest.raises(EstimationError, match="no sign change"):
+            gkls._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        # the root 0 of a cube root is approached by bisection, about one bit per iteration
+        with pytest.raises(EstimationError, match="did not converge in 100 iterations") as info:
+            gkls._brentq(lambda x: math.copysign(abs(x) ** (1 / 3), x), -1.0, 2.0, 1e-300)
+        assert -1.0 <= info.value.best_value <= 2.0
+        with pytest.raises(RuntimeError, match="converge after 100 iterations"):
+            scipy.optimize.brentq(lambda x: math.copysign(abs(x) ** (1 / 3), x), -1.0, 2.0, xtol=1e-300)
+        with pytest.raises(EstimationError, match="NaN"):
+            gkls._brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 1e-12)
 
 
 class TestHermiticityDefect:

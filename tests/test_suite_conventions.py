@@ -3,7 +3,10 @@ in the package and the README that must resolve."""
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +137,55 @@ def test_dangling_references_are_found():
     assert _dangling_roles("zeno", ":func:`gkls._hermitian_basis`, :class:`ValidationError`") == []
     assert _dangling_readme_names("`zeno._screened_max`, `ZenoSplit.frame`, `PurityReport.upper`, "
                                   "`zeno_limits.zeno`, `scipy.linalg.solve_triangular`") == ["zeno._screened_max"]
+
+
+#: the scipy modules the package may import; the rest of scipy costs start-up time and memory
+SCIPY_ALLOWED = ("scipy.linalg", "scipy.linalg.lapack")
+
+
+def _scipy_imports(tree: ast.Module) -> list[str]:
+    """The scipy module each import in ``tree`` loads: ``from scipy.linalg import lapack`` loads
+    ``scipy.linalg`` (and its ``lapack``), ``from scipy import optimize`` loads ``scipy.optimize``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [f"scipy.{alias.name}" for alias in node.names] if node.module == "scipy" else [node.module]
+    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+
+
+def _disallowed_scipy_imports(tree: ast.Module) -> list[str]:
+    return [name for name in _scipy_imports(tree) if name not in SCIPY_ALLOWED]
+
+
+def test_scipy_imports_are_found():
+    tree = ast.parse("import scipy.linalg as sla\nfrom scipy.linalg import lapack, expm\n"
+                     "from scipy.linalg.lapack import zgees\nfrom scipy.optimize import brentq\n"
+                     "from scipy import optimize\nimport scipy.special\ndef f():\n    import scipy.sparse\n")
+    assert _disallowed_scipy_imports(tree) == ["scipy.optimize", "scipy.optimize", "scipy.special", "scipy.sparse"]
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_package_imports_only_scipy_linalg(stem):
+    assert _disallowed_scipy_imports(ast.parse((PACKAGE / f"{stem}.py").read_text())) == []
+
+
+def test_purity_rates_load_no_heavy_scipy_subpackage():
+    """After qubit and qutrit purity rates and a no-go check, none of the scipy subpackages that
+    ``scipy.linalg`` does not need is loaded."""
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from zeno_limits import PurityOptions, no_go_check, purity_decay_rate, random_gkls\n"
+            "from zeno_limits.zeno import fast_oscillation_zeno\n"
+            "opts = PurityOptions(restarts=4, seed=0)\n"
+            "assert purity_decay_rate(random_gkls(2, 1, seed=1), opts) > 0\n"
+            "assert purity_decay_rate(random_gkls(3, 2, seed=2), opts) > 0\n"
+            "sys_ = random_gkls(2, 1, seed=3)\n"
+            "no_go_check(sys_, fast_oscillation_zeno(sys_, sys_.hamiltonian), opts=opts)\n"
+            "print([name for name in ('scipy.optimize', 'scipy.sparse', 'scipy.special', 'scipy.spatial')\n"
+            "       if name in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
