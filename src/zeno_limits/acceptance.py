@@ -1,6 +1,7 @@
 """Acceptance suite: one callable per verification criterion.
 
-Each ``criterion_*`` function returns a :class:`CriterionResult`;
+Each ``criterion_*`` check computes ``(passed, detail)``, and the harness
+:func:`_criterion` times it and builds its :class:`CriterionResult`;
 :func:`all_criteria` runs all of them, and the :func:`run_acceptance`
 driver prints one pass/fail line per criterion of that pass and reports
 an overall exit code.  The pytest module ``tests/test_acceptance.py``
@@ -12,6 +13,7 @@ Tolerances are fixed here, not configurable: they are the contract.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -78,6 +80,20 @@ class CriterionResult:
     detail: str
     elapsed_s: float = 0.0
     cases: tuple[NoGoCase, ...] = ()  # criterion 8's instances, dephasing first
+    csv_text: str = ""  # criterion 6's figure CSV
+
+
+def _criterion(number: str, name: str):
+    """Make a check returning ``(passed, detail[, dict of extra fields])`` a criterion that times
+    every call, however it is called, and returns its :class:`CriterionResult`."""
+    def harness(check):
+        @functools.wraps(check)
+        def criterion() -> CriterionResult:
+            start = time.monotonic()
+            passed, detail, *extra = check()
+            return CriterionResult(number, name, bool(passed), detail, time.monotonic() - start, **dict(*extra))
+        return criterion
+    return harness
 
 
 def _random_params(rng) -> ThreeLevelParams:
@@ -93,7 +109,8 @@ def _random_params(rng) -> ThreeLevelParams:
     )
 
 
-def criterion_1() -> CriterionResult:
+@_criterion("1", "three-level analytic propagator")
+def criterion_1():
     """Analytic propagator of the strong three-level generator vs expm."""
     start = time.monotonic()
     rng = np.random.default_rng(101)
@@ -105,15 +122,13 @@ def criterion_1() -> CriterionResult:
         analytic = np.stack([three_level_analytic_propagator(p, t).mat for t in ts.tolist()])
         worst = max(worst, float(spectral_norms(analytic - expm(d_super.mat, ts)).max()))
     elapsed = time.monotonic() - start
-    ok = bool(worst <= 1e-8 and elapsed < 5.0)
-    return CriterionResult("1", "three-level analytic propagator", ok,
-                           f"max |analytic - expm| = {worst:.3e} (tol 1e-8), {elapsed:.2f}s (limit 5s)",
-                           elapsed)
+    return (worst <= 1e-8 and elapsed < 5.0,
+            f"max |analytic - expm| = {worst:.3e} (tol 1e-8), {elapsed:.2f}s (limit 5s)")
 
 
-def criterion_2() -> CriterionResult:
+@_criterion("2", "three-level peripheral structure")
+def criterion_2():
     """Peripheral clusters of the strong generator: {0, -2ig, +2ig} and projections."""
-    start = time.monotonic()
     rng = np.random.default_rng(202)
     worst_eig, worst_proj = 0.0, 0.0
     count_ok = True
@@ -129,16 +144,14 @@ def criterion_2() -> CriterionResult:
             idx = int(np.argmin([abs(c.eigenvalue - e) for e in expect]))
             worst_eig = max(worst_eig, abs(c.eigenvalue - expect[idx]))
             worst_proj = max(worst_proj, spectral_norm(c.projection - targets[idx]))
-    ok = bool(count_ok and worst_eig <= 1e-8 and worst_proj <= 1e-8)
-    return CriterionResult("2", "three-level peripheral structure", ok,
-                           f"three peripheral clusters: {count_ok}; max eigenvalue error {worst_eig:.3e}; "
-                           f"max projection error {worst_proj:.3e} (tol 1e-8)",
-                           time.monotonic() - start)
+    return (count_ok and worst_eig <= 1e-8 and worst_proj <= 1e-8,
+            f"three peripheral clusters: {count_ok}; max eigenvalue error {worst_eig:.3e}; "
+            f"max projection error {worst_proj:.3e} (tol 1e-8)")
 
 
-def criterion_3() -> CriterionResult:
+@_criterion("3", "three-level Zeno generator")
+def criterion_3():
     """Zeno-projected weak generator matches its closed form."""
-    start = time.monotonic()
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(20):
@@ -146,16 +159,14 @@ def criterion_3() -> CriterionResult:
         l_super, d_super = three_level_generators(p)
         split = zeno_split(d_super.mat, l_super.mat)
         worst = max(worst, spectral_norm(split.c_z - three_level_zeno_generator(p).mat))
-    ok = bool(worst <= 1e-8)
-    return CriterionResult("3", "three-level Zeno generator", ok,
-                           f"max |C_Z - closed form| = {worst:.3e} (tol 1e-8)",
-                           time.monotonic() - start)
+    return worst <= 1e-8, f"max |C_Z - closed form| = {worst:.3e} (tol 1e-8)"
 
 
 GAMMA_GRID = (10.0, 30.0, 100.0, 300.0, 1000.0)
 
 
-def criterion_4() -> CriterionResult:
+@_criterion("4", "convergence rate")
+def criterion_4():
     """O(1/gamma) convergence rate at the reference parameter set.
 
     Slope fitted on the top half of the gamma grid (the small-gamma points
@@ -166,44 +177,37 @@ def criterion_4() -> CriterionResult:
                                        np.geomspace(0.25, 2.0, 32)]))
     details, ok = [], True
     for g in (1.0, 2.0):
-        p = ThreeLevelParams(omega0=0.0, omega1=1.0, omega2=2.0, gamma=2.0,
-                             g=g, w2=1.0, kappa=1.0)
-        l_super, d_super = three_level_generators(p)
+        l_super, d_super = three_level_generators(ThreeLevelParams(g=g))
         split = zeno_split(d_super.mat, l_super.mat)
         summary = summarize_rows(evaluate_grid(split, GAMMA_GRID, t_grid, ("peripheral",)))
         slope, slope_full = summary["slope"], summary["slope_full_grid"]
         ok = ok and -1.15 <= slope <= -0.85
         details.append(f"g={g}: slope {slope:.3f} (full-grid {slope_full:.3f})")
     elapsed = time.monotonic() - start
-    ok = bool(ok and elapsed < 30.0)
-    return CriterionResult("4", "convergence rate", ok,
-                           "; ".join(details) + f" (window [-1.15, -0.85]); {elapsed:.1f}s (limit 30s)",
-                           elapsed)
+    return (ok and elapsed < 30.0,
+            "; ".join(details) + f" (window [-1.15, -0.85]); {elapsed:.1f}s (limit 30s)")
 
 
-def criterion_5() -> CriterionResult:
+@_criterion("5", "bound dominance")
+def criterion_5():
     """All three bounds dominate the measured error, at constants measured over the grid."""
-    start = time.monotonic()
     t_grid = np.linspace(0.25, 2.0, 6)
     gammas = (10.0, 100.0, 1000.0)
     worst = -math.inf
-    cases = []
-    p = ThreeLevelParams()
-    l_super, d_super = three_level_generators(p)
-    cases.append((d_super.mat, l_super.mat))
+    l_super, d_super = three_level_generators(ThreeLevelParams())
+    cases = [(d_super.mat, l_super.mat)]
     for strong, weak in gkls_pair_corpus(50):
         cases.append((liouvillian(strong).mat, liouvillian(weak).mat))
     for b, c in cases:
         rows = evaluate_grid(zeno_split(b, c), gammas, t_grid, ("peripheral",), bounds=tuple(BOUNDS))
         worst = max(worst, summarize_rows(rows)["max_bound_violation"])
-    ok = bool(worst <= 1e-9)
-    return CriterionResult("5", "bound dominance", ok,
-                           f"max (error - bound) over 51 instances x {len(gammas)} gammas x "
-                           f"{len(t_grid)} times = {worst:.3e} (slack limit 1e-9)",
-                           time.monotonic() - start)
+    return (worst <= 1e-9,
+            f"max (error - bound) over 51 instances x {len(gammas)} gammas x "
+            f"{len(t_grid)} times = {worst:.3e} (slack limit 1e-9)")
 
 
-def criterion_6() -> tuple[CriterionResult, str]:
+@_criterion("6", "fixed-constant bound curve")
+def criterion_6():
     """Bound curve with fixed constants dominates the error curves.
 
     Evaluated with M = sqrt(2), p = sqrt(2), eta = kappa/2 (the norms of
@@ -212,41 +216,35 @@ def criterion_6() -> tuple[CriterionResult, str]:
     [0.1, 2] for all six panel parameter sets; the dataset is emitted
     as CSV.
     """
-    start = time.monotonic()
     t_grid = np.linspace(0.1, 2.0, 12)
-    gammas = GAMMA_GRID
     ok = True
     details = []
     lines = ["panel_g,panel_gamma_rate,gamma,t,error_peripheral,bound_cptp_caption"]
     for g in (0.1, 1.0, 2.0):
         for gamma_rate in (0.0, 2.0):
-            p = ThreeLevelParams(omega0=0.0, omega1=1.0, omega2=2.0,
-                                 gamma=gamma_rate, g=g, w2=1.0, kappa=1.0)
+            p = ThreeLevelParams(gamma=gamma_rate, g=g)
             l_super, d_super = three_level_generators(p)
             split = zeno_split(d_super.mat, l_super.mat)
             caption = BoundInputs(m_bound=math.sqrt(2.0), eta=p.kappa / 2.0,
                                   delta=split.gap_data.delta, chi=condition_number(split.decomposition),
                                   dim=split.decomposition.dim, p_coeffs=np.array([math.sqrt(2.0)]),
                                   **_norm_constants(split))
-            panel = evaluate_grid(split, gammas, t_grid, ("peripheral",))
-            bounds = bound_cptp(caption, np.array(gammas)[:, None], t_grid)
+            panel = evaluate_grid(split, GAMMA_GRID, t_grid, ("peripheral",))
+            bounds = bound_cptp(caption, np.array(GAMMA_GRID)[:, None], t_grid)
             for row, bound in zip(panel, bounds.ravel().tolist()):
                 lines.append(f"{g},{gamma_rate},{row['gamma']},{row['t']},"
                              f"{float(row['error_peripheral'])!r},{bound!r}")
-            errs = np.array([row["error_peripheral"] for row in panel]).reshape(len(gammas), -1)
+            errs = np.array([row["error_peripheral"] for row in panel]).reshape(len(GAMMA_GRID), -1)
             min_margin = float((bounds - errs).min())
             monotone = bool(np.all(bounds[1:] <= bounds[:-1] + 1e-12))
-            ok = bool(ok and monotone and min_margin >= 0.0)
+            ok = ok and monotone and min_margin >= 0.0
             details.append(f"g={g},rate={gamma_rate}: margin {min_margin:.2e}, monotone {monotone}")
-    csv_text = "\n".join(lines) + "\n"
-    return CriterionResult("6", "fixed-constant bound curve", ok,
-                           "; ".join(details), time.monotonic() - start,
-                           ), csv_text
+    return ok, "; ".join(details), {"csv_text": "\n".join(lines) + "\n"}
 
 
-def criterion_7() -> CriterionResult:
+@_criterion("7", "dephasing-qubit example")
+def criterion_7():
     """Dephasing-qubit projected generators: closed forms and GKLS verdicts."""
-    start = time.monotonic()
     ex = dephasing_qubit_example()
     comps = commutator_projections(ex.hamiltonian)
     total = sum(c.projector @ ex.l_super.mat @ c.projector for c in comps)
@@ -256,15 +254,14 @@ def criterion_7() -> CriterionResult:
     d_non = spectral_norm(compressed - ex.expected_non_gkls.mat)
     zeno_ok = gkls_form_check(ex.expected_zeno).conditionally_completely_positive
     non_ok = gkls_form_check(ex.expected_non_gkls).conditionally_completely_positive
-    ok = bool(d_zeno <= 1e-10 and d_non <= 1e-10 and zeno_ok and not non_ok)
-    return CriterionResult("7", "dephasing-qubit example", ok,
-                           f"|sum P L P - (D_X + D_Y)/8| = {d_zeno:.3e}, "
-                           f"|P0 L P0 - (D_X + D_Y - D_Z)/8| = {d_non:.3e} (tol 1e-10); "
-                           f"GKLS verdicts: projected {zeno_ok} (want True), compressed {non_ok} (want False)",
-                           time.monotonic() - start)
+    return (d_zeno <= 1e-10 and d_non <= 1e-10 and zeno_ok and not non_ok,
+            f"|sum P L P - (D_X + D_Y)/8| = {d_zeno:.3e}, "
+            f"|P0 L P0 - (D_X + D_Y - D_Z)/8| = {d_non:.3e} (tol 1e-10); "
+            f"GKLS verdicts: projected {zeno_ok} (want True), compressed {non_ok} (want False)")
 
 
-def criterion_8() -> CriterionResult:
+@_criterion("8", "no-go purity-rate agreement")
+def criterion_8():
     """No-go check: purity decay rates of L and of the projected L_Z.
 
     Every instance is a qubit, so each rate is an exact trust-region solve.
@@ -275,7 +272,6 @@ def criterion_8() -> CriterionResult:
     it does not, and the blanket 1e-6 agreement asserted here fails.  The
     Gamma = 0 iff D = 0 separation is asserted in criterion 8b.
     """
-    start = time.monotonic()
     ex = dephasing_qubit_example()
     cases = [NoGoCase("dephasing", ex.system, ex.expected_zeno,
                       no_go_check(ex.system, ex.expected_zeno, 1e-6))]
@@ -287,15 +283,12 @@ def criterion_8() -> CriterionResult:
     first = cases[0].report
     details = [f"dephasing: |{first.gamma_original:.8f} - {first.gamma_projected:.8f}| = {gaps[0]:.2e}",
                f"max |Gamma(L) - Gamma(L_Z)| over 10 random instances = {max(gaps):.3e}"]
-    ok = bool(max(gaps) <= 1e-6)
-    return CriterionResult("8", "no-go purity-rate agreement", ok,
-                           "; ".join(details) + " (tol 1e-6)",
-                           time.monotonic() - start, tuple(cases))
+    return max(gaps) <= 1e-6, "; ".join(details) + " (tol 1e-6)", {"cases": tuple(cases)}
 
 
-def criterion_8b() -> CriterionResult:
+@_criterion("8b", "no-go purity-rate separation")
+def criterion_8b():
     """Gamma = 0 exactly for vanishing dissipators, bounded away otherwise."""
-    start = time.monotonic()
     opts = PurityOptions(restarts=16, seed=11)
     zeros, nonzeros = [], []
     for i in range(5):
@@ -303,16 +296,14 @@ def criterion_8b() -> CriterionResult:
         zeros.append(purity_decay_rate(canonicalize(unitary), opts))
         noisy = random_gkls(2 + i % 3, 1, seed=5100 + i)
         nonzeros.append(purity_decay_rate(canonicalize(noisy), opts))
-    ok = bool(max(zeros) <= 1e-12 and min(nonzeros) >= 1e-8)
-    return CriterionResult("8b", "no-go purity-rate separation", ok,
-                           f"max Gamma(unitary) = {max(zeros):.2e} (tol 1e-12), "
-                           f"min Gamma(noisy) = {min(nonzeros):.2e} (floor 1e-8)",
-                           time.monotonic() - start)
+    return (max(zeros) <= 1e-12 and min(nonzeros) >= 1e-8,
+            f"max Gamma(unitary) = {max(zeros):.2e} (tol 1e-12), "
+            f"min Gamma(noisy) = {min(nonzeros):.2e} (floor 1e-8)")
 
 
-def criterion_9() -> CriterionResult:
+@_criterion("9", "commutator spectral projections")
+def criterion_9():
     """Bohr-frequency projections match the commutator's spectral clusters."""
-    start = time.monotonic()
     rng = np.random.default_rng(909)
     worst_match, worst_complete = 0.0, 0.0
     for i in range(10):
@@ -330,16 +321,14 @@ def criterion_9() -> CriterionResult:
             idx = int(np.argmin([abs(c.eigenvalue - target) for c in dec.clusters]))
             worst_match = max(worst_match,
                               spectral_norm(dec.clusters[idx].projection - comp.projector))
-    ok = bool(worst_match <= 1e-8 and worst_complete <= 1e-8)
-    return CriterionResult("9", "commutator spectral projections", ok,
-                           f"max projection mismatch {worst_match:.3e}; "
-                           f"completeness defect {worst_complete:.3e} (tol 1e-8)",
-                           time.monotonic() - start)
+    return (worst_match <= 1e-8 and worst_complete <= 1e-8,
+            f"max projection mismatch {worst_match:.3e}; "
+            f"completeness defect {worst_complete:.3e} (tol 1e-8)")
 
 
-def criterion_10() -> CriterionResult:
+@_criterion("10", "pulsed Zeno O(1/n) halving")
+def criterion_10():
     """Pulsed-Zeno distance halves (within 25%) as n doubles."""
-    start = time.monotonic()
     rng = np.random.default_rng(1010)
     ok = True
     worst_dev = 0.0
@@ -354,15 +343,13 @@ def criterion_10() -> CriterionResult:
         for a, b in zip(dists, dists[1:]):
             ratio = b / a
             worst_dev = max(worst_dev, abs(ratio - 0.5) / 0.5)
-            ok = bool(ok and 0.375 <= ratio <= 0.625)
-    return CriterionResult("10", "pulsed Zeno O(1/n) halving", ok,
-                           f"worst halving deviation {100 * worst_dev:.1f}% (limit 25%)",
-                           time.monotonic() - start)
+            ok = ok and 0.375 <= ratio <= 0.625
+    return ok, f"worst halving deviation {100 * worst_dev:.1f}% (limit 25%)"
 
 
-def criterion_11() -> CriterionResult:
+@_criterion("11", "spectral property audit")
+def criterion_11():
     """Structural audit passes on the corpus; corrupted generator fails."""
-    start = time.monotonic()
     all_ok = True
     for sys in gkls_corpus(50):
         rep = spectral_property_check(sys)
@@ -373,24 +360,16 @@ def criterion_11() -> CriterionResult:
     ham = hamiltonian_superoperator(sys.hamiltonian)
     corrupted = ham - (lio - ham)
     rep = spectral_property_check(corrupted)
-    ok = bool(all_ok and not rep.left_half_plane)
-    return CriterionResult("11", "spectral property audit", ok,
-                           f"corpus all pass: {all_ok}; corrupted generator "
-                           f"left-half-plane verdict: {rep.left_half_plane} (want False)",
-                           time.monotonic() - start)
+    return (all_ok and not rep.left_half_plane,
+            f"corpus all pass: {all_ok}; corrupted generator "
+            f"left-half-plane verdict: {rep.left_half_plane} (want False)")
 
 
 def all_criteria():
-    """Run every criterion; returns (results, fig2_csv_text)."""
-    results = []
-    for fn in (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5):
-        results.append(fn())
-    res6, csv_text = criterion_6()
-    results.append(res6)
-    for fn in (criterion_7, criterion_8, criterion_8b, criterion_9,
-               criterion_10, criterion_11):
-        results.append(fn())
-    return results, csv_text
+    """Run every criterion; returns (results, fig2_csv_text), the CSV being criterion 6's."""
+    results = [fn() for fn in (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6,
+                               criterion_7, criterion_8, criterion_8b, criterion_9, criterion_10, criterion_11)]
+    return results, "".join(res.csv_text for res in results)
 
 
 def run_acceptance(results: list[CriterionResult], csv_text: str, csv_path: str | None = None, stream=None) -> int:

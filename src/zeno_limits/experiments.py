@@ -32,7 +32,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .gkls import (GklsSystem, Superoperator, _mat_and_dim, cptp_check,
                    liouvillian)
 from .jsonio import load_json, superoperator_from_json, write_text
 from .linalg import spectral_norm
-from .models import ThreeLevelParams, dephasing_qubit_example, three_level_generators
+from .models import ThreeLevelParams, _finite_float, dephasing_qubit_example, three_level_generators
 from .spectral import decompose, peripheral_projection
 from .zeno import BOUNDS, CSV_COLUMNS, VARIANTS, _check_names, _loglog_fit, evaluate_grid, zeno_split
 
@@ -81,6 +81,13 @@ class SweepConfig:
     output: str | None = None
 
     def __post_init__(self):
+        try:  # ints become floats
+            grid = tuple(_finite_float("gamma_grid entry", g) for g in self.gamma_grid)
+        except TypeError as exc:  # not iterable
+            raise ValidationError(f"gamma_grid must be a sequence of numbers, got {self.gamma_grid!r}") from exc
+        object.__setattr__(self, "gamma_grid", grid)
+        for name in ("t_start", "t_stop"):
+            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
         if not self.gamma_grid:
             raise ValidationError("gamma_grid must not be empty")
         if isinstance(self.t_count, bool) or not isinstance(self.t_count, numbers.Integral) or self.t_count < 0:
@@ -89,8 +96,6 @@ class SweepConfig:
             raise ValidationError("gamma_grid must be strictly increasing")
         if any(g <= 0 for g in self.gamma_grid):
             raise ValidationError("gamma values must be positive")
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_stop)):
-            raise ValidationError(f"t_grid start and stop must be finite, got {self.t_start}, {self.t_stop}")
         if self.t_spacing not in ("linear", "log"):
             raise ValidationError("t_spacing must be 'linear' or 'log'")
         _check_names(self.variants, self.bounds)
@@ -115,19 +120,14 @@ class SweepConfig:
             raise ValidationError(f"t_grid must be an object with start, stop, count and spacing, got {tg!r}")
         if not all(path is None or isinstance(path, str) for path in (strong, weak, obj.get("output"))):
             raise ValidationError("the model's strong and weak paths and the output must be strings")
-        try:
-            parsed = dict(
-                gamma_grid=tuple(float(g) for g in obj.get("gamma_grid", cls.gamma_grid)),
-                t_start=float(tg.get("start", cls.t_start)),
-                t_stop=float(tg.get("stop", cls.t_stop)),
-                t_count=int(tg.get("count", cls.t_count)),
-                variants=tuple(str(v) for v in obj.get("variants", cls.variants)),
-                bounds=tuple(str(b) for b in obj.get("bounds", cls.bounds)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-            raise ValidationError(f"malformed sweep config: {exc}") from exc
+        arrays = {key: obj[key] for key in ("gamma_grid", "variants", "bounds") if key in obj}
+        for key, value in arrays.items():
+            if not isinstance(value, list):
+                raise ValidationError(f"{key} must be a JSON array, got {value!r}")
         return cls(model=model, params=params, strong_path=strong, weak_path=weak,
-                   t_spacing=tg.get("spacing", cls.t_spacing), output=obj.get("output"), **parsed)
+                   t_start=tg.get("start", cls.t_start), t_stop=tg.get("stop", cls.t_stop),
+                   t_count=tg.get("count", cls.t_count), t_spacing=tg.get("spacing", cls.t_spacing),
+                   output=obj.get("output"), **{key: tuple(value) for key, value in arrays.items()})
 
     def t_grid(self) -> np.ndarray:
         if self.t_spacing == "log":
@@ -248,21 +248,11 @@ class SpectralPropertyReport:
 
     @property
     def all_pass(self) -> bool:
-        return (self.left_half_plane and self.zero_is_eigenvalue
-                and self.peripheral_semisimple and self.peripheral_projection_cptp
-                and self.projection_commutes and self.peripheral_map_cptp)
+        return self.as_dict()["all_pass"]
 
     def as_dict(self) -> dict:
-        return {
-            "left_half_plane": self.left_half_plane,
-            "zero_is_eigenvalue": self.zero_is_eigenvalue,
-            "peripheral_semisimple": self.peripheral_semisimple,
-            "peripheral_projection_cptp": self.peripheral_projection_cptp,
-            "projection_commutes": self.projection_commutes,
-            "peripheral_map_cptp": self.peripheral_map_cptp,
-            "all_pass": self.all_pass,
-            "details": self.details,
-        }
+        verdicts = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
+        return {**verdicts, "all_pass": all(verdicts.values()), "details": self.details}
 
 
 def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:

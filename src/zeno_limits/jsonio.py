@@ -11,6 +11,7 @@ package's one file writer: the JSON files, the sweep CSV and summary, the
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from pathlib import Path
 
@@ -44,14 +45,16 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0 for n in (rows, cols)):
+        raise ValidationError(f"matrix JSON rows and cols must be nonnegative integers, got {rows!r}, {cols!r}")
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"matrix JSON data must be a list of [re, im] number pairs: {exc}") from exc
-    if min(rows, cols) < 0 or flat.size != rows * cols:
+    if flat.size != rows * cols:
         raise ValidationError(
             f"matrix JSON claims {rows}x{cols} but carries {flat.size} entries")
     return flat.reshape((rows, cols), order="C")

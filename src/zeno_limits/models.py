@@ -23,6 +23,7 @@ unit generator norm for corpus-style testing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -52,6 +53,17 @@ __all__ = [
 ]
 
 
+def _finite_float(name: str, value) -> float:
+    """``value`` as a float; a bool, a non-number or a value that is not a finite float raises naming ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ThreeLevelParams:
     """Parameters of the three-level model.
@@ -72,6 +84,8 @@ class ThreeLevelParams:
     kappa: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):  # ints become floats
+            object.__setattr__(self, f.name, _finite_float(f"three-level parameter {f.name}", getattr(self, f.name)))
         if not (self.kappa > 0 and self.g > 0):
             raise ValidationError("three-level model requires kappa > 0 and g > 0")
         if self.gamma < 0:
@@ -84,11 +98,7 @@ class ThreeLevelParams:
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"unknown three-level parameters {unknown}")
-        try:
-            values = {name: float(value) for name, value in obj.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"three-level parameters must be numbers: {exc}") from exc
-        return cls(**values)
+        return cls(**obj)
 
 
 def _basis_ops():

@@ -555,7 +555,10 @@ CSV_COLUMNS = ("gamma", "t", *(f"error_{name}" for name in VARIANTS), *(f"bound_
 def _check_names(variants, bounds) -> None:
     """Every name in ``variants`` must be in ``VARIANTS`` and every name in ``bounds`` a key of ``BOUNDS``."""
     for kind, names, known in (("variants", variants, VARIANTS), ("bounds", bounds, tuple(BOUNDS))):
-        unknown = [name for name in names if name not in known]
+        try:
+            unknown = [name for name in names if name not in known]
+        except TypeError as exc:  # not iterable
+            raise ValidationError(f"{kind} must be a sequence of names, got {names!r}") from exc
         if unknown:
             raise ValidationError(f"unknown {kind} {unknown}")
 

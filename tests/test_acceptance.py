@@ -120,6 +120,24 @@ def test_criterion_11_spectral_audit():
     assert _run("11").passed
 
 
+NAMES = {"1": "three-level analytic propagator", "2": "three-level peripheral structure",
+         "3": "three-level Zeno generator", "4": "convergence rate", "5": "bound dominance",
+         "6": "fixed-constant bound curve", "7": "dephasing-qubit example", "8": "no-go purity-rate agreement",
+         "8b": "no-go purity-rate separation", "9": "commutator spectral projections",
+         "10": "pulsed Zeno O(1/n) halving", "11": "spectral property audit"}
+
+
+@pytest.mark.parametrize("number", NAMES)
+def test_criterion_called_alone_is_timed_by_the_harness(number):
+    criterion = getattr(acceptance, f"criterion_{number}")
+    res = criterion()
+    assert criterion.__name__ == f"criterion_{number}"
+    assert (res.number, res.name) == (number, NAMES[number])
+    assert type(res.passed) is bool and res.elapsed_s > 0
+    if number == "6":
+        assert res.csv_text == acceptance_pass()[2] and res.csv_text.startswith("panel_g,")
+
+
 def _stub(number, passed):
     return lambda: acceptance.CriterionResult(number, f"stub {number}", passed, "detail")
 
@@ -130,7 +148,7 @@ def test_driver_prints_one_line_per_criterion(monkeypatch, tmp_path, capsys, fai
     for number in names:
         monkeypatch.setattr(acceptance, f"criterion_{number}", _stub(number, number != failing))
     monkeypatch.setattr(acceptance, "criterion_6",
-                        lambda: (acceptance.CriterionResult("6", "stub 6", True, "detail"), "panel_g\n"))
+                        lambda: acceptance.CriterionResult("6", "stub 6", True, "detail", csv_text="panel_g\n"))
     csv_path = tmp_path / "fig.csv"
     code = main(["acceptance", "--fig-csv", str(csv_path)])
     lines = capsys.readouterr().out.splitlines()

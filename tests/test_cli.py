@@ -306,6 +306,19 @@ _EMPTY = matrix_to_json(np.zeros((0, 0)))
     ({"a.json": _EMPTY}, ["zeno", "split", "--strong", "{tmp}/a.json", "--weak", "{tmp}/a.json",
                           "--output", "{tmp}/s.json"]),
     ({"m.json": {"d": 3.7, "mat": matrix_to_json(np.eye(9))}}, ["gkls", "check", "--map", "{tmp}/m.json"]),
+    ({"cfg.json": {"gamma_grid": "19"}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"gamma_grid": [True, 10]}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"variants": ""}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"t_grid": {"count": 2.7}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"t_grid": {"count": True}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"t_grid": {"count": "16"}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"t_grid": {"start": "0.25"}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"params": {"g": True}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"p.json": {"g": True}}, ["model", "three-level", "--params", "{tmp}/p.json"]),
+    ({"a.json": {"rows": 2.7, "cols": 2, "data": [[0, 0]] * 4}}, ["spectral", "--input", "{tmp}/a.json",
+                                                                "--output", "{tmp}/out.json"]),
+    ({"a.json": {"rows": True, "cols": 1, "data": [[0, 0]]}}, ["spectral", "--input", "{tmp}/a.json",
+                                                             "--output", "{tmp}/out.json"]),
 ], ids=["missing-file", "malformed-json", "non-object-json", "split-without-strong",
         "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param",
         "infinite-gamma", "infinite-t-stop", "one-number-entry", "string-entry", "null-entry",
@@ -315,7 +328,10 @@ _EMPTY = matrix_to_json(np.zeros((0, 0)))
         "huge-param", "huge-entry", "string-split-tol", "nan-split-tol", "negative-split-tol",
         "matrix-without-rows", "system-without-d", "row-stacking-map", "files-model-without-weak",
         "unknown-model", "negative-map-dimension", "zero-map-dimension", "zero-system-dimension",
-        "zero-system-build", "empty-spectral-matrix", "empty-split-matrix", "fractional-map-dimension"])
+        "zero-system-build", "empty-spectral-matrix", "empty-split-matrix", "fractional-map-dimension",
+        "string-gamma-grid", "bool-gamma", "string-variants", "fractional-t-count", "bool-t-count",
+        "numeric-string-t-count", "numeric-string-t-start", "bool-sweep-param", "bool-param",
+        "fractional-matrix-rows", "bool-matrix-rows"])
 def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))

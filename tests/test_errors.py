@@ -10,7 +10,7 @@ import zeno_limits
 from zeno_limits.errors import DegenerateDataError, DimensionError, SpectrumViolationError, ValidationError
 from zeno_limits.experiments import SweepConfig
 from zeno_limits.gkls import GklsSystem, PurityOptions, Superoperator, hamiltonian_superoperator, no_go_check
-from zeno_limits.jsonio import matrix_to_json, superoperator_from_json, system_from_json
+from zeno_limits.jsonio import matrix_from_json, matrix_to_json, superoperator_from_json, system_from_json
 from zeno_limits.linalg import spectral_norm, unvec
 from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.spectral import decompose, reduced_resolvent
@@ -140,6 +140,34 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
      "dimension d must be a positive integer, got True"),
     (lambda: system_from_json({"d": 2.5, "H": matrix_to_json(np.eye(2))}), ValidationError,
      r"dimension d must be a positive integer, got 2\.5"),
+    (lambda: SweepConfig.from_json({"gamma_grid": "19"}), ValidationError, "gamma_grid must be a JSON array"),
+    (lambda: SweepConfig.from_json({"variants": ""}), ValidationError, "variants must be a JSON array"),
+    (lambda: SweepConfig.from_json({"bounds": {"cptp": 1}}), ValidationError, "bounds must be a JSON array"),
+    (lambda: SweepConfig.from_json({"t_grid": {"count": 2.7}}), ValidationError,
+     r"t_count must be a nonnegative integer, got 2\.7"),
+    (lambda: SweepConfig.from_json({"t_grid": {"count": True}}), ValidationError,
+     "t_count must be a nonnegative integer, got True"),
+    (lambda: SweepConfig.from_json({"t_grid": {"count": "16"}}), ValidationError,
+     "t_count must be a nonnegative integer, got '16'"),
+    (lambda: SweepConfig.from_json({"params": {"g": True}}), ValidationError,
+     "three-level parameter g must be a finite number, got True"),
+    (lambda: matrix_from_json({"rows": 2.7, "cols": 3, "data": [[0, 0]] * 6}), ValidationError,
+     r"rows and cols must be nonnegative integers, got 2\.7, 3"),
+    (lambda: matrix_from_json({"rows": True, "cols": 4, "data": [[0, 0]] * 4}), ValidationError,
+     "rows and cols must be nonnegative integers, got True, 4"),
+    (lambda: SweepConfig(gamma_grid=("a",)), ValidationError, "gamma_grid entry must be a finite number, got 'a'"),
+    (lambda: SweepConfig(gamma_grid=5), ValidationError, "gamma_grid must be a sequence of numbers, got 5"),
+    (lambda: SweepConfig(t_start="a"), ValidationError, "t_start must be a finite number, got 'a'"),
+    (lambda: SweepConfig(variants=3), ValidationError, "variants must be a sequence of names, got 3"),
+    (lambda: ThreeLevelParams(g="x"), ValidationError, "three-level parameter g must be a finite number, got 'x'"),
+    (lambda: ThreeLevelParams(kappa=None), ValidationError, "parameter kappa must be a finite number, got None"),
+    (lambda: ThreeLevelParams(gamma=np.nan), ValidationError, "parameter gamma must be a finite number, got nan"),
+    (lambda: ThreeLevelParams(omega0=np.inf), ValidationError, "parameter omega0 must be a finite number, got inf"),
+    (lambda: ThreeLevelParams(g=10 ** 400), ValidationError, "parameter g must be a finite number"),
+    (lambda: evaluate_grid(_three_level_split(), [10.0], [1.0], 3), ValidationError,
+     "variants must be a sequence of names, got 3"),
+    (lambda: evaluate_grid(_three_level_split(), [10.0], [1.0], bounds=None), ValidationError,
+     "bounds must be a sequence of names, got None"),
 ], ids=["one-dim-matrix", "unvec-size", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
         "unequal-split-shapes", "negative-bound-norm", "non-positive-slope-gamma", "error-at-a-t-list",
@@ -157,7 +185,12 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
         "superoperator-bool-d", "superoperator-zero-d", "system-zero-d", "system-float-d",
         "empty-decompose", "empty-split", "purity-fractional-restarts", "purity-bool-restarts",
         "purity-negative-seed", "purity-fractional-seed", "purity-fractional-maxiter", "map-json-float-d",
-        "map-json-string-d", "map-json-bool-d", "system-json-float-d"])
+        "map-json-string-d", "map-json-bool-d", "system-json-float-d",
+        "sweep-json-string-gamma-grid", "sweep-json-string-variants", "sweep-json-object-bounds",
+        "sweep-json-fractional-count", "sweep-json-bool-count", "sweep-json-string-count", "sweep-json-bool-param",
+        "matrix-json-fractional-rows", "matrix-json-bool-rows", "sweep-string-gamma", "sweep-scalar-gamma-grid",
+        "sweep-string-t-start", "sweep-scalar-variants", "params-string-g", "params-none-kappa", "params-nan-gamma",
+        "params-inf-omega0", "params-huge-g", "grid-scalar-variants", "grid-none-bounds"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -76,6 +76,7 @@ class TestSweepConfig:
             "seed": 3,
         })
         assert cfg.gamma_grid == (10.0, 100.0, 1000.0, 10000.0)
+        assert all(type(g) is float for g in cfg.gamma_grid)
         assert cfg.t_spacing == "log"
         assert np.all(np.diff(np.log(cfg.t_grid())) > 0)
 
