@@ -53,7 +53,6 @@ from .zeno import (
     _norm_constants,
     bound_cptp,
     commutator_projections,
-    commutator_superoperator,
     evaluate_grid,
     fast_oscillation_zeno,
     pulsed_zeno_product,
@@ -314,8 +313,7 @@ def criterion_9():
         total = sum(c.projector for c in comps)
         worst_complete = max(worst_complete,
                              spectral_norm(total - np.eye(d * d)))
-        gen = -1j * commutator_superoperator(k)
-        dec = decompose(gen)
+        dec = decompose(hamiltonian_superoperator(k))
         for comp in comps:
             target = -1j * comp.omega
             idx = int(np.argmin([abs(c.eigenvalue - target) for c in dec.clusters]))

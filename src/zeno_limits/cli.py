@@ -85,7 +85,7 @@ def cmd_gkls_build(args) -> int:
 
 def cmd_gkls_check(args) -> int:
     obj = jsonio.load_json(args.map)
-    sop = jsonio.superoperator_from_json(obj, default_provenance="projected")
+    sop = jsonio.superoperator_from_json(obj)
     as_map = Superoperator(sop.d, sop.mat, "projected")
     report = {"cptp": asdict(cptp_check(as_map)), "gkls_form": asdict(gkls_form_check(as_map))}
     print(json.dumps(report, indent=2))

@@ -2,7 +2,14 @@
 
 
 class ZenoLimitsError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``diagnostics`` is a dict of the numbers behind the failure, empty where there are none.
+    """
+
+    def __init__(self, msg, diagnostics=None):
+        super().__init__(msg)
+        self.diagnostics = diagnostics or {}
 
 
 class DimensionError(ZenoLimitsError, ValueError):
@@ -14,14 +21,7 @@ class ValidationError(ZenoLimitsError, ValueError):
 
 
 class FactorizationError(ZenoLimitsError):
-    """A matrix factorization failed or did not meet its residual target.
-
-    Carries a ``diagnostics`` dict with the offending residuals.
-    """
-
-    def __init__(self, msg, diagnostics=None):
-        super().__init__(msg)
-        self.diagnostics = diagnostics or {}
+    """A matrix factorization failed or did not meet its residual target; ``diagnostics`` holds the residuals."""
 
 
 class IllConditionedDecompositionError(FactorizationError):

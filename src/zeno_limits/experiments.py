@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ValidationError, ZenoLimitsError
-from .gkls import (GklsSystem, Superoperator, _mat_and_dim, cptp_check,
+from .gkls import (GklsSystem, _check_integer, _mat_and_dim, cptp_check,
                    dissipator_superoperator, hamiltonian_superoperator,
                    liouvillian)
 from .jsonio import load_json, superoperator_from_json, write_text
@@ -90,8 +89,7 @@ class SweepConfig:
             object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
         if not self.gamma_grid:
             raise ValidationError("gamma_grid must not be empty")
-        if isinstance(self.t_count, bool) or not isinstance(self.t_count, numbers.Integral) or self.t_count < 0:
-            raise ValidationError(f"t_count must be a nonnegative integer, got {self.t_count!r}")
+        _check_integer("t_count", self.t_count, 0)
         if list(self.gamma_grid) != sorted(set(self.gamma_grid)):
             raise ValidationError("gamma_grid must be strictly increasing")
         if any(g <= 0 for g in self.gamma_grid):
@@ -259,7 +257,7 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
     """Audit the spectral structure of a GKLS generator: a system, a superoperator or a d^2 x d^2 matrix."""
     if isinstance(sys_or_superop, GklsSystem):
         sys_or_superop = liouvillian(sys_or_superop)
-    mat, d = _mat_and_dim(sys_or_superop)
+    mat, _ = _mat_and_dim(sys_or_superop)
     norm = max(spectral_norm(mat), 1e-300)
     tol = 1e-7 * norm
 
@@ -279,7 +277,7 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
             projection_commutes=False, peripheral_map_cptp=False, details=details)
 
     p_phi = peripheral_projection(dec)
-    proj_report = cptp_check(Superoperator(d, p_phi, "projected"))
+    proj_report = cptp_check(p_phi)
     commutator_norm = spectral_norm(mat @ p_phi - p_phi @ mat)
     commute = commutator_norm <= 1e-8 * norm
     details["projection_commutator_norm"] = float(commutator_norm)
@@ -289,7 +287,7 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
     for t in (-1.0, 1.0):
         phi_map = sum((np.exp(t * c.eigenvalue) * c.projection for c in dec.peripheral_clusters),
                       np.zeros_like(mat))
-        rep = cptp_check(Superoperator(d, phi_map, "projected"))
+        rep = cptp_check(phi_map)
         details[f"peripheral_map_min_choi_t={t}"] = rep.min_choi_eigenvalue
         peripheral_map_ok = peripheral_map_ok and rep.completely_positive and rep.trace_preserving
 

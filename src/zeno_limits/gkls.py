@@ -64,14 +64,13 @@ __all__ = [
     "no_go_check",
 ]
 
-GENERATOR_PROVENANCES = ("hamiltonian", "dissipator", "full")
-ALL_PROVENANCES = GENERATOR_PROVENANCES + ("projected", "propagator")
+ALL_PROVENANCES = ("hamiltonian", "dissipator", "full", "projected", "propagator")
 
 
-def _check_dimension(d) -> None:
-    """Raise :class:`ValidationError` unless the Hilbert-space dimension d is a positive integer (not a bool)."""
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
-        raise ValidationError(f"dimension d must be a positive integer, got {d!r}")
+def _check_integer(name: str, value, least: int = 1) -> None:
+    """Raise :class:`ValidationError` naming ``name`` unless ``value`` is an integer (not a bool) >= ``least`` (1 or 0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class GklsSystem:
     jumps: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        _check_dimension(self.d)
+        _check_integer("dimension d", self.d)
         h = as_complex_matrix(self.hamiltonian, "hamiltonian")
         if h.shape != (self.d, self.d):
             raise DimensionError(f"H must be {self.d}x{self.d}, got {h.shape}")
@@ -115,7 +114,7 @@ class Superoperator:
     provenance: str = "full"
 
     def __post_init__(self):
-        _check_dimension(self.d)
+        _check_integer("dimension d", self.d)
         m = as_complex_matrix(self.mat, "superoperator matrix")
         if m.shape != (self.d * self.d, self.d * self.d):
             raise DimensionError(
@@ -126,6 +125,8 @@ class Superoperator:
         object.__setattr__(self, "mat", m)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
+        if (rho := as_complex_matrix(rho, "rho")).shape != (self.d, self.d):
+            raise DimensionError(f"rho must be {self.d}x{self.d}, got shape {rho.shape}")
         return unvec(self.mat @ vec(rho), self.d)
 
     def hermiticity_defect(self) -> float:

@@ -87,19 +87,14 @@ def superoperator_to_json(sop: Superoperator) -> dict:
     }
 
 
-def superoperator_from_json(obj, default_provenance: str = "full") -> Superoperator:
-    if "mat" in obj:
-        mat = matrix_from_json(obj["mat"])
-        d = obj.get("d", round(mat.shape[0] ** 0.5))  # Superoperator checks it
-        prov = obj.get("provenance", default_provenance)
-        conv = obj.get("vectorization", "column-stacking")
-        if conv != "column-stacking":
-            raise ValidationError(f"unsupported vectorization convention {conv!r}")
-        return Superoperator(d=d, mat=mat, provenance=prov)
-    # bare matrix file
-    mat = matrix_from_json(obj)
-    d = round(mat.shape[0] ** 0.5)
-    return Superoperator(d=d, mat=mat, provenance=default_provenance)
+def superoperator_from_json(obj) -> Superoperator:
+    """A superoperator file; a bare matrix file is one with every optional key at its default."""
+    obj = obj if "mat" in obj else {"mat": obj}
+    mat = matrix_from_json(obj["mat"])
+    if (conv := obj.get("vectorization", "column-stacking")) != "column-stacking":
+        raise ValidationError(f"unsupported vectorization convention {conv!r}")
+    d = obj.get("d", round(mat.shape[0] ** 0.5))  # Superoperator checks it
+    return Superoperator(d=d, mat=mat, provenance=obj.get("provenance", "full"))
 
 
 def load_json(path) -> dict:

@@ -160,19 +160,28 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     return x
 
 
+def _checked_times(t, name: str) -> np.ndarray:
+    """``t`` as a float array of at most one dimension with finite entries, else a typed error naming ``name``."""
+    try:
+        ts = np.asarray(t, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} times are not numeric: {exc}") from exc
+    if ts.ndim > 1:
+        raise DimensionError(f"{name} times must be a float or 1-dimensional, got shape {ts.shape}")
+    if not np.all(np.isfinite(ts)):
+        raise ValidationError(f"{name} times contain non-finite entries")
+    return ts
+
+
 def expm(a, t=1.0) -> np.ndarray:
     """Matrix exponential ``e^{t a}`` as complex128, by the package's Pade kernel.
 
     ``t`` is a float (one matrix) or a 1-D array (the stack e^{t_i a}, from
     one kernel call on the stack t_i a); each slice equals the float call
-    bit for bit.
+    bit for bit.  A non-numeric, 2-D or non-finite ``t`` raises a typed error.
     """
     a = _require_square(a, "expm operand")
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise DimensionError(f"expm times must be a float or 1-dimensional, got shape {ts.shape}")
-    if not np.all(np.isfinite(ts)):
-        raise ValidationError("expm times contain non-finite entries")
+    ts = _checked_times(t, "expm")
     if ts.size and float(np.abs(ts).max()) * float(_onenorms(a)) > _EXPM_RANGE:
         raise ValidationError(f"expm operand t a is out of the kernel's range: ||t a||_1 > {_EXPM_RANGE:.3g}")
     out = _expm_stack(ts.reshape(-1)[:, None, None] * a)

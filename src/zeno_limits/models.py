@@ -32,6 +32,7 @@ from .errors import ValidationError
 from .gkls import (
     GklsSystem,
     Superoperator,
+    _check_integer,
     dissipator_superoperator,
     liouvillian,
 )
@@ -246,6 +247,9 @@ class DephasingQubitExample:
 
 
 def dephasing_qubit_example(omega: float = 1.0, kappa: float = 1.0) -> DephasingQubitExample:
+    omega, kappa = _finite_float("omega", omega), _finite_float("kappa", kappa)
+    if kappa < 0:
+        raise ValidationError(f"kappa must be nonnegative, got {kappa!r}")
     h = omega * np.diag([1.0, 0.0]).astype(complex)
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     jump = math.sqrt(kappa) * np.outer(plus, plus.conj())
@@ -281,6 +285,9 @@ def random_gkls(d: int, n_jumps: int, seed: int) -> GklsSystem:
     H is a Gaussian Hermitian matrix; jumps are complex Gaussian matrices
     made traceless.  Deterministic per seed.
     """
+    _check_integer("dimension d", d)
+    _check_integer("n_jumps", n_jumps, 0)
+    _check_integer("seed", seed, 0)
     if not 2 <= d <= 4:
         raise ValidationError("corpus dimension must be in [2, 4]")
     if not 0 <= n_jumps <= 3:
@@ -302,6 +309,7 @@ def random_gkls(d: int, n_jumps: int, seed: int) -> GklsSystem:
 
 def gkls_corpus(n: int = 50, seed0: int = 1000) -> list[GklsSystem]:
     """Deterministic corpus of random systems cycling d in {2, 3, 4}."""
+    _check_integer("n", n, 0)
     out = []
     for i in range(n):
         d = 2 + i % 3
@@ -312,6 +320,7 @@ def gkls_corpus(n: int = 50, seed0: int = 1000) -> list[GklsSystem]:
 
 def gkls_pair_corpus(n: int = 50, seed0: int = 1000) -> list[tuple[GklsSystem, GklsSystem]]:
     """(strong, weak) same-dimension pairs for limit-error experiments."""
+    _check_integer("n", n, 0)
     pairs = []
     for i in range(n):
         d = 2 + i % 3

@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedInputError,
     ValidationError,
 )
-from .linalg import as_complex_matrix, expm, schur, spectral_norm
+from .linalg import _checked_times, as_complex_matrix, expm, schur, spectral_norm
 
 __all__ = [
     "SpectralCluster",
@@ -188,6 +188,12 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
         centers[i] = complex(np.mean(eigs[groups[i]]))
 
 
+def _check_tolerance(name: str, tol) -> None:
+    """Raise :class:`ValidationError` naming ``name`` unless ``tol`` is a real number >= 0 (not a bool, not NaN)."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ValidationError(f"{name} must be a nonnegative real number, got {tol!r}")
+
+
 def decompose(a, cluster_tol: float | None = None,
               imag_tol: float | None = None) -> SpectralDecomposition:
     """Compute the clustered spectral decomposition of a square matrix.
@@ -206,9 +212,9 @@ def decompose(a, cluster_tol: float | None = None,
     reconstruction is U diag(T_kk) V - A, and their SVDs run only when a
     Frobenius norm (never smaller) exceeds the tolerance.  No D x D cluster
     matrix is formed except N_k of a cluster of several eigenvalues, for its
-    nilpotent index (the cluster keeps it); a singleton's N_k is exactly 0,
-    since ``ztrexc`` moves the diagonal of T exactly.  Every other P_k and
-    N_k is formed on first access.
+    nilpotent index (the cluster keeps it).  ``ztrexc`` swaps diagonal entries
+    exactly, so a singleton's N_k is exactly 0 and a reordered diagonal that
+    is not the permuted Schur diagonal raises.  Other P_k, N_k form on first access.
     """
     a = as_complex_matrix(a, "decompose operand")
     if a.shape[0] != a.shape[1] or a.size == 0:
@@ -218,33 +224,31 @@ def decompose(a, cluster_tol: float | None = None,
     cluster_tol = default_tol if cluster_tol is None else cluster_tol
     imag_tol = default_tol if imag_tol is None else imag_tol
     for name, tol in (("cluster_tol", cluster_tol), ("imag_tol", imag_tol)):
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-            raise ValidationError(f"{name} must be a nonnegative real number, got {tol!r}")
+        _check_tolerance(name, tol)
     # exact-zero tolerances only make sense for the zero matrix; keep a floor
     cluster_tol = max(cluster_tol, 1e-300)
 
     q, t = schur(a)
-    groups, centers = _cluster_eigenvalues(np.diag(t), cluster_tol)
+    eigs = np.diag(t).copy()
+    groups, centers = _cluster_eigenvalues(eigs, cluster_tol)
     labels = [0] * dim
     for li, g in enumerate(groups):
         for i in g:
             labels[i] = li
-    t, q = np.asfortranarray(t), np.asfortranarray(q)
+    t, q, order = np.asfortranarray(t), np.asfortranarray(q), list(range(dim))
     for p in range(dim):  # insertion sort of the diagonal by cluster label
         j = labels.index(min(labels[p:]), p)
         if j > p:  # ztrexc only reports illegal arguments
             t, q, _ = _lapack.ztrexc(t, q, j + 1, p + 1, overwrite_a=1, overwrite_q=1)
             labels.insert(p, labels.pop(j))
-    starts = np.cumsum([0] + [len(g) for g in groups])
-    nearest = np.argmin(np.abs(np.diag(t)[:, None] - np.array(centers)), axis=1)
-    misplaced = np.flatnonzero(nearest != labels)  # labels now ascend along the diagonal
+            order.insert(p, order.pop(j))
+    misplaced = np.flatnonzero(np.diag(t) != eigs[order])
     if misplaced.size:
-        li = labels[misplaced[0]]
-        lo, hi = starts[li], starts[li + 1]
+        p = int(misplaced[0])
         raise IllConditionedDecompositionError(
             "eigenvalue reordering disagreed with the clustering",
-            diagnostics={"expected_block": hi - lo, "cluster_center": centers[li],
-                         "sorted_block": int(np.sum(nearest[lo:hi] == li))})
+            diagnostics={"position": p, "expected": complex(eigs[order[p]]), "found": complex(t[p, p])})
+    starts = np.cumsum([0] + [len(g) for g in groups])
 
     # Y^{-1} T Y is block diagonal: block k splits from the trailing blocks
     # by T_kk R - R T_tail = -T_k,tail, and Y's rows for block k are R Y_tail
@@ -283,10 +287,10 @@ def decompose(a, cluster_tol: float | None = None,
                 power = power @ n
                 index += 1
             if cluster.peripheral and index > 1:
+                norm = spectral_norm(n)
                 raise PeripheralDefectError(
-                    f"peripheral eigenvalue {b} is numerically defective "
-                    f"(||N|| = {spectral_norm(n):.3e} > {nil_tol:.3e})"
-                )
+                    f"peripheral eigenvalue {b} is numerically defective (||N|| = {norm:.3e} > {nil_tol:.3e})",
+                    diagnostics={"eigenvalue": b, "nilpotent_norm": norm, "tolerance": nil_tol})
             cluster = dataclasses.replace(cluster, index=index, semisimple=index == 1, formed_nilpotent=n)
         clusters.append(cluster)
 
@@ -364,8 +368,8 @@ def reduced_resolvent(dec: SpectralDecomposition, ell: int) -> np.ndarray:
     cluster l, (A - b_l I) S_l = I - P_l.  A single-cluster decomposition
     returns the zero matrix.
     """
-    if not 0 <= ell < len(dec.clusters):
-        raise ValidationError(f"cluster index {ell} out of range")
+    if isinstance(ell, bool) or not isinstance(ell, numbers.Integral) or not 0 <= ell < len(dec.clusters):
+        raise ValidationError(f"cluster index ell = {ell!r} out of range: not an integer in [0, {len(dec.clusters)})")
     lo, hi = dec.starts[ell], dec.starts[ell + 1]
     shifted = dec.blocks - dec.clusters[ell].eigenvalue * np.eye(dec.dim)
     shifted[lo:hi, lo:hi] = np.eye(hi - lo)
@@ -431,8 +435,9 @@ def spectral_expm(dec: SpectralDecomposition, t, u=None, v=None):
     ||N_k||_F = ||U_k (T_kk - b_k I) V_k||_F <= sqrt(D) eps ||A||_F: then
     the result is e^{t(A - N_k)}, a move of A within the Schur form's own
     rounding (||N_k|| <= D eps ||A||).  ``t`` is a float (one matrix) or
-    a 1-D array (a stack, one matrix per t); a float is the stack at one
-    point.  Stable for any t when the spectrum lies in the closed left
+    a 1-D array (a stack, one matrix per t), read and checked as
+    :func:`linalg.expm` reads it; a float is the stack at one point.
+    Stable for any t when the spectrum lies in the closed left
     half-plane: a block whose e^{t Re b_k} underflows is zero, whatever
     its other factor.  ``u`` and ``v`` stand in for U and V: with W U and
     V W^dagger for a unitary W, the result is W e^{tA} W^dagger, e^{tA} in
@@ -440,7 +445,7 @@ def spectral_expm(dec: SpectralDecomposition, t, u=None, v=None):
     """
     u = dec.u if u is None else u
     v = dec.v if v is None else v
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = np.atleast_1d(_checked_times(t, "spectral_expm"))
     rates = np.multiply.outer(ts, [c.eigenvalue for c in dec.clusters])
     live = rates.real >= -745.0
     phases = np.where(live, np.exp(rates), 0.0)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +47,16 @@ from .errors import (
     SpectrumViolationError,
     ValidationError,
 )
-from .gkls import GklsSystem, Superoperator, _hermitian_basis, hamiltonian_superoperator, liouvillian
+from .gkls import GklsSystem, Superoperator, _check_integer, _hermitian_basis, liouvillian
 from .linalg import (_EXPM_RANGE, _expm_stack, _onenorms, _require_square, as_complex_matrix, expm, sandwich_super,
                      spectral_norm, spectral_norms)
+from .models import _finite_float
 from .spectral import (
     RESIDUAL_FACTOR,
     GapData,
     SpectralDecomposition,
     _cluster_eigenvalues,
+    _check_tolerance,
     _cluster_norms,
     condition_number,
     decompose,
@@ -290,7 +291,8 @@ class BoundInputs:
         times the largest ||e^{tB}|| over a 64-point grid on
         [0, t_max * gamma_max] (log-spaced to resolve both the transient
         and the asymptotic regime), floored at 1; t_max must be nonnegative
-        and gamma_max positive, both finite with a finite product.  A
+        and gamma_max positive, both finite real numbers (not bools) with a
+        finite product.  A
         horizon at which e^{t Re b_k} overflows for an eigenvalue b_k (a
         peripheral eigenvalue's rounding can be positive) raises
         :class:`ValidationError` naming both, as does a non-finite sample.
@@ -302,9 +304,10 @@ class BoundInputs:
         (:func:`spectral_norms`).  A skipped sample cannot raise the
         maximum, so M is the float of the full 64-SVD sample in the frame.
         """
-        if not (math.isfinite(t_max) and t_max >= 0):
+        t_max, gamma_max = _finite_float("t_max", t_max), _finite_float("gamma_max", gamma_max)
+        if t_max < 0:
             raise ValidationError(f"t_max must be nonnegative and finite, got {t_max!r}")
-        if not (math.isfinite(gamma_max) and gamma_max > 0):
+        if gamma_max <= 0:
             raise ValidationError(f"gamma_max must be positive and finite, got {gamma_max!r}")
         horizon = t_max * gamma_max
         if not math.isfinite(horizon):
@@ -698,7 +701,10 @@ def convergence_slope(points) -> SlopeFit:
     Needs at least 4 gamma values spanning two decades, all errors
     positive; an O(1/gamma) error family fits slope -1.
     """
-    pts = [(float(g), float(e)) for g, e in points]
+    try:
+        pts = [(float(g), float(e)) for g, e in points]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"points must be (gamma, error) pairs of numbers: {exc}") from exc
     if len(pts) < 4:
         raise DegenerateDataError(f"need at least 4 points, got {len(pts)}")
     gammas = np.array([g for g, _ in pts])
@@ -738,8 +744,7 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
     """
     p = _as_matrix(p, "projection")
     l = _as_matrix(l, "generator")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    _check_integer("n", n)
     if p.shape != l.shape or p.shape[0] != p.shape[1]:
         raise DimensionError(f"P and L must be square with equal shapes, got {p.shape}, {l.shape}")
     idem = spectral_norm(p @ p - p)
@@ -752,30 +757,38 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
                             distance=spectral_norm(product - limit))
 
 
-def _eigenprojections(k: np.ndarray, tol: float | None):
-    """Clustered eigenvalues of a Hermitian matrix with their projections.
+def _require_hermitian(m: np.ndarray, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``m`` is Hermitian to 1e-10 relative (in the spectral norm)."""
+    if spectral_norm(m - m.conj().T) > 1e-10 * max(1.0, spectral_norm(m)):
+        raise ValidationError(f"{name} must be Hermitian")
 
+
+def _eigenprojections(k, tol: float | None) -> tuple[float, list[tuple[float, np.ndarray]]]:
+    """The tolerance used and the clustered eigenvalues of a Hermitian K with their projections.
+
+    K must be square and Hermitian, and ``tol`` defaults to 1e-7 max(||K||, 1);
+    a given one is checked as :func:`decompose` checks its tolerances.
     Eigenvalues are grouped by :func:`spectral._cluster_eigenvalues`: single
     linkage at ``tol``, then representatives within ``2 * tol`` merge.
     """
-    if tol is None:
-        tol = 1e-7 * max(spectral_norm(k), 1.0)
+    k = _require_square(k, "Hamiltonian")
+    _require_hermitian(k, "K")
+    tol = 1e-7 * max(spectral_norm(k), 1.0) if tol is None else tol
+    _check_tolerance("tol", tol)
     w, u = np.linalg.eigh(k)
     groups, centers = _cluster_eigenvalues(w, tol)
-    return [(c.real, u[:, g] @ u[:, g].conj().T) for g, c in zip(groups, centers)]
+    return tol, [(c.real, u[:, g] @ u[:, g].conj().T) for g, c in zip(groups, centers)]
 
 
 def hamiltonian_zeno(k, h, tol: float | None = None) -> np.ndarray:
     """Projected Hamiltonian H_Z = sum_n P_n H P_n over eigenprojections of K."""
-    k = as_complex_matrix(k, "strong Hamiltonian")
+    _, eig = _eigenprojections(k, tol)
     h = as_complex_matrix(h, "weak Hamiltonian")
-    if k.shape != h.shape or k.shape[0] != k.shape[1]:
-        raise DimensionError(f"K and H must be square with equal shapes, got {k.shape}, {h.shape}")
-    for name, m in (("K", k), ("H", h)):
-        if spectral_norm(m - m.conj().T) > 1e-10 * max(1.0, spectral_norm(m)):
-            raise ValidationError(f"{name} must be Hermitian")
+    if h.shape != np.shape(k):
+        raise DimensionError(f"K and H must be square with equal shapes, got {np.shape(k)}, {h.shape}")
+    _require_hermitian(h, "H")
     hz = np.zeros_like(h)
-    for _, proj in _eigenprojections(k, tol):
+    for _, proj in eig:
         hz += proj @ h @ proj
     return hz
 
@@ -796,12 +809,7 @@ def commutator_projections(k, tol: float | None = None) -> list[BohrComponent]:
     sum over all pairs at that frequency of P_m (.) P_n.  Frequencies are
     clustered like the eigenvalues of K, at the same tolerance.
     """
-    k = _require_square(k, "Hamiltonian")
-    if spectral_norm(k - k.conj().T) > 1e-10 * max(1.0, spectral_norm(k)):
-        raise ValidationError("K must be Hermitian")
-    if tol is None:
-        tol = 1e-7 * max(spectral_norm(k), 1.0)
-    eig = _eigenprojections(k, tol)
+    tol, eig = _eigenprojections(k, tol)
     pairs = [(pm, pn) for _, pm in eig for _, pn in eig]
     bohr = np.array([em - en for em, _ in eig for en, _ in eig])
     groups, freqs = _cluster_eigenvalues(bohr, tol)
@@ -823,9 +831,3 @@ def fast_oscillation_zeno(sys: GklsSystem, k) -> Superoperator:
     for comp in commutator_projections(k):
         mat += comp.projector @ full @ comp.projector
     return Superoperator(sys.d, mat, "projected")
-
-
-def commutator_superoperator(k) -> np.ndarray:
-    """Matrix of [K, .] (no -i factor)."""
-    k = as_complex_matrix(k, "Hamiltonian")
-    return 1j * hamiltonian_superoperator(k)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from zeno_limits import GklsSystem, acceptance, liouvillian
+from zeno_limits import GklsSystem, acceptance, liouvillian, spectral_norm
 
 
 def taylor_expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -116,6 +116,17 @@ def reference_bound(name, inputs, gamma, t):
                 return float(first + (0.0 if t > 0 else mm))
             return float(first + mm * _reference_truncated_exponential(inputs.dim, gamma * inputs.eta * t))
         return float(term / gamma + _reference_envelope_tail(inputs.p_coeffs, inputs.eta, gamma, t))
+
+
+def decomposition_residuals(dec, a: np.ndarray) -> dict:
+    """The three residuals ``decompose`` keeps below ``RESIDUAL_FACTOR * cluster_tol``, formed from the
+    clusters' own P_k and N_k rather than from U and V: ||sum_k P_k - I||, ||sum_k (b_k P_k + N_k) - A||
+    and max_ij ||P_i P_j - delta_ij P_i||."""
+    projections = [c.projection for c in dec.clusters]
+    return {"completeness": spectral_norm(sum(projections) - np.eye(dec.dim)),
+            "reconstruction": spectral_norm(sum(c.eigenvalue * c.projection + c.nilpotent for c in dec.clusters) - a),
+            "orthogonality": max(spectral_norm(p @ q - (p if i == j else 0.0))
+                                 for i, p in enumerate(projections) for j, q in enumerate(projections))}
 
 
 def random_complex(rng, n: int, m: int | None = None) -> np.ndarray:

@@ -11,9 +11,10 @@ from zeno_limits.errors import DegenerateDataError, DimensionError, SpectrumViol
 from zeno_limits.experiments import SweepConfig
 from zeno_limits.gkls import GklsSystem, PurityOptions, Superoperator, hamiltonian_superoperator, no_go_check
 from zeno_limits.jsonio import matrix_from_json, matrix_to_json, superoperator_from_json, system_from_json
-from zeno_limits.linalg import spectral_norm, unvec
-from zeno_limits.models import ThreeLevelParams, three_level_generators
-from zeno_limits.spectral import decompose, reduced_resolvent
+from zeno_limits.linalg import expm, spectral_norm, unvec
+from zeno_limits.models import (ThreeLevelParams, dephasing_qubit_example, gkls_corpus, gkls_pair_corpus, random_gkls,
+                                three_level_generators)
+from zeno_limits.spectral import decompose, reduced_resolvent, spectral_expm
 from zeno_limits.zeno import (BoundInputs, adiabatic_error, commutator_projections, convergence_slope,
                               evaluate_grid, fast_oscillation_zeno, hamiltonian_zeno,
                               perturbed_semigroup_bound_check, pulsed_zeno_product, zeno_split)
@@ -168,6 +169,45 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
      "variants must be a sequence of names, got 3"),
     (lambda: evaluate_grid(_three_level_split(), [10.0], [1.0], bounds=None), ValidationError,
      "bounds must be a sequence of names, got None"),
+    (lambda: spectral_expm(_three_level_split().decomposition, np.nan), ValidationError,
+     "spectral_expm times contain non-finite entries"),
+    (lambda: spectral_expm(_three_level_split().decomposition, np.inf), ValidationError,
+     "spectral_expm times contain non-finite entries"),
+    (lambda: spectral_expm(_three_level_split().decomposition, [1.0, -np.inf]), ValidationError,
+     "spectral_expm times contain non-finite entries"),
+    (lambda: spectral_expm(_three_level_split().decomposition, "a"), ValidationError,
+     "spectral_expm times are not numeric"),
+    (lambda: spectral_expm(_three_level_split().decomposition, [[0.5, 1.0]]), DimensionError,
+     r"spectral_expm times must be a float or 1-dimensional, got shape \(1, 2\)"),
+    (lambda: expm(np.eye(2), "a"), ValidationError, "expm times are not numeric"),
+    (lambda: commutator_projections(np.diag([0.0, 1.0]), tol=-1.0), ValidationError,
+     "tol must be a nonnegative real number, got -1.0"),
+    (lambda: commutator_projections(np.diag([0.0, 1.0]), tol="x"), ValidationError,
+     "tol must be a nonnegative real number, got 'x'"),
+    (lambda: commutator_projections(np.diag([0.0, 1.0]), tol=np.nan), ValidationError,
+     "tol must be a nonnegative real number, got nan"),
+    (lambda: hamiltonian_zeno(np.eye(2), np.eye(2), tol=True), ValidationError,
+     "tol must be a nonnegative real number, got True"),
+    (lambda: random_gkls(2.5, 1, 0), ValidationError, r"dimension d must be a positive integer, got 2\.5"),
+    (lambda: random_gkls(2, 1.5, 0), ValidationError, r"n_jumps must be a nonnegative integer, got 1\.5"),
+    (lambda: random_gkls(2, 1, -1), ValidationError, "seed must be a nonnegative integer, got -1"),
+    (lambda: gkls_corpus(2.5), ValidationError, r"n must be a nonnegative integer, got 2\.5"),
+    (lambda: gkls_pair_corpus(2.5), ValidationError, r"n must be a nonnegative integer, got 2\.5"),
+    (lambda: reduced_resolvent(_three_level_split().decomposition, 1.5), ValidationError,
+     r"cluster index ell = 1\.5 out of range"),
+    (lambda: reduced_resolvent(_three_level_split().decomposition, "a"), ValidationError,
+     "cluster index ell = 'a' out of range"),
+    (lambda: convergence_slope([("a", 1)] * 4), ValidationError, r"points must be \(gamma, error\) pairs"),
+    (lambda: convergence_slope([(10.0, 1.0, 2.0)] * 4), ValidationError, r"points must be \(gamma, error\) pairs"),
+    (lambda: BoundInputs.from_split(_three_level_split(), t_max="a"), ValidationError,
+     "t_max must be a finite number, got 'a'"),
+    (lambda: BoundInputs.from_split(_three_level_split(), t_max=True), ValidationError,
+     "t_max must be a finite number, got True"),
+    (lambda: BoundInputs.from_split(_three_level_split(), gamma_max="a"), ValidationError,
+     "gamma_max must be a finite number, got 'a'"),
+    (lambda: Superoperator(2, np.eye(4))(np.eye(3)), DimensionError, r"rho must be 2x2, got shape \(3, 3\)"),
+    (lambda: dephasing_qubit_example(kappa=-1.0), ValidationError, r"kappa must be nonnegative, got -1\.0"),
+    (lambda: dephasing_qubit_example(omega="x"), ValidationError, "omega must be a finite number, got 'x'"),
 ], ids=["one-dim-matrix", "unvec-size", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
         "unequal-split-shapes", "negative-bound-norm", "non-positive-slope-gamma", "error-at-a-t-list",
@@ -190,7 +230,15 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
         "sweep-json-fractional-count", "sweep-json-bool-count", "sweep-json-string-count", "sweep-json-bool-param",
         "matrix-json-fractional-rows", "matrix-json-bool-rows", "sweep-string-gamma", "sweep-scalar-gamma-grid",
         "sweep-string-t-start", "sweep-scalar-variants", "params-string-g", "params-none-kappa", "params-nan-gamma",
-        "params-inf-omega0", "params-huge-g", "grid-scalar-variants", "grid-none-bounds"])
+        "params-inf-omega0", "params-huge-g", "grid-scalar-variants", "grid-none-bounds",
+        "spectral-expm-nan-t", "spectral-expm-inf-t", "spectral-expm-minus-inf-t", "spectral-expm-string-t",
+        "spectral-expm-2d-t", "expm-string-t", "commutator-negative-tol", "commutator-string-tol",
+        "commutator-nan-tol", "hamiltonian-zeno-bool-tol", "random-gkls-fractional-d",
+        "random-gkls-fractional-jumps", "random-gkls-negative-seed", "corpus-fractional-n",
+        "pair-corpus-fractional-n", "resolvent-fractional-index", "resolvent-string-index",
+        "slope-string-gamma", "slope-ragged-points", "m-horizon-string-t", "m-horizon-bool-t",
+        "m-horizon-string-gamma", "superoperator-applied-to-wrong-shape", "dephasing-negative-kappa",
+        "dephasing-string-omega"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()

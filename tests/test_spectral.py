@@ -24,7 +24,7 @@ from zeno_limits.errors import (
 from zeno_limits.gkls import hamiltonian_superoperator
 from zeno_limits.spectral import _cluster_eigenvalues, _single_linkage
 
-from conftest import random_complex, random_hermitian
+from conftest import decomposition_residuals, random_complex, random_hermitian
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -160,18 +160,47 @@ class TestDecompose:
         assert info.value.diagnostics == {"lapack_info": 1}
 
     def test_reordering_that_disagrees_with_the_clustering_is_rejected(self, monkeypatch):
-        """A cluster whose centre lies nearer another cluster's eigenvalue fails the reorder check."""
-        def misplaced(eigs, tol):
-            groups, centers = _cluster_eigenvalues(eigs, tol)
-            [k] = [i for i, g in enumerate(groups) if eigs[g[0]] == -3.0]
-            centers[k] = -1.9 + 0j  # nearer -2 than -3
-            return groups, centers
+        """A reorder whose diagonal is not the permuted Schur diagonal, exactly, fails the reorder check."""
+        lapack = spectral._lapack
+        calls = []
 
-        monkeypatch.setattr(spectral, "_cluster_eigenvalues", misplaced)
+        class OneUlpOff:
+            def __getattr__(self, name):
+                return getattr(lapack, name)
+
+            @staticmethod
+            def ztrexc(t, q, ifst, ilst, **kwargs):
+                t, q, info = lapack.ztrexc(t, q, ifst, ilst, **kwargs)
+                if not calls:  # the first move lands one ulp above its entry
+                    t[ilst - 1, ilst - 1] = np.nextafter(t[ilst - 1, ilst - 1].real, np.inf)
+                calls.append((ifst, ilst))
+                return t, q, info
+
+        monkeypatch.setattr(spectral, "_lapack", OneUlpOff())
         with pytest.raises(IllConditionedDecompositionError,
                            match="eigenvalue reordering disagreed with the clustering") as info:
             decompose(np.diag([-1.0, -2.0, -3.0]))
-        assert info.value.diagnostics == {"expected_block": 1, "cluster_center": -1.9 + 0j, "sorted_block": 0}
+        assert calls == [(3, 1), (3, 2)]  # -3 to the front, then -2 before -1
+        assert info.value.diagnostics == {"position": 0, "expected": -3 + 0j,
+                                          "found": complex(np.nextafter(-3.0, np.inf))}
+
+    @pytest.mark.parametrize("case", ["similar-near-minus-one", "diagonal-unit-tol"])
+    def test_chained_cluster_whose_end_is_nearer_the_next_centre_decomposes(self, case):
+        """Single linkage chains 0, 0.9, 1.8, 2.7 (in units of cluster_tol) into one cluster and keeps 3.8
+        apart, though 2.7 lies nearer 3.8 than its own centre 1.35."""
+        spread = np.array([0.0, 0.9, 1.8, 2.7, 3.8])
+        if case == "diagonal-unit-tol":
+            a, tol = np.diag(spread), 1.0
+        else:
+            q = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))[0]
+            a, tol = q @ np.diag(-1.0 - 1e-7 * spread) @ q.T, 1e-7
+        dec = decompose(a, cluster_tol=tol)
+        assert sorted(len(c.block) for c in dec.clusters) == [1, 4]
+        assert all(c.semisimple for c in dec.clusters)
+        assert max(decomposition_residuals(dec, a).values()) <= spectral.RESIDUAL_FACTOR * tol
+        ts = np.array([0.5, 2.0, 8.0])
+        for got, want in zip(spectral_expm(dec, ts), expm(a, ts)):
+            assert spectral_norm(got - want) <= 1e-10 * spectral_norm(want)
 
     def test_overflowing_split_is_typed(self, monkeypatch):
         """A Sylvester solve whose scaled result overflows stops the decomposition with a typed error."""

@@ -35,7 +35,7 @@ from zeno_limits.errors import (
 from zeno_limits.gkls import Superoperator, _hermitian_basis, dissipator_superoperator, hamiltonian_superoperator
 from zeno_limits.linalg import sandwich_super, vec
 from zeno_limits.models import ThreeLevelParams
-from zeno_limits.zeno import commutator_superoperator, evaluate_grid
+from zeno_limits.zeno import evaluate_grid
 
 from conftest import random_complex, random_hermitian, reference_bound, taylor_expm
 
@@ -552,7 +552,7 @@ class TestCommutatorProjections:
         from zeno_limits import decompose
         k = random_hermitian(rng, 3)
         comps = commutator_projections(k)
-        dec = decompose(-1j * commutator_superoperator(k))
+        dec = decompose(hamiltonian_superoperator(k))
         for comp in comps:
             idx = int(np.argmin([abs(c.eigenvalue + 1j * comp.omega) for c in dec.clusters]))
             assert spectral_norm(dec.clusters[idx].projection - comp.projector) <= 1e-8
@@ -568,9 +568,8 @@ class TestStructuralInvariants:
 
     def test_commutator_split_matches_projected_hamiltonian(self, rng):
         k, h = random_hermitian(rng, 3), random_hermitian(rng, 3)
-        split = zeno_split(-1j * commutator_superoperator(k),
-                           -1j * commutator_superoperator(h))
-        want = -1j * commutator_superoperator(hamiltonian_zeno(k, h))
+        split = zeno_split(hamiltonian_superoperator(k), hamiltonian_superoperator(h))
+        want = hamiltonian_superoperator(hamiltonian_zeno(k, h))
         assert spectral_norm(split.c_z - want) <= 1e-8 * max(1.0, spectral_norm(want))
 
     def test_zeno_generator_gkls_for_unitary_strong_part(self, rng):
