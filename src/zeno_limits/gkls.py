@@ -37,6 +37,7 @@ Structural verdicts implemented here:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -92,9 +93,8 @@ class GklsSystem:
             if spectral_norm(h - h.conj().T) > 1e-12 * scale:
                 raise ValidationError("Hamiltonian must be Hermitian to 1e-12 relative")
         jumps = tuple(as_complex_matrix(L, "jump operator") for L in self.jumps)
-        for L in jumps:
-            if L.shape != (self.d, self.d):
-                raise DimensionError(f"jump operators must be {self.d}x{self.d}")
+        if any(L.shape != (self.d, self.d) for L in jumps):
+            raise DimensionError(f"jump operators must be {self.d}x{self.d}")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", jumps)
 
@@ -131,17 +131,22 @@ class Superoperator:
 
     def hermiticity_defect(self) -> float:
         """Worst non-Hermiticity of the image of a Hermitian basis."""
-        d = self.d
-        # column stacking: mat[i + j d, k + l d] is mat.reshape(d, d, d, d)[j, i, l, k]
-        images = np.einsum("jilk,nkl->nij", self.mat.reshape(d, d, d, d), _hermitian_basis(d))
-        return float(spectral_norms(images - images.conj().transpose(0, 2, 1)).max())
+        return float(spectral_norms(_hermiticity_residuals(self.mat, self.d)).max())
 
 
+def _hermiticity_residuals(mat: np.ndarray, d: int) -> np.ndarray:
+    """E(B) - E(B)^dagger for each unit B of :func:`_hermitian_basis`, stacked (d^2, d, d)."""
+    # column stacking: mat[i + j d, k + l d] is mat.reshape(d, d, d, d)[j, i, l, k]
+    images = np.einsum("jilk,nkl->nij", mat.reshape(d, d, d, d), _hermitian_basis(d))
+    return images - images.conj().transpose(0, 2, 1)
+
+
+@functools.cache
 def _hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian basis of the d x d matrices, stacked (d^2, d, d).
 
     The d diagonal units come first, then for each m < n the symmetric and
-    the antisymmetric unit on the pair (m, n).
+    the antisymmetric unit on the pair (m, n).  Built once per d, read-only.
     """
     basis = np.zeros((d * d, d, d), dtype=complex)
     k = d
@@ -152,6 +157,7 @@ def _hermitian_basis(d: int) -> np.ndarray:
             basis[k + 1, m, n] = -1j / np.sqrt(2)
             basis[k + 1, n, m] = 1j / np.sqrt(2)
             k += 2
+    basis.flags.writeable = False
     return basis
 
 
@@ -241,29 +247,40 @@ class GklsFormReport:
     min_conditional_choi_eigenvalue: float
 
 
-def _cp_tol(choi: np.ndarray) -> float:
-    return 1e-9 * max(spectral_norm(choi), 1e-300)
+def _verdicts(mat: np.ndarray, d: int, trace: float, choi: np.ndarray, eigs: np.ndarray) -> tuple[bool, bool, bool]:
+    """Verdicts on ||vec(I)^dag mat - trace vec(I)^dag|| and the hermiticity defect, each <= 1e-10
+    max(1, ||mat||), and on the least of the ascending ``eigs`` (of a compression of Choi's
+    Hermitian part), >= -1e-9 ||Choi||.  A norm is read only when a verdict needs it: scale >= 1,
+    ||.||_2 <= ||.||_F of each residual, and max |eigs| <= ||Choi||; the last two screens keep
+    half the tolerance for rounding.
+    """
+    tr_vec = vec(np.eye(d)).conj()
+    trace_defect = float(np.linalg.norm(tr_vec @ mat - trace * tr_vec))
+    residuals = _hermiticity_residuals(mat, d)
+    frobenius = float(np.linalg.norm(residuals, axis=(-2, -1)).max())
+    scale = 1.0 if trace_defect <= 1e-10 and frobenius <= 0.5e-10 else max(1.0, spectral_norm(mat))
+    return (bool(trace_defect <= 1e-10 * scale),
+            frobenius <= 0.5e-10 or bool(spectral_norms(residuals).max() <= 1e-10 * scale),
+            bool(eigs[0] >= -0.5e-9 * max(-eigs[0], eigs[-1])
+                 or eigs[0] >= -1e-9 * max(spectral_norm(choi), 1e-300)))
 
 
 def cptp_check(superop) -> CptpReport:
-    """CPTP verdicts for a map (propagator or projected provenance)."""
+    """CPTP verdicts for a map (propagator or projected provenance).
+
+    Each spectral norm behind a tolerance is read only when its verdict
+    depends on it, so a map CPTP to rounding runs no SVD (:func:`_verdicts`).
+    """
     if isinstance(superop, Superoperator) and superop.provenance not in ("propagator", "projected"):
         raise ValidationError(
             f"cptp_check expects a map, not a generator (provenance {superop.provenance!r})"
         )
     mat, d = _mat_and_dim(superop)
-    sop = superop if isinstance(superop, Superoperator) else Superoperator(d, mat, "propagator")
     choi = choi_matrix(mat)
-    tol = _cp_tol(choi)
-    min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
-    tr_vec = vec(np.eye(d)).conj()
-    scale = max(1.0, spectral_norm(mat))
-    return CptpReport(
-        trace_preserving=bool(np.linalg.norm(tr_vec @ mat - tr_vec) <= 1e-10 * scale),
-        hermiticity_preserving=bool(sop.hermiticity_defect() <= 1e-10 * scale),
-        completely_positive=bool(min_eig >= -tol),
-        min_choi_eigenvalue=min_eig,
-    )
+    eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+    tp, hp, cp = _verdicts(mat, d, 1.0, choi, eigs)
+    return CptpReport(trace_preserving=tp, hermiticity_preserving=hp, completely_positive=cp,
+                      min_choi_eigenvalue=float(eigs.min()))
 
 
 def gkls_form_check(superop) -> GklsFormReport:
@@ -276,21 +293,13 @@ def gkls_form_check(superop) -> GklsFormReport:
     if isinstance(superop, Superoperator) and superop.provenance == "propagator":
         raise ValidationError("gkls_form_check expects a generator, got a propagator")
     mat, d = _mat_and_dim(superop)
-    sop = superop if isinstance(superop, Superoperator) else Superoperator(d, mat, "projected")
     choi = choi_matrix(mat)
-    tol = _cp_tol(choi)
     omega = vec(np.eye(d)) / np.sqrt(d)
     q = np.eye(d * d) - np.outer(omega, omega.conj())
-    compressed = q @ ((choi + choi.conj().T) / 2) @ q
-    min_eig = float(np.linalg.eigvalsh(compressed).min())
-    tr_vec = vec(np.eye(d)).conj()
-    scale = max(1.0, spectral_norm(mat))
-    return GklsFormReport(
-        trace_annihilating=bool(np.linalg.norm(tr_vec @ mat) <= 1e-10 * scale),
-        hermiticity_preserving=bool(sop.hermiticity_defect() <= 1e-10 * scale),
-        conditionally_completely_positive=bool(min_eig >= -tol),
-        min_conditional_choi_eigenvalue=min_eig,
-    )
+    eigs = np.linalg.eigvalsh(q @ ((choi + choi.conj().T) / 2) @ q)
+    ta, hp, ccp = _verdicts(mat, d, 0.0, choi, eigs)
+    return GklsFormReport(trace_annihilating=ta, hermiticity_preserving=hp,
+                          conditionally_completely_positive=ccp, min_conditional_choi_eigenvalue=float(eigs.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +322,7 @@ class PurityOptions:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("maxiter", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValidationError(f"PurityOptions.{name} must be an integer >= {least}, got {value!r}")
+            _check_integer(f"PurityOptions.{name}", getattr(self, name), least)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg as _sla
+from scipy.linalg import lapack as _lapack
 
 from .errors import DimensionError, FactorizationError, ValidationError
 
@@ -221,17 +221,19 @@ def spectral_norms(stack) -> np.ndarray:
 def schur(a) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur factorization ``a = q @ t @ q.conj().T``.
 
-    Returns ``(q, t)`` with ``q`` unitary and ``t`` upper triangular.
-    Raises :class:`FactorizationError` if the backward error exceeds
-    ``1e-10 * ||a||`` or ``q`` fails unitarity at 1e-12.  The SVDs behind
-    those spectral norms run only when a Frobenius screen fails: ||.||_2 <=
-    ||.||_F, and ||a||_F / sqrt(n) <= ||a||_2 stands in for the scale.
+    Returns ``(q, t)`` with ``q`` unitary and ``t`` upper triangular, from
+    the unsorted ``zgees`` call of ``scipy.linalg.schur`` (bit for bit).
+    Raises :class:`FactorizationError` if ``zgees`` fails (with its
+    ``info``), the backward error exceeds ``1e-10 * ||a||`` or ``q`` fails
+    unitarity at 1e-12.  The SVDs behind those spectral norms run only
+    when a Frobenius screen fails: ||.||_2 <= ||.||_F, and ||a||_F /
+    sqrt(n) <= ||a||_2 stands in for the scale.
     """
     a = _require_square(a, "schur operand")
-    try:
-        t, q = _sla.schur(a, output="complex")
-    except _sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure is rare
-        raise FactorizationError(f"Schur iteration failed to converge: {exc}") from exc
+    lwork = int(_lapack.zgees(lambda _: None, a, lwork=-1)[-2][0].real)  # the workspace query
+    t, _, _, q, _, info = _lapack.zgees(lambda _: None, a, lwork=lwork)  # the callback sorts nothing
+    if info:
+        raise FactorizationError("Schur iteration failed to converge", diagnostics={"lapack_info": info})
     resid = a - q @ t @ q.conj().T
     defect = q @ q.conj().T - np.eye(a.shape[0])
     if np.linalg.norm(resid) * math.sqrt(a.shape[0]) > 1e-10 * np.linalg.norm(a) \

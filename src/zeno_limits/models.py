@@ -34,6 +34,7 @@ from .gkls import (
     Superoperator,
     _check_integer,
     dissipator_superoperator,
+    hamiltonian_superoperator,
     liouvillian,
 )
 from .linalg import expm, sandwich_super, spectral_norm, vec
@@ -299,32 +300,20 @@ def random_gkls(d: int, n_jumps: int, seed: int) -> GklsSystem:
     for _ in range(n_jumps):
         l = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         jumps.append(l - (np.trace(l) / d) * np.eye(d))
-    sys = GklsSystem(d=d, hamiltonian=h, jumps=tuple(jumps))
-    scale = spectral_norm(liouvillian(sys).mat)
+    scale = spectral_norm(hamiltonian_superoperator(h) + dissipator_superoperator(jumps, d))
     if scale > 0:
-        sys = GklsSystem(d=d, hamiltonian=h / scale,
-                         jumps=tuple(l / math.sqrt(scale) for l in jumps))
-    return sys
+        h, jumps = h / scale, [l / math.sqrt(scale) for l in jumps]
+    return GklsSystem(d=d, hamiltonian=h, jumps=tuple(jumps))
 
 
 def gkls_corpus(n: int = 50, seed0: int = 1000) -> list[GklsSystem]:
     """Deterministic corpus of random systems cycling d in {2, 3, 4}."""
     _check_integer("n", n, 0)
-    out = []
-    for i in range(n):
-        d = 2 + i % 3
-        n_jumps = 1 + i % 3
-        out.append(random_gkls(d, n_jumps, seed0 + i))
-    return out
+    return [random_gkls(2 + i % 3, 1 + i % 3, seed0 + i) for i in range(n)]
 
 
 def gkls_pair_corpus(n: int = 50, seed0: int = 1000) -> list[tuple[GklsSystem, GklsSystem]]:
     """(strong, weak) same-dimension pairs for limit-error experiments."""
     _check_integer("n", n, 0)
-    pairs = []
-    for i in range(n):
-        d = 2 + i % 3
-        strong = random_gkls(d, 1 + i % 3, seed0 + 2 * i)
-        weak = random_gkls(d, 1 + (i + 1) % 3, seed0 + 2 * i + 1)
-        pairs.append((strong, weak))
-    return pairs
+    return [(random_gkls(2 + i % 3, 1 + i % 3, seed0 + 2 * i),
+             random_gkls(2 + i % 3, 1 + (i + 1) % 3, seed0 + 2 * i + 1)) for i in range(n)]

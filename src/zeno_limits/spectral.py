@@ -174,7 +174,11 @@ def _single_linkage(eigs: np.ndarray, tol: float) -> list[list[int]]:
 
 def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]], list[complex]]:
     """Single-linkage clusters plus a safety merge keeping representatives
-    more than ``2 * tol`` apart (so distinct clusters never overlap)."""
+    more than ``2 * tol`` apart (so distinct clusters never overlap).  When no two
+    eigenvalues lie within ``2 * tol``, that is singletons in stable real-part order."""
+    if np.count_nonzero(_distances(eigs) <= 2 * tol) == len(eigs):  # each one's distance to itself
+        order = np.argsort(eigs.real, kind="stable").tolist()
+        return [[i] for i in order], [complex(eigs[i]) for i in order]
     groups = _single_linkage(eigs, tol)
     # a lone eigenvalue is its own mean, exactly
     centers = [complex(eigs[g[0]]) if len(g) == 1 else complex(np.mean(eigs[g])) for g in groups]
@@ -211,10 +215,12 @@ def decompose(a, cluster_tol: float | None = None,
     The residuals are read from U, V and T_kk: completeness is U V - I and
     reconstruction is U diag(T_kk) V - A, and their SVDs run only when a
     Frobenius norm (never smaller) exceeds the tolerance.  No D x D cluster
-    matrix is formed except N_k of a cluster of several eigenvalues, for its
-    nilpotent index (the cluster keeps it).  ``ztrexc`` swaps diagonal entries
-    exactly, so a singleton's N_k is exactly 0 and a reordered diagonal that
-    is not the permuted Schur diagonal raises.  Other P_k, N_k form on first access.
+    matrix is formed but N_k of a cluster of several eigenvalues, for its
+    index (the cluster keeps it); other P_k, N_k form on first access.
+    ``ztrexc`` swaps diagonal entries exactly, so a singleton's N_k is exactly
+    0 and a reordered diagonal that is not the permuted Schur diagonal raises.
+    A spectrum with no two eigenvalues within 2 cluster_tol skips the linkage
+    scan, and all-singleton clusters the orthogonality bound's block sums.
     """
     a = as_complex_matrix(a, "decompose operand")
     if a.shape[0] != a.shape[1] or a.size == 0:
@@ -260,7 +266,7 @@ def decompose(a, cluster_tol: float | None = None,
             raise IllConditionedDecompositionError(
                 "cluster too close to the rest of the spectrum to split off",
                 diagnostics={"cluster_center": centers[li], "lapack_info": info})
-        y[lo:hi, hi:] = (r / scale) @ y[hi:, hi:]
+        y[lo:hi, hi:] = (r if scale == 1.0 else r / scale) @ y[hi:, hi:]
     if not np.isfinite(y).all():
         raise IllConditionedDecompositionError(
             "cluster too close to the rest of the spectrum to split off",
@@ -337,7 +343,7 @@ def _orthogonality_bound(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> fl
     norms stand in for spectral norms (never smaller).
     """
     cuts, dim = starts[:-1], len(u)
-    g_sq = np.add.reduceat(np.add.reduceat(np.abs(v @ u - np.eye(dim)) ** 2, cuts, 0), cuts, 1)
+    g_sq = _segment_sums(_segment_sums(np.abs(v @ u - np.eye(dim)) ** 2, cuts, 0), cuts, 1)
     u_norm, v_norm = _cluster_norms(u, v, starts)
     p_norm = u_norm * v_norm
     return float(np.max(np.outer(u_norm, v_norm) * np.sqrt(g_sq)
@@ -347,8 +353,13 @@ def _orthogonality_bound(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> fl
 def _cluster_norms(u: np.ndarray, v: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     """The Frobenius norms ||U_k||_F of each cluster's columns of ``u`` and ||V_k||_F of its rows of ``v``."""
     cuts = np.asarray(starts[:-1])
-    return (np.sqrt(np.add.reduceat(np.sum(np.abs(u) ** 2, axis=0), cuts)),
-            np.sqrt(np.add.reduceat(np.sum(np.abs(v) ** 2, axis=1), cuts)))
+    return (np.sqrt(_segment_sums(np.sum(np.abs(u) ** 2, axis=0), cuts, 0)),
+            np.sqrt(_segment_sums(np.sum(np.abs(v) ** 2, axis=1), cuts, 0)))
+
+
+def _segment_sums(x: np.ndarray, cuts, axis: int) -> np.ndarray:
+    """``np.add.reduceat(x, cuts, axis)``, which is ``x`` itself when every segment is one entry long."""
+    return x if len(cuts) == x.shape[axis] else np.add.reduceat(x, cuts, axis)
 
 
 def peripheral_projection(dec: SpectralDecomposition) -> np.ndarray:

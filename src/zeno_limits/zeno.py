@@ -763,15 +763,17 @@ def _require_hermitian(m: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} must be Hermitian")
 
 
-def _eigenprojections(k, tol: float | None) -> tuple[float, list[tuple[float, np.ndarray]]]:
+def _eigenprojections(k, tol: float | None, dim: int | None = None) -> tuple[float, list[tuple[float, np.ndarray]]]:
     """The tolerance used and the clustered eigenvalues of a Hermitian K with their projections.
 
-    K must be square and Hermitian, and ``tol`` defaults to 1e-7 max(||K||, 1);
-    a given one is checked as :func:`decompose` checks its tolerances.
-    Eigenvalues are grouped by :func:`spectral._cluster_eigenvalues`: single
+    K must be square (``dim`` x ``dim`` when ``dim`` is given) and Hermitian, and ``tol``
+    defaults to 1e-7 max(||K||, 1); a given one is checked as :func:`decompose` checks its
+    tolerances.  Eigenvalues are grouped by :func:`spectral._cluster_eigenvalues`: single
     linkage at ``tol``, then representatives within ``2 * tol`` merge.
     """
-    k = _require_square(k, "Hamiltonian")
+    k = _require_square(k, "Hamiltonian") if dim is None else as_complex_matrix(k, "Hamiltonian")
+    if dim is not None and k.shape != (dim, dim):
+        raise DimensionError(f"K must be {dim}x{dim}, got shape {k.shape}")
     _require_hermitian(k, "K")
     tol = 1e-7 * max(spectral_norm(k), 1.0) if tol is None else tol
     _check_tolerance("tol", tol)
@@ -809,7 +811,11 @@ def commutator_projections(k, tol: float | None = None) -> list[BohrComponent]:
     sum over all pairs at that frequency of P_m (.) P_n.  Frequencies are
     clustered like the eigenvalues of K, at the same tolerance.
     """
-    tol, eig = _eigenprojections(k, tol)
+    return _bohr_components(*_eigenprojections(k, tol))
+
+
+def _bohr_components(tol: float, eig: list[tuple[float, np.ndarray]]) -> list[BohrComponent]:
+    """:func:`commutator_projections` from the tolerance and eigenprojections of K."""
     pairs = [(pm, pn) for _, pm in eig for _, pn in eig]
     bohr = np.array([em - en for em, _ in eig for en, _ in eig])
     groups, freqs = _cluster_eigenvalues(bohr, tol)
@@ -824,10 +830,8 @@ def fast_oscillation_zeno(sys: GklsSystem, k) -> Superoperator:
     L is the Liouvillian of ``sys`` and P_omega the Bohr-frequency
     projections of [K, .] from :func:`commutator_projections`.
     """
-    if as_complex_matrix(k, "Hamiltonian").shape != (sys.d, sys.d):
-        raise DimensionError(f"K must be {sys.d}x{sys.d}, got shape {np.shape(k)}")
     full = liouvillian(sys).mat
     mat = np.zeros_like(full)
-    for comp in commutator_projections(k):
+    for comp in _bohr_components(*_eigenprojections(k, None, sys.d)):
         mat += comp.projector @ full @ comp.projector
     return Superoperator(sys.d, mat, "projected")

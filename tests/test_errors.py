@@ -128,11 +128,11 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: GklsSystem(2.0, np.eye(2)), ValidationError, "positive integer, got 2.0"),
     (lambda: decompose(np.zeros((0, 0))), DimensionError, "nonempty square"),
     (lambda: zeno_split(np.zeros((0, 0)), np.zeros((0, 0))), DimensionError, "nonempty square"),
-    (lambda: PurityOptions(restarts=2.5), ValidationError, r"restarts must be an integer >= 1, got 2\.5"),
-    (lambda: PurityOptions(restarts=True), ValidationError, "restarts must be an integer >= 1, got True"),
-    (lambda: PurityOptions(seed=-1), ValidationError, "seed must be an integer >= 0, got -1"),
-    (lambda: PurityOptions(seed=1.5), ValidationError, r"seed must be an integer >= 0, got 1\.5"),
-    (lambda: PurityOptions(maxiter=3.5), ValidationError, r"maxiter must be an integer >= 1, got 3\.5"),
+    (lambda: PurityOptions(restarts=2.5), ValidationError, r"PurityOptions\.restarts must be a positive integer, got 2\.5"),
+    (lambda: PurityOptions(restarts=True), ValidationError, r"PurityOptions\.restarts must be a positive integer, got True"),
+    (lambda: PurityOptions(seed=-1), ValidationError, r"PurityOptions\.seed must be a nonnegative integer, got -1"),
+    (lambda: PurityOptions(seed=1.5), ValidationError, r"PurityOptions\.seed must be a nonnegative integer, got 1\.5"),
+    (lambda: PurityOptions(maxiter=3.5), ValidationError, r"PurityOptions\.maxiter must be a positive integer, got 3\.5"),
     (lambda: superoperator_from_json({"d": 3.7, "mat": matrix_to_json(np.eye(9))}), ValidationError,
      r"dimension d must be a positive integer, got 3\.7"),
     (lambda: superoperator_from_json({"d": "2", "mat": matrix_to_json(np.eye(4))}), ValidationError,
@@ -208,6 +208,9 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: Superoperator(2, np.eye(4))(np.eye(3)), DimensionError, r"rho must be 2x2, got shape \(3, 3\)"),
     (lambda: dephasing_qubit_example(kappa=-1.0), ValidationError, r"kappa must be nonnegative, got -1\.0"),
     (lambda: dephasing_qubit_example(omega="x"), ValidationError, "omega must be a finite number, got 'x'"),
+    (lambda: matrix_from_json({"rows": 2, "cols": 2, "data": [[0, 0]] * 3}), ValidationError,
+     "matrix JSON claims 2x2 but carries 3 entries"),
+    (lambda: expm(np.eye(2), 1e300), ValidationError, "expm operand t a is out of the kernel's range"),
 ], ids=["one-dim-matrix", "unvec-size", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
         "unequal-split-shapes", "negative-bound-norm", "non-positive-slope-gamma", "error-at-a-t-list",
@@ -238,7 +241,7 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
         "pair-corpus-fractional-n", "resolvent-fractional-index", "resolvent-string-index",
         "slope-string-gamma", "slope-ragged-points", "m-horizon-string-t", "m-horizon-bool-t",
         "m-horizon-string-gamma", "superoperator-applied-to-wrong-shape", "dephasing-negative-kappa",
-        "dephasing-string-omega"])
+        "dephasing-string-omega", "matrix-json-entry-count", "expm-out-of-kernel-range"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()

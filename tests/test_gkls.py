@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -592,3 +593,106 @@ class TestChoi:
         lhs = choi_matrix(a + 2.0 * b)
         rhs = choi_matrix(a) + 2.0 * choi_matrix(b)
         assert spectral_norm(lhs - rhs) <= 1e-12 * max(1.0, spectral_norm(rhs))
+
+
+def _unscreened_report(mat, generator: bool):
+    """The report of :func:`gkls_form_check` (``generator``) or :func:`cptp_check` with every spectral
+    norm read: max(1, ||mat||) for the trace and hermiticity tolerances and ||Choi|| for positivity."""
+    mat = np.asarray(mat, dtype=complex)
+    d = math.isqrt(len(mat))
+    choi = choi_matrix(mat)
+    form = (choi + choi.conj().T) / 2
+    if generator:  # compressed off the maximally entangled vector
+        omega = vec(np.eye(d)) / np.sqrt(d)
+        q = np.eye(d * d) - np.outer(omega, omega.conj())
+        form = q @ form @ q
+    min_eig = float(np.linalg.eigvalsh(form).min())
+    tr_vec = vec(np.eye(d)).conj()
+    scale = max(1.0, spectral_norm(mat))
+    trace = np.linalg.norm(tr_vec @ mat) if generator else np.linalg.norm(tr_vec @ mat - tr_vec)
+    verdicts = (bool(trace <= 1e-10 * scale),
+                bool(Superoperator(d, mat).hermiticity_defect() <= 1e-10 * scale),
+                bool(min_eig >= -1e-9 * max(spectral_norm(choi), 1e-300)))
+    return (gkls.GklsFormReport if generator else gkls.CptpReport)(*verdicts, min_eig)
+
+
+def _threshold_families(d: int):
+    """(name, generator?, base, direction, delta at the verdict's threshold, delta at its screen's bound).
+
+    Each family moves one figure of a map or a generator linearly in delta, at about unit
+    slope: the trace defect (by the reset map rho -> tr(rho) |0><0|), the hermiticity defect (by
+    i (rho - tr(rho) I / d), which keeps the trace and the Hermitian part of the Choi matrix) or
+    the least eigenvalue of the Choi form (by tr(rho) I - d rho, which keeps the trace).  The
+    bases: the reset map, with ||E|| = sqrt(d) and a Choi matrix |0><0| (x) I of norm 1, and three
+    times the generator of the jump |0><1|, with ||G|| > 1.
+    """
+    eye, tr_vec = np.eye(d), vec(np.eye(d)).conj()
+    ground = np.zeros((d, d))
+    ground[0, 0] = 1.0
+    lower = np.zeros((d, d), dtype=complex)
+    lower[0, 1] = 1.0
+    reset = np.outer(vec(ground), tr_vec)
+    decay = 3.0 * dissipator_superoperator([lower], d)
+    skew = 1j * (np.eye(d * d) - np.outer(vec(eye), tr_vec) / d)  # rho -> i (rho - tr(rho) I / d)
+    dent = -(np.outer(vec(eye), tr_vec) - d * np.eye(d * d))  # rho -> -(tr(rho) I - d rho)
+    herm_slope = Superoperator(d, skew).hermiticity_defect()
+    herm_frob = float(np.linalg.norm(gkls._hermiticity_residuals(skew, d), axis=(-2, -1)).max())
+    for generator, base in ((False, reset), (True, decay)):
+        scale = spectral_norm(base)
+        yield ("trace", generator, base, reset / math.sqrt(d), 1e-10 * max(1.0, scale), 1e-10)
+        yield ("hermiticity", generator, base, skew / herm_slope, 1e-10 * max(1.0, scale),
+               0.5e-10 * herm_slope / herm_frob)
+        choi_norm = spectral_norm(choi_matrix(base))
+        yield ("positivity", generator, base, dent, 1e-9 * choi_norm, 0.5e-9 * choi_norm)
+
+
+class TestVerdictScreens:
+    """``cptp_check`` and ``gkls_form_check`` read a spectral norm only where a verdict depends on it,
+    and report exactly what they report when they read every one."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reports_equal_the_unscreened_ones_either_side_of_each_threshold(self, d):
+        for name, generator, base, direction, threshold, screen in _threshold_families(d):
+            verdicts = []
+            for delta in (0.99 * screen, 1.01 * screen, 0.99 * threshold, 1.01 * threshold):
+                mat = base + delta * direction
+                want = _unscreened_report(mat, generator)
+                assert (gkls_form_check(mat) if generator else cptp_check(mat)) == want, (name, generator, delta)
+                verdicts.append(dataclasses.astuple(want)[("trace", "hermiticity", "positivity").index(name)])
+            # the figure crosses its tolerance between the last two deltas, and not before
+            assert verdicts == [True, True, True, False], (name, generator, verdicts)
+
+    def test_reports_equal_the_unscreened_ones_on_corpus_maps_and_generators(self, rng):
+        for sys in gkls_corpus(12):
+            gen = liouvillian(sys).mat
+            p_phi = peripheral_projection(decompose(gen))
+            for mat in (expm(gen, 0.3), expm(gen, 2.0), p_phi, expm(gen, 1.0) + 1e-7 * random_complex(rng, len(gen))):
+                assert cptp_check(mat) == _unscreened_report(mat, generator=False)
+            lz = fast_oscillation_zeno(sys, sys.hamiltonian).mat
+            for mat in (gen, lz, gen + 1e-9 * random_complex(rng, len(gen)), p_phi @ gen @ p_phi):
+                assert gkls_form_check(mat) == _unscreened_report(mat, generator=True)
+
+    @staticmethod
+    def _counting_svds(monkeypatch) -> list:
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        return calls
+
+    def test_cptp_projection_and_gkls_generator_run_no_svd(self, monkeypatch):
+        sys = random_gkls(3, 2, seed=31)
+        gen = liouvillian(sys)
+        p_phi = Superoperator(3, peripheral_projection(decompose(gen.mat)), "projected")
+        calls = self._counting_svds(monkeypatch)
+        cptp = cptp_check(p_phi)
+        form = gkls_form_check(gen)
+        assert calls == []
+        assert cptp.trace_preserving and cptp.hermiticity_preserving and cptp.completely_positive
+        assert form.trace_annihilating and form.hermiticity_preserving and form.conditionally_completely_positive
+
+    def test_a_defect_between_screen_and_tolerance_reads_the_scale(self, monkeypatch):
+        """A trace defect of 0.5e-10 sqrt(2) passes only against 1e-10 ||E|| = 1e-10 sqrt(2)."""
+        [(_, _, base, direction, threshold, screen)] = [f for f in _threshold_families(2) if f[:2] == ("trace", False)]
+        mat = base + 0.5 * (screen + threshold) * direction
+        calls = self._counting_svds(monkeypatch)
+        assert cptp_check(mat).trace_preserving
+        assert len(calls) == 1

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 import zeno_limits
-from zeno_limits import expm, kron, schur, spectral_norm, vec
+from zeno_limits import expm, gkls_corpus, kron, liouvillian, schur, spectral_norm, vec
 from zeno_limits import linalg
 from zeno_limits.errors import DimensionError, FactorizationError, ValidationError
 from zeno_limits.linalg import _expm_stack, _kron, as_complex_matrix, sandwich_super, spectral_norms
@@ -214,6 +214,11 @@ class TestSpectralNorm:
         stack = np.stack([random_complex(rng, 9) * 10.0 ** k for k in range(-3, 4)])
         assert spectral_norms(stack).tolist() == [spectral_norm(m) for m in stack]
 
+    def test_empty_operands_have_norm_zero(self):
+        assert spectral_norm(np.zeros((0, 0))) == 0.0 and spectral_norm(np.zeros((3, 0))) == 0.0
+        assert spectral_norms(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+        assert spectral_norms(np.zeros((0, 3, 3))).shape == (0,)
+
     def test_stack_rejects_non_finite_and_flat_input(self, rng):
         stack = np.stack([random_complex(rng, 3), random_complex(rng, 3)])
         stack[1, 0, 2] = np.nan
@@ -258,16 +263,34 @@ class TestSchur:
             schur(np.zeros((2, 3)))
 
     @staticmethod
-    def _scaled_q(monkeypatch, rng, scale, noise):
-        """Make scipy's Schur return ``scale`` Q plus seeded noise; returns the (q, t) it hands out."""
-        real_schur, made = sla.schur, []
+    def _patched_zgees(monkeypatch, factorized):
+        """Make the factorizing ``zgees`` call of ``linalg`` return ``factorized(t, q, info)`` of
+        LAPACK's (t, q, info); its workspace query (``lwork=-1``) and every other routine stay LAPACK's."""
+        lapack = linalg._lapack
 
-        def perturbed(a, output):
-            t, q = real_schur(a, output=output)
+        class Patched:
+            def __getattr__(self, name):
+                return getattr(lapack, name)
+
+            @staticmethod
+            def zgees(select, a, lwork, **kwargs):
+                t, sdim, w, q, work, info = lapack.zgees(select, a, lwork=lwork, **kwargs)
+                if lwork != -1:
+                    t, q, info = factorized(t, q, info)
+                return t, sdim, w, q, work, info
+
+        monkeypatch.setattr(linalg, "_lapack", Patched())
+
+    @classmethod
+    def _scaled_q(cls, monkeypatch, rng, scale, noise):
+        """Make the factorizing ``zgees`` call return ``scale`` Q plus seeded noise; returns the (q, t) it hands out."""
+        made = []
+
+        def perturbed(t, q, info):
             made.append((scale * q + noise * random_complex(rng, len(q)), t))
-            return t, made[-1][0]
+            return t, made[-1][0], info
 
-        monkeypatch.setattr(sla, "schur", perturbed)
+        cls._patched_zgees(monkeypatch, perturbed)
         return made
 
     @staticmethod
@@ -286,6 +309,21 @@ class TestSchur:
             "relative_residual": spectral_norm(a - q @ t @ q.conj().T) / spectral_norm(a),
             "unitarity_defect": spectral_norm(q @ q.conj().T - np.eye(6))}
         assert info.value.diagnostics["unitarity_defect"] > 1e-12
+
+    def test_lapack_failure_is_typed(self, monkeypatch):
+        """A ``zgees`` that reports a failed QR iteration (info > 0) raises with its info."""
+        self._patched_zgees(monkeypatch, lambda t, q, info: (t, q, 3))
+        with pytest.raises(FactorizationError, match="Schur iteration failed to converge") as info:
+            schur(np.diag([1.0, 2.0, 3.0]))
+        assert info.value.diagnostics == {"lapack_info": 3}
+
+    def test_schur_is_scipys_bit_for_bit(self, rng):
+        """One unsorted ``zgees`` call after its workspace query gives scipy's complex Schur form exactly."""
+        mats = [liouvillian(sys).mat for sys in gkls_corpus(12)] + [random_complex(rng, 64) for _ in range(2)]
+        for a in mats + [np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([3.0, -1.0, 2.0j])]:
+            q, t = schur(a)
+            t_want, q_want = sla.schur(np.asarray(a, dtype=complex), output="complex")
+            assert q.tobytes() == q_want.tobytes() and t.tobytes() == t_want.tobytes()
 
     def test_frobenius_screen_runs_svds_only_when_it_fails(self, rng, monkeypatch):
         a = random_complex(rng, 7)

@@ -22,7 +22,7 @@ from zeno_limits.errors import (
     UnsupportedInputError,
 )
 from zeno_limits.gkls import hamiltonian_superoperator
-from zeno_limits.spectral import _cluster_eigenvalues, _single_linkage
+from zeno_limits.spectral import _cluster_eigenvalues, _distances, _single_linkage
 
 from conftest import decomposition_residuals, random_complex, random_hermitian
 
@@ -76,6 +76,21 @@ def _clustering_cases():
             # a neighbour 1.05-1.95 tol away: linked to nothing, closer than 2 tol to the center
             points.append(center + rng.uniform(1.05, 1.95) * tol * np.exp(2j * np.pi * rng.uniform()))
         yield pytest.param(rng.permutation(np.array(points)), tol, id=f"seeded-{seed}")
+    # dyadic gaps, so the distances are exact: exactly tol links, exactly 2 tol merges, one ulp more is apart
+    for gap, kind in ((0.25, "tol"), (0.5, "2tol"), (np.nextafter(0.5, 1.0), "past-2tol")):
+        yield pytest.param(np.array([-3.0 + 2j, 0.0, gap, 2.0, 2.0 + 1j * gap]), 0.25, id=f"gap-exactly-{kind}")
+    for seed in range(6):  # separated spectra, at the separation's edges
+        eigs = _separated_spectrum(seed)
+        least = _distances(eigs)[np.triu_indices(len(eigs), 1)].min()
+        for tol, kind in ((least / 2, "2tol"), (np.nextafter(least / 2, 0.0), "past-2tol"), (least, "tol")):
+            yield pytest.param(eigs, tol, id=f"separated-{seed}-{kind}")
+
+
+def _separated_spectrum(seed: int) -> np.ndarray:
+    """Nine seeded points of the square [-1, 1] x [-1, 1] i and the conjugates of three of them."""
+    rng = np.random.default_rng(100 + seed)
+    z = rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9)
+    return rng.permutation(np.concatenate([z, z[:3].conj()]))
 
 
 @pytest.mark.parametrize("eigs, tol", _clustering_cases())
@@ -84,6 +99,21 @@ def test_clustering_matches_the_pairwise_loop(eigs, tol):
     want_groups, want_centers = _reference_clusters(eigs, tol)
     assert groups == want_groups
     assert np.array(centers).tobytes() == np.array(want_centers).tobytes()
+
+
+@pytest.mark.parametrize("eigs, tol, separated", [
+    pytest.param(*case.values, "past-2tol" in case.id, id=case.id)
+    for case in _clustering_cases() if case.id.startswith(("gap-", "separated-"))])
+def test_separated_spectra_skip_the_linkage_scan(eigs, tol, separated, monkeypatch):
+    """No two eigenvalues within 2 tol: singletons in stable real-part order, without the scan; at a
+    gap of exactly 2 tol (or tol) the scan runs."""
+    scans = []
+    monkeypatch.setattr(spectral, "_single_linkage", lambda *args: scans.append(1) or _single_linkage(*args))
+    groups, centers = _cluster_eigenvalues(eigs, tol)
+    assert scans == ([] if separated else [1])
+    if separated:
+        order = np.argsort(eigs.real, kind="stable").tolist()
+        assert groups == [[i] for i in order] and centers == [complex(eigs[i]) for i in order]
 
 
 def test_seeded_clustering_cases_reach_the_safety_merge():

@@ -66,6 +66,26 @@ def test_orthogonality_figure_bounds_product_loop(a, tols, monkeypatch):
     assert figures[0] >= _product_figure(dec)
 
 
+@pytest.mark.parametrize("a, tols", [pytest.param(random_complex(np.random.default_rng(8), 9), {}, id="singletons"),
+                                     pytest.param(np.diag([1.0, 1.0 + 1e-10, 5.0]), {"cluster_tol": 1e-8},
+                                                  id="a-pair-and-a-singleton")])
+def test_orthogonality_figure_equals_the_block_sum_expression_bytewise(a, tols):
+    """The block sums of the orthogonality bound and the cluster norms, skipped when every cluster is
+    one eigenvalue (a sum over one-entry blocks is its entry), equal the reduceat expressions bytewise."""
+    dec = decompose(a, **tols)
+    u, v, starts = dec.u, dec.v, np.array(dec.starts)
+    cuts = starts[:-1]
+    u_norm = np.sqrt(np.add.reduceat(np.sum(np.abs(u) ** 2, axis=0), cuts))
+    v_norm = np.sqrt(np.add.reduceat(np.sum(np.abs(v) ** 2, axis=1), cuts))
+    g_sq = np.add.reduceat(np.add.reduceat(np.abs(v @ u - np.eye(dec.dim)) ** 2, cuts, 0), cuts, 1)
+    p_norm = u_norm * v_norm
+    want = float(np.max(np.outer(u_norm, v_norm) * np.sqrt(g_sq)
+                        + dec.dim * np.finfo(float).eps * np.outer(p_norm, p_norm)))
+    got_u, got_v = spectral._cluster_norms(u, v, starts)
+    assert got_u.tobytes() == u_norm.tobytes() and got_v.tobytes() == v_norm.tobytes()
+    assert spectral._orthogonality_bound(u, v, starts) == want
+
+
 def _cluster_matrix_cases():
     yield pytest.param(_random_generator(8, 2, np.random.default_rng(64)), {}, id="gkls-D64")
     yield pytest.param(_degenerate_generator(), {"cluster_tol": 1e-6, "imag_tol": 1e-6}, id="degenerate")
