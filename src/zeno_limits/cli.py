@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from . import jsonio
+from . import _read, jsonio
 from .errors import ValidationError, ZenoLimitsError
 from .experiments import SweepConfig, format_csv, run_sweep, spectral_property_check
 from .gkls import Superoperator, cptp_check, gkls_form_check, liouvillian
@@ -165,11 +164,10 @@ def cmd_zeno_bounds(args) -> int:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise ValidationError(f"--t-grid must be start:stop:count, got {args.t_grid!r}") from None
-    if count < 0 or not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValidationError(f"--t-grid needs a finite start and stop and a nonnegative count, "
-                              f"got {args.t_grid!r}")
+    t_grid = np.linspace(_read.real("--t-grid start", start), _read.real("--t-grid stop", stop),
+                         _read.integer("--t-grid count", count, 0))
     split = _split_from_file(args.split)
-    rows = evaluate_grid(split, gammas, np.linspace(start, stop, count), bounds=tuple(BOUNDS))
+    rows = evaluate_grid(split, gammas, t_grid, bounds=tuple(BOUNDS))
     jsonio.write_text(args.output, format_csv(rows))
     return 0
 

@@ -35,15 +35,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import _read
 from .errors import ValidationError, ZenoLimitsError
-from .gkls import (GklsSystem, _check_integer, _mat_and_dim, cptp_check,
-                   dissipator_superoperator, hamiltonian_superoperator,
+from .gkls import (GklsSystem, Superoperator, cptp_check, dissipator_superoperator, hamiltonian_superoperator,
                    liouvillian)
 from .jsonio import load_json, superoperator_from_json, write_text
 from .linalg import spectral_norm
-from .models import ThreeLevelParams, _finite_float, dephasing_qubit_example, three_level_generators
+from .models import ThreeLevelParams, dephasing_qubit_example, three_level_generators
 from .spectral import decompose, peripheral_projection
-from .zeno import BOUNDS, CSV_COLUMNS, VARIANTS, _check_names, _loglog_fit, evaluate_grid, zeno_split
+from .zeno import BOUNDS, CSV_COLUMNS, VARIANTS, _loglog_fit, evaluate_grid, zeno_split
 
 __all__ = [
     "SweepConfig",
@@ -81,22 +81,20 @@ class SweepConfig:
 
     def __post_init__(self):
         try:  # ints become floats
-            grid = tuple(_finite_float("gamma_grid entry", g) for g in self.gamma_grid)
+            grid = tuple(_read.real("gamma_grid entry", g, "positive") for g in self.gamma_grid)
         except TypeError as exc:  # not iterable
             raise ValidationError(f"gamma_grid must be a sequence of numbers, got {self.gamma_grid!r}") from exc
+        if not grid:
+            raise ValidationError("gamma_grid must not be empty")
+        if list(grid) != sorted(set(grid)):
+            raise ValidationError("gamma_grid must be strictly increasing")
         object.__setattr__(self, "gamma_grid", grid)
         for name in ("t_start", "t_stop"):
-            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
-        if not self.gamma_grid:
-            raise ValidationError("gamma_grid must not be empty")
-        _check_integer("t_count", self.t_count, 0)
-        if list(self.gamma_grid) != sorted(set(self.gamma_grid)):
-            raise ValidationError("gamma_grid must be strictly increasing")
-        if any(g <= 0 for g in self.gamma_grid):
-            raise ValidationError("gamma values must be positive")
-        if self.t_spacing not in ("linear", "log"):
-            raise ValidationError("t_spacing must be 'linear' or 'log'")
-        _check_names(self.variants, self.bounds)
+            object.__setattr__(self, name, _read.real(name, getattr(self, name)))
+        object.__setattr__(self, "t_count", _read.integer("t_count", self.t_count, 0))
+        _read.names("t_spacing", (self.t_spacing,), ("linear", "log"))
+        object.__setattr__(self, "variants", _read.names("variants", self.variants, VARIANTS))
+        object.__setattr__(self, "bounds", _read.names("bounds", self.bounds, tuple(BOUNDS)))
         if self.t_spacing == "log" and self.t_start <= 0:
             raise ValidationError("log t_spacing needs t_start > 0")
         if "peripheral" in self.variants and self.t_start <= 0:
@@ -257,7 +255,8 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
     """Audit the spectral structure of a GKLS generator: a system, a superoperator or a d^2 x d^2 matrix."""
     if isinstance(sys_or_superop, GklsSystem):
         sys_or_superop = liouvillian(sys_or_superop)
-    mat, _ = _mat_and_dim(sys_or_superop)
+    mat = sys_or_superop.mat if isinstance(sys_or_superop, Superoperator) \
+        else _read.superoperator("sys_or_superop", sys_or_superop)[0]
     norm = max(spectral_norm(mat), 1e-300)
     tol = 1e-7 * norm
 

@@ -28,9 +28,9 @@ Structural verdicts implemented here:
   solve gives Gamma itself; for d > 2 it gives an upper value, and Gamma
   comes from multi-start ascent over density matrices
   rho = V V^dag / tr(V V^dag), all restarts in one batched L-BFGS.
-  Every state is scored by the same form, in batch.  The root finder and
-  the ascent are the package's own; ``purity_objective`` is the
-  Hilbert-space reference formula
+  Every state is scored by the same form, in batch.  The secular root
+  (Newton's method) and the ascent are the package's own;
+  ``purity_objective`` is the Hilbert-space reference formula
   2 sum_i tr(L_i^dag L_i rho^2 - L_i^dag rho L_i rho), which the solvers
   do not use.
 """
@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError, EstimationError, ValidationError
-from .linalg import _kron, _require_square, as_complex_matrix, spectral_norm, spectral_norms, unvec, vec
+from . import _read
+from .errors import EstimationError, ValidationError
+from .linalg import _kron, spectral_norm, spectral_norms, vec
 
 __all__ = [
     "GklsSystem",
@@ -68,12 +68,6 @@ __all__ = [
 ALL_PROVENANCES = ("hamiltonian", "dissipator", "full", "projected", "propagator")
 
 
-def _check_integer(name: str, value, least: int = 1) -> None:
-    """Raise :class:`ValidationError` naming ``name`` unless ``value`` is an integer (not a bool) >= ``least`` (1 or 0)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValidationError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class GklsSystem:
     """Hilbert-space data of a GKLS generator: dimension, H, jump operators."""
@@ -83,20 +77,12 @@ class GklsSystem:
     jumps: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        _check_integer("dimension d", self.d)
-        h = as_complex_matrix(self.hamiltonian, "hamiltonian")
-        if h.shape != (self.d, self.d):
-            raise DimensionError(f"H must be {self.d}x{self.d}, got {h.shape}")
-        # an exactly Hermitian H has a zero defect, which passes without its two SVDs
-        if not np.array_equal(h, h.conj().T):
-            scale = max(spectral_norm(h), 1e-300)
-            if spectral_norm(h - h.conj().T) > 1e-12 * scale:
-                raise ValidationError("Hamiltonian must be Hermitian to 1e-12 relative")
-        jumps = tuple(as_complex_matrix(L, "jump operator") for L in self.jumps)
-        if any(L.shape != (self.d, self.d) for L in jumps):
-            raise DimensionError(f"jump operators must be {self.d}x{self.d}")
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jumps", jumps)
+        d = _read.integer("dimension d", self.d)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "hamiltonian",
+                           _read.matrix("hamiltonian H", self.hamiltonian, shape=(d, d), hermitian=(1e-12, 1e-300)))
+        object.__setattr__(self, "jumps", tuple(_read.matrix(f"jump operators[{i}]", L, shape=(d, d))
+                                                for i, L in enumerate(self.jumps)))
 
 
 @dataclass(frozen=True)
@@ -114,20 +100,14 @@ class Superoperator:
     provenance: str = "full"
 
     def __post_init__(self):
-        _check_integer("dimension d", self.d)
-        m = as_complex_matrix(self.mat, "superoperator matrix")
-        if m.shape != (self.d * self.d, self.d * self.d):
-            raise DimensionError(
-                f"superoperator for d={self.d} must be {self.d**2}x{self.d**2}, got {m.shape}"
-            )
-        if self.provenance not in ALL_PROVENANCES:
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
-        object.__setattr__(self, "mat", m)
+        d = _read.integer("dimension d", self.d)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "mat", _read.matrix("superoperator matrix", self.mat, shape=(d * d, d * d)))
+        _read.names("provenance", (self.provenance,), ALL_PROVENANCES)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        if (rho := as_complex_matrix(rho, "rho")).shape != (self.d, self.d):
-            raise DimensionError(f"rho must be {self.d}x{self.d}, got shape {rho.shape}")
-        return unvec(self.mat @ vec(rho), self.d)
+        rho = _read.matrix("rho", rho, shape=(self.d, self.d))
+        return (self.mat @ rho.reshape(-1, order="F")).reshape((self.d, self.d), order="F")
 
     def hermiticity_defect(self) -> float:
         """Worst non-Hermiticity of the image of a Hermitian basis."""
@@ -174,17 +154,18 @@ def _traceless_basis(d: int) -> np.ndarray:
 
 def hamiltonian_superoperator(h) -> np.ndarray:
     """Matrix of -i [H, .]."""
-    h = _require_square(h, "hamiltonian")
+    h = _read.matrix("hamiltonian H", h, shape="square")
     eye = np.eye(h.shape[0])
     return -1j * (_kron(eye, h) - _kron(h.T, eye))
 
 
 def dissipator_superoperator(jumps, d: int) -> np.ndarray:
     """Matrix of -1/2 sum_i (L^dag L rho + rho L^dag L - 2 L rho L^dag)."""
+    d = _read.integer("dimension d", d)
     eye = np.eye(d)
     m = np.zeros((d * d, d * d), dtype=complex)
-    for L in jumps:
-        L = as_complex_matrix(L, "jump operator")
+    for i, L in enumerate(jumps):
+        L = _read.matrix(f"jump operators[{i}]", L, shape=(d, d))
         ldl = L.conj().T @ L
         m += _kron(L.conj(), L) - 0.5 * _kron(eye, ldl) - 0.5 * _kron(ldl.T, eye)
     return m
@@ -216,19 +197,15 @@ def canonicalize(sys: GklsSystem) -> GklsSystem:
 
 def choi_matrix(superop) -> np.ndarray:
     """Unnormalized Choi matrix C = sum_{mn} E(|m><n|) (x) |m><n|."""
-    mat, d = _mat_and_dim(superop)
+    mat, d = (superop.mat, superop.d) if isinstance(superop, Superoperator) \
+        else _read.superoperator("superoperator", superop)
+    return _choi(mat, d)
+
+
+def _choi(mat: np.ndarray, d: int) -> np.ndarray:
+    """:func:`choi_matrix` of a read d^2 x d^2 matrix."""
     # realignment: C[(i, m), (j, n)] = E(|m><n|)[i, j] = mat[i + j d, m + n d]
     return mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
-
-
-def _mat_and_dim(superop) -> tuple[np.ndarray, int]:
-    if isinstance(superop, Superoperator):
-        return superop.mat, superop.d
-    mat = as_complex_matrix(superop, "superoperator")
-    d = int(round(math.isqrt(mat.shape[0])))
-    if d * d != mat.shape[0] or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"superoperator matrix must be d^2 x d^2, got {mat.shape}")
-    return mat, d
 
 
 @dataclass(frozen=True)
@@ -275,8 +252,9 @@ def cptp_check(superop) -> CptpReport:
         raise ValidationError(
             f"cptp_check expects a map, not a generator (provenance {superop.provenance!r})"
         )
-    mat, d = _mat_and_dim(superop)
-    choi = choi_matrix(mat)
+    mat, d = (superop.mat, superop.d) if isinstance(superop, Superoperator) \
+        else _read.superoperator("superoperator", superop)
+    choi = _choi(mat, d)
     eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
     tp, hp, cp = _verdicts(mat, d, 1.0, choi, eigs)
     return CptpReport(trace_preserving=tp, hermiticity_preserving=hp, completely_positive=cp,
@@ -292,8 +270,14 @@ def gkls_form_check(superop) -> GklsFormReport:
     """
     if isinstance(superop, Superoperator) and superop.provenance == "propagator":
         raise ValidationError("gkls_form_check expects a generator, got a propagator")
-    mat, d = _mat_and_dim(superop)
-    choi = choi_matrix(mat)
+    mat, d = (superop.mat, superop.d) if isinstance(superop, Superoperator) \
+        else _read.superoperator("superoperator", superop)
+    return _gkls_form(mat, d)
+
+
+def _gkls_form(mat: np.ndarray, d: int) -> GklsFormReport:
+    """:func:`gkls_form_check` of a read d^2 x d^2 matrix."""
+    choi = _choi(mat, d)
     omega = vec(np.eye(d)) / np.sqrt(d)
     q = np.eye(d * d) - np.outer(omega, omega.conj())
     eigs = np.linalg.eigvalsh(q @ ((choi + choi.conj().T) / 2) @ q)
@@ -322,7 +306,7 @@ class PurityOptions:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("maxiter", 1), ("seed", 0)):
-            _check_integer(f"PurityOptions.{name}", getattr(self, name), least)
+            object.__setattr__(self, name, _read.integer(f"PurityOptions.{name}", getattr(self, name), least))
 
 
 @dataclass(frozen=True)
@@ -345,7 +329,7 @@ def purity_objective(sys: GklsSystem, rho: np.ndarray) -> float:
     The Hamiltonian never enters this expression; the value is therefore
     identical for systems differing only in H.
     """
-    rho = as_complex_matrix(rho, "density matrix")
+    rho = _read.matrix("density matrix rho", rho, shape=(sys.d, sys.d))
     r2 = rho @ rho
     val = 0.0
     for L in sys.jumps:
@@ -361,63 +345,36 @@ def _purity_values(hq: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return -np.einsum("nij,jilk,nkl->n", rhos.conj(), hq.reshape(d, d, d, d), rhos).real
 
 
-def _brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of f on [a, b] by Brent's method (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4).
+#: the cap on Newton steps for the secular equation, far above the few its concave form takes
+_NEWTON_STEPS = 100
 
-    Step for step the algorithm of scipy's ``brentq.c`` with its defaults (a bracket
-    narrower than xtol + 4 eps |x| ends it, within 100 iterations), so the tests hold it
-    bitwise equal to scipy's ``brentq``.  A bracket without a sign change, a NaN value of f
-    and 100 iterations without convergence raise :class:`EstimationError`.
+
+def _coords(beta: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
+    """x(mu) = -beta / (lam + mu) in the eigenbasis of :func:`_trust_region`, with 0 wherever beta is 0."""
+    return np.divide(-beta, lam + mu, out=np.zeros_like(beta), where=beta != 0)
+
+
+def _secular_root(beta: np.ndarray, lam: np.ndarray, r2: float, mu: float, xtol: float) -> float:
+    """The root of phi(mu) = 1/|x(mu)| - 1/r by Newton's method from ``mu``, where phi < 0.
+
+    phi is concave and increasing for mu > -lam_min, so the steps climb to
+    the root (More & Sorensen 1983), with phi'(mu) = sum beta^2 / (lam +
+    mu)^3 / |x|^3; the loop stops after a step of at most ``xtol``.  A NaN
+    value of phi, or ``_NEWTON_STEPS`` steps without that, raises
+    :class:`EstimationError`.
     """
-    rtol, maxiter = 4 * np.finfo(float).eps, 100
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise EstimationError(f"Brent's method: f({x!r}) is NaN on the bracket [{a!r}, {b!r}]",
-                                  best_value=x)
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise EstimationError(f"Brent's method: no sign change on the bracket [{a!r}, {b!r}], "
-                              f"f = {fpre!r} and {fcur!r}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # xcur becomes the end point with the smaller |f|
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise EstimationError(f"Brent's method did not converge in {maxiter} iterations on the bracket "
-                          f"[{a!r}, {b!r}]; last iterate {xcur!r}, f = {fcur!r}", best_value=xcur)
+    for _ in range(_NEWTON_STEPS):
+        x = _coords(beta, lam, mu)
+        norm = math.sqrt(float(x @ x))
+        phi = 1.0 / norm - 1.0 / math.sqrt(r2)
+        if math.isnan(phi):
+            raise EstimationError(f"secular equation: phi({mu!r}) is NaN", best_value=mu)
+        step = phi * norm ** 3 / float(x @ (x / (lam + mu)))  # x_a^2 / (lam_a + mu) = beta_a^2 / (lam_a + mu)^3
+        mu -= step
+        if abs(step) <= xtol:
+            return mu
+    raise EstimationError(f"secular equation: Newton's method did not converge in {_NEWTON_STEPS} steps; "
+                          f"last multiplier {mu!r}", best_value=mu)
 
 
 def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
@@ -427,9 +384,10 @@ def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     ball is |x|^2 <= r^2 = 1 - 1/d.  One eigendecomposition A = Q diag(lam) Q^T
     turns the stationarity condition (A + mu I) x = -b into the secular
     equation |x(mu)| = r for the sphere's multiplier mu > -lam_min, solved
-    on 1/|x(mu)| - 1/r, with xtol = eps times the form's scale, by Brent's
-    method (Brent 1973; :func:`_brentq`, a port of scipy's ``brentq``,
-    which the tests use as its oracle).  The hard case, where b vanishes
+    on 1/|x(mu)| - 1/r by Newton's method from -lam_min + 8 eps scale
+    (:func:`_secular_root`) until a step is at most eps times the form's
+    scale.  The multiplier is not scipy's ``brentq`` root bit for bit; the
+    tests hold it to that root within a few ulp.  The hard case, where b vanishes
     on A's bottom eigenspace, fills x up to the sphere along that space.
     When mu <= 0 the ball's maximizer is the interior point x(0).
 
@@ -456,25 +414,17 @@ def _trust_region(hq: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     radius = float(np.linalg.norm(beta)) / math.sqrt(r2)  # |x(mu)| <= r once mu + lam_min >= it
     scale = max(abs(lam[0]), abs(lam[-1]), radius)
 
-    def coords(mu):  # x(mu) in the eigenbasis, with 0 wherever beta is 0
-        return np.divide(-beta, lam + mu, out=np.zeros_like(beta), where=beta != 0)
-
-    def norm2(mu):
-        x = coords(mu)
-        return float(x @ x)
-
     # multipliers within a few ulp of the scale above -lam_min count as the hard case
     mu = -lam[0] + 8.0 * eps * scale
-    if norm2(mu) <= r2:
-        y = coords(mu)
-        y[0] = math.copysign(math.sqrt(float(y[0]) ** 2 + r2 - norm2(mu)), y[0])
+    y = _coords(beta, lam, mu)
+    if (norm2 := float(y @ y)) <= r2:
+        y[0] = math.copysign(math.sqrt(float(y[0]) ** 2 + r2 - norm2), y[0])
     else:
-        mu = _brentq(lambda m: 1.0 / math.sqrt(norm2(m)) - 1.0 / math.sqrt(r2),
-                     mu, -lam[0] + 2.0 * radius, xtol=eps * scale)
-        y = coords(mu)
+        mu = _secular_root(beta, lam, r2, mu, eps * scale)
+        y = _coords(beta, lam, mu)
     sphere = q @ y
     sphere *= math.sqrt(r2) / np.linalg.norm(sphere)
-    ball = q @ coords(0.0) if mu <= 0.0 else sphere
+    ball = q @ _coords(beta, lam, 0.0) if mu <= 0.0 else sphere
     mu = max(mu, 0.0)
     total = float(np.divide(beta ** 2, lam + mu, out=np.zeros_like(beta), where=beta != 0).sum())
     upper = -c + total + mu * r2 + 64 * d * d * eps * (abs(c) + total + (mu + scale) * r2)
@@ -621,7 +571,7 @@ def purity_decay_rate(sys: GklsSystem, opts: PurityOptions | None = None) -> flo
 
 def purity_decay_report(sys: GklsSystem, opts: PurityOptions | None = None) -> PurityReport:
     opts = opts or PurityOptions()
-    if not sys.jumps or all(spectral_norm(L) == 0.0 for L in sys.jumps):
+    if not any(L.any() for L in sys.jumps):  # no jump, or only zero jumps
         rho0 = np.eye(sys.d, dtype=complex) / sys.d
         return PurityReport(gamma=0.0, upper=0.0, argmax=rho0)
     diss = dissipator_superoperator(sys.jumps, sys.d)
@@ -634,9 +584,9 @@ def superoperator_purity_rate(superop, opts: PurityOptions | None = None) -> Pur
     Maximizes -d/dt tr rho^2 at t = 0, i.e. -2 Re tr(rho G(rho)), the same
     way as :func:`purity_decay_rate`.
     """
-    opts = opts or PurityOptions()
-    mat, d = _mat_and_dim(superop)
-    return _purity_report(mat + mat.conj().T, d, opts)
+    mat, d = (superop.mat, superop.d) if isinstance(superop, Superoperator) \
+        else _read.superoperator("superoperator", superop)
+    return _purity_report(mat + mat.conj().T, d, opts or PurityOptions())
 
 
 @dataclass(frozen=True)
@@ -650,10 +600,13 @@ class NoGoReport:
 def no_go_check(sys: GklsSystem, zeno_generator, tol: float = 1e-6,
                 opts: PurityOptions | None = None) -> NoGoReport:
     """Compare Gamma of the original generator with Gamma of a projected one."""
-    report = gkls_form_check(zeno_generator)
+    mat, d = (zeno_generator.mat, zeno_generator.d) if isinstance(zeno_generator, Superoperator) \
+        else _read.superoperator("zeno_generator", zeno_generator)
+    tol = _read.real("tol", tol, "nonnegative")
+    report = _gkls_form(mat, d)
     if not (report.trace_annihilating and report.hermiticity_preserving):
         raise ValidationError("zeno_generator is not a trace-annihilating Hermitian-preserving generator")
     g0 = purity_decay_rate(canonicalize(sys), opts)
-    gz = superoperator_purity_rate(zeno_generator, opts).gamma
+    gz = _purity_report(mat + mat.conj().T, d, opts or PurityOptions()).gamma
     return NoGoReport(gamma_original=g0, gamma_projected=gz,
                       equal_within_tol=bool(abs(g0 - gz) <= tol), tol=tol)

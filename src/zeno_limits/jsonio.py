@@ -11,15 +11,14 @@ package's one file writer: the JSON files, the sweep CSV and summary, the
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from pathlib import Path
 
 import numpy as np
 
+from . import _read
 from .errors import ValidationError
 from .gkls import GklsSystem, Superoperator
-from .linalg import as_complex_matrix
 
 __all__ = [
     "matrix_to_json",
@@ -35,7 +34,7 @@ __all__ = [
 
 
 def matrix_to_json(a) -> dict:
-    a = as_complex_matrix(a)
+    a = _read.matrix("matrix", a)
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
@@ -48,8 +47,7 @@ def matrix_from_json(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0 for n in (rows, cols)):
-        raise ValidationError(f"matrix JSON rows and cols must be nonnegative integers, got {rows!r}, {cols!r}")
+    rows, cols = _read.integer("matrix JSON rows", rows, 0), _read.integer("matrix JSON cols", cols, 0)
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:

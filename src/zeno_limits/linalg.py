@@ -31,10 +31,10 @@ import math
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
+from . import _read
 from .errors import DimensionError, FactorizationError, ValidationError
 
 __all__ = [
-    "as_complex_matrix",
     "expm",
     "spectral_norm",
     "spectral_norms",
@@ -44,31 +44,6 @@ __all__ = [
     "unvec",
     "sandwich_super",
 ]
-
-
-def _as_complex(a, name: str) -> np.ndarray:
-    """``a`` as a complex128 array; non-numeric or ragged input is a :class:`ValidationError`."""
-    try:
-        return np.asarray(a, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} is not a numeric array: {exc}") from exc
-
-
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D complex128 array."""
-    m = _as_complex(a, name)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.isfinite(m).all():  # a complex entry is finite when both its parts are
-        raise ValidationError(f"{name} contains non-finite entries")
-    return m
-
-
-def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = as_complex_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    return a
 
 
 #: coefficients b_0 ... b_13 of the degree-13 diagonal Pade approximant to e^x, over b_0
@@ -160,19 +135,6 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def _checked_times(t, name: str) -> np.ndarray:
-    """``t`` as a float array of at most one dimension with finite entries, else a typed error naming ``name``."""
-    try:
-        ts = np.asarray(t, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} times are not numeric: {exc}") from exc
-    if ts.ndim > 1:
-        raise DimensionError(f"{name} times must be a float or 1-dimensional, got shape {ts.shape}")
-    if not np.all(np.isfinite(ts)):
-        raise ValidationError(f"{name} times contain non-finite entries")
-    return ts
-
-
 def expm(a, t=1.0) -> np.ndarray:
     """Matrix exponential ``e^{t a}`` as complex128, by the package's Pade kernel.
 
@@ -180,8 +142,8 @@ def expm(a, t=1.0) -> np.ndarray:
     one kernel call on the stack t_i a); each slice equals the float call
     bit for bit.  A non-numeric, 2-D or non-finite ``t`` raises a typed error.
     """
-    a = _require_square(a, "expm operand")
-    ts = _checked_times(t, "expm")
+    a = _read.matrix("expm operand", a, shape="square")
+    ts = _read.times("expm t", t)
     if ts.size and float(np.abs(ts).max()) * float(_onenorms(a)) > _EXPM_RANGE:
         raise ValidationError(f"expm operand t a is out of the kernel's range: ||t a||_1 > {_EXPM_RANGE:.3g}")
     out = _expm_stack(ts.reshape(-1)[:, None, None] * a)
@@ -190,7 +152,7 @@ def expm(a, t=1.0) -> np.ndarray:
 
 def spectral_norm(a) -> float:
     """Largest singular value of ``a`` (the norm used throughout)."""
-    a = as_complex_matrix(a, "spectral_norm operand")
+    a = _read.matrix("spectral_norm operand", a)
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
@@ -207,12 +169,8 @@ def spectral_norms(stack) -> np.ndarray:
     only up to rounding: :func:`spectral_norm` takes a real matrix as
     complex.
     """
-    if not (isinstance(stack, np.ndarray) and stack.dtype == float):
-        stack = _as_complex(stack, "spectral_norms operand")
-    if stack.ndim != 3:
-        raise DimensionError(f"spectral_norms operand must be 3-dimensional, got shape {stack.shape}")
-    if not np.all(np.isfinite(stack)):
-        raise ValidationError("spectral_norm operand contains non-finite entries")
+    real = isinstance(stack, np.ndarray) and stack.dtype == float
+    stack = _read.matrix("spectral_norms operand", stack, ndim=3, dtype=float if real else complex)
     if stack.size == 0:
         return np.zeros(stack.shape[0])
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
@@ -229,7 +187,7 @@ def schur(a) -> tuple[np.ndarray, np.ndarray]:
     when a Frobenius screen fails: ||.||_2 <= ||.||_F, and ||a||_F /
     sqrt(n) <= ||a||_2 stands in for the scale.
     """
-    a = _require_square(a, "schur operand")
+    a = _read.matrix("schur operand", a, shape="square")
     lwork = int(_lapack.zgees(lambda _: None, a, lwork=-1)[-2][0].real)  # the workspace query
     t, _, _, q, _, info = _lapack.zgees(lambda _: None, a, lwork=lwork)  # the callback sorts nothing
     if info:
@@ -257,24 +215,24 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with shape ``(rA*rB, cA*cB)``."""
-    return _kron(as_complex_matrix(a, "kron left"), as_complex_matrix(b, "kron right"))
+    return _kron(_read.matrix("kron left", a), _read.matrix("kron right", b))
 
 
 def vec(a) -> np.ndarray:
     """Column-stacking vectorization of a matrix."""
-    return np.asarray(a, dtype=complex).reshape(-1, order="F")
+    return _read.matrix("vec operand", a).reshape(-1, order="F")
 
 
 def unvec(v, d: int) -> np.ndarray:
     """Inverse of :func:`vec` for a d x d matrix."""
-    v = np.asarray(v, dtype=complex)
+    v, d = _read.matrix("unvec operand", v, ndim=1), _read.integer("d", d)
     if v.size != d * d:
-        raise DimensionError(f"cannot unvec length-{v.size} vector into {d}x{d}")
+        raise DimensionError(f"unvec operand must have d^2 = {d * d} entries, got {v.size}")
     return v.reshape((d, d), order="F")
 
 
 def sandwich_super(a, b) -> np.ndarray:
     """Matrix of the map ``rho -> a @ rho @ b`` on column-stacked vectors."""
-    a = as_complex_matrix(a, "sandwich left")
-    b = as_complex_matrix(b, "sandwich right")
+    a = _read.matrix("sandwich left", a)
+    b = _read.matrix("sandwich right", b)
     return _kron(b.T, a)

@@ -23,16 +23,15 @@ unit generator norm for corpus-style testing.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import _read
 from .errors import ValidationError
 from .gkls import (
     GklsSystem,
     Superoperator,
-    _check_integer,
     dissipator_superoperator,
     hamiltonian_superoperator,
     liouvillian,
@@ -55,17 +54,6 @@ __all__ = [
 ]
 
 
-def _finite_float(name: str, value) -> float:
-    """``value`` as a float; a bool, a non-number or a value that is not a finite float raises naming ``name``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an int beyond float range
-            pass
-    raise ValidationError(f"{name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ThreeLevelParams:
     """Parameters of the three-level model.
@@ -74,7 +62,7 @@ class ThreeLevelParams:
     Hamiltonian K; gamma the dephasing rate; g the 0-1 coupling and w2
     the level-2 frequency of the strong Hamiltonian H; kappa the 2 -> 1
     decay rate.  Requires kappa > 0 and g > 0 (the two projection
-    mechanisms must both act).
+    mechanisms must both act) and gamma >= 0 (``_PARAMETER_SIGNS``).
     """
 
     omega0: float = 0.0
@@ -87,20 +75,19 @@ class ThreeLevelParams:
 
     def __post_init__(self):
         for f in fields(self):  # ints become floats
-            object.__setattr__(self, f.name, _finite_float(f"three-level parameter {f.name}", getattr(self, f.name)))
-        if not (self.kappa > 0 and self.g > 0):
-            raise ValidationError("three-level model requires kappa > 0 and g > 0")
-        if self.gamma < 0:
-            raise ValidationError("dephasing rate must be nonnegative")
+            object.__setattr__(self, f.name, _read.real(f"three-level parameter {f.name}", getattr(self, f.name),
+                                                        _PARAMETER_SIGNS.get(f.name)))
 
     @classmethod
     def from_json(cls, obj) -> "ThreeLevelParams":
         if not isinstance(obj, dict):
             raise ValidationError(f"three-level parameters must be a JSON object, got {obj!r}")
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValidationError(f"unknown three-level parameters {unknown}")
+        _read.names("three-level parameters", obj, {f.name for f in fields(cls)})
         return cls(**obj)
+
+
+#: the sign each bounded :class:`ThreeLevelParams` field must have
+_PARAMETER_SIGNS = {"gamma": "nonnegative", "g": "positive", "kappa": "positive"}
 
 
 def _basis_ops():
@@ -142,8 +129,7 @@ def three_level_analytic_propagator(params: ThreeLevelParams, t: float) -> Super
     block plus a relaxation feed from level 2 into the 0-1 block whose Y
     and Z weights carry the kappa / (kappa^2 + 4 g^2) denominators.
     """
-    if t < 0:
-        raise ValidationError(f"the closed form is stated for t >= 0, got t={t}")
+    t = _read.real("t", t, "nonnegative")  # the closed form is stated for t >= 0
     p, x, y, z, e22 = _basis_ops()
     g, kap = params.g, params.kappa
     h = np.array([[0.0, g, 0.0], [g, 0.0, 0.0], [0.0, 0.0, params.w2]], dtype=complex)
@@ -248,9 +234,7 @@ class DephasingQubitExample:
 
 
 def dephasing_qubit_example(omega: float = 1.0, kappa: float = 1.0) -> DephasingQubitExample:
-    omega, kappa = _finite_float("omega", omega), _finite_float("kappa", kappa)
-    if kappa < 0:
-        raise ValidationError(f"kappa must be nonnegative, got {kappa!r}")
+    omega, kappa = _read.real("omega", omega), _read.real("kappa", kappa, "nonnegative")
     h = omega * np.diag([1.0, 0.0]).astype(complex)
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     jump = math.sqrt(kappa) * np.outer(plus, plus.conj())
@@ -286,13 +270,8 @@ def random_gkls(d: int, n_jumps: int, seed: int) -> GklsSystem:
     H is a Gaussian Hermitian matrix; jumps are complex Gaussian matrices
     made traceless.  Deterministic per seed.
     """
-    _check_integer("dimension d", d)
-    _check_integer("n_jumps", n_jumps, 0)
-    _check_integer("seed", seed, 0)
-    if not 2 <= d <= 4:
-        raise ValidationError("corpus dimension must be in [2, 4]")
-    if not 0 <= n_jumps <= 3:
-        raise ValidationError("corpus jump count must be in [0, 3]")
+    d, n_jumps = _read.integer("dimension d", d, 2, 4), _read.integer("n_jumps", n_jumps, 0, 3)
+    seed = _read.integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (a + a.conj().T) / 2.0
@@ -308,12 +287,12 @@ def random_gkls(d: int, n_jumps: int, seed: int) -> GklsSystem:
 
 def gkls_corpus(n: int = 50, seed0: int = 1000) -> list[GklsSystem]:
     """Deterministic corpus of random systems cycling d in {2, 3, 4}."""
-    _check_integer("n", n, 0)
+    n, seed0 = _read.integer("n", n, 0), _read.integer("seed0", seed0, 0)
     return [random_gkls(2 + i % 3, 1 + i % 3, seed0 + i) for i in range(n)]
 
 
 def gkls_pair_corpus(n: int = 50, seed0: int = 1000) -> list[tuple[GklsSystem, GklsSystem]]:
     """(strong, weak) same-dimension pairs for limit-error experiments."""
-    _check_integer("n", n, 0)
+    n, seed0 = _read.integer("n", n, 0), _read.integer("seed0", seed0, 0)
     return [(random_gkls(2 + i % 3, 1 + i % 3, seed0 + 2 * i),
              random_gkls(2 + i % 3, 1 + (i + 1) % 3, seed0 + 2 * i + 1)) for i in range(n)]

@@ -32,20 +32,19 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
+from . import _read
 from .errors import (
     DimensionError,
     IllConditionedDecompositionError,
     PeripheralDefectError,
     UnsupportedInputError,
-    ValidationError,
 )
-from .linalg import _checked_times, as_complex_matrix, expm, schur, spectral_norm
+from .linalg import expm, schur, spectral_norm
 
 __all__ = [
     "SpectralCluster",
@@ -154,9 +153,9 @@ def _distances(z: np.ndarray) -> np.ndarray:
     return np.hypot(diff.real, diff.imag)
 
 
-def _single_linkage(eigs: np.ndarray, tol: float) -> list[list[int]]:
-    """Group eigenvalue indices whose chain distances fall within ``tol``."""
-    near = (_distances(eigs) <= tol).tolist()
+def _single_linkage(eigs: np.ndarray, distances: np.ndarray, tol: float) -> list[list[int]]:
+    """Group eigenvalue indices whose chain distances (:func:`_distances` of ``eigs``) fall within ``tol``."""
+    near = (distances <= tol).tolist()
     groups: list[list[int]] = []
     for idx in np.argsort(eigs.real, kind="stable").tolist():
         row = near[idx]  # the groups are scanned only when idx has a neighbour besides itself
@@ -176,10 +175,11 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     """Single-linkage clusters plus a safety merge keeping representatives
     more than ``2 * tol`` apart (so distinct clusters never overlap).  When no two
     eigenvalues lie within ``2 * tol``, that is singletons in stable real-part order."""
-    if np.count_nonzero(_distances(eigs) <= 2 * tol) == len(eigs):  # each one's distance to itself
+    distances = _distances(eigs)
+    if np.count_nonzero(distances <= 2 * tol) == len(eigs):  # each one's distance to itself
         order = np.argsort(eigs.real, kind="stable").tolist()
         return [[i] for i in order], [complex(eigs[i]) for i in order]
-    groups = _single_linkage(eigs, tol)
+    groups = _single_linkage(eigs, distances, tol)
     # a lone eigenvalue is its own mean, exactly
     centers = [complex(eigs[g[0]]) if len(g) == 1 else complex(np.mean(eigs[g])) for g in groups]
     while True:
@@ -192,20 +192,15 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
         centers[i] = complex(np.mean(eigs[groups[i]]))
 
 
-def _check_tolerance(name: str, tol) -> None:
-    """Raise :class:`ValidationError` naming ``name`` unless ``tol`` is a real number >= 0 (not a bool, not NaN)."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-        raise ValidationError(f"{name} must be a nonnegative real number, got {tol!r}")
-
-
 def decompose(a, cluster_tol: float | None = None,
               imag_tol: float | None = None) -> SpectralDecomposition:
     """Compute the clustered spectral decomposition of a square matrix.
 
     Eigenvalues within ``cluster_tol`` of each other (single linkage) are
     merged into one cluster; defaults are ``1e-7 * ||a||`` for both
-    tolerances, and a given tolerance that is not a nonnegative real number
-    (a string, NaN, a negative value) raises :class:`ValidationError`.
+    tolerances (the norm's SVD runs only for a default), and a given
+    tolerance that is not a nonnegative finite number (a bool, a string,
+    NaN, inf, a negative value) raises :class:`ValidationError`.
     Raises :class:`IllConditionedDecompositionError` when the
     completeness, reconstruction or orthogonality residual exceeds
     ``100 * cluster_tol`` and :class:`PeripheralDefectError` when a
@@ -222,15 +217,13 @@ def decompose(a, cluster_tol: float | None = None,
     A spectrum with no two eigenvalues within 2 cluster_tol skips the linkage
     scan, and all-singleton clusters the orthogonality bound's block sums.
     """
-    a = as_complex_matrix(a, "decompose operand")
-    if a.shape[0] != a.shape[1] or a.size == 0:
-        raise DimensionError(f"decompose needs a nonempty square matrix, got {a.shape}")
+    a = _read.matrix("decompose operand", a, shape="square")
+    if a.size == 0:
+        raise DimensionError("decompose operand must be a nonempty square matrix, got shape (0, 0)")
     dim = a.shape[0]
-    default_tol = 1e-7 * spectral_norm(a)
-    cluster_tol = default_tol if cluster_tol is None else cluster_tol
-    imag_tol = default_tol if imag_tol is None else imag_tol
-    for name, tol in (("cluster_tol", cluster_tol), ("imag_tol", imag_tol)):
-        _check_tolerance(name, tol)
+    default_tol = 1e-7 * spectral_norm(a) if cluster_tol is None or imag_tol is None else None
+    cluster_tol = default_tol if cluster_tol is None else _read.real("cluster_tol", cluster_tol, "nonnegative")
+    imag_tol = default_tol if imag_tol is None else _read.real("imag_tol", imag_tol, "nonnegative")
     # exact-zero tolerances only make sense for the zero matrix; keep a floor
     cluster_tol = max(cluster_tol, 1e-300)
 
@@ -379,8 +372,7 @@ def reduced_resolvent(dec: SpectralDecomposition, ell: int) -> np.ndarray:
     cluster l, (A - b_l I) S_l = I - P_l.  A single-cluster decomposition
     returns the zero matrix.
     """
-    if isinstance(ell, bool) or not isinstance(ell, numbers.Integral) or not 0 <= ell < len(dec.clusters):
-        raise ValidationError(f"cluster index ell = {ell!r} out of range: not an integer in [0, {len(dec.clusters)})")
+    ell = _read.integer("cluster index ell", ell, 0, len(dec.clusters) - 1)
     lo, hi = dec.starts[ell], dec.starts[ell + 1]
     shifted = dec.blocks - dec.clusters[ell].eigenvalue * np.eye(dec.dim)
     shifted[lo:hi, lo:hi] = np.eye(hi - lo)
@@ -456,7 +448,7 @@ def spectral_expm(dec: SpectralDecomposition, t, u=None, v=None):
     """
     u = dec.u if u is None else u
     v = dec.v if v is None else v
-    ts = np.atleast_1d(_checked_times(t, "spectral_expm"))
+    ts = np.atleast_1d(_read.times("spectral_expm t", t))
     rates = np.multiply.outer(ts, [c.eigenvalue for c in dec.clusters])
     live = rates.real >= -745.0
     phases = np.where(live, np.exp(rates), 0.0)

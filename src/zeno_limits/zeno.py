@@ -41,22 +41,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _read
 from .errors import (
     DegenerateDataError,
     DimensionError,
     SpectrumViolationError,
     ValidationError,
 )
-from .gkls import GklsSystem, Superoperator, _check_integer, _hermitian_basis, liouvillian
-from .linalg import (_EXPM_RANGE, _expm_stack, _onenorms, _require_square, as_complex_matrix, expm, sandwich_super,
-                     spectral_norm, spectral_norms)
-from .models import _finite_float
+from .gkls import GklsSystem, Superoperator, _hermitian_basis, liouvillian
+from .linalg import _EXPM_RANGE, _expm_stack, _onenorms, expm, sandwich_super, spectral_norm, spectral_norms
 from .spectral import (
     RESIDUAL_FACTOR,
     GapData,
     SpectralDecomposition,
     _cluster_eigenvalues,
-    _check_tolerance,
     _cluster_norms,
     condition_number,
     decompose,
@@ -85,12 +83,6 @@ __all__ = [
     "commutator_projections",
     "fast_oscillation_zeno",
 ]
-
-
-def _as_matrix(x, name: str) -> np.ndarray:
-    if isinstance(x, Superoperator):
-        return x.mat
-    return as_complex_matrix(x, name)
 
 
 @dataclass(frozen=True)
@@ -165,8 +157,8 @@ def zeno_split(b, c, cluster_tol: float | None = None,
     part above ``imag_tol`` and :class:`PeripheralDefectError` (from the
     decomposition) if a peripheral cluster is defective.
     """
-    b = _as_matrix(b, "strong generator")
-    c = _as_matrix(c, "weak generator")
+    b = b.mat if isinstance(b, Superoperator) else _read.matrix("strong generator B", b)
+    c = c.mat if isinstance(c, Superoperator) else _read.matrix("weak generator C", c)
     if b.shape != c.shape or b.shape[0] != b.shape[1]:
         raise ValidationError(f"B and C must be square with equal shapes, got {b.shape}, {c.shape}")
     dec = decompose(b, cluster_tol=cluster_tol, imag_tol=imag_tol)
@@ -304,11 +296,7 @@ class BoundInputs:
         (:func:`spectral_norms`).  A skipped sample cannot raise the
         maximum, so M is the float of the full 64-SVD sample in the frame.
         """
-        t_max, gamma_max = _finite_float("t_max", t_max), _finite_float("gamma_max", gamma_max)
-        if t_max < 0:
-            raise ValidationError(f"t_max must be nonnegative and finite, got {t_max!r}")
-        if gamma_max <= 0:
-            raise ValidationError(f"gamma_max must be positive and finite, got {gamma_max!r}")
+        t_max, gamma_max = _read.real("t_max", t_max, "nonnegative"), _read.real("gamma_max", gamma_max, "positive")
         horizon = t_max * gamma_max
         if not math.isfinite(horizon):
             raise ValidationError(f"the horizon t_max * gamma_max overflows: {t_max!r} * {gamma_max!r}")
@@ -453,7 +441,8 @@ def _on_grid(bound):
     """
     @functools.wraps(bound)
     def on_grid(inputs: BoundInputs, gamma, t):
-        gamma, t = _checked_gamma_t(gamma, t)
+        gamma = _read.times(f"{bound.__name__} gamma", gamma, "positive", ndim=None)
+        t = _read.times(f"{bound.__name__} t", t, "nonnegative", ndim=None)
         values = np.broadcast_to(bound(inputs, gamma, t), np.broadcast_shapes(gamma.shape, t.shape))
         return float(values) if values.ndim == 0 else values.copy()
     return on_grid
@@ -531,19 +520,6 @@ def bound_simplified(inputs: BoundInputs, gamma, t):
     return first + tail
 
 
-def _checked_gamma_t(gamma, t) -> tuple[np.ndarray, np.ndarray]:
-    """gamma and t (floats or arrays) as float arrays, every gamma positive and every t nonnegative, all finite."""
-    try:
-        gamma, t = np.asarray(gamma, dtype=float), np.asarray(t, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"gamma and t must be numeric: {exc}") from exc
-    if not np.all((gamma > 0) & np.isfinite(gamma)):
-        raise ValidationError("gamma must be positive and finite")
-    if not np.all((t >= 0) & np.isfinite(t)):
-        raise ValidationError("t must be nonnegative and finite")
-    return gamma, t
-
-
 # ---------------------------------------------------------------------------
 # the error grid
 # ---------------------------------------------------------------------------
@@ -555,26 +531,15 @@ BOUNDS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_
 CSV_COLUMNS = ("gamma", "t", *(f"error_{name}" for name in VARIANTS), *(f"bound_{name}" for name in BOUNDS))
 
 
-def _check_names(variants, bounds) -> None:
-    """Every name in ``variants`` must be in ``VARIANTS`` and every name in ``bounds`` a key of ``BOUNDS``."""
-    for kind, names, known in (("variants", variants, VARIANTS), ("bounds", bounds, tuple(BOUNDS))):
-        try:
-            unknown = [name for name in names if name not in known]
-        except TypeError as exc:  # not iterable
-            raise ValidationError(f"{kind} must be a sequence of names, got {names!r}") from exc
-        if unknown:
-            raise ValidationError(f"unknown {kind} {unknown}")
-
-
 def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()) -> list[dict]:
     """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid sorted by (gamma, t); cells not requested are None.
 
     The names in ``variants`` and ``bounds`` (keys of ``BOUNDS``), every
-    gamma (positive) and every t (nonnegative), all finite numbers, are
-    checked before any work, and error cells whose t (gamma B + C) may
-    leave the Pade kernel's range, or whose e^{gamma t b_k} overflows for
-    an eigenvalue b_k of B, raise instead of reaching it.  The
-    bounds are evaluated at the constants
+    gamma (positive) and every t (nonnegative), each grid a finite number
+    or a 1-D sequence of them, are read before any work, and error cells
+    whose t (gamma B + C) may leave the Pade kernel's range, or whose
+    e^{gamma t b_k} overflows for an eigenvalue b_k of B, raise instead of
+    reaching it.  The bounds are evaluated at the constants
     ``BoundInputs.from_split`` measures over this grid's horizon (largest
     t, largest gamma), where the paper's M must hold; each takes the whole
     grid in one call.  The errors are evaluated in ``split.frame`` (float64
@@ -587,9 +552,9 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
     by every chunk and both variants.  :func:`adiabatic_error` is this grid
     at one point.
     """
-    _check_names(variants, bounds)
-    gammas, ts = _checked_gamma_t(gammas, t_grid)
-    gammas, ts = np.sort(gammas.reshape(-1)), np.sort(ts.reshape(-1))
+    variants, bounds = _read.names("variants", variants, VARIANTS), _read.names("bounds", bounds, tuple(BOUNDS))
+    gammas = np.sort(_read.times("evaluate_grid gamma", gammas, "positive").reshape(-1))
+    ts = np.sort(_read.times("evaluate_grid t", t_grid, "nonnegative").reshape(-1))
     if not (gammas.size and ts.size):
         return []
     if bounds:
@@ -640,9 +605,7 @@ def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
     variant 'plain':      || e^{t(gamma B+C)} - e^{t gamma B} e^{t C_Z} ||
     variant 'peripheral': the same with a trailing P_phi on the limit.
     """
-    if np.ndim(gamma) or np.ndim(t):
-        raise DimensionError(f"adiabatic_error takes one gamma and one t, got shapes {np.shape(gamma)}, {np.shape(t)}")
-    [row] = evaluate_grid(split, (gamma,), (t,), (variant,))
+    [row] = evaluate_grid(split, (gamma,), (t,), (variant,))  # an array gamma or t is 2-D there and raises
     return row[f"error_{variant}"]
 
 
@@ -668,16 +631,15 @@ def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid) -> PerturbedSemi
     grid.  gamma must be one positive number and the grid non-empty with
     every t nonnegative, all finite; an overflowing exponential raises.
     """
-    b = _as_matrix(b, "strong generator")
-    c = _as_matrix(c, "weak generator")
+    b = b.mat if isinstance(b, Superoperator) else _read.matrix("strong generator B", b)
+    c = c.mat if isinstance(c, Superoperator) else _read.matrix("weak generator C", c)
     if b.shape != c.shape:
         raise DimensionError(f"B and C must have equal shapes, got {b.shape}, {c.shape}")
-    gamma, t_grid = _checked_gamma_t(gamma, t_grid)
-    if gamma.ndim:
-        raise DimensionError(f"gamma must be one number, got shape {gamma.shape}")
+    gamma = float(_read.times("perturbed_semigroup_bound_check gamma", gamma, "positive", ndim=0))
+    t_grid = _read.times("perturbed_semigroup_bound_check t", t_grid, "nonnegative")
     if not t_grid.size:
         raise ValidationError("t_grid must not be empty")
-    inputs = BoundInputs.from_split(zeno_split(b, c), t_max=float(t_grid.max()), gamma_max=float(gamma))
+    inputs = BoundInputs.from_split(zeno_split(b, c), t_max=float(t_grid.max()), gamma_max=gamma)
     m_bound = inputs.m_bound
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing exponential raises in spectral_norms
         semigroup_norms = spectral_norms(expm(b, t_grid))
@@ -742,9 +704,9 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
     The reported distance is the raw spectral-norm difference of exactly
     these two expressions (the limit carries the trailing projection).
     """
-    p = _as_matrix(p, "projection")
-    l = _as_matrix(l, "generator")
-    _check_integer("n", n)
+    p = p.mat if isinstance(p, Superoperator) else _read.matrix("projection P", p)
+    l = l.mat if isinstance(l, Superoperator) else _read.matrix("generator L", l)
+    t, n = _read.real("t", t), _read.integer("n", n)
     if p.shape != l.shape or p.shape[0] != p.shape[1]:
         raise DimensionError(f"P and L must be square with equal shapes, got {p.shape}, {l.shape}")
     idem = spectral_norm(p @ p - p)
@@ -757,26 +719,18 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
                             distance=spectral_norm(product - limit))
 
 
-def _require_hermitian(m: np.ndarray, name: str) -> None:
-    """Raise :class:`ValidationError` unless ``m`` is Hermitian to 1e-10 relative (in the spectral norm)."""
-    if spectral_norm(m - m.conj().T) > 1e-10 * max(1.0, spectral_norm(m)):
-        raise ValidationError(f"{name} must be Hermitian")
+#: the Hermitian tolerance of K and H: ||m - m^dagger|| <= 1e-10 max(||m||, 1)
+_HERMITIAN = (1e-10, 1.0)
 
 
-def _eigenprojections(k, tol: float | None, dim: int | None = None) -> tuple[float, list[tuple[float, np.ndarray]]]:
-    """The tolerance used and the clustered eigenvalues of a Hermitian K with their projections.
+def _eigenprojections(k: np.ndarray, tol: float | None) -> tuple[float, list[tuple[float, np.ndarray]]]:
+    """The tolerance used and the clustered eigenvalues of a read Hermitian K with their projections.
 
-    K must be square (``dim`` x ``dim`` when ``dim`` is given) and Hermitian, and ``tol``
-    defaults to 1e-7 max(||K||, 1); a given one is checked as :func:`decompose` checks its
+    ``tol`` defaults to 1e-7 max(||K||, 1); a given one is read as :func:`decompose` reads its
     tolerances.  Eigenvalues are grouped by :func:`spectral._cluster_eigenvalues`: single
     linkage at ``tol``, then representatives within ``2 * tol`` merge.
     """
-    k = _require_square(k, "Hamiltonian") if dim is None else as_complex_matrix(k, "Hamiltonian")
-    if dim is not None and k.shape != (dim, dim):
-        raise DimensionError(f"K must be {dim}x{dim}, got shape {k.shape}")
-    _require_hermitian(k, "K")
-    tol = 1e-7 * max(spectral_norm(k), 1.0) if tol is None else tol
-    _check_tolerance("tol", tol)
+    tol = 1e-7 * max(spectral_norm(k), 1.0) if tol is None else _read.real("tol", tol, "nonnegative")
     w, u = np.linalg.eigh(k)
     groups, centers = _cluster_eigenvalues(w, tol)
     return tol, [(c.real, u[:, g] @ u[:, g].conj().T) for g, c in zip(groups, centers)]
@@ -784,11 +738,9 @@ def _eigenprojections(k, tol: float | None, dim: int | None = None) -> tuple[flo
 
 def hamiltonian_zeno(k, h, tol: float | None = None) -> np.ndarray:
     """Projected Hamiltonian H_Z = sum_n P_n H P_n over eigenprojections of K."""
+    k = _read.matrix("K", k, shape="square", hermitian=_HERMITIAN)
+    h = _read.matrix("H", h, shape=k.shape, hermitian=_HERMITIAN)
     _, eig = _eigenprojections(k, tol)
-    h = as_complex_matrix(h, "weak Hamiltonian")
-    if h.shape != np.shape(k):
-        raise DimensionError(f"K and H must be square with equal shapes, got {np.shape(k)}, {h.shape}")
-    _require_hermitian(h, "H")
     hz = np.zeros_like(h)
     for _, proj in eig:
         hz += proj @ h @ proj
@@ -811,7 +763,7 @@ def commutator_projections(k, tol: float | None = None) -> list[BohrComponent]:
     sum over all pairs at that frequency of P_m (.) P_n.  Frequencies are
     clustered like the eigenvalues of K, at the same tolerance.
     """
-    return _bohr_components(*_eigenprojections(k, tol))
+    return _bohr_components(*_eigenprojections(_read.matrix("K", k, shape="square", hermitian=_HERMITIAN), tol))
 
 
 def _bohr_components(tol: float, eig: list[tuple[float, np.ndarray]]) -> list[BohrComponent]:
@@ -830,8 +782,9 @@ def fast_oscillation_zeno(sys: GklsSystem, k) -> Superoperator:
     L is the Liouvillian of ``sys`` and P_omega the Bohr-frequency
     projections of [K, .] from :func:`commutator_projections`.
     """
+    k = _read.matrix("K", k, shape=(sys.d, sys.d), hermitian=_HERMITIAN)
     full = liouvillian(sys).mat
     mat = np.zeros_like(full)
-    for comp in _bohr_components(*_eigenprojections(k, None, sys.d)):
+    for comp in _bohr_components(*_eigenprojections(k, None)):
         mat += comp.projector @ full @ comp.projector
     return Superoperator(sys.d, mat, "projected")

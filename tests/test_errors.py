@@ -38,7 +38,7 @@ def test_api_argument_errors_are_typed():
     with pytest.raises(ValidationError, match="positive integer"):
         pulsed_zeno_product(np.eye(4), strong.mat, 1.0, 0)
     dec = decompose(strong.mat)
-    with pytest.raises(ValidationError, match="out of range"):
+    with pytest.raises(ValidationError, match=r"cluster index ell must be an integer in \[0, 6\], got 7"):
         reduced_resolvent(dec, len(dec.clusters))
     with pytest.raises(ValidationError, match="not a numeric array"):
         spectral_norm([["a"]])
@@ -72,7 +72,7 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: spectral_norm([1.0, 2.0]), DimensionError, "2-dimensional"),
     (lambda: unvec(np.ones(3), 2), DimensionError, "unvec"),
     (lambda: decompose(np.ones((2, 3))), DimensionError, "square"),
-    (lambda: ThreeLevelParams(gamma=-1.0), ValidationError, "dephasing rate"),
+    (lambda: ThreeLevelParams(gamma=-1.0), ValidationError, r"parameter gamma must be nonnegative, got -1\.0"),
     (lambda: GklsSystem(2, np.eye(3)), DimensionError, "H must be 2x2"),
     (lambda: GklsSystem(2, np.eye(2), (np.eye(3),)), DimensionError, "jump operators"),
     (lambda: Superoperator(2, np.eye(4), "bogus"), ValidationError, "provenance"),
@@ -81,8 +81,10 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: _bound_inputs(norm_cz=-1.0), ValidationError, "nonnegative"),
     (lambda: convergence_slope([(0.0, 1.0), (10.0, 0.1), (100.0, 0.01), (1000.0, 0.001)]),
      DegenerateDataError, "gamma values must be positive"),
-    (lambda: adiabatic_error(_three_level_split(), 10.0, [0.5, 1.0]), DimensionError, "one gamma and one t"),
-    (lambda: adiabatic_error(_three_level_split(), np.array([10.0]), 1.0), DimensionError, "one gamma and one t"),
+    (lambda: adiabatic_error(_three_level_split(), 10.0, [0.5, 1.0]), DimensionError,
+     r"t must be a float or 1-dimensional, got shape \(1, 2\)"),
+    (lambda: adiabatic_error(_three_level_split(), np.array([10.0]), 1.0), DimensionError,
+     r"gamma must be a float or 1-dimensional, got shape \(1, 1\)"),
     (lambda: hamiltonian_zeno(np.eye(2), NON_HERMITIAN), ValidationError, "H must be Hermitian"),
     (lambda: hamiltonian_zeno(NON_HERMITIAN, np.eye(2)), ValidationError, "K must be Hermitian"),
     (lambda: commutator_projections(NON_HERMITIAN), ValidationError, "K must be Hermitian"),
@@ -109,7 +111,7 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
      r"overflows at s = the horizon t_max \* gamma_max = 1e\+20: .* for the eigenvalue b = \S+-2j"),
     (lambda: evaluate_grid(_three_level_split(), ["ten"], [1.0]), ValidationError, "numeric"),
     (lambda: evaluate_grid(_three_level_split(), [10.0], [[0.5], [1.0, 2.0]]), ValidationError, "numeric"),
-    (lambda: hamiltonian_zeno(np.eye(2), np.eye(3)), DimensionError, "equal shapes"),
+    (lambda: hamiltonian_zeno(np.eye(2), np.eye(3)), DimensionError, r"H must be 2x2, got shape \(3, 3\)"),
     (lambda: pulsed_zeno_product(np.eye(4), np.zeros((3, 3)), 1.0, 2), DimensionError, "equal shapes"),
     (lambda: fast_oscillation_zeno(GklsSystem(2, np.eye(2)), np.eye(3)), DimensionError, "K must be 2x2"),
     (lambda: commutator_projections(np.ones((2, 3))), DimensionError, "square"),
@@ -153,9 +155,9 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: SweepConfig.from_json({"params": {"g": True}}), ValidationError,
      "three-level parameter g must be a finite number, got True"),
     (lambda: matrix_from_json({"rows": 2.7, "cols": 3, "data": [[0, 0]] * 6}), ValidationError,
-     r"rows and cols must be nonnegative integers, got 2\.7, 3"),
+     r"rows must be a nonnegative integer, got 2\.7"),
     (lambda: matrix_from_json({"rows": True, "cols": 4, "data": [[0, 0]] * 4}), ValidationError,
-     "rows and cols must be nonnegative integers, got True, 4"),
+     "rows must be a nonnegative integer, got True"),
     (lambda: SweepConfig(gamma_grid=("a",)), ValidationError, "gamma_grid entry must be a finite number, got 'a'"),
     (lambda: SweepConfig(gamma_grid=5), ValidationError, "gamma_grid must be a sequence of numbers, got 5"),
     (lambda: SweepConfig(t_start="a"), ValidationError, "t_start must be a finite number, got 'a'"),
@@ -170,33 +172,33 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: evaluate_grid(_three_level_split(), [10.0], [1.0], bounds=None), ValidationError,
      "bounds must be a sequence of names, got None"),
     (lambda: spectral_expm(_three_level_split().decomposition, np.nan), ValidationError,
-     "spectral_expm times contain non-finite entries"),
+     "spectral_expm t must be finite, got nan"),
     (lambda: spectral_expm(_three_level_split().decomposition, np.inf), ValidationError,
-     "spectral_expm times contain non-finite entries"),
+     "spectral_expm t must be finite, got inf"),
     (lambda: spectral_expm(_three_level_split().decomposition, [1.0, -np.inf]), ValidationError,
-     "spectral_expm times contain non-finite entries"),
+     "spectral_expm t must be finite, got -inf"),
     (lambda: spectral_expm(_three_level_split().decomposition, "a"), ValidationError,
-     "spectral_expm times are not numeric"),
+     "spectral_expm t must be numeric, got 'a'"),
     (lambda: spectral_expm(_three_level_split().decomposition, [[0.5, 1.0]]), DimensionError,
-     r"spectral_expm times must be a float or 1-dimensional, got shape \(1, 2\)"),
-    (lambda: expm(np.eye(2), "a"), ValidationError, "expm times are not numeric"),
+     r"spectral_expm t must be a float or 1-dimensional, got shape \(1, 2\)"),
+    (lambda: expm(np.eye(2), "a"), ValidationError, "expm t must be numeric, got 'a'"),
     (lambda: commutator_projections(np.diag([0.0, 1.0]), tol=-1.0), ValidationError,
-     "tol must be a nonnegative real number, got -1.0"),
+     "tol must be nonnegative, got -1.0"),
     (lambda: commutator_projections(np.diag([0.0, 1.0]), tol="x"), ValidationError,
-     "tol must be a nonnegative real number, got 'x'"),
+     "tol must be a finite number, got 'x'"),
     (lambda: commutator_projections(np.diag([0.0, 1.0]), tol=np.nan), ValidationError,
-     "tol must be a nonnegative real number, got nan"),
+     "tol must be a finite number, got nan"),
     (lambda: hamiltonian_zeno(np.eye(2), np.eye(2), tol=True), ValidationError,
-     "tol must be a nonnegative real number, got True"),
-    (lambda: random_gkls(2.5, 1, 0), ValidationError, r"dimension d must be a positive integer, got 2\.5"),
-    (lambda: random_gkls(2, 1.5, 0), ValidationError, r"n_jumps must be a nonnegative integer, got 1\.5"),
+     "tol must be a finite number, got True"),
+    (lambda: random_gkls(2.5, 1, 0), ValidationError, r"dimension d must be an integer in \[2, 4\], got 2\.5"),
+    (lambda: random_gkls(2, 1.5, 0), ValidationError, r"n_jumps must be an integer in \[0, 3\], got 1\.5"),
     (lambda: random_gkls(2, 1, -1), ValidationError, "seed must be a nonnegative integer, got -1"),
     (lambda: gkls_corpus(2.5), ValidationError, r"n must be a nonnegative integer, got 2\.5"),
     (lambda: gkls_pair_corpus(2.5), ValidationError, r"n must be a nonnegative integer, got 2\.5"),
     (lambda: reduced_resolvent(_three_level_split().decomposition, 1.5), ValidationError,
-     r"cluster index ell = 1\.5 out of range"),
+     r"cluster index ell must be an integer in \[0, 6\], got 1\.5"),
     (lambda: reduced_resolvent(_three_level_split().decomposition, "a"), ValidationError,
-     "cluster index ell = 'a' out of range"),
+     r"cluster index ell must be an integer in \[0, 6\], got 'a'"),
     (lambda: convergence_slope([("a", 1)] * 4), ValidationError, r"points must be \(gamma, error\) pairs"),
     (lambda: convergence_slope([(10.0, 1.0, 2.0)] * 4), ValidationError, r"points must be \(gamma, error\) pairs"),
     (lambda: BoundInputs.from_split(_three_level_split(), t_max="a"), ValidationError,

@@ -13,7 +13,7 @@ from zeno_limits import (
     zeno,
 )
 from zeno_limits.errors import DimensionError, ValidationError
-from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, format_csv
+from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, format_csv, summarize_rows
 from zeno_limits.gkls import Superoperator, cptp_check, hamiltonian_superoperator
 from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json, write_text
 from zeno_limits.linalg import expm
@@ -59,7 +59,7 @@ class TestSweepConfig:
         assert res.csv_text == ",".join(CSV_COLUMNS) + "\n"
 
     @pytest.mark.parametrize("field, match", [
-        ({"gamma_grid": (-1.0,)}, "gamma values must be positive"),
+        ({"gamma_grid": (-1.0,)}, r"gamma_grid entry must be positive, got -1\.0"),
         ({"t_spacing": "cubic"}, "t_spacing"),
     ], ids=["negative-gamma", "cubic-spacing"])
     def test_bad_field_is_typed(self, field, match):
@@ -312,6 +312,19 @@ class TestRunSweep:
             assert row["error_plain"] <= 1e-12
         assert res.summary["slope"] is None
         assert "degenerate-data" in res.summary["notice"]
+
+    @pytest.mark.parametrize("scale, fitted", [(1e-9, True), (1e-12, False)], ids=["small-errors", "roundoff"])
+    def test_roundoff_threshold_of_the_slope_fit(self, scale, fitted):
+        """Sup errors near 1e-9 over four gammas are fitted; at most DEGENERATE_ERROR = 1e-12 they are refused."""
+        gammas = (10.0, 100.0, 1000.0, 10000.0)
+        rows = [{**dict.fromkeys(CSV_COLUMNS), "gamma": g, "t": 1.0, "error_plain": scale * 10.0 / g}
+                for g in gammas]
+        summary = summarize_rows(rows)
+        if fitted:
+            assert summary["notice"] is None and summary["slope"] == pytest.approx(-1.0)
+        else:
+            assert summary["slope"] is None
+            assert summary["notice"] == "degenerate-data: all errors at roundoff, slope fit refused"
 
     def test_no_variants_gives_no_slope_notice_or_violation(self):
         res = run_sweep(small_config(t_count=3, variants=()))

@@ -11,7 +11,8 @@ import zeno_limits
 from zeno_limits import expm, gkls_corpus, kron, liouvillian, schur, spectral_norm, vec
 from zeno_limits import linalg
 from zeno_limits.errors import DimensionError, FactorizationError, ValidationError
-from zeno_limits.linalg import _expm_stack, _kron, as_complex_matrix, sandwich_super, spectral_norms
+from zeno_limits import _read
+from zeno_limits.linalg import _expm_stack, _kron, sandwich_super, spectral_norms
 
 from conftest import power_iteration_norm, random_complex, taylor_expm
 
@@ -374,8 +375,8 @@ class TestKron:
 def test_complex_matrix_rejects_non_finite_in_either_part(bad):
     m = np.eye(3, dtype=complex)
     m[1, 2] = bad
-    with pytest.raises(ValidationError, match="non-finite"):
-        as_complex_matrix(m)
+    with pytest.raises(ValidationError, match="m contains non-finite entries"):
+        _read.matrix("m", m)
 
 
 #: a norm or Kronecker product taken around the ``linalg`` primitives

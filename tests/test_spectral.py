@@ -32,7 +32,7 @@ def test_single_linkage_merges_two_groups(order):
     # by real part 0 comes first, then 0.6+0.9i (1.08 from it) starts a second
     # group, then 0.7+0.1i is within tol of both and joins them into one
     eigs = np.array([0.0, 0.6 + 0.9j, 0.7 + 0.1j])[list(order)]
-    [group] = _single_linkage(eigs, 1.0)
+    [group] = _single_linkage(eigs, _distances(eigs), 1.0)
     assert sorted(group) == [0, 1, 2]
 
 
@@ -117,7 +117,7 @@ def test_separated_spectra_skip_the_linkage_scan(eigs, tol, separated, monkeypat
 
 
 def test_seeded_clustering_cases_reach_the_safety_merge():
-    merged = [len(_single_linkage(eigs, tol)) > len(_cluster_eigenvalues(eigs, tol)[0])
+    merged = [len(_single_linkage(eigs, _distances(eigs), tol)) > len(_cluster_eigenvalues(eigs, tol)[0])
               for eigs, tol in (case.values for case in _clustering_cases())]
     assert sum(merged) >= 3
 

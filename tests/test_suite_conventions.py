@@ -189,3 +189,35 @@ def test_purity_rates_load_no_heavy_scipy_subpackage():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+#: the per-module input helpers that ``_read`` replaced; none may come back under its old name
+REMOVED_READERS = ("_as_complex", "as_complex_matrix", "_require_square", "_checked_times", "_finite_float",
+                   "_check_integer", "_mat_and_dim", "_check_tolerance", "_as_matrix", "_checked_gamma_t",
+                   "_check_names", "_require_hermitian")
+
+
+def _defined_or_imported(tree: ast.Module) -> set[str]:
+    """Every name a module defines (function, class, assignment target) or imports, under either name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(name for alias in node.names for name in (alias.name.split(".")[0], alias.asname) if name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_defined_or_imported_names_are_found():
+    tree = ast.parse("import numbers\nfrom .linalg import _require_square as sq\ndef _mat_and_dim(x): y = x\n")
+    assert _defined_or_imported(tree) == {"numbers", "_require_square", "sq", "_mat_and_dim", "y"}
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_only_the_reader_module_reads_inputs(stem):
+    """``numbers`` is imported by ``_read`` alone, and no module defines or imports a removed reader."""
+    names = _defined_or_imported(ast.parse((PACKAGE / f"{stem}.py").read_text()))
+    assert ("numbers" in names) == (stem == "_read")
+    assert names.isdisjoint(REMOVED_READERS)
