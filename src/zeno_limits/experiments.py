@@ -37,8 +37,7 @@ import numpy as np
 
 from . import _read
 from .errors import ValidationError, ZenoLimitsError
-from .gkls import (GklsSystem, Superoperator, cptp_check, dissipator_superoperator, hamiltonian_superoperator,
-                   liouvillian)
+from .gkls import GklsSystem, cptp_check, dissipator_superoperator, hamiltonian_superoperator, liouvillian
 from .jsonio import load_json, superoperator_from_json, write_text
 from .linalg import spectral_norm
 from .models import ThreeLevelParams, dephasing_qubit_example, three_level_generators
@@ -80,10 +79,8 @@ class SweepConfig:
     output: str | None = None
 
     def __post_init__(self):
-        try:  # ints become floats
-            grid = tuple(_read.real("gamma_grid entry", g, "positive") for g in self.gamma_grid)
-        except TypeError as exc:  # not iterable
-            raise ValidationError(f"gamma_grid must be a sequence of numbers, got {self.gamma_grid!r}") from exc
+        grid = tuple(_read.real("gamma_grid entry", g, "positive")  # ints become floats
+                     for g in _read.sequence("gamma_grid", self.gamma_grid, "numbers"))
         if not grid:
             raise ValidationError("gamma_grid must not be empty")
         if list(grid) != sorted(set(grid)):
@@ -138,22 +135,18 @@ class SweepResult:
     csv_text: str
 
 
-def _load_pair(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
+def _load_pair(cfg: SweepConfig) -> tuple:
+    """The model's strong and weak generators, each a matrix or a ``Superoperator``."""
     if cfg.model == "three-level":
         weak, strong = three_level_generators(cfg.params or ThreeLevelParams())
-        return strong.mat, weak.mat
-    if cfg.model == "dephasing-qubit":
-        ex = dephasing_qubit_example()
-        # fast-oscillation pair: strong commutator of H, weak dephasing part
-        strong = hamiltonian_superoperator(ex.hamiltonian)
-        weak = dissipator_superoperator([ex.jump], 2)
         return strong, weak
+    if cfg.model == "dephasing-qubit":  # fast-oscillation pair: strong commutator of H, weak dephasing part
+        ex = dephasing_qubit_example()
+        return hamiltonian_superoperator(ex.hamiltonian), dissipator_superoperator([ex.jump], 2)
     if cfg.model == "files":
         if not (cfg.strong_path and cfg.weak_path):
             raise ValidationError("file model needs strong and weak paths")
-        b = superoperator_from_json(load_json(cfg.strong_path)).mat
-        c = superoperator_from_json(load_json(cfg.weak_path)).mat
-        return b, c
+        return tuple(superoperator_from_json(load_json(path)) for path in (cfg.strong_path, cfg.weak_path))
     raise ValidationError(f"unknown model {cfg.model!r}")
 
 
@@ -255,8 +248,7 @@ def spectral_property_check(sys_or_superop) -> SpectralPropertyReport:
     """Audit the spectral structure of a GKLS generator: a system, a superoperator or a d^2 x d^2 matrix."""
     if isinstance(sys_or_superop, GklsSystem):
         sys_or_superop = liouvillian(sys_or_superop)
-    mat = sys_or_superop.mat if isinstance(sys_or_superop, Superoperator) \
-        else _read.superoperator("sys_or_superop", sys_or_superop)[0]
+    mat = _read.superoperator("sys_or_superop", sys_or_superop)[0]
     norm = max(spectral_norm(mat), 1e-300)
     tol = 1e-7 * norm
 

@@ -81,8 +81,9 @@ class GklsSystem:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "hamiltonian",
                            _read.matrix("hamiltonian H", self.hamiltonian, shape=(d, d), hermitian=(1e-12, 1e-300)))
+        jumps = _read.sequence("jump operators", self.jumps, "matrices")
         object.__setattr__(self, "jumps", tuple(_read.matrix(f"jump operators[{i}]", L, shape=(d, d))
-                                                for i, L in enumerate(self.jumps)))
+                                                for i, L in enumerate(jumps)))
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,10 @@ class Superoperator:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "mat", _read.matrix("superoperator matrix", self.mat, shape=(d * d, d * d)))
         _read.names("provenance", (self.provenance,), ALL_PROVENANCES)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The matrix: a superoperator is read wherever a matrix is."""
+        return np.array(self.mat, dtype=dtype, copy=copy)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         rho = _read.matrix("rho", rho, shape=(self.d, self.d))
@@ -164,7 +169,7 @@ def dissipator_superoperator(jumps, d: int) -> np.ndarray:
     d = _read.integer("dimension d", d)
     eye = np.eye(d)
     m = np.zeros((d * d, d * d), dtype=complex)
-    for i, L in enumerate(jumps):
+    for i, L in enumerate(_read.sequence("jump operators", jumps, "matrices")):
         L = _read.matrix(f"jump operators[{i}]", L, shape=(d, d))
         ldl = L.conj().T @ L
         m += _kron(L.conj(), L) - 0.5 * _kron(eye, ldl) - 0.5 * _kron(ldl.T, eye)
@@ -197,9 +202,7 @@ def canonicalize(sys: GklsSystem) -> GklsSystem:
 
 def choi_matrix(superop) -> np.ndarray:
     """Unnormalized Choi matrix C = sum_{mn} E(|m><n|) (x) |m><n|."""
-    mat, d = (superop.mat, superop.d) if isinstance(superop, Superoperator) \
-        else _read.superoperator("superoperator", superop)
-    return _choi(mat, d)
+    return _choi(*_read.superoperator("superoperator", superop))
 
 
 def _choi(mat: np.ndarray, d: int) -> np.ndarray:
@@ -252,8 +255,7 @@ def cptp_check(superop) -> CptpReport:
         raise ValidationError(
             f"cptp_check expects a map, not a generator (provenance {superop.provenance!r})"
         )
-    mat, d = (superop.mat, superop.d) if isinstance(superop, Superoperator) \
-        else _read.superoperator("superoperator", superop)
+    mat, d = _read.superoperator("superoperator", superop)
     choi = _choi(mat, d)
     eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
     tp, hp, cp = _verdicts(mat, d, 1.0, choi, eigs)
@@ -270,8 +272,7 @@ def gkls_form_check(superop) -> GklsFormReport:
     """
     if isinstance(superop, Superoperator) and superop.provenance == "propagator":
         raise ValidationError("gkls_form_check expects a generator, got a propagator")
-    mat, d = (superop.mat, superop.d) if isinstance(superop, Superoperator) \
-        else _read.superoperator("superoperator", superop)
+    mat, d = _read.superoperator("superoperator", superop)
     return _gkls_form(mat, d)
 
 
@@ -584,8 +585,7 @@ def superoperator_purity_rate(superop, opts: PurityOptions | None = None) -> Pur
     Maximizes -d/dt tr rho^2 at t = 0, i.e. -2 Re tr(rho G(rho)), the same
     way as :func:`purity_decay_rate`.
     """
-    mat, d = (superop.mat, superop.d) if isinstance(superop, Superoperator) \
-        else _read.superoperator("superoperator", superop)
+    mat, d = _read.superoperator("superoperator", superop)
     return _purity_report(mat + mat.conj().T, d, opts or PurityOptions())
 
 
@@ -600,8 +600,7 @@ class NoGoReport:
 def no_go_check(sys: GklsSystem, zeno_generator, tol: float = 1e-6,
                 opts: PurityOptions | None = None) -> NoGoReport:
     """Compare Gamma of the original generator with Gamma of a projected one."""
-    mat, d = (zeno_generator.mat, zeno_generator.d) if isinstance(zeno_generator, Superoperator) \
-        else _read.superoperator("zeno_generator", zeno_generator)
+    mat, d = _read.superoperator("zeno_generator", zeno_generator)
     tol = _read.real("tol", tol, "nonnegative")
     report = _gkls_form(mat, d)
     if not (report.trace_annihilating and report.hermiticity_preserving):

@@ -157,10 +157,7 @@ def zeno_split(b, c, cluster_tol: float | None = None,
     part above ``imag_tol`` and :class:`PeripheralDefectError` (from the
     decomposition) if a peripheral cluster is defective.
     """
-    b = b.mat if isinstance(b, Superoperator) else _read.matrix("strong generator B", b)
-    c = c.mat if isinstance(c, Superoperator) else _read.matrix("weak generator C", c)
-    if b.shape != c.shape or b.shape[0] != b.shape[1]:
-        raise ValidationError(f"B and C must be square with equal shapes, got {b.shape}, {c.shape}")
+    b, c = _read.pair("strong generator B", b, "weak generator C", c)
     dec = decompose(b, cluster_tol=cluster_tol, imag_tol=imag_tol)
     violations = [cl.eigenvalue for cl in dec.clusters if cl.eigenvalue.real > dec.imag_tol]
     if violations:
@@ -265,12 +262,20 @@ class BoundInputs:
     resolvent_sum_norm: float
 
     def __post_init__(self):
-        if self.m_bound < 1.0:
-            raise ValidationError("M must be at least 1")
-        if np.any(np.asarray(self.p_coeffs) < 0):
-            raise ValidationError("p(t) must have nonnegative coefficients")
-        if min(self.norm_c, self.norm_cz, self.resolvent_sum, self.resolvent_sum_norm) < 0:
-            raise ValidationError("norms must be nonnegative")
+        for name in ("m_bound", "chi"):
+            if not (value := _read.real(name, getattr(self, name))) >= 1.0:
+                raise ValidationError(f"{name} must be at least 1, got {value!r}")
+            object.__setattr__(self, name, value)
+        for name in ("eta", "delta"):  # a gap is positive, or +inf where there is no such part of the spectrum
+            value = getattr(self, name)
+            object.__setattr__(self, name, math.inf if isinstance(value, float) and value == math.inf
+                               else _read.real(name, value, "positive"))
+        object.__setattr__(self, "dim", _read.integer("dim", self.dim))
+        if (p_coeffs := _read.times("p_coeffs", self.p_coeffs, "nonnegative")).ndim != 1 or not p_coeffs.size:
+            raise DimensionError(f"p_coeffs must be a nonempty 1-D array, got shape {p_coeffs.shape}")
+        object.__setattr__(self, "p_coeffs", p_coeffs)
+        for name in ("norm_c", "norm_cz", "resolvent_sum", "resolvent_sum_norm"):
+            object.__setattr__(self, name, _read.real(name, getattr(self, name), "nonnegative"))
 
     @classmethod
     def from_split(cls, split: ZenoSplit, t_max: float = 2.0,
@@ -631,10 +636,7 @@ def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid) -> PerturbedSemi
     grid.  gamma must be one positive number and the grid non-empty with
     every t nonnegative, all finite; an overflowing exponential raises.
     """
-    b = b.mat if isinstance(b, Superoperator) else _read.matrix("strong generator B", b)
-    c = c.mat if isinstance(c, Superoperator) else _read.matrix("weak generator C", c)
-    if b.shape != c.shape:
-        raise DimensionError(f"B and C must have equal shapes, got {b.shape}, {c.shape}")
+    b, c = _read.pair("strong generator B", b, "weak generator C", c)
     gamma = float(_read.times("perturbed_semigroup_bound_check gamma", gamma, "positive", ndim=0))
     t_grid = _read.times("perturbed_semigroup_bound_check t", t_grid, "nonnegative")
     if not t_grid.size:
@@ -660,19 +662,14 @@ class SlopeFit:
 def convergence_slope(points) -> SlopeFit:
     """Least-squares slope of log(error) against log(gamma).
 
-    Needs at least 4 gamma values spanning two decades, all errors
+    ``points`` is read as an n x 2 float matrix of finite (gamma, error)
+    rows.  Needs at least 4 gamma values spanning two decades, all errors
     positive; an O(1/gamma) error family fits slope -1.
     """
-    try:
-        pts = [(float(g), float(e)) for g, e in points]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"points must be (gamma, error) pairs of numbers: {exc}") from exc
+    pts = _read.matrix("points", points, shape=(None, 2), dtype=float)
     if len(pts) < 4:
         raise DegenerateDataError(f"need at least 4 points, got {len(pts)}")
-    gammas = np.array([g for g, _ in pts])
-    errs = np.array([e for _, e in pts])
-    if not (np.isfinite(gammas).all() and np.isfinite(errs).all()):
-        raise DegenerateDataError("gamma values and errors must be finite for a log-log fit")
+    gammas, errs = pts[:, 0], pts[:, 1]
     if np.any(errs <= 0):
         raise DegenerateDataError("errors must be positive for a log-log fit")
     if np.any(gammas <= 0):
@@ -684,8 +681,7 @@ def convergence_slope(points) -> SlopeFit:
 
 def _loglog_fit(points) -> SlopeFit:
     """Unchecked least-squares line through (log gamma, log error)."""
-    lx = np.log([g for g, _ in points])
-    ly = np.log([e for _, e in points])
+    lx, ly = np.log(np.asarray(points, dtype=float)).T
     coeffs, residuals, *_ = np.polyfit(lx, ly, 1, full=True)
     rms = math.sqrt(residuals[0] / len(lx)) if len(residuals) else 0.0
     return SlopeFit(slope=float(coeffs[0]), intercept=float(coeffs[1]), residual=rms)
@@ -704,11 +700,8 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
     The reported distance is the raw spectral-norm difference of exactly
     these two expressions (the limit carries the trailing projection).
     """
-    p = p.mat if isinstance(p, Superoperator) else _read.matrix("projection P", p)
-    l = l.mat if isinstance(l, Superoperator) else _read.matrix("generator L", l)
     t, n = _read.real("t", t), _read.integer("n", n)
-    if p.shape != l.shape or p.shape[0] != p.shape[1]:
-        raise DimensionError(f"P and L must be square with equal shapes, got {p.shape}, {l.shape}")
+    p, l = _read.pair("projection P", p, "generator L", l)
     idem = spectral_norm(p @ p - p)
     if idem > 1e-10 * max(1.0, spectral_norm(p)):
         raise ValidationError(f"projection is not idempotent (defect {idem:.3e})")

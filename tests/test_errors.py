@@ -40,9 +40,9 @@ def test_api_argument_errors_are_typed():
     dec = decompose(strong.mat)
     with pytest.raises(ValidationError, match=r"cluster index ell must be an integer in \[0, 6\], got 7"):
         reduced_resolvent(dec, len(dec.clusters))
-    with pytest.raises(ValidationError, match="not a numeric array"):
+    with pytest.raises(ValidationError, match=r"spectral_norm operand must be numeric, got \[\['a'\]\]"):
         spectral_norm([["a"]])
-    with pytest.raises(ValidationError, match="not a numeric array"):
+    with pytest.raises(ValidationError, match="spectral_norm operand must be numeric: "):
         spectral_norm([[1, 2], [3]])
 
 
@@ -77,7 +77,8 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: GklsSystem(2, np.eye(2), (np.eye(3),)), DimensionError, "jump operators"),
     (lambda: Superoperator(2, np.eye(4), "bogus"), ValidationError, "provenance"),
     (lambda: no_go_check(GklsSystem(2, np.eye(2)), np.eye(4)), ValidationError, "trace-annihilating"),
-    (lambda: zeno_split(np.zeros((2, 2)), np.zeros((3, 3))), ValidationError, "equal shapes"),
+    (lambda: zeno_split(np.zeros((2, 2)), np.zeros((3, 3))), DimensionError,
+     "strong generator B and weak generator C must be square with equal shapes"),
     (lambda: _bound_inputs(norm_cz=-1.0), ValidationError, "nonnegative"),
     (lambda: convergence_slope([(0.0, 1.0), (10.0, 0.1), (100.0, 0.01), (1000.0, 0.001)]),
      DegenerateDataError, "gamma values must be positive"),
@@ -101,9 +102,10 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
     (lambda: pulsed_zeno_product(np.eye(4), np.zeros((4, 4)), 1.0, 2.5), ValidationError, "positive integer"),
     (lambda: pulsed_zeno_product(np.eye(4), np.zeros((4, 4)), 1.0, "3"), ValidationError, "positive integer"),
     (lambda: pulsed_zeno_product(np.eye(4), np.zeros((4, 4)), 1.0, True), ValidationError, "positive integer"),
-    (lambda: convergence_slope(list(zip(GAMMAS, [1.0, np.nan, 0.01, 0.001]))), DegenerateDataError, "finite"),
-    (lambda: convergence_slope(list(zip(GAMMAS[:3] + [np.inf], [1.0, 0.1, 0.01, 0.001]))), DegenerateDataError,
-     "finite"),
+    (lambda: convergence_slope(list(zip(GAMMAS, [1.0, np.nan, 0.01, 0.001]))), ValidationError,
+     "points contains non-finite entries"),
+    (lambda: convergence_slope(list(zip(GAMMAS[:3] + [np.inf], [1.0, 0.1, 0.01, 0.001]))), ValidationError,
+     "points contains non-finite entries"),
     (lambda: evaluate_grid(_three_level_split(), [1e30], [1e10], ("plain",)), ValidationError, "kernel's range"),
     (lambda: evaluate_grid(_three_level_split(), [1e6], [1e14], ("plain",)), ValidationError,
      r"overflows at s = gamma t = 1e\+20: .* for the eigenvalue b = \S+-2j"),
@@ -199,8 +201,8 @@ GAMMAS = [1.0, 10.0, 100.0, 1000.0]
      r"cluster index ell must be an integer in \[0, 6\], got 1\.5"),
     (lambda: reduced_resolvent(_three_level_split().decomposition, "a"), ValidationError,
      r"cluster index ell must be an integer in \[0, 6\], got 'a'"),
-    (lambda: convergence_slope([("a", 1)] * 4), ValidationError, r"points must be \(gamma, error\) pairs"),
-    (lambda: convergence_slope([(10.0, 1.0, 2.0)] * 4), ValidationError, r"points must be \(gamma, error\) pairs"),
+    (lambda: convergence_slope([("a", 1)] * 4), ValidationError, "points must be numeric, got"),
+    (lambda: convergence_slope([(10.0, 1.0, 2.0)] * 4), DimensionError, r"points must be nx2, got shape \(4, 3\)"),
     (lambda: BoundInputs.from_split(_three_level_split(), t_max="a"), ValidationError,
      "t_max must be a finite number, got 'a'"),
     (lambda: BoundInputs.from_split(_three_level_split(), t_max=True), ValidationError,

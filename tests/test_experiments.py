@@ -18,7 +18,7 @@ from zeno_limits.gkls import Superoperator, cptp_check, hamiltonian_superoperato
 from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json, write_text
 from zeno_limits.linalg import expm
 from zeno_limits.models import ThreeLevelParams, three_level_generators
-from zeno_limits.spectral import decompose
+from zeno_limits.spectral import decompose, peripheral_projection
 from zeno_limits.zeno import VARIANTS, BoundInputs, adiabatic_error, zeno_split
 
 from conftest import power_iteration_norm, taylor_expm
@@ -425,6 +425,17 @@ class TestSpectralPropertyCheck:
         rep = spectral_property_check(gen)
         assert not rep.peripheral_semisimple
         assert "defective" in rep.details["decomposition_error"]
+
+    def test_a_projection_off_by_1e_6_does_not_commute(self, monkeypatch):
+        """The commutator verdict holds ||[L, P_phi]|| to 1e-8 ||L||: a P_phi moved by 1e-6 fails it."""
+        sys = random_gkls(3, 2, seed=93)
+        mat = liouvillian(sys).mat
+        shift = 1e-6 * np.outer(np.arange(9.0), np.ones(9)) / 9  # ||[L, shift]|| is about 1e-6 ||L||
+        monkeypatch.setattr("zeno_limits.experiments.peripheral_projection",
+                            lambda dec: peripheral_projection(dec) + shift)
+        rep = spectral_property_check(sys)
+        assert 1e-8 < rep.details["projection_commutator_norm"] / np.linalg.norm(mat, 2) < 1e-4
+        assert not rep.projection_commutes
 
     def test_untyped_failure_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -5,8 +5,10 @@ passes a value as one argument of a public entry point (every other
 argument valid), the name that argument's error must carry, and the kind
 of reader that reads it.  One property test feeds every row the bad
 values of its kind (bools, strings, None, NaN, +-inf, negatives, 2.5 for
-an integer, a 400-digit int and a 2-D array) and asserts a
-``ZenoLimitsError`` whose message names the argument.  The last tests
+an integer, a 400-digit int, a 2-D array, matrices of numeric strings or
+bools, and for a pair of generators a second matrix of another shape) and
+asserts a ``ZenoLimitsError`` whose message names the argument.  Then a
+``Superoperator`` is checked to read as its matrix.  The last tests
 check that a list-valued K or map is converted once.
 """
 
@@ -34,15 +36,25 @@ COMMON = st.one_of(st.booleans(), st.text(min_size=1, max_size=4), st.none(),
                    st.just(np.full((2, 2), np.nan)))
 NEGATIVE = st.floats(max_value=-1e-300, allow_infinity=False)
 FRACTION = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
+#: numbers spelled as strings or bools: numpy would parse either as complex
+NOT_NUMBERS = [[["3", "0"], ["0", "1"]], np.eye(2, dtype=bool)]
+#: (gamma, error) points with a numeric string and a bool in them: float() would parse both
+NOT_NUMBER_POINTS = [("10", True), (100, 0.1), (1000, 0.01), (10000, 0.001)]
 #: the bad values of each reader kind: a signed real or time refuses negatives, a tolerance also
-#: (but None is its default), an integer negatives and fractions, and a matrix or names any scalar
+#: (but None is its default), an integer negatives and fractions, a matrix or names any scalar,
+#: a sequence anything not iterable or not holding matrices, and a pair of 2 x 2 generators a second
+#: matrix of another shape
 BAD = {
     "integer": st.one_of(COMMON, st.integers(max_value=-1), FRACTION),
     "real": COMMON,
     "signed": st.one_of(COMMON, NEGATIVE),
     "tolerance": st.one_of(COMMON.filter(lambda v: v is not None), NEGATIVE),
-    "matrix": st.one_of(COMMON, NEGATIVE, FRACTION),
+    "matrix": st.one_of(COMMON, NEGATIVE, FRACTION, st.sampled_from(NOT_NUMBERS)),
+    "points": st.one_of(COMMON, NEGATIVE, st.sampled_from([NOT_NUMBER_POINTS, NOT_NUMBER_POINTS[::-1]])),
     "names": st.one_of(COMMON, NEGATIVE, FRACTION),
+    "sequence": st.one_of(st.sampled_from([None, 5]), st.booleans(), st.integers(), st.floats(),
+                          st.just(np.full((2, 2), np.nan))),
+    "pair": st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda shape: shape != (2, 2)).map(np.ones),
 }
 
 
@@ -110,6 +122,11 @@ TABLE = {
                               "perturbed_semigroup_bound_check gamma", "signed"),
     "semigroup_check-t_grid": (lambda v: zeno.perturbed_semigroup_bound_check(-EYE2, EYE2, 1.0, v),
                                "perturbed_semigroup_bound_check t", "signed"),
+    "convergence_slope-points": (lambda v: zeno.convergence_slope(v), "points", "points"),
+    "zeno_split-pair": (lambda v: zeno.zeno_split(-EYE2, v), "strong generator B and weak generator C", "pair"),
+    "semigroup_check-pair": (lambda v: zeno.perturbed_semigroup_bound_check(-EYE2, v, 1.0, [1.0]),
+                             "strong generator B and weak generator C", "pair"),
+    "pulsed-pair": (lambda v: zeno.pulsed_zeno_product(EYE2, v, 1.0, 2), "projection P and generator L", "pair"),
     "pulsed-p": (lambda v: zeno.pulsed_zeno_product(v, EYE2, 1.0, 2), "projection P", "matrix"),
     "pulsed-l": (lambda v: zeno.pulsed_zeno_product(EYE2, v, 1.0, 2), "generator L", "matrix"),
     "pulsed-t": (lambda v: zeno.pulsed_zeno_product(EYE2, EYE2, v, 2), "t", "real"),
@@ -122,12 +139,14 @@ TABLE = {
     "fast_oscillation_zeno-k": (lambda v: zeno.fast_oscillation_zeno(SYSTEM, v), "K", "matrix"),
     "GklsSystem-d": (lambda v: GklsSystem(v, EYE2), "dimension d", "integer"),
     "GklsSystem-hamiltonian": (lambda v: GklsSystem(2, v), "hamiltonian H", "matrix"),
+    "GklsSystem-jumps": (lambda v: GklsSystem(2, EYE2, v), "jump operators", "sequence"),
     "Superoperator-d": (lambda v: Superoperator(v, EYE4), "dimension d", "integer"),
     "Superoperator-mat": (lambda v: Superoperator(2, v), "superoperator matrix", "matrix"),
     "Superoperator-provenance": (lambda v: Superoperator(2, EYE4, v), "provenance", "names"),
     "Superoperator-rho": (lambda v: GENERATOR(v), "rho", "matrix"),
     "hamiltonian_superoperator-h": (lambda v: gkls.hamiltonian_superoperator(v), "hamiltonian H", "matrix"),
     "dissipator_superoperator-d": (lambda v: gkls.dissipator_superoperator([EYE2], v), "dimension d", "integer"),
+    "dissipator_superoperator-jumps": (lambda v: gkls.dissipator_superoperator(v, 2), "jump operators", "sequence"),
     "choi_matrix-superop": (lambda v: gkls.choi_matrix(v), "superoperator", "matrix"),
     "cptp_check-superop": (lambda v: gkls.cptp_check(v), "superoperator", "matrix"),
     "gkls_form_check-superop": (lambda v: gkls.gkls_form_check(v), "superoperator", "matrix"),
@@ -181,6 +200,30 @@ def test_a_bad_argument_raises_typed_naming_it(key, data):
     with pytest.raises(ZenoLimitsError) as info:
         call(bad)
     assert name in str(info.value), (key, bad, str(info.value))
+
+
+#: a CPTP map (a propagator, so ``cptp_check`` takes it) and a projection for the pulsed product
+DEPHASING_CHANNEL = Superoperator(2, np.diag([1.0, 0.5, 0.5, 1.0]), "propagator")
+PROJECTION = Superoperator(2, np.diag([1.0, 0.0, 0.0, 1.0]), "projected")
+#: (entry called on a superoperator, the superoperator); each result must equal the entry's on its matrix
+SUPEROPERATOR_ENTRIES = {
+    "decompose": (lambda s: spectral.decompose(s).blocks, GENERATOR),
+    "spectral_norm": (linalg.spectral_norm, GENERATOR),
+    "expm": (lambda s: linalg.expm(s, [0.5, 1.0]), GENERATOR),
+    "zeno_split": (lambda s: zeno.zeno_split(s, GENERATOR).c_z, GENERATOR),
+    "cptp_check": (gkls.cptp_check, DEPHASING_CHANNEL),
+    "pulsed_zeno_product": (lambda s: zeno.pulsed_zeno_product(PROJECTION, s, 1.0, 3).product, GENERATOR),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SUPEROPERATOR_ENTRIES))
+def test_a_superoperator_reads_as_its_matrix(entry):
+    call, operand = SUPEROPERATOR_ENTRIES[entry]
+    got, want = call(operand), call(operand.mat)
+    if isinstance(want, np.ndarray):
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert got == want
 
 
 def _counting(monkeypatch):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -339,6 +341,32 @@ class TestGaps:
             eigs = [c.eigenvalue for c in decompose(a).clusters]
             want = min(abs(eigs[i] - eigs[j]) for i in range(len(eigs)) for j in range(i + 1, len(eigs)))
             assert gaps(decompose(a)).delta == want
+
+
+class TestIllConditionedDecompositions:
+    def test_a_nilpotent_power_that_fails_to_vanish_raises(self):
+        """A cluster of three eigenvalues within 1e-7 whose 1e10 couplings leave N^3 at 8.1e5."""
+        a = [[0, 1e10, 0], [0, 9e-8, 1e10], [0, 0, 1.8e-7]]
+        with pytest.raises(IllConditionedDecompositionError, match="nilpotent power fails to vanish") as info:
+            decompose(a, cluster_tol=1e-7, imag_tol=1e-7)
+        assert info.value.diagnostics["residual"] == pytest.approx(8.1e5, rel=1e-6)
+
+    def test_dependent_cluster_bases_raise(self):
+        """Two clusters given one basis vector: the stacked bases have an exactly zero singular value."""
+        dec = dataclasses.replace(decompose(np.diag([-1.0, -2.0])), u=np.array([[1, 1], [0, 0]], dtype=complex))
+        with pytest.raises(IllConditionedDecompositionError, match="cluster bases are linearly dependent"):
+            condition_number(dec)
+
+
+class TestSpectralExpmSkipFloor:
+    def test_a_nilpotent_part_above_the_rounding_floor_is_kept(self):
+        """||A||_F = 1e6 puts the skip floor sqrt(3) eps ||A||_F at 3.8e-10.  The decaying cluster's
+        N = 1e-8 lies above it (and below 1e3 times it), and e^{tA}[1, 2] = t e^{-t} 1e-8 is N's
+        whole contribution."""
+        a = np.array([[1e6j, 0, 0], [0, -1, 1e-8], [0, 0, -1]])
+        dec = decompose(a)
+        for t in (0.5, 1.0, 2.0):
+            assert spectral_expm(dec, t)[1, 2] == pytest.approx(t * math.exp(-t) * 1e-8, rel=1e-10)
 
 
 class TestConditionNumber:

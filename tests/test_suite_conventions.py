@@ -221,3 +221,26 @@ def test_only_the_reader_module_reads_inputs(stem):
     names = _defined_or_imported(ast.parse((PACKAGE / f"{stem}.py").read_text()))
     assert ("numbers" in names) == (stem == "_read")
     assert names.isdisjoint(REMOVED_READERS)
+
+
+def _superoperator_unwraps(tree: ast.Module) -> list[int]:
+    """The lines of the conditional expressions ``a if isinstance(x, Superoperator) else b`` in ``tree``:
+    a ``Superoperator`` is read as a matrix by ``_read``, so no call site unwraps it by hand."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.IfExp)
+            for call in ast.walk(node.test)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+            and any(isinstance(name, ast.Name) and name.id == "Superoperator"
+                    for arg in call.args[1:] for name in ast.walk(arg))]
+
+
+def test_superoperator_unwraps_are_found():
+    tree = ast.parse("m = x.mat if isinstance(x, Superoperator) else read(x)\n"
+                     "n = (x.mat, x.d) if ok and isinstance(x, (Superoperator, list)) else read(x)\n"
+                     "if isinstance(x, Superoperator) and x.provenance == 'full':\n    pass\n"
+                     "k = x.mat if isinstance(x, GklsSystem) else x\n")
+    assert _superoperator_unwraps(tree) == [1, 2]
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_no_call_site_unwraps_a_superoperator(stem):
+    assert _superoperator_unwraps(ast.parse((PACKAGE / f"{stem}.py").read_text())) == []

@@ -31,6 +31,7 @@ from zeno_limits.errors import (
     PeripheralDefectError,
     SpectrumViolationError,
     ValidationError,
+    ZenoLimitsError,
 )
 from zeno_limits.gkls import Superoperator, _hermitian_basis, dissipator_superoperator, hamiltonian_superoperator
 from zeno_limits.linalg import sandwich_super, vec
@@ -260,6 +261,29 @@ class TestBounds:
             _plain_inputs(m_bound=0.5)
         with pytest.raises(ValidationError):
             _plain_inputs(p_coeffs=np.array([-1.0]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("m_bound", np.nan), ("m_bound", np.inf), ("m_bound", 0.5), ("m_bound", "2"), ("chi", 0.5), ("chi", np.nan),
+        ("chi", np.inf), ("eta", -1.0), ("eta", 0.0), ("eta", np.nan), ("eta", -np.inf), ("eta", True),
+        ("delta", -1.0), ("delta", np.nan), ("delta", None), ("dim", 0), ("dim", 2.5), ("dim", True),
+        ("p_coeffs", np.array([])), ("p_coeffs", np.array([[1.0]])), ("p_coeffs", 1.0), ("p_coeffs", [np.nan]),
+        ("p_coeffs", [-1.0]), ("p_coeffs", ["1"]), ("norm_c", np.nan), ("norm_c", -1.0), ("norm_cz", np.inf),
+        ("resolvent_sum", -0.1), ("resolvent_sum_norm", np.nan),
+    ])
+    def test_bound_inputs_read_their_fields(self, field, value):
+        with pytest.raises(ZenoLimitsError, match=field):
+            _plain_inputs(**{field: value})
+
+    def test_a_negative_gap_is_refused_before_any_bound(self):
+        with pytest.raises(ValidationError, match="eta must be positive, got -1"):
+            bound_cptp(_plain_inputs(eta=-1), 10.0, 1.0)
+
+    def test_gaps_may_be_infinite_and_fields_are_read_as_floats(self):
+        inputs = _plain_inputs(eta=np.inf, delta=float("inf"), m_bound=np.float64(2.0), norm_c=1, dim=np.int64(4),
+                               p_coeffs=[1, 2])
+        assert (inputs.eta, inputs.delta) == (math.inf, math.inf)
+        assert type(inputs.m_bound) is float and type(inputs.norm_c) is float and type(inputs.dim) is int
+        np.testing.assert_array_equal(inputs.p_coeffs, [1.0, 2.0])
 
     def test_gamma_t_domain(self):
         inputs = _plain_inputs()
