@@ -11,11 +11,12 @@ computes spectral decompositions of nonnormal matrices, compiles GKLS
 systems to superoperators, measures limit errors, evaluates three
 error bounds (the semigroup constant M in them is a sampled estimate),
 and ships a three-level reference model plus a
-dephasing-qubit example with closed-form answers.
+dephasing-qubit example with closed-form answers.  The public surface
+is what the limit, its measured error and its bounds need: each public
+name is read somewhere in the package.
 """
 
 from .errors import (
-    DegenerateDataError,
     DimensionError,
     EstimationError,
     FactorizationError,
@@ -26,7 +27,7 @@ from .errors import (
     ValidationError,
     ZenoLimitsError,
 )
-from .linalg import expm, kron, sandwich_super, schur, spectral_norm, unvec, vec
+from .linalg import expm, sandwich_super, schur, spectral_norm, vec
 from .spectral import (
     GapData,
     SpectralCluster,
@@ -43,14 +44,11 @@ from .gkls import (
     PurityOptions,
     Superoperator,
     canonicalize,
-    choi_matrix,
     cptp_check,
     gkls_form_check,
     liouvillian,
     no_go_check,
     purity_decay_rate,
-    purity_objective,
-    superoperator_purity_rate,
 )
 from .zeno import (
     BoundInputs,
@@ -60,10 +58,7 @@ from .zeno import (
     bound_cptp,
     bound_simplified,
     commutator_projections,
-    convergence_slope,
     fast_oscillation_zeno,
-    hamiltonian_zeno,
-    perturbed_semigroup_bound_check,
     pulsed_zeno_product,
     zeno_split,
 )

@@ -65,12 +65,16 @@ _TIME_RULES = {None: "finite", "positive": "positive and finite", "nonnegative":
 
 
 def _numeric(name: str, value, kinds: str) -> np.ndarray:
-    """``value`` as an array of a numpy dtype kind in ``kinds``: no bool, string, None or object (an int > 2^64)."""
+    """``value`` as an array of a numpy dtype kind in ``kinds``: no bool, string, None or object (an int > 2^64).
+
+    numpy upcasts a bool mixed with numbers, so a list or tuple is scanned for one; an ndarray is not.
+    """
     try:
         a = np.asarray(value)
     except ValueError as exc:  # a ragged sequence
         raise ValidationError(f"{name} must be numeric: {exc}") from exc
-    if a.dtype.kind not in kinds:
+    if a.dtype.kind not in kinds or (isinstance(value, (list, tuple)) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat)):
         raise ValidationError(f"{name} must be numeric, got {value!r}")
     return a
 
@@ -107,7 +111,7 @@ def matrix(name: str, value, shape=None, hermitian: tuple[float, float] | None =
     Integer, float and, for a complex ``dtype``, complex input is taken
     (:func:`_numeric`); so is anything with an ``__array__``, such as a
     ``Superoperator``.  ``shape`` is None, "square", or the required
-    (rows, cols), where None takes any length.  With ``hermitian`` =
+    (rows, cols).  With ``hermitian`` =
     (rtol, floor) the matrix must also satisfy
     ||m - m^dagger||_2 <= rtol max(||m||_2, floor); an exactly Hermitian
     matrix passes without the two SVDs.  Non-numeric and ragged input is a
@@ -121,9 +125,8 @@ def matrix(name: str, value, shape=None, hermitian: tuple[float, float] | None =
         raise ValidationError(f"{name} contains non-finite entries")
     if shape == "square" and m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    if isinstance(shape, tuple) and any(n not in (None, k) for n, k in zip(shape, m.shape)):
-        rule = "x".join("n" if n is None else str(n) for n in shape)
-        raise DimensionError(f"{name} must be {rule}, got shape {m.shape}")
+    if isinstance(shape, tuple) and m.shape != shape:
+        raise DimensionError(f"{name} must be {'x'.join(map(str, shape))}, got shape {m.shape}")
     if hermitian is not None and not np.array_equal(m, m.conj().T):
         rtol, floor = hermitian
         if _norm(m - m.conj().T) > rtol * max(_norm(m), floor):
@@ -146,6 +149,34 @@ def superoperator(name: str, value) -> tuple[np.ndarray, int]:
     if d * d != m.shape[0] or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be d^2 x d^2, got shape {m.shape}")
     return m, d
+
+
+def complex_parts(name: str, value) -> np.ndarray:
+    """``value``, [re, im] pairs of finite ints or floats by exact type (no bool), as an (n, 2) float array.
+
+    The array views as the n complex entries bit for bit, -0.0 parts included.
+    """
+    try:
+        re, im = zip(*value, strict=True) if len(value) else ((), ())  # zip and unpacking: every pair has 2
+    except (TypeError, ValueError):  # not a sized iterable of pairs, which the type test below refuses
+        re = im = (None,)
+    if not {*map(type, re), *map(type, im)} <= {int, float}:
+        raise ValidationError(f"{name} must be a list of [re, im] pairs of numbers (not bools, strings or None)")
+    parts = np.empty((len(re), 2))
+    try:
+        parts[:, 0], parts[:, 1] = re, im
+    except OverflowError as exc:  # an int beyond float range
+        raise ValidationError(f"{name} must hold finite numbers: {exc}") from exc
+    if not np.isfinite(parts).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return parts
+
+
+def instance(name: str, value, cls: type):
+    """``value`` itself when it is a ``cls``, a package type that the caller passes in."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def sequence(name: str, value, items: str) -> tuple:

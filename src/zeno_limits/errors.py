@@ -54,7 +54,3 @@ class EstimationError(ZenoLimitsError):
     def __init__(self, msg, best_value=None):
         super().__init__(msg)
         self.best_value = best_value
-
-
-class DegenerateDataError(ZenoLimitsError, ValueError):
-    """Input data is degenerate for the requested fit (e.g. nonpositive errors)."""

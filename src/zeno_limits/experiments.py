@@ -42,7 +42,7 @@ from .jsonio import load_json, superoperator_from_json, write_text
 from .linalg import spectral_norm
 from .models import ThreeLevelParams, dephasing_qubit_example, three_level_generators
 from .spectral import decompose, peripheral_projection
-from .zeno import BOUNDS, CSV_COLUMNS, VARIANTS, _loglog_fit, evaluate_grid, zeno_split
+from .zeno import BOUNDS, CSV_COLUMNS, VARIANTS, evaluate_grid, zeno_split
 
 __all__ = [
     "SweepConfig",
@@ -86,6 +86,8 @@ class SweepConfig:
         if list(grid) != sorted(set(grid)):
             raise ValidationError("gamma_grid must be strictly increasing")
         object.__setattr__(self, "gamma_grid", grid)
+        if self.params is not None:
+            _read.instance("params", self.params, ThreeLevelParams)
         for name in ("t_start", "t_stop"):
             object.__setattr__(self, name, _read.real(name, getattr(self, name)))
         object.__setattr__(self, "t_count", _read.integer("t_count", self.t_count, 0))
@@ -100,7 +102,7 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, obj) -> "SweepConfig":
-        model = obj.get("model", cls.model)
+        model = _read.instance("sweep config", obj, dict).get("model", cls.model)
         strong = weak = None
         if isinstance(model, dict):
             strong, weak = model.get("strong"), model.get("weak")
@@ -150,14 +152,25 @@ def _load_pair(cfg: SweepConfig) -> tuple:
     raise ValidationError(f"unknown model {cfg.model!r}")
 
 
+def _loglog_slope(points) -> float:
+    """The least-squares slope of log(error) against log(gamma) through (gamma, error) points."""
+    lx, ly = np.log(np.asarray(points, dtype=float)).T
+    return float(np.polyfit(lx, ly, 1)[0])
+
+
 def summarize_rows(rows: list[dict]) -> dict:
     """Sup-over-t errors, the bound audit and the convergence slopes of ``evaluate_grid`` rows.
 
-    The error is the peripheral column when it was evaluated, else the plain one.  A positive
+    ``rows`` is a sequence of dicts with the ``CSV_COLUMNS`` keys.  The error
+    is the peripheral column when it was evaluated, else the plain one.  A positive
     ``max_bound_violation`` means a bound was beaten.  The headline slope
     fits the top half of the gamma grid (the small-gamma points are
     pre-asymptotic); the full-grid fit is reported alongside.
     """
+    rows, columns = _read.sequence("rows", rows, "evaluate_grid rows"), set(CSV_COLUMNS)
+    bad = next((i for i, row in enumerate(rows) if not (isinstance(row, dict) and row.keys() >= columns)), None)
+    if bad is not None:
+        raise ValidationError(f"rows[{bad}] must be an evaluate_grid row: a dict with the keys {CSV_COLUMNS}")
     err_key = "error_peripheral" if rows and rows[0]["error_peripheral"] is not None else "error_plain"
     slack = -math.inf
     sup: dict[float, float] = {}
@@ -175,8 +188,8 @@ def summarize_rows(rows: list[dict]) -> dict:
     if sup_errors and all(e <= DEGENERATE_ERROR for _, e in sup_errors):
         notice = "degenerate-data: all errors at roundoff, slope fit refused"
     elif len(sup_errors) >= 4 and all(e > 0 for _, e in sup_errors):
-        slope = _loglog_fit(sup_errors[len(sup_errors) // 2:]).slope
-        slope_full = _loglog_fit(sup_errors).slope
+        slope = _loglog_slope(sup_errors[len(sup_errors) // 2:])
+        slope_full = _loglog_slope(sup_errors)
     elif sup_errors:
         notice = "degenerate-data: need >= 4 gamma points with positive errors"
     return {

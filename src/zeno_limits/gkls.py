@@ -18,8 +18,8 @@ Structural verdicts implemented here:
 * ``purity_decay_rate``: the largest instantaneous purity decay
   Gamma = sup_rho -2 Re tr(rho G(rho)) = sup_rho -vec(rho)^dag (G + G^dag) vec(rho),
   one Hermitian quadratic form in vec(rho).  For a system G is its
-  dissipator (H drops out); ``superoperator_purity_rate`` takes any
-  generator.  In the coordinates rho = I/d + sum_a x_a E_a of an
+  dissipator (H drops out); ``no_go_check`` rates its projected
+  generator by the same form.  In the coordinates rho = I/d + sum_a x_a E_a of an
   orthonormal traceless Hermitian basis the form is a quadratic in x,
   and every state lies in the ball |x|^2 <= 1 - 1/d.  Maximizing over
   that ball is a trust-region subproblem (More & Sorensen, SIAM J. Sci.
@@ -29,10 +29,7 @@ Structural verdicts implemented here:
   comes from multi-start ascent over density matrices
   rho = V V^dag / tr(V V^dag), all restarts in one batched L-BFGS.
   Every state is scored by the same form, in batch.  The secular root
-  (Newton's method) and the ascent are the package's own;
-  ``purity_objective`` is the Hilbert-space reference formula
-  2 sum_i tr(L_i^dag L_i rho^2 - L_i^dag rho L_i rho), which the solvers
-  do not use.
+  (Newton's method) and the ascent are the package's own.
 """
 
 from __future__ import annotations
@@ -54,14 +51,11 @@ __all__ = [
     "hamiltonian_superoperator",
     "dissipator_superoperator",
     "canonicalize",
-    "choi_matrix",
     "cptp_check",
     "gkls_form_check",
     "PurityOptions",
     "PurityReport",
     "purity_decay_rate",
-    "purity_objective",
-    "superoperator_purity_rate",
     "no_go_check",
 ]
 
@@ -109,14 +103,6 @@ class Superoperator:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The matrix: a superoperator is read wherever a matrix is."""
         return np.array(self.mat, dtype=dtype, copy=copy)
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        rho = _read.matrix("rho", rho, shape=(self.d, self.d))
-        return (self.mat @ rho.reshape(-1, order="F")).reshape((self.d, self.d), order="F")
-
-    def hermiticity_defect(self) -> float:
-        """Worst non-Hermiticity of the image of a Hermitian basis."""
-        return float(spectral_norms(_hermiticity_residuals(self.mat, self.d)).max())
 
 
 def _hermiticity_residuals(mat: np.ndarray, d: int) -> np.ndarray:
@@ -178,6 +164,7 @@ def dissipator_superoperator(jumps, d: int) -> np.ndarray:
 
 def liouvillian(sys: GklsSystem) -> Superoperator:
     """Compile (H, {L_i}) to the full generator superoperator."""
+    sys = _read.instance("sys", sys, GklsSystem)
     mat = hamiltonian_superoperator(sys.hamiltonian) + dissipator_superoperator(sys.jumps, sys.d)
     return Superoperator(d=sys.d, mat=mat, provenance="full")
 
@@ -189,6 +176,7 @@ def canonicalize(sys: GklsSystem) -> GklsSystem:
     cancelled by H -> H + (i/2) sum_i (conj(c_i) L_i' - c_i L_i'^dag) with
     c_i = tr L_i / d.  The compiled superoperator is unchanged.
     """
+    sys = _read.instance("sys", sys, GklsSystem)
     h = sys.hamiltonian.copy()
     new_jumps = []
     eye = np.eye(sys.d)
@@ -200,13 +188,8 @@ def canonicalize(sys: GklsSystem) -> GklsSystem:
     return GklsSystem(d=sys.d, hamiltonian=h, jumps=tuple(new_jumps))
 
 
-def choi_matrix(superop) -> np.ndarray:
-    """Unnormalized Choi matrix C = sum_{mn} E(|m><n|) (x) |m><n|."""
-    return _choi(*_read.superoperator("superoperator", superop))
-
-
 def _choi(mat: np.ndarray, d: int) -> np.ndarray:
-    """:func:`choi_matrix` of a read d^2 x d^2 matrix."""
+    """The unnormalized Choi matrix C = sum_{mn} E(|m><n|) (x) |m><n| of a read d^2 x d^2 matrix."""
     # realignment: C[(i, m), (j, n)] = E(|m><n|)[i, j] = mat[i + j d, m + n d]
     return mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
@@ -322,20 +305,6 @@ class PurityReport:
     gamma: float
     upper: float
     argmax: np.ndarray = field(repr=False)
-
-
-def purity_objective(sys: GklsSystem, rho: np.ndarray) -> float:
-    """2 sum_i [tr(L_i^dag L_i rho^2) - tr(L_i^dag rho L_i rho)].
-
-    The Hamiltonian never enters this expression; the value is therefore
-    identical for systems differing only in H.
-    """
-    rho = _read.matrix("density matrix rho", rho, shape=(sys.d, sys.d))
-    r2 = rho @ rho
-    val = 0.0
-    for L in sys.jumps:
-        val += np.trace(L.conj().T @ L @ r2).real - np.trace(L.conj().T @ rho @ L @ rho).real
-    return 2.0 * val
 
 
 def _purity_values(hq: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -571,22 +540,12 @@ def purity_decay_rate(sys: GklsSystem, opts: PurityOptions | None = None) -> flo
 
 
 def purity_decay_report(sys: GklsSystem, opts: PurityOptions | None = None) -> PurityReport:
-    opts = opts or PurityOptions()
+    sys, opts = _read.instance("sys", sys, GklsSystem), opts or PurityOptions()
     if not any(L.any() for L in sys.jumps):  # no jump, or only zero jumps
         rho0 = np.eye(sys.d, dtype=complex) / sys.d
         return PurityReport(gamma=0.0, upper=0.0, argmax=rho0)
     diss = dissipator_superoperator(sys.jumps, sys.d)
     return _purity_report(diss + diss.conj().T, sys.d, opts)
-
-
-def superoperator_purity_rate(superop, opts: PurityOptions | None = None) -> PurityReport:
-    """Purity decay rate of e^{tG} for an arbitrary generator G.
-
-    Maximizes -d/dt tr rho^2 at t = 0, i.e. -2 Re tr(rho G(rho)), the same
-    way as :func:`purity_decay_rate`.
-    """
-    mat, d = _read.superoperator("superoperator", superop)
-    return _purity_report(mat + mat.conj().T, d, opts or PurityOptions())
 
 
 @dataclass(frozen=True)
@@ -600,6 +559,7 @@ class NoGoReport:
 def no_go_check(sys: GklsSystem, zeno_generator, tol: float = 1e-6,
                 opts: PurityOptions | None = None) -> NoGoReport:
     """Compare Gamma of the original generator with Gamma of a projected one."""
+    sys = _read.instance("sys", sys, GklsSystem)
     mat, d = _read.superoperator("zeno_generator", zeno_generator)
     tol = _read.real("tol", tol, "nonnegative")
     report = _gkls_form(mat, d)

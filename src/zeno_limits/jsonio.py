@@ -23,7 +23,6 @@ from .gkls import GklsSystem, Superoperator
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
-    "system_to_json",
     "system_from_json",
     "superoperator_to_json",
     "superoperator_from_json",
@@ -48,22 +47,11 @@ def matrix_from_json(obj) -> np.ndarray:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
     rows, cols = _read.integer("matrix JSON rows", rows, 0), _read.integer("matrix JSON cols", cols, 0)
-    try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"matrix JSON data must be a list of [re, im] number pairs: {exc}") from exc
+    flat = _read.complex_parts("matrix JSON data", data).view(complex)
     if flat.size != rows * cols:
         raise ValidationError(
             f"matrix JSON claims {rows}x{cols} but carries {flat.size} entries")
     return flat.reshape((rows, cols), order="C")
-
-
-def system_to_json(sys: GklsSystem) -> dict:
-    return {
-        "d": sys.d,
-        "H": matrix_to_json(sys.hamiltonian),
-        "jumps": [matrix_to_json(L) for L in sys.jumps],
-    }
 
 
 def system_from_json(obj) -> GklsSystem:

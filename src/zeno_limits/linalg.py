@@ -10,7 +10,7 @@ Conventions fixed here and used package-wide:
   spectral norm (largest singular value);
 * density matrices are vectorized by column stacking, so that
   ``vec(A @ rho @ B) == sandwich_super(A, B) @ vec(rho)`` with
-  ``sandwich_super(A, B) = kron(B.T, A)``.
+  ``sandwich_super(A, B)`` the Kronecker product B^T (x) A.
 
 Every module takes its exponentials, norms and Kronecker products from
 here.  The matrices are small (D = 4 to 64) and these run thousands of
@@ -32,16 +32,14 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 
 from . import _read
-from .errors import DimensionError, FactorizationError, ValidationError
+from .errors import FactorizationError, ValidationError
 
 __all__ = [
     "expm",
     "spectral_norm",
     "spectral_norms",
     "schur",
-    "kron",
     "vec",
-    "unvec",
     "sandwich_super",
 ]
 
@@ -213,22 +211,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with shape ``(rA*rB, cA*cB)``."""
-    return _kron(_read.matrix("kron left", a), _read.matrix("kron right", b))
-
-
 def vec(a) -> np.ndarray:
     """Column-stacking vectorization of a matrix."""
     return _read.matrix("vec operand", a).reshape(-1, order="F")
-
-
-def unvec(v, d: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a d x d matrix."""
-    v, d = _read.matrix("unvec operand", v, ndim=1), _read.integer("d", d)
-    if v.size != d * d:
-        raise DimensionError(f"unvec operand must have d^2 = {d * d} entries, got {v.size}")
-    return v.reshape((d, d), order="F")
 
 
 def sandwich_super(a, b) -> np.ndarray:

@@ -104,6 +104,7 @@ def _basis_ops():
 
 def three_level_system_pair(params: ThreeLevelParams) -> tuple[GklsSystem, GklsSystem]:
     """The (weak, strong) Hilbert-space systems (K, L) and (H, F)."""
+    params = _read.instance("params", params, ThreeLevelParams)
     k = np.diag([params.omega0, params.omega1, params.omega2]).astype(complex)
     l = math.sqrt(params.gamma) * np.diag([0.0, 1.0, 1.0]).astype(complex)
     h = np.array([[0.0, params.g, 0.0],

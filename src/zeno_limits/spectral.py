@@ -97,10 +97,6 @@ class SpectralCluster:
             return self.formed_nilpotent
         return self.basis @ (self.block - self.eigenvalue * np.eye(len(self.block))) @ self.cobasis
 
-    @property
-    def rank(self) -> int:
-        return int(round(np.trace(self.projection).real))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -372,6 +368,7 @@ def reduced_resolvent(dec: SpectralDecomposition, ell: int) -> np.ndarray:
     cluster l, (A - b_l I) S_l = I - P_l.  A single-cluster decomposition
     returns the zero matrix.
     """
+    dec = _read.instance("decomposition", dec, SpectralDecomposition)
     ell = _read.integer("cluster index ell", ell, 0, len(dec.clusters) - 1)
     lo, hi = dec.starts[ell], dec.starts[ell + 1]
     shifted = dec.blocks - dec.clusters[ell].eigenvalue * np.eye(dec.dim)
@@ -383,6 +380,7 @@ def reduced_resolvent(dec: SpectralDecomposition, ell: int) -> np.ndarray:
 
 def gaps(dec: SpectralDecomposition) -> GapData:
     """Dissipative and oscillating gaps with the infinity conventions."""
+    dec = _read.instance("decomposition", dec, SpectralDecomposition)
     eta = min((abs(c.eigenvalue.real) for c in dec.nonperipheral_clusters),
               default=math.inf)
     pairs = _distances(np.array([c.eigenvalue for c in dec.clusters]))[np.triu_indices(len(dec.clusters), 1)]

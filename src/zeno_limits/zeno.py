@@ -15,9 +15,9 @@ measures that error and evaluates three upper bounds for it, over a
 errors are measured in the split's ``Frame``, the orthonormal Hermitian
 operator basis in which a GKLS pair's matrices are real.  Each bound
 holds for the constants in its ``BoundInputs``; there M is a sampled
-estimate of sup_t ||e^{tB}||, not a certified one, and the Dyson check
-reads the same M.  The bounds take floats or whole (gamma, t) grids, and
-a grid cell equals the scalar call bit for bit:
+estimate of sup_t ||e^{tB}||, not a certified one.  The bounds take
+floats or whole (gamma, t) grids, and a grid cell equals the scalar call
+bit for bit:
 
 * ``bound_adiabatic``: the sharp bound assembled from reduced-resolvent
   norms, a uniform semigroup bound M, and a decay envelope
@@ -27,9 +27,9 @@ a grid cell equals the scalar call bit for bit:
 * ``bound_simplified``: the coarse closed form in terms of the two
   spectral gaps and the eigenvector condition number alone.
 
-Also here: the pulsed (measurement-based) Zeno product, projected
-Hamiltonians, Bohr-frequency superoperator projections, the
-fast-oscillation Zeno generator L_Z, and log-log convergence-rate fits.
+Also here: the pulsed (measurement-based) Zeno product, the
+Bohr-frequency superoperator projections of [K, .] and the
+fast-oscillation Zeno generator L_Z.
 """
 
 from __future__ import annotations
@@ -42,12 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _read
-from .errors import (
-    DegenerateDataError,
-    DimensionError,
-    SpectrumViolationError,
-    ValidationError,
-)
+from .errors import DimensionError, SpectrumViolationError, ValidationError
 from .gkls import GklsSystem, Superoperator, _hermitian_basis, liouvillian
 from .linalg import _EXPM_RANGE, _expm_stack, _onenorms, expm, sandwich_super, spectral_norm, spectral_norms
 from .spectral import (
@@ -76,10 +71,7 @@ __all__ = [
     "bound_adiabatic",
     "bound_cptp",
     "bound_simplified",
-    "perturbed_semigroup_bound_check",
-    "convergence_slope",
     "pulsed_zeno_product",
-    "hamiltonian_zeno",
     "commutator_projections",
     "fast_oscillation_zeno",
 ]
@@ -557,6 +549,7 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
     by every chunk and both variants.  :func:`adiabatic_error` is this grid
     at one point.
     """
+    split = _read.instance("split", split, ZenoSplit)
     variants, bounds = _read.names("variants", variants, VARIANTS), _read.names("bounds", bounds, tuple(BOUNDS))
     gammas = np.sort(_read.times("evaluate_grid gamma", gammas, "positive").reshape(-1))
     ts = np.sort(_read.times("evaluate_grid t", t_grid, "nonnegative").reshape(-1))
@@ -615,77 +608,8 @@ def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
 
 
 # ---------------------------------------------------------------------------
-# perturbed-semigroup bound, slope fits, pulsed Zeno, Hamiltonian projections
+# pulsed Zeno, Bohr-frequency projections
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PerturbedSemigroupReport:
-    m_bound: float
-    max_semigroup_ratio: float
-    max_perturbed_ratio: float
-    satisfied: bool
-
-
-def perturbed_semigroup_bound_check(b, c, gamma: float, t_grid) -> PerturbedSemigroupReport:
-    """Verify ||e^{t(gamma B + C)}|| <= M e^{t M ||C||} on a time grid.
-
-    M and ||C|| are those of ``BoundInputs.from_split`` for ``zeno_split(b,
-    c)`` over [0, gamma max(t_grid)], so a pair that split rejects (where
-    sup ||e^{tB}|| is not finite) raises its error.  Reports the worst
-    ratios of ||e^{tB}|| to M and of the perturbed norm to its bound on the
-    grid.  gamma must be one positive number and the grid non-empty with
-    every t nonnegative, all finite; an overflowing exponential raises.
-    """
-    b, c = _read.pair("strong generator B", b, "weak generator C", c)
-    gamma = float(_read.times("perturbed_semigroup_bound_check gamma", gamma, "positive", ndim=0))
-    t_grid = _read.times("perturbed_semigroup_bound_check t", t_grid, "nonnegative")
-    if not t_grid.size:
-        raise ValidationError("t_grid must not be empty")
-    inputs = BoundInputs.from_split(zeno_split(b, c), t_max=float(t_grid.max()), gamma_max=gamma)
-    m_bound = inputs.m_bound
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing exponential raises in spectral_norms
-        semigroup_norms = spectral_norms(expm(b, t_grid))
-        perturbed_norms = spectral_norms(expm(gamma * b + c, t_grid))
-        rhs = m_bound * np.exp(t_grid * m_bound * inputs.norm_c)  # inf where it overflows: the bound holds
-    ratio_semi, ratio_pert = (semigroup_norms / m_bound).max(), (perturbed_norms / rhs).max()
-    return PerturbedSemigroupReport(m_bound, float(ratio_semi), float(ratio_pert),  # 1e-12 for roundoff at equality
-                                    bool(ratio_semi <= 1.0 + 1e-12 and ratio_pert <= 1.0 + 1e-12))
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    intercept: float
-    residual: float
-
-
-def convergence_slope(points) -> SlopeFit:
-    """Least-squares slope of log(error) against log(gamma).
-
-    ``points`` is read as an n x 2 float matrix of finite (gamma, error)
-    rows.  Needs at least 4 gamma values spanning two decades, all errors
-    positive; an O(1/gamma) error family fits slope -1.
-    """
-    pts = _read.matrix("points", points, shape=(None, 2), dtype=float)
-    if len(pts) < 4:
-        raise DegenerateDataError(f"need at least 4 points, got {len(pts)}")
-    gammas, errs = pts[:, 0], pts[:, 1]
-    if np.any(errs <= 0):
-        raise DegenerateDataError("errors must be positive for a log-log fit")
-    if np.any(gammas <= 0):
-        raise DegenerateDataError("gamma values must be positive")
-    if gammas.max() / gammas.min() < 100.0:
-        raise DegenerateDataError("gamma grid must span at least two decades")
-    return _loglog_fit(pts)
-
-
-def _loglog_fit(points) -> SlopeFit:
-    """Unchecked least-squares line through (log gamma, log error)."""
-    lx, ly = np.log(np.asarray(points, dtype=float)).T
-    coeffs, residuals, *_ = np.polyfit(lx, ly, 1, full=True)
-    rms = math.sqrt(residuals[0] / len(lx)) if len(residuals) else 0.0
-    return SlopeFit(slope=float(coeffs[0]), intercept=float(coeffs[1]), residual=rms)
-
 
 @dataclass(frozen=True)
 class PulsedZenoResult:
@@ -712,7 +636,7 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
                             distance=spectral_norm(product - limit))
 
 
-#: the Hermitian tolerance of K and H: ||m - m^dagger|| <= 1e-10 max(||m||, 1)
+#: the Hermitian tolerance of K: ||K - K^dagger|| <= 1e-10 max(||K||, 1)
 _HERMITIAN = (1e-10, 1.0)
 
 
@@ -727,17 +651,6 @@ def _eigenprojections(k: np.ndarray, tol: float | None) -> tuple[float, list[tup
     w, u = np.linalg.eigh(k)
     groups, centers = _cluster_eigenvalues(w, tol)
     return tol, [(c.real, u[:, g] @ u[:, g].conj().T) for g, c in zip(groups, centers)]
-
-
-def hamiltonian_zeno(k, h, tol: float | None = None) -> np.ndarray:
-    """Projected Hamiltonian H_Z = sum_n P_n H P_n over eigenprojections of K."""
-    k = _read.matrix("K", k, shape="square", hermitian=_HERMITIAN)
-    h = _read.matrix("H", h, shape=k.shape, hermitian=_HERMITIAN)
-    _, eig = _eigenprojections(k, tol)
-    hz = np.zeros_like(h)
-    for _, proj in eig:
-        hz += proj @ h @ proj
-    return hz
 
 
 @dataclass(frozen=True)
@@ -775,6 +688,7 @@ def fast_oscillation_zeno(sys: GklsSystem, k) -> Superoperator:
     L is the Liouvillian of ``sys`` and P_omega the Bohr-frequency
     projections of [K, .] from :func:`commutator_projections`.
     """
+    sys = _read.instance("sys", sys, GklsSystem)
     k = _read.matrix("K", k, shape=(sys.d, sys.d), hermitian=_HERMITIAN)
     full = liouvillian(sys).mat
     mat = np.zeros_like(full)

@@ -3,9 +3,13 @@
 The oracles deliberately avoid the code paths they check: the matrix
 exponential is a scaled Taylor series (the package uses Pade), the
 largest singular value comes from power iteration on A^dag A (the package
-uses SVD), and the three error bounds are evaluated one point at a time
+uses SVD), the three error bounds are evaluated one point at a time
 with ``scipy.special.logsumexp`` and ``gammaln`` (the package evaluates
-whole grids with its own max-shift form and log-factorial table).
+whole grids with its own max-shift form and log-factorial table), the
+purity decay rate at a state is the Hilbert-space formula (the package
+rates a quadratic form in vec(rho)), and the projected Hamiltonian is
+sum_n P_n H P_n from ``eigh`` (the package projects superoperators).
+The Dyson check holds the measured M to the statement it must satisfy.
 """
 
 import functools
@@ -13,12 +17,14 @@ import io
 import math
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from zeno_limits import GklsSystem, acceptance, liouvillian, spectral_norm
+from zeno_limits import BoundInputs, GklsSystem, acceptance, expm, liouvillian, spectral_norm, zeno_split
+from zeno_limits.linalg import spectral_norms
 
 
 def taylor_expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -116,6 +122,59 @@ def reference_bound(name, inputs, gamma, t):
                 return float(first + (0.0 if t > 0 else mm))
             return float(first + mm * _reference_truncated_exponential(inputs.dim, gamma * inputs.eta * t))
         return float(term / gamma + _reference_envelope_tail(inputs.p_coeffs, inputs.eta, gamma, t))
+
+
+def purity_objective(sys: GklsSystem, rho) -> float:
+    """The purity decay rate -d/dt tr rho^2 at the state rho, 2 sum_i [tr(L_i^dag L_i rho^2) - tr(L_i^dag rho L_i rho)].
+
+    H never enters it, so the value is the same for systems that differ only in H.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    r2 = rho @ rho
+    val = 0.0
+    for L in sys.jumps:
+        val += np.trace(L.conj().T @ L @ r2).real - np.trace(L.conj().T @ rho @ L @ rho).real
+    return 2.0 * val
+
+
+def hamiltonian_zeno(k, h) -> np.ndarray:
+    """The projected Hamiltonian H_Z = sum_n P_n H P_n over the eigenprojections P_n of a Hermitian K.
+
+    Eigenvalues of K within 1e-9 max(||K||, 1) of the previous one share a projection.
+    """
+    w, u = np.linalg.eigh(k)
+    cuts = np.flatnonzero(np.diff(w) > 1e-9 * max(np.abs(w).max(initial=0.0), 1.0)) + 1
+    hz = np.zeros_like(np.asarray(h, dtype=complex))
+    for cols in np.split(np.arange(len(w)), cuts):
+        p = u[:, cols] @ u[:, cols].conj().T
+        hz += p @ h @ p
+    return hz
+
+
+class DysonCheck(NamedTuple):
+    m_bound: float
+    max_semigroup_ratio: float
+    max_perturbed_ratio: float
+    satisfied: bool
+
+
+def dyson_check(b, c, gamma: float, t_grid) -> DysonCheck:
+    """The statements M must satisfy on a t-grid: ||e^{tB}|| <= M and ||e^{t(gamma B + C)}|| <= M e^{tM||C||}.
+
+    M and ||C|| are those :meth:`BoundInputs.from_split` measures for ``zeno_split(b, c)`` over
+    [0, gamma max(t_grid)], so a pair that the split rejects raises its error, as does a horizon
+    ``from_split`` refuses.  Reports M and the worst ratios of each norm to its bound; ``satisfied``
+    allows 1e-12 for rounding at equality.  An overflowing exponential raises from ``expm`` or
+    ``spectral_norms``, and an overflowing right-hand side is inf, where the bound holds.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    inputs = BoundInputs.from_split(zeno_split(b, c), t_max=float(t_grid.max()), gamma_max=gamma)
+    m = inputs.m_bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        semigroup = spectral_norms(expm(b, t_grid)) / m
+        perturbed = spectral_norms(expm(gamma * b + c, t_grid)) / (m * np.exp(t_grid * m * inputs.norm_c))
+    ratio_semi, ratio_pert = float(semigroup.max()), float(perturbed.max())
+    return DysonCheck(m, ratio_semi, ratio_pert, ratio_semi <= 1.0 + 1e-12 and ratio_pert <= 1.0 + 1e-12)
 
 
 def decomposition_residuals(dec, a: np.ndarray) -> dict:

@@ -63,7 +63,9 @@ def test_criterion_7_dephasing_example():
 
 
 def _purity_functional(generator, rho):
-    return -2.0 * float(np.real(np.trace(rho @ generator(rho))))
+    """-2 Re tr(rho G(rho)), with G(rho) the column-stacked product of the generator's matrix."""
+    image = (generator.mat @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
+    return -2.0 * float(np.real(np.trace(rho @ image)))
 
 
 def _orbit_mean(system, rho, samples=8):

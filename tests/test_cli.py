@@ -15,7 +15,6 @@ from zeno_limits.jsonio import (
     matrix_from_json,
     matrix_to_json,
     superoperator_to_json,
-    system_to_json,
 )
 from zeno_limits.models import ThreeLevelParams, three_level_generators
 
@@ -24,7 +23,8 @@ from zeno_limits.models import ThreeLevelParams, three_level_generators
 def system_file(tmp_path):
     sys = random_gkls(2, 1, seed=42)
     path = tmp_path / "sys.json"
-    dump_json(system_to_json(sys), path)
+    dump_json({"d": sys.d, "H": matrix_to_json(sys.hamiltonian), "jumps": [matrix_to_json(L) for L in sys.jumps]},
+              path)
     return sys, path
 
 

@@ -11,7 +11,6 @@ from zeno_limits import (
     PurityOptions,
     Superoperator,
     canonicalize,
-    choi_matrix,
     cptp_check,
     decompose,
     expm,
@@ -20,30 +19,49 @@ from zeno_limits import (
     no_go_check,
     peripheral_projection,
     purity_decay_rate,
-    purity_objective,
     random_gkls,
     spectral_norm,
-    unvec,
     vec,
 )
 from zeno_limits import acceptance, gkls
 from zeno_limits.errors import EstimationError, ValidationError
 from zeno_limits.gkls import (
     _ascend_quadratic_form,
+    _choi,
     _hermitian_basis,
+    _hermiticity_residuals,
+    _purity_report,
     _purity_values,
     dissipator_superoperator,
     hamiltonian_superoperator,
     purity_decay_report,
-    superoperator_purity_rate,
 )
 from zeno_limits.models import dephasing_qubit_example, gkls_corpus
 from zeno_limits.zeno import fast_oscillation_zeno
 
-from conftest import random_complex, random_hermitian
+from zeno_limits.linalg import spectral_norms
+
+from conftest import purity_objective, random_complex, random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _form_rate(superop, opts=None):
+    """The purity rate report of any generator G: the rate of the form G + G^dagger (``gkls._purity_report``)."""
+    mat = np.asarray(superop, dtype=complex)
+    return _purity_report(mat + mat.conj().T, math.isqrt(len(mat)), opts or PurityOptions())
+
+
+def _choi_of(superop) -> np.ndarray:
+    """The Choi matrix of a d^2 x d^2 map, by the realignment the verdicts use (``gkls._choi``)."""
+    mat = np.asarray(superop, dtype=complex)
+    return _choi(mat, math.isqrt(len(mat)))
+
+
+def _hermiticity_defect(superop) -> float:
+    """Worst non-Hermiticity of the image of a Hermitian basis, as the verdicts read it."""
+    return float(spectral_norms(_hermiticity_residuals(superop.mat, superop.d)).max())
 
 
 class TestLiouvillian:
@@ -93,7 +111,7 @@ class TestLiouvillian:
 
     def test_hermiticity_preservation(self):
         sys = random_gkls(3, 2, seed=9)
-        assert liouvillian(sys).hermiticity_defect() <= 1e-10
+        assert _hermiticity_defect(liouvillian(sys)) <= 1e-10
 
 
 class TestCanonicalize:
@@ -264,7 +282,7 @@ class TestPurityDecay:
                 rep = purity_decay_report(sys, o)
                 assert rep.gamma == pytest.approx(purity_objective(sys, rep.argmax), abs=1e-12)
             # the Hamiltonian part of the full generator drops out of hq
-            rate = superoperator_purity_rate(liouvillian(sys), opts).gamma
+            rate = _form_rate(liouvillian(sys), opts).gamma
             assert rate == pytest.approx(purity_decay_rate(canonicalize(sys), opts), abs=1e-12)
 
 
@@ -340,14 +358,14 @@ class TestExactQubitRate:
     def test_exact_rate_matches_ascent(self, qubit_forms):
         assert len(qubit_forms) == 22 + 9
         for i, hq in enumerate(qubit_forms):
-            exact = superoperator_purity_rate(Superoperator(2, hq / 2)).gamma
+            exact = _form_rate(Superoperator(2, hq / 2)).gamma
             ascent = _ascend_quadratic_form(hq, 2, self.ASCENT).gamma
             assert exact >= ascent - 1e-12, (i, exact, ascent)
             assert abs(exact - ascent) <= 1e-9, (i, exact, ascent)
 
     def test_upper_brackets_the_rate(self, qubit_forms):
         for i, hq in enumerate(qubit_forms):
-            rep = superoperator_purity_rate(Superoperator(2, hq / 2))
+            rep = _form_rate(Superoperator(2, hq / 2))
             assert 0.0 <= rep.upper - rep.gamma <= 1e-9, (i, rep.upper, rep.gamma)
             assert rep.gamma == pytest.approx(_purity_values(hq, rep.argmax[None])[0], abs=1e-12)
             assert np.linalg.eigvalsh(rep.argmax).min() >= -1e-12  # a state
@@ -378,7 +396,7 @@ class TestExactQubitRate:
         rho0 = np.diag([0.6, 0.4]).astype(complex)
         u, v0 = vec(np.eye(2)), vec(rho0)
         hq = np.eye(4) - np.outer(v0, u.conj()) - np.outer(u, v0.conj()) - np.outer(u, u.conj())
-        rep = superoperator_purity_rate(Superoperator(2, hq / 2))
+        rep = _form_rate(Superoperator(2, hq / 2))
         assert rep.gamma == pytest.approx(1.52, abs=1e-12)
         assert np.allclose(rep.argmax, rho0, atol=1e-12)
         assert 0.0 <= rep.upper - rep.gamma <= 1e-12
@@ -388,7 +406,7 @@ class TestExactQubitRate:
     def test_zero_form_reads_zero(self, mat):
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            rep = superoperator_purity_rate(Superoperator(2, mat))
+            rep = _form_rate(Superoperator(2, mat))
         assert rep.gamma == 0.0 and rep.upper == 0.0
         assert np.array_equal(rep.argmax, np.eye(2) / 2)
 
@@ -404,7 +422,7 @@ def _lbfgsb_rate(hq, d, opts):
         w = v @ v.conj().T
         tau = np.trace(w).real
         r = vec(w / tau)
-        a = unvec(hq @ r, d)
+        a = (hq @ r).reshape((d, d), order="F")
         g_rho = -(a + a.conj().T)
         z = 2.0 * ((g_rho / tau - (np.trace(g_rho @ w).real / tau ** 2) * np.eye(d)) @ v)
         return float(np.real(r.conj() @ (hq @ r))), -np.concatenate([2.0 * z.real.ravel(), 2.0 * z.imag.ravel()])
@@ -503,7 +521,7 @@ class TestHermiticityDefect:
         """The per-element reference: one spectral norm per basis image."""
         worst = 0.0
         for e in _hermitian_basis(sop.d):
-            img = sop(e)
+            img = (sop.mat @ vec(e)).reshape((sop.d, sop.d), order="F")
             worst = max(worst, spectral_norm(img - img.conj().T))
         return worst
 
@@ -513,7 +531,7 @@ class TestHermiticityDefect:
         for mat in (random_complex(rng, d * d), liouvillian(system).mat):
             sop = Superoperator(d, mat)
             want = self._defect_loop(sop)
-            assert abs(sop.hermiticity_defect() - want) <= 1e-13 * max(want, spectral_norm(mat))
+            assert abs(_hermiticity_defect(sop) - want) <= 1e-13 * max(want, spectral_norm(mat))
 
 
 class TestNoGoCheck:
@@ -547,7 +565,7 @@ class TestNoGoCheck:
 
 class TestChoi:
     def test_choi_of_identity(self):
-        c = choi_matrix(np.eye(4))
+        c = _choi_of(np.eye(4))
         # |Omega><Omega| * d: rank one, trace d
         assert np.linalg.matrix_rank(c, tol=1e-10) == 1
         assert np.trace(c).real == pytest.approx(2.0)
@@ -559,20 +577,20 @@ class TestChoi:
             for n in range(d):
                 e = np.zeros((d, d), dtype=complex)
                 e[m, n] = 1.0
-                c += np.kron(unvec(mat @ vec(e), d), e)
+                c += np.kron((mat @ vec(e)).reshape((d, d), order="F"), e)
         return c
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_realignment_equals_kron_sum(self, rng, d):
         mat = random_complex(rng, d * d)
-        assert np.array_equal(choi_matrix(mat), self._kron_sum_choi(mat, d))
-        assert np.array_equal(choi_matrix(Superoperator(d, mat, "propagator")),
+        assert np.array_equal(_choi_of(mat), self._kron_sum_choi(mat, d))
+        assert np.array_equal(_choi_of(Superoperator(d, mat, "propagator")),
                               self._kron_sum_choi(mat, d))
 
     def test_choi_linear_in_superoperator(self, rng):
         a, b = random_complex(rng, 4), random_complex(rng, 4)
-        lhs = choi_matrix(a + 2.0 * b)
-        rhs = choi_matrix(a) + 2.0 * choi_matrix(b)
+        lhs = _choi_of(a + 2.0 * b)
+        rhs = _choi_of(a) + 2.0 * _choi_of(b)
         assert spectral_norm(lhs - rhs) <= 1e-12 * max(1.0, spectral_norm(rhs))
 
 
@@ -581,7 +599,7 @@ def _unscreened_report(mat, generator: bool):
     norm read: max(1, ||mat||) for the trace and hermiticity tolerances and ||Choi|| for positivity."""
     mat = np.asarray(mat, dtype=complex)
     d = math.isqrt(len(mat))
-    choi = choi_matrix(mat)
+    choi = _choi_of(mat)
     form = (choi + choi.conj().T) / 2
     if generator:  # compressed off the maximally entangled vector
         omega = vec(np.eye(d)) / np.sqrt(d)
@@ -592,7 +610,7 @@ def _unscreened_report(mat, generator: bool):
     scale = max(1.0, spectral_norm(mat))
     trace = np.linalg.norm(tr_vec @ mat) if generator else np.linalg.norm(tr_vec @ mat - tr_vec)
     verdicts = (bool(trace <= 1e-10 * scale),
-                bool(Superoperator(d, mat).hermiticity_defect() <= 1e-10 * scale),
+                bool(_hermiticity_defect(Superoperator(d, mat)) <= 1e-10 * scale),
                 bool(min_eig >= -1e-9 * max(spectral_norm(choi), 1e-300)))
     return (gkls.GklsFormReport if generator else gkls.CptpReport)(*verdicts, min_eig)
 
@@ -616,14 +634,14 @@ def _threshold_families(d: int):
     decay = 3.0 * dissipator_superoperator([lower], d)
     skew = 1j * (np.eye(d * d) - np.outer(vec(eye), tr_vec) / d)  # rho -> i (rho - tr(rho) I / d)
     dent = -(np.outer(vec(eye), tr_vec) - d * np.eye(d * d))  # rho -> -(tr(rho) I - d rho)
-    herm_slope = Superoperator(d, skew).hermiticity_defect()
+    herm_slope = _hermiticity_defect(Superoperator(d, skew))
     herm_frob = float(np.linalg.norm(gkls._hermiticity_residuals(skew, d), axis=(-2, -1)).max())
     for generator, base in ((False, reset), (True, decay)):
         scale = spectral_norm(base)
         yield ("trace", generator, base, reset / math.sqrt(d), 1e-10 * max(1.0, scale), 1e-10)
         yield ("hermiticity", generator, base, skew / herm_slope, 1e-10 * max(1.0, scale),
                0.5e-10 * herm_slope / herm_frob)
-        choi_norm = spectral_norm(choi_matrix(base))
+        choi_norm = spectral_norm(_choi_of(base))
         yield ("positivity", generator, base, dent, 1e-9 * choi_norm, 0.5e-9 * choi_norm)
 
 

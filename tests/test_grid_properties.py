@@ -3,8 +3,8 @@
 Any gamma and t lists, unsorted and with duplicates, give one row per
 (gamma, t) pair in (gamma, t) order, and every cell equals the one-point
 ``adiabatic_error`` or scalar ``bound_*`` call bit for bit.  Any horizon
-given to ``BoundInputs.from_split`` or ``perturbed_semigroup_bound_check``
-gives a finite M >= 1 or a ``ValidationError``.
+given to ``BoundInputs.from_split``, alone or through the Dyson check
+``conftest.dyson_check``, gives a finite M >= 1 or a ``ValidationError``.
 """
 
 import functools
@@ -20,10 +20,9 @@ from zeno_limits import GklsSystem, SweepConfig, liouvillian, random_gkls
 from zeno_limits import zeno
 from zeno_limits.errors import ValidationError
 from zeno_limits.models import ThreeLevelParams, three_level_generators
-from zeno_limits.zeno import (BOUNDS, VARIANTS, BoundInputs, adiabatic_error, evaluate_grid,
-                              perturbed_semigroup_bound_check, zeno_split)
+from zeno_limits.zeno import BOUNDS, VARIANTS, BoundInputs, adiabatic_error, evaluate_grid, zeno_split
 
-from conftest import random_complex, random_hermitian
+from conftest import dyson_check, random_complex, random_hermitian
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 #: a failing example makes hypothesis's pytest plugin import libcst to suggest a patch, and that
@@ -130,7 +129,7 @@ def test_m_horizon_gives_a_finite_m_or_a_validation_error(pair, t_max, gamma_max
 def test_semigroup_check_horizon_gives_a_finite_m_or_a_validation_error(t, gamma):
     weak, strong = three_level_generators(ThreeLevelParams())
     try:
-        m = perturbed_semigroup_bound_check(strong.mat, weak.mat, gamma, [0.0, t]).m_bound
+        m = dyson_check(strong.mat, weak.mat, gamma, [0.0, t]).m_bound
     except ValidationError:
         assert not _ordinary(t, gamma)
         return

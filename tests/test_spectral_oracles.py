@@ -181,7 +181,7 @@ def _oracle_condition_number(dec) -> float:
     cols = []
     for c in dec.clusters:
         u, _, _ = np.linalg.svd(c.projection)
-        cols.append(u[:, :c.rank])
+        cols.append(u[:, :round(np.trace(c.projection).real)])
     t = np.hstack(cols)
     return float(np.linalg.norm(t, 2) * np.linalg.norm(np.linalg.inv(t), 2))
 

@@ -244,3 +244,56 @@ def test_superoperator_unwraps_are_found():
 @pytest.mark.parametrize("stem", sorted(path.stem for path in PACKAGE.glob("*.py")))
 def test_no_call_site_unwraps_a_superoperator(stem):
     assert _superoperator_unwraps(ast.parse((PACKAGE / f"{stem}.py").read_text())) == []
+
+
+#: public names that no module of the package reads, each with the paper statement it serves; every
+#: other public name and method must be read by the package itself (as the limit, its measured error
+#: and its bounds need it), or it goes
+UNREAD_BY_DESIGN: dict[str, str] = {}
+
+
+def _dunder_all(tree: ast.Module) -> list[str]:
+    """The names listed in the module-level ``__all__`` of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _unread_surface(sources: dict[str, str]) -> list[str]:
+    """The public surface of the modules in ``sources`` (stem -> source) that none of them reads.
+
+    The surface is every name in a module's ``__all__``, as ``module.name``, and every public method
+    or property (not a dunder) of a class in it, as ``module.Class.method``.  A name is read where it
+    is loaded as an ``ast.Name`` or an ``ast.Attribute``; an import, a definition or a string in
+    ``__all__`` does not count.
+    """
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for stem, tree in sorted(trees.items()):
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        for name in _dunder_all(tree):
+            unread += [f"{stem}.{name}"] if name not in read else []
+            methods = [node.name for node in getattr(classes.get(name), "body", [])
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")]
+            unread += [f"{stem}.{name}.{method}" for method in methods if method not in read]
+    return unread
+
+
+def test_unread_surface_is_found():
+    sources = {"m": "__all__ = ['used', 'unused', 'Box']\n"
+                    "def used(): pass\ndef unused(): pass\n"
+                    "class Box:\n    def read(self): pass\n    @property\n    def idle(self): pass\n"
+                    "    def __call__(self): pass\n    def _private(self): pass\n",
+               "n": "from .m import used, unused\nused()\nBox().read()\nidle = 1\n"}
+    assert _unread_surface(sources) == ["m.unused", "m.Box.idle"]
+
+
+def test_every_public_name_is_read_by_the_package():
+    """The public surface is what the package computes with; an unread name needs a paper statement."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name in _unread_surface(sources) if name not in UNREAD_BY_DESIGN] == []
+    assert all(UNREAD_BY_DESIGN.values())
