@@ -102,17 +102,18 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, obj) -> "SweepConfig":
-        model = _read.instance("sweep config", obj, dict).get("model", cls.model)
-        strong = weak = None
+        """The config of a JSON object; an unknown key, at the top or in ``t_grid``, raises."""
+        _read.names("sweep config keys", _read.instance("sweep config", obj, dict),
+                    ("model", "params", "gamma_grid", "t_grid", "variants", "bounds", "output"))
+        model, strong, weak = obj.get("model", cls.model), None, None
         if isinstance(model, dict):
             strong, weak = model.get("strong"), model.get("weak")
             model = "files"
-        params = None
-        if obj.get("params"):
-            params = ThreeLevelParams.from_json(obj["params"])
+        params = ThreeLevelParams.from_json(obj["params"]) if "params" in obj else None
         tg = obj.get("t_grid", {})
         if not isinstance(tg, dict):
             raise ValidationError(f"t_grid must be an object with start, stop, count and spacing, got {tg!r}")
+        _read.names("t_grid keys", tg, ("start", "stop", "count", "spacing"))
         if not all(path is None or isinstance(path, str) for path in (strong, weak, obj.get("output"))):
             raise ValidationError("the model's strong and weak paths and the output must be strings")
         arrays = {key: obj[key] for key in ("gamma_grid", "variants", "bounds") if key in obj}

@@ -27,9 +27,9 @@ Structural verdicts implemented here:
   the secular equation.  For d = 2 the ball is the Bloch ball, so the
   solve gives Gamma itself; for d > 2 it gives an upper value, and Gamma
   comes from multi-start ascent over density matrices
-  rho = V V^dag / tr(V V^dag), all restarts in one batched L-BFGS.
-  Every state is scored by the same form, in batch.  The secular root
-  (Newton's method) and the ascent are the package's own.
+  rho = V V^dag / tr(V V^dag), all restarts (``PurityOptions``) in one
+  batched L-BFGS.  Every state is scored by the same form, in batch.
+  The secular root (Newton's method) and the ascent are the package's own.
 """
 
 from __future__ import annotations
@@ -276,20 +276,19 @@ def _gkls_form(mat: np.ndarray, d: int) -> GklsFormReport:
 
 @dataclass(frozen=True)
 class PurityOptions:
-    """Options of the multi-start ascent that rates d > 2.
+    """Options of the multi-start ascent that rates d > 2: its restarts and their seed.
 
-    Qubit rates are solved exactly and read none of them.
-    ``grid_density`` is accepted and ignored; it sized a Bloch-sphere
-    grid that the exact qubit solve replaced.
+    Qubit rates are solved exactly and read none of them.  ``grid_density``
+    sized a Bloch-sphere grid that the exact qubit solve replaced; nothing reads
+    it, only ``bench/tracing.py`` still sets it, and it goes with ROADMAP item 1a.
     """
 
     restarts: int = 32
     grid_density: int = 100
     seed: int = 0
-    maxiter: int = 400
 
     def __post_init__(self):
-        for name, least in (("restarts", 1), ("maxiter", 1), ("seed", 0)):
+        for name, least in (("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, _read.integer(f"PurityOptions.{name}", getattr(self, name), least))
 
 
@@ -317,6 +316,8 @@ def _purity_values(hq: np.ndarray, rhos: np.ndarray) -> np.ndarray:
 
 #: the cap on Newton steps for the secular equation, far above the few its concave form takes
 _NEWTON_STEPS = 100
+#: the cap on L-BFGS iterations of each restart of the d > 2 ascent
+_MAXITER = 400
 
 
 def _coords(beta: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
@@ -478,8 +479,8 @@ def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> Purit
 
     rho = V V^dag / tr(V V^dag) is parameterized by V in C^{dxd}; the
     gradient is exact.  The ``opts.restarts`` starting points are drawn
-    from ``default_rng(opts.seed)`` and ascend together in one batched
-    L-BFGS (:func:`_lbfgs`, Liu & Nocedal 1989; the tests hold its best
+    from ``default_rng(opts.seed)`` and ascend together for ``_MAXITER`` steps
+    in one batched L-BFGS (:func:`_lbfgs`, Liu & Nocedal 1989; the tests hold its best
     value to scipy's L-BFGS-B from the same starts).  Every restart
     contributes a candidate, scored by :func:`_purity_values`, and the
     best one is reported, so the maximum does not depend on the order of
@@ -507,7 +508,7 @@ def _ascend_quadratic_form(hq: np.ndarray, d: int, opts: PurityOptions) -> Purit
         return -value, -np.concatenate([z.real.reshape(-1, n), z.imag.reshape(-1, n)], axis=1)
 
     x0 = np.random.default_rng(opts.seed).standard_normal((opts.restarts, 2 * n))
-    x, ran = _lbfgs(neg_value_grad, x0, opts.maxiter)
+    x, ran = _lbfgs(neg_value_grad, x0, _MAXITER)
     _, w, tau = factors(x)
     candidates = w / tau[:, None, None]
     values = _purity_values(hq, candidates)
@@ -552,20 +553,15 @@ def purity_decay_report(sys: GklsSystem, opts: PurityOptions | None = None) -> P
 class NoGoReport:
     gamma_original: float
     gamma_projected: float
-    equal_within_tol: bool
-    tol: float
 
 
-def no_go_check(sys: GklsSystem, zeno_generator, tol: float = 1e-6,
-                opts: PurityOptions | None = None) -> NoGoReport:
-    """Compare Gamma of the original generator with Gamma of a projected one."""
+def no_go_check(sys: GklsSystem, zeno_generator) -> NoGoReport:
+    """Gamma of the original generator and of a projected one, both at the default :class:`PurityOptions`."""
     sys = _read.instance("sys", sys, GklsSystem)
     mat, d = _read.superoperator("zeno_generator", zeno_generator)
-    tol = _read.real("tol", tol, "nonnegative")
     report = _gkls_form(mat, d)
     if not (report.trace_annihilating and report.hermiticity_preserving):
         raise ValidationError("zeno_generator is not a trace-annihilating Hermitian-preserving generator")
-    g0 = purity_decay_rate(canonicalize(sys), opts)
-    gz = _purity_report(mat + mat.conj().T, d, opts or PurityOptions()).gamma
-    return NoGoReport(gamma_original=g0, gamma_projected=gz,
-                      equal_within_tol=bool(abs(g0 - gz) <= tol), tol=tol)
+    g0 = purity_decay_rate(canonicalize(sys))
+    gz = _purity_report(mat + mat.conj().T, d, PurityOptions()).gamma
+    return NoGoReport(gamma_original=g0, gamma_projected=gz)

@@ -17,7 +17,7 @@ formulas are directly testable as matrices.
 
 Also here: the dephasing-qubit example with its projected generators
 (one of GKLS form, one not), and seeded random GKLS systems normalized to
-unit generator norm for corpus-style testing.
+unit generator norm, in two fixed corpora of 50 draws from seed 1000.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def three_level_analytic_propagator(params: ThreeLevelParams, t: float) -> Super
     block plus a relaxation feed from level 2 into the 0-1 block whose Y
     and Z weights carry the kappa / (kappa^2 + 4 g^2) denominators.
     """
-    t = _read.real("t", t, "nonnegative")  # the closed form is stated for t >= 0
+    params, t = _read.instance("params", params, ThreeLevelParams), _read.real("t", t, "nonnegative")  # t >= 0
     p, x, y, z, e22 = _basis_ops()
     g, kap = params.g, params.kappa
     h = np.array([[0.0, g, 0.0], [g, 0.0, 0.0], [0.0, 0.0, params.w2]], dtype=complex)
@@ -164,6 +164,7 @@ class ThreeLevelPeripheral:
 
 def three_level_peripheral(params: ThreeLevelParams) -> ThreeLevelPeripheral:
     """Closed forms of P_phi and the three peripheral eigenprojections."""
+    params = _read.instance("params", params, ThreeLevelParams)
     p, x, y, z, e22 = _basis_ops()
     g, kap = params.g, params.kappa
     den = kap ** 2 + 4.0 * g ** 2
@@ -199,6 +200,7 @@ def three_level_zeno_generator(params: ThreeLevelParams) -> Superoperator:
     -(Gamma/8) [ 2 X tr(X .) + Y tr(Y .) + Z tr(Z .)
                  - kappa/(kappa^2 + 4g^2) (kappa Z + 2 g Y) <2|.|2> ]
     """
+    params = _read.instance("params", params, ThreeLevelParams)
     _, x, y, z, e22 = _basis_ops()
     g, kap = params.g, params.kappa
     den = kap ** 2 + 4.0 * g ** 2
@@ -217,10 +219,10 @@ def three_level_zeno_generator(params: ThreeLevelParams) -> Superoperator:
 class DephasingQubitExample:
     """Qubit dephasing generator D(|+><+|) projected by oscillations of H.
 
-    The Hamiltonian H = Omega |0><0| only supplies the Bohr-frequency
+    The Hamiltonian H = |0><0| only supplies the Bohr-frequency
     projections; the generator being projected is the dephasing part
-    alone (``l_super``, built from the jump sqrt(kappa) |+><+| with no
-    Hamiltonian term).  ``expected_zeno`` sums all frequency components,
+    alone (``l_super``, built from the jump |+><+| with no Hamiltonian
+    term).  ``expected_zeno`` sums all frequency components,
     equals (1/8)(D_X + D_Y), and is of GKLS form.  ``expected_non_gkls``
     is the kernel-only compression P_0 L P_0, equal to expected_zeno
     minus (1/8) D_Z, and is not.
@@ -234,11 +236,10 @@ class DephasingQubitExample:
     expected_non_gkls: Superoperator = field(repr=False)
 
 
-def dephasing_qubit_example(omega: float = 1.0, kappa: float = 1.0) -> DephasingQubitExample:
-    omega, kappa = _read.real("omega", omega), _read.real("kappa", kappa, "nonnegative")
-    h = omega * np.diag([1.0, 0.0]).astype(complex)
+def dephasing_qubit_example() -> DephasingQubitExample:
+    h = np.diag([1.0, 0.0]).astype(complex)
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    jump = math.sqrt(kappa) * np.outer(plus, plus.conj())
+    jump = np.outer(plus, plus.conj())
     system = GklsSystem(d=2, hamiltonian=h, jumps=(jump,))
 
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -246,7 +247,7 @@ def dephasing_qubit_example(omega: float = 1.0, kappa: float = 1.0) -> Dephasing
     z = np.diag([1.0, -1.0]).astype(complex)
 
     def diss(op):
-        return dissipator_superoperator([math.sqrt(kappa) * op], 2)
+        return dissipator_superoperator([op], 2)
 
     zeno = (diss(x) + diss(y)) / 8.0
     non_gkls = zeno - diss(z) / 8.0
@@ -286,14 +287,12 @@ def random_gkls(d: int, n_jumps: int, seed: int) -> GklsSystem:
     return GklsSystem(d=d, hamiltonian=h, jumps=tuple(jumps))
 
 
-def gkls_corpus(n: int = 50, seed0: int = 1000) -> list[GklsSystem]:
-    """Deterministic corpus of random systems cycling d in {2, 3, 4}."""
-    n, seed0 = _read.integer("n", n, 0), _read.integer("seed0", seed0, 0)
-    return [random_gkls(2 + i % 3, 1 + i % 3, seed0 + i) for i in range(n)]
+def gkls_corpus() -> list[GklsSystem]:
+    """The 50 random systems from seed 1000 on, cycling d in {2, 3, 4}."""
+    return [random_gkls(2 + i % 3, 1 + i % 3, 1000 + i) for i in range(50)]
 
 
-def gkls_pair_corpus(n: int = 50, seed0: int = 1000) -> list[tuple[GklsSystem, GklsSystem]]:
-    """(strong, weak) same-dimension pairs for limit-error experiments."""
-    n, seed0 = _read.integer("n", n, 0), _read.integer("seed0", seed0, 0)
-    return [(random_gkls(2 + i % 3, 1 + i % 3, seed0 + 2 * i),
-             random_gkls(2 + i % 3, 1 + (i + 1) % 3, seed0 + 2 * i + 1)) for i in range(n)]
+def gkls_pair_corpus() -> list[tuple[GklsSystem, GklsSystem]]:
+    """The 50 (strong, weak) same-dimension pairs from seed 1000 on, for limit-error experiments."""
+    return [(random_gkls(2 + i % 3, 1 + i % 3, 1000 + 2 * i),
+             random_gkls(2 + i % 3, 1 + (i + 1) % 3, 1001 + 2 * i)) for i in range(50)]

@@ -67,8 +67,8 @@ class SpectralCluster:
     """One distinct (possibly merged) eigenvalue with its spectral data.
 
     ``index`` is the nilpotent index n_k, the smallest n with N_k^n = 0
-    (numerically: norm below 100 * cluster_tol).  ``semisimple`` means
-    n_k = 1 and ``peripheral`` means |Re b_k| <= imag_tol.
+    (numerically: norm below 100 * cluster_tol), and ``semisimple`` is
+    n_k = 1.  ``peripheral`` means |Re b_k| <= imag_tol.
 
     ``projection`` P_k = U_k V_k (exactly I for a lone cluster) and
     ``nilpotent`` N_k = U_k (T_kk - b_k I) V_k are formed on first access,
@@ -78,13 +78,16 @@ class SpectralCluster:
 
     eigenvalue: complex
     index: int
-    semisimple: bool
     peripheral: bool
     basis: np.ndarray = field(repr=False)  # U_k, the cluster's columns of U
     block: np.ndarray = field(repr=False)  # T_kk
     cobasis: np.ndarray = field(repr=False)  # V_k, the cluster's rows of V
     #: N_k when :func:`decompose` formed it for the nilpotent index, handed on rather than formed again
     formed_nilpotent: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def semisimple(self) -> bool:
+        return self.index == 1
 
     @functools.cached_property
     def projection(self) -> np.ndarray:
@@ -140,7 +143,10 @@ class GapData:
 
     eta: float
     delta: float
-    nu: float
+
+    @property
+    def nu(self) -> float:
+        return 1.0 if self.eta == self.delta == math.inf else min(self.eta, self.delta)
 
 
 def _distances(z: np.ndarray) -> np.ndarray:
@@ -266,9 +272,8 @@ def decompose(a, cluster_tol: float | None = None,
     nil_tol = RESIDUAL_FACTOR * cluster_tol
     clusters = []
     for b, lo, hi in zip(centers, starts, starts[1:]):
-        cluster = SpectralCluster(eigenvalue=b, index=1, semisimple=True,
-                                  peripheral=abs(b.real) <= imag_tol, basis=u[:, lo:hi],
-                                  block=t[lo:hi, lo:hi], cobasis=v[lo:hi, :])
+        cluster = SpectralCluster(eigenvalue=b, index=1, peripheral=abs(b.real) <= imag_tol,
+                                  basis=u[:, lo:hi], block=t[lo:hi, lo:hi], cobasis=v[lo:hi, :])
         if hi - lo > 1:  # a singleton's N_k is exactly 0
             n = cluster.nilpotent
             index, power = 1, n
@@ -286,7 +291,7 @@ def decompose(a, cluster_tol: float | None = None,
                 raise PeripheralDefectError(
                     f"peripheral eigenvalue {b} is numerically defective (||N|| = {norm:.3e} > {nil_tol:.3e})",
                     diagnostics={"eigenvalue": b, "nilpotent_norm": norm, "tolerance": nil_tol})
-            cluster = dataclasses.replace(cluster, index=index, semisimple=index == 1, formed_nilpotent=n)
+            cluster = dataclasses.replace(cluster, index=index, formed_nilpotent=n)
         clusters.append(cluster)
 
     in_block = np.equal.outer(labels, labels)
@@ -353,6 +358,7 @@ def _segment_sums(x: np.ndarray, cuts, axis: int) -> np.ndarray:
 
 def peripheral_projection(dec: SpectralDecomposition) -> np.ndarray:
     """Sum of the projections onto purely imaginary eigenvalues."""
+    dec = _read.instance("decomposition", dec, SpectralDecomposition)
     p = np.zeros((dec.dim, dec.dim), dtype=complex)
     for c in dec.peripheral_clusters:
         p += c.projection
@@ -385,10 +391,7 @@ def gaps(dec: SpectralDecomposition) -> GapData:
               default=math.inf)
     pairs = _distances(np.array([c.eigenvalue for c in dec.clusters]))[np.triu_indices(len(dec.clusters), 1)]
     delta = float(pairs.min()) if pairs.size else math.inf
-    nu = min(eta, delta)
-    if math.isinf(nu):
-        nu = 1.0
-    return GapData(eta=eta, delta=delta, nu=nu)
+    return GapData(eta=eta, delta=delta)
 
 
 def condition_number(dec: SpectralDecomposition, nu: float = 1.0) -> float:
@@ -404,6 +407,7 @@ def condition_number(dec: SpectralDecomposition, nu: float = 1.0) -> float:
     off-diagonals is vacuous in that case.  The returned value is an
     upper-bound choice of basis, not a minimum over scalings.
     """
+    dec = _read.instance("decomposition", dec, SpectralDecomposition)
     defective = [c.eigenvalue for c in dec.clusters if not c.semisimple]
     if defective:
         raise UnsupportedInputError(
@@ -442,10 +446,13 @@ def spectral_expm(dec: SpectralDecomposition, t, u=None, v=None):
     half-plane: a block whose e^{t Re b_k} underflows is zero, whatever
     its other factor.  ``u`` and ``v`` stand in for U and V: with W U and
     V W^dagger for a unitary W, the result is W e^{tA} W^dagger, e^{tA} in
-    the operator basis W.
+    the operator basis W; a ``u`` or ``v`` of another shape than U raises
+    :class:`DimensionError` (only the shapes are compared).
     """
-    u = dec.u if u is None else u
-    v = dec.v if v is None else v
+    dec = _read.instance("decomposition", dec, SpectralDecomposition)
+    u, v = dec.u if u is None else u, dec.v if v is None else v
+    if (shapes := (np.shape(u), np.shape(v))) != (dec.u.shape,) * 2:
+        raise DimensionError(f"spectral_expm u and v must have shape {dec.u.shape}, got {shapes}")
     ts = np.atleast_1d(_read.times("spectral_expm t", t))
     rates = np.multiply.outer(ts, [c.eigenvalue for c in dec.clusters])
     live = rates.real >= -745.0

@@ -281,9 +281,10 @@ class BoundInputs:
         [0, t_max * gamma_max] (log-spaced to resolve both the transient
         and the asymptotic regime), floored at 1; t_max must be nonnegative
         and gamma_max positive, both finite real numbers (not bools) with a
-        finite product.  A
-        horizon at which e^{t Re b_k} overflows for an eigenvalue b_k (a
-        peripheral eigenvalue's rounding can be positive) raises
+        finite product (:func:`evaluate_grid` passes its grid's; the defaults
+        serve only ``bench/tracing.py``'s size ladder, and go with ROADMAP
+        item 1a).  A horizon at which e^{t Re b_k} overflows for an
+        eigenvalue b_k (a peripheral eigenvalue's rounding can be positive) raises
         :class:`ValidationError` naming both, as does a non-finite sample.
         A sample is formed, in the split's :class:`Frame` (float64 for a
         GKLS pair), only while its :func:`_sample_bounds` times
@@ -293,6 +294,7 @@ class BoundInputs:
         (:func:`spectral_norms`).  A skipped sample cannot raise the
         maximum, so M is the float of the full 64-SVD sample in the frame.
         """
+        split = _read.instance("split", split, ZenoSplit)
         t_max, gamma_max = _read.real("t_max", t_max, "nonnegative"), _read.real("gamma_max", gamma_max, "positive")
         horizon = t_max * gamma_max
         if not math.isfinite(horizon):
@@ -438,6 +440,7 @@ def _on_grid(bound):
     """
     @functools.wraps(bound)
     def on_grid(inputs: BoundInputs, gamma, t):
+        inputs = _read.instance(f"{bound.__name__} inputs", inputs, BoundInputs)
         gamma = _read.times(f"{bound.__name__} gamma", gamma, "positive", ndim=None)
         t = _read.times(f"{bound.__name__} t", t, "nonnegative", ndim=None)
         values = np.broadcast_to(bound(inputs, gamma, t), np.broadcast_shapes(gamma.shape, t.shape))
@@ -640,14 +643,11 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
 _HERMITIAN = (1e-10, 1.0)
 
 
-def _eigenprojections(k: np.ndarray, tol: float | None) -> tuple[float, list[tuple[float, np.ndarray]]]:
-    """The tolerance used and the clustered eigenvalues of a read Hermitian K with their projections.
-
-    ``tol`` defaults to 1e-7 max(||K||, 1); a given one is read as :func:`decompose` reads its
-    tolerances.  Eigenvalues are grouped by :func:`spectral._cluster_eigenvalues`: single
-    linkage at ``tol``, then representatives within ``2 * tol`` merge.
-    """
-    tol = 1e-7 * max(spectral_norm(k), 1.0) if tol is None else _read.real("tol", tol, "nonnegative")
+def _eigenprojections(k: np.ndarray) -> tuple[float, list[tuple[float, np.ndarray]]]:
+    """tol = 1e-7 max(||K||, 1) and the eigenvalues of a read Hermitian K with their projections,
+    grouped by :func:`spectral._cluster_eigenvalues`: single linkage at tol, then representatives
+    within 2 tol merge."""
+    tol = 1e-7 * max(spectral_norm(k), 1.0)
     w, u = np.linalg.eigh(k)
     groups, centers = _cluster_eigenvalues(w, tol)
     return tol, [(c.real, u[:, g] @ u[:, g].conj().T) for g, c in zip(groups, centers)]
@@ -661,15 +661,15 @@ class BohrComponent:
     projector: np.ndarray = field(repr=False)
 
 
-def commutator_projections(k, tol: float | None = None) -> list[BohrComponent]:
+def commutator_projections(k) -> list[BohrComponent]:
     """Spectral projections of the commutator superoperator [K, .].
 
     The spectrum of [K, .] is the set of Bohr frequencies
     omega = eps_m - eps_n of K, and the projection belonging to omega is
     sum over all pairs at that frequency of P_m (.) P_n.  Frequencies are
-    clustered like the eigenvalues of K, at the same tolerance.
+    clustered like the eigenvalues of K, at the same tolerance (:func:`_eigenprojections`).
     """
-    return _bohr_components(*_eigenprojections(_read.matrix("K", k, shape="square", hermitian=_HERMITIAN), tol))
+    return _bohr_components(*_eigenprojections(_read.matrix("K", k, shape="square", hermitian=_HERMITIAN)))
 
 
 def _bohr_components(tol: float, eig: list[tuple[float, np.ndarray]]) -> list[BohrComponent]:
@@ -692,6 +692,6 @@ def fast_oscillation_zeno(sys: GklsSystem, k) -> Superoperator:
     k = _read.matrix("K", k, shape=(sys.d, sys.d), hermitian=_HERMITIAN)
     full = liouvillian(sys).mat
     mat = np.zeros_like(full)
-    for comp in _bohr_components(*_eigenprojections(k, None)):
+    for comp in _bohr_components(*_eigenprojections(k)):
         mat += comp.projector @ full @ comp.projector
     return Superoperator(sys.d, mat, "projected")

@@ -12,6 +12,7 @@ sum_n P_n H P_n from ``eigh`` (the package projects superoperators).
 The Dyson check holds the measured M to the statement it must satisfy.
 """
 
+import contextlib
 import functools
 import io
 import math
@@ -231,7 +232,8 @@ def acceptance_pass() -> tuple[dict, str, str]:
     results, figure_csv = acceptance.all_criteria()
     with tempfile.TemporaryDirectory() as tmp:
         path, lines = Path(tmp) / "fig.csv", io.StringIO()
-        acceptance.run_acceptance(results, figure_csv, str(path), lines)
+        with contextlib.redirect_stdout(lines):
+            acceptance.run_acceptance(results, figure_csv, str(path))
         written = path.read_text()
     return {res.number: res for res in results}, lines.getvalue(), written
 

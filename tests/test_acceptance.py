@@ -87,8 +87,8 @@ def test_criterion_8_no_go_agreement():
     res = _run("8")
     dephasing, *randoms = res.cases
     rep = dephasing.report
-    assert rep.equal_within_tol, (f"dephasing: Gamma(L) = {rep.gamma_original:.10f}, "
-                                  f"Gamma(L_Z) = {rep.gamma_projected:.10f}")
+    assert abs(rep.gamma_original - rep.gamma_projected) <= 1e-6, (f"dephasing: Gamma(L) = {rep.gamma_original:.10f}, "
+                                                                  f"Gamma(L_Z) = {rep.gamma_projected:.10f}")
     assert len(randoms) == 10
     rng = np.random.default_rng(8)
     for case in randoms:

@@ -319,6 +319,10 @@ _EMPTY = matrix_to_json(np.zeros((0, 0)))
                                                                 "--output", "{tmp}/out.json"]),
     ({"a.json": {"rows": True, "cols": 1, "data": [[0, 0]]}}, ["spectral", "--input", "{tmp}/a.json",
                                                              "--output", "{tmp}/out.json"]),
+    ({"cfg.json": {"params": 0}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"params": []}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"gama_grid": [1, 2], "t_grid": {"count": 3}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
+    ({"cfg.json": {"t_grid": {"cout": 3}}}, ["sweep", "--config", "{tmp}/cfg.json"]),
 ], ids=["missing-file", "malformed-json", "non-object-json", "split-without-strong",
         "split-without-weak", "negative-cluster-tol", "negative-t", "unknown-param", "unknown-sweep-param",
         "infinite-gamma", "infinite-t-stop", "one-number-entry", "string-entry", "null-entry",
@@ -331,7 +335,8 @@ _EMPTY = matrix_to_json(np.zeros((0, 0)))
         "zero-system-build", "empty-spectral-matrix", "empty-split-matrix", "fractional-map-dimension",
         "string-gamma-grid", "bool-gamma", "string-variants", "fractional-t-count", "bool-t-count",
         "numeric-string-t-count", "numeric-string-t-start", "bool-sweep-param", "bool-param",
-        "fractional-matrix-rows", "bool-matrix-rows"])
+        "fractional-matrix-rows", "bool-matrix-rows", "zero-sweep-params", "empty-list-sweep-params",
+        "unknown-sweep-key", "unknown-t-grid-key"])
 def test_bad_input_is_one_typed_error_line(tmp_path, capsys, files, argv):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))

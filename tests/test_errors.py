@@ -12,8 +12,7 @@ from zeno_limits.experiments import SweepConfig
 from zeno_limits.gkls import GklsSystem, PurityOptions, Superoperator, hamiltonian_superoperator, no_go_check
 from zeno_limits.jsonio import matrix_from_json, matrix_to_json, superoperator_from_json, system_from_json
 from zeno_limits.linalg import expm, spectral_norm
-from zeno_limits.models import (ThreeLevelParams, dephasing_qubit_example, gkls_corpus, gkls_pair_corpus, random_gkls,
-                                three_level_generators)
+from zeno_limits.models import ThreeLevelParams, random_gkls, three_level_generators
 from zeno_limits.spectral import decompose, reduced_resolvent, spectral_expm
 from zeno_limits.zeno import (BoundInputs, adiabatic_error, commutator_projections, evaluate_grid,
                               fast_oscillation_zeno, pulsed_zeno_product, zeno_split)
@@ -111,7 +110,6 @@ def _three_level_split():
     (lambda: PurityOptions(restarts=True), ValidationError, r"PurityOptions\.restarts must be a positive integer, got True"),
     (lambda: PurityOptions(seed=-1), ValidationError, r"PurityOptions\.seed must be a nonnegative integer, got -1"),
     (lambda: PurityOptions(seed=1.5), ValidationError, r"PurityOptions\.seed must be a nonnegative integer, got 1\.5"),
-    (lambda: PurityOptions(maxiter=3.5), ValidationError, r"PurityOptions\.maxiter must be a positive integer, got 3\.5"),
     (lambda: superoperator_from_json({"d": 3.7, "mat": matrix_to_json(np.eye(9))}), ValidationError,
      r"dimension d must be a positive integer, got 3\.7"),
     (lambda: superoperator_from_json({"d": "2", "mat": matrix_to_json(np.eye(4))}), ValidationError,
@@ -159,17 +157,9 @@ def _three_level_split():
     (lambda: spectral_expm(_three_level_split().decomposition, [[0.5, 1.0]]), DimensionError,
      r"spectral_expm t must be a float or 1-dimensional, got shape \(1, 2\)"),
     (lambda: expm(np.eye(2), "a"), ValidationError, "expm t must be numeric, got 'a'"),
-    (lambda: commutator_projections(np.diag([0.0, 1.0]), tol=-1.0), ValidationError,
-     "tol must be nonnegative, got -1.0"),
-    (lambda: commutator_projections(np.diag([0.0, 1.0]), tol="x"), ValidationError,
-     "tol must be a finite number, got 'x'"),
-    (lambda: commutator_projections(np.diag([0.0, 1.0]), tol=np.nan), ValidationError,
-     "tol must be a finite number, got nan"),
     (lambda: random_gkls(2.5, 1, 0), ValidationError, r"dimension d must be an integer in \[2, 4\], got 2\.5"),
     (lambda: random_gkls(2, 1.5, 0), ValidationError, r"n_jumps must be an integer in \[0, 3\], got 1\.5"),
     (lambda: random_gkls(2, 1, -1), ValidationError, "seed must be a nonnegative integer, got -1"),
-    (lambda: gkls_corpus(2.5), ValidationError, r"n must be a nonnegative integer, got 2\.5"),
-    (lambda: gkls_pair_corpus(2.5), ValidationError, r"n must be a nonnegative integer, got 2\.5"),
     (lambda: reduced_resolvent(_three_level_split().decomposition, 1.5), ValidationError,
      r"cluster index ell must be an integer in \[0, 6\], got 1\.5"),
     (lambda: reduced_resolvent(_three_level_split().decomposition, "a"), ValidationError,
@@ -180,8 +170,6 @@ def _three_level_split():
      "t_max must be a finite number, got True"),
     (lambda: BoundInputs.from_split(_three_level_split(), gamma_max="a"), ValidationError,
      "gamma_max must be a finite number, got 'a'"),
-    (lambda: dephasing_qubit_example(kappa=-1.0), ValidationError, r"kappa must be nonnegative, got -1\.0"),
-    (lambda: dephasing_qubit_example(omega="x"), ValidationError, "omega must be a finite number, got 'x'"),
     (lambda: matrix_from_json({"rows": 2, "cols": 2, "data": [[0, 0]] * 3}), ValidationError,
      "matrix JSON claims 2x2 but carries 3 entries"),
     (lambda: expm(np.eye(2), 1e300), ValidationError, "expm operand t a is out of the kernel's range"),
@@ -194,6 +182,13 @@ def _three_level_split():
     (lambda: spectral_norm([[True, 0.5], [0.0, 1.0]]), ValidationError, "spectral_norm operand must be numeric, got"),
     (lambda: GklsSystem(2, [[0.0, False], [False, 1.0]]), ValidationError, "hamiltonian H must be numeric, got"),
     (lambda: SweepConfig.from_json([1]), ValidationError, "sweep config must be a dict, got list"),
+    *[(lambda p=p: SweepConfig.from_json({"params": p}), ValidationError,
+       "three-level parameters must be a JSON object") for p in (0, False, [], "")],
+    (lambda: SweepConfig.from_json({"gama_grid": [1, 2], "t_grid": {"count": 3}}), ValidationError,
+     r"unknown sweep config keys \['gama_grid'\]"),
+    (lambda: SweepConfig.from_json({"t_grid": {"cout": 3}}), ValidationError, r"unknown t_grid keys \['cout'\]"),
+    (lambda: spectral_expm(_three_level_split().decomposition, 1.0, np.eye(2)), DimensionError,
+     r"spectral_expm u and v must have shape \(9, 9\), got \(\(2, 2\), \(9, 9\)\)"),
     (lambda: no_go_check(np.eye(2), np.zeros((4, 4))), ValidationError, "sys must be a GklsSystem, got ndarray"),
 ], ids=["one-dim-matrix", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
@@ -211,7 +206,7 @@ def _three_level_split():
         "superoperator-negative-d", "superoperator-float-d",
         "superoperator-bool-d", "superoperator-zero-d", "system-zero-d", "system-float-d",
         "empty-decompose", "empty-split", "purity-fractional-restarts", "purity-bool-restarts",
-        "purity-negative-seed", "purity-fractional-seed", "purity-fractional-maxiter", "map-json-float-d",
+        "purity-negative-seed", "purity-fractional-seed", "map-json-float-d",
         "map-json-string-d", "map-json-bool-d", "system-json-float-d",
         "sweep-json-string-gamma-grid", "sweep-json-string-variants", "sweep-json-object-bounds",
         "sweep-json-fractional-count", "sweep-json-bool-count", "sweep-json-string-count", "sweep-json-bool-param",
@@ -219,15 +214,16 @@ def _three_level_split():
         "sweep-string-t-start", "sweep-scalar-variants", "params-string-g", "params-none-kappa", "params-nan-gamma",
         "params-inf-omega0", "params-huge-g", "grid-scalar-variants", "grid-none-bounds",
         "spectral-expm-nan-t", "spectral-expm-inf-t", "spectral-expm-minus-inf-t", "spectral-expm-string-t",
-        "spectral-expm-2d-t", "expm-string-t", "commutator-negative-tol", "commutator-string-tol",
-        "commutator-nan-tol", "random-gkls-fractional-d",
-        "random-gkls-fractional-jumps", "random-gkls-negative-seed", "corpus-fractional-n",
-        "pair-corpus-fractional-n", "resolvent-fractional-index", "resolvent-string-index",
+        "spectral-expm-2d-t", "expm-string-t", "random-gkls-fractional-d",
+        "random-gkls-fractional-jumps", "random-gkls-negative-seed", "resolvent-fractional-index",
+        "resolvent-string-index",
         "m-horizon-string-t", "m-horizon-bool-t",
-        "m-horizon-string-gamma", "dephasing-negative-kappa",
-        "dephasing-string-omega", "matrix-json-entry-count", "expm-out-of-kernel-range",
+        "m-horizon-string-gamma", "matrix-json-entry-count", "expm-out-of-kernel-range",
         "matrix-json-bool-parts", "matrix-json-nan-part", "matrix-json-huge-part", "bool-among-numbers",
-        "bool-among-hamiltonian-entries", "sweep-json-list", "no-go-given-a-matrix-system"])
+        "bool-among-hamiltonian-entries", "sweep-json-list",
+        *[f"sweep-json-{kind}-params" for kind in ("zero", "false", "list", "string")],
+        "sweep-json-unknown-key", "sweep-json-unknown-t-grid-key", "spectral-expm-u-shape",
+        "no-go-given-a-matrix-system"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -73,12 +73,16 @@ class TestSweepConfig:
             "t_grid": {"start": 0.5, "stop": 1.5, "count": 4, "spacing": "log"},
             "variants": ["peripheral"],
             "bounds": ["cptp"],
-            "seed": 3,
         })
         assert cfg.gamma_grid == (10.0, 100.0, 1000.0, 10000.0)
         assert all(type(g) is float for g in cfg.gamma_grid)
         assert cfg.t_spacing == "log"
         assert np.all(np.diff(np.log(cfg.t_grid())) > 0)
+
+    def test_from_json_reads_params_whenever_given(self):
+        assert SweepConfig.from_json({"params": {}}).params == ThreeLevelParams()
+        assert SweepConfig.from_json({"params": {"g": 2}}).params == ThreeLevelParams(g=2.0)
+        assert SweepConfig.from_json({}).params is None
 
 
 def _pair_split(name):
@@ -375,13 +379,13 @@ class TestWriteText:
 
 class TestSpectralPropertyCheck:
     def test_corpus_instances_pass(self):
-        for sys in gkls_corpus(6):
+        for sys in gkls_corpus()[:6]:
             rep = spectral_property_check(sys)
             assert rep.all_pass, rep.as_dict()
 
     def test_eigenvalues_and_peripheral_map_from_the_decomposition(self):
         """max_real_part and the Choi minima agree with eigvals and a Pade e^{t L_phi} P_phi."""
-        for sys in gkls_corpus(6):
+        for sys in gkls_corpus()[:6]:
             mat = liouvillian(sys).mat
             norm = np.linalg.norm(mat, 2)
             rep = spectral_property_check(sys)

@@ -218,7 +218,7 @@ class TestPurityDecay:
         kappa = 1.7
         sys = GklsSystem(d=2, hamiltonian=np.zeros((2, 2)),
                          jumps=(np.sqrt(kappa) * SX / 2,))
-        opts = PurityOptions(restarts=12, grid_density=80, seed=3)
+        opts = PurityOptions(restarts=12, seed=3)
         gamma = purity_decay_rate(sys, opts)
         # analytic maximum kappa/2 on the y-z great circle
         assert gamma == pytest.approx(kappa / 2, abs=1e-9)
@@ -232,7 +232,7 @@ class TestPurityDecay:
 
     def test_z_jump_same_by_unitary_covariance(self):
         kappa = 1.7
-        opts = PurityOptions(restarts=12, grid_density=80, seed=3)
+        opts = PurityOptions(restarts=12, seed=3)
         gx = purity_decay_rate(GklsSystem(2, np.zeros((2, 2)), (np.sqrt(kappa) * SX / 2,)), opts)
         gz = purity_decay_rate(GklsSystem(2, np.zeros((2, 2)), (np.sqrt(kappa) * SZ / 2,)), opts)
         assert gx == pytest.approx(gz, abs=1e-9)
@@ -245,7 +245,7 @@ class TestPurityDecay:
         assert purity_objective(sys_a, rho) == purity_objective(sys_b, rho)  # bit-identical
 
     def test_gamma_separation(self):
-        opts = PurityOptions(restarts=8, grid_density=40, seed=5)
+        opts = PurityOptions(restarts=8, seed=5)
         noisy = canonicalize(random_gkls(2, 1, seed=77))
         assert purity_decay_rate(noisy, opts) >= 1e-8
         silent = canonicalize(random_gkls(3, 0, seed=78))
@@ -272,15 +272,18 @@ class TestPurityDecay:
                 assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (d, seed, got - want)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_reported_rate_is_the_reference_value_at_argmax(self, d):
-        opts = PurityOptions(restarts=8, grid_density=40, seed=1)
-        # one L-BFGS step leaves the restarts apart, so the maximizer must be picked
-        rough = PurityOptions(restarts=4, grid_density=40, seed=1, maxiter=1)
+    def test_reported_rate_is_the_reference_value_at_argmax(self, monkeypatch, d):
+        opts, rough = PurityOptions(restarts=8, seed=1), PurityOptions(restarts=4, seed=1)
+        lbfgs = gkls._lbfgs
         for seed in range(2):
             sys = random_gkls(d, 1 + seed, seed=950 + 10 * d + seed)
-            for o in (opts, rough):
-                rep = purity_decay_report(sys, o)
-                assert rep.gamma == pytest.approx(purity_objective(sys, rep.argmax), abs=1e-12)
+            rep = purity_decay_report(sys, opts)
+            assert rep.gamma == pytest.approx(purity_objective(sys, rep.argmax), abs=1e-12)
+            # one L-BFGS step leaves the restarts apart, so the maximizer must be picked
+            with monkeypatch.context() as patch:
+                patch.setattr(gkls, "_lbfgs", lambda fun, x0, maxiter: lbfgs(fun, x0, 1))
+                rep = purity_decay_report(sys, rough)
+            assert rep.gamma == pytest.approx(purity_objective(sys, rep.argmax), abs=1e-12)
             # the Hamiltonian part of the full generator drops out of hq
             rate = _form_rate(liouvillian(sys), opts).gamma
             assert rate == pytest.approx(purity_decay_rate(canonicalize(sys), opts), abs=1e-12)
@@ -320,11 +323,6 @@ class TestPurityOptions:
     def test_restarts_below_one_is_typed(self, restarts):
         with pytest.raises(ValidationError):
             PurityOptions(restarts=restarts)
-
-    @pytest.mark.parametrize("maxiter", [0, -1])
-    def test_maxiter_below_one_is_typed(self, maxiter):
-        with pytest.raises(ValidationError):
-            PurityOptions(maxiter=maxiter)
 
 
 def _dissipator_form(sys):
@@ -372,7 +370,7 @@ class TestExactQubitRate:
 
     def test_upper_bounds_ascent_above_qubits(self):
         opts = PurityOptions(restarts=4, seed=0)
-        systems = [sys for sys in gkls_corpus(12) if sys.d > 2]
+        systems = [sys for sys in gkls_corpus()[:12] if sys.d > 2]
         assert {sys.d for sys in systems} == {3, 4}
         for sys in systems:
             rep = purity_decay_report(canonicalize(sys), opts)
@@ -430,7 +428,7 @@ def _lbfgsb_rate(hq, d, opts):
     states = []
     for _ in range(opts.restarts):
         res = scipy.optimize.minimize(neg_value_grad, rng.standard_normal(2 * n), jac=True, method="L-BFGS-B",
-                                      options={"maxiter": opts.maxiter, "ftol": 1e-16, "gtol": 1e-12})
+                                      options={"maxiter": gkls._MAXITER, "ftol": 1e-16, "gtol": 1e-12})
         v = (res.x[:n] + 1j * res.x[n:]).reshape(d, d)
         w = v @ v.conj().T
         states.append(w / np.trace(w).real)
@@ -459,7 +457,7 @@ class TestBatchedAscent:
     @staticmethod
     def _systems():
         noisy = [(random_gkls(2 + i % 3, 1, seed=5100 + i), TestBatchedAscent.CRITERION_8B) for i in range(5)]
-        corpus = [(sys, TestBatchedAscent.CORPUS) for sys in gkls_corpus(50)]
+        corpus = [(sys, TestBatchedAscent.CORPUS) for sys in gkls_corpus()]
         wide = [(_wide_system(d, jumps, 7000 + 10 * d + jumps), TestBatchedAscent.WIDE)
                 for d in (5, 6) for jumps in (1, 2)]
         return [(canonicalize(sys), opts) for sys, opts in noisy + corpus + wide if sys.d > 2]
@@ -492,7 +490,7 @@ class TestSecularRoot:
 
         monkeypatch.setattr(gkls, "_secular_root", recording)
         forms = [(hq, 2) for hq in _criterion_8_forms()]
-        forms += [(_dissipator_form(sys), sys.d) for sys in gkls_corpus(50) if sys.d > 2]
+        forms += [(_dissipator_form(sys), sys.d) for sys in gkls_corpus() if sys.d > 2]
         for hq, d in forms:
             gkls._trust_region(hq, d)
         assert len(calls) >= 40
@@ -538,26 +536,23 @@ class TestNoGoCheck:
     def test_unitary_generator_both_zero(self):
         sys = GklsSystem(d=2, hamiltonian=SZ)
         lz = fast_oscillation_zeno(sys, SX)
-        rep = no_go_check(sys, lz, opts=PurityOptions(restarts=6, grid_density=30, seed=2))
+        rep = no_go_check(sys, lz)
         assert rep.gamma_original <= 1e-12
         assert rep.gamma_projected <= 1e-10
-        assert rep.equal_within_tol
 
     def test_dephasing_example_rates_agree(self):
         ex = dephasing_qubit_example()
-        rep = no_go_check(ex.system, ex.expected_zeno,
-                          opts=PurityOptions(restarts=16, grid_density=80, seed=4))
+        rep = no_go_check(ex.system, ex.expected_zeno)
         assert rep.gamma_original == pytest.approx(0.5, abs=1e-8)
-        assert rep.equal_within_tol, (rep.gamma_original, rep.gamma_projected)
+        assert abs(rep.gamma_original - rep.gamma_projected) <= 1e-6, (rep.gamma_original, rep.gamma_projected)
 
     def test_projection_never_raises_the_rate(self):
         # Averaging over the K-orbit cannot increase the purity functional's
         # sup; both rates stay strictly positive for a nonzero dissipator.
-        opts = PurityOptions(restarts=12, grid_density=60, seed=6)
         for seed in (42, 43, 44):
             sys = random_gkls(2, 1, seed=seed)
             lz = fast_oscillation_zeno(sys, sys.hamiltonian)
-            rep = no_go_check(sys, lz, opts=opts)
+            rep = no_go_check(sys, lz)
             assert rep.gamma_projected <= rep.gamma_original + 1e-8
             assert rep.gamma_projected > 1e-8
             assert rep.gamma_original > 1e-8
@@ -662,7 +657,7 @@ class TestVerdictScreens:
             assert verdicts == [True, True, True, False], (name, generator, verdicts)
 
     def test_reports_equal_the_unscreened_ones_on_corpus_maps_and_generators(self, rng):
-        for sys in gkls_corpus(12):
+        for sys in gkls_corpus()[:12]:
             gen = liouvillian(sys).mat
             p_phi = peripheral_projection(decompose(gen))
             for mat in (expm(gen, 0.3), expm(gen, 2.0), p_phi, expm(gen, 1.0) + 1e-7 * random_complex(rng, len(gen))):

@@ -156,16 +156,11 @@ class TestDephasingQubit:
                              - ex.expected_non_gkls.mat) <= 1e-10
 
     def test_gkls_verdicts(self):
-        ex = dephasing_qubit_example(kappa=1.0)
+        ex = dephasing_qubit_example()
         assert gkls_form_check(ex.expected_zeno).conditionally_completely_positive
         rep = gkls_form_check(ex.expected_non_gkls)
         assert not rep.conditionally_completely_positive
         assert rep.min_conditional_choi_eigenvalue < -1e-3 * 1.0
-
-    def test_rate_scaling(self):
-        weak = dephasing_qubit_example(kappa=0.5)
-        strong = dephasing_qubit_example(kappa=2.0)
-        assert np.allclose(4.0 * weak.expected_zeno.mat, strong.expected_zeno.mat, atol=1e-12)
 
 
 class TestRandomGkls:

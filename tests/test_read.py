@@ -6,9 +6,10 @@ argument valid), the name that argument's error must carry, and the kind
 of reader that reads it.  One property test feeds every row the bad
 values of its kind (bools, strings, None, NaN, +-inf, negatives, 2.5 for
 an integer, a 400-digit int, a 2-D array, matrices of numeric strings or
-bools, a bool among numbers, for a pair of generators a second matrix of
-another shape, and for a package object a dict, a list or a matrix) and
-asserts a ``ZenoLimitsError`` whose message names the argument.  Then a
+bools, a bool among numbers, for a pair of generators or a decomposition's
+U and V a matrix of another shape, and for a package object a dict, a list
+or a matrix) and asserts a ``ZenoLimitsError`` whose message names the
+argument.  Then a
 ``Superoperator`` is checked to read as its matrix.  The last tests
 check that a list-valued K or map is converted once.
 """
@@ -45,8 +46,9 @@ NOT_NUMBER_PARTS = [[[True, False], [0.5, 0.0]], [[1.0, 0.0], ["0", 1]], [[1, No
 #: the bad values of each reader kind: a signed real or time refuses negatives, a tolerance also
 #: (but None is its default), an integer negatives and fractions, a matrix or names any scalar,
 #: a sequence anything not iterable or not holding matrices, a pair of 2 x 2 generators a second
-#: matrix of another shape, a package object (``instance``) anything else, a JSON object anything
-#: but a dict, and ``evaluate_grid`` rows anything but dicts with its columns
+#: matrix of another shape, the 9 x 9 U or V of a decomposition anything of another shape, a package
+#: object (``instance``) anything else, a JSON object anything but a dict, and ``evaluate_grid`` rows
+#: anything but dicts with its columns
 BAD = {
     "integer": st.one_of(COMMON, st.integers(max_value=-1), FRACTION),
     "real": COMMON,
@@ -58,6 +60,8 @@ BAD = {
     "sequence": st.one_of(st.sampled_from([None, 5]), st.booleans(), st.integers(), st.floats(),
                           st.just(np.full((2, 2), np.nan))),
     "pair": st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda shape: shape != (2, 2)).map(np.ones),
+    "shape": st.one_of(COMMON.filter(lambda v: v is not None),
+                       st.tuples(st.integers(1, 4), st.integers(1, 4)).map(np.ones)),
     "instance": st.one_of(COMMON.filter(lambda v: v is not None), st.sampled_from([{}, {"gamma": 1.0}, [1]])),
     "object": st.one_of(COMMON, st.sampled_from([[1], [], [("model", "three-level")]])),
     "rows": st.one_of(COMMON, st.sampled_from([[{}], [1], [{"gamma": 1.0, "t": 1.0}]])),
@@ -100,6 +104,12 @@ TABLE = {
     "reduced_resolvent-ell": (lambda v: spectral.reduced_resolvent(_split().decomposition, v),
                               "cluster index ell", "integer"),
     "spectral_expm-t": (lambda v: spectral.spectral_expm(_split().decomposition, v), "spectral_expm t", "real"),
+    "spectral_expm-dec": (lambda v: spectral.spectral_expm(v, 1.0), "decomposition", "instance"),
+    "spectral_expm-u": (lambda v: spectral.spectral_expm(_split().decomposition, 1.0, u=v), "spectral_expm u", "shape"),
+    "spectral_expm-v": (lambda v: spectral.spectral_expm(_split().decomposition, 1.0, v=v), "spectral_expm u and v",
+                        "shape"),
+    "peripheral_projection-dec": (lambda v: spectral.peripheral_projection(v), "decomposition", "instance"),
+    "condition_number-dec": (lambda v: spectral.condition_number(v), "decomposition", "instance"),
     "reduced_resolvent-dec": (lambda v: spectral.reduced_resolvent(v, 0), "decomposition", "instance"),
     "gaps-dec": (lambda v: spectral.gaps(v), "decomposition", "instance"),
     "zeno_split-b": (lambda v: zeno.zeno_split(v, EYE2), "strong generator B", "matrix"),
@@ -107,6 +117,9 @@ TABLE = {
     "zeno_split-cluster_tol": (lambda v: zeno.zeno_split(-EYE2, EYE2, cluster_tol=v), "cluster_tol", "tolerance"),
     "from_split-t_max": (lambda v: zeno.BoundInputs.from_split(_split(), t_max=v), "t_max", "signed"),
     "from_split-gamma_max": (lambda v: zeno.BoundInputs.from_split(_split(), gamma_max=v), "gamma_max", "signed"),
+    "from_split-split": (lambda v: zeno.BoundInputs.from_split(v), "split", "instance"),
+    **{f"{bound}-inputs": (lambda v, bound=bound: zeno.BOUNDS[bound](v, 10.0, 1.0), f"bound_{bound} inputs",
+                           "instance") for bound in zeno.BOUNDS},
     **{f"{bound}-gamma": (lambda v, bound=bound: zeno.BOUNDS[bound](_inputs(), v, 1.0), f"bound_{bound} gamma",
                           "signed") for bound in zeno.BOUNDS},
     **{f"{bound}-t": (lambda v, bound=bound: zeno.BOUNDS[bound](_inputs(), 10.0, v), f"bound_{bound} t", "signed")
@@ -126,7 +139,6 @@ TABLE = {
     "pulsed-t": (lambda v: zeno.pulsed_zeno_product(EYE2, EYE2, v, 2), "t", "real"),
     "pulsed-n": (lambda v: zeno.pulsed_zeno_product(EYE2, EYE2, 1.0, v), "n", "integer"),
     "commutator_projections-k": (lambda v: zeno.commutator_projections(v), "K", "matrix"),
-    "commutator_projections-tol": (lambda v: zeno.commutator_projections(EYE2, v), "tol", "tolerance"),
     "fast_oscillation_zeno-k": (lambda v: zeno.fast_oscillation_zeno(SYSTEM, v), "K", "matrix"),
     "fast_oscillation_zeno-sys": (lambda v: zeno.fast_oscillation_zeno(v, EYE2), "sys", "instance"),
     "GklsSystem-d": (lambda v: GklsSystem(v, EYE2), "dimension d", "integer"),
@@ -144,25 +156,21 @@ TABLE = {
     "cptp_check-superop": (lambda v: gkls.cptp_check(v), "superoperator", "matrix"),
     "gkls_form_check-superop": (lambda v: gkls.gkls_form_check(v), "superoperator", "matrix"),
     **{f"PurityOptions-{name}": (lambda v, name=name: PurityOptions(**{name: v}), f"PurityOptions.{name}", "integer")
-       for name in ("restarts", "seed", "maxiter")},
+       for name in ("restarts", "seed")},
     "no_go_check-sys": (lambda v: gkls.no_go_check(v, GENERATOR), "sys", "instance"),
     "no_go_check-zeno_generator": (lambda v: gkls.no_go_check(SYSTEM, v), "zeno_generator", "matrix"),
-    "no_go_check-tol": (lambda v: gkls.no_go_check(SYSTEM, GENERATOR, v), "tol", "signed"),
     **{f"ThreeLevelParams-{name}": (lambda v, name=name: ThreeLevelParams(**{name: v}),
                                     f"three-level parameter {name}", "signed" if name in ("gamma", "g", "kappa")
                                     else "real")
        for name in ("omega0", "omega1", "omega2", "gamma", "g", "w2", "kappa")},
     "three_level_generators-params": (lambda v: models.three_level_generators(v), "params", "instance"),
     "analytic_propagator-t": (lambda v: models.three_level_analytic_propagator(ThreeLevelParams(), v), "t", "signed"),
-    "dephasing_qubit_example-omega": (lambda v: models.dephasing_qubit_example(omega=v), "omega", "real"),
-    "dephasing_qubit_example-kappa": (lambda v: models.dephasing_qubit_example(kappa=v), "kappa", "signed"),
+    "analytic_propagator-params": (lambda v: models.three_level_analytic_propagator(v, 1.0), "params", "instance"),
+    "three_level_peripheral-params": (lambda v: models.three_level_peripheral(v), "params", "instance"),
+    "three_level_zeno_generator-params": (lambda v: models.three_level_zeno_generator(v), "params", "instance"),
     "random_gkls-d": (lambda v: models.random_gkls(v, 1, 0), "dimension d", "integer"),
     "random_gkls-n_jumps": (lambda v: models.random_gkls(2, v, 0), "n_jumps", "integer"),
     "random_gkls-seed": (lambda v: models.random_gkls(2, 1, v), "seed", "integer"),
-    "gkls_corpus-n": (lambda v: models.gkls_corpus(v), "n", "integer"),
-    "gkls_corpus-seed0": (lambda v: models.gkls_corpus(1, v), "seed0", "integer"),
-    "gkls_pair_corpus-n": (lambda v: models.gkls_pair_corpus(v), "n", "integer"),
-    "gkls_pair_corpus-seed0": (lambda v: models.gkls_pair_corpus(1, v), "seed0", "integer"),
     "SweepConfig-gamma_grid": (lambda v: experiments.SweepConfig(gamma_grid=v), "gamma_grid", "signed"),
     "SweepConfig-t_start": (lambda v: experiments.SweepConfig(t_start=v), "t_start", "real"),
     "SweepConfig-t_stop": (lambda v: experiments.SweepConfig(t_stop=v), "t_stop", "real"),
@@ -255,7 +263,7 @@ def test_a_list_valued_map_is_read_once(monkeypatch, check):
 
 def test_a_list_valued_zeno_generator_is_read_once(monkeypatch):
     names = _counting(monkeypatch)
-    gkls.no_go_check(SYSTEM, GENERATOR.mat.tolist(), opts=PurityOptions(restarts=2))
+    gkls.no_go_check(SYSTEM, GENERATOR.mat.tolist())
     assert names.count("zeno_generator") == 1
 
 

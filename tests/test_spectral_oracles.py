@@ -514,7 +514,7 @@ def test_corpus_work_counts(monkeypatch):
     form at most 1,500 samples in all (3,200 when every sample was formed), each pair's first formed
     stack is its latest sample alone, and every sample sent to the SVD is real."""
     formed, latest = 0, _m_grid()[-1]
-    for strong, weak in gkls_pair_corpus(50):
+    for strong, weak in gkls_pair_corpus():
         split = zeno_split(liouvillian(strong).mat, liouvillian(weak).mat)
         samples, svd_inputs, stacks = _m_sample_work(split, monkeypatch)
         formed += len(samples)

@@ -183,7 +183,7 @@ def test_purity_rates_load_no_heavy_scipy_subpackage():
             "assert purity_decay_rate(random_gkls(2, 1, seed=1), opts) > 0\n"
             "assert purity_decay_rate(random_gkls(3, 2, seed=2), opts) > 0\n"
             "sys_ = random_gkls(2, 1, seed=3)\n"
-            "no_go_check(sys_, fast_oscillation_zeno(sys_, sys_.hamiltonian), opts=opts)\n"
+            "no_go_check(sys_, fast_oscillation_zeno(sys_, sys_.hamiltonian))\n"
             "print([name for name in ('scipy.optimize', 'scipy.sparse', 'scipy.special', 'scipy.spatial')\n"
             "       if name in sys.modules])\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -297,3 +297,148 @@ def test_every_public_name_is_read_by_the_package():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert [name for name in _unread_surface(sources) if name not in UNREAD_BY_DESIGN] == []
     assert all(UNREAD_BY_DESIGN.values())
+
+
+#: parameters and dataclass fields that the two audits below flag but that stay for now, each with the
+#: line outside the package that still sets it and the ROADMAP item that removes both
+UNSET_BY_DESIGN: dict[str, str] = {
+    "spectral.condition_number.nu": "bench/tracing.py:247 passes split.gap_data.nu; goes with ROADMAP item 1a",
+    "gkls.PurityOptions.grid_density": "bench/tracing.py:49 sets it; goes with ROADMAP item 1a",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """True when the class is decorated with ``dataclass`` or ``dataclass(...)``."""
+    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(t, "id", getattr(t, "attr", None)) == "dataclass" for t in targets)
+
+
+def _decorated(node: ast.FunctionDef, name: str) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == name for d in node.decorator_list)
+
+
+def _parameters(node: ast.FunctionDef, method: bool) -> tuple[list[str], dict[str, ast.expr]]:
+    """The positional parameters of a function (a method's without ``self`` or ``cls``) and every
+    parameter's default by name."""
+    positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+    defaults = dict(zip(positional[len(positional) - len(node.args.defaults):], node.args.defaults))
+    defaults.update((a.arg, d) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None)
+    return positional[1:] if method else positional, defaults
+
+
+def _fields(node: ast.ClassDef) -> tuple[list[str], dict[str, ast.expr]]:
+    """A dataclass's fields in order and each default by name: a ``field(default=...)`` is its default,
+    a ``field(default_factory=f)`` has the default ``f()``."""
+    names, defaults = [], {}
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.append(item.target.id)
+            value = item.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                keywords = {k.arg: k.value for k in value.keywords}
+                value = keywords.get("default", ast.Call(keywords["default_factory"], [], [])
+                                     if "default_factory" in keywords else None)
+            if value is not None:
+                defaults[item.target.id] = value
+    return names, defaults
+
+
+def _entries(stem: str, tree: ast.Module) -> list[tuple]:
+    """(qualified name, the name a call uses, the def or None, positional parameters, defaults) of every
+    public function in the module's ``__all__``, public method of a class in it, and dataclass in it."""
+    public, entries = set(_dunder_all(tree)), []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            entries.append((f"{stem}.{node.name}", node.name, node, *_parameters(node, method=False)))
+        elif isinstance(node, ast.ClassDef) and node.name in public:
+            if _is_dataclass(node):
+                entries.append((f"{stem}.{node.name}", node.name, None, *_fields(node)))
+            entries += [(f"{stem}.{node.name}.{item.name}", item.name, item,
+                         *_parameters(item, method=not _decorated(item, "staticmethod")))
+                        for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return entries
+
+
+def _unread_parameters(sources: dict[str, str]) -> list[str]:
+    """Every parameter of a public function or method (see :func:`_entries`) of the modules in ``sources``
+    that its body never loads, as ``qualified.name.parameter``; ``self`` and ``cls`` are not counted."""
+    unread = []
+    for stem, text in sorted(sources.items()):
+        for qualname, _, node, _, _ in _entries(stem, ast.parse(text)):
+            if node is None:
+                continue
+            args = node.args
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{qualname}.{a.arg}" for a in args.posonlyargs + args.args + args.kwonlyargs
+                       + [a for a in (args.vararg, args.kwarg) if a]
+                       if a.arg not in ("self", "cls") and a.arg not in loaded]
+    return unread
+
+
+def _calls(trees) -> list[tuple[str, ast.Call]]:
+    """(the name called, the call) for every call in ``trees``: ``f(...)`` and ``x.f(...)`` call ``f``,
+    and ``cls(...)`` inside a classmethod calls its class."""
+    own_class = {id(call): cls.name for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for item in cls.body if isinstance(item, ast.FunctionDef) and _decorated(item, "classmethod")
+                 for call in ast.walk(item)
+                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "cls"}
+    return [(own_class.get(id(call)) or getattr(call.func, "id", None) or getattr(call.func, "attr", None), call)
+            for tree in trees for call in ast.walk(tree) if isinstance(call, ast.Call)]
+
+
+def _differs(value: ast.expr, default: ast.expr) -> bool:
+    """True unless ``value`` is spelled as the literal ``default`` is (numbers compare by value)."""
+    if isinstance(value, ast.Constant) and isinstance(default, ast.Constant):
+        return value.value != default.value
+    return ast.dump(value) != ast.dump(default)
+
+
+def _unset_defaults(sources: dict[str, str]) -> list[str]:
+    """Every defaulted parameter or field of a public entry (see :func:`_entries`) of the modules in
+    ``sources`` that no call among them passes a value other than its literal default.
+
+    A value counts whether it is passed by keyword or by position.  A call with a ``*`` or ``**``
+    argument passes every parameter, and a keyword of ``dataclasses.replace`` passes that field of
+    every dataclass.
+    """
+    trees = {stem: ast.parse(text) for stem, text in sorted(sources.items())}
+    calls = _calls(trees.values())
+    replaced = {k.arg for name, call in calls if name == "replace" for k in call.keywords}
+    unset = []
+    for stem, tree in trees.items():
+        for qualname, name, node, positional, defaults in _entries(stem, tree):
+            given = set(replaced) if node is None else set()
+            for called, call in calls:
+                if called != name:
+                    continue
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                    given |= set(defaults)
+                values = {**dict(zip(positional, call.args)), **{k.arg: k.value for k in call.keywords if k.arg}}
+                given |= {p for p, value in values.items() if p in defaults and _differs(value, defaults[p])}
+            unset += [f"{qualname}.{p}" for p in defaults if p not in given]
+    return unset
+
+
+def test_unread_parameters_and_unset_defaults_are_found():
+    sources = {"m": "__all__ = ['f', 'g', 'Opts', 'Box']\n"
+                    "def f(a, b=1, c=None, d=2.0, *, e='x'):\n    return a, b, c, d, e\n"
+                    "def g(idle, k=0):\n    return k\n"
+                    "@dataclass(frozen=True)\nclass Opts:\n    n: int = 3\n    m: int = field(default=4, repr=False)\n"
+                    "    z: int = 5\n    @classmethod\n    def of(cls, n):\n        return cls(z=n)\n"
+                    "class Box:\n    def size(self, w=1):\n        return w\n"
+                    "    @staticmethod\n    def make(v=0):\n        return v\n",
+               "n": "from .m import f\nf(0, 2)\nf(0, c=None, d=2, e=y)\ng(1, *rest)\nOpts(n=3)\n"
+                    "replace(o, m=7)\nBox().size(1)\nBox.make(1)\n"}
+    assert _unread_parameters(sources) == ["m.g.idle"]
+    assert _unset_defaults(sources) == ["m.f.c", "m.f.d", "m.Opts.n", "m.Box.size.w"]
+
+
+def test_every_parameter_is_read_and_set_by_the_package():
+    """A public parameter is read by its entry, and a default is overridden by some package caller; else the
+    parameter goes, or becomes a constant or a property, unless ``UNSET_BY_DESIGN`` names who still sets it."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    flagged = _unread_parameters(sources) + _unset_defaults(sources)
+    assert [name for name in flagged if name not in UNSET_BY_DESIGN] == []
+    assert set(UNSET_BY_DESIGN) <= set(flagged)  # an entry the audits no longer flag goes from the allowlist
+    assert all("bench/tracing.py:" in why and "ROADMAP item 1a" in why for why in UNSET_BY_DESIGN.values())

@@ -387,7 +387,7 @@ class TestBoundGrid:
 
 def _dyson_pairs():
     """The 50 corpus pairs and the three-level model as (id, B, C)."""
-    for i, (strong, weak) in enumerate(gkls_pair_corpus(50)):
+    for i, (strong, weak) in enumerate(gkls_pair_corpus()):
         yield f"corpus-{i}", liouvillian(strong).mat, liouvillian(weak).mat
     weak, strong = three_level_generators(ThreeLevelParams())
     yield "three-level", strong.mat, weak.mat
@@ -433,7 +433,7 @@ class TestPerturbedSemigroupBound:
     @pytest.mark.parametrize("gamma", [100.0, 1000.0])
     def test_corpus_pair_14_holds_with_the_split_m(self, gamma):
         """A 1.05 x max over the t-grid alone (M = 1.229) reported this pair's bound as violated."""
-        strong, weak = gkls_pair_corpus(50)[14]
+        strong, weak = gkls_pair_corpus()[14]
         b, c = liouvillian(strong).mat, liouvillian(weak).mat
         assert dyson_check(b, c, gamma, np.linspace(0, 2, 9)).satisfied
 
@@ -532,10 +532,10 @@ class TestHamiltonianZeno:
         assert spectral_norm(hz - hz.conj().T) <= 1e-12
 
     def test_levels_between_tol_and_twice_tol_merge(self):
-        # single linkage keeps 0 and 1.5e-6 apart at tol 1e-6; the safety
-        # merge of representatives within 2 * tol then joins them
-        k = np.diag([0.0, 1.5e-6, 1.0]).astype(complex)
-        comps = commutator_projections(k, tol=1e-6)
+        # single linkage keeps 0 and 1.5e-7 apart at the tolerance 1e-7 max(||K||, 1) = 1e-7;
+        # the safety merge of representatives within 2 * tol then joins them
+        k = np.diag([0.0, 1.5e-7, 1.0]).astype(complex)
+        comps = commutator_projections(k)
         assert sorted(c.omega for c in comps) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-5)
         zero = next(c for c in comps if abs(c.omega) < 1e-12)
         assert np.trace(zero.projector).real == pytest.approx(5.0)
