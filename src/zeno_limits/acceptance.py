@@ -46,7 +46,7 @@ from .models import (
     three_level_zeno_generator,
 )
 from .spectral import condition_number, decompose
-from .experiments import spectral_property_check, summarize_rows
+from .experiments import spectral_property_check, summarize_grid
 from .zeno import (
     BOUNDS,
     BoundInputs,
@@ -177,7 +177,7 @@ def criterion_4():
     for g in (1.0, 2.0):
         l_super, d_super = three_level_generators(ThreeLevelParams(g=g))
         split = zeno_split(d_super.mat, l_super.mat)
-        summary = summarize_rows(evaluate_grid(split, GAMMA_GRID, t_grid, ("peripheral",)))
+        summary = summarize_grid(evaluate_grid(split, GAMMA_GRID, t_grid, ("peripheral",)))
         slope, slope_full = summary["slope"], summary["slope_full_grid"]
         ok = ok and -1.15 <= slope <= -0.85
         details.append(f"g={g}: slope {slope:.3f} (full-grid {slope_full:.3f})")
@@ -197,8 +197,8 @@ def criterion_5():
     for strong, weak in gkls_pair_corpus():
         cases.append((liouvillian(strong).mat, liouvillian(weak).mat))
     for b, c in cases:
-        rows = evaluate_grid(zeno_split(b, c), gammas, t_grid, ("peripheral",), bounds=tuple(BOUNDS))
-        worst = max(worst, summarize_rows(rows)["max_bound_violation"])
+        grid = evaluate_grid(zeno_split(b, c), gammas, t_grid, ("peripheral",), bounds=tuple(BOUNDS))
+        worst = max(worst, summarize_grid(grid)["max_bound_violation"])
     return (worst <= 1e-9,
             f"max (error - bound) over 51 instances x {len(gammas)} gammas x "
             f"{len(t_grid)} times = {worst:.3e} (slack limit 1e-9)")
@@ -228,11 +228,10 @@ def criterion_6():
                                   dim=split.decomposition.dim, p_coeffs=np.array([math.sqrt(2.0)]),
                                   **_norm_constants(split))
             panel = evaluate_grid(split, GAMMA_GRID, t_grid, ("peripheral",))
+            errs = panel["error_peripheral"]
             bounds = bound_cptp(caption, np.array(GAMMA_GRID)[:, None], t_grid)
-            for row, bound in zip(panel, bounds.ravel().tolist()):
-                lines.append(f"{g},{gamma_rate},{row['gamma']},{row['t']},"
-                             f"{float(row['error_peripheral'])!r},{bound!r}")
-            errs = np.array([row["error_peripheral"] for row in panel]).reshape(len(GAMMA_GRID), -1)
+            for cells in zip(*(a.ravel().tolist() for a in (panel["gamma"], panel["t"], errs, bounds))):
+                lines.append(",".join([str(g), str(gamma_rate), *map(repr, cells)]))
             min_margin = float((bounds - errs).min())
             monotone = bool(np.all(bounds[1:] <= bounds[:-1] + 1e-12))
             ok = ok and monotone and min_margin >= 0.0

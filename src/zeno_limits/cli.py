@@ -164,8 +164,7 @@ def cmd_zeno_bounds(args) -> int:
     t_grid = np.linspace(_read.real("--t-grid start", start), _read.real("--t-grid stop", stop),
                          _read.integer("--t-grid count", count, 0))
     split = _split_from_file(args.split)
-    rows = evaluate_grid(split, gammas, t_grid, bounds=tuple(BOUNDS))
-    jsonio.write_text(args.output, format_csv(rows))
+    jsonio.write_text(args.output, format_csv(evaluate_grid(split, gammas, t_grid, bounds=tuple(BOUNDS))))
     return 0
 
 

@@ -11,12 +11,12 @@ column order
 and a JSON summary carrying the fitted convergence slope (top half of the
 gamma grid, with the full-grid fit alongside), the worst bound violation
 (positive values mean a bound was beaten, which would falsify the
-underlying estimates), and wall-clock time.  The rows come from
-``zeno.evaluate_grid``, which owns the grid, the variant and bound names
-and the column order; ``adiabatic_error`` is its one-point call.  A sweep
-runs in the calling thread.  The summary comes from ``summarize_rows``;
-the ``zeno bounds`` command and the acceptance criteria use the same two
-functions.  This module is the config and file layer around them.
+underlying estimates), and wall-clock time.  ``zeno.evaluate_grid`` owns
+the grid, the variant and bound names and the column order, and returns
+one (gamma, t) array per column; ``summarize_grid`` and ``format_csv``
+read those arrays, and so do the ``zeno bounds`` command and the
+acceptance criteria.  A sweep runs in the calling thread.  This module is
+the config and file layer around them.
 
 ``spectral_property_check`` audits the structural facts that make a
 compiled generator a valid strong generator: spectrum confined to the
@@ -29,7 +29,6 @@ times.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -102,11 +101,12 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, obj) -> "SweepConfig":
-        """The config of a JSON object; an unknown key, at the top or in ``t_grid``, raises."""
+        """The config of a JSON object; an unknown key, at the top, in ``model`` or in ``t_grid``, raises."""
         _read.names("sweep config keys", _read.instance("sweep config", obj, dict),
                     ("model", "params", "gamma_grid", "t_grid", "variants", "bounds", "output"))
         model, strong, weak = obj.get("model", cls.model), None, None
         if isinstance(model, dict):
+            _read.names("model keys", model, ("strong", "weak"))
             strong, weak = model.get("strong"), model.get("weak")
             model = "files"
         params = ThreeLevelParams.from_json(obj["params"]) if "params" in obj else None
@@ -133,7 +133,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    rows: list[dict]
+    rows: list[dict]  # one dict per grid cell, keyed by CSV_COLUMNS; only bench/ reads it
     summary: dict
     csv_text: str
 
@@ -159,33 +159,27 @@ def _loglog_slope(points) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def summarize_rows(rows: list[dict]) -> dict:
-    """Sup-over-t errors, the bound audit and the convergence slopes of ``evaluate_grid`` rows.
+def summarize_grid(grid: dict) -> dict:
+    """Sup-over-t errors, the bound audit and the convergence slopes of an ``evaluate_grid`` grid.
 
-    ``rows`` is a sequence of dicts with the ``CSV_COLUMNS`` keys.  The error
-    is the peripheral column when it was evaluated, else the plain one.  A positive
+    ``grid`` maps each ``CSV_COLUMNS`` key to a (gamma, t) array, or to
+    None for a column not evaluated.  The error is the peripheral column
+    when it was evaluated, else the plain one; a gamma that the grid
+    repeats gets one sup, over all of its rows.  A positive
     ``max_bound_violation`` means a bound was beaten.  The headline slope
     fits the top half of the gamma grid (the small-gamma points are
     pre-asymptotic); the full-grid fit is reported alongside.
     """
-    rows, columns = _read.sequence("rows", rows, "evaluate_grid rows"), set(CSV_COLUMNS)
-    bad = next((i for i, row in enumerate(rows) if not (isinstance(row, dict) and row.keys() >= columns)), None)
-    if bad is not None:
-        raise ValidationError(f"rows[{bad}] must be an evaluate_grid row: a dict with the keys {CSV_COLUMNS}")
-    err_key = "error_peripheral" if rows and rows[0]["error_peripheral"] is not None else "error_plain"
-    slack = -math.inf
-    sup: dict[float, float] = {}
-    for row in rows:
-        err = row[err_key]
-        if err is None:
-            continue
-        sup[row["gamma"]] = max(sup.get(row["gamma"], err), err)
-        for bkey in (f"bound_{name}" for name in BOUNDS):
-            if row[bkey] is not None:
-                slack = max(slack, err - row[bkey])
-    sup_errors = list(sup.items())
-    slope = slope_full = None
-    notice = None
+    if not (isinstance(grid, dict) and grid.keys() >= set(CSV_COLUMNS)):
+        raise ValidationError(f"grid must be an evaluate_grid result, a dict with the keys {CSV_COLUMNS}")
+    err = grid["error_peripheral"] if grid["error_peripheral"] is not None else grid["error_plain"]
+    sup_errors, slack = [], None
+    if err is not None and err.size:
+        gammas, first = np.unique(grid["gamma"][:, 0], return_index=True)  # sorted, so each gamma's rows are adjacent
+        sup_errors = [[g, e] for g, e in zip(gammas.tolist(), np.maximum.reduceat(err.max(axis=1), first).tolist())]
+        bounds = [grid[f"bound_{name}"] for name in BOUNDS if grid[f"bound_{name}"] is not None]
+        slack = max((float((err - bound).max()) for bound in bounds), default=None)
+    slope = slope_full = notice = None
     if sup_errors and all(e <= DEGENERATE_ERROR for _, e in sup_errors):
         notice = "degenerate-data: all errors at roundoff, slope fit refused"
     elif len(sup_errors) >= 4 and all(e > 0 for _, e in sup_errors):
@@ -196,19 +190,21 @@ def summarize_rows(rows: list[dict]) -> dict:
     return {
         "slope": slope,
         "slope_full_grid": slope_full,
-        "max_bound_violation": None if slack == -math.inf else slack,
-        "sup_errors": [[g, e] for g, e in sup_errors],
+        "max_bound_violation": slack,
+        "sup_errors": sup_errors,
         "notice": notice,
     }
 
 
-def format_csv(rows: list[dict]) -> str:
-    """The sweep CSV: the frozen header, then one line per row, empty cells for None."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join("" if row[col] is None else repr(float(row[col]))
-                              for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+def _columns(grid: dict) -> list[list]:
+    """The grid's columns in ``CSV_COLUMNS`` order, each its cells in (gamma, t) order: Python floats, or None."""
+    return [[None] * grid["t"].size if grid[key] is None else grid[key].ravel().tolist() for key in CSV_COLUMNS]
+
+
+def format_csv(grid: dict) -> str:
+    """The sweep CSV of an ``evaluate_grid`` grid: the frozen header, then one line per cell, empty for None."""
+    lines = (",".join("" if x is None else repr(x) for x in cells) for cells in zip(*_columns(grid)))
+    return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -220,19 +216,20 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     start = time.monotonic()
     b, c = _load_pair(cfg)
     split = zeno_split(b, c)
-    rows = evaluate_grid(split, cfg.gamma_grid, cfg.t_grid(), cfg.variants, bounds=cfg.bounds)
+    grid = evaluate_grid(split, cfg.gamma_grid, cfg.t_grid(), cfg.variants, bounds=cfg.bounds)
     summary = {
         "model": cfg.model,
         "gamma_grid": list(cfg.gamma_grid),
-        **summarize_rows(rows),
+        **summarize_grid(grid),
         "wall_clock_s": time.monotonic() - start,
     }
-    csv_text = format_csv(rows)
+    csv_text = format_csv(grid)
 
     if cfg.output:
         write_text(cfg.output, csv_text)
         write_text(f"{cfg.output}.summary.json", json.dumps(summary, indent=2) + "\n")
-    return SweepResult(rows=rows, summary=summary, csv_text=csv_text)
+    return SweepResult(rows=[dict(zip(CSV_COLUMNS, cells)) for cells in zip(*_columns(grid))], summary=summary,
+                       csv_text=csv_text)
 
 
 # ---------------------------------------------------------------------------

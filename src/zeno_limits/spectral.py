@@ -447,11 +447,15 @@ def spectral_expm(dec: SpectralDecomposition, t, u=None, v=None):
     its other factor.  ``u`` and ``v`` stand in for U and V: with W U and
     V W^dagger for a unitary W, the result is W e^{tA} W^dagger, e^{tA} in
     the operator basis W; a ``u`` or ``v`` of another shape than U raises
-    :class:`DimensionError` (only the shapes are compared).
+    :class:`DimensionError` (only the shapes are compared), as does a ragged one.
     """
     dec = _read.instance("decomposition", dec, SpectralDecomposition)
     u, v = dec.u if u is None else u, dec.v if v is None else v
-    if (shapes := (np.shape(u), np.shape(v))) != (dec.u.shape,) * 2:
+    try:
+        shapes = (np.shape(u), np.shape(v))
+    except ValueError:  # a ragged sequence has no shape
+        shapes = "a ragged sequence"
+    if shapes != (dec.u.shape,) * 2:
         raise DimensionError(f"spectral_expm u and v must have shape {dec.u.shape}, got {shapes}")
     ts = np.atleast_1d(_read.times("spectral_expm t", t))
     rates = np.multiply.outer(ts, [c.eigenvalue for c in dec.clusters])

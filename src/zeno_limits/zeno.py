@@ -10,8 +10,8 @@ and e^{t(gamma B + C)} approaches e^{t gamma B} e^{t C_Z} (and, away from
 t = 0, the same with a trailing P_phi) at rate O(1/gamma).  This module
 measures that error and evaluates three upper bounds for it, over a
 (gamma, t) grid in one place: ``evaluate_grid`` checks the names in
-``VARIANTS`` and ``BOUNDS``, gamma and t, and returns rows keyed by
-``CSV_COLUMNS``; ``adiabatic_error`` is that grid at one point.  The
+``VARIANTS`` and ``BOUNDS``, gamma and t, and returns one (gamma, t)
+array per ``CSV_COLUMNS`` key; ``adiabatic_error`` is that grid at one point.  The
 errors are measured in the split's ``Frame``, the orthonormal Hermitian
 operator basis in which a GKLS pair's matrices are real.  Each bound
 holds for the constants in its ``BoundInputs``; there M is a sampled
@@ -35,7 +35,6 @@ fast-oscillation Zeno generator L_Z.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -527,14 +526,16 @@ def bound_simplified(inputs: BoundInputs, gamma, t):
 #: the error variants (see :func:`adiabatic_error`) and the bounds by name; the only spelling of either
 VARIANTS = ("plain", "peripheral")
 BOUNDS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_simplified}
-#: the frozen sweep CSV header and the keys of an :func:`evaluate_grid` row
+#: the frozen sweep CSV header and the keys of an :func:`evaluate_grid` grid
 CSV_COLUMNS = ("gamma", "t", *(f"error_{name}" for name in VARIANTS), *(f"bound_{name}" for name in BOUNDS))
 
 
-def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()) -> list[dict]:
-    """Rows keyed by ``CSV_COLUMNS`` over gammas x t_grid sorted by (gamma, t); cells not requested are None.
+def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()) -> dict[str, np.ndarray | None]:
+    """One (gamma, t) array per ``CSV_COLUMNS`` key over sorted gammas x sorted t_grid; columns not requested are None.
 
-    The names in ``variants`` and ``bounds`` (keys of ``BOUNDS``), every
+    ``gamma`` and ``t`` hold the mesh, so cell (i, j) of every column
+    belongs to the i-th smallest gamma and the j-th smallest t.  The names
+    in ``variants`` and ``bounds`` (keys of ``BOUNDS``), every
     gamma (positive) and every t (nonnegative), each grid a finite number
     or a 1-D sequence of them, are read before any work, and error cells
     whose t (gamma B + C) may leave the Pade kernel's range, or whose
@@ -556,24 +557,22 @@ def evaluate_grid(split: ZenoSplit, gammas, t_grid, variants=VARIANTS, bounds=()
     variants, bounds = _read.names("variants", variants, VARIANTS), _read.names("bounds", bounds, tuple(BOUNDS))
     gammas = np.sort(_read.times("evaluate_grid gamma", gammas, "positive").reshape(-1))
     ts = np.sort(_read.times("evaluate_grid t", t_grid, "nonnegative").reshape(-1))
-    if not (gammas.size and ts.size):
-        return []
+    grid = dict.fromkeys(CSV_COLUMNS)
+    grid["gamma"], grid["t"] = np.meshgrid(gammas, ts, indexing="ij")
+    if not (gammas.size and ts.size):  # an empty grid: the requested columns hold no cells
+        grid.update((key, np.empty(grid["t"].shape)) for key in (*(f"error_{name}" for name in variants),
+                                                                  *(f"bound_{name}" for name in bounds)))
+        return grid
     if bounds:
         inputs = BoundInputs.from_split(split, t_max=float(ts[-1]), gamma_max=float(gammas[-1]))
-    columns = {f"bound_{name}": BOUNDS[name](inputs, gammas[:, None], ts).ravel().tolist() for name in bounds}
+    grid.update((f"bound_{name}", BOUNDS[name](inputs, gammas[:, None], ts)) for name in bounds)
     if variants:
-        columns.update(_error_columns(split, gammas, ts, variants))
-    rows = []
-    for k, (gamma, t) in enumerate(itertools.product(gammas.tolist(), ts.tolist())):
-        row = dict.fromkeys(CSV_COLUMNS)
-        row["gamma"], row["t"] = gamma, t
-        row.update((key, values[k]) for key, values in columns.items())
-        rows.append(row)
-    return rows
+        grid.update(_error_columns(split, gammas, ts, variants))
+    return grid
 
 
 def _error_columns(split: ZenoSplit, gammas: np.ndarray, ts: np.ndarray, variants) -> dict:
-    """The requested error columns over gammas x ts as lists in gamma-major order (see :func:`evaluate_grid`)."""
+    """The requested error columns over gammas x ts as (gamma, t) arrays (see :func:`evaluate_grid`)."""
     frame, dim = split.frame, len(split.frame.b)
     if ts[-1] * max(gammas[-1] * _onenorms(frame.b) + _onenorms(frame.c), _onenorms(frame.c_z)) > _EXPM_RANGE:
         raise ValidationError(f"t (gamma B + C) may be out of the Pade kernel's range: a 1-norm bound exceeds "
@@ -596,7 +595,7 @@ def _error_columns(split: ZenoSplit, gammas: np.ndarray, ts: np.ndarray, variant
                 limit = rhs @ frame.p_phi if key == "error_peripheral" else rhs
                 values[lo:lo + chunk.size] = spectral_norms(lhs - limit).reshape(chunk.size, ts.size)
         del exponent, lhs, strong, rhs, limit  # so the next chunk's stacks do not coexist with these
-    return {key: values.ravel().tolist() for key, values in columns.items()}
+    return columns
 
 
 def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
@@ -606,8 +605,8 @@ def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
     variant 'plain':      || e^{t(gamma B+C)} - e^{t gamma B} e^{t C_Z} ||
     variant 'peripheral': the same with a trailing P_phi on the limit.
     """
-    [row] = evaluate_grid(split, (gamma,), (t,), (variant,))  # an array gamma or t is 2-D there and raises
-    return row[f"error_{variant}"]
+    grid = evaluate_grid(split, (gamma,), (t,), (variant,))  # an array gamma or t is 2-D there and raises
+    return float(grid[f"error_{variant}"][0, 0])
 
 
 # ---------------------------------------------------------------------------

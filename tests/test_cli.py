@@ -126,6 +126,18 @@ def test_zeno_bounds_matches_sweep(tmp_path, pair_files, capsys, start, stop):
     assert bounds_csv.read_text() == sweep_csv.read_text()
 
 
+def test_sweep_refuses_an_unknown_model_key(tmp_path, pair_files, capsys):
+    """Real strong and weak files beside a misspelt key: the key is refused, not ignored."""
+    sp, wp = pair_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"strong": str(sp), "weak": str(wp), "wek": str(wp)},
+                                    "t_grid": {"count": 2}, "output": str(tmp_path / "s.csv")}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: unknown model keys ['wek']\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("grid", [
     ["--gamma-grid", "10,100", "--t-grid", "0.25:2"],
     ["--gamma-grid", "10,x", "--t-grid", "0.25:2:3"],

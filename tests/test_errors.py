@@ -190,6 +190,10 @@ def _three_level_split():
     (lambda: spectral_expm(_three_level_split().decomposition, 1.0, np.eye(2)), DimensionError,
      r"spectral_expm u and v must have shape \(9, 9\), got \(\(2, 2\), \(9, 9\)\)"),
     (lambda: no_go_check(np.eye(2), np.zeros((4, 4))), ValidationError, "sys must be a GklsSystem, got ndarray"),
+    (lambda: spectral_expm(decompose(np.diag([0.0, -1.0])), 1.0, [[1, 2], [3]]), DimensionError,
+     r"spectral_expm u and v must have shape \(2, 2\), got a ragged sequence"),
+    (lambda: SweepConfig.from_json({"model": {"strong": "s.json", "weak": "w.json", "wek": "x"}}), ValidationError,
+     r"unknown model keys \['wek'\]"),
 ], ids=["one-dim-matrix", "non-square-decompose", "negative-dephasing",
         "hamiltonian-shape", "jump-shape", "unknown-provenance", "no-go-given-a-map",
         "unequal-split-shapes", "negative-bound-norm", "error-at-a-t-list",
@@ -223,7 +227,7 @@ def _three_level_split():
         "bool-among-hamiltonian-entries", "sweep-json-list",
         *[f"sweep-json-{kind}-params" for kind in ("zero", "false", "list", "string")],
         "sweep-json-unknown-key", "sweep-json-unknown-t-grid-key", "spectral-expm-u-shape",
-        "no-go-given-a-matrix-system"])
+        "no-go-given-a-matrix-system", "spectral-expm-ragged-u", "sweep-json-unknown-model-key"])
 def test_api_input_errors_are_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -13,7 +13,7 @@ from zeno_limits import (
     zeno,
 )
 from zeno_limits.errors import DimensionError, ValidationError
-from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, format_csv, summarize_rows
+from zeno_limits.experiments import BOUNDS, CSV_COLUMNS, evaluate_grid, format_csv, summarize_grid
 from zeno_limits.gkls import Superoperator, cptp_check, hamiltonian_superoperator
 from zeno_limits.jsonio import dump_json, matrix_to_json, superoperator_to_json, write_text
 from zeno_limits.linalg import expm
@@ -93,8 +93,16 @@ def _pair_split(name):
     return zeno_split(strong.mat, weak.mat)
 
 
+def _cells(grid):
+    """The grid's cells as ``{column: value}`` dicts in (gamma, t) order: Python floats, None where not evaluated."""
+    shape = grid["t"].shape
+    assert all(grid[key] is None or grid[key].shape == shape for key in CSV_COLUMNS)
+    return [{key: None if grid[key] is None else grid[key][ij].item() for key in CSV_COLUMNS}
+            for ij in np.ndindex(shape)]
+
+
 class TestEvaluateRow:
-    """A row of ``evaluate_grid`` at one point."""
+    """``evaluate_grid`` at one point."""
 
     @pytest.mark.parametrize("pair", ["three-level", "gkls-d16"])
     @pytest.mark.parametrize("variants", [("plain", "peripheral"), ("peripheral",)])
@@ -102,19 +110,22 @@ class TestEvaluateRow:
         split = _pair_split(pair)
         for gamma in (10.0, 1000.0):
             for t in (0.25, 1.3):
-                [row] = evaluate_grid(split, (gamma,), (t,), variants)
+                grid = evaluate_grid(split, (gamma,), (t,), variants)
                 for variant in ("plain", "peripheral"):
-                    want = adiabatic_error(split, gamma, t, variant) if variant in variants else None
-                    assert row[f"error_{variant}"] == want
-                assert all(row[f"bound_{name}"] is None for name in BOUNDS)
+                    if variant in variants:
+                        assert grid[f"error_{variant}"][0, 0] == adiabatic_error(split, gamma, t, variant)
+                    else:
+                        assert grid[f"error_{variant}"] is None
+                assert all(grid[f"bound_{name}"] is None for name in BOUNDS)
 
     def test_requested_bounds_only(self):
         split = _pair_split("three-level")
         inputs = BoundInputs.from_split(split, t_max=0.5, gamma_max=100.0)
-        [row] = evaluate_grid(split, (100.0,), (0.5,), (), ("cptp",))
-        assert list(row) == list(CSV_COLUMNS)
-        assert row["bound_cptp"] == BOUNDS["cptp"](inputs, 100.0, 0.5)
-        assert row["error_plain"] is row["error_peripheral"] is row["bound_adiabatic"] is None
+        grid = evaluate_grid(split, (100.0,), (0.5,), (), ("cptp",))
+        assert list(grid) == list(CSV_COLUMNS)
+        assert grid["gamma"].shape == grid["t"].shape == grid["bound_cptp"].shape == (1, 1)
+        assert grid["bound_cptp"][0, 0] == BOUNDS["cptp"](inputs, 100.0, 0.5)
+        assert grid["error_plain"] is grid["error_peripheral"] is grid["bound_adiabatic"] is None
 
 
 def _bits(x):
@@ -148,8 +159,7 @@ class TestErrorOracle:
         special = {"jordan": _jordan_split, "merged": _merged_split}
         split = special[pair]() if pair in special else _pair_split(pair)
         gammas, t_grid = (10.0, 100.0, 1000.0), (0.25, 1.0, 2.0)
-        rows = evaluate_grid(split, gammas, t_grid)
-        for row in rows:
+        for row in _cells(evaluate_grid(split, gammas, t_grid)):
             gamma, t = row["gamma"], row["t"]
             lhs = taylor_expm(gamma * split.b + split.c, t)
             rhs = taylor_expm(split.b, gamma * t) @ taylor_expm(split.c_z, t)
@@ -171,10 +181,11 @@ class TestEvaluateGrid:
         gammas = (10.0, 100.0, 1000.0)
         inputs = BoundInputs.from_split(split, t_max=float(t_grid[-1]), gamma_max=gammas[-1])
         for variants, bounds in self.SUBSETS:
-            rows = evaluate_grid(split, gammas, t_grid, variants, bounds)
+            grid = evaluate_grid(split, gammas, t_grid, variants, bounds)
+            assert list(grid) == list(CSV_COLUMNS)
+            rows = _cells(grid)
             assert [(row["gamma"], row["t"]) for row in rows] == [(g, t) for g in gammas for t in t_grid]
             for row in rows:
-                assert list(row) == list(CSV_COLUMNS)
                 gamma, t = row["gamma"], row["t"]
                 for variant in ("plain", "peripheral"):
                     want = adiabatic_error(split, gamma, t, variant) if variant in variants else None
@@ -205,17 +216,19 @@ class TestEvaluateGrid:
 
         monkeypatch.setattr(zeno, "_expm_stack", counted_kernel)
         monkeypatch.setattr(zeno, "spectral_expm", counted_strong)
-        rows = evaluate_grid(split, np.geomspace(10.0, 1e4, gamma_count), np.linspace(0.25, 2.0, t_count))
-        assert len(rows) == gamma_count * t_count
+        grid = evaluate_grid(split, np.geomspace(10.0, 1e4, gamma_count), np.linspace(0.25, 2.0, t_count))
+        assert grid["error_plain"].shape == grid["error_peripheral"].shape == (gamma_count, t_count)
         assert len(kernel_sizes) == chunks + 1
         assert len(strong_sizes) == chunks and sum(strong_sizes) == gamma_count * t_count
         assert max(kernel_sizes) <= zeno._M_STACK_ENTRIES
 
     def test_empty_t_grid_gives_header_only_csv(self):
         split = _pair_split("three-level")
-        rows = evaluate_grid(split, (10.0, 100.0), np.array([]), bounds=tuple(BOUNDS))
-        assert rows == []
-        assert format_csv(rows) == ",".join(CSV_COLUMNS) + "\n"
+        grid = evaluate_grid(split, (10.0, 100.0), np.array([]), bounds=tuple(BOUNDS))
+        assert all(grid[key].shape == (2, 0) for key in CSV_COLUMNS)
+        assert format_csv(grid) == ",".join(CSV_COLUMNS) + "\n"
+        assert summarize_grid(grid) == {"slope": None, "slope_full_grid": None, "max_bound_violation": None,
+                                        "sup_errors": [], "notice": None}
 
     @pytest.mark.parametrize("patched, variants, bounds, match", [
         ("expm", ("peripherl",), (), r"unknown variants \['peripherl'\]"),
@@ -254,12 +267,20 @@ class TestEvaluateGrid:
         with pytest.raises(ValidationError, match="t must be nonnegative and finite"):
             evaluate_grid(split, (10.0,), np.array([0.5, np.nan]), bounds=tuple(BOUNDS))
 
+    def test_a_repeated_gamma_is_summarized_once(self):
+        """A gamma given twice has one sup, over all of its rows, so the slopes fit the distinct gammas."""
+        split, ts = _pair_split("three-level"), np.linspace(0.25, 2.0, 8)
+        repeated = summarize_grid(evaluate_grid(split, (10.0, 10.0, 100.0, 1000.0, 1e4), ts, ("peripheral",)))
+        assert repeated == summarize_grid(evaluate_grid(split, (10.0, 100.0, 1000.0, 1e4), ts, ("peripheral",)))
+        assert [g for g, _ in repeated["sup_errors"]] == [10.0, 100.0, 1000.0, 1e4]
+
     def test_rows_sorted_and_constants_measured_over_the_grid(self):
         split = _pair_split("three-level")
         gammas, t_grid = (10.0, 100.0), (0.25, 1.0, 2.0)
-        rows = evaluate_grid(split, gammas[::-1], np.array([2.0, 0.25, 1.0]), bounds=tuple(BOUNDS))
+        grid = evaluate_grid(split, gammas[::-1], np.array([2.0, 0.25, 1.0]), bounds=tuple(BOUNDS))
+        rows = _cells(grid)
         assert [(row["gamma"], row["t"]) for row in rows] == [(g, t) for g in gammas for t in t_grid]
-        assert rows == evaluate_grid(split, gammas, t_grid, bounds=tuple(BOUNDS))
+        assert rows == _cells(evaluate_grid(split, gammas, t_grid, bounds=tuple(BOUNDS)))
         inputs = BoundInputs.from_split(split, t_max=2.0, gamma_max=100.0)
         for row in rows:
             for name, bound in BOUNDS.items():
@@ -321,9 +342,9 @@ class TestRunSweep:
     def test_roundoff_threshold_of_the_slope_fit(self, scale, fitted):
         """Sup errors near 1e-9 over four gammas are fitted; at most DEGENERATE_ERROR = 1e-12 they are refused."""
         gammas = (10.0, 100.0, 1000.0, 10000.0)
-        rows = [{**dict.fromkeys(CSV_COLUMNS), "gamma": g, "t": 1.0, "error_plain": scale * 10.0 / g}
-                for g in gammas]
-        summary = summarize_rows(rows)
+        grid = {**dict.fromkeys(CSV_COLUMNS), "gamma": np.array(gammas)[:, None], "t": np.ones((4, 1)),
+                "error_plain": scale * 10.0 / np.array(gammas)[:, None]}
+        summary = summarize_grid(grid)
         if fitted:
             assert summary["notice"] is None and summary["slope"] == pytest.approx(-1.0)
         else:

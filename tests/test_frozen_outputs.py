@@ -43,7 +43,7 @@ import numpy as np
 import scipy
 
 from zeno_limits.experiments import SweepConfig, format_csv, run_sweep
-from zeno_limits.zeno import BOUNDS, VARIANTS, evaluate_grid, zeno_split
+from zeno_limits.zeno import BOUNDS, CSV_COLUMNS, VARIANTS, evaluate_grid, zeno_split
 
 from conftest import acceptance_pass, bench_pair
 
@@ -83,10 +83,10 @@ def render() -> dict[str, str]:
     """Every frozen output, computed now, keyed by file name."""
     sweep = run_sweep(SweepConfig(t_count=64))
     summary = {key: value for key, value in sweep.summary.items() if key != "wall_clock_s"}
-    d64 = ["seed," + format_csv([]).strip()]
+    d64 = [",".join(("seed", *CSV_COLUMNS))]
     for seed in D64_SEEDS:
-        rows = evaluate_grid(zeno_split(*bench_pair(seed)), GAMMAS, D64_TIMES, VARIANTS, tuple(BOUNDS))
-        d64 += [f"{seed},{line}" for line in format_csv(rows).splitlines()[1:]]
+        grid = evaluate_grid(zeno_split(*bench_pair(seed)), GAMMAS, D64_TIMES, VARIANTS, tuple(BOUNDS))
+        d64 += [f"{seed},{line}" for line in format_csv(grid).splitlines()[1:]]
     _, lines, figure_csv = acceptance_pass()
     return {
         "three-level-sweep.csv": sweep.csv_text,

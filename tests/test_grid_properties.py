@@ -1,7 +1,7 @@
 """Property tests of the ``evaluate_grid`` contract and of the M horizon.
 
-Any gamma and t lists, unsorted and with duplicates, give one row per
-(gamma, t) pair in (gamma, t) order, and every cell equals the one-point
+Any gamma and t lists, unsorted and with duplicates, give one (gamma, t)
+array per column with the sorted lists as its mesh, and every cell equals the one-point
 ``adiabatic_error`` or scalar ``bound_*`` call bit for bit.  Any horizon
 given to ``BoundInputs.from_split``, alone or through the Dyson check
 ``conftest.dyson_check``, gives a finite M >= 1 or a ``ValidationError``.
@@ -20,7 +20,7 @@ from zeno_limits import GklsSystem, SweepConfig, liouvillian, random_gkls
 from zeno_limits import zeno
 from zeno_limits.errors import ValidationError
 from zeno_limits.models import ThreeLevelParams, three_level_generators
-from zeno_limits.zeno import BOUNDS, VARIANTS, BoundInputs, adiabatic_error, evaluate_grid, zeno_split
+from zeno_limits.zeno import BOUNDS, CSV_COLUMNS, VARIANTS, BoundInputs, adiabatic_error, evaluate_grid, zeno_split
 
 from conftest import dyson_check, random_complex, random_hermitian
 
@@ -60,18 +60,19 @@ unknown_names = st.text(string.printable, max_size=12).filter(lambda name: name 
 def test_rows_sorted_and_cells_equal_one_point_calls(pair, gamma_list, t_list, subset):
     split = _split(pair)
     variants, bounds = (tuple(names) for names in subset)
-    rows = evaluate_grid(split, gamma_list, t_list, variants, bounds)
-    assert [(row["gamma"], row["t"]) for row in rows] == [(g, t) for g in sorted(gamma_list)
-                                                          for t in sorted(t_list)]
+    grid = evaluate_grid(split, gamma_list, t_list, variants, bounds)
+    assert grid["gamma"].tolist() == [[g] * len(t_list) for g in sorted(gamma_list)]
+    assert grid["t"].tolist() == [sorted(t_list)] * len(gamma_list)
+    requested = {*(f"error_{name}" for name in variants), *(f"bound_{name}" for name in bounds)}
+    assert {key for key in CSV_COLUMNS[2:] if grid[key] is not None} == requested
+    assert all(grid[key].shape == grid["t"].shape for key in requested)
     inputs = BoundInputs.from_split(split, t_max=max(t_list), gamma_max=max(gamma_list)) if bounds else None
-    for row in rows:
-        gamma, t = row["gamma"], row["t"]
-        for name in VARIANTS:
-            want = adiabatic_error(split, gamma, t, name) if name in variants else None
-            assert _hex(row[f"error_{name}"]) == _hex(want)
-        for name, bound in BOUNDS.items():
-            want = bound(inputs, gamma, t) if name in bounds else None
-            assert _hex(row[f"bound_{name}"]) == _hex(want)
+    for ij in np.ndindex(grid["t"].shape):
+        gamma, t = grid["gamma"][ij], grid["t"][ij]
+        for name in variants:
+            assert _hex(grid[f"error_{name}"][ij]) == _hex(adiabatic_error(split, gamma, t, name))
+        for name in bounds:
+            assert _hex(grid[f"bound_{name}"][ij]) == _hex(BOUNDS[name](inputs, gamma, t))
 
 
 @PROPERTY
@@ -99,8 +100,7 @@ def test_adiabatic_error_is_one_grid_call(monkeypatch, variant):
     monkeypatch.setattr(zeno, "evaluate_grid", recording)
     err = adiabatic_error(split, 100.0, 0.0, variant)
     assert calls == [((100.0,), (0.0,), (variant,))]
-    [row] = evaluate_grid(split, (100.0,), (0.0,), (variant,))
-    assert err.hex() == row[f"error_{variant}"].hex()
+    assert err.hex() == evaluate_grid(split, (100.0,), (0.0,), (variant,))[f"error_{variant}"][0, 0].hex()
 
 
 #: the horizons a caller may pass by mistake, and ordinary ones

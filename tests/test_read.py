@@ -47,8 +47,8 @@ NOT_NUMBER_PARTS = [[[True, False], [0.5, 0.0]], [[1.0, 0.0], ["0", 1]], [[1, No
 #: (but None is its default), an integer negatives and fractions, a matrix or names any scalar,
 #: a sequence anything not iterable or not holding matrices, a pair of 2 x 2 generators a second
 #: matrix of another shape, the 9 x 9 U or V of a decomposition anything of another shape, a package
-#: object (``instance``) anything else, a JSON object anything but a dict, and ``evaluate_grid`` rows
-#: anything but dicts with its columns
+#: object (``instance``) anything else, a JSON object anything but a dict, and an ``evaluate_grid`` grid
+#: anything but a dict with its columns
 BAD = {
     "integer": st.one_of(COMMON, st.integers(max_value=-1), FRACTION),
     "real": COMMON,
@@ -64,7 +64,7 @@ BAD = {
                        st.tuples(st.integers(1, 4), st.integers(1, 4)).map(np.ones)),
     "instance": st.one_of(COMMON.filter(lambda v: v is not None), st.sampled_from([{}, {"gamma": 1.0}, [1]])),
     "object": st.one_of(COMMON, st.sampled_from([[1], [], [("model", "three-level")]])),
-    "rows": st.one_of(COMMON, st.sampled_from([[{}], [1], [{"gamma": 1.0, "t": 1.0}]])),
+    "grid": st.one_of(COMMON, st.sampled_from([{}, [dict.fromkeys(zeno.CSV_COLUMNS)], {"gamma": np.ones((1, 1))}])),
 }
 
 
@@ -180,7 +180,7 @@ TABLE = {
     "SweepConfig-bounds": (lambda v: experiments.SweepConfig(bounds=v), "bounds", "names"),
     "SweepConfig-params": (lambda v: experiments.SweepConfig(params=v), "params", "instance"),
     "SweepConfig.from_json-obj": (lambda v: experiments.SweepConfig.from_json(v), "sweep config", "object"),
-    "summarize_rows-rows": (lambda v: experiments.summarize_rows(v), "rows", "rows"),
+    "summarize_grid-grid": (lambda v: experiments.summarize_grid(v), "grid", "grid"),
     "spectral_property_check-superop": (lambda v: experiments.spectral_property_check(v), "sys_or_superop", "matrix"),
     "matrix_to_json-a": (lambda v: jsonio.matrix_to_json(v), "matrix", "matrix"),
     "matrix_from_json-rows": (lambda v: jsonio.matrix_from_json({"rows": v, "cols": 1, "data": [[0, 0]]}),

@@ -32,7 +32,7 @@ from zeno_limits.errors import (
 from zeno_limits.gkls import Superoperator, _hermitian_basis, dissipator_superoperator, hamiltonian_superoperator
 from zeno_limits.linalg import sandwich_super, vec
 from zeno_limits.models import ThreeLevelParams
-from zeno_limits.experiments import _loglog_slope, summarize_rows
+from zeno_limits.experiments import _loglog_slope, summarize_grid
 from zeno_limits.zeno import CSV_COLUMNS, evaluate_grid
 
 from conftest import dyson_check, hamiltonian_zeno, random_complex, random_hermitian, reference_bound, taylor_expm
@@ -188,16 +188,17 @@ class TestHermitianFrame:
         """Each cell is within 4 u t ||gamma B + C|| (the rounding in forming gamma B + C) of 30 digits."""
         _, _, _, split = three_level
         mp = lambda a: mpmath.matrix(a.tolist())
-        for row in evaluate_grid(split, (10.0, 1000.0), (0.25, 2.0)):
-            gamma, t = row["gamma"], row["t"]
+        grid = evaluate_grid(split, (10.0, 1000.0), (0.25, 2.0))
+        for ij in np.ndindex(grid["t"].shape):
+            gamma, t, plain, peripheral = (grid[key][ij] for key in CSV_COLUMNS[:4])
             with mpmath.workdps(30):
                 lhs = mpmath.expm(mp(t * (gamma * split.b + split.c)))
                 rhs = mpmath.expm(mp(gamma * t * split.b)) * mpmath.expm(mp(t * split.c_z))
                 want = [float(max(mpmath.svd_c(lhs - limit, compute_uv=False)))
                         for limit in (rhs, rhs * mp(split.p_phi))]
             floor = 4 * 2.0 ** -53 * t * np.linalg.norm(gamma * split.b + split.c, 2)
-            assert abs(row["error_plain"] - want[0]) <= floor
-            assert abs(row["error_peripheral"] - want[1]) <= floor
+            assert abs(plain - want[0]) <= floor
+            assert abs(peripheral - want[1]) <= floor
 
 
 def _plain_inputs(**overrides):
@@ -447,9 +448,10 @@ class TestPerturbedSemigroupBound:
             dyson_check(np.diag([0.5, -1.0]), np.zeros((2, 2)), 10.0, [0.0, 1.0])
 
 
-def _rows(points):
-    """``evaluate_grid`` rows with the peripheral error ``e`` at each (gamma, e) point, at t = 1."""
-    return [{**dict.fromkeys(CSV_COLUMNS), "gamma": g, "t": 1.0, "error_peripheral": e} for g, e in points]
+def _grid(points):
+    """An ``evaluate_grid`` grid with the peripheral error ``e`` at each (gamma, e) point, at t = 1."""
+    gammas, errors = np.array(points).T[:, :, None]
+    return {**dict.fromkeys(CSV_COLUMNS), "gamma": gammas, "t": np.ones_like(gammas), "error_peripheral": errors}
 
 
 class TestConvergenceSlope:
@@ -465,11 +467,11 @@ class TestConvergenceSlope:
         gammas = np.geomspace(1.0, 1e4, 5)
         points = [(g, 1.0 / g) for g in gammas]
         points[2] = (points[2][0], 0.0)
-        summary = summarize_rows(_rows(points))
+        summary = summarize_grid(_grid(points))
         assert summary["slope"] is None and "positive errors" in summary["notice"]
 
     def test_short_grid_rejected(self):
-        summary = summarize_rows(_rows([(1.0, 1.0), (10.0, 0.1), (100.0, 0.01)]))
+        summary = summarize_grid(_grid([(1.0, 1.0), (10.0, 0.1), (100.0, 0.01)]))
         assert summary["slope"] is None and "need >= 4 gamma points" in summary["notice"]
 
 
