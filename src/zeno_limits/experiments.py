@@ -159,6 +159,21 @@ def _loglog_slope(points) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
+def _read_grid(grid) -> dict:
+    """``grid`` when it is an ``evaluate_grid`` grid: a dict whose ``CSV_COLUMNS`` values are each None or a
+    float ndarray of the 2-D shape of ``grid["gamma"]``, which is not None; else a typed error naming the column."""
+    if not (isinstance(grid, dict) and grid.keys() >= set(CSV_COLUMNS)):
+        raise ValidationError(f"grid must be an evaluate_grid result, a dict with the keys {CSV_COLUMNS}")
+    shape = getattr(grid["gamma"], "shape", ())
+    for key in CSV_COLUMNS:
+        value = grid[key]
+        if not (value is None and key != "gamma" or len(shape) == 2 and isinstance(value, np.ndarray)
+                and value.dtype == float and value.shape == shape):
+            got = f"a {value.dtype} array of shape {value.shape}" if isinstance(value, np.ndarray) else repr(value)[:80]
+            raise ValidationError(f"grid column {key!r} must be a 2-D float array shaped like 'gamma', got {got}")
+    return grid
+
+
 def summarize_grid(grid: dict) -> dict:
     """Sup-over-t errors, the bound audit and the convergence slopes of an ``evaluate_grid`` grid.
 
@@ -170,8 +185,7 @@ def summarize_grid(grid: dict) -> dict:
     fits the top half of the gamma grid (the small-gamma points are
     pre-asymptotic); the full-grid fit is reported alongside.
     """
-    if not (isinstance(grid, dict) and grid.keys() >= set(CSV_COLUMNS)):
-        raise ValidationError(f"grid must be an evaluate_grid result, a dict with the keys {CSV_COLUMNS}")
+    grid = _read_grid(grid)
     err = grid["error_peripheral"] if grid["error_peripheral"] is not None else grid["error_plain"]
     sup_errors, slack = [], None
     if err is not None and err.size:
@@ -198,12 +212,12 @@ def summarize_grid(grid: dict) -> dict:
 
 def _columns(grid: dict) -> list[list]:
     """The grid's columns in ``CSV_COLUMNS`` order, each its cells in (gamma, t) order: Python floats, or None."""
-    return [[None] * grid["t"].size if grid[key] is None else grid[key].ravel().tolist() for key in CSV_COLUMNS]
+    return [[None] * grid["gamma"].size if grid[key] is None else grid[key].ravel().tolist() for key in CSV_COLUMNS]
 
 
 def format_csv(grid: dict) -> str:
     """The sweep CSV of an ``evaluate_grid`` grid: the frozen header, then one line per cell, empty for None."""
-    lines = (",".join("" if x is None else repr(x) for x in cells) for cells in zip(*_columns(grid)))
+    lines = (",".join("" if x is None else repr(x) for x in cells) for cells in zip(*_columns(_read_grid(grid))))
     return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
 
 

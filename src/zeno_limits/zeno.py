@@ -332,63 +332,12 @@ def _norm_constants(split: ZenoSplit) -> dict:
             "resolvent_sum": float(sum(norms)), "resolvent_sum_norm": sum_norm}
 
 
-def _per_element(fn, x: np.ndarray) -> np.ndarray:
-    """``fn``, a :mod:`math` function, applied to each element of ``x``.
-
-    The bounds round exactly as a scalar evaluation does, element by
-    element, so a grid cell and a scalar call agree bit for bit.
-    """
-    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-
-
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, in the max-shift form.
-
-    The maxima leave the sum and re-enter as log(count), and the rest is
-    summed along the contiguous axis, in the order of
-    ``scipy.special.logsumexp``.
-    """
-    a_max = a.max(axis=-1, keepdims=True)
-    at_max = a == a_max
-    count = at_max.sum(axis=-1, keepdims=True, dtype=float)
-    rest = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
-    rest = np.where(rest == 0, rest, rest / count)
-    return (np.log1p(rest) + np.log(count) + a_max)[..., 0]
-
-
-#: Cephes' Stirling-series coefficients in ``lgam``, for 13 <= x < 1000 and for x >= 1000
-_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_STIRLING_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
-_LOG_SQRT_2PI = 0.91893853320467274178
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k < n, rounded as ``scipy.special.gammaln(k + 1)`` is.
-
-    Below 12! that is the log of the exact product; above, Stirling's
-    series as Cephes evaluates it.  (``math.lgamma`` rounds up to 3 ulp
-    away, which the truncated exponential amplifies to tens of ulp.)
-    """
-    out = []
-    for k in range(n):
-        x = k + 1.0
-        if x < 13.0:
-            out.append(math.log(math.factorial(k)))
-            continue
-        p, series = 1.0 / (x * x), 0.0
-        for c in _STIRLING if x < 1000.0 else _STIRLING_LARGE:
-            series = series * p + c
-        out.append((x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI + series / x)
-    return np.array(out)
-
-
 def _difference_quotient(a: float, b: float, t: np.ndarray) -> np.ndarray:
     """(a e^{ta} - b e^{tb}) / (a - b) at each t, continuous through a = b.
 
     Uses the hyperbolic form e^{(a+b)t/2} [cosh(x) + (a+b)(t/2) sinh(x)/x]
     with x = (a-b)t/2, which is stable for nearly equal arguments; the
-    a = b limit is e^{ta}(1 + ta).
+    a = b limit is e^{ta}(1 + ta).  From |x| = 350 on it reads as inf.
     """
     x = (a - b) * t / 2.0
     sinhc = np.full(x.shape, math.inf)
@@ -396,37 +345,39 @@ def _difference_quotient(a: float, b: float, t: np.ndarray) -> np.ndarray:
     mid = ~small & (np.abs(x) < 350)
     xs, xm = x[small], x[mid]
     sinhc[small] = 1.0 + xs * xs / 6.0 + xs ** 4 / 120.0
-    sinhc[mid] = _per_element(math.sinh, xm) / xm
+    sinhc[mid] = np.sinh(xm) / xm
     with np.errstate(over="ignore"):
         return np.exp((a + b) * t / 2.0) * (np.cosh(x) + (a + b) * (t / 2.0) * sinhc)
 
 
 def _envelope_integral(p_coeffs: np.ndarray, eta: float) -> float:
-    """int_0^inf e^{-eta s} p(s) ds = sum_n n! p_n / eta^{n+1}."""
-    if math.isinf(eta):
-        return 0.0
-    return float(sum(math.factorial(n) * pn / eta ** (n + 1)
-                     for n, pn in enumerate(p_coeffs)))
+    """int_0^inf e^{-eta s} p(s) ds = sum_n n! p_n / eta^{n+1}, which is 0 for eta infinite."""
+    return float(sum(math.factorial(n) * pn / eta ** (n + 1) for n, pn in enumerate(p_coeffs)))
 
 
-def _envelope_tail(p_coeffs: np.ndarray, eta: float, gamma: np.ndarray,
-                   t: np.ndarray) -> np.ndarray:
-    """e^{-gamma eta t} p(gamma t) at each (gamma, t), evaluated in log space.
+def _decayed_series(c_0: float, log_c: np.ndarray, x: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """e^{-decay} sum_n c_n x^n at each x >= 0, given log_c[n] = log c_n, and c_0 itself for the cells where x = 0.
 
-    With eta infinite the decay wins for any t > 0; at t = 0 the value is
-    p(0).
+    Elsewhere the terms are summed in log space by a max-shift
+    log-sum-exp, and a value above e^700 reads as inf.
     """
-    p_coeffs, x = np.asarray(p_coeffs, dtype=float), gamma * t
-    tail = np.where(x == 0.0, p_coeffs[0], 0.0)
+    out = np.full(x.shape, c_0)
     live = x != 0.0
-    ns = np.flatnonzero(p_coeffs > 0)
-    if math.isinf(eta) or not ns.size or not live.any():
-        return tail
-    logs = _per_element(math.log, p_coeffs[ns]) + ns * _per_element(math.log, x[live])[:, None]
-    log_val = _logsumexp(logs) - (gamma * eta * t)[live]
+    logs = log_c + np.arange(log_c.size) * np.log(x[live])[:, None]
+    top = logs.max(axis=1)
+    log_val = top + np.log(np.exp(logs - top[:, None]).sum(axis=1)) - decay[live]
     with np.errstate(over="ignore"):
-        tail[live] = np.where(log_val < 700, np.exp(log_val), math.inf)
-    return tail
+        out[live] = np.where(log_val < 700, np.exp(log_val), math.inf)
+    return out
+
+
+def _envelope_tail(p_coeffs: np.ndarray, eta: float, gamma: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """e^{-gamma eta t} p(gamma t) at each (gamma, t); with eta infinite the decay wins for t > 0, and p(0) at t = 0."""
+    if math.isinf(eta) or not p_coeffs.any():
+        return np.where(gamma * t == 0.0, p_coeffs[0], 0.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a zero coefficient's term drops out
+        log_p = np.log(p_coeffs)
+    return _decayed_series(p_coeffs[0], log_p, gamma * t, gamma * eta * t)
 
 
 def _on_grid(bound):
@@ -461,8 +412,7 @@ def bound_adiabatic(inputs: BoundInputs, gamma, t):
     integral = _envelope_integral(inputs.p_coeffs, inputs.eta)
     if integral > 0.0:  # a zero envelope makes the Dyson term 0, even where e^{tM||C||} overflows
         with np.errstate(over="ignore"):
-            dyson = inputs.m_bound * inputs.norm_c * np.exp(np.minimum(t * a, 1e300))
-        term += dyson * integral
+            term += a * np.exp(np.minimum(t * a, 1e300)) * integral
     return term / gamma + _envelope_tail(inputs.p_coeffs, inputs.eta, gamma, t)
 
 
@@ -480,17 +430,6 @@ def bound_cptp(inputs: BoundInputs, gamma, t):
     return term / gamma + _envelope_tail(inputs.p_coeffs, inputs.eta, gamma, t)
 
 
-def _truncated_exponential(dim: int, x: np.ndarray) -> np.ndarray:
-    """e^{-x} sum_{n < dim} x^n / n! at each x, in log space for large x."""
-    out = np.ones(x.shape)
-    live = x > 0.0
-    if live.any():
-        xs = x[live]
-        logs = np.arange(dim) * _per_element(math.log, xs)[:, None] - _log_factorials(dim)
-        out[live] = np.exp(_logsumexp(logs) - xs)
-    return out
-
-
 @_on_grid
 def bound_simplified(inputs: BoundInputs, gamma, t):
     """Coarse gap/condition-number bound with M = D * chi.
@@ -502,11 +441,7 @@ def bound_simplified(inputs: BoundInputs, gamma, t):
     trailing term vanishes for t > 0 and equals M at t = 0.
     """
     m = inputs.dim * inputs.chi
-    coef = 0.0
-    if not math.isinf(inputs.delta):
-        coef += 2.0 * m / inputs.delta
-    if not math.isinf(inputs.eta):
-        coef += 1.0 / inputs.eta
+    coef = 2.0 * m / inputs.delta + 1.0 / inputs.eta
     if coef > 0.0:
         with np.errstate(over="ignore"):
             first = m * m * coef * inputs.norm_c * np.exp(np.minimum(2.0 * t * m * m * inputs.norm_c, 1e300)) / gamma
@@ -515,7 +450,9 @@ def bound_simplified(inputs: BoundInputs, gamma, t):
     if math.isinf(inputs.eta):
         tail = np.where(t > 0, 0.0, m)
     else:
-        tail = m * _truncated_exponential(inputs.dim, gamma * inputs.eta * t)
+        x = gamma * inputs.eta * t
+        log_factorials = np.cumsum(np.log(np.maximum(np.arange(inputs.dim), 1)))  # log n! = sum_{k <= n} log k
+        tail = m * _decayed_series(1.0, -log_factorials, x, x)
     return first + tail
 
 

@@ -3,12 +3,12 @@
 The oracles deliberately avoid the code paths they check: the matrix
 exponential is a scaled Taylor series (the package uses Pade), the
 largest singular value comes from power iteration on A^dag A (the package
-uses SVD), the three error bounds are evaluated one point at a time
-with ``scipy.special.logsumexp`` and ``gammaln`` (the package evaluates
-whole grids with its own max-shift form and log-factorial table), the
-purity decay rate at a state is the Hilbert-space formula (the package
-rates a quadratic form in vec(rho)), and the projected Hamiltonian is
-sum_n P_n H P_n from ``eigh`` (the package projects superoperators).
+uses SVD), the three error bounds are their closed forms evaluated one
+point at a time in 50-digit mpmath (the package evaluates whole grids in
+float64, its series in log space), the purity decay rate at a state is
+the Hilbert-space formula (the package rates a quadratic form in
+vec(rho)), and the projected Hamiltonian is sum_n P_n H P_n from
+``eigh`` (the package projects superoperators).
 The Dyson check holds the measured M to the statement it must satisfy.
 """
 
@@ -16,13 +16,14 @@ import contextlib
 import functools
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
 
 from zeno_limits import BoundInputs, GklsSystem, acceptance, expm, liouvillian, spectral_norm, zeno_split
 from zeno_limits.linalg import spectral_norms
@@ -67,62 +68,68 @@ def power_iteration_norm(a: np.ndarray, iters: int = 800, seed: int = 0) -> floa
     return float(np.sqrt(lam))
 
 
+#: the largest float64; the package writes inf past it
+_FLOAT_MAX = mpmath.mpf(sys.float_info.max)
+
+
+def _capped(value, cap=_FLOAT_MAX):
+    """``value``, or +inf past ``cap``, where the package documents inf."""
+    return mpmath.inf if value > cap else value
+
+
 def _reference_difference_quotient(a, b, t):
-    x = (a - b) * t / 2.0
-    if abs(x) < 1e-5:
-        sinhc = 1.0 + x * x / 6.0 + x ** 4 / 120.0
-    else:
-        sinhc = math.sinh(x) / x if abs(x) < 350 else math.inf
-    with np.errstate(over="ignore"):
-        return float(np.exp((a + b) * t / 2.0) * (np.cosh(x) + (a + b) * (t / 2.0) * sinhc))
+    if abs(a - b) * t / 2 >= 350:  # the package's cap
+        return mpmath.inf
+    if a == b:
+        return _capped(mpmath.exp(t * a) * (1 + t * a))
+    return _capped((a * mpmath.exp(t * a) - b * mpmath.exp(t * b)) / (a - b))
 
 
 def _reference_envelope_integral(p_coeffs, eta):
     if math.isinf(eta):
-        return 0.0
-    return float(sum(math.factorial(n) * pn / eta ** (n + 1) for n, pn in enumerate(p_coeffs)))
+        return mpmath.mpf(0)
+    return mpmath.fsum(mpmath.factorial(n) * pn / mpmath.mpf(eta) ** (n + 1) for n, pn in enumerate(p_coeffs))
 
 
-def _reference_envelope_tail(p_coeffs, eta, gamma, t):
-    x = gamma * t
-    if math.isinf(eta) or x == 0.0:
-        return float(p_coeffs[0]) if x == 0.0 else 0.0
-    logs = [math.log(pn) + n * math.log(x) for n, pn in enumerate(p_coeffs) if pn > 0]
-    if not logs:
-        return 0.0
-    log_val = logsumexp(logs) - gamma * eta * t
-    return float(np.exp(log_val)) if log_val < 700 else math.inf
-
-
-def _reference_truncated_exponential(dim, x):
-    if x <= 0.0:
-        return 1.0
-    ns = np.arange(dim)
-    return float(np.exp(logsumexp(ns * math.log(x) - gammaln(ns + 1)) - x))
+def _reference_decayed_series(coeffs, x, decay):
+    """e^{-decay} sum_n coeffs[n] x^n, or +inf past e^700, the package's cap."""
+    return _capped(mpmath.exp(-decay) * mpmath.fsum(c * x ** n for n, c in enumerate(coeffs)), mpmath.exp(700))
 
 
 def reference_bound(name, inputs, gamma, t):
-    """``bound_<name>`` at one (gamma, t), straight from its closed form."""
-    m, nc, ncz = inputs.m_bound, inputs.norm_c, inputs.norm_cz
-    integral = _reference_envelope_integral(inputs.p_coeffs, inputs.eta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if name == "adiabatic":
-            term = (m + 1.0) * inputs.resolvent_sum * _reference_difference_quotient(m * nc, ncz, t)
-            if integral:  # the Dyson term is 0 times a finite number, even where it overflows
-                term += m * nc * np.exp(min(t * (m * nc), 1e300)) * integral
-        elif name == "cptp":
-            term = m * inputs.resolvent_sum_norm * (2.0 + m * t * (nc + ncz)) + m * nc * integral
-        else:
-            mm = inputs.dim * inputs.chi
-            coef = (0.0 if math.isinf(inputs.delta) else 2.0 * mm / inputs.delta) + (
-                0.0 if math.isinf(inputs.eta) else 1.0 / inputs.eta)
-            first = 0.0
-            if coef > 0.0:
-                first = mm * mm * coef * nc * np.exp(min(2.0 * t * mm * mm * nc, 1e300)) / gamma
+    """``bound_<name>`` at one (gamma, t), its closed form evaluated in 50-digit mpmath.
+
+    Every constant enters exactly, as the float it is.  The value is +inf
+    where the package's is: past e^700 in the envelope tail, from |x| = 350
+    in the difference quotient, and where an exponential factor, the
+    bracket that is divided by gamma, or the value leaves float64's range.
+    """
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        m, nc, ncz, gamma, t = mpf(inputs.m_bound), mpf(inputs.norm_c), mpf(inputs.norm_cz), mpf(gamma), mpf(t)
+        eta = mpmath.inf if math.isinf(inputs.eta) else mpf(inputs.eta)
+        integral = _reference_envelope_integral(inputs.p_coeffs, inputs.eta)
+        if name == "simplified":
+            mm = inputs.dim * mpf(inputs.chi)
+            coef = (0 if math.isinf(inputs.delta) else 2 * mm / inputs.delta) + 1 / eta
+            first = mm * mm * coef * nc * _capped(mpmath.exp(2 * t * mm * mm * nc)) / gamma if coef else 0
             if math.isinf(inputs.eta):
-                return float(first + (0.0 if t > 0 else mm))
-            return float(first + mm * _reference_truncated_exponential(inputs.dim, gamma * inputs.eta * t))
-        return float(term / gamma + _reference_envelope_tail(inputs.p_coeffs, inputs.eta, gamma, t))
+                tail = 0 if t else mm
+            else:
+                y = gamma * eta * t
+                tail = mm * _reference_decayed_series([1 / mpmath.factorial(n) for n in range(inputs.dim)], y, y)
+            return _capped(first + tail)
+        if name == "adiabatic":
+            term = (m + 1) * inputs.resolvent_sum * _reference_difference_quotient(m * nc, ncz, t)
+            if integral:  # a zero envelope makes the Dyson term 0
+                term += m * nc * _capped(mpmath.exp(t * m * nc)) * integral
+        else:
+            term = m * inputs.resolvent_sum_norm * (2 + m * t * (nc + ncz)) + m * nc * integral
+        if math.isinf(inputs.eta) or not t:
+            tail = mpf(inputs.p_coeffs[0]) if not t else 0
+        else:
+            tail = _reference_decayed_series([mpf(pn) for pn in inputs.p_coeffs], gamma * t, gamma * eta * t)
+        return _capped(_capped(term) / gamma + tail)
 
 
 def purity_objective(sys: GklsSystem, rho) -> float:

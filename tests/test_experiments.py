@@ -222,6 +222,17 @@ class TestEvaluateGrid:
         assert len(strong_sizes) == chunks and sum(strong_sizes) == gamma_count * t_count
         assert max(kernel_sizes) <= zeno._M_STACK_ENTRIES
 
+    @pytest.mark.parametrize("read", [summarize_grid, format_csv])
+    @pytest.mark.parametrize("columns, named", [
+        ({"gamma": np.ones(3), "t": np.ones(3), "error_plain": np.ones(3)}, "gamma"),
+        ({"error_plain": np.ones((2, 3)).tolist()}, "error_plain"),
+        ({"error_plain": np.ones(3)}, "error_plain"),  # zip would cut the 2 x 3 mesh to 3 CSV lines
+    ], ids=["1-d-columns", "list-column", "3-cells-on-a-2x3-mesh"])
+    def test_a_malformed_grid_is_a_typed_error_naming_the_column(self, read, columns, named):
+        mesh = dict(zip(("gamma", "t"), np.meshgrid([10.0, 100.0], [0.5, 1.0, 2.0], indexing="ij")))
+        with pytest.raises(ValidationError, match=f"grid column '{named}' must be a 2-D float array"):
+            read({**dict.fromkeys(CSV_COLUMNS), **mesh, **columns})
+
     def test_empty_t_grid_gives_header_only_csv(self):
         split = _pair_split("three-level")
         grid = evaluate_grid(split, (10.0, 100.0), np.array([]), bounds=tuple(BOUNDS))
