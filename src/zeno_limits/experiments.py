@@ -93,11 +93,12 @@ class SweepConfig:
         _read.names("t_spacing", (self.t_spacing,), ("linear", "log"))
         object.__setattr__(self, "variants", _read.names("variants", self.variants, VARIANTS))
         object.__setattr__(self, "bounds", _read.names("bounds", self.bounds, tuple(BOUNDS)))
-        if self.t_spacing == "log" and self.t_start <= 0:
-            raise ValidationError("log t_spacing needs t_start > 0")
-        if "peripheral" in self.variants and self.t_start <= 0:
+        if self.t_spacing == "log" and min(self.t_start, self.t_stop) <= 0:  # geomspace takes logs of both
+            raise ValidationError("log t_spacing needs t_start > 0 and t_stop > 0")
+        # every t lies between the grid's ends, and the end t_stop is on a grid of two or more points
+        if "peripheral" in self.variants and (self.t_start <= 0 or self.t_count >= 2 and self.t_stop <= 0):
             raise ValidationError(
-                "the peripheral variant needs t_start > 0 (the limit holds on compact subsets of (0, inf))")
+                "the peripheral variant needs every t > 0 (the limit holds on compact subsets of (0, inf))")
 
     @classmethod
     def from_json(cls, obj) -> "SweepConfig":

@@ -101,11 +101,14 @@ def write_text(path, text: str) -> None:
     keeps its link and the file its permissions.  Truncating first, as
     ``Path.write_text`` does, makes closing the file wait for writeback on
     file systems that flush data on truncate-then-rewrite (ext4 with its
-    default ``auto_da_alloc``).
+    default ``auto_da_alloc``).  An ``OSError`` raises :class:`ValidationError` naming ``path``.
     """
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        fh.truncate()
+    try:
+        with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            fh.truncate()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def dump_json(obj, path) -> None:

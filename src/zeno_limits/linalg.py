@@ -123,13 +123,10 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     x = np.linalg.solve(v - u, v + u)
-    most = int(s.max(initial=0))
-    fewest = int(s.min(initial=most))
-    for _ in range(fewest):  # the squarings every slice takes
-        x = x @ x
-    for k in range(fewest, most):  # then slice i is squared until it has had s_i
+    for k in range(int(s.max(initial=0))):  # slice i is squared until it has had s_i
         live = s > k
-        x[live] = x[live] @ x[live]
+        y = x[live]  # gathered once: the gather costs as much as a D = 9 product
+        x[live] = y @ y
     return x
 
 

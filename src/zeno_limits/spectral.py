@@ -72,8 +72,7 @@ class SpectralCluster:
 
     ``projection`` P_k = U_k V_k (exactly I for a lone cluster) and
     ``nilpotent`` N_k = U_k (T_kk - b_k I) V_k are formed on first access,
-    from views of the decomposition's U, V and T_kk, and then kept; N_k of
-    a cluster of several eigenvalues is the one :func:`decompose` formed.
+    from views of the decomposition's U, V and T_kk, and then kept.
     """
 
     eigenvalue: complex
@@ -82,8 +81,6 @@ class SpectralCluster:
     basis: np.ndarray = field(repr=False)  # U_k, the cluster's columns of U
     block: np.ndarray = field(repr=False)  # T_kk
     cobasis: np.ndarray = field(repr=False)  # V_k, the cluster's rows of V
-    #: N_k when :func:`decompose` formed it for the nilpotent index, handed on rather than formed again
-    formed_nilpotent: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def semisimple(self) -> bool:
@@ -96,8 +93,6 @@ class SpectralCluster:
 
     @functools.cached_property
     def nilpotent(self) -> np.ndarray:
-        if self.formed_nilpotent is not None:
-            return self.formed_nilpotent
         return self.basis @ (self.block - self.eigenvalue * np.eye(len(self.block))) @ self.cobasis
 
 
@@ -182,8 +177,7 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
         order = np.argsort(eigs.real, kind="stable").tolist()
         return [[i] for i in order], [complex(eigs[i]) for i in order]
     groups = _single_linkage(eigs, distances, tol)
-    # a lone eigenvalue is its own mean, exactly
-    centers = [complex(eigs[g[0]]) if len(g) == 1 else complex(np.mean(eigs[g])) for g in groups]
+    centers = [complex(np.mean(eigs[g])) for g in groups]
     while True:
         close = np.argwhere(np.triu(_distances(np.array(centers)) <= 2 * tol, 1))
         if not close.size:  # else merge the first close pair (i < j) in row-major order
@@ -212,12 +206,12 @@ def decompose(a, cluster_tol: float | None = None,
     The residuals are read from U, V and T_kk: completeness is U V - I and
     reconstruction is U diag(T_kk) V - A, and their SVDs run only when a
     Frobenius norm (never smaller) exceeds the tolerance.  No D x D cluster
-    matrix is formed but N_k of a cluster of several eigenvalues, for its
-    index (the cluster keeps it); other P_k, N_k form on first access.
+    matrix is kept: N_k of a cluster of several eigenvalues is formed for
+    its index only, and P_k, N_k form on first access.
     ``ztrexc`` swaps diagonal entries exactly, so a singleton's N_k is exactly
     0 and a reordered diagonal that is not the permuted Schur diagonal raises.
     A spectrum with no two eigenvalues within 2 cluster_tol skips the linkage
-    scan, and all-singleton clusters the orthogonality bound's block sums.
+    scan.
     """
     a = _read.matrix("decompose operand", a, shape="square")
     if a.size == 0:
@@ -261,7 +255,7 @@ def decompose(a, cluster_tol: float | None = None,
             raise IllConditionedDecompositionError(
                 "cluster too close to the rest of the spectrum to split off",
                 diagnostics={"cluster_center": centers[li], "lapack_info": info})
-        y[lo:hi, hi:] = (r if scale == 1.0 else r / scale) @ y[hi:, hi:]
+        y[lo:hi, hi:] = (r / scale) @ y[hi:, hi:]
     if not np.isfinite(y).all():
         raise IllConditionedDecompositionError(
             "cluster too close to the rest of the spectrum to split off",
@@ -291,7 +285,7 @@ def decompose(a, cluster_tol: float | None = None,
                 raise PeripheralDefectError(
                     f"peripheral eigenvalue {b} is numerically defective (||N|| = {norm:.3e} > {nil_tol:.3e})",
                     diagnostics={"eigenvalue": b, "nilpotent_norm": norm, "tolerance": nil_tol})
-            cluster = dataclasses.replace(cluster, index=index, formed_nilpotent=n)
+            cluster = dataclasses.replace(cluster, index=index)
         clusters.append(cluster)
 
     in_block = np.equal.outer(labels, labels)
@@ -337,7 +331,7 @@ def _orthogonality_bound(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> fl
     norms stand in for spectral norms (never smaller).
     """
     cuts, dim = starts[:-1], len(u)
-    g_sq = _segment_sums(_segment_sums(np.abs(v @ u - np.eye(dim)) ** 2, cuts, 0), cuts, 1)
+    g_sq = np.add.reduceat(np.add.reduceat(np.abs(v @ u - np.eye(dim)) ** 2, cuts, 0), cuts, 1)
     u_norm, v_norm = _cluster_norms(u, v, starts)
     p_norm = u_norm * v_norm
     return float(np.max(np.outer(u_norm, v_norm) * np.sqrt(g_sq)
@@ -347,13 +341,8 @@ def _orthogonality_bound(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> fl
 def _cluster_norms(u: np.ndarray, v: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     """The Frobenius norms ||U_k||_F of each cluster's columns of ``u`` and ||V_k||_F of its rows of ``v``."""
     cuts = np.asarray(starts[:-1])
-    return (np.sqrt(_segment_sums(np.sum(np.abs(u) ** 2, axis=0), cuts, 0)),
-            np.sqrt(_segment_sums(np.sum(np.abs(v) ** 2, axis=1), cuts, 0)))
-
-
-def _segment_sums(x: np.ndarray, cuts, axis: int) -> np.ndarray:
-    """``np.add.reduceat(x, cuts, axis)``, which is ``x`` itself when every segment is one entry long."""
-    return x if len(cuts) == x.shape[axis] else np.add.reduceat(x, cuts, axis)
+    return (np.sqrt(np.add.reduceat(np.sum(np.abs(u) ** 2, axis=0), cuts)),
+            np.sqrt(np.add.reduceat(np.sum(np.abs(v) ** 2, axis=1), cuts)))
 
 
 def peripheral_projection(dec: SpectralDecomposition) -> np.ndarray:

@@ -323,13 +323,9 @@ def _norm_constants(split: ZenoSplit) -> dict:
     """The :class:`BoundInputs` norms of C, C_Z and the terms S_l C P_l, keyed by field."""
     res_terms = [split.resolvents[k] @ split.c @ split.decomposition.clusters[k].projection
                  for k in split.resolvents]
-    norms = [spectral_norm(term) for term in res_terms]
-    if len(res_terms) == 1:  # one term is its own sum
-        sum_norm = norms[0]
-    else:
-        sum_norm = spectral_norm(sum(res_terms)) if res_terms else 0.0
     return {"norm_c": spectral_norm(split.c), "norm_cz": spectral_norm(split.c_z),
-            "resolvent_sum": float(sum(norms)), "resolvent_sum_norm": sum_norm}
+            "resolvent_sum": float(sum(spectral_norm(term) for term in res_terms)),
+            "resolvent_sum_norm": spectral_norm(sum(res_terms, np.zeros_like(split.c)))}
 
 
 def _difference_quotient(a: float, b: float, t: np.ndarray) -> np.ndarray:
@@ -351,8 +347,10 @@ def _difference_quotient(a: float, b: float, t: np.ndarray) -> np.ndarray:
 
 
 def _envelope_integral(p_coeffs: np.ndarray, eta: float) -> float:
-    """int_0^inf e^{-eta s} p(s) ds = sum_n n! p_n / eta^{n+1}, which is 0 for eta infinite."""
-    return float(sum(math.factorial(n) * pn / eta ** (n + 1) for n, pn in enumerate(p_coeffs)))
+    """int_0^inf e^{-eta s} p(s) ds = sum_n n! p_n / eta^{n+1}: 0 for eta infinite, no term for a zero p_n,
+    and inf where a term overflows (as where eta^{n+1} underflows to 0)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(sum(math.factorial(n) * pn / np.float64(eta) ** (n + 1) for n, pn in enumerate(p_coeffs) if pn))
 
 
 def _decayed_series(c_0: float, log_c: np.ndarray, x: np.ndarray, decay: np.ndarray) -> np.ndarray:

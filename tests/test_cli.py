@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import zeno_limits
-from zeno_limits import SweepConfig, liouvillian, random_gkls, run_sweep, spectral_norm
+from zeno_limits import SweepConfig, acceptance, liouvillian, random_gkls, run_sweep, spectral_norm
 from zeno_limits.cli import main, main_gkls, main_spectral
 from zeno_limits.jsonio import (
     dump_json,
@@ -229,6 +229,25 @@ def test_sweep_without_output_prints_summary_then_csv(tmp_path, capsys):
     assert out[end:] == "\n" + want.csv_text
     assert {**summary, "wall_clock_s": 0} == {**want.summary, "wall_clock_s": 0}
     assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_sweep_output_in_a_missing_directory_is_one_typed_error_line(tmp_path, capsys):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "absent" / "s.csv"
+    cfg_path.write_text(json.dumps({"gamma_grid": [10, 100], "t_grid": {"count": 2}, "output": str(out)}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+def test_acceptance_figure_csv_in_a_missing_directory_is_one_typed_error_line(tmp_path, capsys, monkeypatch):
+    result = acceptance.CriterionResult("6", "stub 6", True, "detail", csv_text="panel_g\n")
+    monkeypatch.setattr(acceptance, "all_criteria", lambda: ([result], result.csv_text))
+    path = tmp_path / "absent" / "fig.csv"
+    assert main(["acceptance", "--fig-csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {path}: ")
 
 
 def test_check_spectral_command(system_file, capsys):

@@ -45,6 +45,22 @@ class TestSweepConfig:
         with pytest.raises(ValidationError, match="log"):
             SweepConfig(t_spacing="log", t_start=0.0, variants=variants, t_count=3, gamma_grid=(10.0,))
 
+    @pytest.mark.parametrize("spacing, stop, count, variants, rule", [
+        ("linear", 0.0, 3, ("peripheral",), "the peripheral variant"),
+        ("linear", -1.0, 2, ("plain", "peripheral"), "the peripheral variant"),
+        ("log", -1.0, 3, ("plain",), "log t_spacing"),
+        ("log", 0.0, 3, (), "log t_spacing"),
+        ("log", -1.0, 1, ("plain",), "log t_spacing"),
+    ])
+    def test_t_stop_is_checked_as_t_start_is(self, spacing, stop, count, variants, rule):
+        """A falling grid reaches t <= 0 at t_stop, and the log grid takes the log of t_stop at any count."""
+        with pytest.raises(ValidationError, match=f"^{rule} needs"):
+            SweepConfig(t_start=2.0, t_stop=stop, t_count=count, t_spacing=spacing, variants=variants,
+                        gamma_grid=(10.0, 100.0))
+
+    def test_a_one_point_linear_grid_is_its_start(self):
+        np.testing.assert_array_equal(SweepConfig(t_start=0.5, t_stop=-1.0, t_count=1).t_grid(), [0.5])
+
     def test_empty_gamma_grid_rejected(self):
         with pytest.raises(ValidationError, match="gamma_grid"):
             SweepConfig(gamma_grid=(), t_count=2)

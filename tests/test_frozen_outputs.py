@@ -27,10 +27,18 @@ A change that moves an output on purpose rewrites the copies in the same
 change, from the repository root::
 
     PYTHONPATH=src python tests/test_frozen_outputs.py --write
+
+A change that must move none can show it on any platform: ``--digest``
+prints the SHA-256 of each output as rendered now, one ``sha256sum``-style
+line per file, so the lists of two trees rendered on one machine compare
+byte for byte::
+
+    PYTHONPATH=src python tests/test_frozen_outputs.py --digest
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -167,8 +175,12 @@ def test_foreign_platform_masks_only_the_acceptance_numbers():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
+    if sys.argv[1:] not in (["--write"], ["--digest"]):
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write | --digest")
+    if sys.argv[1] == "--digest":
+        for name, text in render().items():
+            print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}")
+        sys.exit()
     FROZEN.mkdir(exist_ok=True)
     for name, text in render().items():
         (FROZEN / name).write_text(text)

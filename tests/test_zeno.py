@@ -302,6 +302,11 @@ PARITY_INPUTS = {
     "multi-term-p": dict(p_coeffs=np.array([1.0, 0.0, 2.5, 0.7]), dim=64),
     "equal-rates": dict(m_bound=2.0, norm_c=1.0, norm_cz=2.0),
     "overflowing-tail": dict(p_coeffs=np.array([0.0, 0.0, 0.0, 1e300]), eta=0.02, dim=9),
+    # eta^{n+1} underflows to 0 under a zero p_n (0 n! / 0) and under a nonzero one (an infinite integral)
+    "underflowing-power": dict(p_coeffs=np.array([0.0, 0.0, 1.0]), eta=1e-170, m_bound=1.0, norm_c=1.0,
+                               norm_cz=1.0, resolvent_sum=1.0, resolvent_sum_norm=1.0),
+    "underflowing-zero-term": dict(p_coeffs=np.array([1.0, 0.0]), eta=1e-200, m_bound=1.0, norm_c=1.0,
+                                   norm_cz=1.0, resolvent_sum=1.0, resolvent_sum_norm=1.0),
 }
 BOUND_FUNCTIONS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_simplified}
 
