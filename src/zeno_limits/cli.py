@@ -25,24 +25,14 @@ from .spectral import decompose, gaps
 from .zeno import BOUNDS, VARIANTS, adiabatic_error, evaluate_grid, zeno_split
 
 
-def _add_spectral(sub):
-    p = sub.add_parser("spectral", help="spectral decomposition of a matrix")
-    p.add_argument("--input", required=True, help="matrix JSON file")
-    p.add_argument("--cluster-tol", type=float, default=None)
-    p.add_argument("--imag-tol", type=float, default=None)
-    p.add_argument("--output", required=True, help="decomposition JSON file")
-    p.set_defaults(func=cmd_spectral)
-
-
 def cmd_spectral(args) -> int:
     a = jsonio.matrix_from_json(jsonio.load_json(args.input))
     dec = decompose(a, cluster_tol=args.cluster_tol, imag_tol=args.imag_tol)
-    gap = gaps(dec)
     payload = {
         "dim": dec.dim,
         "cluster_tol": dec.cluster_tol,
         "imag_tol": dec.imag_tol,
-        "gaps": {"eta": _json_real(gap.eta), "delta": _json_real(gap.delta), "nu": gap.nu},
+        "gaps": _gaps_json(gaps(dec)),
         "clusters": [
             {
                 "eigenvalue": [c.eigenvalue.real, c.eigenvalue.imag],
@@ -59,20 +49,10 @@ def cmd_spectral(args) -> int:
     return 0
 
 
-def _json_real(x: float):
-    return "inf" if x == float("inf") else x
-
-
-def _add_gkls(sub):
-    p = sub.add_parser("gkls", help="build and check GKLS superoperators")
-    inner = p.add_subparsers(dest="gkls_cmd", required=True)
-    b = inner.add_parser("build", help="compile a system file to a superoperator")
-    b.add_argument("--system", required=True)
-    b.add_argument("--output", required=True)
-    b.set_defaults(func=cmd_gkls_build)
-    c = inner.add_parser("check", help="print CPTP / GKLS-form reports for a map file")
-    c.add_argument("--map", required=True)
-    c.set_defaults(func=cmd_gkls_check)
+def _gaps_json(gap) -> dict:
+    """A :class:`GapData` as JSON, with an infinite eta or delta written as the string "inf" (nu is finite)."""
+    return {name: "inf" if value == float("inf") else value
+            for name, value in (("eta", gap.eta), ("delta", gap.delta), ("nu", gap.nu))}
 
 
 def cmd_gkls_build(args) -> int:
@@ -89,31 +69,6 @@ def cmd_gkls_check(args) -> int:
     return 0
 
 
-def _add_zeno(sub):
-    p = sub.add_parser("zeno", help="Zeno splits, limit errors, and bounds")
-    inner = p.add_subparsers(dest="zeno_cmd", required=True)
-
-    s = inner.add_parser("split", help="compute the Zeno split of a generator pair")
-    s.add_argument("--strong", required=True)
-    s.add_argument("--weak", required=True)
-    s.add_argument("--output", required=True)
-    s.set_defaults(func=cmd_zeno_split)
-
-    e = inner.add_parser("error", help="one adiabatic-limit error value")
-    e.add_argument("--split", required=True, help="split JSON from 'zeno split'")
-    e.add_argument("--gamma", type=float, required=True)
-    e.add_argument("--t", type=float, required=True)
-    e.add_argument("--variant", choices=VARIANTS, default="peripheral")
-    e.set_defaults(func=cmd_zeno_error)
-
-    b = inner.add_parser("bounds", help="error and bound table over a grid")
-    b.add_argument("--split", required=True)
-    b.add_argument("--gamma-grid", required=True, help="comma-separated, e.g. 10,30,100")
-    b.add_argument("--t-grid", required=True, help="start:stop:count")
-    b.add_argument("--output", required=True, help="CSV output path")
-    b.set_defaults(func=cmd_zeno_bounds)
-
-
 def _split_from_file(path):
     obj = jsonio.load_json(path)
     if "strong" not in obj or "weak" not in obj:
@@ -126,7 +81,6 @@ def _split_from_file(path):
 def cmd_zeno_split(args) -> int:
     b, c = (jsonio.superoperator_from_json(jsonio.load_json(path)) for path in (args.strong, args.weak))
     split = zeno_split(b, c)
-    gap = split.gap_data
     payload = {
         "strong": jsonio.matrix_to_json(b),
         "weak": jsonio.matrix_to_json(c),
@@ -136,7 +90,7 @@ def cmd_zeno_split(args) -> int:
         "peripheral_projection": jsonio.matrix_to_json(split.p_phi),
         "eigenvalues": [[c_.eigenvalue.real, c_.eigenvalue.imag, c_.peripheral]
                         for c_ in split.decomposition.clusters],
-        "gaps": {"eta": _json_real(gap.eta), "delta": _json_real(gap.delta), "nu": gap.nu},
+        "gaps": _gaps_json(split.gap_data),
         "resolvent_norms": {str(k): spectral_norm(v) for k, v in split.resolvents.items()},
     }
     jsonio.dump_json(payload, args.output)
@@ -168,21 +122,6 @@ def cmd_zeno_bounds(args) -> int:
     return 0
 
 
-def _add_model(sub):
-    p = sub.add_parser("model", help="canonical models")
-    inner = p.add_subparsers(dest="model_cmd", required=True)
-
-    t = inner.add_parser("three-level", help="three-level model artifacts")
-    t.add_argument("--params", help="parameter JSON file (field names as in ThreeLevelParams)")
-    t.add_argument("--emit", choices=("generators", "analytic"), default="generators")
-    t.add_argument("--t", type=float, default=1.0)
-    t.set_defaults(func=cmd_model_three_level)
-
-    d = inner.add_parser("dephasing-qubit", help="dephasing-qubit example artifacts")
-    d.add_argument("--emit", choices=("all",), default="all")
-    d.set_defaults(func=cmd_model_dephasing)
-
-
 def cmd_model_three_level(args) -> int:
     params = ThreeLevelParams()
     if args.params:
@@ -209,12 +148,6 @@ def cmd_model_dephasing(args) -> int:
     return 0
 
 
-def _add_sweep(sub):
-    p = sub.add_parser("sweep", help="config-driven gamma/t sweep")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_sweep)
-
-
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(jsonio.load_json(args.config))
     result = run_sweep(cfg)
@@ -224,23 +157,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_check_spectral(sub):
-    p = sub.add_parser("check-spectral", help="structural audit of a system file")
-    p.add_argument("--system", required=True)
-    p.set_defaults(func=cmd_check_spectral)
-
-
 def cmd_check_spectral(args) -> int:
     sys_ = jsonio.system_from_json(jsonio.load_json(args.system))
     report = spectral_property_check(sys_)
     print(json.dumps(report.as_dict(), indent=2, default=float))
     return 0
-
-
-def _add_acceptance(sub):
-    p = sub.add_parser("acceptance", help="run the acceptance suite")
-    p.add_argument("--fig-csv", default=None, help="where to write the figure dataset")
-    p.set_defaults(func=cmd_acceptance)
 
 
 def cmd_acceptance(args) -> int:
@@ -249,25 +170,74 @@ def cmd_acceptance(args) -> int:
     return run_acceptance(*all_criteria(), csv_path=args.fig_csv)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _command_tree() -> argparse.ArgumentParser:
+    """The whole command tree; each leaf names the ``cmd_*`` function it runs as ``func``."""
     parser = argparse.ArgumentParser(
         prog="zeno-limits",
         description="Strong-coupling limits of GKLS dynamics: spectral structure, "
                     "Zeno generators, error bounds.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_spectral(sub)
-    _add_gkls(sub)
-    _add_zeno(sub)
-    _add_model(sub)
-    _add_sweep(sub)
-    _add_check_spectral(sub)
-    _add_acceptance(sub)
+    top = parser.add_subparsers(dest="command", required=True)
+
+    def branch(name, help):
+        return top.add_parser(name, help=help).add_subparsers(dest=f"{name}_cmd", required=True)
+
+    def leaf(sub, name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = leaf(top, "spectral", cmd_spectral, "spectral decomposition of a matrix")
+    p.add_argument("--input", required=True, help="matrix JSON file")
+    p.add_argument("--cluster-tol", type=float, default=None)
+    p.add_argument("--imag-tol", type=float, default=None)
+    p.add_argument("--output", required=True, help="decomposition JSON file")
+
+    gkls = branch("gkls", "build and check GKLS superoperators")
+    p = leaf(gkls, "build", cmd_gkls_build, "compile a system file to a superoperator")
+    p.add_argument("--system", required=True)
+    p.add_argument("--output", required=True)
+    p = leaf(gkls, "check", cmd_gkls_check, "print CPTP / GKLS-form reports for a map file")
+    p.add_argument("--map", required=True)
+
+    zeno = branch("zeno", "Zeno splits, limit errors, and bounds")
+    p = leaf(zeno, "split", cmd_zeno_split, "compute the Zeno split of a generator pair")
+    p.add_argument("--strong", required=True)
+    p.add_argument("--weak", required=True)
+    p.add_argument("--output", required=True)
+    p = leaf(zeno, "error", cmd_zeno_error, "one adiabatic-limit error value")
+    p.add_argument("--split", required=True, help="split JSON from 'zeno split'")
+    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--variant", choices=VARIANTS, default="peripheral")
+    p = leaf(zeno, "bounds", cmd_zeno_bounds, "error and bound table over a grid")
+    p.add_argument("--split", required=True)
+    p.add_argument("--gamma-grid", required=True, help="comma-separated, e.g. 10,30,100")
+    p.add_argument("--t-grid", required=True, help="start:stop:count")
+    p.add_argument("--output", required=True, help="CSV output path")
+
+    model = branch("model", "canonical models")
+    p = leaf(model, "three-level", cmd_model_three_level, "three-level model artifacts")
+    p.add_argument("--params", help="parameter JSON file (field names as in ThreeLevelParams)")
+    p.add_argument("--emit", choices=("generators", "analytic"), default="generators")
+    p.add_argument("--t", type=float, default=1.0)
+    p = leaf(model, "dephasing-qubit", cmd_model_dephasing, "dephasing-qubit example artifacts")
+    p.add_argument("--emit", choices=("all",), default="all")
+
+    p = leaf(top, "sweep", cmd_sweep, "config-driven gamma/t sweep")
+    p.add_argument("--config", required=True)
+    p = leaf(top, "check-spectral", cmd_check_spectral, "structural audit of a system file")
+    p.add_argument("--system", required=True)
+    p = leaf(top, "acceptance", cmd_acceptance, "run the acceptance suite")
+    p.add_argument("--fig-csv", default=None, help="where to write the figure dataset")
     return parser
 
 
+#: built once per process; ``main`` only parses and dispatches
+_PARSER = _command_tree()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ZenoLimitsError as exc:

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from . import _read
 from .errors import (
@@ -44,7 +43,7 @@ from .errors import (
     PeripheralDefectError,
     UnsupportedInputError,
 )
-from .linalg import expm, schur, spectral_norm
+from .linalg import _lapack, expm, schur, spectral_norm
 
 __all__ = [
     "SpectralCluster",
@@ -271,8 +270,7 @@ def decompose(a, cluster_tol: float | None = None,
         if hi - lo > 1:  # a singleton's N_k is exactly 0
             n = cluster.nilpotent
             index, power = 1, n
-            # ||.||_2 <= ||.||_F: the SVD runs only when the Frobenius norm exceeds tol
-            while np.linalg.norm(power) > nil_tol and spectral_norm(power) > nil_tol:
+            while spectral_norm(power) > nil_tol:
                 if index > hi - lo:
                     raise IllConditionedDecompositionError(
                         "nilpotent power fails to vanish at the cluster size",

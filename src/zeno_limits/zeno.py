@@ -347,10 +347,20 @@ def _difference_quotient(a: float, b: float, t: np.ndarray) -> np.ndarray:
 
 
 def _envelope_integral(p_coeffs: np.ndarray, eta: float) -> float:
-    """int_0^inf e^{-eta s} p(s) ds = sum_n n! p_n / eta^{n+1}: 0 for eta infinite, no term for a zero p_n,
-    and inf where a term overflows (as where eta^{n+1} underflows to 0)."""
-    with np.errstate(over="ignore", divide="ignore"):
-        return float(sum(math.factorial(n) * pn / np.float64(eta) ** (n + 1) for n, pn in enumerate(p_coeffs) if pn))
+    """int_0^inf e^{-eta s} p(s) ds = sum_n n! p_n / eta^{n+1} = (p_0 + (1/eta)(p_1 + (2/eta)(p_2 + ...))) / eta.
+
+    Horner's rule forms no power of eta and no factorial, so a lone p_0 gives p_0 / eta, eta infinite
+    gives 0, a zero p_n adds 0, and the value is inf only where a partial sum overflows.  Trailing
+    zeros are dropped first, so an infinite (n + 1) / eta never meets a zero sum.
+    """
+    p = np.trim_zeros(p_coeffs, "b")
+    if not p.size:
+        return 0.0
+    acc = p[-1]
+    with np.errstate(over="ignore"):
+        for n in range(p.size - 2, -1, -1):
+            acc = p[n] + (n + 1) / eta * acc
+        return float(acc / eta)
 
 
 def _decayed_series(c_0: float, log_c: np.ndarray, x: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -577,16 +587,6 @@ def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
 _HERMITIAN = (1e-10, 1.0)
 
 
-def _eigenprojections(k: np.ndarray) -> tuple[float, list[tuple[float, np.ndarray]]]:
-    """tol = 1e-7 max(||K||, 1) and the eigenvalues of a read Hermitian K with their projections,
-    grouped by :func:`spectral._cluster_eigenvalues`: single linkage at tol, then representatives
-    within 2 tol merge."""
-    tol = 1e-7 * max(spectral_norm(k), 1.0)
-    w, u = np.linalg.eigh(k)
-    groups, centers = _cluster_eigenvalues(w, tol)
-    return tol, [(c.real, u[:, g] @ u[:, g].conj().T) for g, c in zip(groups, centers)]
-
-
 @dataclass(frozen=True)
 class BohrComponent:
     """One transition frequency of [K, .] with its sandwich projection."""
@@ -601,13 +601,22 @@ def commutator_projections(k) -> list[BohrComponent]:
     The spectrum of [K, .] is the set of Bohr frequencies
     omega = eps_m - eps_n of K, and the projection belonging to omega is
     sum over all pairs at that frequency of P_m (.) P_n.  Frequencies are
-    clustered like the eigenvalues of K, at the same tolerance (:func:`_eigenprojections`).
+    clustered like the eigenvalues of K, at the same tolerance (:func:`_bohr_components`).
     """
-    return _bohr_components(*_eigenprojections(_read.matrix("K", k, shape="square", hermitian=_HERMITIAN)))
+    return _bohr_components(_read.matrix("K", k, shape="square", hermitian=_HERMITIAN))
 
 
-def _bohr_components(tol: float, eig: list[tuple[float, np.ndarray]]) -> list[BohrComponent]:
-    """:func:`commutator_projections` from the tolerance and eigenprojections of K."""
+def _bohr_components(k: np.ndarray) -> list[BohrComponent]:
+    """:func:`commutator_projections` of a read Hermitian K.
+
+    The eigenvalues of K, then the Bohr frequencies, are grouped by
+    :func:`spectral._cluster_eigenvalues` at tol = 1e-7 max(||K||, 1):
+    single linkage at tol, then representatives within 2 tol merge.
+    """
+    tol = 1e-7 * max(spectral_norm(k), 1.0)
+    w, u = np.linalg.eigh(k)
+    groups, centers = _cluster_eigenvalues(w, tol)
+    eig = [(c.real, u[:, g] @ u[:, g].conj().T) for g, c in zip(groups, centers)]
     pairs = [(pm, pn) for _, pm in eig for _, pn in eig]
     bohr = np.array([em - en for em, _ in eig for en, _ in eig])
     groups, freqs = _cluster_eigenvalues(bohr, tol)
@@ -626,6 +635,6 @@ def fast_oscillation_zeno(sys: GklsSystem, k) -> Superoperator:
     k = _read.matrix("K", k, shape=(sys.d, sys.d), hermitian=_HERMITIAN)
     full = liouvillian(sys).mat
     mat = np.zeros_like(full)
-    for comp in _bohr_components(*_eigenprojections(k)):
+    for comp in _bohr_components(k):
         mat += comp.projector @ full @ comp.projector
     return Superoperator(sys.d, mat, "projected")

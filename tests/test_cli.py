@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -200,6 +201,20 @@ def test_model_commands(tmp_path, capsys):
     assert main(["model", "dephasing-qubit", "--emit", "all"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"H", "jump", "L", "expected_zeno", "expected_non_gkls"}
+
+
+def test_main_builds_no_parser_and_carries_no_state_between_calls(capsys, monkeypatch):
+    """The command tree is built once, at import: ``main`` constructs no ``ArgumentParser``, and an
+    option set on one call falls back to its default on the next."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    ts = []
+    for extra in (["--t", "0.5"], []):
+        assert main(["model", "three-level", "--emit", "analytic", *extra]) == 0
+        ts.append(json.loads(capsys.readouterr().out)["t"])
+    assert built == [] and ts == [0.5, 1.0]
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -307,6 +307,9 @@ PARITY_INPUTS = {
                                norm_cz=1.0, resolvent_sum=1.0, resolvent_sum_norm=1.0),
     "underflowing-zero-term": dict(p_coeffs=np.array([1.0, 0.0]), eta=1e-200, m_bound=1.0, norm_c=1.0,
                                    norm_cz=1.0, resolvent_sum=1.0, resolvent_sum_norm=1.0),
+    # finite integrals whose eta^{n+1} underflows (2e60 here) and whose n! overflows a float (n = 171)
+    "tiny-p-over-underflowing-power": dict(p_coeffs=np.array([0.0, 0.0, 1e-300]), eta=1e-120),
+    "171-factorial": dict(p_coeffs=np.ones(172), eta=1000.0),
 }
 BOUND_FUNCTIONS = {"adiabatic": bound_adiabatic, "cptp": bound_cptp, "simplified": bound_simplified}
 
@@ -403,6 +406,17 @@ class TestBoundGrid:
         assert math.isfinite(bound_adiabatic(inputs, 10.0, 1.0))
         assert bound_adiabatic(inputs, 10.0, 800.0) == math.inf
         assert not np.isnan(bound_adiabatic(inputs, 10.0, np.array([1.0, 800.0]))).any()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_bound_holds_for_a_unitary_strong_generator(self, seed):
+        """B = -i[K, .] (no decaying part, eta = inf) for a random Hermitian K at d = 2-4, C a random GKLS
+        Liouvillian: every bound dominates the error on the grid (worst margin -2.0e-4 over these seeds)."""
+        d = 2 + seed % 3
+        split = zeno_split(hamiltonian_superoperator(random_hermitian(np.random.default_rng(seed), d)),
+                           liouvillian(random_gkls(d, 1 + seed % 3, seed=seed)).mat)
+        assert split.gap_data.eta == math.inf
+        grid = evaluate_grid(split, [10.0, 100.0, 1000.0], np.linspace(0.25, 2.0, 6), bounds=tuple(BOUND_FUNCTIONS))
+        assert summarize_grid(grid)["max_bound_violation"] <= 0.0
 
     @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
     def test_one_negative_time_in_an_array_raises(self, name):
