@@ -130,9 +130,11 @@ class SpectralDecomposition:
 class GapData:
     """Dissipative gap eta, oscillating gap delta and nu = min(eta, delta).
 
-    eta = +inf when every eigenvalue is peripheral; delta = +inf when there
-    is a single cluster.  When both are infinite, nu falls back to 1.0 (it
-    never enters any bound in that regime).
+    eta is the least decay rate -Re b over the decaying clusters (Re b < 0);
+    a growing cluster (Re b > 0) has no decay rate, so eta = +inf when no
+    cluster decays.  delta = +inf when there is a single cluster.  When both
+    are infinite, nu falls back to 1.0 (it never enters any bound in that
+    regime).
     """
 
     eta: float
@@ -374,8 +376,7 @@ def reduced_resolvent(dec: SpectralDecomposition, ell: int) -> np.ndarray:
 def gaps(dec: SpectralDecomposition) -> GapData:
     """Dissipative and oscillating gaps with the infinity conventions."""
     dec = _read.instance("decomposition", dec, SpectralDecomposition)
-    eta = min((abs(c.eigenvalue.real) for c in dec.nonperipheral_clusters),
-              default=math.inf)
+    eta = min((-c.eigenvalue.real for c in dec.nonperipheral_clusters if c.eigenvalue.real < 0), default=math.inf)
     pairs = _distances(np.array([c.eigenvalue for c in dec.clusters]))[np.triu_indices(len(dec.clusters), 1)]
     delta = float(pairs.min()) if pairs.size else math.inf
     return GapData(eta=eta, delta=delta)

@@ -558,29 +558,19 @@ def adiabatic_error(split: ZenoSplit, gamma: float, t: float,
 # pulsed Zeno, Bohr-frequency projections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PulsedZenoResult:
-    product: np.ndarray = field(repr=False)
-    limit: np.ndarray = field(repr=False)
-    distance: float
+def pulsed_zeno_product(p, l, t: float, n: int) -> float:
+    """The distance of (P e^{(t/n) L})^n from its n -> inf limit e^{t P L P} P.
 
-
-def pulsed_zeno_product(p, l, t: float, n: int) -> PulsedZenoResult:
-    """Compare (P e^{(t/n) L})^n against its n -> inf limit e^{t P L P} P.
-
-    The reported distance is the raw spectral-norm difference of exactly
-    these two expressions (the limit carries the trailing projection).
+    It is the raw spectral-norm difference of exactly these two
+    expressions (the limit carries the trailing projection).
     """
     t, n = _read.real("t", t), _read.integer("n", n)
     p, l = _read.pair("projection P", p, "generator L", l)
     idem = spectral_norm(p @ p - p)
     if idem > 1e-10 * max(1.0, spectral_norm(p)):
         raise ValidationError(f"projection is not idempotent (defect {idem:.3e})")
-    step = p @ expm(l, t / n)
-    product = np.linalg.matrix_power(step, n)
-    limit = expm(p @ l @ p, t) @ p
-    return PulsedZenoResult(product=product, limit=limit,
-                            distance=spectral_norm(product - limit))
+    product = np.linalg.matrix_power(p @ expm(l, t / n), n)
+    return spectral_norm(product - expm(p @ l @ p, t) @ p)
 
 
 #: the Hermitian tolerance of K: ||K - K^dagger|| <= 1e-10 max(||K||, 1)

@@ -1,14 +1,13 @@
 """What the benchmark in ``bench/`` reads from the package still exists and agrees.
 
 ``bench/tracing.py`` replays a sweep through the public call of each layer
-and must reproduce ``run_sweep``'s rows; ``bench/tests`` runs outside this
-suite and never runs that pass, so a signature it relies on could change
-with both suites green.  These run one traced sweep of the three-level
-reference inputs and every other reader of the package in ``bench/``:
-the provenance record, the criterion-by-criterion acceptance replay and
-its verdict check, the ``gkls`` probes and the D = 4 ... 64 size ladder.
-(``bench/tests`` cannot join this session: both directories have a
-``conftest.py``, so ``from conftest import ...`` would resolve to one.)
+and must reproduce ``run_sweep``'s rows; ``bench/tests`` shares this
+session (``testpaths``) but never runs that pass, so a signature it relies
+on could change with both suites green.  These run one traced sweep of the
+three-level reference inputs and every other reader of the package in
+``bench/``: the provenance record, the criterion-by-criterion acceptance
+replay and its verdict check, the ``gkls`` probes and the D = 4 ... 64
+size ladder.
 """
 
 import json

@@ -47,6 +47,13 @@ def test_spectral_command(tmp_path):
     assert payload["gaps"]["eta"] == 1.0
 
 
+def test_spectral_command_gives_a_growing_spectrum_no_decay_rate(tmp_path):
+    inp, out = tmp_path / "a.json", tmp_path / "dec.json"
+    dump_json(matrix_to_json(np.eye(2)), inp)
+    assert main(["spectral", "--input", str(inp), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["gaps"] == {"eta": "inf", "delta": "inf", "nu": 1.0}
+
+
 def test_spectral_alias_entry_point(tmp_path):
     a = np.eye(2)
     inp, out = tmp_path / "a.json", tmp_path / "dec.json"

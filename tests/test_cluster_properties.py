@@ -22,7 +22,7 @@ from zeno_limits import decompose, expm, spectral_expm, spectral_norm
 from zeno_limits.errors import ZenoLimitsError
 from zeno_limits.spectral import RESIDUAL_FACTOR
 
-from conftest import decomposition_residuals, random_complex
+from oracles import decomposition_residuals, random_complex
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 #: a failing example makes hypothesis's pytest plugin import libcst to suggest a patch, and that

@@ -21,7 +21,7 @@ from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.spectral import decompose, peripheral_projection
 from zeno_limits.zeno import VARIANTS, BoundInputs, adiabatic_error, zeno_split
 
-from conftest import power_iteration_norm, taylor_expm
+from oracles import power_iteration_norm, taylor_expm
 
 
 def small_config(**overrides):

@@ -53,7 +53,7 @@ import scipy
 from zeno_limits.experiments import SweepConfig, format_csv, run_sweep
 from zeno_limits.zeno import BOUNDS, CSV_COLUMNS, VARIANTS, evaluate_grid, zeno_split
 
-from conftest import acceptance_pass, bench_pair
+from oracles import acceptance_pass, bench_pair
 
 FROZEN = Path(__file__).resolve().parent / "frozen"
 OUTPUTS = ("three-level-sweep.csv", "three-level-sweep.summary.json", "dissipative-d64.csv",

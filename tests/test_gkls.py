@@ -23,7 +23,7 @@ from zeno_limits import (
     spectral_norm,
     vec,
 )
-from zeno_limits import acceptance, gkls
+from zeno_limits import gkls
 from zeno_limits.errors import EstimationError, ValidationError
 from zeno_limits.gkls import (
     _ascend_quadratic_form,
@@ -41,7 +41,7 @@ from zeno_limits.zeno import fast_oscillation_zeno
 
 from zeno_limits.linalg import spectral_norms
 
-from conftest import purity_objective, random_complex, random_hermitian
+from oracles import no_go_instances, purity_objective, random_complex, random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -337,7 +337,7 @@ def _generator_form(superop):
 def _criterion_8_forms():
     """The 22 qubit forms criterion 8 rates: L's dissipator and L_Z per case."""
     forms = []
-    for case in acceptance.criterion_8().cases:
+    for case in no_go_instances():
         forms += [_dissipator_form(case.system), _generator_form(case.zeno_generator)]
     return forms
 

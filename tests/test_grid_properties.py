@@ -4,7 +4,7 @@ Any gamma and t lists, unsorted and with duplicates, give one (gamma, t)
 array per column with the sorted lists as its mesh, and every cell equals the one-point
 ``adiabatic_error`` or scalar ``bound_*`` call bit for bit.  Any horizon
 given to ``BoundInputs.from_split``, alone or through the Dyson check
-``conftest.dyson_check``, gives a finite M >= 1 or a ``ValidationError``.
+``oracles.dyson_check``, gives a finite M >= 1 or a ``ValidationError``.
 """
 
 import functools
@@ -22,7 +22,7 @@ from zeno_limits.errors import ValidationError
 from zeno_limits.models import ThreeLevelParams, three_level_generators
 from zeno_limits.zeno import BOUNDS, CSV_COLUMNS, VARIANTS, BoundInputs, adiabatic_error, evaluate_grid, zeno_split
 
-from conftest import dyson_check, random_complex, random_hermitian
+from oracles import dyson_check, random_complex, random_hermitian
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 #: a failing example makes hypothesis's pytest plugin import libcst to suggest a patch, and that

@@ -14,7 +14,7 @@ from zeno_limits.errors import DimensionError, FactorizationError, ValidationErr
 from zeno_limits import _read
 from zeno_limits.linalg import _expm_stack, _kron, sandwich_super, spectral_norms
 
-from conftest import power_iteration_norm, random_complex, taylor_expm
+from oracles import power_iteration_norm, random_complex, taylor_expm
 
 
 class TestExpm:

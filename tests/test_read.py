@@ -228,7 +228,7 @@ SUPEROPERATOR_ENTRIES = {
     "expm": (lambda s: linalg.expm(s, [0.5, 1.0]), GENERATOR),
     "zeno_split": (lambda s: zeno.zeno_split(s, GENERATOR).c_z, GENERATOR),
     "cptp_check": (gkls.cptp_check, DEPHASING_CHANNEL),
-    "pulsed_zeno_product": (lambda s: zeno.pulsed_zeno_product(PROJECTION, s, 1.0, 3).product, GENERATOR),
+    "pulsed_zeno_product": (lambda s: zeno.pulsed_zeno_product(PROJECTION, s, 1.0, 3), GENERATOR),
 }
 
 

@@ -26,7 +26,7 @@ from zeno_limits.errors import (
 from zeno_limits.gkls import hamiltonian_superoperator
 from zeno_limits.spectral import _cluster_eigenvalues, _distances, _single_linkage
 
-from conftest import decomposition_residuals, random_complex, random_hermitian
+from oracles import decomposition_residuals, random_complex, random_hermitian
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -335,6 +335,10 @@ class TestGaps:
         assert g.delta == np.inf
         assert g.eta == np.inf
         assert g.nu == 1.0  # fallback when both gaps are infinite
+
+    @pytest.mark.parametrize("diagonal, eta", [([1.0, -2.0], 2.0), ([1.0, 1.0], np.inf)], ids=["mixed", "identity"])
+    def test_a_growing_cluster_has_no_decay_rate(self, diagonal, eta):
+        assert gaps(decompose(np.diag(diagonal))).eta == eta
 
     def test_delta_equals_the_pairwise_loop(self, rng):
         for a in (random_complex(rng, 64), liouvillian(random_gkls(4, 2, seed=9)).mat, np.diag([1.0, 1.0, 2.0j])):

@@ -27,7 +27,7 @@ from zeno_limits.errors import IllConditionedDecompositionError, UnsupportedInpu
 from zeno_limits.experiments import BOUNDS, evaluate_grid
 from zeno_limits.models import ThreeLevelParams, gkls_pair_corpus, three_level_generators
 
-from conftest import bench_pair, random_complex
+from oracles import bench_pair, random_complex
 
 
 def _product_figure(dec) -> float:

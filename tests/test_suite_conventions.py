@@ -447,3 +447,60 @@ def test_every_parameter_is_read_and_set_by_the_package():
     assert [name for name in flagged if name not in UNSET_BY_DESIGN] == []
     assert set(UNSET_BY_DESIGN) <= set(flagged)  # an entry the audits no longer flag goes from the allowlist
     assert all("bench/tracing.py:" in why and "ROADMAP item 1a" in why for why in UNSET_BY_DESIGN.values())
+
+
+#: dataclass fields that no module of the package reads, each with its reader outside the package or the
+#: ROADMAP item that reads it; every other field of a public dataclass is read by the package, or it goes
+UNREAD_FIELDS: dict[str, str] = {
+    "acceptance.CriterionResult.elapsed_s": "bench/tracing.py:329 reports each criterion's time",
+    "experiments.SweepResult.rows": "bench/tracing.py:235 compares the replay's rows; ROADMAP item 1a",
+    "gkls.PurityOptions.grid_density": "bench/tracing.py:49 sets it; goes with ROADMAP item 1a",
+    "gkls.PurityReport.upper": "ROADMAP item 5 records the purity bracket (gamma, upper)",
+}
+#: public dataclasses that the package reads whole, so that no field of theirs is loaded by name
+READ_WHOLE = {
+    "experiments.SpectralPropertyReport": "its as_dict reads fields(self)",
+    "gkls.CptpReport": "cli.cmd_gkls_check writes asdict(cptp_check(...))",
+    "gkls.GklsFormReport": "cli.cmd_gkls_check writes asdict(gkls_form_check(...))",
+}
+
+
+def _unread_fields(sources: dict[str, str]) -> list[str]:
+    """The fields, as ``module.Class.field``, of the public dataclasses of the modules in ``sources``
+    that none of them loads as an attribute.
+
+    A dataclass is public when a module lists it in ``__all__`` or a public function or method (see
+    :func:`_entries`) names it in its return annotation.  The audit matches attribute names, not
+    owners, so a field is read wherever any object's attribute of that name is loaded: it cannot flag
+    ``ZenoSplit.b`` (``Frame.b`` is loaded) or ``PurityReport.argmax`` (``np.argmax`` is loaded).
+    """
+    trees = {stem: ast.parse(text) for stem, text in sorted(sources.items())}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    public = {name for tree in trees.values() for name in _dunder_all(tree)}
+    public |= {name.id for stem, tree in trees.items() for *_, node, _, _ in _entries(stem, tree)
+               if node is not None and node.returns is not None
+               for name in ast.walk(node.returns) if isinstance(name, ast.Name)}
+    return [f"{stem}.{node.name}.{name}" for stem, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node) and node.name in public
+            for name in _fields(node)[0] if name not in loaded]
+
+
+def test_unread_fields_are_found():
+    sources = {"m": "__all__ = ['make', 'Opts']\n"
+                    "@dataclass\nclass Opts:\n    n: int = 3\n    idle: int = 0\n"
+                    "@dataclass(frozen=True)\nclass Out:\n    value: float\n    extra: list\n"
+                    "@dataclass\nclass _Hidden:\n    unread: int\n"
+                    "def make(o: Opts) -> tuple[Out, int]:\n    return Out(o.n, []), 0\n",
+               "n": "from .m import make\nvalue = make(Opts()).idle.value\n"}
+    assert _unread_fields(sources) == ["m.Out.extra"]
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    """A field of a public dataclass is what the package computes with; a field only tests read goes,
+    unless ``UNREAD_FIELDS`` names its reader."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    flagged = [name for name in _unread_fields(sources) if name.rpartition(".")[0] not in READ_WHOLE]
+    assert [name for name in flagged if name not in UNREAD_FIELDS] == []
+    assert set(UNREAD_FIELDS) <= set(flagged)  # an entry the audit no longer flags goes from the allowlist
+    assert all(UNREAD_FIELDS.values()) and all(READ_WHOLE.values())

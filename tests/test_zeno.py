@@ -20,6 +20,7 @@ from zeno_limits import (
     random_gkls,
     spectral_norm,
     three_level_generators,
+    three_level_peripheral,
     three_level_zeno_generator,
     zeno_split,
 )
@@ -33,9 +34,9 @@ from zeno_limits.gkls import Superoperator, _hermitian_basis, dissipator_superop
 from zeno_limits.linalg import sandwich_super, vec
 from zeno_limits.models import ThreeLevelParams
 from zeno_limits.experiments import _loglog_slope, summarize_grid
-from zeno_limits.zeno import CSV_COLUMNS, evaluate_grid
+from zeno_limits.zeno import BOUNDS, CSV_COLUMNS, evaluate_grid
 
-from conftest import dyson_check, hamiltonian_zeno, random_complex, random_hermitian, reference_bound, taylor_expm
+from oracles import dyson_check, hamiltonian_zeno, random_complex, random_hermitian, reference_bound, taylor_expm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -105,6 +106,37 @@ class TestZenoSplit:
         b = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(PeripheralDefectError):
             zeno_split(b, np.eye(2))
+
+
+CORNER_RATES = (1e-3, 1e-2, 0.1)
+
+
+class TestThreeLevelCorners:
+    """The three-level model towards the corners g -> 0 and kappa -> 0, every other parameter at its default:
+    the split keeps its closed forms, and each bound still dominates the measured error."""
+
+    @pytest.fixture(scope="class", params=[(g, kappa) for g in CORNER_RATES for kappa in CORNER_RATES],
+                    ids=lambda gk: f"g{gk[0]:g}-kappa{gk[1]:g}")
+    def corner(self, request):
+        g, kappa = request.param
+        p = ThreeLevelParams(g=g, kappa=kappa)
+        l_super, d_super = three_level_generators(p)
+        return p, zeno_split(d_super.mat, l_super.mat)
+
+    def test_split_matches_the_closed_forms(self, corner):
+        p, split = corner
+        assert len(split.decomposition.peripheral_clusters) == 3
+        assert split.gap_data.eta == pytest.approx(p.kappa / 2, rel=1e-10)
+        assert spectral_norm(split.c_z - three_level_zeno_generator(p).mat) <= 1e-8
+        assert spectral_norm(split.p_phi - three_level_peripheral(p).p_phi.mat) <= 1e-8
+
+    def test_every_bound_dominates_the_error(self, corner):
+        _, split = corner
+        grid = evaluate_grid(split, (10.0, 100.0, 1000.0), np.linspace(0.25, 2.0, 6), ("peripheral",),
+                             bounds=tuple(BOUNDS))
+        for name in BOUNDS:
+            alone = {**grid, **{f"bound_{other}": None for other in BOUNDS if other != name}}
+            assert summarize_grid(alone)["max_bound_violation"] <= 0.0, name
 
 
 class TestAdiabaticError:
@@ -435,7 +467,7 @@ def _dyson_pairs():
 
 
 class TestPerturbedSemigroupBound:
-    """The measured M against the Dyson statement it feeds (``conftest.dyson_check``)."""
+    """The measured M against the Dyson statement it feeds (``oracles.dyson_check``)."""
 
     def test_zero_weak_generator(self, three_level):
         _, _, d_super, _ = three_level
@@ -529,24 +561,22 @@ class TestPulsedZeno:
         a = random_complex(rng, 4)
         gen = proj @ a @ proj + (np.eye(4) - proj) @ a @ (np.eye(4) - proj)
         for n in (1, 3, 8):
-            assert pulsed_zeno_product(proj, gen, 1.0, n).distance <= 1e-10
+            assert pulsed_zeno_product(proj, gen, 1.0, n) <= 1e-10
 
     def test_distance_halves_when_n_doubles(self, rng):
         proj = self._measurement_projection(rng)
         gen = liouvillian(random_gkls(2, 2, seed=8)).mat
-        d8 = pulsed_zeno_product(proj, gen, 1.0, 8).distance
-        d16 = pulsed_zeno_product(proj, gen, 1.0, 16).distance
-        d32 = pulsed_zeno_product(proj, gen, 1.0, 32).distance
+        d8 = pulsed_zeno_product(proj, gen, 1.0, 8)
+        d16 = pulsed_zeno_product(proj, gen, 1.0, 16)
+        d32 = pulsed_zeno_product(proj, gen, 1.0, 32)
         for a, b in ((d8, d16), (d16, d32)):
             assert 0.375 <= b / a <= 0.625
 
     def test_t_zero_product_is_the_projection(self, rng):
-        # (P e^{0})^n = P exactly, so product and limit coincide at t = 0
+        # the limit e^{0} P is P, so a zero distance says (P e^{0})^n = P
         proj = self._measurement_projection(rng)
         gen = liouvillian(random_gkls(2, 1, seed=9)).mat
-        res = pulsed_zeno_product(proj, gen, 0.0, 4)
-        assert np.allclose(res.product, proj, atol=1e-12)
-        assert res.distance <= 1e-12
+        assert pulsed_zeno_product(proj, gen, 0.0, 4) <= 1e-12
 
     def test_non_idempotent_rejected(self, rng):
         with pytest.raises(ValidationError):
@@ -554,7 +584,7 @@ class TestPulsedZeno:
 
 
 class TestHamiltonianZeno:
-    """The projected-Hamiltonian oracle (``conftest.hamiltonian_zeno``) on closed forms, before it checks
+    """The projected-Hamiltonian oracle (``oracles.hamiltonian_zeno``) on closed forms, before it checks
     C_Z, and the merge of K's levels that the package's projections of [K, .] use."""
 
     def test_fully_off_diagonal_vanishes(self):
