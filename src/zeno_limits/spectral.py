@@ -421,18 +421,24 @@ def condition_number(dec: SpectralDecomposition, nu: float = 1.0) -> float:
 def spectral_expm(dec: SpectralDecomposition, t, u=None, v=None):
     """Evaluate e^{tA} through the spectral representation.
 
-    e^{tA} = U diag(e^{t T_kk}) V with e^{t T_kk} = e^{t b_k} e^{t (T_kk - b_k I)},
-    the block form of sum_k e^{t b_k} [sum_{n < n_k} (t N_k)^n / n!] P_k,
+    e^{tA} = U diag(e^{t T_kk}) V with e^{t T_kk} = e^{t s_k} e^{t (T_kk - s_k I)},
+    where s_k is the centre b_k moved to the block's largest real part,
+    s_k = b_k + (max Re diag T_kk - Re b_k), which is b_k for a singleton.
+    This is the block form of sum_k e^{t b_k} [sum_{n < n_k} (t N_k)^n / n!] P_k,
     exact also where a cluster merges distinct eigenvalues.  The second
-    factor is one stacked Pade call on the small triangle, taken as I when
+    factor is one stacked Pade call on the small triangle T_kk - s_k I,
+    whose diagonal has no positive real part, taken as I when
     ||N_k||_F = ||U_k (T_kk - b_k I) V_k||_F <= sqrt(D) eps ||A||_F: then
-    the result is e^{t(A - N_k)}, a move of A within the Schur form's own
-    rounding (||N_k|| <= D eps ||A||).  ``t`` is a float (one matrix) or
+    the block is e^{t s_k} P_k, which moves A by (s_k - b_k) P_k - N_k, and
+    |s_k - b_k| <= ||T_kk - b_k I|| = ||V_k N_k U_k||, so the move is within
+    the Schur form's own rounding (||N_k|| <= D eps ||A||) up to the
+    cluster's conditioning ||U_k|| ||V_k||.  ``t`` is a float (one matrix) or
     a 1-D array (a stack, one matrix per t), read and checked as
     :func:`linalg.expm` reads it; a float is the stack at one point.
     Stable for any t when the spectrum lies in the closed left
-    half-plane: a block whose e^{t Re b_k} underflows is zero, whatever
-    its other factor.  ``u`` and ``v`` stand in for U and V: with W U and
+    half-plane, also for a merged cluster whose eigenvalues spread in real
+    part: no factor overflows, and a block whose e^{t Re s_k} underflows is
+    zero, whatever its other factor.  ``u`` and ``v`` stand in for U and V: with W U and
     V W^dagger for a unitary W, the result is W e^{tA} W^dagger, e^{tA} in
     the operator basis W; a ``u`` or ``v`` of another shape than U raises
     :class:`DimensionError` (only the shapes are compared), as does a ragged one.
@@ -446,15 +452,17 @@ def spectral_expm(dec: SpectralDecomposition, t, u=None, v=None):
     if shapes != (dec.u.shape,) * 2:
         raise DimensionError(f"spectral_expm u and v must have shape {dec.u.shape}, got {shapes}")
     ts = np.atleast_1d(_read.times("spectral_expm t", t))
-    rates = np.multiply.outer(ts, [c.eigenvalue for c in dec.clusters])
+    centres = np.array([c.eigenvalue for c in dec.clusters])
+    shifts = centres + (np.maximum.reduceat(np.diag(dec.blocks).real, dec.starts[:-1]) - centres.real)
+    rates = np.multiply.outer(ts, shifts)
     live = rates.real >= -745.0
     phases = np.where(live, np.exp(rates), 0.0)
     out = u * np.repeat(phases, np.diff(dec.starts), axis=1)[:, None, :]
     rounding = math.sqrt(dec.dim) * np.finfo(float).eps * np.linalg.norm(dec.matrix)
     for k, (c, lo, hi) in enumerate(zip(dec.clusters, dec.starts, dec.starts[1:])):
-        # a singleton's N_k is exactly 0; e^{t offset} may overflow where the block is zero
+        # a singleton's N_k is exactly 0; a block that underflowed to zero takes t = 0 in its Pade factor
         if hi - lo > 1 and np.linalg.norm(c.nilpotent) > rounding:
-            offset = dec.blocks[lo:hi, lo:hi] - c.eigenvalue * np.eye(hi - lo)
+            offset = dec.blocks[lo:hi, lo:hi] - shifts[k] * np.eye(hi - lo)
             out[:, :, lo:hi] = out[:, :, lo:hi] @ expm(offset, np.where(live[:, k], ts, 0.0))
     out = out @ v
     return out if np.ndim(t) else out[0]

@@ -223,8 +223,10 @@ def _sample_bounds(split: ZenoSplit, ts: np.ndarray) -> np.ndarray:
 
 
 def _check_exponent(dec: SpectralDecomposition, s: float, name: str) -> None:
-    """Raise :class:`ValidationError` if e^{s b} overflows for an eigenvalue b of B."""
-    b = max((cl.eigenvalue for cl in dec.clusters), key=lambda z: z.real)
+    """Raise :class:`ValidationError` if e^{s b} overflows for an eigenvalue b of B, the Schur diagonal entry
+    of largest real part (a merged cluster's centre can lie left of it, as in :func:`spectral_expm`)."""
+    eigs = np.diag(dec.blocks)
+    b = complex(eigs[np.argmax(eigs.real)])
     if s * b.real > (limit := math.log(np.finfo(float).max)):
         raise ValidationError(f"e^{{sB}} overflows at s = {name} = {s:.6g}: s Re b exceeds log(realmax) = "
                               f"{limit:.6g} for the eigenvalue b = {b:.6g}")

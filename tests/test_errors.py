@@ -91,6 +91,9 @@ def _three_level_split():
      r"overflows at s = gamma t = 1e\+20: .* for the eigenvalue b = \S+-2j"),
     (lambda: BoundInputs.from_split(_three_level_split(), t_max=1e14, gamma_max=1e6), ValidationError,
      r"overflows at s = the horizon t_max \* gamma_max = 1e\+20: .* for the eigenvalue b = \S+-2j"),
+    # the peripheral cluster {0, 50, -50} is centred at 0; e^{20 * 50} overflows
+    (lambda: evaluate_grid(zeno_split(np.diag([0.0, 50.0, -50.0, -1e9]), np.eye(4)), [1.0], [20.0], ("plain",)),
+     ValidationError, r"overflows at s = gamma t = 20: .* for the eigenvalue b = 50\+0j"),
     (lambda: evaluate_grid(_three_level_split(), ["ten"], [1.0]), ValidationError, "numeric"),
     (lambda: evaluate_grid(_three_level_split(), [10.0], [[0.5], [1.0, 2.0]]), ValidationError, "numeric"),
     (lambda: pulsed_zeno_product(np.eye(4), np.zeros((3, 3)), 1.0, 2), DimensionError, "equal shapes"),
@@ -203,7 +206,8 @@ def _three_level_split():
         "m-horizon-inf-gamma", "m-horizon-overflowing-product",
         "pulsed-fractional-n", "pulsed-string-n",
         "pulsed-bool-n", "error-out-of-kernel-range",
-        "error-overflowing-strong-exponential", "m-horizon-overflowing-exponential", "grid-string-gamma",
+        "error-overflowing-strong-exponential", "m-horizon-overflowing-exponential",
+        "error-overflowing-merged-cluster-member", "grid-string-gamma",
         "grid-ragged-t", "pulsed-shapes", "fast-oscillation-k-shape",
         "commutator-non-square-k", "superoperator-non-square-h",
         "sweep-fractional-t-count",

@@ -11,22 +11,27 @@ recorded:
 * ``criterion-6.csv``: the figure CSV of acceptance criterion 6;
 * ``acceptance.txt``: the ``zeno-limits acceptance`` lines, with the
   elapsed times masked (from the suite's one shared pass);
-* ``fingerprint.json``: the platform they were recorded on (numpy and
-  scipy versions, their BLAS builds and any ``OPENBLAS_CORETYPE`` kernel
-  override, the machine and its CPU flags).
+* ``fingerprint.json``: the platforms known to render them exactly, each
+  as what picks its floating-point kernels (:func:`platform_fingerprint`).
 
-The bytes depend on the BLAS kernels and the CPU.  On the recording
-platform every file must match exactly.  On another platform each number
-must lie within ``FOREIGN_ULPS`` units in the last place of its copy and
-every other character must match, except the acceptance lines' numbers,
-which print roundoff residuals to four digits and are masked there; the
-test says so in its output.  A mismatch names the file and its first
+The bytes depend on the BLAS kernels and the CPU.  On a listed platform
+every file must match exactly.  On another platform each number must lie
+within ``FOREIGN_ULPS`` units in the last place of its copy and every
+other character must match, except the acceptance lines' numbers, which
+print roundoff residuals to four digits and are masked there; the test
+says so in its output.  A mismatch names the file and its first
 differing line and cell.
 
 A change that moves an output on purpose rewrites the copies in the same
-change, from the repository root::
+change, from the repository root, and resets the list to this platform::
 
     PYTHONPATH=src python tests/test_frozen_outputs.py --write
+
+Another platform joins the list once it renders all five outputs byte
+for byte as their copies; ``--trust`` renders them and appends its
+fingerprint only then::
+
+    PYTHONPATH=src python tests/test_frozen_outputs.py --trust
 
 A change that must move none can show it on any platform: ``--digest``
 prints the SHA-256 of each output as rendered now, one ``sha256sum``-style
@@ -38,18 +43,21 @@ byte for byte::
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
 import platform
 import re
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import scipy
 
+import zeno_limits
 from zeno_limits.experiments import SweepConfig, format_csv, run_sweep
 from zeno_limits.zeno import BOUNDS, CSV_COLUMNS, VARIANTS, evaluate_grid, zeno_split
 
@@ -71,20 +79,34 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 ELAPSED = re.compile(r"\d+\.\d+s \(limit")
 
 
-def platform_fingerprint() -> dict:
-    """The numpy and scipy versions, their BLAS builds and kernel override, the machine and its CPU flags."""
-    def blas(module) -> str:
-        dep = module.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-        return dep.get("openblas configuration") or f"{dep.get('name')} {dep.get('version')}"
-
+def _openblas_cores() -> dict[str, str]:
+    """The runtime core (kernel set) of each OpenBLAS loaded in this process, by the symbol that reports it;
+    empty where ``/proc/self/maps`` does not list the loaded libraries."""
     try:
-        with open("/proc/cpuinfo") as fh:
-            flags = next((line.split(":", 1)[1].split() for line in fh if line.startswith("flags")), [])
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
-        flags = [platform.processor()]
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "numpy_blas": blas(np), "scipy_blas": blas(scipy),
+        paths = []
+    cores = {}
+    for path in paths:
+        for symbol in ("scipy_openblas_get_corename", "scipy_openblas_get_corename64_"):
+            if (corename := getattr(ctypes.CDLL(path), symbol, None)) is not None:
+                corename.restype = ctypes.c_char_p
+                cores[symbol] = corename().decode()
+    return cores
+
+
+def platform_fingerprint() -> dict:
+    """What picks the floating-point kernels: the numpy and scipy versions, each loaded OpenBLAS's runtime
+    core and any ``OPENBLAS_CORETYPE`` override, the machine, and numpy's dispatched SIMD targets."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "openblas_cores": _openblas_cores(),
             "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"), "machine": platform.machine(),
-            "cpu_flags": " ".join(sorted(set(flags)))}
+            "cpu_dispatch": list(np._core._multiarray_umath.__cpu_dispatch__)}
+
+
+def comparison_ulps(trusted: list[dict]) -> int:
+    """0, the exact text, on a platform in ``trusted``; else ``FOREIGN_ULPS``."""
+    return 0 if platform_fingerprint() in trusted else FOREIGN_ULPS
 
 
 def render() -> dict[str, str]:
@@ -143,13 +165,11 @@ def first_difference(name: str, want: str, got: str, ulps: int = 0) -> str | Non
 
 
 def test_outputs_equal_the_frozen_copies(capsys):
-    recorded = json.loads((FROZEN / "fingerprint.json").read_text())
-    ulps = 0 if recorded == platform_fingerprint() else FOREIGN_ULPS
+    ulps = comparison_ulps(json.loads((FROZEN / "fingerprint.json").read_text()))
     if ulps:
         with capsys.disabled():
-            print(f"\nfrozen outputs: this platform differs from the recording one "
-                  f"({FROZEN / 'fingerprint.json'}); numbers compared within {ulps} ulps, "
-                  f"the acceptance lines' numbers masked")
+            print(f"\nfrozen outputs: this platform is not listed in {FROZEN / 'fingerprint.json'}; "
+                  f"numbers compared within {ulps} ulps, the acceptance lines' numbers masked")
     now = render()
     problems = [first_difference(name, (FROZEN / name).read_text(), now[name], ulps) for name in OUTPUTS]
     assert [p for p in problems if p] == []
@@ -166,6 +186,27 @@ def test_comparison_names_the_first_moved_cell():
     assert first_difference("x.csv", frozen, frozen + "10.0,1.0,1.0\n") == "x.csv: 3 frozen lines, 4 now"
 
 
+def test_a_listed_platform_compares_exactly():
+    """A cell moved by one ulp fails on a listed platform and passes within the foreign ulps elsewhere."""
+    frozen = "gamma,t,bound_cptp\n10.0,0.25,0.5\n"
+    moved = frozen.replace("0.5\n", repr(float(np.nextafter(0.5, 1.0))) + "\n")
+    assert comparison_ulps([platform_fingerprint()]) == 0
+    assert first_difference("x.csv", frozen, moved, comparison_ulps([platform_fingerprint()])) is not None
+    assert first_difference("x.csv", frozen, moved, comparison_ulps([])) is None
+
+
+def test_another_openblas_kernel_is_not_listed():
+    """Under ``OPENBLAS_CORETYPE=Haswell`` the fingerprint differs from every listed one, so the ulps mode applies."""
+    paths = [str(Path(zeno_limits.__file__).resolve().parents[1]), str(FROZEN.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import json, test_frozen_outputs as t\nprint(json.dumps(t.platform_fingerprint()))\n"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                         timeout=60)
+    haswell = json.loads(out.stdout)
+    assert haswell["openblas_coretype"] == "Haswell"
+    assert haswell not in json.loads((FROZEN / "fingerprint.json").read_text())
+
+
 def test_foreign_platform_masks_only_the_acceptance_numbers():
     line = "[PASS] criterion 1: residual = 3.253e-15 (tol 1e-8), <elapsed>s (limit 5s)\n"
     moved = line.replace("3.253e-15", "2.9e-15")
@@ -175,13 +216,22 @@ def test_foreign_platform_masks_only_the_acceptance_numbers():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in (["--write"], ["--digest"]):
-        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write | --digest")
+    if sys.argv[1:] not in (["--write"], ["--digest"], ["--trust"]):
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write | --digest | --trust")
+    outputs, here = render(), platform_fingerprint()
     if sys.argv[1] == "--digest":
-        for name, text in render().items():
+        for name, text in outputs.items():
             print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}")
         sys.exit()
-    FROZEN.mkdir(exist_ok=True)
-    for name, text in render().items():
-        (FROZEN / name).write_text(text)
-    (FROZEN / "fingerprint.json").write_text(json.dumps(platform_fingerprint(), indent=2) + "\n")
+    if sys.argv[1] == "--trust":
+        moved = [name for name, text in outputs.items() if (FROZEN / name).read_bytes() != text.encode()]
+        if moved:
+            sys.exit(f"not trusted: these outputs differ from their frozen copies: {', '.join(moved)}")
+        listed = json.loads((FROZEN / "fingerprint.json").read_text())
+        trusted = listed if here in listed else listed + [here]
+    else:
+        FROZEN.mkdir(exist_ok=True)
+        for name, text in outputs.items():
+            (FROZEN / name).write_text(text)
+        trusted = [here]
+    (FROZEN / "fingerprint.json").write_text(json.dumps(trusted, indent=2) + "\n")

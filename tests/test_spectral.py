@@ -373,6 +373,19 @@ class TestSpectralExpmSkipFloor:
             assert spectral_expm(dec, t)[1, 2] == pytest.approx(t * math.exp(-t) * 1e-8, rel=1e-10)
 
 
+class TestMergedClusterSpread:
+    @pytest.mark.parametrize("t", [720.0, 800.0, 2000.0])
+    def test_spectral_expm_of_a_cluster_spread_in_real_part(self, t):
+        """At the default tolerance 1e-7 ||A|| = 100, 0, -1 and -2 merge into one peripheral cluster
+        centred at -1.  Its block factors about the top real part 0, so e^{tA} stays diag(e^{t lambda})
+        where a factor e^{t (T_kk + I)} about the centre overflows (t = 720) or e^{-t} underflows (t >= 800)."""
+        lam = np.array([0.0, -1e9, -1.0, -2.0])
+        dec = decompose(np.diag(lam))
+        assert sorted((len(c.block), c.eigenvalue, c.peripheral) for c in dec.clusters) == [(1, -1e9, False),
+                                                                                            (3, -1.0, True)]
+        assert np.abs(spectral_expm(dec, t) - np.diag(np.exp(t * lam))).max() <= 1e-12
+
+
 class TestConditionNumber:
     def test_normal_matrix(self, rng):
         h = random_hermitian(rng, 5)

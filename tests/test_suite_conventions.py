@@ -2,6 +2,7 @@
 in the package and the README that must resolve."""
 
 import ast
+import functools
 import importlib.util
 import os
 import re
@@ -22,40 +23,28 @@ README = TESTS.parent / "README.md"
 HYPOTHESIS_FILTER = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 
 
-def _uses_given(tree: ast.Module) -> bool:
-    """True when the module imports ``given`` from hypothesis or reads ``hypothesis.given``."""
+def _reads(tree: ast.Module, name: str, module: str | None = None) -> bool:
+    """True when the module imports ``name`` (from ``module``, when given) or loads it as an attribute (of
+    ``module``): ``_reads(tree, "given", "hypothesis")`` for ``hypothesis.given``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "hypothesis" \
-                and any(alias.name == "given" for alias in node.names):
+        if isinstance(node, ast.ImportFrom) and module in (None, node.module) \
+                and any(alias.name == name for alias in node.names):
             return True
-        if isinstance(node, ast.Attribute) and node.attr == "given" \
-                and isinstance(node.value, ast.Name) and node.value.id == "hypothesis":
+        if isinstance(node, ast.Attribute) and node.attr == name and module in (None, getattr(node.value, "id", None)):
             return True
     return False
 
 
-def _module_mark_strings(tree: ast.Module) -> list[str]:
-    """The string constants in the module-level ``pytestmark`` assignment."""
+def _assigned_strings(tree: ast.Module, name: str) -> list[str]:
+    """The string constants in the module-level assignment to ``name`` (``pytestmark``, ``__all__``)."""
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "pytestmark"
-                                                for t in node.targets):
-            return [c.value for c in ast.walk(node.value)
-                    if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
     return []
 
 
-def _calls_importorskip(tree: ast.Module) -> bool:
-    """True when the module reads ``importorskip``, as ``pytest.importorskip`` or imported by name."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "importorskip":
-            return True
-        if isinstance(node, ast.ImportFrom) and any(alias.name == "importorskip" for alias in node.names):
-            return True
-    return False
-
-
 PROPERTY_MODULES = sorted(path.name for path in TESTS.glob("test_*.py")
-                          if _uses_given(ast.parse(path.read_text())))
+                          if _reads(ast.parse(path.read_text()), "given", "hypothesis"))
 
 
 def test_the_property_modules_are_found():
@@ -64,19 +53,19 @@ def test_the_property_modules_are_found():
 
 @pytest.mark.parametrize("name", PROPERTY_MODULES)
 def test_property_modules_ignore_the_plugin_warning(name):
-    assert HYPOTHESIS_FILTER in _module_mark_strings(ast.parse((TESTS / name).read_text()))
+    assert HYPOTHESIS_FILTER in _assigned_strings(ast.parse((TESTS / name).read_text()), "pytestmark")
 
 
 def test_importorskip_is_detected():
-    assert _calls_importorskip(ast.parse('mpmath = pytest.importorskip("mpmath")'))
-    assert _calls_importorskip(ast.parse("from pytest import importorskip"))
-    assert not _calls_importorskip(ast.parse("import mpmath"))
+    assert _reads(ast.parse('mpmath = pytest.importorskip("mpmath")'), "importorskip")
+    assert _reads(ast.parse("from pytest import importorskip"), "importorskip")
+    assert not _reads(ast.parse("import mpmath"), "importorskip")
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in TESTS.glob("*.py")))
 def test_no_module_skips_on_a_missing_import(name):
     """Every test dependency is in the ``test`` extra, so a missing one must fail the run, not skip."""
-    assert not _calls_importorskip(ast.parse((TESTS / name).read_text()))
+    assert not _reads(ast.parse((TESTS / name).read_text()), "importorskip")
 
 
 #: a Sphinx cross-reference in a docstring or comment, and a backticked dotted name in the README
@@ -87,13 +76,10 @@ README_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 def _has_path(obj, dotted: str) -> bool:
     """True when each part of ``dotted`` is an attribute (or a dataclass field) of the one before."""
     for name in dotted.split("."):
-        fields = getattr(obj, "__dataclass_fields__", {})
-        if hasattr(obj, name):
-            obj = getattr(obj, name)
-        elif name in fields:  # a field without a class-level default
-            obj = fields[name]
-        else:
+        fields = getattr(obj, "__dataclass_fields__", {})  # a field without a class-level default is only here
+        if not (hasattr(obj, name) or name in fields):
             return False
+        obj = getattr(obj, name) if hasattr(obj, name) else fields[name]
     return True
 
 
@@ -177,11 +163,12 @@ def test_package_imports_only_scipy_linalg(stem):
 
 
 def test_purity_rates_load_no_heavy_scipy_subpackage():
-    """After qubit and qutrit purity rates and a no-go check, none of the scipy subpackages that
-    ``scipy.linalg`` does not need is loaded."""
+    """After importing what ``bench/workloads.py`` loads (``zeno_limits.cli`` and ``.acceptance``), qubit and
+    qutrit purity rates and a no-go check, no module that ``scipy.linalg`` does not need is loaded (its own
+    ``numpy.testing`` and ``numpy.f2py`` are not checked), nor a test dependency."""
     src = str(PACKAGE.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys\n"
+    code = ("import sys\nimport zeno_limits.acceptance, zeno_limits.cli\n"
             "from zeno_limits import PurityOptions, no_go_check, purity_decay_rate, random_gkls\n"
             "from zeno_limits.zeno import fast_oscillation_zeno\n"
             "opts = PurityOptions(restarts=4, seed=0)\n"
@@ -189,7 +176,8 @@ def test_purity_rates_load_no_heavy_scipy_subpackage():
             "assert purity_decay_rate(random_gkls(3, 2, seed=2), opts) > 0\n"
             "sys_ = random_gkls(2, 1, seed=3)\n"
             "no_go_check(sys_, fast_oscillation_zeno(sys_, sys_.hamiltonian))\n"
-            "print([name for name in ('scipy.optimize', 'scipy.sparse', 'scipy.special', 'scipy.spatial')\n"
+            "print([name for name in ('scipy.optimize', 'scipy.sparse', 'scipy.special', 'scipy.spatial',\n"
+            "                         'scipy.stats', 'scipy.integrate', 'mpmath', 'hypothesis')\n"
             "       if name in sys.modules])\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
@@ -251,75 +239,25 @@ def test_no_call_site_unwraps_a_superoperator(stem):
     assert _superoperator_unwraps(ast.parse((PACKAGE / f"{stem}.py").read_text())) == []
 
 
-#: public names that no module of the package reads, each with the paper statement it serves; every
-#: other public name and method must be read by the package itself (as the limit, its measured error
-#: and its bounds need it), or it goes
-UNREAD_BY_DESIGN: dict[str, str] = {}
-
-
-def _dunder_all(tree: ast.Module) -> list[str]:
-    """The names listed in the module-level ``__all__`` of ``tree``."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return [elt.value for elt in node.value.elts]
-    return []
-
-
-def _unread_surface(sources: dict[str, str]) -> list[str]:
-    """The public surface of the modules in ``sources`` (stem -> source) that none of them reads.
-
-    The surface is every name in a module's ``__all__``, as ``module.name``, and every public method
-    or property (not a dunder) of a class in it, as ``module.Class.method``.  A name is read where it
-    is loaded as an ``ast.Name`` or an ``ast.Attribute``; an import, a definition or a string in
-    ``__all__`` does not count.
-    """
-    trees = {stem: ast.parse(text) for stem, text in sources.items()}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
-    unread = []
-    for stem, tree in sorted(trees.items()):
-        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-        for name in _dunder_all(tree):
-            unread += [f"{stem}.{name}"] if name not in read else []
-            methods = [node.name for node in getattr(classes.get(name), "body", [])
-                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")]
-            unread += [f"{stem}.{name}.{method}" for method in methods if method not in read]
-    return unread
-
-
-def test_unread_surface_is_found():
-    sources = {"m": "__all__ = ['used', 'unused', 'Box']\n"
-                    "def used(): pass\ndef unused(): pass\n"
-                    "class Box:\n    def read(self): pass\n    @property\n    def idle(self): pass\n"
-                    "    def __call__(self): pass\n    def _private(self): pass\n",
-               "n": "from .m import used, unused\nused()\nBox().read()\nidle = 1\n"}
-    assert _unread_surface(sources) == ["m.unused", "m.Box.idle"]
-
-
-def test_every_public_name_is_read_by_the_package():
-    """The public surface is what the package computes with; an unread name needs a paper statement."""
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert [name for name in _unread_surface(sources) if name not in UNREAD_BY_DESIGN] == []
-    assert all(UNREAD_BY_DESIGN.values())
-
-
-#: parameters and dataclass fields that the two audits below flag but that stay for now, each with the
-#: line outside the package that still sets it and the ROADMAP item that removes both
-UNSET_BY_DESIGN: dict[str, str] = {
-    "spectral.condition_number.nu": "bench/tracing.py:247 passes split.gap_data.nu; goes with ROADMAP item 1a",
+#: the public surface, its parameters and its dataclass fields are what the package computes with: an unused
+#: member goes, unless it is here with its reader outside the package (``file:line``) or the ROADMAP item
+#: that reads or retires it
+ALLOWLIST: dict[str, str] = {
+    "acceptance.CriterionResult.elapsed_s": "bench/tracing.py:329 reports each criterion's time",
+    "experiments.SweepResult.rows": "bench/tracing.py:235 compares the replay's rows; goes with ROADMAP item 1a",
     "gkls.PurityOptions.grid_density": "bench/tracing.py:49 sets it; goes with ROADMAP item 1a",
+    "gkls.PurityReport.argmax": "tests/test_gkls.py:281 checks the rate is attained at it; ROADMAP item 5a",
+    "gkls.PurityReport.upper": "ROADMAP item 5 records the purity bracket (gamma, upper)",
+    "models.ThreeLevelPeripheral.p_phi": "bench/workloads.py:221 is the three-level oracle's P_phi",
+    "spectral.condition_number.nu": "bench/tracing.py:247 passes split.gap_data.nu; goes with ROADMAP item 1a",
+    "zeno.ZenoSplit.b": "bench/tracing.py:242 reads it; goes with ROADMAP item 1a",
 }
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    """True when the class is decorated with ``dataclass`` or ``dataclass(...)``."""
-    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-    return any(getattr(t, "id", getattr(t, "attr", None)) == "dataclass" for t in targets)
-
-
-def _decorated(node: ast.FunctionDef, name: str) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == name for d in node.decorator_list)
+def _decorated(node, name: str) -> bool:
+    """True when a decorator of the def or class is ``name`` or ``name(...)``, bare or a module's attribute."""
+    return any(getattr(d, "id", getattr(d, "attr", None)) == name
+               for d in (d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", [])))
 
 
 def _parameters(node: ast.FunctionDef, method: bool) -> tuple[list[str], dict[str, ast.expr]]:
@@ -338,58 +276,11 @@ def _fields(node: ast.ClassDef) -> tuple[list[str], dict[str, ast.expr]]:
     for item in node.body:
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
             names.append(item.target.id)
-            value = item.value
-            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
-                keywords = {k.arg: k.value for k in value.keywords}
-                value = keywords.get("default", ast.Call(keywords["default_factory"], [], [])
-                                     if "default_factory" in keywords else None)
-            if value is not None:
-                defaults[item.target.id] = value
-    return names, defaults
-
-
-def _entries(stem: str, tree: ast.Module) -> list[tuple]:
-    """(qualified name, the name a call uses, the def or None, positional parameters, defaults) of every
-    public function in the module's ``__all__``, public method of a class in it, and dataclass in it."""
-    public, entries = set(_dunder_all(tree)), []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in public:
-            entries.append((f"{stem}.{node.name}", node.name, node, *_parameters(node, method=False)))
-        elif isinstance(node, ast.ClassDef) and node.name in public:
-            if _is_dataclass(node):
-                entries.append((f"{stem}.{node.name}", node.name, None, *_fields(node)))
-            entries += [(f"{stem}.{node.name}.{item.name}", item.name, item,
-                         *_parameters(item, method=not _decorated(item, "staticmethod")))
-                        for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
-    return entries
-
-
-def _unread_parameters(sources: dict[str, str]) -> list[str]:
-    """Every parameter of a public function or method (see :func:`_entries`) of the modules in ``sources``
-    that its body never loads, as ``qualified.name.parameter``; ``self`` and ``cls`` are not counted."""
-    unread = []
-    for stem, text in sorted(sources.items()):
-        for qualname, _, node, _, _ in _entries(stem, ast.parse(text)):
-            if node is None:
-                continue
-            args = node.args
-            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
-                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            unread += [f"{qualname}.{a.arg}" for a in args.posonlyargs + args.args + args.kwonlyargs
-                       + [a for a in (args.vararg, args.kwarg) if a]
-                       if a.arg not in ("self", "cls") and a.arg not in loaded]
-    return unread
-
-
-def _calls(trees) -> list[tuple[str, ast.Call]]:
-    """(the name called, the call) for every call in ``trees``: ``f(...)`` and ``x.f(...)`` call ``f``,
-    and ``cls(...)`` inside a classmethod calls its class."""
-    own_class = {id(call): cls.name for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                 for item in cls.body if isinstance(item, ast.FunctionDef) and _decorated(item, "classmethod")
-                 for call in ast.walk(item)
-                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "cls"}
-    return [(own_class.get(id(call)) or getattr(call.func, "id", None) or getattr(call.func, "attr", None), call)
-            for tree in trees for call in ast.walk(tree) if isinstance(call, ast.Call)]
+            keywords = {k.arg: k.value for k in item.value.keywords} if isinstance(item.value, ast.Call) \
+                and getattr(item.value.func, "id", None) == "field" else {"default": item.value}
+            factory = keywords.get("default_factory")
+            defaults[item.target.id] = ast.Call(factory, [], []) if factory else keywords.get("default")
+    return names, {name: value for name, value in defaults.items() if value is not None}
 
 
 def _differs(value: ast.expr, default: ast.expr) -> bool:
@@ -399,30 +290,170 @@ def _differs(value: ast.expr, default: ast.expr) -> bool:
     return ast.dump(value) != ast.dump(default)
 
 
-def _unset_defaults(sources: dict[str, str]) -> list[str]:
-    """Every defaulted parameter or field of a public entry (see :func:`_entries`) of the modules in
-    ``sources`` that no call among them passes a value other than its literal default.
+def _type(ann, classes: set[str]):
+    """The type an annotation writes: a package class by name, ``("seq", T)`` for ``tuple[T, ...]`` or
+    ``list[T]``, ``("map", T)`` for ``dict[K, T]``, None for none or ``tuple[A, B]``, else ``""``."""
+    if isinstance(ann, ast.BinOp):  # a union such as C | None
+        return next((t for t in (_type(ann.left, classes), _type(ann.right, classes)) if t in classes), "")
+    kind = getattr(ann.value, "id", None) if isinstance(ann, ast.Subscript) else None
+    args = (ann.slice.elts if isinstance(ann.slice, ast.Tuple) else [ann.slice]) if kind else []
+    if kind in ("dict", "list") or kind == "tuple" and getattr(args[-1], "value", None) is Ellipsis:
+        return ("map" if kind == "dict" else "seq", _type(args[-1 if kind == "dict" else 0], classes))
+    name = ann.value if isinstance(ann, ast.Constant) else getattr(ann, "id", None)
+    return None if ann is None or kind == "tuple" else name if name in classes else ""
 
-    A value counts whether it is passed by keyword or by position.  A call with a ``*`` or ``**``
-    argument passes every parameter, and a keyword of ``dataclasses.replace`` passes that field of
-    every dataclass.
-    """
+
+def _walk(sources: dict[str, str]) -> dict:
+    """Record, in one pass over ``sources`` (stem -> source), each load, call and def's loaded names against
+    its owner: a class typed only from the sources' annotations (:func:`_type`) of parameters, ``self`` and
+    ``cls``, returns, fields and properties, through bindings (in a def, a name bound to two types has none),
+    subscripts and iteration; else None, which stands for every class.  A module owns no member."""
     trees = {stem: ast.parse(text) for stem, text in sorted(sources.items())}
-    calls = _calls(trees.values())
-    replaced = {k.arg for name, call in calls if name == "replace" for k in call.keywords}
-    unset = []
+    tops = [node for tree in trees.values() for node in tree.body]
+    classes = {node.name for node in tops if isinstance(node, ast.ClassDef)}
+    functions = {node.name: _type(node.returns, classes) for node in tops if isinstance(node, ast.FunctionDef)}
+    members = {node.name: {getattr(item, "name", None) or item.target.id:
+                           _type(getattr(item, "returns", getattr(item, "annotation", None)), classes)
+                           for item in node.body if isinstance(item, (ast.FunctionDef, ast.AnnAssign))}
+               for node in tops if isinstance(node, ast.ClassDef)}
+    record = {"loads": set(), "names": set(), "whole": set(), "calls": [], "params": {}, "trees": trees}
+    env, modules = {}, {}  # the current scope's, which the helpers below read
+
+    def module(expr) -> bool:
+        return isinstance(expr, ast.Name) and expr.id in modules and expr.id not in env
+
+    def item(t, subscript: bool = False):
+        return t[1] if isinstance(t, tuple) and (t[0] == "seq" or subscript) else None
+
+    def callee(call: ast.Call) -> tuple:  # (owner, name); None owns a bare name and a module's attribute
+        func, name = call.func, getattr(call.func, "id", None)
+        if not isinstance(func, ast.Attribute):
+            return None, env.get("cls") if name == "cls" else name
+        owner = None if module(func.value) else typ(func.value)
+        return (owner, func.attr) if owner in classes or owner is None else (None, None)
+
+    def typ(expr):
+        if isinstance(expr, (ast.Attribute, ast.Subscript)):
+            owner = None if module(expr.value) else typ(expr.value)
+            return item(owner, True) if isinstance(expr, ast.Subscript) else members.get(owner, {}).get(expr.attr)
+        if not isinstance(expr, ast.Call):
+            return env.get(expr.id, expr.id if expr.id in classes else None) if isinstance(expr, ast.Name) else None
+        owner, name = callee(expr)
+        bare = isinstance(expr.func, ast.Name) or owner is None and module(getattr(expr.func, "value", None))
+        return typ(expr.args[0]) if name == "replace" and expr.args else name if name in classes else \
+            members[owner].get(name) if owner else functions.get(name) if bare else None
+
+    def bind(target, t, value=None) -> list:
+        if not isinstance(target, (ast.Tuple, ast.List)):  # a starred name is untyped; an attribute binds none
+            return [(n.id, t if n is target else None) for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        values = value.elts if len(getattr(value, "elts", ())) == len(target.elts) else [None] * len(target.elts)
+        return [pair for elt, v in zip(target.elts, values) for pair in bind(elt, typ(v) if v else item(t), v)]
+
     for stem, tree in trees.items():
-        for qualname, name, node, positional, defaults in _entries(stem, tree):
-            given = set(replaced) if node is None else set()
-            for called, call in calls:
-                if called != name:
-                    continue
-                if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
-                    given |= set(defaults)
-                values = {**dict(zip(positional, call.args)), **{k.arg: k.value for k in call.keywords if k.arg}}
-                given |= {p for p, value in values.items() if p in defaults and _differs(value, defaults[p])}
-            unset += [f"{qualname}.{p}" for p in defaults if p not in given]
-    return unset
+        modules = {alias.asname or alias.name.split(".")[0]: alias.name for node in tree.body for alias in getattr(
+            node, "names", []) if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.module}
+        owners = [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]
+        defs = [(d, getattr(o, "name", None)) for o in owners for d in o.body if isinstance(d, ast.FunctionDef)]
+        inner = {id(n) for node, _ in defs for n in ast.walk(node)}
+        for node, cls in [(None, None), *defs]:
+            nodes = list(ast.walk(node)) if node else [n for n in ast.walk(tree) if id(n) not in inner]
+            own = node.args.args[0] if cls and node.args.args and not _decorated(node, "staticmethod") else None
+            env = {}
+            for n in sorted((n for n in nodes if isinstance(n, (ast.arg, ast.Assign, ast.AnnAssign, ast.NamedExpr,
+                                                               ast.For, ast.comprehension))),
+                            key=lambda n: (getattr(n, "target", n).lineno, getattr(n, "target", n).col_offset)):
+                if isinstance(n, ast.arg):
+                    pairs = [(n.arg, cls if n is own else _type(n.annotation, classes))]
+                elif isinstance(n, (ast.For, ast.comprehension)):
+                    pairs = bind(n.target, item(typ(n.iter)))
+                else:
+                    t = _type(n.annotation, classes) if isinstance(n, ast.AnnAssign) else typ(n.value)
+                    pairs = [pair for target in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                             for pair in bind(target, t, n.value)]
+                env.update((name, t if env.get(name, t) == t else None) for name, t in pairs)
+            for n in nodes:
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    record["names"].add(n.id)
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    if module(n.value):
+                        record["names"] |= {n.attr} if modules[n.value.id] in trees else set()
+                    elif (owner := typ(n.value)) in classes or owner is None:
+                        record["loads"].add((owner, n.attr))
+                elif isinstance(n, ast.Call):
+                    owner, name = callee(n)
+                    record["calls"].append((typ(n.args[0]) if name == "replace" and n.args else owner, name, n))
+                    if n.args and (name == "asdict" or name == "fields" and getattr(n.args[0], "id", None) == "self"):
+                        record["whole"].add(typ(n.args[0]))
+            if node:  # the names the def's body loads, its parameters among them
+                record["params"][".".join(filter(None, (stem, cls, node.name)))] = {n.id for n in ast.walk(
+                    ast.Module(node.body, [])) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return record
+
+
+def _audit(sources: dict[str, str]) -> dict[str, list[str]]:
+    """The public members of the modules in ``sources`` that they do not use, by check: ``names`` in an
+    ``__all__`` and the public methods of its classes, not read (loaded on the class or an unknown owner, see
+    :func:`_walk`); public ``parameters`` never loaded, and defaults no call overrides (``*`` and ``**``
+    pass all, and ``replace(x, f=...)`` the field f of x's class); ``fields`` not read of dataclasses in an
+    ``__all__`` or a public return annotation, unless ``asdict(x)`` or ``fields(self)`` reads them whole."""
+    rec = _walk(sources)
+    loads, names = rec["loads"], rec["names"] | {attr for owner, attr in rec["loads"] if owner is None}
+    flagged, public = {"names": [], "parameters": [], "fields": []}, set()
+    for stem, tree in rec["trees"].items():
+        tops = {node.name: node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        for name in _assigned_strings(tree, "__all__"):
+            public.add(name)
+            flagged["names"] += [] if name in names else [f"{stem}.{name}"]
+            node = tops.get(name)
+            methods = [m for m in getattr(node, "body", []) if isinstance(node, ast.ClassDef)
+                       and isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            flagged["names"] += [f"{stem}.{name}.{m.name}" for m in methods
+                                 if not {(name, m.name), (None, m.name)} & loads]
+            entries = [(f"{stem}.{name}", None, node)] if isinstance(node, ast.FunctionDef) \
+                or _decorated(node, "dataclass") else []
+            for qualname, owner, entry in entries + [(f"{stem}.{name}.{m.name}", name, m) for m in methods]:
+                positional, defaults = _fields(entry) if isinstance(entry, ast.ClassDef) else \
+                    _parameters(entry, method=owner is not None and not _decorated(entry, "staticmethod"))
+                given = set()
+                for called_owner, called, call in rec["calls"]:
+                    if isinstance(entry, ast.ClassDef) and called == "replace" and called_owner in (None, name):
+                        given |= {k.arg for k in call.keywords}
+                    if called != entry.name or called_owner not in (None, owner):
+                        continue
+                    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                        given |= set(defaults)
+                    values = {**dict(zip(positional, call.args)), **{k.arg: k.value for k in call.keywords if k.arg}}
+                    given |= {p for p, value in values.items() if p in defaults and _differs(value, defaults[p])}
+                flagged["parameters"] += [f"{qualname}.{p}" for p in defaults if p not in given]
+                if isinstance(entry, ast.FunctionDef):
+                    flagged["parameters"] += [f"{qualname}.{a.arg}" for a in ast.walk(entry.args) if isinstance(
+                        a, ast.arg) and a.arg not in ("self", "cls", *rec["params"][qualname])]
+                    public |= {n.id for n in ast.walk(entry.returns or ast.Pass()) if isinstance(n, ast.Name)}
+    flagged["fields"] = [f"{stem}.{node.name}.{name}" for stem, tree in rec["trees"].items() for node in tree.body
+                         if isinstance(node, ast.ClassDef) and _decorated(node, "dataclass") and node.name in public
+                         and node.name not in rec["whole"]
+                         for name in _fields(node)[0] if not {(node.name, name), (None, name)} & loads]
+    return flagged
+
+
+@functools.cache
+def _package_audit() -> dict[str, list[str]]:
+    return _audit({path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
+
+
+def _stale(flagged: dict[str, list[str]], allowlist: dict[str, str]) -> set[str]:
+    """The allowlist entries that no check flags any more, each of which must go."""
+    return set(allowlist).difference(*flagged.values())
+
+
+def test_unread_surface_is_found():
+    sources = {"m": "__all__ = ['used', 'unused', 'Box']\n"
+                    "def used(): pass\ndef unused(): pass\n"
+                    "class Box:\n    def read(self): pass\n    @property\n    def idle(self): pass\n"
+                    "    def __call__(self): pass\n    def _private(self): pass\n",
+               "n": "from .m import used, unused\nused()\nBox().read()\nidle = 1\n"}
+    assert _audit(sources)["names"] == ["m.unused", "m.Box.idle"]
 
 
 def test_unread_parameters_and_unset_defaults_are_found():
@@ -435,72 +466,39 @@ def test_unread_parameters_and_unset_defaults_are_found():
                     "    @staticmethod\n    def make(v=0):\n        return v\n",
                "n": "from .m import f\nf(0, 2)\nf(0, c=None, d=2, e=y)\ng(1, *rest)\nOpts(n=3)\n"
                     "replace(o, m=7)\nBox().size(1)\nBox.make(1)\n"}
-    assert _unread_parameters(sources) == ["m.g.idle"]
-    assert _unset_defaults(sources) == ["m.f.c", "m.f.d", "m.Opts.n", "m.Box.size.w"]
-
-
-def test_every_parameter_is_read_and_set_by_the_package():
-    """A public parameter is read by its entry, and a default is overridden by some package caller; else the
-    parameter goes, or becomes a constant or a property, unless ``UNSET_BY_DESIGN`` names who still sets it."""
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    flagged = _unread_parameters(sources) + _unset_defaults(sources)
-    assert [name for name in flagged if name not in UNSET_BY_DESIGN] == []
-    assert set(UNSET_BY_DESIGN) <= set(flagged)  # an entry the audits no longer flag goes from the allowlist
-    assert all("bench/tracing.py:" in why and "ROADMAP item 1a" in why for why in UNSET_BY_DESIGN.values())
-
-
-#: dataclass fields that no module of the package reads, each with its reader outside the package or the
-#: ROADMAP item that reads it; every other field of a public dataclass is read by the package, or it goes
-UNREAD_FIELDS: dict[str, str] = {
-    "acceptance.CriterionResult.elapsed_s": "bench/tracing.py:329 reports each criterion's time",
-    "experiments.SweepResult.rows": "bench/tracing.py:235 compares the replay's rows; ROADMAP item 1a",
-    "gkls.PurityOptions.grid_density": "bench/tracing.py:49 sets it; goes with ROADMAP item 1a",
-    "gkls.PurityReport.upper": "ROADMAP item 5 records the purity bracket (gamma, upper)",
-}
-#: public dataclasses that the package reads whole, so that no field of theirs is loaded by name
-READ_WHOLE = {
-    "experiments.SpectralPropertyReport": "its as_dict reads fields(self)",
-    "gkls.CptpReport": "cli.cmd_gkls_check writes asdict(cptp_check(...))",
-    "gkls.GklsFormReport": "cli.cmd_gkls_check writes asdict(gkls_form_check(...))",
-}
-
-
-def _unread_fields(sources: dict[str, str]) -> list[str]:
-    """The fields, as ``module.Class.field``, of the public dataclasses of the modules in ``sources``
-    that none of them loads as an attribute.
-
-    A dataclass is public when a module lists it in ``__all__`` or a public function or method (see
-    :func:`_entries`) names it in its return annotation.  The audit matches attribute names, not
-    owners, so a field is read wherever any object's attribute of that name is loaded: it cannot flag
-    ``ZenoSplit.b`` (``Frame.b`` is loaded) or ``PurityReport.argmax`` (``np.argmax`` is loaded).
-    """
-    trees = {stem: ast.parse(text) for stem, text in sorted(sources.items())}
-    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    public = {name for tree in trees.values() for name in _dunder_all(tree)}
-    public |= {name.id for stem, tree in trees.items() for *_, node, _, _ in _entries(stem, tree)
-               if node is not None and node.returns is not None
-               for name in ast.walk(node.returns) if isinstance(name, ast.Name)}
-    return [f"{stem}.{node.name}.{name}" for stem, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node) and node.name in public
-            for name in _fields(node)[0] if name not in loaded]
+    assert _audit(sources)["parameters"] == ["m.f.c", "m.f.d", "m.g.idle", "m.Opts.n", "m.Box.size.w"]
 
 
 def test_unread_fields_are_found():
-    sources = {"m": "__all__ = ['make', 'Opts']\n"
+    """Owners decide: ``Frame.b`` reads no ``Split.b``, ``np.argmax`` no ``Report.argmax``; unknown ones do."""
+    sources = {"m": "import numpy as np\n__all__ = ['make', 'Opts', 'Split', 'Report', 'Verdicts', 'Whole']\n"
                     "@dataclass\nclass Opts:\n    n: int = 3\n    idle: int = 0\n"
                     "@dataclass(frozen=True)\nclass Out:\n    value: float\n    extra: list\n"
-                    "@dataclass\nclass _Hidden:\n    unread: int\n"
-                    "def make(o: Opts) -> tuple[Out, int]:\n    return Out(o.n, []), 0\n",
-               "n": "from .m import make\nvalue = make(Opts()).idle.value\n"}
-    assert _unread_fields(sources) == ["m.Out.extra"]
+                    "@dataclass\nclass _Hidden:\n    unread: int\n@dataclass\nclass Frame:\n    b: int\n"
+                    "@dataclass\nclass Split:\n    b: int\n    frame: Frame\n"
+                    "@dataclass\nclass Report:\n    argmax: int\n"
+                    "@dataclass\nclass Verdicts:\n    ok: bool\n    def as_dict(self):\n"
+                    "        return {f.name: getattr(self, f.name) for f in fields(self)}\n"
+                    "@dataclass\nclass Whole:\n    a: int\ndef make(o: Opts) -> list[Out]:\n    return [Out(o.n, [])]\n"
+                    "def split(s: Split, r: Report) -> int:\n    frame = s.frame\n    return frame.b + np.argmax(r)\n",
+               "n": "from .m import make\nopts = load()\nvalue = opts.idle + make(Opts())[0].value\nasdict(Whole(1))\n"}
+    flagged = _audit(sources)
+    assert flagged["fields"] == ["m.Out.extra", "m.Split.b", "m.Report.argmax"]
+    assert _stale(flagged, {"m.Split.b": "a reader", "m.Out.value": "a reader"}) == {"m.Out.value"}
+
+
+def test_every_public_name_is_read_by_the_package():
+    assert [name for name in _package_audit()["names"] if name not in ALLOWLIST] == []
+
+
+def test_every_parameter_is_read_and_set_by_the_package():
+    assert [name for name in _package_audit()["parameters"] if name not in ALLOWLIST] == []
 
 
 def test_every_dataclass_field_is_read_by_the_package():
-    """A field of a public dataclass is what the package computes with; a field only tests read goes,
-    unless ``UNREAD_FIELDS`` names its reader."""
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    flagged = [name for name in _unread_fields(sources) if name.rpartition(".")[0] not in READ_WHOLE]
-    assert [name for name in flagged if name not in UNREAD_FIELDS] == []
-    assert set(UNREAD_FIELDS) <= set(flagged)  # an entry the audit no longer flags goes from the allowlist
-    assert all(UNREAD_FIELDS.values()) and all(READ_WHOLE.values())
+    assert [name for name in _package_audit()["fields"] if name not in ALLOWLIST] == []
+
+
+def test_every_allowlist_entry_is_flagged_and_names_its_reader():
+    assert _stale(_package_audit(), ALLOWLIST) == set()
+    assert [name for name, why in ALLOWLIST.items() if not re.search(r"\.py:\d+|ROADMAP item \d", why)] == []

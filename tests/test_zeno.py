@@ -160,6 +160,18 @@ class TestAdiabaticError:
         oracle = spectral_norm(lhs - rhs)
         assert err == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("gamma", [360.0, 1000.0])
+    def test_a_peripheral_cluster_spread_in_real_part(self, gamma):
+        """At the default tolerances, 0, -1 and -2 of B = diag(0, -1e9, -1, -2) merge into one peripheral
+        cluster centred at -1; e^{t gamma B} is still diag(e^{t gamma lambda}) in the limit (at gamma = 360
+        its factor about the centre overflowed, at 1000 it underflowed to 0)."""
+        lam, t = np.array([0.0, -1e9, -1.0, -2.0]), 2.0
+        c = 0.1 * np.random.default_rng(1).standard_normal((4, 4))
+        split = zeno_split(np.diag(lam), c)
+        limit = np.diag(np.exp(gamma * t * lam)) @ expm(split.c_z, t) @ split.p_phi
+        oracle = spectral_norm(expm(gamma * np.diag(lam) + c, t) - limit)
+        assert adiabatic_error(split, gamma, t) == pytest.approx(oracle, abs=1e-8)
+
     def test_unknown_variant_rejected(self, three_level):
         _, _, _, split = three_level
         with pytest.raises(ValueError):
